@@ -17,7 +17,7 @@ from .algebra import (AlgebraVector, EmpiricalConstant, GradedAlgebra,
 from .bch import (BchTermCache, FreeSeries, LnDecomposition, bch_term,
                   cn_difference_bound, cn_remainder, decompose_cn,
                   exp_differential, exp_differential_oracle, group_inverse,
-                  group_product, series_oracle_product)
+                  group_product, group_product_np, series_oracle_product)
 from .catalog import (HTypeData, abelian, complexified_heisenberg,
                       direct_product, example_g42, free_lie_extension,
                       free_nilpotent, h_type_from_J, heisenberg,

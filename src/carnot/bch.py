@@ -12,6 +12,11 @@ Two independent routes compute the group product in exponential coordinates:
   through the Dynkin bracketing.  It never touches the recursion, so exact
   agreement of the two is a real check, and it settles every sign convention.
 
+The recursion also gives the raw-coordinate laws: ``group_product_coords`` on
+Fraction tuples, and its float twin ``group_product_np`` on arrays of shape
+(..., dim), broadcast over the leading axes.  The latter is the one float
+group law of the analytic modules (metric, curves, pdiff, subgroups).
+
 Everything in exact mode is Fraction arithmetic; nilpotency makes all series
 finite, so there are no convergence questions.
 """
@@ -65,7 +70,23 @@ def _compositions(n, parts):
 # the recursion, generic over a coordinate backend
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _recursion_plan(step, num):
+    """The recursion's coefficients converted by `num` (Fraction or float):
+    (1/2, ((1/(n+1), ((K_2p, compositions of n into 2p parts), ...)), ...))
+    for n = 1..step-1.  The float backend converts each coefficient once here
+    instead of once per product; the products themselves are unchanged."""
+    plan = []
+    for n in range(1, step):
+        groups = tuple((num(_k_coefficient(2 * p)), _compositions(n, 2 * p))
+                       for p in range(1, n // 2 + 1))
+        plan.append((num(Q(1, n + 1)), groups))
+    return num(Q(1, 2)), tuple(plan)
+
+
 class _ExactOps:
+    num = Q
+
     def __init__(self, algebra):
         self.algebra = algebra
 
@@ -83,6 +104,8 @@ class _ExactOps:
 
 
 class _FloatRecOps:
+    num = float
+
     def __init__(self, algebra):
         self.fops = algebra.float_ops()
 
@@ -93,7 +116,7 @@ class _FloatRecOps:
         return a - b
 
     def scale(self, q, a):
-        return float(q) * a
+        return q * a
 
     def bracket(self, a, b):
         return self.fops.bracket(a, b)
@@ -107,18 +130,16 @@ def _bch_terms(ops, x, y, step):
         return c
     xmy = ops.sub(x, y)
     xpy = c[1]
-    for n in range(1, step):
-        acc = ops.scale(Q(1, 2), ops.bracket(xmy, c[n]))
-        for p in range(1, n // 2 + 1):
-            coeff = _k_coefficient(2 * p)
-            if coeff == 0:
-                continue
-            for comp in _compositions(n, 2 * p):
+    half, plan = _recursion_plan(step, ops.num)
+    for n, (inv, groups) in enumerate(plan, start=1):
+        acc = ops.scale(half, ops.bracket(xmy, c[n]))
+        for coeff, comps in groups:
+            for comp in comps:
                 t = ops.bracket(c[comp[-1]], xpy)
                 for k in reversed(comp[:-1]):
                     t = ops.bracket(c[k], t)
                 acc = ops.add(acc, ops.scale(coeff, t))
-        c[n + 1] = ops.scale(Q(1, n + 1), acc)
+        c[n + 1] = ops.scale(inv, acc)
     return c
 
 
@@ -170,6 +191,13 @@ def bch_term(n, x, y):
     return AlgebraVector(alg, _bch_terms(_FloatRecOps(alg), x.coords, y.coords, alg.step)[n])
 
 
+def _exact_product(algebra, xc, yc):
+    out = [Q(0)] * algebra.dim
+    for t in _cache_for(algebra).terms(xc, yc):
+        out = [a + b for a, b in zip(out, t)]
+    return tuple(out)
+
+
 def group_product(x, y):
     """Group operation read in exponential coordinates: sum of all c_n."""
     alg = x.algebra
@@ -177,13 +205,8 @@ def group_product(x, y):
     cls = GroupElement if isinstance(x, GroupElement) or isinstance(y, GroupElement) \
         else AlgebraVector
     if x.scalar_mode == "exact":
-        terms = _cache_for(alg).terms(x.coords, y.coords)
-        out = [Q(0)] * alg.dim
-        for t in terms:
-            out = [a + b for a, b in zip(out, t)]
-        return cls(alg, tuple(out))
-    terms = _bch_terms(_FloatRecOps(alg), x.coords, y.coords, alg.step)
-    return cls(alg, sum(terms[1:]))
+        return cls(alg, _exact_product(alg, x.coords, y.coords))
+    return cls(alg, group_product_np(alg, x.coords, y.coords))
 
 
 def group_inverse(x):
@@ -193,11 +216,18 @@ def group_inverse(x):
 
 def group_product_coords(algebra, xc, yc):
     """Exact group product on raw coordinate tuples."""
-    terms = _cache_for(algebra).terms(tuple(xc), tuple(yc))
-    out = [Q(0)] * algebra.dim
-    for t in terms:
-        out = [a + b for a, b in zip(out, t)]
-    return tuple(out)
+    return _exact_product(algebra, tuple(xc), tuple(yc))
+
+
+def group_product_np(algebra, x, y):
+    """Float group product on coordinate arrays of shape (..., dim),
+    broadcast over the leading axes; the float twin of group_product_coords."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[-1:] != (algebra.dim,) or y.shape[-1:] != (algebra.dim,):
+        raise ValueError("coordinate arrays must end in the algebra dimension %d"
+                         % algebra.dim)
+    return sum(_bch_terms(_FloatRecOps(algebra), x, y, algebra.step)[1:])
 
 
 def conjugate(y, x):
@@ -216,7 +246,8 @@ def exp_differential(x):
     d/dt log(exp(-X) exp(X + t b_j)) at t = 0 (see exp_differential_oracle).
     """
     alg = x.algebra
-    assert x.scalar_mode == "exact", "exact mode required"
+    if x.scalar_mode != "exact":
+        raise ValueError("exp_differential needs an exact vector")
     n = alg.dim
     ad = [[Q(0)] * n for _ in range(n)]
     for j in range(n):
@@ -243,9 +274,10 @@ def exp_differential_oracle(x):
     Dynkin idempotent are used, not the BCH recursion.
     """
     alg = x.algebra
-    assert x.scalar_mode == "exact"
+    if x.scalar_mode != "exact":
+        raise ValueError("exp_differential_oracle needs an exact vector")
     deg = alg.step
-    exp_negx = _exp_series(_letter_series(0, deg, sign=Q(-1)))
+    exp_negx = _exp_series(FreeSeries.letter(0, deg, sign=Q(-1)))
     # t-linear part of exp(x + t y): sum_k 1/k! sum_{i+j=k-1} x^i y x^j
     lin = FreeSeries(deg)
     for k in range(1, deg + 1):
@@ -276,6 +308,11 @@ class FreeSeries:
         self.degree = degree
         self.terms = dict(terms or {})
 
+    @classmethod
+    def letter(cls, letter, degree, sign=Q(1)):
+        """The single letter `letter`, times `sign`."""
+        return cls(degree, {(letter,): sign})
+
     def copy(self):
         return FreeSeries(self.degree, self.terms)
 
@@ -299,12 +336,12 @@ class FreeSeries:
                 out[w] = out.get(w, Q(0)) + c1 * c2
         return FreeSeries(self.degree, {w: c for w, c in out.items() if c != 0})
 
+    def commutator(self, other):
+        """[self, other] = self other - other self."""
+        return self.mul(other).add(other.mul(self), Q(-1))
+
     def graded_component(self, n):
         return {w: c for w, c in self.terms.items() if len(w) == n}
-
-
-def _letter_series(letter, degree, sign=Q(1)):
-    return FreeSeries(degree, {(letter,): sign})
 
 
 def _exp_series(a):
@@ -333,8 +370,8 @@ def _log_series(g):
 @functools.lru_cache(maxsize=None)
 def bch_word_polynomial(degree):
     """log(exp(x) exp(y)) in the truncated free tensor algebra on {x, y}."""
-    x = _letter_series(0, degree)
-    y = _letter_series(1, degree)
+    x = FreeSeries.letter(0, degree)
+    y = FreeSeries.letter(1, degree)
     return _log_series(_exp_series(x).mul(_exp_series(y)))
 
 
@@ -371,7 +408,8 @@ def series_oracle_product(x, y):
     exact matrix exp/log as well."""
     alg = x.algebra
     x._check(y)
-    assert x.scalar_mode == "exact", "the oracle runs in exact mode"
+    if x.scalar_mode != "exact":
+        raise ValueError("the series oracle runs in exact mode")
     poly = bch_word_polynomial(alg.step)
     letters = {0: x.coords, 1: y.coords}
     coords = _dynkin_evaluate(poly, alg, letters)
@@ -427,8 +465,8 @@ def _decompose_cn_universal(n):
     for alpha in alphas:
         series = FreeSeries(deg, {(0,): Q(1), (1,): Q(1)})  # A1 + A2
         for letter in reversed(alpha):
-            arg = _letter_series(letter - 1, deg)
-            series = _comm(arg, series)
+            arg = FreeSeries.letter(letter - 1, deg)
+            series = arg.commutator(series)
         col = [Q(0)] * len(words)
         for w, c in series.terms.items():
             col[windex[w]] = c
@@ -439,10 +477,6 @@ def _decompose_cn_universal(n):
     if sol is None:
         raise AssertionError("multilinear decomposition system is inconsistent")
     return {alpha: e for alpha, e in zip(alphas, sol)}
-
-
-def _comm(a, b):
-    return a.mul(b).add(b.mul(a), Q(-1))
 
 
 def _tuples_12(length):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .bch import _comm, _letter_series
+from .bch import FreeSeries
 
 Q = Fraction
 
@@ -256,8 +256,8 @@ def _mobius(n):
 
 def _tree_to_series(tree, degree):
     if isinstance(tree[0], int) and len(tree) == 1:
-        return _letter_series(tree[0], degree)
-    return _comm(_tree_to_series(tree[0], degree), _tree_to_series(tree[1], degree))
+        return FreeSeries.letter(tree[0], degree)
+    return _tree_to_series(tree[0], degree).commutator(_tree_to_series(tree[1], degree))
 
 
 def _tree_name(tree, prefix="x"):
@@ -310,7 +310,7 @@ def _free_nilpotent_data(p, step):
             d = layers[i] + layers[j]
             if d > step:
                 continue
-            br = _comm(series[i], series[j])
+            br = series[i].commutator(series[j])
             if not br.terms:
                 continue
             expanded = expand(br, d)

@@ -309,10 +309,14 @@ def cmd_experiment(args):
 
     elif args.action == "verify-estimates":
         g = _load_group(cfg["group"])
-        m = _metric_for(g)
+        try:
+            m = _metric_for(g)
+        except ValueError as e:
+            print(json.dumps({"error": str(e)}))
+            return EXIT_VALIDATION
         nu = float(cfg.get("nu", 1.0))
         samples = int(cfg.get("samples", 2000))
-        consts = collect_estimates(g, m, nu, samples, seed, args.threads)
+        consts = collect_estimates(m, nu, samples, seed)
         csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
         summary.update({"constants": {c.label: c.sup_observed for c in consts}})
         manifest.outputs.append(csv)
@@ -330,45 +334,21 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
-def collect_estimates(g, m, nu, samples, seed, threads=1):
-    """All metric-estimate drivers for one group; sample batches may run on a
-    thread pool (sups merge deterministically)."""
-    from . import metric as mt
-
-    def run(chunk_seed, count):
-        out = []
-        out.extend(mt.verify_projection_estimate(m, radius=nu, samples=count,
-                                                 seed=chunk_seed))
-        out.append(mt.norm_exp_estimate(m, nu=nu, samples=count, seed=chunk_seed))
-        out.append(mt.left_inverse_estimate(m, nu=nu, samples=count,
-                                            seed=chunk_seed))
-        out.extend(mt.verify_conjugation_estimate(m, nu=nu, samples=count,
-                                                  seed=chunk_seed))
-        out.append(mt.verify_product_estimate(m, nu=nu, samples=max(count // 8, 50),
-                                              seed=chunk_seed))
-        out.append(mt.first_layer_constant(m, radius=nu, samples=count,
-                                           seed=chunk_seed))
-        out.append(mt.quasi_triangle_constant(m, radius=nu, samples=count,
-                                              seed=chunk_seed))
-        return out
-
-    if threads <= 1:
-        return run(seed, samples)
-    from concurrent.futures import ThreadPoolExecutor
-    per = max(samples // threads, 64)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        batches = list(ex.map(lambda k: run(seed + k, per), range(threads)))
-    merged = {}
-    for batch in batches:
-        for c in batch:
-            if c.label in merged:
-                prev = merged[c.label]
-                merged[c.label] = type(c)(c.label,
-                                          max(prev.sup_observed, c.sup_observed),
-                                          prev.samples + c.samples, c.nu)
-            else:
-                merged[c.label] = c
-    return [merged[k] for k in sorted(merged)]
+def collect_estimates(m, nu, samples, seed):
+    """All metric-estimate drivers for one group, each seeded with `seed`."""
+    out = list(cmetric.verify_projection_estimate(m, radius=nu, samples=samples,
+                                                  seed=seed))
+    out.append(cmetric.norm_exp_estimate(m, nu=nu, samples=samples, seed=seed))
+    out.append(cmetric.left_inverse_estimate(m, nu=nu, samples=samples, seed=seed))
+    out.extend(cmetric.verify_conjugation_estimate(m, nu=nu, samples=samples,
+                                                   seed=seed))
+    out.append(cmetric.verify_product_estimate(m, nu=nu,
+                                               samples=max(samples // 8, 50),
+                                               seed=seed))
+    out.append(cmetric.first_layer_constant(m, radius=nu, samples=samples, seed=seed))
+    out.append(cmetric.quasi_triangle_constant(m, radius=nu, samples=samples,
+                                               seed=seed))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +360,6 @@ def build_parser():
                                 description="exact and numerical computation "
                                 "on graded nilpotent Lie groups")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output-dir", default=".")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GroupElement, EmpiricalConstant
-from .bch import _bch_terms, _FloatRecOps
+from .bch import group_product_np
 from .metric import quasi_norm, default_metric
 
 
@@ -276,12 +276,11 @@ def pansu_quotient(curve, t, h):
     if not (a <= t <= b and a <= t + h <= b) or h == 0:
         raise ValueError("window outside the curve domain")
     alg = curve.algebra
-    ops = _FloatRecOps(alg)
     g_t = curve.eval(t)
     g_th = _refined_eval(curve, t, t + h)
     v = _gamma_dot1(curve, t)
-    inner = sum(_bch_terms(ops, -g_t, g_th, alg.step)[1:])
-    full = sum(_bch_terms(ops, -h * v, inner, alg.step)[1:])
+    inner = group_product_np(alg, -g_t, g_th)
+    full = group_product_np(alg, -h * v, inner)
     # coordinate form of delta_{1/h}, valid for either sign of h
     return full * (1.0 / h) ** np.asarray(alg.float_ops().layer_of, dtype=float)
 
@@ -354,8 +353,7 @@ def group_riemann_sum(curve, partition):
     if ts[0] < a - 1e-12 or ts[-1] > b + 1e-12 or np.any(np.diff(ts) <= 0):
         raise ValueError("invalid partition")
     pts = np.stack([curve.eval(t) for t in ts])
-    ops = _FloatRecOps(alg)
-    inc = sum(_bch_terms(ops, -pts[:-1], pts[1:], alg.step)[1:])
+    inc = group_product_np(alg, -pts[:-1], pts[1:])
     return inc.sum(axis=0)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GroupElement, EmpiricalConstant
-from .bch import _bch_terms, _FloatRecOps
+from .bch import group_product_np
 
 from fractions import Fraction
 Q = Fraction
@@ -31,9 +31,14 @@ class HomogeneousMetric:
                 raise ValueError("the Koranyi gauge is defined here for step <= 2")
             self.weights = ()
         elif kind == "weighted_max":
-            w = list(weights) if weights is not None else [1.0] * algebra.step
-            assert len(w) == algebra.step and all(x > 0 for x in w)
-            self.weights = tuple(float(x) for x in w)
+            w = [1.0] * algebra.step if weights is None else weights
+            try:
+                self.weights = tuple(float(x) for x in w)
+            except (TypeError, ValueError):
+                self.weights = ()
+            if len(self.weights) != algebra.step or not all(x > 0 for x in self.weights):
+                raise ValueError("metric weights must be %d positive numbers, one per "
+                                 "layer; got %r" % (algebra.step, weights))
         else:
             raise ValueError("unknown metric kind %r" % kind)
 
@@ -50,11 +55,8 @@ class HomogeneousMetric:
         return np.max(np.stack(vals, axis=-1), axis=-1)
 
     def distance_np(self, a, b):
-        ops = _FloatRecOps(self.algebra)
         a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        terms = _bch_terms(ops, -a, b, self.algebra.step)
-        return self.quasi_norm_np(sum(terms[1:]))
+        return self.quasi_norm_np(group_product_np(self.algebra, -a, b))
 
     def __repr__(self):
         return "HomogeneousMetric(%s, %s)" % (self.algebra.name, self.kind)
@@ -189,8 +191,7 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     rng = np.random.default_rng(seed)
     xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
     eta = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
-    ops = _FloatRecOps(alg)
-    diff = sum(_bch_terms(ops, -xi, eta, alg.step)[1:])
+    diff = group_product_np(alg, -xi, eta)
     num = np.linalg.norm(diff, axis=-1)
     den = np.linalg.norm(xi - eta, axis=-1)
     mask = den > 1e-12
@@ -205,9 +206,8 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, nu, samples, rng)
     y = sample_ball(metric, nu, samples, rng)
-    ops = _FloatRecOps(alg)
-    xy = sum(_bch_terms(ops, x, y, alg.step)[1:])
-    conj = sum(_bch_terms(ops, -y, xy, alg.step)[1:])
+    xy = group_product_np(alg, x, y)
+    conj = group_product_np(alg, -y, xy)
     d_conj = metric.quasi_norm_np(conj)
     norm_x = np.linalg.norm(x, axis=-1)
     d_x = metric.quasi_norm_np(x)
@@ -228,13 +228,12 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     rejected."""
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    ops = _FloatRecOps(alg)
 
     def prods(mats):
         out = mats[-1]
         acc = [out]
         for j in range(len(mats) - 2, -1, -1):
-            out = sum(_bch_terms(ops, mats[j], out, alg.step)[1:])
+            out = group_product_np(alg, mats[j], out)
             acc.append(out)
         return out, acc[::-1]  # full product, tails B_j..B_N
 
@@ -246,7 +245,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
         if any(float(metric.quasi_norm_np(t)) > nu for t in tails):
             continue
         pert = [sample_ball(metric, nu / 2, 1, rng)[0] for _ in range(n_factors)]
-        a = [sum(_bch_terms(ops, bb, pp, alg.step)[1:]) for bb, pp in zip(b, pert)]
+        a = [group_product_np(alg, bb, pp) for bb, pp in zip(b, pert)]
         dterms = [float(metric.distance_np(aa, bb)) for aa, bb in zip(a, b)]
         if any(d > nu for d in dterms):
             continue
@@ -267,8 +266,7 @@ def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, radius, samples, rng)
     y = sample_ball(metric, radius, samples, rng)
-    ops = _FloatRecOps(alg)
-    xy = sum(_bch_terms(ops, x, y, alg.step)[1:])
+    xy = group_product_np(alg, x, y)
     num = metric.quasi_norm_np(xy)
     den = metric.quasi_norm_np(x) + metric.quasi_norm_np(y)
     mask = den > 1e-12
@@ -365,11 +363,10 @@ def generating_word(a, ws, s=None):
             vec[idx1[ws.indices[t]]] = Q(a[t])
             cur = group_product_coords(alg, cur, tuple(vec))
         return GroupElement(alg, cur)
-    ops = _FloatRecOps(alg)
     cur = np.zeros(alg.dim)
     for t in range(s):
         vec = float(a[t]) * ws.generator_vector(t)
-        cur = sum(_bch_terms(ops, cur, vec, alg.step)[1:])
+        cur = group_product_np(alg, cur, vec)
     return GroupElement(alg, cur)
 
 
@@ -391,11 +388,10 @@ def solve_word(x, ws):
         a[t] = xc[idx1[ws.indices[t]]] * ws.generator_scales[t]
     if alg.step == 1 or not ws.commutator_blocks:
         return a
-    ops = _FloatRecOps(alg)
     horiz = np.zeros(alg.dim)
     for t in range(m):
-        horiz = sum(_bch_terms(ops, horiz, a[t] * ws.generator_vector(t), alg.step)[1:])
-    defect = sum(_bch_terms(ops, -horiz, xc, alg.step)[1:])
+        horiz = group_product_np(alg, horiz, a[t] * ws.generator_vector(t))
+    defect = group_product_np(alg, -horiz, xc)
     idx2 = alg.layer_indices(2)
     fops = alg.float_ops()
     cols = []

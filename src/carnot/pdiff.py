@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import homogeneous_dimension
-from .bch import _bch_terms, _FloatRecOps
+from .bch import group_product_np
 from .morphism import GradedMorphism
 from .metric import default_metric, sample_ball
 from .subgroups import (HomogeneousSubalgebra, classify_epimorphism,
@@ -89,10 +89,9 @@ def dilation_map(algebra, r):
 def left_translation_map(g):
     alg = g.algebra
     gc = np.asarray(g.to_float().coords, dtype=float)
-    ops = _FloatRecOps(alg)
     m = len(alg.layer_indices(1))
     return PDMap(alg, alg,
-                 lambda x: sum(_bch_terms(ops, gc, x, alg.step)[1:]),
+                 lambda x: group_product_np(alg, gc, x),
                  dfirst=lambda x: np.eye(m), name="left_translation")
 
 
@@ -159,12 +158,11 @@ def corner_map(h1):
 def group_log_difference(pdmap, x, h_vec):
     """log( f(x)^{-1} f(x o exp(h_vec)) ) in codomain coordinates."""
     dom, cod = pdmap.domain, pdmap.codomain
-    opsd, opsc = _FloatRecOps(dom), _FloatRecOps(cod)
-    xh = sum(_bch_terms(opsd, x, h_vec, dom.step)[1:])
+    xh = group_product_np(dom, x, h_vec)
     if not pdmap.in_box(xh):
         raise ValueError("domain exit")
     fx, fxh = pdmap(x), pdmap(xh)
-    return sum(_bch_terms(opsc, -fx, fxh, cod.step)[1:])
+    return group_product_np(cod, -fx, fxh)
 
 
 def horizontal_derivative(pdmap, x, direction, h=1e-5):
@@ -334,7 +332,7 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
     dmetric = default_metric(dom)
     cmetric = default_metric(cod)
     rng = np.random.default_rng(seed)
-    opsd, opsc = dom.float_ops(), _FloatRecOps(cod)
+    opsd = dom.float_ops()
     defects = {}
     for h in h_grid:
         worst = 0.0
@@ -347,7 +345,7 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
             except ValueError:
                 continue
             lh = L.matrix @ hv
-            gap = sum(_bch_terms(opsc, -lh, diff, cod.step)[1:])
+            gap = group_product_np(cod, -lh, diff)
             worst = max(worst, float(cmetric.quasi_norm_np(gap)) /
                         float(dmetric.quasi_norm_np(hv)))
         defects[h] = worst
@@ -366,7 +364,6 @@ def contact_check(pdmap, sample_points, h=1e-5):
     X_i F_j = sum_n ((-1)^n / n!) pi_j([F, X_i F]_{n-1}) for all horizontal
     directions i and layers j >= 2, by central differences."""
     dom, cod = pdmap.domain, pdmap.codomain
-    opsd = _FloatRecOps(dom)
     copc = cod.float_ops()
     worst = 0.0
     for x in sample_points:
@@ -375,8 +372,8 @@ def contact_check(pdmap, sample_points, h=1e-5):
         for k in dom.layer_indices(1):
             v = np.zeros(dom.dim)
             v[k] = h
-            xp = sum(_bch_terms(opsd, x, v, dom.step)[1:])
-            xm = sum(_bch_terms(opsd, x, -v, dom.step)[1:])
+            xp = group_product_np(dom, x, v)
+            xm = group_product_np(dom, x, -v)
             xif = (pdmap(xp) - pdmap(xm)) / (2 * h)
             rhs = np.zeros(cod.dim)
             power = xif
@@ -428,7 +425,6 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
         raise ValueError("mean_value_ratio needs the analytic first-layer differential")
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
-    opsd, opsc = _FloatRecOps(dom), _FloatRecOps(cod)
     ops = dom.float_ops()
     # paired design: each (base point, direction) is evaluated once per bin
     # at the bin's representative separation y = x o delta_{s_k}(u), which
@@ -440,19 +436,19 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     defects = [0.0] * bins
     used = 0
     for u in xs:
-        x = sum(_bch_terms(opsd, center, u, dom.step)[1:])
+        x = group_product_np(dom, center, u)
         L = lift_differential(dom, cod, pdmap.dfirst(x), pdmap(x))
         w = rng.standard_normal(dom.dim)
         w /= max(float(dmetric.quasi_norm_np(w)), 1e-12)
         used += 1
         for k in range(bins):
             s = edges[k] * (2 / 3)  # interior of bin k: (edges[k+1], edges[k]]
-            y = sum(_bch_terms(opsd, x, ops.dilate(w, s), dom.step)[1:])
+            y = group_product_np(dom, x, ops.dilate(w, s))
             d = float(dmetric.distance_np(x, y))
-            xy = sum(_bch_terms(opsd, -x, y, dom.step)[1:])
+            xy = group_product_np(dom, -x, y)
             pred = L.matrix @ xy
-            fdiff = sum(_bch_terms(opsc, -pdmap(x), pdmap(y), cod.step)[1:])
-            gap = sum(_bch_terms(opsc, -pred, fdiff, cod.step)[1:])
+            fdiff = group_product_np(cod, -pdmap(x), pdmap(y))
+            gap = group_product_np(cod, -pred, fdiff)
             rho = float(cmetric.quasi_norm_np(gap))
             sups[k] = max(sups[k], rho / d)
             defects[k] = max(defects[k], rho)
@@ -518,14 +514,13 @@ def bilipschitz_bounds(pdmap, xbar, radius=0.2, samples=400, seed=0):
     """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar."""
     dmetric, cmetric = default_metric(pdmap.domain), default_metric(pdmap.codomain)
     rng = np.random.default_rng(seed)
-    opsd = _FloatRecOps(pdmap.domain)
     xbar = np.asarray(xbar, dtype=float)
     a = sample_ball(dmetric, radius, samples, rng)
     b = sample_ball(dmetric, radius, samples, rng)
     lo, hi = math.inf, 0.0
     for u, v in zip(a, b):
-        x = sum(_bch_terms(opsd, xbar, u, pdmap.domain.step)[1:])
-        y = sum(_bch_terms(opsd, xbar, v, pdmap.domain.step)[1:])
+        x = group_product_np(pdmap.domain, xbar, u)
+        y = group_product_np(pdmap.domain, xbar, v)
         d = float(dmetric.distance_np(x, y))
         if d < 1e-8:
             continue
@@ -554,9 +549,8 @@ class ImplicitSolution:
     def points(self):
         """The level-set points xbar o n o phi(n)."""
         dom = self.pdmap.domain
-        ops = _FloatRecOps(dom)
-        nh = sum(_bch_terms(ops, self.nodes, self.phis, dom.step)[1:])
-        return sum(_bch_terms(ops, self.xbar[None, :], nh, dom.step)[1:])
+        nh = group_product_np(dom, self.nodes, self.phis)
+        return group_product_np(dom, self.xbar[None, :], nh)
 
     def holder_constants(self, max_pairs=200000):
         """kappa with d(phi(n), phi(n')) <= kappa d(phi(n')^-1 n^-1 n' phi(n'))
@@ -564,7 +558,6 @@ class ImplicitSolution:
         Euclidean kernel displacement."""
         dom = self.pdmap.domain
         metric = default_metric(dom)
-        ops = _FloatRecOps(dom)
         count = len(self.nodes)
         idx = np.arange(count)
         ii, jj = np.meshgrid(idx, idx, indexing="ij")
@@ -576,9 +569,9 @@ class ImplicitSolution:
         n, np_, ph, ph_ = (self.nodes[ii], self.nodes[jj],
                            self.phis[ii], self.phis[jj])
         num = metric.distance_np(ph, ph_)
-        t = sum(_bch_terms(ops, -n, np_, dom.step)[1:])
-        t = sum(_bch_terms(ops, t, ph_, dom.step)[1:])
-        t = sum(_bch_terms(ops, -ph_, t, dom.step)[1:])
+        t = group_product_np(dom, -n, np_)
+        t = group_product_np(dom, t, ph_)
+        t = group_product_np(dom, -ph_, t)
         den = metric.quasi_norm_np(t)
         good = den > 1e-12
         kappa = float(np.max(num[good] / den[good])) if good.any() else 0.0
@@ -634,16 +627,15 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
     counts = list(grid_spec.get("counts", None) or [7] * len(nbasis))
     assert len(counts) == len(nbasis)
     shrink_attempts = int(grid_spec.get("shrink_attempts", 3))
-    ops = _FloatRecOps(dom)
     fbar = pdmap(xbar)
     target = np.asarray(fbar, dtype=float)
 
     def solve_node(node, seed_coef):
-        base = sum(_bch_terms(ops, xbar, node, dom.step)[1:])
+        base = group_product_np(dom, xbar, node)
 
         def resid(hcoef):
             h = hcoef @ hbasis
-            pt = sum(_bch_terms(ops, base, h, dom.step)[1:])
+            pt = group_product_np(dom, base, h)
             return pdmap(pt) - target
 
         return _newton(resid, seed_coef, tol=tol, budget=budget)
@@ -693,7 +685,6 @@ def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
     empirical surrogate for uniqueness of the graph map."""
     pdmap = solution.pdmap
     dom = pdmap.domain
-    ops = _FloatRecOps(dom)
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
     rng = np.random.default_rng(seed)
     target = solution.level
@@ -701,11 +692,11 @@ def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
     for i in pick:
-        base = sum(_bch_terms(ops, solution.xbar, solution.nodes[i], dom.step)[1:])
+        base = group_product_np(dom, solution.xbar, solution.nodes[i])
 
         def resid(hcoef):
             h = hcoef @ hbasis
-            pt = sum(_bch_terms(ops, base, h, dom.step)[1:])
+            pt = group_product_np(dom, base, h)
             return pdmap(pt) - target
 
         sols = []
@@ -725,24 +716,23 @@ def translated_graph_check(solution, g, subset=25, tol=1e-7, seed=0):
     translated level problem at the new nodes."""
     pdmap = solution.pdmap
     dom = pdmap.domain
-    ops = _FloatRecOps(dom)
     g = np.asarray(g, dtype=float)
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
-    new_xbar = sum(_bch_terms(ops, g, solution.xbar, dom.step)[1:])
+    new_xbar = group_product_np(dom, g, solution.xbar)
     worst = 0.0
     for i in pick:
         node, phi = solution.nodes[i], solution.phis[i]
-        nh = sum(_bch_terms(ops, node, phi, dom.step)[1:])
+        nh = group_product_np(dom, node, phi)
         n2, h2 = split_coords_np(dom, solution.kernel, solution.witness, nh)
-        base = sum(_bch_terms(ops, new_xbar, n2, dom.step)[1:])
+        base = group_product_np(dom, new_xbar, n2)
 
         def resid(hcoef):
             h = hcoef @ hbasis
-            pt = sum(_bch_terms(ops, base, h, dom.step)[1:])
-            return pdmap(sum(_bch_terms(ops, -g, pt, dom.step)[1:])) - solution.level
+            pt = group_product_np(dom, base, h)
+            return pdmap(group_product_np(dom, -g, pt)) - solution.level
 
         seed0 = np.linalg.lstsq(hbasis.T, h2, rcond=None)[0]
         hc, r, ok = _newton(resid, seed0, tol=1e-11, budget=200)
@@ -754,7 +744,6 @@ def translated_graph_check(solution, g, subset=25, tol=1e-7, seed=0):
 
 def split_coords_np(algebra, first, second, coords):
     """Float layerwise split g = exp(p) exp(h) along a complementary pair."""
-    ops = _FloatRecOps(algebra)
     pb = [np.array([float(c) for c in v]) for v in first.basis()]
     hb = [np.array([float(c) for c in v]) for v in second.basis()]
     p = np.zeros(algebra.dim)
@@ -763,7 +752,7 @@ def split_coords_np(algebra, first, second, coords):
         idx = algebra.layer_indices(layer)
         if not idx:
             continue
-        corr = sum(_bch_terms(ops, p, h, algebra.step)[1:])
+        corr = group_product_np(algebra, p, h)
         cols = [v for v in pb if _vec_layer_np(algebra, v) == layer] + \
                [v for v in hb if _vec_layer_np(algebra, v) == layer]
         npcols = len([v for v in pb if _vec_layer_np(algebra, v) == layer])
@@ -830,7 +819,6 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
     H, N, p = mono.image, mono.normal_complement, mono.projection
     pmat = np.asarray(p.to_float().matrix)
     hbasis = np.array([[float(c) for c in v] for v in H.basis()])
-    opsc = _FloatRecOps(cod)
     fxbar = pdmap(xbar)
     h0 = np.linalg.lstsq(hbasis.T, pmat @ fxbar, rcond=None)[0]
 
@@ -855,7 +843,7 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
         t_seed = z
         fz = pdmap(z)
         hpart = pmat @ fz
-        npart = sum(_bch_terms(opsc, -hpart, fz, cod.step)[1:])
+        npart = group_product_np(cod, -hpart, fz)
         psi_pts.append(z)
         h_pts.append(hpart)
         phi_pts.append(npart)
@@ -905,15 +893,14 @@ class LevelSetSampler:
         dom = pdmap.domain
         self._hbasis = np.array([[float(c) for c in v]
                                  for v in solution.witness.basis()])
-        self._ops = _FloatRecOps(dom)
 
     def _solve(self, node, seed_coef=None):
         dom = self.pdmap.domain
-        base = sum(_bch_terms(self._ops, self.xbar, node, dom.step)[1:])
+        base = group_product_np(dom, self.xbar, node)
 
         def resid(hcoef):
             h = hcoef @ self._hbasis
-            pt = sum(_bch_terms(self._ops, base, h, dom.step)[1:])
+            pt = group_product_np(dom, base, h)
             return self.pdmap(pt) - self.solution.level
 
         t0 = np.zeros(len(self._hbasis)) if seed_coef is None else seed_coef
@@ -937,7 +924,7 @@ class LevelSetSampler:
             n = ops.dilate(u, lam)
             hc = self._solve(n, seed_coef)
             seed_coef = hc
-            nh = sum(_bch_terms(self._ops, n, hc @ self._hbasis, dom.step)[1:])
+            nh = group_product_np(dom, n, hc @ self._hbasis)
             pt = ops.dilate(nh, 1.0 / lam)
             metric = default_metric(dom)
             if float(metric.quasi_norm_np(pt)) <= R:

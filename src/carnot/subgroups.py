@@ -1178,19 +1178,17 @@ def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
     A failure is a semi-decision, not a nonexistence proof; the box matters
     because these product sets need not be closed (the defining equations can
     be solved asymptotically with coefficients running to infinity)."""
-    from .bch import _bch_terms, _FloatRecOps
+    from .bch import group_product_np
     alg = g.algebra
     gf = np.asarray(g.to_float().coords, dtype=float)
     A = np.array([[float(c) for c in v] for v in basis_a], dtype=float)
     B = np.array([[float(c) for c in v] for v in basis_b], dtype=float)
-    ops = _FloatRecOps(alg)
     na, nb = len(A), len(B)
 
     def resid(t):
         a = t[:na] @ A if na else np.zeros(alg.dim)
         b = t[na:] @ B if nb else np.zeros(alg.dim)
-        terms = _bch_terms(ops, a, b, alg.step)
-        return sum(terms[1:]) - gf
+        return group_product_np(alg, a, b) - gf
 
     rng = np.random.default_rng(seed)
     best = np.inf

@@ -9,7 +9,8 @@ from carnot.algebra import AlgebraVector, GroupElement, dilate
 from carnot.bch import (BchTermCache, bch_term, bernoulli, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
                         exp_differential, exp_differential_oracle,
-                        group_inverse, group_product, series_oracle_product)
+                        group_inverse, group_product, group_product_np,
+                        series_oracle_product)
 from conftest import rational_vector
 
 
@@ -225,12 +226,25 @@ def test_term_cache_coherence(h1, rng):
     assert first == fresh  # cached equals fresh recomputation
 
 
-def test_float_product_matches_exact(h12, rng):
-    for _ in range(5):
-        x, y = rational_vector(h12, rng), rational_vector(h12, rng)
-        exact = np.array([float(c) for c in group_product(x, y).coords])
-        approx = group_product(x.to_float(), y.to_float()).coords
-        assert np.allclose(exact, approx, atol=1e-12)
+def test_float_product_matches_exact(rng):
+    # every catalog group up to step 5: the float law agrees with the exact
+    # one, and is the same float law per point, batched (N, dim) and with a
+    # (dim,) side broadcast against (N, dim)
+    for name in list(catalog.catalog_names()) + ["free_2_5"]:
+        g = catalog.get(name)
+        pairs = [(rational_vector(g, rng), rational_vector(g, rng)) for _ in range(5)]
+        xs = np.array([x.to_float().coords for x, _ in pairs])
+        ys = np.array([y.to_float().coords for _, y in pairs])
+        exact = np.array([group_product(x, y).to_float().coords for x, y in pairs])
+        single = np.array([group_product_np(g, a, b) for a, b in zip(xs, ys)])
+        assert np.allclose(exact, single, atol=1e-12), name
+        via_vectors = [group_product(x.to_float(), y.to_float()).coords for x, y in pairs]
+        assert np.array_equal(via_vectors, single), name
+        assert np.array_equal(group_product_np(g, xs, ys), single), name
+        assert np.array_equal(group_product_np(g, xs[0], ys),
+                              [group_product_np(g, xs[0], b) for b in ys]), name
+    with pytest.raises(ValueError, match="dimension"):
+        group_product_np(g, xs[0][:-1], ys[0])
 
 
 def test_bilinear_bound_recorder(f23):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -163,3 +165,26 @@ def test_cli_experiment_solver_failure_exit_code(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["--output-dir", str(tmp_path), "experiment",
                  "implicit", str(p)]) == 3
+
+
+def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
+    # the metric block of a group file is input: bad weights are a
+    # validation failure (exit 2), also under python -O
+    from carnot.metric import HomogeneousMetric
+    h1 = catalog.get("h1")
+    for weights in ([1, -1], [1.0], [1, "x"]):
+        with pytest.raises(ValueError, match="weights"):
+            HomogeneousMetric(h1, "weighted_max", weights)
+    group = cio.group_to_dict(h1)
+    group["metric"] = {"kind": "weighted_max", "weights": [1, -1]}
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(group))
+    cfg = tmp_path / "est.json"
+    cfg.write_text(json.dumps({"group": str(gfile), "samples": 100}))
+    argv = ["--output-dir", str(tmp_path), "experiment", "verify-estimates", str(cfg)]
+    assert main(argv) == 2
+    assert "weights" in capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-m", "carnot.cli"] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and "weights" in run.stdout and not run.stderr
