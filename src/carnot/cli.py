@@ -308,9 +308,8 @@ def cmd_experiment(args):
         manifest.outputs.append(csv)
 
     elif args.action == "verify-estimates":
-        g = _load_group(cfg["group"])
         try:
-            m = _metric_for(g)
+            m = _metric_for(_load_group(cfg["group"]))
         except ValueError as e:
             print(json.dumps({"error": str(e)}))
             return EXIT_VALIDATION

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GradedAlgebra, validate_table
+from .metric import metric_weights
 
 Q = Fraction
 
@@ -47,11 +48,24 @@ def emit_group(algebra, metric=None):
                       sort_keys=False) + "\n"
 
 
+def _check_metric_block(spec, step):
+    """A group file's optional metric block must pass the rule that
+    HomogeneousMetric applies; the ValueError names the field at fault."""
+    if not isinstance(spec, dict):
+        raise ValueError("metric must be an object with kind and weights")
+    try:
+        metric_weights(step, spec.get("kind"), spec.get("weights") or None)
+    except ValueError as e:
+        raise ValueError("metric.%s" % e) from None
+
+
 def parse_group_dict(data, check=True):
     dim = int(data["dim"])
     step = int(data["step"])
     layers = [int(x) for x in data["layers"]]
     assert len(layers) == dim, "layers array length != dim"
+    if "metric" in data:
+        _check_metric_block(data["metric"], step)
     names = data.get("basis_names") or None
     entries = []
     for b in data.get("brackets", []):
@@ -92,6 +106,8 @@ def validate_group_file(path):
         dim = int(data["dim"])
         step = int(data["step"])
         layers = [int(x) for x in data["layers"]]
+        if "metric" in data:
+            _check_metric_block(data["metric"], step)
         entries = []
         for b in data.get("brackets", []):
             i, j = int(b["i"]) - 1, int(b["j"]) - 1

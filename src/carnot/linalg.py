@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``fractions.Fraction`` (row major).  Nothing
-here mutates its arguments; every routine copies first.  This is the kernel
-behind subalgebra canonicalization, quotients and all classification
-decisions, where float rank tolerances would be unacceptable.
+Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major);
+results are ``Fraction``.  Other entries, floats included, raise ``TypeError``
+rather than make an exact result inexact.  Nothing here mutates its arguments.
+This is the kernel behind subalgebra canonicalization, quotients and all
+classification decisions.  Elimination is fraction-free over the integers
+(after Bareiss, Math. Comp. 22 (1968) 565-578): ``_echelon`` scales each row
+once by the lcm of its denominators, each step is ``row <- p*row - f*pivot``
+divided by the row's content gcd, and ``rref`` divides by the pivots at the end.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,54 +31,79 @@ def transpose(m):
 
 
 def matmul(a, b):
-    assert len(a[0]) == len(b), "inner dimensions differ"
+    if len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ: %d vs %d" % (len(a[0]), len(b)))
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
 
 def matvec(a, v):
-    assert len(a[0]) == len(v)
+    if len(a[0]) != len(v):
+        raise ValueError("%d matrix columns vs %d vector entries" % (len(a[0]), len(v)))
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+def _int_row(row):
+    """The primitive integer row with the same span as a rational row."""
+    for x in row:
+        if type(x) is not Fraction and type(x) is not int and not isinstance(x, Rational):
+            raise TypeError("entry %r is not an int or a Fraction" % (x,))
+    den = lcm(*[x.denominator for x in row])
+    out = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _reduce(row, prow, c):
+    """p*row - f*prow, zero in column c, divided by its content gcd."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = [p * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan: (int_rows, pivots), where int_rows[r] is
+    primitive, has its pivot in column pivots[r] and zeros in every other
+    pivot column.  Zero rows are dropped: len(int_rows) is the rank."""
+    a = [r for r in map(_int_row, rows) if any(r)]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        prow = a[r]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                a[i] = _reduce(row, prow, c)
+        pivots.append(c)
+    return a[:len(pivots)], pivots
 
 
 def rref(m):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
     if not m:
         return [], []
-    a = [list(row) for row in m]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    rows, pivots = _echelon(m)
+    out = [[Fraction(x, row[c]) if x else ZERO for x in row]
+           for row, c in zip(rows, pivots)]
+    return out + [[ZERO] * len(m[0]) for _ in range(len(m) - len(rows))], pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def row_space_basis(m):
     """Canonical (RREF) basis of the row space; empty rows dropped."""
     r, pivots = rref(m)
-    return [row for row in r[: len(pivots)]]
+    return r[:len(pivots)]
 
 
 def nullspace(m):
@@ -80,12 +111,9 @@ def nullspace(m):
     if not m:
         return []
     r, pivots = rref(m)
-    ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [ONE if c == fc else ZERO for c in range(len(m[0]))]
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][fc]
         basis.append(v)
@@ -97,8 +125,7 @@ def solve(a, b):
 
     Free variables are set to zero, which makes the result canonical.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     aug = [list(row) + [bv] for row, bv in zip(a, b)]
     r, pivots = rref(aug)
     if ncols in pivots:
@@ -119,12 +146,14 @@ def inverse(m):
 
 
 def in_span(basis_rows, v):
-    """Is v in the row span of basis_rows?  Exact membership test."""
-    if not basis_rows:
-        return all(x == 0 for x in v)
-    m = [list(r) for r in basis_rows]
-    before = rank(m)
-    return rank(m + [list(v)]) == before
+    """Is v in the row span of basis_rows?  Exact membership test: one
+    elimination of the basis, then v reduced against its pivot rows."""
+    w = _int_row(v)
+    rows, pivots = _echelon(basis_rows)
+    for prow, c in zip(rows, pivots):
+        if w[c]:
+            w = _reduce(w, prow, c)
+    return not any(w)
 
 
 def complement_basis(basis_rows, dim):
@@ -133,15 +162,6 @@ def complement_basis(basis_rows, dim):
     Picks standard basis vectors on the non-pivot columns of the RREF, which
     keeps the choice canonical.
     """
-    _, pivots = rref(basis_rows) if basis_rows else ([], [])
-    out = []
-    for c in range(dim):
-        if c not in pivots:
-            v = [ZERO] * dim
-            v[c] = ONE
-            out.append(v)
-    return out
-
-
-
-
+    pivots = rref(basis_rows)[1]
+    return [[ONE if k == c else ZERO for k in range(dim)]
+            for c in range(dim) if c not in pivots]

@@ -22,25 +22,33 @@ from fractions import Fraction
 Q = Fraction
 
 
+def metric_weights(step, kind, weights=None):
+    """The per-layer weights of a `kind` metric on a step-`step` algebra
+    (none for the Koranyi gauge).  Raises ValueError, its message opening
+    with the field at fault (kind or weights), for an unknown kind, a Koranyi
+    gauge above step 2, or weights that are not `step` positive numbers."""
+    if kind == "koranyi":
+        if step > 2:
+            raise ValueError("kind 'koranyi' is defined here for step <= 2 only")
+        return ()
+    if kind != "weighted_max":
+        raise ValueError("kind %r is unknown; use 'koranyi' or 'weighted_max'" % (kind,))
+    w = [1.0] * step if weights is None else weights
+    try:
+        w = tuple(float(x) for x in w)
+    except (TypeError, ValueError):
+        w = ()
+    if len(w) != step or not all(x > 0 for x in w):
+        raise ValueError("weights must be %d positive numbers, one per layer; got %r"
+                         % (step, weights))
+    return w
+
+
 class HomogeneousMetric:
     def __init__(self, algebra, kind="koranyi", weights=None):
         self.algebra = algebra
         self.kind = kind
-        if kind == "koranyi":
-            if algebra.step > 2:
-                raise ValueError("the Koranyi gauge is defined here for step <= 2")
-            self.weights = ()
-        elif kind == "weighted_max":
-            w = [1.0] * algebra.step if weights is None else weights
-            try:
-                self.weights = tuple(float(x) for x in w)
-            except (TypeError, ValueError):
-                self.weights = ()
-            if len(self.weights) != algebra.step or not all(x > 0 for x in self.weights):
-                raise ValueError("metric weights must be %d positive numbers, one per "
-                                 "layer; got %r" % (algebra.step, weights))
-        else:
-            raise ValueError("unknown metric kind %r" % kind)
+        self.weights = metric_weights(algebra.step, kind, weights)
 
     # -- vectorized core ----------------------------------------------------
     def quasi_norm_np(self, coords):

@@ -163,9 +163,11 @@ def is_ideal(sub):
 
 
 def is_complementary(a, b):
-    """Layer-wise direct sum spanning每 layer: certifies the group-level
+    """Layer-wise direct sum spanning each layer: certifies the group-level
     factorization with uniqueness of the decomposition."""
-    assert a.algebra == b.algebra
+    if a.algebra != b.algebra:
+        raise ValueError("subalgebras of different algebras: %s and %s"
+                         % (a.algebra.name, b.algebra.name))
     alg = a.algebra
     for layer in range(1, alg.step + 1):
         idx = alg.layer_indices(layer)
@@ -258,10 +260,11 @@ def quotient(algebra, ideal):
             if terms:
                 struct[(a, b)] = terms
     names = [algebra.basis_names[k] + "~" for k in reps]
-    qalg = GradedAlgebra("%s/[dim %d]" % (algebra.name, ideal.total_dim),
-                         rep_layers or [1], struct if qdim else {},
-                         basis_names=names or ["e1"], check=bool(qdim))
-    if qdim == 0:
+    # valid by construction: brackets of representatives reduced mod an ideal
+    if qdim:
+        qalg = GradedAlgebra("%s/[dim %d]" % (algebra.name, ideal.total_dim),
+                             rep_layers, struct, basis_names=names, check=False)
+    else:
         qalg = GradedAlgebra(algebra.name + "/full", [], {}, basis_names=[], check=False)
     dpi = GradedMorphism(algebra, qalg, proj_matrix)
     return qalg, dpi
@@ -298,7 +301,8 @@ def subalgebra_as_algebra(sub, name=None):
             terms = {k: c for k, c in enumerate(sol) if c != 0}
             if terms:
                 struct[(i, j)] = terms
-    return GradedAlgebra(name or (alg.name + ".sub"), layers, struct)
+    # valid by construction: the induced brackets of a subalgebra
+    return GradedAlgebra(name or (alg.name + ".sub"), layers, struct, check=False)
 
 
 # ---------------------------------------------------------------------------

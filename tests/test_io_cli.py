@@ -188,3 +188,37 @@ def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
     run = subprocess.run([sys.executable, "-O", "-m", "carnot.cli"] + argv, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 2 and "weights" in run.stdout and not run.stderr
+
+
+def test_group_file_metric_block_checked(tmp_path, capsys):
+    # both group-file parsers apply HomogeneousMetric's rule to the metric
+    # block, and `group validate` names the field at fault
+    group = cio.group_to_dict(catalog.get("h1"))
+    path = tmp_path / "g.json"
+    bad = {"metric.kind": [{"kind": "euclid"}],
+           "metric.weights": [{"kind": "weighted_max", "weights": [1, -1]},
+                              {"kind": "weighted_max", "weights": [1.0]},
+                              {"kind": "weighted_max", "weights": [1, float("nan")]},
+                              {"kind": "weighted_max", "weights": [1, "x"]},
+                              {"kind": "weighted_max", "weights": [1, None]}]}
+    for field, specs in bad.items():
+        for spec in specs:
+            group["metric"] = spec
+            path.write_text(json.dumps(group))
+            with pytest.raises(ValueError, match=field):
+                cio.parse_group_dict(group)
+            report, err = cio.validate_group_file(str(path))
+            assert report is None and field in err
+    group["metric"] = {"kind": "weighted_max", "weights": [1, 2]}
+    assert cio.parse_group_dict(group).tags["metric_spec"] == group["metric"]
+    path.write_text(json.dumps(group))
+    assert cio.validate_group_file(str(path))[0].ok
+
+
+def test_cli_group_validate_bad_metric_weights(tmp_path, capsys):
+    group = cio.group_to_dict(catalog.get("h1"))
+    group["metric"] = {"kind": "weighted_max", "weights": [1, -1]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group))
+    assert main(["group", "validate", str(path)]) == 2
+    assert "metric.weights" in capsys.readouterr().out

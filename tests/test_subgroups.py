@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import GroupElement, homogeneous_dimension
+from carnot.algebra import GroupElement, homogeneous_dimension, validate_grading
 from carnot.bch import group_product
 from carnot.morphism import GradedMorphism, check_h_homomorphism
 from carnot.subgroups import (BudgetExhausted, NonexistenceCertificate,
@@ -46,6 +46,9 @@ def test_is_complementary(h1, h2):
         assert is_complementary(a, s)
     assert not is_complementary(span_subalgebra(h1, [1, 0, 0], [0, 0, 1]),
                                 span_subalgebra(h1, [0, 1, 0], [0, 0, 1]))
+    with pytest.raises(ValueError, match="different algebras"):
+        is_complementary(span_subalgebra(h1, [1, 0, 0]),
+                         span_subalgebra(h2, [1, 0, 0, 0, 0]))
 
 
 def test_quotient_abelianization(h1):
@@ -79,6 +82,33 @@ def test_quotient_dilation_covariance(f23, rng):
 def test_quotient_requires_ideal(h1):
     with pytest.raises(ValueError):
         quotient(h1, span_subalgebra(h1, [1, 0, 0]))
+
+
+def test_derived_algebras_validate():
+    # subalgebra_as_algebra and quotient build their algebras without the
+    # Jacobi pass; the algebras must be valid by construction.  Random
+    # ideals nearly always contain the derived algebra, so the line through
+    # the last basis vector (top layer, hence central) is added as an ideal
+    # with a non-abelian quotient on most groups.
+    nonabelian = {"sub": 0, "quotient": 0}
+    for name in ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2"):
+        alg = catalog.get(name)
+        rng = np.random.default_rng(11)
+        ideals = [span_subalgebra(alg, alg.basis_coords(alg.dim - 1))]
+        for _ in range(12):
+            sub = random_homogeneous_subalgebra(alg, rng,
+                                                n_generators=int(rng.integers(1, 3)))
+            small = subalgebra_as_algebra(sub)
+            assert validate_grading(small).ok, name
+            nonabelian["sub"] += bool(small.struct)
+            if is_ideal(sub):
+                ideals.append(sub)
+        assert len(ideals) > 1, name
+        for ideal in ideals:
+            qalg = quotient(alg, ideal)[0]
+            assert validate_grading(qalg).ok, name
+            nonabelian["quotient"] += bool(qalg.struct)
+    assert nonabelian["sub"] >= 20 and nonabelian["quotient"] >= 4, nonabelian
 
 
 def test_check_h_homomorphism(h1):
