@@ -30,14 +30,23 @@ EXIT_SOLVER = 3
 EXIT_UNDECIDED = 4
 
 
+class _BadGroup(Exception):
+    """A group argument that is neither a catalog name nor a valid group
+    file; main prints its one-line message and returns EXIT_VALIDATION."""
+
+
 def _load_group(spec):
     """Catalog name, or path to a group-definition file."""
     if os.path.exists(spec):
-        return cio.load_group(spec)
+        try:
+            return cio.load_group(spec)
+        except (OSError, ValueError) as e:
+            raise _BadGroup("invalid group file %s: %s"
+                           % (spec, " ".join(str(e).split()))) from None
     try:
         return cat.get(spec)
     except KeyError:
-        raise SystemExit("unknown group %r (not a catalog name or file)" % spec)
+        raise _BadGroup("unknown group %r (not a catalog name or file)" % spec) from None
 
 
 def _metric_for(algebra):
@@ -308,11 +317,7 @@ def cmd_experiment(args):
         manifest.outputs.append(csv)
 
     elif args.action == "verify-estimates":
-        try:
-            m = _metric_for(_load_group(cfg["group"]))
-        except ValueError as e:
-            print(json.dumps({"error": str(e)}))
-            return EXIT_VALIDATION
+        m = _metric_for(_load_group(cfg["group"]))
         nu = float(cfg.get("nu", 1.0))
         samples = int(cfg.get("samples", 2000))
         consts = collect_estimates(m, nu, samples, seed)
@@ -400,7 +405,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     # seed propagates into every sampled routine for reproducibility
     np.random.seed(args.seed)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _BadGroup as e:
+        print(e)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -59,31 +59,77 @@ def _check_metric_block(spec, step):
         raise ValueError("metric.%s" % e) from None
 
 
-def parse_group_dict(data, check=True):
-    dim = int(data["dim"])
-    step = int(data["step"])
-    layers = [int(x) for x in data["layers"]]
-    assert len(layers) == dim, "layers array length != dim"
+def _field(obj, key, path, kind, lo=None, hi=None):
+    """obj[key], which must be a JSON `kind` (int or list), an int within
+    lo..hi.  A float is refused, not truncated; the ValueError opens with
+    the field's path."""
+    try:
+        v = obj[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError("%s: missing" % path) from None
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError("%s: must be %s, got %r"
+                         % (path, "an integer" if kind is int else "a list", v))
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        raise ValueError("%s: must be in %s..%s, got %d" % (path, lo, hi, v))
+    return v
+
+
+def _read_group_fields(data):
+    """The schema of a group-definition object, shared by every reader:
+    returns (layers, step, entries) with 0-based bracket entries
+    (i, j, k, coefficient).  Raises ValueError opening with the field at
+    fault, e.g. ``brackets[0].terms[0].num: must be an integer``."""
+    if not isinstance(data, dict):
+        raise ValueError("group: must be a JSON object")
+    dim = _field(data, "dim", "dim", int, lo=0)
+    step = _field(data, "step", "step", int)
+    raw = _field(data, "layers", "layers", list)
+    layers = [_field(raw, n, "layers[%d]" % n, int, lo=1) for n in range(len(raw))]
+    if len(layers) != dim:
+        raise ValueError("layers: has %d entries, dim is %d" % (len(layers), dim))
+    if step != max(layers, default=1):
+        raise ValueError("step: is %d, max(layers) is %d" % (step, max(layers, default=1)))
+    names = data.get("basis_names") or None
+    if names is not None and (not isinstance(names, list) or len(names) != dim):
+        raise ValueError("basis_names: must be a list of %d names" % dim)
     if "metric" in data:
         _check_metric_block(data["metric"], step)
-    names = data.get("basis_names") or None
+    brackets = _field(data, "brackets", "brackets", list) if "brackets" in data else []
     entries = []
-    for b in data.get("brackets", []):
-        i, j = int(b["i"]) - 1, int(b["j"]) - 1
-        if not (i < j):
-            raise ValueError("bracket entries must satisfy i < j (got %d, %d)"
-                             % (i + 1, j + 1))
-        for t in b["terms"]:
-            entries.append((i, j, int(t["k"]) - 1, Q(int(t["num"]), int(t["den"]))))
+    for bn, b in enumerate(brackets):
+        path = "brackets[%d]." % bn
+        i = _field(b, "i", path + "i", int, 1, dim)
+        j = _field(b, "j", path + "j", int, 1, dim)
+        if i >= j:
+            raise ValueError("%sj: must exceed i = %d (canonical i < j orientation),"
+                             " got %d" % (path, i, j))
+        for tn, t in enumerate(_field(b, "terms", path + "terms", list)):
+            tpath = "%sterms[%d]." % (path, tn)
+            k = _field(t, "k", tpath + "k", int, 1, dim)
+            num = _field(t, "num", tpath + "num", int)
+            den = _field(t, "den", tpath + "den", int)
+            if den == 0:
+                raise ValueError("%sden: must be nonzero" % tpath)
+            entries.append((i - 1, j - 1, k - 1, Q(num, den)))
+    return layers, step, entries
+
+
+def parse_group_dict(data, check=True):
+    """A GradedAlgebra from a group-definition object.  Schema errors raise
+    ValueError naming the field; with check, so does a table that fails
+    validate_table (antisymmetry, grading, Jacobi)."""
+    layers, step, entries = _read_group_fields(data)
     if check:
-        report = validate_table(dim, step, layers, entries)
+        report = validate_table(len(layers), step, layers, entries)
         if not report.ok:
             raise ValueError("invalid group definition:\n%s" % report)
     struct = {}
     for (i, j, k, c) in entries:
         struct.setdefault((i, j), {})[k] = struct.get((i, j), {}).get(k, Q(0)) + c
+    # validated above when asked: the table check is not repeated
     alg = GradedAlgebra(data.get("name", "group"), layers, struct,
-                        basis_names=names, check=check)
+                        basis_names=data.get("basis_names") or None, check=False)
     if "metric" in data:
         alg.tags["metric_spec"] = data["metric"]
     return alg
@@ -103,20 +149,10 @@ def validate_group_file(path):
     except json.JSONDecodeError as e:
         return None, "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
     try:
-        dim = int(data["dim"])
-        step = int(data["step"])
-        layers = [int(x) for x in data["layers"]]
-        if "metric" in data:
-            _check_metric_block(data["metric"], step)
-        entries = []
-        for b in data.get("brackets", []):
-            i, j = int(b["i"]) - 1, int(b["j"]) - 1
-            for t in b["terms"]:
-                entries.append((i, j, int(t["k"]) - 1,
-                                Q(int(t["num"]), int(t["den"]))))
-    except (KeyError, ValueError, TypeError) as e:
+        layers, step, entries = _read_group_fields(data)
+    except ValueError as e:
         return None, "schema error: %s" % e
-    return validate_table(dim, step, layers, entries), None
+    return validate_table(len(layers), step, layers, entries), None
 
 
 # ---------------------------------------------------------------------------

@@ -582,9 +582,30 @@ class ImplicitSolution:
         return {"kappa": kappa, "holder_1_over_step": holder, "pairs": int(len(ii))}
 
 
-def _exact_differential_morphism(pdmap, xbar_exact):
-    d1 = pdmap.dfirst_exact(xbar_exact)
-    return lift_differential(pdmap.domain, pdmap.codomain, d1)
+def _rational_differential(pdmap, xbar):
+    """The differential at xbar as an exact morphism, plus whether it is
+    numerical: lifted from the analytic exact first-layer block when one is
+    attached, else the numerical Pansu differential rounded to rationals
+    (denominators <= 10^6, so entries below 5e-7 become 0)."""
+    dom, cod = pdmap.domain, pdmap.codomain
+    if pdmap.dfirst_exact is not None:
+        exact_x = [Q(v).limit_denominator(10 ** 9) for v in xbar]
+        return lift_differential(dom, cod, pdmap.dfirst_exact(exact_x)), False
+    mat = np.asarray(pansu_differential(pdmap, xbar).morphism.matrix)
+    return GradedMorphism(dom, cod, [[Q(v).limit_denominator(10 ** 6) for v in row]
+                                     for row in mat]), True
+
+
+def _graph_newton(pdmap, xbar, node, hbasis, level, t0, tol, budget):
+    """Newton solve of f(xbar o node o exp(c @ hbasis)) = level over the
+    coefficients c on the complement H: one point of the intrinsic graph."""
+    dom = pdmap.domain
+    base = group_product_np(dom, xbar, node)
+
+    def resid(hcoef):
+        return pdmap(group_product_np(dom, base, hcoef @ hbasis)) - level
+
+    return _newton(resid, t0, tol=tol, budget=budget)
 
 
 def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0):
@@ -604,41 +625,19 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
     dom = pdmap.domain
     grid_spec = grid_spec or {}
     xbar = np.asarray(xbar, dtype=float)
-    if pdmap.dfirst_exact is not None:
-        exact_x = [Q(v).limit_denominator(10 ** 9) for v in xbar]
-        L = _exact_differential_morphism(pdmap, exact_x)
-        numerical_kernel = False
-    else:
-        rep = pansu_differential(pdmap, xbar)
-        mat = np.asarray(rep.morphism.matrix)
-        mat = np.where(np.abs(mat) < 1e-8, 0.0, mat)
-        L = GradedMorphism(dom, pdmap.codomain,
-                           [[Q(v).limit_denominator(10 ** 6) for v in row]
-                            for row in mat])
-        numerical_kernel = True
+    L, numerical_kernel = _rational_differential(pdmap, xbar)
     cls = classify_epimorphism(L)
     if cls.verdict != "h_epimorphism":
         raise ValueError("differential is not an h-epimorphism: %s" % cls.verdict)
     N, H = cls.kernel, cls.witness
     nbasis = np.array([[float(c) for c in v] for v in N.basis()])
     hbasis = np.array([[float(c) for c in v] for v in H.basis()])
-    nlayers = [_vec_layer(dom, v) for v in N.basis()]
+    nlayers = N.basis_layers()
     radius = float(grid_spec.get("radius", 0.3))
     counts = list(grid_spec.get("counts", None) or [7] * len(nbasis))
     assert len(counts) == len(nbasis)
     shrink_attempts = int(grid_spec.get("shrink_attempts", 3))
-    fbar = pdmap(xbar)
-    target = np.asarray(fbar, dtype=float)
-
-    def solve_node(node, seed_coef):
-        base = group_product_np(dom, xbar, node)
-
-        def resid(hcoef):
-            h = hcoef @ hbasis
-            pt = group_product_np(dom, base, h)
-            return pdmap(pt) - target
-
-        return _newton(resid, seed_coef, tol=tol, budget=budget)
+    target = pdmap(xbar)
 
     last_error = None
     for attempt in range(shrink_attempts + 1):
@@ -660,7 +659,8 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
         for i in range(count):
             seed_coef = prev if i % max(row_len, 1) != 0 or i == 0 \
                 else phis_coef_cache
-            hc, r, ok = solve_node(nodes[i], seed_coef)
+            hc, r, ok = _graph_newton(pdmap, xbar, nodes[i], hbasis, target,
+                                      seed_coef, tol, budget)
             if not ok:
                 last_error = "node %d of radius %.3g (residual %.3g)" % (
                     i, radius, r)
@@ -683,26 +683,17 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
 def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
     """Multi-restart agreement of the implicit solve at random nodes: the
     empirical surrogate for uniqueness of the graph map."""
-    pdmap = solution.pdmap
-    dom = pdmap.domain
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
     rng = np.random.default_rng(seed)
-    target = solution.level
     worst = 0.0
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
     for i in pick:
-        base = group_product_np(dom, solution.xbar, solution.nodes[i])
-
-        def resid(hcoef):
-            h = hcoef @ hbasis
-            pt = group_product_np(dom, base, h)
-            return pdmap(pt) - target
-
         sols = []
         for r in range(restarts):
             t0 = rng.standard_normal(len(hbasis)) * scale
-            hc, rr, ok = _newton(resid, t0, tol=1e-11, budget=200)
+            hc, rr, ok = _graph_newton(solution.pdmap, solution.xbar, solution.nodes[i],
+                                       hbasis, solution.level, t0, 1e-11, 200)
             if ok:
                 sols.append(hc @ hbasis)
         for a in sols:
@@ -722,20 +713,16 @@ def translated_graph_check(solution, g, subset=25, tol=1e-7, seed=0):
                       replace=False)
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
     new_xbar = group_product_np(dom, g, solution.xbar)
+    translated = PDMap(dom, pdmap.codomain,
+                       lambda x: pdmap.evaluator(group_product_np(dom, -g, x)))
     worst = 0.0
     for i in pick:
         node, phi = solution.nodes[i], solution.phis[i]
         nh = group_product_np(dom, node, phi)
         n2, h2 = split_coords_np(dom, solution.kernel, solution.witness, nh)
-        base = group_product_np(dom, new_xbar, n2)
-
-        def resid(hcoef):
-            h = hcoef @ hbasis
-            pt = group_product_np(dom, base, h)
-            return pdmap(group_product_np(dom, -g, pt)) - solution.level
-
         seed0 = np.linalg.lstsq(hbasis.T, h2, rcond=None)[0]
-        hc, r, ok = _newton(resid, seed0, tol=1e-11, budget=200)
+        hc, r, ok = _graph_newton(translated, new_xbar, n2, hbasis, solution.level,
+                                  seed0, 1e-11, 200)
         if not ok:
             return math.inf
         worst = max(worst, float(np.max(np.abs(hc @ hbasis - h2))))
@@ -744,8 +731,6 @@ def translated_graph_check(solution, g, subset=25, tol=1e-7, seed=0):
 
 def split_coords_np(algebra, first, second, coords):
     """Float layerwise split g = exp(p) exp(h) along a complementary pair."""
-    pb = [np.array([float(c) for c in v]) for v in first.basis()]
-    hb = [np.array([float(c) for c in v]) for v in second.basis()]
     p = np.zeros(algebra.dim)
     h = np.zeros(algebra.dim)
     for layer in range(1, algebra.step + 1):
@@ -753,9 +738,9 @@ def split_coords_np(algebra, first, second, coords):
         if not idx:
             continue
         corr = group_product_np(algebra, p, h)
-        cols = [v for v in pb if _vec_layer_np(algebra, v) == layer] + \
-               [v for v in hb if _vec_layer_np(algebra, v) == layer]
-        npcols = len([v for v in pb if _vec_layer_np(algebra, v) == layer])
+        cols = [np.array([float(c) for c in v])
+                for v in first.layer_basis(layer) + second.layer_basis(layer)]
+        npcols = len(first.layer_basis(layer))
         if not cols:
             continue
         m = np.array([[c[k] for c in cols] for k in idx])
@@ -767,20 +752,6 @@ def split_coords_np(algebra, first, second, coords):
             else:
                 h = h + c * col
     return p, h
-
-
-def _vec_layer(alg, v):
-    for k, c in enumerate(v):
-        if c != 0:
-            return alg.layer_of[k]
-    return None
-
-
-def _vec_layer_np(alg, v):
-    for k, c in enumerate(v):
-        if abs(c) > 0:
-            return alg.layer_of[k]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +775,9 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
     """Represent the image of f near xbar as an intrinsic graph over the
     image subgroup of the differential: psi inverts p o f, and
     phi(h) = (p-complement part of f(psi(h)))."""
-    dom, cod = pdmap.domain, pdmap.codomain
+    cod = pdmap.codomain
     xbar = np.asarray(xbar, dtype=float)
-    if pdmap.dfirst_exact is not None:
-        exact_x = [Q(v).limit_denominator(10 ** 9) for v in xbar]
-        T = _exact_differential_morphism(pdmap, exact_x)
-    else:
-        T = pansu_differential(pdmap, xbar).morphism
-        T = GradedMorphism(dom, cod, [[Q(v).limit_denominator(10 ** 6) for v in row]
-                                      for row in np.asarray(T.matrix)])
+    T, _ = _rational_differential(pdmap, xbar)
     mono = classify_monomorphism(T)
     if mono.verdict != "h_monomorphism":
         raise ValueError("differential is not an h-monomorphism: %s" % mono.verdict)
@@ -823,7 +788,7 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
     h0 = np.linalg.lstsq(hbasis.T, pmat @ fxbar, rcond=None)[0]
 
     rng = np.random.default_rng(seed)
-    hlayers = [_vec_layer(cod, v) for v in H.basis()]
+    hlayers = H.basis_layers()
     offsets = [np.linspace(-grid_radius ** l, grid_radius ** l, grid_count)
                for l in hlayers]
     mesh = np.meshgrid(*offsets, indexing="ij")
@@ -890,21 +855,13 @@ class LevelSetSampler:
         self.xbar = np.asarray(xbar, dtype=float)
         self.solution = solution
         self.tol = tol
-        dom = pdmap.domain
         self._hbasis = np.array([[float(c) for c in v]
                                  for v in solution.witness.basis()])
 
     def _solve(self, node, seed_coef=None):
-        dom = self.pdmap.domain
-        base = group_product_np(dom, self.xbar, node)
-
-        def resid(hcoef):
-            h = hcoef @ self._hbasis
-            pt = group_product_np(dom, base, h)
-            return self.pdmap(pt) - self.solution.level
-
         t0 = np.zeros(len(self._hbasis)) if seed_coef is None else seed_coef
-        hc, r, ok = _newton(resid, t0, tol=self.tol, budget=200)
+        hc, r, ok = _graph_newton(self.pdmap, self.xbar, node, self._hbasis,
+                                  self.solution.level, t0, self.tol, 200)
         if not ok:
             raise RuntimeError("sampler solve failed")
         return hc
@@ -914,7 +871,7 @@ class LevelSetSampler:
         dom = self.pdmap.domain
         ops = dom.float_ops()
         nbasis = np.array([[float(c) for c in v] for v in self.solution.kernel.basis()])
-        layers = [_vec_layer_np(dom, v) for v in nbasis]
+        layers = self.solution.kernel.basis_layers()
         out = []
         seed_coef = None
         while len(out) < count:
@@ -964,24 +921,29 @@ def distance_to_vertical_subgroup(metric, sub, points):
     return metric.quasi_norm_np(rep)
 
 
+def _directed_hausdorff(metric, A, B, chunk=256):
+    """sup over a in A of the distance from a to the cloud B, chunked brute
+    force (k-d trees only support Minkowski metrics)."""
+    worst = 0.0
+    for s in range(0, len(A), chunk):
+        blk = A[s:s + chunk]
+        d = metric.distance_np(blk[:, None, :], B[None, :, :])
+        worst = max(worst, float(np.max(np.min(d, axis=1))))
+    return worst
+
+
 def hausdorff_distance(metric, cloud_a, cloud_b, chunk=256):
     """Symmetric Hausdorff distance between point clouds in the homogeneous
-    metric, chunked brute force (k-d trees only support Minkowski metrics)."""
-    def one_sided(A, B):
-        worst = 0.0
-        for s in range(0, len(A), chunk):
-            blk = A[s:s + chunk]
-            d = metric.distance_np(blk[:, None, :], B[None, :, :])
-            worst = max(worst, float(np.max(np.min(d, axis=1))))
-        return worst
-    return max(one_sided(cloud_a, cloud_b), one_sided(cloud_b, cloud_a))
+    metric."""
+    return max(_directed_hausdorff(metric, cloud_a, cloud_b, chunk),
+               _directed_hausdorff(metric, cloud_b, cloud_a, chunk))
 
 
 def cone_samples(algebra, cone, R, count, rng, metric=None):
     """Random points of the subgroup exp(cone) with gauge <= R."""
     metric = metric or default_metric(algebra)
     basis = np.array([[float(c) for c in v] for v in cone.basis()])
-    layers = [_vec_layer_np(algebra, v) for v in basis]
+    layers = cone.basis_layers()
     out = []
     while len(out) < count:
         coef = np.array([rng.uniform(-(1.3 * R) ** l, (1.3 * R) ** l) for l in layers])
@@ -1013,22 +975,12 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200,
             d_a = float(np.max(distance_to_vertical_subgroup(metric, cone, cloud)))
         else:
             cs = cone_samples(alg, cone, R, 4 * count, rng, metric)
-            worst = 0.0
-            for s in range(0, len(cloud), 256):
-                blk = cloud[s:s + 256]
-                d = metric.distance_np(blk[:, None, :], cs[None, :, :])
-                worst = max(worst, float(np.max(np.min(d, axis=1))))
-            d_a = worst
+            d_a = _directed_hausdorff(metric, cloud, cs)
         nodes = cone_samples(alg, cone, 0.95 * R, count, rng, metric)
         if hasattr(sampler, "graph_height"):
             d_b = max(sampler.graph_height(lam, u) for u in nodes)
         else:
-            worst = 0.0
-            for s in range(0, len(nodes), 256):
-                blk = nodes[s:s + 256]
-                d = metric.distance_np(blk[:, None, :], cloud[None, :, :])
-                worst = max(worst, float(np.max(np.min(d, axis=1))))
-            d_b = worst
+            d_b = _directed_hausdorff(metric, nodes, cloud)
         set_to_cone.append(d_a)
         cone_to_set.append(d_b)
         dists.append(max(d_a, d_b))

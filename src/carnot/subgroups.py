@@ -85,6 +85,11 @@ class HomogeneousSubalgebra:
             out.extend(self.layered_bases[layer])
         return out
 
+    def basis_layers(self):
+        """Layer of each vector of basis(), in the same order."""
+        return [layer for layer in sorted(self.layered_bases)
+                for _ in self.layered_bases[layer]]
+
     def contains(self, coords):
         rows = [list(v) for v in self.basis()]
         return linalg.in_span(rows, list(coords))
@@ -287,10 +292,6 @@ def subalgebra_as_algebra(sub, name=None):
     induced brackets)."""
     basis = sub.basis()
     alg = sub.algebra
-    layers = []
-    for v in basis:
-        support = [alg.layer_of[k] for k, c in enumerate(v) if c != 0]
-        layers.append(support[0])
     bmat = [[basis[j][r] for j in range(len(basis))] for r in range(alg.dim)]
     struct = {}
     for i in range(len(basis)):
@@ -302,7 +303,8 @@ def subalgebra_as_algebra(sub, name=None):
             if terms:
                 struct[(i, j)] = terms
     # valid by construction: the induced brackets of a subalgebra
-    return GradedAlgebra(name or (alg.name + ".sub"), layers, struct, check=False)
+    return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(), struct,
+                         check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +319,6 @@ def split_element(g, first, second):
     from .bch import group_product_coords
     alg = g.algebra
     assert g.scalar_mode == "exact"
-    pbasis = first.basis()
-    hbasis = second.basis()
     p = [Q(0)] * alg.dim
     h = [Q(0)] * alg.dim
     for layer in range(1, alg.step + 1):
@@ -326,9 +326,8 @@ def split_element(g, first, second):
         if not idx:
             continue
         corr = group_product_coords(alg, tuple(p), tuple(h))
-        cols = [v for v in pbasis if _layer_of_vec(alg, v) == layer] + \
-               [v for v in hbasis if _layer_of_vec(alg, v) == layer]
-        np_cols = len([v for v in pbasis if _layer_of_vec(alg, v) == layer])
+        cols = first.layer_basis(layer) + second.layer_basis(layer)
+        np_cols = len(first.layer_basis(layer))
         m = [[col[k] for col in cols] for k in idx]
         rhs = [g.coords[k] - corr[k] for k in idx]
         sol = linalg.solve(m, rhs)
@@ -339,13 +338,6 @@ def split_element(g, first, second):
                 target[k] += c * col[k]
     cls = type(g)
     return cls(alg, tuple(p)), cls(alg, tuple(h))
-
-
-def _layer_of_vec(alg, v):
-    for k, c in enumerate(v):
-        if c != 0:
-            return alg.layer_of[k]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +441,7 @@ def _groebner_says_empty(eqs, nvars, max_vars=10):
     return g.exprs == [sympy.Integer(1)]
 
 
-def _right_inverse_system(L, kernel_vectors):
+def _right_inverse_system(L, kernel):
     """Polynomial system for a layer-preserving right inverse R of L that is
     also a Lie homomorphism.  R = S0 + sum_t c_t E_t with E_t ranging over
     (kernel vector, codomain basis vector) pairs of equal layer; the equations
@@ -462,11 +454,8 @@ def _right_inverse_system(L, kernel_vectors):
         col = linalg.solve(L.matrix, target)
         assert col is not None, "not surjective"
         s0_cols.append(tuple(col))
-    unknowns = []
-    for b in range(M.dim):
-        for kv in kernel_vectors:
-            if _layer_of_vec(G, kv) == M.layer_of[b]:
-                unknowns.append((b, tuple(kv)))
+    unknowns = [(b, tuple(kv)) for b in range(M.dim)
+                for kv in kernel.layer_basis(M.layer_of[b])]
     nvars = len(unknowns)
 
     def column_poly(b):
@@ -752,6 +741,19 @@ def _lambda_candidates():
 # classification
 # ---------------------------------------------------------------------------
 
+def _witness_json(verdict, witness):
+    """The JSON form shared by both classifications: the witness basis as
+    rational strings, or the certificate (nonexistence or budget marker)."""
+    out = {"verdict": verdict, "witness_basis": None, "certificate": None}
+    if isinstance(witness, HomogeneousSubalgebra):
+        out["witness_basis"] = [[str(c) for c in v] for v in witness.basis()]
+    elif isinstance(witness, NonexistenceCertificate):
+        out["certificate"] = {"reason": witness.reason, "detail": witness.detail}
+    elif isinstance(witness, BudgetExhausted):
+        out["certificate"] = {"reason": "budget_exhausted", "detail": witness.note}
+    return out
+
+
 @dataclass
 class EpiClassification:
     verdict: str               # h_epimorphism | surjective_not_epi | not_surjective | undecided
@@ -759,14 +761,7 @@ class EpiClassification:
     kernel: object = None
 
     def to_json_dict(self):
-        out = {"verdict": self.verdict, "witness_basis": None, "certificate": None}
-        if isinstance(self.witness, HomogeneousSubalgebra):
-            out["witness_basis"] = [[str(c) for c in v] for v in self.witness.basis()]
-        elif isinstance(self.witness, NonexistenceCertificate):
-            out["certificate"] = {"reason": self.witness.reason, "detail": self.witness.detail}
-        elif isinstance(self.witness, BudgetExhausted):
-            out["certificate"] = {"reason": "budget_exhausted", "detail": self.witness.note}
-        return out
+        return _witness_json(self.verdict, self.witness)
 
 
 @dataclass
@@ -777,16 +772,7 @@ class MonoClassification:
     image: object = None
 
     def to_json_dict(self):
-        out = {"verdict": self.verdict, "witness_basis": None, "certificate": None}
-        if isinstance(self.normal_complement, HomogeneousSubalgebra):
-            out["witness_basis"] = [[str(c) for c in v]
-                                    for v in self.normal_complement.basis()]
-        elif isinstance(self.normal_complement, (NonexistenceCertificate, BudgetExhausted)):
-            r = getattr(self.normal_complement, "reason", "budget_exhausted")
-            out["certificate"] = {"reason": r,
-                                  "detail": getattr(self.normal_complement, "detail",
-                                                    getattr(self.normal_complement, "note", ""))}
-        return out
+        return _witness_json(self.verdict, self.normal_complement)
 
 
 def _abelian_image(M):
@@ -808,7 +794,7 @@ def classify_epimorphism(L, budget=10000, seed=0):
         else zero_subalgebra(L.domain)
     if kernel.total_dim == 0:
         return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel)
-    eqs, unknowns, s0 = _right_inverse_system(L, kernel.basis())
+    eqs, unknowns, s0 = _right_inverse_system(L, kernel)
     nvars = len(unknowns)
     deg = _system_degree(eqs)
     if deg <= 1:
@@ -868,14 +854,9 @@ def _abelian_kernel_complement(G, kernel, k):
         if k == 2:
             return h21_complement(G, n1)
     if k == 1:
-        # a single horizontal direction off the kernel always splits
-        rows = [list(v) for v in n1]
-        for cand in linalg.complement_basis([[v[t] for t in G.layer_indices(1)]
-                                             for v in rows], len(G.layer_indices(1))):
-            vec = [Q(0)] * G.dim
-            for pos, t in enumerate(G.layer_indices(1)):
-                vec[t] = cand[pos]
-            return layered_decomposition(G, [vec])
+        # a single horizontal direction off the kernel always splits; the
+        # kernel holds every layer >= 2, so its canonical complement is it
+        return HomogeneousSubalgebra(G, _canonical_complement(kernel))
     report = max_commutative_horizontal_dim(G, budget=200, seed=1)
     if report.exact and report.dim < k:
         return NonexistenceCertificate(
@@ -898,43 +879,10 @@ def classify_monomorphism(T, budget=2000, seed=0):
     if image.total_dim == M.dim:
         n = zero_subalgebra(M)
         return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
-    if set(image.layered_bases) <= {1}:
-        # horizontal commutative image: complement any first-layer transversal
-        idx1 = M.layer_indices(1)
-        rows = [[v[t] for t in idx1] for v in image.layer_basis(1)]
-        layered = {}
-        comp1 = []
-        for cand in linalg.complement_basis(rows, len(idx1)):
-            vec = [Q(0)] * M.dim
-            for pos, t in enumerate(idx1):
-                vec[t] = cand[pos]
-            comp1.append(vec)
-        if comp1:
-            layered[1] = comp1
-        for layer in range(2, M.step + 1):
-            vs = [list(M.basis_coords(t)) for t in M.layer_indices(layer)]
-            if vs:
-                layered[layer] = vs
-        n = HomogeneousSubalgebra(M, layered)
-        assert is_ideal(n) and is_complementary(n, image)
-        return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
-    # structured candidate: canonical per-layer complement
-    layered = {}
-    for layer in range(1, M.step + 1):
-        idx = M.layer_indices(layer)
-        if not idx:
-            continue
-        rows = [[v[t] for t in idx] for v in image.layer_basis(layer)]
-        comp = []
-        for cand in linalg.complement_basis(rows, len(idx)):
-            vec = [Q(0)] * M.dim
-            for pos, t in enumerate(idx):
-                vec[t] = cand[pos]
-            comp.append(vec)
-        if comp:
-            layered[layer] = comp
+    # structured candidate: the canonical per-layer complement (always an
+    # ideal complement when the image is horizontal)
     try:
-        n = HomogeneousSubalgebra(M, layered)
+        n = HomogeneousSubalgebra(M, _canonical_complement(image))
         if is_ideal(n) and is_complementary(n, image):
             return MonoClassification("h_monomorphism", n,
                                       _projection_along(M, image, n), image)
@@ -948,6 +896,25 @@ def classify_monomorphism(T, budget=2000, seed=0):
             return MonoClassification("h_monomorphism", cand,
                                       _projection_along(M, image, cand), image)
     return MonoClassification("undecided", BudgetExhausted(budget), None, image)
+
+
+def _canonical_complement(sub):
+    """Per-layer canonical complement of sub (linalg.complement_basis on each
+    layer, lifted to ambient coordinates), as a layered dict."""
+    alg = sub.algebra
+    layered = {}
+    for layer in range(1, alg.step + 1):
+        idx = alg.layer_indices(layer)
+        rows = [[v[t] for t in idx] for v in sub.layer_basis(layer)]
+        comp = []
+        for cand in linalg.complement_basis(rows, len(idx)):
+            vec = [Q(0)] * alg.dim
+            for pos, t in enumerate(idx):
+                vec[t] = cand[pos]
+            comp.append(vec)
+        if comp:
+            layered[layer] = comp
+    return layered
 
 
 def _projection_along(M, image, normal):
@@ -1095,27 +1062,10 @@ def find_complement(sub, budget=4000, seed=0):
     if is_ideal(sub):
         _, dpi = quotient(alg, sub)
         out = classify_epimorphism(dpi, budget=budget, seed=seed)
-        return EpiClassification(
-            {"h_epimorphism": "h_epimorphism",
-             "surjective_not_epi": "surjective_not_epi",
-             "undecided": "undecided"}[out.verdict], out.witness, sub)
+        return EpiClassification(out.verdict, out.witness, sub)
     rng = np.random.default_rng(seed)
-    layered = {}
-    for layer in range(1, alg.step + 1):
-        idx = alg.layer_indices(layer)
-        if not idx:
-            continue
-        rows = [[v[t] for t in idx] for v in sub.layer_basis(layer)]
-        comp = []
-        for cand in linalg.complement_basis(rows, len(idx)):
-            vec = [Q(0)] * alg.dim
-            for pos, t in enumerate(idx):
-                vec[t] = cand[pos]
-            comp.append(vec)
-        if comp:
-            layered[layer] = comp
     try:
-        cand = HomogeneousSubalgebra(alg, layered)
+        cand = HomogeneousSubalgebra(alg, _canonical_complement(sub))
         if is_complementary(sub, cand):
             return EpiClassification("h_epimorphism", cand, sub)
     except NotSubalgebra:

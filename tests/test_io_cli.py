@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -222,3 +223,52 @@ def test_cli_group_validate_bad_metric_weights(tmp_path, capsys):
     path.write_text(json.dumps(group))
     assert main(["group", "validate", str(path)]) == 2
     assert "metric.weights" in capsys.readouterr().out
+
+
+# one edit of the h1 group file per schema rule, keyed by the field that the
+# error must name
+GROUP_PROBES = {
+    "brackets[0].j": lambda g: g["brackets"][0].update(i=2, j=1),
+    "brackets[0].terms[0].num": lambda g: g["brackets"][0]["terms"][0].update(num=0.1),
+    "brackets[0].terms[0].den": lambda g: g["brackets"][0]["terms"][0].update(den=0),
+    "brackets[0].terms[0].k": lambda g: g["brackets"][0]["terms"][0].update(k=9),
+    "layers": lambda g: g["layers"].append(1),
+    "step": lambda g: g.update(step=3),
+}
+
+
+def _probe_file(tmp_path, field):
+    group = cio.group_to_dict(catalog.get("h1"))
+    GROUP_PROBES[field](group)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group))
+    return group, path
+
+
+@pytest.mark.parametrize("field", sorted(GROUP_PROBES))
+def test_group_file_schema_probe(tmp_path, capsys, field):
+    # both readers apply one schema, name the field, and the CLI exits 2
+    group, path = _probe_file(tmp_path, field)
+    with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+        cio.parse_group_dict(group)
+    report, err = cio.validate_group_file(str(path))
+    assert report is None and err.startswith("schema error: %s:" % field)
+    for action in ("validate", "info"):
+        assert main(["group", action, str(path)]) == 2
+        out = capsys.readouterr().out
+        assert field in out and len(out.strip().splitlines()) == 1
+
+
+def test_cli_unknown_group_exit_code(capsys):
+    assert main(["group", "info", "nosuch"]) == 2
+    assert "nosuch" in capsys.readouterr().out
+
+
+def test_group_file_layers_length_under_optimize(tmp_path):
+    # the layers-length rule is not an assert: it holds under python -O
+    _, path = _probe_file(tmp_path, "layers")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-m", "carnot.cli", "group", "info",
+                          str(path)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 2 and "layers" in run.stdout and not run.stderr

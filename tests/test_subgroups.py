@@ -158,6 +158,17 @@ def test_classify_epi_rejects_non_hom(h1):
         classify_epimorphism(bad)
 
 
+def test_complement_of_non_ideal_is_canonical(h2):
+    # span{x1 + y1} is not an ideal; its complement is the canonical
+    # per-layer one: standard vectors off the pivots, plus the center
+    sub = span_subalgebra(h2, [1, 1, 0, 0, 0])
+    assert not is_ideal(sub)
+    out = find_complement(sub)
+    assert out.verdict == "h_epimorphism"
+    assert out.witness == span_subalgebra(h2, [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                                          [0, 0, 0, 1, 0], [0, 0, 0, 0, 1])
+
+
 def test_complement_of_center_nonexistence(h1):
     out = find_complement(span_subalgebra(h1, [0, 0, 1]))
     assert out.verdict == "surjective_not_epi"
@@ -241,6 +252,8 @@ def test_classify_mono(h1):
     assert out.verdict == "h_monomorphism"
     assert out.normal_complement.total_dim == 2
     assert is_ideal(out.normal_complement)
+    # the canonical complement: span{Y, Z}
+    assert out.normal_complement == span_subalgebra(h1, [0, 1, 0], [0, 0, 1])
     # p restricted to the image is the identity
     p = out.projection
     img = out.image.basis()[0]
@@ -250,6 +263,7 @@ def test_classify_mono(h1):
     out2 = classify_monomorphism(identity_morphism(h1))
     assert out2.verdict == "h_monomorphism"
     assert out2.normal_complement.total_dim == 0
+    assert out2.normal_complement == zero_subalgebra(h1)
     # non-injective
     T3 = GradedMorphism(r1, h1, [[0], [0], [0]])
     assert classify_monomorphism(T3).verdict == "not_injective"
@@ -265,6 +279,7 @@ def test_classify_mono_r2_into_h2(h2):
     assert is_ideal(n) and is_complementary(n, out.image)
     # the kernel construction: complement inside V1 plus all higher layers
     assert len(n.layer_basis(2)) == 1
+    assert n == span_subalgebra(h2, [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1])
 
 
 def test_horizontal_vertical(h1, h2):
@@ -392,7 +407,7 @@ def test_classification_cross_validation(rng):
                 assert is_complementary(sub, out.witness)
             elif out.verdict == "surjective_not_epi":
                 _, dpi = q_(g, sub)
-                eqs, unknowns, _ = _right_inverse_system(dpi, sub.basis())
+                eqs, unknowns, _ = _right_inverse_system(dpi, sub)
                 if 0 < len(unknowns) <= 10:
                     assert _groebner_says_empty(eqs, len(unknowns))
                 probe = np.random.default_rng(seed + 77)
