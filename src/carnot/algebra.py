@@ -216,7 +216,9 @@ class AlgebraVector:
             self.coords = np.asarray(coords, dtype=float)
         else:
             self.coords = tuple(Q(c) for c in coords)
-        assert len(self.coords) == algebra.dim, "coordinate length != algebra dim"
+        if len(self.coords) != algebra.dim:
+            raise ValueError("expected %d coordinates, got %d"
+                             % (algebra.dim, len(self.coords)))
 
     @property
     def scalar_mode(self):
@@ -456,6 +458,16 @@ class FloatOps:
         for (i, j, k, c) in self.entries:
             out[..., k] += c * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
         return out
+
+    def dexp_series(self, x, v):
+        """sum_{n=2}^{step} ((-1)^n / n!) ad(x)^{n-1} v, so that
+        d exp(x) v = v - dexp_series(x, v)."""
+        power = np.asarray(v, dtype=float)
+        acc = np.zeros(np.broadcast(np.asarray(x, dtype=float), power).shape)
+        for n in range(2, self.step + 1):
+            power = self.bracket(x, power)  # ad(x)^{n-1} v
+            acc += ((-1) ** n / math.factorial(n)) * power
+        return acc
 
     def dilate(self, x, r):
         x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ Two independent routes compute the group product in exponential coordinates:
 The recursion also gives the raw-coordinate laws: ``group_product_coords`` on
 Fraction tuples, and its float twin ``group_product_np`` on arrays of shape
 (..., dim), broadcast over the leading axes.  The latter is the one float
-group law of the analytic modules (metric, curves, pdiff, subgroups).
+group law of the analytic modules (metric, curves, pdiff).
 
 Everything in exact mode is Fraction arithmetic; nilpotency makes all series
 finite, so there are no convergence questions.
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraVector, GroupElement, EmpiricalConstant
+from .algebra import AlgebraVector, GroupElement, EmpiricalConstant, bracket
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -228,11 +228,6 @@ def group_product_np(algebra, x, y):
         raise ValueError("coordinate arrays must end in the algebra dimension %d"
                          % algebra.dim)
     return sum(_bch_terms(_FloatRecOps(algebra), x, y, algebra.step)[1:])
-
-
-def conjugate(y, x):
-    """y^{-1} x y."""
-    return group_product(group_product(group_inverse(y), x), y)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +515,10 @@ def cn_remainder(n, x, y):
     b = x + y
     vec = b
     for _ in range(n - 1):
-        vec = _bracket_vec(a, vec)
+        vec = bracket(a, vec)
     coeff = Q((-1) ** (n - 1), math.factorial(n))
     main = coeff * vec if x.scalar_mode == "exact" else float(coeff) * vec
     return cn - main
-
-
-def _bracket_vec(a, b):
-    from .algebra import bracket
-    return bracket(a, b)
 
 
 def cn_difference_ratio(n, x, y, d1, d2, nu):
@@ -562,7 +552,6 @@ def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
     """Sampled sup of ||c_n(X, Y)|| / ||[X, Y]|| over ||X||, ||Y|| <= nu with
     [X, Y] != 0; finite because every addend of c_n beyond the first contains
     a bracket factor."""
-    from .algebra import bracket
     rng = np.random.default_rng(seed)
     worst, used = 0.0, 0
     while used < samples:

@@ -30,9 +30,13 @@ EXIT_SOLVER = 3
 EXIT_UNDECIDED = 4
 
 
-class _BadGroup(Exception):
-    """A group argument that is neither a catalog name nor a valid group
-    file; main prints its one-line message and returns EXIT_VALIDATION."""
+class _BadInput(Exception):
+    """A group argument, morphism or subalgebra file, or experiment config
+    that fails validation; main prints its one-line message and returns
+    EXIT_VALIDATION."""
+
+    def __init__(self, what, err):
+        super().__init__("%s: %s" % (what, " ".join(str(err).split())))
 
 
 def _load_group(spec):
@@ -41,12 +45,11 @@ def _load_group(spec):
         try:
             return cio.load_group(spec)
         except (OSError, ValueError) as e:
-            raise _BadGroup("invalid group file %s: %s"
-                           % (spec, " ".join(str(e).split()))) from None
+            raise _BadInput("invalid group file %s" % spec, e) from None
     try:
         return cat.get(spec)
     except KeyError:
-        raise _BadGroup("unknown group %r (not a catalog name or file)" % spec) from None
+        raise _BadInput("unknown group %r" % spec, "not a catalog name or file") from None
 
 
 def _metric_for(algebra):
@@ -152,7 +155,10 @@ def cmd_algebra(args):
 def cmd_subgroups(args):
     from . import subgroups as sg
     if args.action in ("classify-epi", "classify-mono"):
-        L = cio.load_morphism(args.file, _load_group)
+        try:
+            L = cio.load_morphism(args.file, _load_group)
+        except ValueError as e:
+            raise _BadInput("invalid morphism file %s" % args.file, e) from None
         if args.action == "classify-epi":
             out = sg.classify_epimorphism(L, seed=args.seed)
             print(json.dumps(out.to_json_dict(), indent=2))
@@ -161,7 +167,10 @@ def cmd_subgroups(args):
         print(json.dumps(out.to_json_dict(), indent=2))
         return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
     g = _load_group(args.group)
-    vectors = cio.load_subalgebra_vectors(args.file)
+    try:
+        vectors = cio.load_subalgebra_vectors(args.file, g.dim)
+    except ValueError as e:
+        raise _BadInput("invalid subalgebra file %s" % args.file, e) from None
     try:
         sub = sg.layered_decomposition(g, vectors)
     except (sg.NotHomogeneous, sg.NotSubalgebra) as e:
@@ -194,139 +203,148 @@ def _outpath(args, name):
     return os.path.join(args.output_dir, name)
 
 
-
-
 def _control_from_cfg(cv, g, spec):
     if "csv" in spec:
         return cv.control_from_csv(g, spec["csv"])
     return cv.make_control(g, spec["name"], **spec.get("params", {}))
 
+
 def cmd_experiment(args):
     from . import curves as cv
     from . import pdiff
     with open(args.config) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except ValueError as e:
+            raise _BadInput("invalid config %s" % args.config, e) from None
     seed = int(cfg.get("seed", args.seed))
     manifest = cio.RunManifest(command="experiment %s" % args.action, seed=seed)
     manifest.add_input(args.config)
     base = os.path.splitext(os.path.basename(args.config))[0]
     summary = {"experiment": args.action, "seed": seed}
 
-    if args.action == "lift":
-        g = _load_group(cfg["group"])
-        control = _control_from_cfg(cv, g, cfg["control"])
-        start = GroupElement(g, np.asarray(cfg.get("start", [0.0] * g.dim)))
-        curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 512)),
-                                   tol=float(cfg.get("tol", 1e-8)))
-        rows = [[t] + list(c) for t, c in zip(curve.ts, curve.coords)]
-        csv = cio.write_csv(_outpath(args, base + "_curve.csv"),
-                            ["t"] + list(g.basis_names), rows)
-        rep = cv.is_horizontal(curve, tol=float(cfg.get("check_tol", 1e-6)))
-        summary.update({"endpoint": list(map(float, curve.coords[-1])),
-                        "horizontal_residual": rep.max_residual,
-                        "horizontal": bool(rep.ok)})
-        manifest.outputs.append(csv)
+    try:
+        if args.action == "lift":
+            g = _load_group(cfg["group"])
+            control = _control_from_cfg(cv, g, cfg["control"])
+            start = cfg.get("start", [0.0] * g.dim)
+            if len(start) != g.dim:
+                raise ValueError("start: expected %d coordinates, got %d"
+                                 % (g.dim, len(start)))
+            start = GroupElement(g, np.asarray(start, dtype=float))
+            curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 512)),
+                                       tol=float(cfg.get("tol", 1e-8)))
+            rows = [[t] + list(c) for t, c in zip(curve.ts, curve.coords)]
+            csv = cio.write_csv(_outpath(args, base + "_curve.csv"),
+                                ["t"] + list(g.basis_names), rows)
+            rep = cv.is_horizontal(curve, tol=float(cfg.get("check_tol", 1e-6)))
+            summary.update({"endpoint": list(map(float, curve.coords[-1])),
+                            "horizontal_residual": rep.max_residual,
+                            "horizontal": bool(rep.ok)})
+            manifest.outputs.append(csv)
 
-    elif args.action == "pansu":
-        g = _load_group(cfg["group"])
-        control = _control_from_cfg(cv, g, cfg["control"])
-        start = GroupElement(g, np.zeros(g.dim))
-        curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 2048)))
-        t = float(cfg.get("t", 0.5))
-        scales = cfg.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
-        vals = cv.pansu_quotient_norms(curve, t, scales)
-        csv = cio.write_csv(_outpath(args, base + "_quotient.csv"),
-                            ["h", "quotient_norm"],
-                            [[h, v] for h, v in zip(scales, vals)])
-        summary.update({"order": cv.decay_order(scales, vals),
-                        "norms": list(map(float, vals))})
-        manifest.outputs.append(csv)
+        elif args.action == "pansu":
+            g = _load_group(cfg["group"])
+            control = _control_from_cfg(cv, g, cfg["control"])
+            start = GroupElement(g, np.zeros(g.dim))
+            curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 2048)))
+            t = float(cfg.get("t", 0.5))
+            scales = cfg.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
+            vals = cv.pansu_quotient_norms(curve, t, scales)
+            csv = cio.write_csv(_outpath(args, base + "_quotient.csv"),
+                                ["h", "quotient_norm"],
+                                [[h, v] for h, v in zip(scales, vals)])
+            summary.update({"order": cv.decay_order(scales, vals),
+                            "norms": list(map(float, vals))})
+            manifest.outputs.append(csv)
 
-    elif args.action == "mvi":
-        f = pdiff.named_map(cfg["map"])
-        tab = pdiff.mean_value_ratio(
-            f, np.asarray(cfg["center"], dtype=float), float(cfg["r1"]),
-            float(cfg["r2"]), pair_samples=int(cfg.get("pairs", 800)),
-            bins=int(cfg.get("bins", 4)), seed=seed)
-        csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
-                            ["edge", "ratio_sup", "defect_sup"],
-                            [[e, r, d] for e, r, d in
-                             zip(tab.bin_edges[:-1], tab.bin_sup, tab.bin_defect)])
-        summary.update({"decreasing": bool(tab.decreasing()),
-                        "ratio_sups": tab.bin_sup, "defect_sups": tab.bin_defect})
-        manifest.outputs.append(csv)
+        elif args.action == "mvi":
+            f = pdiff.named_map(cfg["map"])
+            tab = pdiff.mean_value_ratio(
+                f, np.asarray(cfg["center"], dtype=float), float(cfg["r1"]),
+                float(cfg["r2"]), pair_samples=int(cfg.get("pairs", 800)),
+                bins=int(cfg.get("bins", 4)), seed=seed)
+            csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
+                                ["edge", "ratio_sup", "defect_sup"],
+                                [[e, r, d] for e, r, d in
+                                 zip(tab.bin_edges[:-1], tab.bin_sup, tab.bin_defect)])
+            summary.update({"decreasing": bool(tab.decreasing()),
+                            "ratio_sups": tab.bin_sup, "defect_sups": tab.bin_defect})
+            manifest.outputs.append(csv)
 
-    elif args.action == "implicit":
-        f = pdiff.named_map(cfg["map"])
-        try:
-            sol, numerical = pdiff.implicit_function(
-                f, np.asarray(cfg["base_point"], dtype=float),
-                {"radius": float(cfg.get("radius", 0.3)),
-                 "counts": cfg.get("counts", None) or None,
-                 "shrink_attempts": int(cfg.get("shrink_attempts", 3))},
-                tol=float(cfg.get("tol", 1e-10)),
-                budget=int(cfg.get("budget", 100)))
-        except RuntimeError as e:
-            print(json.dumps({"error": str(e)}))
-            return EXIT_SOLVER
-        rows = [list(n) + list(p) + [r] for n, p, r in
-                zip(sol.nodes, sol.phis, sol.residuals)]
-        csv = cio.write_csv(_outpath(args, base + "_graph.csv"),
-                            ["n%d" % i for i in range(f.domain.dim)] +
-                            ["phi%d" % i for i in range(f.domain.dim)] +
-                            ["residual"], rows)
-        hc = sol.holder_constants()
-        summary.update({"max_residual": float(np.max(sol.residuals)),
-                        "numerical_kernel": bool(numerical),
-                        "uniqueness": pdiff.uniqueness_check(sol, seed=seed),
-                        **hc})
-        manifest.outputs.append(csv)
+        elif args.action == "implicit":
+            f = pdiff.named_map(cfg["map"])
+            try:
+                sol, numerical = pdiff.implicit_function(
+                    f, np.asarray(cfg["base_point"], dtype=float),
+                    {"radius": float(cfg.get("radius", 0.3)),
+                     "counts": cfg.get("counts", None) or None,
+                     "shrink_attempts": int(cfg.get("shrink_attempts", 3))},
+                    tol=float(cfg.get("tol", 1e-10)),
+                    budget=int(cfg.get("budget", 100)))
+            except RuntimeError as e:
+                print(json.dumps({"error": str(e)}))
+                return EXIT_SOLVER
+            rows = [list(n) + list(p) + [r] for n, p, r in
+                    zip(sol.nodes, sol.phis, sol.residuals)]
+            csv = cio.write_csv(_outpath(args, base + "_graph.csv"),
+                                ["n%d" % i for i in range(f.domain.dim)] +
+                                ["phi%d" % i for i in range(f.domain.dim)] +
+                                ["residual"], rows)
+            hc = sol.holder_constants()
+            summary.update({"max_residual": float(np.max(sol.residuals)),
+                            "numerical_kernel": bool(numerical),
+                            "uniqueness": pdiff.uniqueness_check(sol, seed=seed),
+                            **hc})
+            manifest.outputs.append(csv)
 
-    elif args.action == "rank":
-        f = pdiff.named_map(cfg["map"])
-        try:
-            rp = pdiff.rank_parametrization(
-                f, np.asarray(cfg["base_point"], dtype=float),
-                grid_radius=float(cfg.get("radius", 0.25)),
-                grid_count=int(cfg.get("count", 5)), seed=seed)
-        except RuntimeError as e:
-            print(json.dumps({"error": str(e)}))
-            return EXIT_SOLVER
-        summary.update({"lip_ratio": rp.lip_ratio,
-                        "graph_sup": float(np.max(np.abs(rp.phi_points)))})
+        elif args.action == "rank":
+            f = pdiff.named_map(cfg["map"])
+            try:
+                rp = pdiff.rank_parametrization(
+                    f, np.asarray(cfg["base_point"], dtype=float),
+                    grid_radius=float(cfg.get("radius", 0.25)),
+                    grid_count=int(cfg.get("count", 5)), seed=seed)
+            except RuntimeError as e:
+                print(json.dumps({"error": str(e)}))
+                return EXIT_SOLVER
+            summary.update({"lip_ratio": rp.lip_ratio,
+                            "graph_sup": float(np.max(np.abs(rp.phi_points)))})
 
-    elif args.action == "blowup":
-        f = pdiff.named_map(cfg["map"])
-        xbar = np.asarray(cfg["base_point"], dtype=float)
-        sol, _ = pdiff.implicit_function(
-            f, xbar, {"radius": float(cfg.get("radius", 0.4)),
-                      "counts": cfg.get("counts", None) or None})
-        sampler = pdiff.LevelSetSampler(f, xbar, sol)
-        rep = pdiff.tangent_cone_samples(
-            sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
-            R=float(cfg.get("R", 1.0)), count=int(cfg.get("count", 400)), seed=seed)
-        csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
-                            ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
-                            [[l, d, a, b] for l, d, a, b in
-                             zip(rep.scales, rep.distances, rep.set_to_cone,
-                                 rep.cone_to_set)])
-        summary.update({"decreasing": bool(rep.decreasing),
-                        "final": rep.distances[-1],
-                        "cone_bracket_rank":
-                        pdiff.tangent_cone_bracket_rank(sol.kernel)})
-        manifest.outputs.append(csv)
+        elif args.action == "blowup":
+            f = pdiff.named_map(cfg["map"])
+            xbar = np.asarray(cfg["base_point"], dtype=float)
+            sol, _ = pdiff.implicit_function(
+                f, xbar, {"radius": float(cfg.get("radius", 0.4)),
+                          "counts": cfg.get("counts", None) or None})
+            sampler = pdiff.LevelSetSampler(f, xbar, sol)
+            rep = pdiff.tangent_cone_samples(
+                sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
+                R=float(cfg.get("R", 1.0)), count=int(cfg.get("count", 400)), seed=seed)
+            csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
+                                ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
+                                [[l, d, a, b] for l, d, a, b in
+                                 zip(rep.scales, rep.distances, rep.set_to_cone,
+                                     rep.cone_to_set)])
+            summary.update({"decreasing": bool(rep.decreasing),
+                            "final": rep.distances[-1],
+                            "cone_bracket_rank":
+                            pdiff.tangent_cone_bracket_rank(sol.kernel)})
+            manifest.outputs.append(csv)
 
-    elif args.action == "verify-estimates":
-        m = _metric_for(_load_group(cfg["group"]))
-        nu = float(cfg.get("nu", 1.0))
-        samples = int(cfg.get("samples", 2000))
-        consts = collect_estimates(m, nu, samples, seed)
-        csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
-        summary.update({"constants": {c.label: c.sup_observed for c in consts}})
-        manifest.outputs.append(csv)
+        elif args.action == "verify-estimates":
+            m = _metric_for(_load_group(cfg["group"]))
+            nu = float(cfg.get("nu", 1.0))
+            samples = int(cfg.get("samples", 2000))
+            consts = collect_estimates(m, nu, samples, seed)
+            csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
+            summary.update({"constants": {c.label: c.sup_observed for c in consts}})
+            manifest.outputs.append(csv)
 
-    else:
-        raise SystemExit("unknown experiment %r" % args.action)
+        else:
+            raise SystemExit("unknown experiment %r" % args.action)
+    except (KeyError, ValueError) as e:
+        raise _BadInput("invalid %s config %s" % (args.action, args.config), e) from None
 
     spath = _outpath(args, base + "_summary.json")
     with open(spath, "w") as f:
@@ -407,7 +425,7 @@ def main(argv=None):
     np.random.seed(args.seed)
     try:
         return args.fn(args)
-    except _BadGroup as e:
+    except _BadInput as e:
         print(e)
         return EXIT_VALIDATION
 

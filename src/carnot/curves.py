@@ -70,10 +70,14 @@ def control_from_csv(algebra, path):
     """Sampled control from a CSV with column t followed by one column per
     first-layer coordinate; linear interpolation between samples."""
     m = len(algebra.layer_indices(1))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ts, vals = data[:, 0], data[:, 1:]
-    assert vals.shape[1] == m, "expected %d control columns" % m
-    assert np.all(np.diff(ts) > 0)
+    if vals.shape[1] != m:
+        raise ValueError("control csv %s: expected %d columns (t and one per "
+                         "first-layer coordinate), got %d"
+                         % (path, m + 1, data.shape[1]))
+    if not np.all(np.diff(ts) > 0):
+        raise ValueError("control csv %s: column t must be strictly increasing" % path)
 
     def fn(t):
         return np.array([np.interp(t, ts, vals[:, k]) for k in range(m)])
@@ -88,9 +92,13 @@ def make_control(algebra, name, **params):
     m = len(algebra.layer_indices(1))
     if name == "line":
         direction = np.asarray(params.get("direction", [1.0] + [0.0] * (m - 1)))
+        if direction.shape != (m,):
+            raise ValueError("control line: direction needs %d entries, got %s"
+                             % (m, direction.size))
         return HorizontalControl(lambda t: direction, params.get("domain", (0.0, 1.0)),
                                  "smooth", name="line")
-    assert m >= 2, "control %r needs at least two horizontal directions" % name
+    if m < 2:
+        raise ValueError("control %r needs at least two horizontal directions" % name)
     if name == "circle":
         r = float(params.get("radius", 1.0))
 
@@ -143,28 +151,15 @@ def contact_derivative(algebra, gamma, v1):
     ops = algebra.float_ops()
     gdot = _embed_layer1(algebra, v1)
     for i in range(2, algebra.step + 1):
-        acc = np.zeros(algebra.dim)
-        power = gdot
-        for n in range(2, algebra.step + 1):
-            power = ops.bracket(gamma, power)   # [gamma, gdot]_{n-1}
-            acc += ((-1) ** n / math.factorial(n)) * power
-        gdot = gdot + ops.project_layer(acc, i)
+        gdot = gdot + ops.project_layer(ops.dexp_series(gamma, gdot), i)
     return gdot
 
 
 def horizontal_residuals(algebra, gamma, gdot):
     """Residual of the contact system on layers >= 2, batched."""
     ops = algebra.float_ops()
-    rhs = np.zeros_like(np.asarray(gamma, dtype=float))
-    power = np.asarray(gdot, dtype=float)
-    for n in range(2, algebra.step + 1):
-        power = ops.bracket(gamma, power)
-        rhs += ((-1) ** n / math.factorial(n)) * power
-    resid = np.asarray(gdot, dtype=float) - rhs
-    out = np.zeros_like(resid)
-    for i in range(2, algebra.step + 1):
-        out += ops.project_layer(resid, i)
-    return out
+    gdot = np.asarray(gdot, dtype=float)
+    return ops.project_tail(gdot - ops.dexp_series(gamma, gdot), 2)
 
 
 def _rk4_path(algebra, control, start_coords, t0, t1, steps):
@@ -193,7 +188,7 @@ def _rk4_path(algebra, control, start_coords, t0, t1, steps):
 def horizontal_lift(control, start, steps=256, tol=1e-8):
     """Integrate the contact ODE for the given first-layer control.
 
-    Piecewise controls are integrated segment by segment between их
+    Piecewise controls are integrated segment by segment between their
     breakpoints.  A Richardson halving pass estimates the endpoint error and
     raises if it exceeds `tol` (so callers can trust the advertised
     accuracy); the returned curve carries the fine grid.
@@ -330,16 +325,6 @@ def sup_average(ts, values, t, lam):
     return best
 
 
-def sup_average_of_control(curve, t, lam, reference=None, n=512):
-    """A_t^lam(|gdot_1 - X|) for the curve's control; `reference` defaults to
-    the zero vector."""
-    sgn = 1.0 if lam > 0 else -1.0
-    taus = t + sgn * np.linspace(0, abs(lam), n)
-    ref = np.zeros_like(_gamma_dot1(curve, t)) if reference is None else reference
-    vals = np.array([np.linalg.norm(_gamma_dot1(curve, tau) - ref) for tau in taus])
-    return sup_average(np.linspace(0, abs(lam), n), vals, 0.0, abs(lam))
-
-
 # ---------------------------------------------------------------------------
 # group Riemann sums
 # ---------------------------------------------------------------------------
@@ -360,22 +345,15 @@ def group_riemann_sum(curve, partition):
 def riemann_limit(curve, upto=None):
     """The mesh -> 0 limit of the group Riemann sum:
     gamma(s) - gamma(0) + sum_{n>=2} ((-1)^{n-1}/n!) int [gamma, dgamma]_{n-1}."""
-    alg = curve.algebra
-    ops = alg.float_ops()
+    ops = curve.algebra.float_ops()
     coords = curve.coords
     ts = curve.ts
     if upto is not None:
         mask = ts <= upto + 1e-12
         coords, ts = coords[mask], ts[mask]
     gdot = np.gradient(coords, ts, axis=0)
-    out = coords[-1] - coords[0]
-    power = gdot
-    for n in range(2, alg.step + 1):
-        power = ops.bracket(coords, power)
-        integrand = power
-        integral = np.trapezoid(integrand, ts, axis=0)
-        out = out + ((-1) ** (n - 1) / math.factorial(n)) * integral
-    return out
+    return coords[-1] - coords[0] - np.trapezoid(ops.dexp_series(coords, gdot),
+                                                 ts, axis=0)
 
 
 # ---------------------------------------------------------------------------

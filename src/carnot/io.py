@@ -184,14 +184,17 @@ def format_vector(coords):
     return ",".join(format_rational(c) for c in coords)
 
 
-def load_subalgebra_vectors(path):
+def load_subalgebra_vectors(path, dim):
+    """Subalgebra file: {"vectors": [[...], ...]}, each vector with `dim`
+    rational coordinates given as strings."""
     with open(path) as f:
         data = json.load(f)
-    return [tuple(parse_rational(str(c)) for c in vec) for vec in data["vectors"]]
-
-
-def subalgebra_to_dict(sub):
-    return {"vectors": [[format_rational(c) for c in v] for v in sub.basis()]}
+    vectors = [tuple(parse_rational(str(c)) for c in vec) for vec in data["vectors"]]
+    for pos, vec in enumerate(vectors):
+        if len(vec) != dim:
+            raise ValueError("vectors[%d]: expected %d coordinates, got %d"
+                             % (pos, dim, len(vec)))
+    return vectors
 
 
 def load_morphism(path, group_loader):

@@ -22,11 +22,15 @@ class GradedMorphism:
         self.codomain = codomain
         if isinstance(matrix, np.ndarray):
             self.matrix = np.asarray(matrix, dtype=float)
-            assert self.matrix.shape == (codomain.dim, domain.dim)
+            shape = self.matrix.shape
         else:
             self.matrix = [[Q(c) for c in row] for row in matrix]
-            assert len(self.matrix) == codomain.dim
-            assert all(len(r) == domain.dim for r in self.matrix)
+            widths = {len(r) for r in self.matrix} or {domain.dim}
+            shape = (len(self.matrix), widths.pop() if len(widths) == 1 else "ragged")
+        if shape != (codomain.dim, domain.dim):
+            raise ValueError("matrix: expected shape %d x %d (codomain dim x domain "
+                             "dim), got %s" % (codomain.dim, domain.dim,
+                                               " x ".join(map(str, shape))))
         self._flags = {}
 
     @property

@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .algebra import homogeneous_dimension
 from .bch import group_product_np
+from .curves import contact_derivative
 from .morphism import GradedMorphism
 from .metric import default_metric, sample_ball
 from .subgroups import (HomogeneousSubalgebra, classify_epimorphism,
@@ -182,32 +183,44 @@ def component_differentials(domain, codomain, dfirst_matrix, f_at_x):
         dF_j(h) = sum_{n=2}^{step} ((-1)^n / n!) pi_j([F(x), dF(h)]_{n-1}),
 
     built for j = 2..step on top of dF_1 (the right side at layer j only
-    reads layers < j).  These are the objects of the first-order contact
-    system; note dF_j is generally nonzero on horizontal h, so this is not
-    the layer-preserving group differential (see lift_differential).
-    Returns the matrix of h -> sum_j dF_j(h)."""
-    di1 = domain.layer_indices(1)
-    ci1 = codomain.layer_indices(1)
-    ops = codomain.float_ops()
-    fx = np.asarray(f_at_x, dtype=float)
+    reads layers < j): the contact derivative of curves, one column per
+    first-layer direction; dF vanishes on vertical inputs.  These are the
+    objects of the first-order contact system; note dF_j is generally
+    nonzero on horizontal h, so this is not the layer-preserving group
+    differential (see lift_differential).  Returns the matrix of
+    h -> sum_j dF_j(h)."""
+    block = np.asarray(dfirst_matrix, dtype=float)
     mat = np.zeros((codomain.dim, domain.dim))
-    for b in range(domain.dim):
-        col = np.zeros(codomain.dim)
-        if domain.layer_of[b] == 1:
-            pos = di1.index(b)
-            col[ci1] = np.asarray(dfirst_matrix, dtype=float)[:, pos]
-        for j in range(2, codomain.step + 1):
-            acc = np.zeros(codomain.dim)
-            power = col
-            for n in range(2, codomain.step + 1):
-                power = ops.bracket(fx, power)
-                acc += ((-1) ** n / math.factorial(n)) * power
-            col = col + ops.project_layer(acc, j)
-        mat[:, b] = col
+    for pos, b in enumerate(domain.layer_indices(1)):
+        mat[:, b] = contact_derivative(codomain, f_at_x, block[:, pos])
     return mat
 
 
-def lift_differential(domain, codomain, dfirst_matrix, f_at_x=None):
+def _bracket_combinations(domain, layer):
+    """Each basis vector e_k of a higher layer as an exact combination
+    e_k = sum c [e_a, e_b] over the pairs with layer(a) + layer(b) = layer,
+    read from the structure table: a list of (k, [(a, b, c), ...])."""
+    idx = domain.layer_indices(layer)
+    pairs, gens = [], []
+    for a in range(domain.dim):
+        for b in domain.layer_indices(layer - domain.layer_of[a]):
+            terms = domain.struct.get((min(a, b), max(a, b)))
+            if terms:
+                sgn = 1 if a < b else -1
+                pairs.append((a, b))
+                gens.append([sgn * terms.get(k, Q(0)) for k in idx])
+    system = [[g[t] for g in gens] for t in range(len(idx))]
+    out = []
+    for pos, k in enumerate(idx):
+        target = [Q(1) if t == pos else Q(0) for t in range(len(idx))]
+        comb = linalg.solve(system, target) if gens else None
+        if comb is None:
+            raise ValueError("domain is not stratified: cannot lift layer %d" % layer)
+        out.append((k, [(a, b, c) for (a, b), c in zip(pairs, comb) if c]))
+    return out
+
+
+def lift_differential(domain, codomain, dfirst_matrix):
     """Extend a first-layer block to the full layer-preserving Pansu
     differential.  The domain must be stratified: each higher basis vector is
     written exactly as a combination of brackets of lower layers, and the
@@ -215,87 +228,33 @@ def lift_differential(domain, codomain, dfirst_matrix, f_at_x=None):
     recursion of component_differentials cannot see the vertical blocks: it
     vanishes on vertical inputs by layer preservation of dF_1.)
 
-    Accepts a float matrix (returns a float morphism) or a Fraction matrix
-    (exact morphism)."""
-    del f_at_x  # the layer-preserving extension depends only on the block
-    di1 = domain.layer_indices(1)
-    ci1 = codomain.layer_indices(1)
+    Accepts a float matrix (returns a float morphism, transported with the
+    float bracket) or a Fraction matrix (exact morphism); the bracket
+    combinations are exact in both modes."""
     exact = not isinstance(dfirst_matrix, np.ndarray)
     if exact:
         block = [[Q(c) for c in row] for row in dfirst_matrix]
-        cols = {}
-        for pos, b in enumerate(di1):
-            col = [Q(0)] * codomain.dim
-            for rpos, k in enumerate(ci1):
-                col[k] = block[rpos][pos]
-            cols[b] = tuple(col)
-        for layer in range(2, domain.step + 1):
-            idx = domain.layer_indices(layer)
-            if not idx:
-                continue
-            gen_cols, gen_vecs = [], []
-            for a in [k for k in range(domain.dim) if domain.layer_of[k] < layer]:
-                for b in [k for k in range(domain.dim)
-                          if domain.layer_of[k] == layer - domain.layer_of[a]]:
-                    if a in cols and b in cols:
-                        br = domain.bracket_coords(domain.basis_coords(a),
-                                                   domain.basis_coords(b))
-                        if any(c != 0 for c in br):
-                            gen_vecs.append([br[k] for k in idx])
-                            gen_cols.append(codomain.bracket_coords(cols[a], cols[b]))
-            for pos, k in enumerate(idx):
-                target = [Q(1) if t == pos else Q(0) for t in range(len(idx))]
-                comb = linalg.solve([[gen_vecs[g][t] for g in range(len(gen_vecs))]
-                                     for t in range(len(idx))], target) \
-                    if gen_vecs else None
-                if comb is None:
-                    raise ValueError("domain is not stratified: cannot lift layer %d"
-                                     % layer)
-                col = [Q(0)] * codomain.dim
-                for c, gc in zip(comb, gen_cols):
-                    col = [x + c * y for x, y in zip(col, gc)]
-                cols[k] = tuple(col)
-        matrix = [[cols[b][k] for b in range(domain.dim)] for k in range(codomain.dim)]
-        return GradedMorphism(domain, codomain, matrix)
-    block = np.asarray(dfirst_matrix, dtype=float)
-    ops = codomain.float_ops()
+        cast, brk = Q, codomain.bracket_coords
+    else:
+        block = np.asarray(dfirst_matrix, dtype=float)
+        cast, brk = float, codomain.float_ops().bracket
+    zero = cast(0)
+    ci1 = codomain.layer_indices(1)
     cols = {}
-    for pos, b in enumerate(di1):
-        col = np.zeros(codomain.dim)
-        col[ci1] = block[:, pos]
-        cols[b] = col
+    for pos, b in enumerate(domain.layer_indices(1)):
+        cols[b] = [zero] * codomain.dim
+        for rpos, k in enumerate(ci1):
+            cols[b][k] = block[rpos][pos]
     for layer in range(2, domain.step + 1):
-        idx = domain.layer_indices(layer)
-        if not idx:
-            continue
-        gen_vecs, gen_cols = [], []
-        dops = domain.float_ops()
-        for a in [k for k in range(domain.dim) if domain.layer_of[k] < layer]:
-            for b in [k for k in range(domain.dim)
-                      if domain.layer_of[k] == layer - domain.layer_of[a]]:
-                if a in cols and b in cols:
-                    ea, eb = np.zeros(domain.dim), np.zeros(domain.dim)
-                    ea[a], eb[b] = 1.0, 1.0
-                    br = dops.bracket(ea, eb)
-                    if np.any(br != 0):
-                        gen_vecs.append(br[idx])
-                        gen_cols.append(ops.bracket(cols[a], cols[b]))
-        gmat = np.array(gen_vecs).T if gen_vecs else np.zeros((len(idx), 0))
-        for pos, k in enumerate(idx):
-            target = np.zeros(len(idx))
-            target[pos] = 1.0
-            comb, res, rank, _ = np.linalg.lstsq(gmat, target, rcond=None)
-            if rank < len(idx) and np.linalg.norm(gmat @ comb - target) > 1e-9:
-                raise ValueError("domain is not stratified: cannot lift layer %d"
-                                 % layer)
-            col = np.zeros(codomain.dim)
-            for c, gc in zip(comb, gen_cols):
-                col += c * gc
+        for k, comb in _bracket_combinations(domain, layer):
+            col = [zero] * codomain.dim
+            for a, b, c in comb:
+                col = [x + cast(c) * y for x, y in zip(col, brk(cols[a], cols[b]))]
             cols[k] = col
-    mat = np.zeros((codomain.dim, domain.dim))
-    for b in range(domain.dim):
-        mat[:, b] = cols[b]
-    return GradedMorphism(domain, codomain, mat)
+    matrix = [[cols[b][k] for b in range(domain.dim)] for k in range(codomain.dim)]
+    if not exact:
+        matrix = np.array(matrix, dtype=float).reshape(codomain.dim, domain.dim)
+    return GradedMorphism(domain, codomain, matrix)
 
 
 @dataclass
@@ -328,7 +287,7 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
             b = horizontal_derivative(pdmap, x, v, h2)
             cols.append((4 * b[ci1] - a) / 3.0)
         d1 = np.stack(cols, axis=1)
-    L = lift_differential(dom, cod, d1, np.asarray(pdmap(x), dtype=float))
+    L = lift_differential(dom, cod, d1)
     dmetric = default_metric(dom)
     cmetric = default_metric(cod)
     rng = np.random.default_rng(seed)
@@ -375,14 +334,8 @@ def contact_check(pdmap, sample_points, h=1e-5):
             xp = group_product_np(dom, x, v)
             xm = group_product_np(dom, x, -v)
             xif = (pdmap(xp) - pdmap(xm)) / (2 * h)
-            rhs = np.zeros(cod.dim)
-            power = xif
-            for n in range(2, cod.step + 1):
-                power = copc.bracket(fx, power)
-                rhs += ((-1) ** n / math.factorial(n)) * power
-            for j in range(2, cod.step + 1):
-                res = copc.project_layer(xif, j) - copc.project_layer(rhs, j)
-                worst = max(worst, float(np.max(np.abs(res))))
+            res = copc.project_tail(xif - copc.dexp_series(fx, xif), 2)
+            worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
 
@@ -437,7 +390,7 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     used = 0
     for u in xs:
         x = group_product_np(dom, center, u)
-        L = lift_differential(dom, cod, pdmap.dfirst(x), pdmap(x))
+        L = lift_differential(dom, cod, pdmap.dfirst(x))
         w = rng.standard_normal(dom.dim)
         w /= max(float(dmetric.quasi_norm_np(w)), 1e-12)
         used += 1
@@ -493,6 +446,39 @@ def _newton(residual, t0, tol=1e-10, budget=100, fd_scale=1e-6):
         if float(np.linalg.norm(r)) < best:
             best, best_t = float(np.linalg.norm(r)), t.copy()
     return best_t, best, best <= tol
+
+
+def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
+                           coef_bound=10.0):
+    """Numerical membership of g in exp(span A) exp(span B): one damped
+    Newton solve on the coefficient vector of (a, b) per random restart.  A
+    solve counts only when its coefficients lie in the ball
+    |t| <= coef_bound.  Returns (found, best_residual, coeffs).
+
+    A failure is a semi-decision, not a nonexistence proof; the bound matters
+    because these product sets need not be closed (the defining equations can
+    be solved asymptotically with coefficients running to infinity)."""
+    alg = g.algebra
+    gf = np.asarray(g.to_float().coords, dtype=float)
+    A = np.array([[float(c) for c in v] for v in basis_a]).reshape(-1, alg.dim)
+    B = np.array([[float(c) for c in v] for v in basis_b]).reshape(-1, alg.dim)
+    na = len(A)
+
+    def resid(t):
+        return group_product_np(alg, t[:na] @ A, t[na:] @ B) - gf
+
+    rng = np.random.default_rng(seed)
+    best, best_t = math.inf, None
+    for r in range(restarts):
+        t0 = rng.standard_normal(na + len(B)) * (0.5 + r % 3)
+        t, nrm, ok = _newton(resid, t0, tol=tol, budget=80)
+        if float(np.linalg.norm(t)) > coef_bound:
+            continue
+        if ok:
+            return True, nrm, (t[:na], t[na:])
+        if nrm < best:
+            best, best_t = nrm, t
+    return False, best, (None, None) if best_t is None else (best_t[:na], best_t[na:])
 
 
 def local_inverse(pdmap, xbar, y, tol=1e-10, budget=100):
@@ -635,7 +621,9 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
     nlayers = N.basis_layers()
     radius = float(grid_spec.get("radius", 0.3))
     counts = list(grid_spec.get("counts", None) or [7] * len(nbasis))
-    assert len(counts) == len(nbasis)
+    if len(counts) != len(nbasis):
+        raise ValueError("counts: expected %d grid counts (one per kernel basis "
+                         "vector), got %d" % (len(nbasis), len(counts)))
     shrink_attempts = int(grid_spec.get("shrink_attempts", 3))
     target = pdmap(xbar)
 

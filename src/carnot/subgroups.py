@@ -136,10 +136,6 @@ def layered_decomposition(algebra, span_vectors):
     return HomogeneousSubalgebra(algebra, layered)
 
 
-def subalgebra_from_vectors(algebra, vectors):
-    return layered_decomposition(algebra, vectors)
-
-
 def span_subalgebra(algebra, *vectors):
     """Convenience: layered_decomposition of explicit coordinate vectors."""
     return layered_decomposition(algebra, [list(map(Q, v)) for v in vectors])
@@ -1121,55 +1117,3 @@ def random_complementary_pairs(algebra, rng, count, budget=4000):
         if a.total_dim and b.total_dim and is_complementary(a, b):
             out.append((a, b))
     return out
-
-
-def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
-                           coef_bound=10.0):
-    """Numerical membership of g in exp(span A) exp(span B), with the
-    coefficients confined to a compact box: damped Newton on the coefficient
-    vector of (a, b).  Returns (found, best_residual, coeffs).
-
-    A failure is a semi-decision, not a nonexistence proof; the box matters
-    because these product sets need not be closed (the defining equations can
-    be solved asymptotically with coefficients running to infinity)."""
-    from .bch import group_product_np
-    alg = g.algebra
-    gf = np.asarray(g.to_float().coords, dtype=float)
-    A = np.array([[float(c) for c in v] for v in basis_a], dtype=float)
-    B = np.array([[float(c) for c in v] for v in basis_b], dtype=float)
-    na, nb = len(A), len(B)
-
-    def resid(t):
-        a = t[:na] @ A if na else np.zeros(alg.dim)
-        b = t[na:] @ B if nb else np.zeros(alg.dim)
-        return group_product_np(alg, a, b) - gf
-
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    best_t = None
-    for r in range(restarts):
-        t = rng.standard_normal(na + nb) * (0.5 + r % 3)
-        for _ in range(80):
-            if float(np.linalg.norm(t)) > coef_bound:
-                break
-            f = resid(t)
-            nrm = float(np.linalg.norm(f))
-            if nrm < best:
-                best, best_t = nrm, t.copy()
-            if nrm < tol:
-                return True, nrm, (t[:na], t[na:])
-            jac = np.zeros((alg.dim, na + nb))
-            h = 1e-6 * max(1.0, float(np.linalg.norm(t)))
-            for c in range(na + nb):
-                dt = np.zeros(na + nb)
-                dt[c] = h
-                jac[:, c] = (resid(t + dt) - resid(t - dt)) / (2 * h)
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            lam = 1.0
-            while lam > 1e-6 and float(np.linalg.norm(resid(t + lam * step))) > nrm:
-                lam *= 0.5
-            if lam <= 1e-6:
-                break
-            t = t + lam * step
-    return best < tol, best, (best_t[:na] if best_t is not None else None,
-                              best_t[na:] if best_t is not None else None)

@@ -120,6 +120,24 @@ def test_exp_differential(h1, rng):
         assert exp_differential(v).determinant_is_one()
 
 
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_dexp_series_matches_exp_differential(name, rng):
+    # d exp(x) v = v - dexp_series(x, v), one point and batched
+    g = catalog.get(name)
+    ops = g.float_ops()
+    xs = [rational_vector(g, rng) for _ in range(3)]
+    vs = rng.standard_normal((3, g.dim))
+    X = np.array([x.to_float().coords for x in xs])
+    for x, xf, v in zip(xs, X, vs):
+        expect = np.asarray(exp_differential(x).to_float().matrix) @ v
+        got = v - ops.dexp_series(xf, v)
+        assert got.shape == (g.dim,)
+        assert np.allclose(got, expect, rtol=1e-12, atol=1e-12 * np.max(np.abs(expect)))
+    batched = ops.dexp_series(X, vs)
+    assert batched.shape == (3, g.dim)
+    assert np.array_equal(batched, [ops.dexp_series(xf, v) for xf, v in zip(X, vs)])
+
+
 def test_exp_differential_oracle_step4(rng):
     g = catalog.get("free_2_4")
     for _ in range(3):

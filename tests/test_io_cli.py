@@ -185,10 +185,15 @@ def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
     argv = ["--output-dir", str(tmp_path), "experiment", "verify-estimates", str(cfg)]
     assert main(argv) == 2
     assert "weights" in capsys.readouterr().out
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
-    run = subprocess.run([sys.executable, "-O", "-m", "carnot.cli"] + argv, env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = _run_optimized(argv)
     assert run.returncode == 2 and "weights" in run.stdout and not run.stderr
+
+
+def _run_optimized(argv):
+    """The command line in a fresh `python -O`, where asserts are gone."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
+    return subprocess.run([sys.executable, "-O", "-m", "carnot.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_group_file_metric_block_checked(tmp_path, capsys):
@@ -267,8 +272,80 @@ def test_cli_unknown_group_exit_code(capsys):
 def test_group_file_layers_length_under_optimize(tmp_path):
     # the layers-length rule is not an assert: it holds under python -O
     _, path = _probe_file(tmp_path, "layers")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
-    run = subprocess.run([sys.executable, "-O", "-m", "carnot.cli", "group", "info",
-                          str(path)], env=env, capture_output=True, text=True,
-                         timeout=120)
+    run = _run_optimized(["group", "info", str(path)])
     assert run.returncode == 2 and "layers" in run.stdout and not run.stderr
+
+
+def _write(directory, name, content):
+    path = directory / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+BAD_MORPHISM = {"domain": "h1", "codomain": "r2", "matrix": [["1", "0"], ["0", "1"]]}
+
+# one bad morphism file, subalgebra file or experiment config per probe: the
+# field its message must name, and the command line that reads it
+INPUT_PROBES = {
+    "classify-epi": ("matrix", lambda d: [
+        "subgroups", "classify-epi", _write(d, "m.json", BAD_MORPHISM)]),
+    "classify-mono": ("matrix", lambda d: [
+        "subgroups", "classify-mono", _write(d, "m.json", BAD_MORPHISM)]),
+    "complement": ("vectors[0]", lambda d: [
+        "subgroups", "complement", "--group", "h1",
+        _write(d, "s.json", {"vectors": [["1", "0"]]})]),
+    "config-json": ("line 1 column 2", lambda d: [
+        "experiment", "lift", _write(d, "l.json", "{not json")]),
+    "implicit-counts": ("counts", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "counts": [5, 5]})]),
+    "implicit-map": ("map", lambda d: [
+        "experiment", "implicit", _write(d, "i.json", {"base_point": [0, 1, 0, 1, 0]})]),
+    "lift-csv": ("control csv", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "csv": _write(d, "c.csv", "t,u\n0,1\n1,1\n")}})]),
+    "lift-direction": ("direction", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "line", "params": {"direction": [1]}}})]),
+    "lift-start": ("start", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
+                             "start": [0, 0]})]),
+}
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("probe", sorted(INPUT_PROBES))
+def test_bad_input_file_probe(tmp_path, capsys, probe, optimized):
+    # a malformed input is a validation failure: exit 2 and one line naming
+    # the field, with no traceback, also when asserts are compiled out
+    field, make_argv = INPUT_PROBES[probe]
+    argv = ["--output-dir", str(tmp_path)] + make_argv(tmp_path)
+    if optimized:
+        run = _run_optimized(argv)
+        code, out, err = run.returncode, run.stdout, run.stderr
+    else:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and not err
+    assert field in out and len(out.strip().splitlines()) == 1
+
+
+def test_library_input_checks_raise_value_error(tmp_path, h1):
+    from carnot.algebra import AlgebraVector
+    from carnot.curves import control_from_csv
+    from carnot.morphism import GradedMorphism
+    with pytest.raises(ValueError, match="expected shape 2 x 3"):
+        GradedMorphism(h1, catalog.abelian(2), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="expected shape 2 x 3"):
+        GradedMorphism(h1, catalog.abelian(2), np.eye(2))
+    with pytest.raises(ValueError, match="expected 3 coordinates"):
+        AlgebraVector(h1, [0, 0])
+    with pytest.raises(ValueError, match=r"vectors\[1\]"):
+        cio.load_subalgebra_vectors(
+            _write(tmp_path, "s.json", {"vectors": [["1", "0", "0"], ["1"]]}), 3)
+    with pytest.raises(ValueError, match="control csv"):
+        control_from_csv(h1, _write(tmp_path, "c.csv", "t\n0\n1\n"))

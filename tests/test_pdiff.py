@@ -7,6 +7,7 @@ import pytest
 from carnot import catalog, pdiff
 from carnot.algebra import GroupElement
 from carnot.morphism import GradedMorphism, identity_morphism
+from carnot.pdiff import product_set_membership
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,30 @@ def test_lift_differential_blocks(h1):
     exact = pdiff.lift_differential(h1, h1, [[Q(2), Q(0)], [Q(0), Q(3)]])
     assert exact.matrix[2][2] == 6
     assert exact.is_h_homomorphism()
+
+
+@pytest.mark.parametrize("name", ["h2", "h12"])
+def test_lift_differential_float_matches_exact(name, rng):
+    # a block that is not the first layer of a homomorphism: the float lift
+    # transports it with the same exact bracket combinations as the exact one
+    g = catalog.get(name)
+    m = len(g.layer_indices(1))
+    block = [[Q(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(m)]
+             for _ in range(m)]
+    exact = pdiff.lift_differential(g, g, block)
+    assert not exact.is_h_homomorphism()
+    flt = pdiff.lift_differential(g, g, np.array([[float(c) for c in r] for r in block]))
+    expect = np.asarray(exact.to_float().matrix)
+    assert np.allclose(flt.matrix, expect, rtol=1e-12, atol=1e-12)
+
+
+def test_lift_differential_needs_stratified_domain():
+    from carnot.algebra import GradedAlgebra
+    ns = GradedAlgebra("ns", [1, 1, 2], {})  # layer 2 is not generated
+    with pytest.raises(ValueError, match="not stratified"):
+        pdiff.lift_differential(ns, ns, np.eye(2))
+    with pytest.raises(ValueError, match="not stratified"):
+        pdiff.lift_differential(ns, ns, [[1, 0], [0, 1]])
 
 
 def test_component_differentials(h1, rng):
@@ -282,3 +307,34 @@ def test_implicit_numerical_kernel_path(radial):
     assert numerical
     assert np.max(sol.residuals) <= 1e-8
     assert pdiff.tangent_cone_bracket_rank(sol.kernel) == 0
+
+
+def test_product_set_membership(h2):
+    # u = span{x1, y1}, w = span{y1 + z/2}: exp(u) exp(w) misses
+    # exp(-x1 + lam z) for lam != 0
+    A = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
+    B = [[0, 1, 0, 0, Q(1, 2)]]
+    h1 = catalog.get("h1")
+    A1 = [[1, 0, 0], [0, 1, 0]]
+    B1 = [[0, 1, Q(1, 2)]]
+    inside = GroupElement(h1, [Q(1), Q(1), Q(0)]).to_float()
+    found, resid, _ = product_set_membership(inside, A1, B1, seed=1)
+    assert found
+    outside = GroupElement(h1, [-1, 0, Q(1, 2)]).to_float()
+    found2, resid2, _ = product_set_membership(outside, A1, B1, seed=1)
+    assert not found2 and resid2 > 1e-3
+
+
+def test_product_set_membership_h2_counterexample(h2):
+    # a = span{x1, x2, z + y1}, b = span{y1, y2}: the spans sum directly to
+    # the whole algebra, yet exp(2 x1 + z) is not in exp(a) exp(b): the
+    # vertical part of any product is forced to gamma + delta = 0 there
+    A = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, Q(1)] ]
+    B = [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+    target = GroupElement(h2, [2, 0, 0, 0, 1]).to_float()
+    found, resid, _ = product_set_membership(target, A, B, restarts=24, seed=3)
+    assert not found and resid > 1e-3
+    # a point that is in the product set is found
+    inside = GroupElement(h2, [2, 0, 0, 0, 0]).to_float()
+    found2, resid2, _ = product_set_membership(inside, A, B, restarts=24, seed=3)
+    assert found2

@@ -15,7 +15,6 @@ from carnot.subgroups import (BudgetExhausted, NonexistenceCertificate,
                               horizontal_vertical_classify, is_complementary,
                               is_ideal, layered_decomposition, quotient,
                               max_commutative_horizontal_dim,
-                              product_set_membership,
                               random_homogeneous_subalgebra, section_through,
                               span_subalgebra, split_element,
                               subalgebra_as_algebra, zero_subalgebra)
@@ -327,22 +326,6 @@ def test_section_through_witness(g42):
     assert comp.matrix == linalg.identity(qalg.dim)
 
 
-def test_product_set_membership(h2):
-    # u = span{x1, y1}, w = span{y1 + z/2}: exp(u) exp(w) misses
-    # exp(-x1 + lam z) for lam != 0
-    A = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
-    B = [[0, 1, 0, 0, Q(1, 2)]]
-    h1 = catalog.get("h1")
-    A1 = [[1, 0, 0], [0, 1, 0]]
-    B1 = [[0, 1, Q(1, 2)]]
-    inside = GroupElement(h1, [Q(1), Q(1), Q(0)]).to_float()
-    found, resid, _ = product_set_membership(inside, A1, B1, seed=1)
-    assert found
-    outside = GroupElement(h1, [-1, 0, Q(1, 2)]).to_float()
-    found2, resid2, _ = product_set_membership(outside, A1, B1, seed=1)
-    assert not found2 and resid2 > 1e-3
-
-
 def test_qkp_additivity_on_found_pairs(h2, rng):
     from carnot.subgroups import random_complementary_pairs
     total = homogeneous_dimension(h2)
@@ -372,21 +355,6 @@ def test_quadratic_tier_and_honest_budget(h2):
     assert out0.verdict in ("undecided", "h_epimorphism")
     if out0.verdict == "undecided":
         assert isinstance(out0.witness, BudgetExhausted)
-
-
-def test_product_set_membership_h2_counterexample(h2):
-    # a = span{x1, x2, z + y1}, b = span{y1, y2}: the spans sum directly to
-    # the whole algebra, yet exp(2 x1 + z) is not in exp(a) exp(b): the
-    # vertical part of any product is forced to gamma + delta = 0 there
-    A = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, Q(1)] ]
-    B = [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
-    target = GroupElement(h2, [2, 0, 0, 0, 1]).to_float()
-    found, resid, _ = product_set_membership(target, A, B, restarts=24, seed=3)
-    assert not found and resid > 1e-3
-    # a point that is in the product set is found
-    inside = GroupElement(h2, [2, 0, 0, 0, 0]).to_float()
-    found2, resid2, _ = product_set_membership(inside, A, B, restarts=24, seed=3)
-    assert found2
 
 
 def test_classification_cross_validation(rng):
