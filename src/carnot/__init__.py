@@ -14,10 +14,10 @@ from .algebra import (AlgebraVector, EmpiricalConstant, GradedAlgebra,
                       homogeneous_dimension, identity_element,
                       is_stratified, iterated_bracket, project_layer,
                       project_tail, validate_grading, validate_table, vector)
-from .bch import (BchTermCache, FreeSeries, LnDecomposition, bch_term,
-                  cn_difference_bound, cn_remainder, decompose_cn,
-                  exp_differential, exp_differential_oracle, group_inverse,
-                  group_product, group_product_np, series_oracle_product)
+from .bch import (FreeSeries, LnDecomposition, bch_term, cn_difference_bound,
+                  cn_remainder, decompose_cn, exp_differential,
+                  exp_differential_oracle, group_inverse, group_product,
+                  group_product_np, series_oracle_product)
 from .catalog import (HTypeData, abelian, complexified_heisenberg,
                       direct_product, example_g42, free_lie_extension,
                       free_nilpotent, h_type_from_J, heisenberg,

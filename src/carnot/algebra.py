@@ -136,7 +136,8 @@ class GradedAlgebra:
         self.step = max(self.layer_of) if self.layer_of else 1
         canon = {}
         for (i, j), terms in struct.items():
-            assert i < j, "structure table must use i < j orientation"
+            if not i < j:
+                raise ValueError("structure table must use i < j orientation, got %r" % ((i, j),))
             kept = {k: Q(c) for k, c in terms.items() if Q(c) != 0}
             if kept:
                 canon[(i, j)] = kept
@@ -146,6 +147,7 @@ class GradedAlgebra:
         self.tags = dict(tags or {})
         self._float_ops = None
         self._stratified = None
+        self._bch_law = None  # the BCH table, built by carnot.bch on first use
         if check:
             report = validate_grading(self)
             if not report.ok:
@@ -177,7 +179,7 @@ class GradedAlgebra:
         return tuple(Q(1) if t == k else Q(0) for t in range(self.dim))
 
     def bracket_coords(self, x, y):
-        out = [x[0] * 0] * self.dim  # keeps Fraction zeros exact
+        out = [Q(0)] * self.dim
         for (i, j), terms in self.struct.items():
             coef = x[i] * y[j] - x[j] * y[i]
             if coef:
@@ -318,7 +320,8 @@ def bracket(x, y):
 
 def iterated_bracket(x, y, k):
     """[x, y]_k = [x, [x, ..., [x, y]...]] with k occurrences of x; [x,y]_0 = y."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError("iterated bracket needs k >= 0, got %d" % k)
     out = y
     for _ in range(k):
         out = bracket(x, out)
@@ -343,8 +346,7 @@ def project_layer(x, i):
     if not (1 <= i <= x.algebra.step):
         raise ValueError("layer out of range")
     if x.scalar_mode == "float":
-        mask = np.array([1.0 if l == i else 0.0 for l in x.algebra.layer_of])
-        return type(x)(x.algebra, x.coords * mask)
+        return type(x)(x.algebra, x.algebra.float_ops().project_layer(x.coords, i))
     return type(x)(x.algebra, x.algebra.project_layer_coords(x.coords, i))
 
 
@@ -352,8 +354,7 @@ def project_tail(x, i):
     if not (1 <= i <= x.algebra.step):
         raise ValueError("layer out of range")
     if x.scalar_mode == "float":
-        mask = np.array([1.0 if l >= i else 0.0 for l in x.algebra.layer_of])
-        return type(x)(x.algebra, x.coords * mask)
+        return type(x)(x.algebra, x.algebra.float_ops().project_tail(x.coords, i))
     return type(x)(x.algebra, x.algebra.project_tail_coords(x.coords, i))
 
 
@@ -413,7 +414,8 @@ def bracket_norm_constant(algebra, norm_spec="euclidean"):
     """Certified upper bound for |[X,Y]| <= beta |X| |Y| in the Euclidean
     coordinate norm: the Frobenius norm of the full structure tensor.  This is
     a triangle-inequality bound over the table, not a sampled value."""
-    assert norm_spec == "euclidean", "only the declared Euclidean coordinate norm is supported"
+    if norm_spec != "euclidean":
+        raise ValueError("only the Euclidean coordinate norm is supported, got %r" % (norm_spec,))
     total = Q(0)
     for (i, j), terms in algebra.struct.items():
         for k, c in terms.items():
@@ -445,11 +447,9 @@ class FloatOps:
         self.layer_of = np.array(algebra.layer_of)
         self.layer_masks = [None] + [
             (self.layer_of == i).astype(float) for i in range(1, self.step + 1)]
-
-    def zero(self, like=None):
-        if like is None:
-            return np.zeros(self.dim)
-        return np.zeros(np.asarray(like).shape)
+        # tail_masks[step + 1] is all zeros: the tail above the top layer
+        self.tail_masks = [None] + [
+            (self.layer_of >= i).astype(float) for i in range(1, self.step + 2)]
 
     def bracket(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -478,8 +478,7 @@ class FloatOps:
         return np.asarray(x, dtype=float) * self.layer_masks[i]
 
     def project_tail(self, x, i):
-        mask = (self.layer_of >= i).astype(float)
-        return np.asarray(x, dtype=float) * mask
+        return np.asarray(x, dtype=float) * self.tail_masks[i]
 
     def layer_norms(self, x):
         """Euclidean norm of each layer component, shape (..., step)."""

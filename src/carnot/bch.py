@@ -2,20 +2,25 @@
 
 Two independent routes compute the group product in exponential coordinates:
 
-* ``group_product`` runs the classical BCH recursion
+* ``group_product`` reads a table built from the classical BCH recursion
       (n+1) c_{n+1}(X,Y) = 1/2 [X-Y, c_n(X,Y)]
           + sum_{p>=1, 2p<=n} K_{2p} sum_{k_1+..+k_{2p}=n}
                 [c_{k_1}, [..., [c_{k_{2p}}, X+Y] ...]]
-  with K_{2p} = B_{2p}/(2p)! (Bernoulli numbers, B_2 = 1/6).
+  with K_{2p} = B_{2p}/(2p)! (Bernoulli numbers, B_2 = 1/6).  The recursion
+  runs once per algebra, on symbolic coordinates x_0..x_{d-1}, y_0..y_{d-1}:
+  each coordinate of each c_n is a polynomial, kept as integer coefficients
+  over one denominator.  The table is built on first use and kept on the
+  algebra, never changed after.
 * ``series_oracle_product`` computes log(exp(x) exp(y)) in the truncated free
   tensor algebra on two letters and evaluates the resulting Lie polynomial
   through the Dynkin bracketing.  It never touches the recursion, so exact
   agreement of the two is a real check, and it settles every sign convention.
 
-The recursion also gives the raw-coordinate laws: ``group_product_coords`` on
-Fraction tuples, and its float twin ``group_product_np`` on arrays of shape
-(..., dim), broadcast over the leading axes.  The latter is the one float
-group law of the analytic modules (metric, curves, pdiff).
+One evaluator reads the table for ``bch_term``, ``group_product``, the
+raw-coordinate law ``group_product_coords`` on Fraction tuples, and its float
+twin ``group_product_np`` on arrays of shape (..., dim), broadcast over the
+leading axes.  The latter is the one float group law of the analytic modules
+(metric, curves, pdiff).
 
 Everything in exact mode is Fraction arithmetic; nilpotency makes all series
 finite, so there are no convergence questions.
@@ -67,113 +72,116 @@ def _compositions(n, parts):
 
 
 # ---------------------------------------------------------------------------
-# the recursion, generic over a coordinate backend
+# the recursion, run once per algebra on polynomial coordinates
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _recursion_plan(step, num):
-    """The recursion's coefficients converted by `num` (Fraction or float):
-    (1/2, ((1/(n+1), ((K_2p, compositions of n into 2p parts), ...)), ...))
-    for n = 1..step-1.  The float backend converts each coefficient once here
-    instead of once per product; the products themselves are unchanged."""
-    plan = []
-    for n in range(1, step):
-        groups = tuple((num(_k_coefficient(2 * p)), _compositions(n, 2 * p))
-                       for p in range(1, n // 2 + 1))
-        plan.append((num(Q(1, n + 1)), groups))
-    return num(Q(1, 2)), tuple(plan)
+def _poly_combine(p, q, scale):
+    """p + scale q for polynomials {monomial: Fraction}; zero terms dropped."""
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
 
 
-class _ExactOps:
-    num = Q
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, q, a):
-        return tuple(q * x for x in a)
-
-    def bracket(self, a, b):
-        return self.algebra.bracket_coords(a, b)
+def _poly_bracket(algebra, a, b):
+    """The bracket of two vectors of polynomials."""
+    out = [{} for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.struct.items():
+        coef = {}
+        for p, q, sign in ((a[i], b[j], 1), (a[j], b[i], -1)):
+            for m1, c1 in p.items():
+                for m2, c2 in q.items():
+                    m = tuple(sorted(m1 + m2))
+                    coef[m] = coef.get(m, 0) + sign * c1 * c2
+        for k, c in terms.items():
+            out[k] = _poly_combine(out[k], coef, c)
+    return out
 
 
-class _FloatRecOps:
-    num = float
+def _bch_terms(algebra):
+    """[None, c_1, ..., c_step] on symbolic coordinates: c_n[k] is the k-th
+    coordinate of c_n(X, Y) as a polynomial {monomial: Fraction}, a monomial
+    being the sorted tuple of its variables (x_i is i, y_i is dim + i)."""
+    d = algebra.dim
+    zero = [{}] * d
 
-    def __init__(self, algebra):
-        self.fops = algebra.float_ops()
+    def lin(a, b, scale):
+        return [_poly_combine(p, q, scale) for p, q in zip(a, b)]
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def scale(self, q, a):
-        return q * a
-
-    def bracket(self, a, b):
-        return self.fops.bracket(a, b)
-
-
-def _bch_terms(ops, x, y, step):
-    """List [None, c_1, ..., c_step] of the BCH homogeneous terms."""
-    c = [None] * (step + 1)
-    c[1] = ops.add(x, y)
-    if step == 1:
-        return c
-    xmy = ops.sub(x, y)
-    xpy = c[1]
-    half, plan = _recursion_plan(step, ops.num)
-    for n, (inv, groups) in enumerate(plan, start=1):
-        acc = ops.scale(half, ops.bracket(xmy, c[n]))
-        for coeff, comps in groups:
-            for comp in comps:
-                t = ops.bracket(c[comp[-1]], xpy)
+    x = [{(i,): Q(1)} for i in range(d)]
+    y = [{(d + i,): Q(1)} for i in range(d)]
+    c = [None, lin(x, y, 1)]
+    xmy = lin(x, y, -1)
+    for n in range(1, algebra.step):
+        acc = lin(zero, _poly_bracket(algebra, xmy, c[n]), Q(1, 2))
+        for p in range(1, n // 2 + 1):
+            for comp in _compositions(n, 2 * p):
+                t = _poly_bracket(algebra, c[comp[-1]], c[1])
                 for k in reversed(comp[:-1]):
-                    t = ops.bracket(c[k], t)
-                acc = ops.add(acc, ops.scale(coeff, t))
-        c[n + 1] = ops.scale(inv, acc)
+                    t = _poly_bracket(algebra, c[k], t)
+                acc = lin(acc, t, _k_coefficient(2 * p))
+        c.append(lin(zero, acc, Q(1, n + 1)))
     return c
 
 
-class BchTermCache:
-    """Memo of exact BCH term lists per (X, Y) coordinate pair.
-
-    Cached lists must agree with a fresh recomputation; the cache is only an
-    evaluation shortcut, never a semantic one.
-    """
-
-    def __init__(self, algebra, maxsize=4096):
-        self.algebra = algebra
-        self.max_n = algebra.step
-        self.memo = {}
-        self.maxsize = maxsize
-
-    def terms(self, xcoords, ycoords):
-        key = (xcoords, ycoords)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = tuple(_bch_terms(_ExactOps(self.algebra), xcoords, ycoords,
-                                   self.algebra.step)[1:])
-            if len(self.memo) >= self.maxsize:
-                self.memo.clear()
-            self.memo[key] = hit
-        return hit
+def _law(algebra):
+    """The algebra's BCH table (rows, dens, float_rows), built on first use and
+    never changed after.  rows[n] lists (k, ((a, monomial), ...)) over the
+    nonzero coordinates k of c_n, with integers a and c_n[k] = sum a monomial
+    / dens[k]; float_rows[n] holds the same rows with the floats a / dens[k]."""
+    if algebra._bch_law is None:
+        c = _bch_terms(algebra)
+        dens = [math.lcm(*(q.denominator for cn in c[1:] for q in cn[k].values()))
+                for k in range(algebra.dim)]
+        polys = [[(k, sorted(p.items())) for k, p in enumerate(cn) if p] for cn in c[1:]]
+        rows = [None] + [tuple((k, tuple((int(q * dens[k]), m) for m, q in terms))
+                               for k, terms in cn) for cn in polys]
+        float_rows = [None] + [tuple((k, tuple((float(q), m) for m, q in terms))
+                                     for k, terms in cn) for cn in polys]
+        algebra._bch_law = (rows, dens, float_rows)
+    return algebra._bch_law
 
 
-def _cache_for(algebra):
-    cache = algebra.tags.get("_bch_cache")
-    if cache is None:
-        cache = BchTermCache(algebra)
-        algebra.tags["_bch_cache"] = cache
-    return cache
+def _accumulate(rows, v, degrees, out):
+    """Add to out[k] each term of each row (n, k), n in `degrees`, at the
+    variables v, in table order.  v and out hold ints, floats or float
+    arrays; every kind sees the same operations."""
+    for n in degrees:
+        for k, terms in rows[n]:
+            acc = out[k]
+            for a, mono in terms:
+                for i in mono:
+                    a = a * v[i]
+                acc = acc + a
+            out[k] = acc
+    return out
+
+
+def _exact_terms(algebra, xc, yc, degrees):
+    """sum of c_n(X, Y) over the consecutive `degrees` on Fraction coordinates,
+    scaled to integers over their common denominator D: the degree-n rows sum
+    to dens[k] D^n c_n[k], and Horner's rule in D adds the degrees up."""
+    rows, dens, _ = _law(algebra)
+    big_d = math.lcm(*(c.denominator for c in xc + yc))
+    v = [c.numerator * (big_d // c.denominator) for c in xc + yc]
+    nums = [0] * algebra.dim
+    for n in degrees:
+        nums = _accumulate(rows, v, (n,), [num * big_d for num in nums])
+    return tuple(Q(num, den * big_d ** degrees[-1]) for num, den in zip(nums, dens))
+
+
+def _float_terms(algebra, x, y, degrees):
+    """Float twin of _exact_terms on arrays of shape (..., dim), starting from
+    c_1 = x + y.  One point runs over Python floats, a batch over column
+    views; both do the same float operations, so they agree bit for bit."""
+    total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    higher, float_rows = [n for n in degrees if n > 1], _law(algebra)[2]
+    if total.ndim == 1:
+        return np.array(_accumulate(float_rows, x.tolist() + y.tolist(), higher,
+                                    total.tolist()))
+    columns = [x[..., i] for i in range(algebra.dim)] + [y[..., i] for i in range(algebra.dim)]
+    _accumulate(float_rows, columns, higher, total.transpose(-1, *range(total.ndim - 1)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +194,8 @@ def bch_term(n, x, y):
     if not (1 <= n <= alg.step):
         raise ValueError("term index out of range 1..step")
     x._check(y)
-    if x.scalar_mode == "exact":
-        return AlgebraVector(alg, _cache_for(alg).terms(x.coords, y.coords)[n - 1])
-    return AlgebraVector(alg, _bch_terms(_FloatRecOps(alg), x.coords, y.coords, alg.step)[n])
-
-
-def _exact_product(algebra, xc, yc):
-    out = [Q(0)] * algebra.dim
-    for t in _cache_for(algebra).terms(xc, yc):
-        out = [a + b for a, b in zip(out, t)]
-    return tuple(out)
+    terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
+    return AlgebraVector(alg, terms(alg, x.coords, y.coords, (n,)))
 
 
 def group_product(x, y):
@@ -204,9 +204,8 @@ def group_product(x, y):
     x._check(y)
     cls = GroupElement if isinstance(x, GroupElement) or isinstance(y, GroupElement) \
         else AlgebraVector
-    if x.scalar_mode == "exact":
-        return cls(alg, _exact_product(alg, x.coords, y.coords))
-    return cls(alg, group_product_np(alg, x.coords, y.coords))
+    terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
+    return cls(alg, terms(alg, x.coords, y.coords, range(1, alg.step + 1)))
 
 
 def group_inverse(x):
@@ -216,7 +215,7 @@ def group_inverse(x):
 
 def group_product_coords(algebra, xc, yc):
     """Exact group product on raw coordinate tuples."""
-    return _exact_product(algebra, tuple(xc), tuple(yc))
+    return _exact_terms(algebra, tuple(xc), tuple(yc), range(1, algebra.step + 1))
 
 
 def group_product_np(algebra, x, y):
@@ -227,7 +226,7 @@ def group_product_np(algebra, x, y):
     if x.shape[-1:] != (algebra.dim,) or y.shape[-1:] != (algebra.dim,):
         raise ValueError("coordinate arrays must end in the algebra dimension %d"
                          % algebra.dim)
-    return sum(_bch_terms(_FloatRecOps(algebra), x, y, algebra.step)[1:])
+    return _float_terms(algebra, x, y, range(1, algebra.step + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +307,9 @@ class FreeSeries:
         """The single letter `letter`, times `sign`."""
         return cls(degree, {(letter,): sign})
 
-    def copy(self):
-        return FreeSeries(self.degree, self.terms)
-
     def add(self, other, scale=Q(1)):
-        assert self.degree == other.degree, "truncation degree mismatch"
+        if self.degree != other.degree:
+            raise ValueError("truncation degree mismatch")
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, Q(0)) + scale * c
@@ -321,7 +318,8 @@ class FreeSeries:
         return FreeSeries(self.degree, out)
 
     def mul(self, other):
-        assert self.degree == other.degree, "truncation degree mismatch"
+        if self.degree != other.degree:
+            raise ValueError("truncation degree mismatch")
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
+import carnot
 from carnot import catalog
-from carnot.algebra import (AlgebraVector, GradedAlgebra, bracket,
+from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, bracket,
                             bracket_norm_constant, dilate,
                             homogeneous_dimension, is_stratified,
                             iterated_bracket, project_layer, project_tail,
@@ -83,6 +87,13 @@ def test_projections(h1, rng):
         x = rational_vector(h1, rng)
         total = project_layer(x, 1) + project_layer(x, 2)
         assert total.coords == x.coords
+    # the float projections are the exact ones, bit for bit
+    g = catalog.get("free_2_4")
+    x = rational_vector(g, rng)
+    for i in range(1, g.step + 1):
+        for project in (project_layer, project_tail):
+            assert np.array_equal(project(x.to_float(), i).coords,
+                                  project(x, i).to_float().coords)
 
 
 def test_homogeneous_dimension(h2, g42):
@@ -151,3 +162,56 @@ def test_scalar_modes(h1):
     with pytest.raises(ValueError):
         v + f  # no implicit mixing
     assert (f + f).scalar_mode == "float"
+
+
+def test_zero_dimensional_algebra(h1):
+    from carnot.bch import group_product
+    from carnot.pdiff import lift_differential
+    r0 = catalog.abelian(0)
+    assert r0.bracket_coords((), ()) == ()
+    e = GroupElement(r0, [])
+    assert group_product(e, e).coords == ()
+    assert group_product(e.to_float(), e.to_float()).coords.shape == (0,)
+    assert lift_differential(h1, r0, []).matrix == []
+
+
+# each input check of a library constructor or routine, as a script that must
+# raise ValueError naming the bad input; also under python -O, where an
+# assert would vanish
+INPUT_CHECKS = {
+    "structure-orientation": (
+        "from carnot.algebra import GradedAlgebra\n"
+        "GradedAlgebra('bad', [1, 1, 2], {(1, 0): {2: 1}})", "i < j"),
+    "iterated-bracket-k": (
+        "from carnot import catalog\n"
+        "from carnot.algebra import AlgebraVector, iterated_bracket\n"
+        "x = AlgebraVector(catalog.get('h1'), [1, 0, 0])\n"
+        "iterated_bracket(x, x, -1)", "k >= 0"),
+    "bracket-norm-spec": (
+        "from carnot import catalog\n"
+        "from carnot.algebra import bracket_norm_constant\n"
+        "bracket_norm_constant(catalog.get('h1'), 'max')", "Euclidean"),
+    "free-series-add": (
+        "from carnot.bch import FreeSeries\n"
+        "FreeSeries.letter(0, 2).add(FreeSeries.letter(0, 3))", "degree mismatch"),
+    "free-series-mul": (
+        "from carnot.bch import FreeSeries\n"
+        "FreeSeries.letter(0, 2).mul(FreeSeries.letter(0, 3))", "degree mismatch"),
+}
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize("probe", sorted(INPUT_CHECKS))
+def test_input_check_raises_value_error(probe, optimized):
+    script, message = INPUT_CHECKS[probe]
+    if not optimized:
+        with pytest.raises(ValueError, match=message):
+            exec(script, {})
+        return
+    guarded = "try:\n%s\nexcept ValueError as e:\n    print(e)\n" % "\n".join(
+        "    " + line for line in script.splitlines())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(carnot.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", guarded], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and not run.stderr, run.stderr
+    assert message in run.stdout
