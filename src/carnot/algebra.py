@@ -7,6 +7,7 @@ primitives here are exact; ``FloatOps`` exposes the same operations on float
 numpy arrays for the analytic modules.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,9 @@ def validate_table(dim, step, layer_of, entries):
     Reports antisymmetry conflicts (both orientations present and
     inconsistent, or diagonal entries), grading violations
     layer(k) != layer(i)+layer(j), layers out of range, and Jacobi failures.
-    Diagnostic only: always returns a report, never raises.
+    Jacobi is checked on every basis triple i < j < k, by sparse signed
+    lookups in the canonical table.  Diagnostic only: always returns a
+    report, never raises.
     """
     report = ValidationReport()
     for idx, layer in enumerate(layer_of):
@@ -84,25 +87,24 @@ def validate_table(dim, step, layer_of, entries):
                            "layer(%d)=%d but layer(%d)+layer(%d)=%d"
                            % (k, layer_of[k], i, j, layer_of[i] + layer_of[j]))
 
-    def brk(x, y):
-        out = [Q(0)] * dim
-        for (a, b), terms in canon.items():
-            coef = x[a] * y[b] - x[b] * y[a]
-            if coef:
-                for k, c in terms.items():
-                    out[k] += coef * c
+    def ad(a, vec):
+        """[b_a, vec] for a sparse vector {index: coefficient}, by signed
+        lookups in the canonical table."""
+        out = {}
+        for m, v in vec.items():
+            lo, hi, v = (a, m, v) if a < m else (m, a, -v)
+            for k, c in canon.get((lo, hi), {}).items():
+                out[k] = out.get(k, 0) + v * c
         return out
 
-    basis = [[Q(1) if t == s else Q(0) for t in range(dim)] for s in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = brk(basis[i], brk(basis[j], basis[k]))
-                for a, b in ((j, (k, i)), (k, (i, j))):
-                    term = brk(basis[a], brk(basis[b[0]], basis[b[1]]))
-                    acc = [u + v for u, v in zip(acc, term)]
-                if any(x != 0 for x in acc):
-                    report.add("jacobi", (i, j, k), "cyclic bracket sum nonzero")
+    inner = {(b, c): ad(b, {c: Q(1)}) for b, c in itertools.permutations(range(dim), 2)}
+    for i, j, k in itertools.combinations(range(dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in ad(a, inner[b, c]).items():
+                acc[m] = acc.get(m, 0) + v
+        if any(acc.values()):
+            report.add("jacobi", (i, j, k), "cyclic bracket sum nonzero")
     return report
 
 
@@ -117,6 +119,74 @@ def validate_grading(algebra):
 
 
 # ---------------------------------------------------------------------------
+# sparse polynomials over Q
+# ---------------------------------------------------------------------------
+
+class Polynomial:
+    """Sparse polynomial over Q in variables 0, 1, 2, ...: ``terms`` maps a
+    monomial, the sorted tuple of its variables (``()`` for the constant),
+    to a nonzero Fraction.  ``+``, ``-`` and ``*`` take a scalar on either
+    side, so a vector of polynomials goes through
+    ``GradedAlgebra.bracket_coords`` unchanged.  ``p(values)`` evaluates at
+    a value list; a zero polynomial has no terms and is falsy."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: Q(c) for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _terms_of(x):
+        return x.terms if isinstance(x, Polynomial) else {(): Q(x)} if x else {}
+
+    @classmethod
+    def _of(cls, terms):
+        out = cls.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in self._terms_of(other).items():
+            out[m] = out.get(m, 0) + c
+        return self._of(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self._of({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return self._of({m: c * other for m, c in self.terms.items()})
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return self._of(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __call__(self, values):
+        out = Q(0)
+        for mono, c in self.terms.items():
+            for v in mono:
+                c = c * values[v]
+            out += c
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the algebra
 # ---------------------------------------------------------------------------
 
@@ -127,9 +197,11 @@ class GradedAlgebra:
     struct:   {(i, j): {k: Fraction}} with i < j only.
     tags:     optional metadata set by catalog constructors (e.g. a symplectic
               J-structure); used to register closed-form algorithms.
+
+    Every table is validated once, here: an invalid one raises ValueError.
     """
 
-    def __init__(self, name, layer_of, struct, basis_names=None, tags=None, check=True):
+    def __init__(self, name, layer_of, struct, basis_names=None, tags=None):
         self.name = name
         self.layer_of = tuple(int(l) for l in layer_of)
         self.dim = len(self.layer_of)
@@ -148,10 +220,9 @@ class GradedAlgebra:
         self._float_ops = None
         self._stratified = None
         self._bch_law = None  # the BCH table, built by carnot.bch on first use
-        if check:
-            report = validate_grading(self)
-            if not report.ok:
-                raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
+        report = validate_grading(self)
+        if not report.ok:
+            raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
 
     # -- basic geometry of the grading ------------------------------------
     def layer_indices(self, i):
@@ -179,6 +250,9 @@ class GradedAlgebra:
         return tuple(Q(1) if t == k else Q(0) for t in range(self.dim))
 
     def bracket_coords(self, x, y):
+        """[x, y] on coordinate sequences; the coordinates may be Fraction or
+        Polynomial (a vector of polynomials gives the bracket of symbolic
+        vectors)."""
         out = [Q(0)] * self.dim
         for (i, j), terms in self.struct.items():
             coef = x[i] * y[j] - x[j] * y[i]
@@ -369,20 +443,12 @@ def is_stratified(algebra):
     if algebra._stratified is not None:
         return algebra._stratified
     out = True
-    v1 = algebra.layer_indices(1)
+    e = algebra.basis_coords
     for i in range(1, algebra.step):
         target = algebra.layer_indices(i + 1)
-        if not target:
-            continue
-        rows = []
-        for a in v1:
-            for b in algebra.layer_indices(i):
-                lo, hi = min(a, b), max(a, b)
-                terms = algebra.struct.get((lo, hi), {})
-                sgn = Q(1) if a < b else Q(-1)
-                row = [sgn * terms.get(k, Q(0)) for k in target]
-                rows.append(row)
-        if linalg.rank(rows) < len(target):
+        rows = [[algebra.bracket_coords(e(a), e(b))[k] for k in target]
+                for a in algebra.layer_indices(1) for b in algebra.layer_indices(i)]
+        if target and linalg.rank(rows) < len(target):
             out = False
             break
     algebra._stratified = out

@@ -8,9 +8,10 @@ Two independent routes compute the group product in exponential coordinates:
                 [c_{k_1}, [..., [c_{k_{2p}}, X+Y] ...]]
   with K_{2p} = B_{2p}/(2p)! (Bernoulli numbers, B_2 = 1/6).  The recursion
   runs once per algebra, on symbolic coordinates x_0..x_{d-1}, y_0..y_{d-1}:
-  each coordinate of each c_n is a polynomial, kept as integer coefficients
-  over one denominator.  The table is built on first use and kept on the
-  algebra, never changed after.
+  each coordinate of each c_n is an ``algebra.Polynomial``, and the brackets
+  are the algebra's own ``bracket_coords`` on vectors of them.  The table
+  keeps the coefficients as integers over one denominator; it is built on
+  first use and kept on the algebra, never changed after.
 * ``series_oracle_product`` computes log(exp(x) exp(y)) in the truncated free
   tensor algebra on two letters and evaluates the resulting Lie polynomial
   through the Dynkin bracketing.  It never touches the recursion, so exact
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraVector, GroupElement, EmpiricalConstant, bracket
+from .algebra import AlgebraVector, GroupElement, EmpiricalConstant, Polynomial, bracket
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -75,50 +76,27 @@ def _compositions(n, parts):
 # the recursion, run once per algebra on polynomial coordinates
 # ---------------------------------------------------------------------------
 
-def _poly_combine(p, q, scale):
-    """p + scale q for polynomials {monomial: Fraction}; zero terms dropped."""
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, 0) + scale * c
-    return {m: c for m, c in out.items() if c}
-
-
-def _poly_bracket(algebra, a, b):
-    """The bracket of two vectors of polynomials."""
-    out = [{} for _ in range(algebra.dim)]
-    for (i, j), terms in algebra.struct.items():
-        coef = {}
-        for p, q, sign in ((a[i], b[j], 1), (a[j], b[i], -1)):
-            for m1, c1 in p.items():
-                for m2, c2 in q.items():
-                    m = tuple(sorted(m1 + m2))
-                    coef[m] = coef.get(m, 0) + sign * c1 * c2
-        for k, c in terms.items():
-            out[k] = _poly_combine(out[k], coef, c)
-    return out
-
-
 def _bch_terms(algebra):
     """[None, c_1, ..., c_step] on symbolic coordinates: c_n[k] is the k-th
-    coordinate of c_n(X, Y) as a polynomial {monomial: Fraction}, a monomial
-    being the sorted tuple of its variables (x_i is i, y_i is dim + i)."""
+    coordinate of c_n(X, Y) as a Polynomial in x_i (variable i) and y_i
+    (variable dim + i), bracketed by the algebra's own bracket_coords."""
     d = algebra.dim
-    zero = [{}] * d
+    zero = [Polynomial()] * d
 
     def lin(a, b, scale):
-        return [_poly_combine(p, q, scale) for p, q in zip(a, b)]
+        return [p + scale * q for p, q in zip(a, b)]
 
-    x = [{(i,): Q(1)} for i in range(d)]
-    y = [{(d + i,): Q(1)} for i in range(d)]
+    x = [Polynomial({(i,): 1}) for i in range(d)]
+    y = [Polynomial({(d + i,): 1}) for i in range(d)]
     c = [None, lin(x, y, 1)]
     xmy = lin(x, y, -1)
     for n in range(1, algebra.step):
-        acc = lin(zero, _poly_bracket(algebra, xmy, c[n]), Q(1, 2))
+        acc = lin(zero, algebra.bracket_coords(xmy, c[n]), Q(1, 2))
         for p in range(1, n // 2 + 1):
             for comp in _compositions(n, 2 * p):
-                t = _poly_bracket(algebra, c[comp[-1]], c[1])
+                t = algebra.bracket_coords(c[comp[-1]], c[1])
                 for k in reversed(comp[:-1]):
-                    t = _poly_bracket(algebra, c[k], t)
+                    t = algebra.bracket_coords(c[k], t)
                 acc = lin(acc, t, _k_coefficient(2 * p))
         c.append(lin(zero, acc, Q(1, n + 1)))
     return c
@@ -131,9 +109,10 @@ def _law(algebra):
     / dens[k]; float_rows[n] holds the same rows with the floats a / dens[k]."""
     if algebra._bch_law is None:
         c = _bch_terms(algebra)
-        dens = [math.lcm(*(q.denominator for cn in c[1:] for q in cn[k].values()))
+        dens = [math.lcm(*(q.denominator for cn in c[1:] for q in cn[k].terms.values()))
                 for k in range(algebra.dim)]
-        polys = [[(k, sorted(p.items())) for k, p in enumerate(cn) if p] for cn in c[1:]]
+        polys = [[(k, sorted(p.terms.items())) for k, p in enumerate(cn) if p]
+                 for cn in c[1:]]
         rows = [None] + [tuple((k, tuple((int(q * dens[k]), m) for m, q in terms))
                                for k, terms in cn) for cn in polys]
         float_rows = [None] + [tuple((k, tuple((float(q), m) for m, q in terms))

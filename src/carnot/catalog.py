@@ -21,7 +21,8 @@ Q = Fraction
 
 def heisenberg(n):
     """h^n: basis (x1, y1, ..., xn, yn, z), step 2, [x_i, y_i] = z."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("heisenberg group h^n needs n >= 1, got %d" % n)
     dim = 2 * n + 1
     layers = [1] * (2 * n) + [2]
     names = []
@@ -132,7 +133,8 @@ def h_type_from_J(data, name="htype"):
     """
     m, q = data.dim_v, data.dim_z
     js = [[[Q(c) for c in row] for row in jm] for jm in data.j_matrices]
-    assert len(js) == q and all(len(jm) == m for jm in js)
+    if len(js) != q or any(len(jm) != m or any(len(row) != m for row in jm) for jm in js):
+        raise ValueError("J-data must hold dim_z = %d matrices of shape %d x %d" % (q, m, m))
     for k, jm in enumerate(js):
         for r in range(m):
             for s in range(m):
@@ -325,7 +327,9 @@ def _free_nilpotent_data(p, step):
 def free_nilpotent(p, step):
     """Free nilpotent stratified algebra on p generators, Hall basis ordered
     by degree then lexicographically on the bracket word."""
-    assert p >= 1 and step >= 1
+    if p < 1 or step < 1:
+        raise ValueError("free nilpotent algebra needs p >= 1 generators and step >= 1,"
+                         " got p = %d, step = %d" % (p, step))
     if p == 1:
         alg = GradedAlgebra("free_1_%d" % step, [1], {}, basis_names=["x1"])
         alg.tags["free_generators"] = (0,)

@@ -50,6 +50,8 @@ def _load_group(spec):
         return cat.get(spec)
     except KeyError:
         raise _BadInput("unknown group %r" % spec, "not a catalog name or file") from None
+    except ValueError as e:
+        raise _BadInput("invalid group %r" % spec, e) from None
 
 
 def _metric_for(algebra):

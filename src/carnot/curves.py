@@ -33,9 +33,13 @@ class SampledCurve:
         self.algebra = algebra
         self.ts = np.asarray(ts, dtype=float)
         self.coords = np.asarray(coords, dtype=float)
-        assert self.ts.ndim == 1 and self.coords.shape == (len(self.ts), algebra.dim)
-        assert np.all(np.diff(self.ts) > 0), "time grid must be strictly increasing"
-        assert np.all(np.isfinite(self.coords)), "coordinates must be finite"
+        if self.ts.ndim != 1 or self.coords.shape != (len(self.ts), algebra.dim):
+            raise ValueError("curve samples must have shape (len(ts), %d), got %s for %d times"
+                             % (algebra.dim, self.coords.shape, self.ts.size))
+        if not np.all(np.diff(self.ts) > 0):
+            raise ValueError("time grid must be strictly increasing")
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("coordinates must be finite")
         self.control = control
 
     @property
@@ -164,7 +168,9 @@ def horizontal_residuals(algebra, gamma, gdot):
 
 def _rk4_path(algebra, control, start_coords, t0, t1, steps):
     v1probe = control(0.5 * (t0 + t1))
-    assert len(v1probe) == len(algebra.layer_indices(1)), "control must take values in layer 1"
+    if len(v1probe) != len(algebra.layer_indices(1)):
+        raise ValueError("control must take values in layer 1 (%d components), got %d"
+                         % (len(algebra.layer_indices(1)), len(v1probe)))
     ts = np.linspace(t0, t1, steps + 1)
     h = (t1 - t0) / steps
     out = np.empty((steps + 1, algebra.dim))
@@ -194,7 +200,8 @@ def horizontal_lift(control, start, steps=256, tol=1e-8):
     accuracy); the returned curve carries the fine grid.
     """
     algebra = start.algebra
-    assert steps >= 2
+    if steps < 2:
+        raise ValueError("horizontal lift needs steps >= 2, got %r" % (steps,))
     t0, t1 = control.domain
     cuts = [t0] + [b for b in control.breakpoints if t0 < b < t1] + [t1]
     grids, paths = [], []

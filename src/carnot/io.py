@@ -115,30 +115,26 @@ def _read_group_fields(data):
     return layers, step, entries
 
 
-def parse_group_dict(data, check=True):
+def parse_group_dict(data):
     """A GradedAlgebra from a group-definition object.  Schema errors raise
-    ValueError naming the field; with check, so does a table that fails
-    validate_table (antisymmetry, grading, Jacobi)."""
+    ValueError naming the field; so does a table that fails validation
+    (antisymmetry, grading, Jacobi), which the GradedAlgebra constructor
+    runs once."""
     layers, step, entries = _read_group_fields(data)
-    if check:
-        report = validate_table(len(layers), step, layers, entries)
-        if not report.ok:
-            raise ValueError("invalid group definition:\n%s" % report)
     struct = {}
     for (i, j, k, c) in entries:
         struct.setdefault((i, j), {})[k] = struct.get((i, j), {}).get(k, Q(0)) + c
-    # validated above when asked: the table check is not repeated
     alg = GradedAlgebra(data.get("name", "group"), layers, struct,
-                        basis_names=data.get("basis_names") or None, check=False)
+                        basis_names=data.get("basis_names") or None)
     if "metric" in data:
         alg.tags["metric_spec"] = data["metric"]
     return alg
 
 
-def load_group(path, check=True):
+def load_group(path):
     with open(path) as f:
         data = json.load(f)
-    return parse_group_dict(data, check=check)
+    return parse_group_dict(data)
 
 
 def validate_group_file(path):

@@ -125,7 +125,8 @@ def sample_ball(metric, radius, count, rng, oversample=4):
 def sphere_point(metric, u):
     """Dilate a nonzero point onto the unit sphere of the gauge."""
     n = float(metric.quasi_norm_np(u))
-    assert n > 0
+    if not n > 0:
+        raise ValueError("sphere_point needs a nonzero point")
     ops = metric.algebra.float_ops()
     return ops.dilate(u, 1.0 / n)
 

@@ -37,6 +37,10 @@ class GradedMorphism:
     def scalar_mode(self):
         return "float" if isinstance(self.matrix, np.ndarray) else "exact"
 
+    def _require_exact(self, what):
+        if self.scalar_mode != "exact":
+            raise ValueError("%s needs an exact morphism" % what)
+
     def to_float(self):
         if self.scalar_mode == "float":
             return self
@@ -54,7 +58,8 @@ class GradedMorphism:
         return tuple(linalg.matvec(self.matrix, list(x)))
 
     def __call__(self, v):
-        assert v.algebra == self.domain, "algebra mismatch"
+        if v.algebra != self.domain:
+            raise ValueError("algebra mismatch: the vector is not in the domain")
         if self.scalar_mode == "float" or v.scalar_mode == "float":
             m = self.to_float()
             return type(v)(self.codomain, m.matrix @ np.asarray(
@@ -63,7 +68,8 @@ class GradedMorphism:
 
     def compose(self, other):
         """self after other."""
-        assert other.codomain == self.domain
+        if other.codomain != self.domain:
+            raise ValueError("compose needs other.codomain == self.domain")
         if self.scalar_mode == "float" or other.scalar_mode == "float":
             return GradedMorphism(other.domain, self.codomain,
                                   self.to_float().matrix @ other.to_float().matrix)
@@ -133,16 +139,18 @@ class GradedMorphism:
 
     def kernel_basis(self):
         """Exact basis of the kernel (list of coordinate vectors)."""
-        assert self.scalar_mode == "exact"
+        self._require_exact("kernel_basis")
         return linalg.nullspace(self.matrix)
 
     def image_basis(self):
-        assert self.scalar_mode == "exact"
+        self._require_exact("image_basis")
         return linalg.row_space_basis(linalg.transpose(self.matrix))
 
     def determinant_is_one(self):
         """For endomorphisms given exactly: det == 1."""
-        assert self.scalar_mode == "exact" and self.domain.dim == self.codomain.dim
+        self._require_exact("determinant_is_one")
+        if self.domain.dim != self.codomain.dim:
+            raise ValueError("determinant_is_one needs an endomorphism")
         m = [list(r) for r in self.matrix]
         n = len(m)
         det = Q(1)

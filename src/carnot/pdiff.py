@@ -62,7 +62,8 @@ class PDMap:
 
 
 def compose_maps(g, f, name=None):
-    assert f.codomain == g.domain
+    if f.codomain != g.domain:
+        raise ValueError("compose_maps needs f.codomain == g.domain")
     return PDMap(f.domain, g.codomain, lambda x: g(f(x)),
                  box=f.box, name=name or ("%s*%s" % (g.name, f.name)))
 
@@ -484,7 +485,8 @@ def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
 def local_inverse(pdmap, xbar, y, tol=1e-10, budget=100):
     """Solve f(x) = y near xbar by damped Newton on coordinates; requires an
     invertible differential (checked numerically at xbar)."""
-    assert pdmap.domain.dim == pdmap.codomain.dim
+    if pdmap.domain.dim != pdmap.codomain.dim:
+        raise ValueError("local_inverse needs equal domain and codomain dimensions")
     rep = pansu_differential(pdmap, xbar)
     if abs(np.linalg.det(np.asarray(rep.morphism.matrix))) < 1e-10:
         raise ValueError("differential not invertible at the base point")

@@ -3,11 +3,15 @@ complementary pairs, quotient gradings, h-epimorphism / h-monomorphism
 classification, and the constructive complement algorithms for Heisenberg
 type groups.
 
-Everything here is exact rational arithmetic.  Classification verdicts come
-in tiers: closed forms and affine systems are decided exactly (with
-nonexistence certificates); genuinely quadratic systems fall back to witness
-search plus a Groebner-basis infeasibility certificate, and an honest
-`undecided` verdict with a budget marker when neither side lands.
+Everything here is exact rational arithmetic, and every bracket is the
+algebra's ``bracket_coords``.  Classification verdicts come in tiers: closed
+forms and affine systems are decided exactly (with nonexistence
+certificates); genuinely quadratic systems fall back to witness search plus
+a Groebner-basis infeasibility certificate, and an honest `undecided`
+verdict with a budget marker when neither side lands.  The right-inverse
+system of an h-epimorphism is written with ``algebra.Polynomial``: the
+columns of the unknown right inverse are vectors of polynomials, bracketed
+by ``bracket_coords``.
 """
 
 import itertools
@@ -17,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, Polynomial
 from .morphism import GradedMorphism, check_h_homomorphism
 
 Q = Fraction
@@ -246,29 +250,22 @@ def quotient(algebra, ideal):
         assert sol is not None, "representatives + ideal must span"
         return sol[:qdim]
 
-    proj_matrix = [[Q(0)] * algebra.dim for _ in range(qdim)]
-    for k in range(algebra.dim):
-        col = reduce_mod(algebra.basis_coords(k))
-        for r in range(qdim):
-            proj_matrix[r][k] = col[r]
-    struct = {}
-    for a in range(qdim):
-        for b in range(a + 1, qdim):
-            br = algebra.bracket_coords(algebra.basis_coords(reps[a]),
-                                        algebra.basis_coords(reps[b]))
-            co = reduce_mod(br)
-            terms = {k: c for k, c in enumerate(co) if c != 0}
-            if terms:
-                struct[(a, b)] = terms
-    names = [algebra.basis_names[k] + "~" for k in reps]
-    # valid by construction: brackets of representatives reduced mod an ideal
-    if qdim:
-        qalg = GradedAlgebra("%s/[dim %d]" % (algebra.name, ideal.total_dim),
-                             rep_layers, struct, basis_names=names, check=False)
-    else:
-        qalg = GradedAlgebra(algebra.name + "/full", [], {}, basis_names=[], check=False)
+    proj_matrix = linalg.transpose([reduce_mod(algebra.basis_coords(k))
+                                    for k in range(algebra.dim)])
+    struct = _induced_table(algebra, [algebra.basis_coords(k) for k in reps], reduce_mod)
+    name = ("%s/[dim %d]" % (algebra.name, ideal.total_dim) if qdim
+            else algebra.name + "/full")
+    qalg = GradedAlgebra(name, rep_layers, struct,
+                         basis_names=[algebra.basis_names[k] + "~" for k in reps])
     dpi = GradedMorphism(algebra, qalg, proj_matrix)
     return qalg, dpi
+
+
+def _induced_table(algebra, vectors, coords_of):
+    """The table {(a, b): [v_a, v_b] read by coords_of} of the brackets of
+    `vectors`, a < b, in a new basis; GradedAlgebra drops its zeros."""
+    return {(a, b): dict(enumerate(coords_of(algebra.bracket_coords(vectors[a], vectors[b]))))
+            for a, b in itertools.combinations(range(len(vectors)), 2)}
 
 
 def section_through(dpi, witness):
@@ -289,18 +286,14 @@ def subalgebra_as_algebra(sub, name=None):
     basis = sub.basis()
     alg = sub.algebra
     bmat = [[basis[j][r] for j in range(len(basis))] for r in range(alg.dim)]
-    struct = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = alg.bracket_coords(basis[i], basis[j])
-            sol = linalg.solve(bmat, list(br))
-            assert sol is not None
-            terms = {k: c for k, c in enumerate(sol) if c != 0}
-            if terms:
-                struct[(i, j)] = terms
-    # valid by construction: the induced brackets of a subalgebra
-    return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(), struct,
-                         check=False)
+
+    def coords_of(vec):
+        sol = linalg.solve(bmat, list(vec))
+        assert sol is not None
+        return sol
+
+    return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(),
+                         _induced_table(alg, basis, coords_of))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +307,8 @@ def split_element(g, first, second):
     Deterministic and exact."""
     from .bch import group_product_coords
     alg = g.algebra
-    assert g.scalar_mode == "exact"
+    if g.scalar_mode != "exact":
+        raise ValueError("split_element needs an exact element")
     p = [Q(0)] * alg.dim
     h = [Q(0)] * alg.dim
     for layer in range(1, alg.step + 1):
@@ -352,34 +346,12 @@ class BudgetExhausted:
     note: str = "semi-decision budget exhausted"
 
 
-def _poly_add(p, mono, coeff):
-    if coeff == 0:
-        return
-    p[mono] = p.get(mono, Q(0)) + coeff
-    if p[mono] == 0:
-        del p[mono]
-
-
-def _poly_eval(p, values):
-    out = Q(0)
-    for mono, c in p.items():
-        term = c
-        for v in mono:
-            term *= values[v]
-        out += term
-    return out
-
-
 def _system_degree(eqs):
-    deg = 0
-    for p in eqs:
-        for mono in p:
-            deg = max(deg, len(mono))
-    return deg
+    return max((len(mono) for p in eqs for mono in p.terms), default=0)
 
 
 def _solve_affine_system(eqs, nvars):
-    """Exact solve of an affine system given as monomial dicts.  Returns
+    """Exact solve of an affine system of Polynomials.  Returns
     ('witness', values) or ('infeasible', equation index)."""
     if not eqs:
         return ("witness", [Q(0)] * nvars)
@@ -387,7 +359,7 @@ def _solve_affine_system(eqs, nvars):
     for p in eqs:
         row = [Q(0)] * nvars
         const = Q(0)
-        for mono, c in p.items():
+        for mono, c in p.terms.items():
             if len(mono) == 0:
                 const += c
             elif len(mono) == 1:
@@ -421,7 +393,7 @@ def _groebner_says_empty(eqs, nvars, max_vars=10):
     polys = []
     for p in eqs:
         expr = sympy.Integer(0)
-        for mono, c in p.items():
+        for mono, c in p.terms.items():
             term = sympy.Rational(c.numerator, c.denominator)
             for v in mono:
                 term *= xs[v]
@@ -441,77 +413,29 @@ def _right_inverse_system(L, kernel):
     """Polynomial system for a layer-preserving right inverse R of L that is
     also a Lie homomorphism.  R = S0 + sum_t c_t E_t with E_t ranging over
     (kernel vector, codomain basis vector) pairs of equal layer; the equations
-    are R([w_a, w_b]) = [R(w_a), R(w_b)] on codomain basis pairs.  L o R = Id
-    holds identically by construction."""
+    are [R w_a, R w_b] - R [w_a, w_b] = 0 on codomain basis pairs.  L o R = Id
+    holds identically by construction.  Returns the equations, the columns
+    R w_b as vectors of Polynomials in the unknowns c_t, and the number of
+    unknowns."""
     G, M = L.domain, L.codomain
-    s0_cols = []
+    cols, nvars = [], 0
     for b in range(M.dim):
-        target = [Q(1) if r == b else Q(0) for r in range(M.dim)]
-        col = linalg.solve(L.matrix, target)
-        assert col is not None, "not surjective"
-        s0_cols.append(tuple(col))
-    unknowns = [(b, tuple(kv)) for b in range(M.dim)
-                for kv in kernel.layer_basis(M.layer_of[b])]
-    nvars = len(unknowns)
-
-    def column_poly(b):
-        """Column b of R as a vector of affine polynomials in the unknowns."""
-        col = [{} for _ in range(G.dim)]
-        for k in range(G.dim):
-            _poly_add(col[k], (), s0_cols[b][k])
-        for t, (bb, kv) in enumerate(unknowns):
-            if bb == b:
-                for k in range(G.dim):
-                    _poly_add(col[k], (t,), kv[k])
-        return col
-
-    cols = [column_poly(b) for b in range(M.dim)]
+        s0 = linalg.solve(L.matrix, list(M.basis_coords(b)))
+        assert s0 is not None, "not surjective"
+        col = [{(): c} for c in s0]
+        for kv in kernel.layer_basis(M.layer_of[b]):
+            for terms, c in zip(col, kv):
+                terms[(nvars,)] = c
+            nvars += 1
+        cols.append([Polynomial(terms) for terms in col])
     eqs = []
-    for a in range(M.dim):
-        for b in range(a + 1, M.dim):
-            br = M.bracket_coords(M.basis_coords(a), M.basis_coords(b))
-            # linear side: R(br)
-            lin = [{} for _ in range(G.dim)]
-            for c, coeff in enumerate(br):
-                if coeff != 0:
-                    for k in range(G.dim):
-                        for mono, cc in cols[c][k].items():
-                            _poly_add(lin[k], mono, coeff * cc)
-            # quadratic side: [R(w_a), R(w_b)] via the structure table
-            quad = [{} for _ in range(G.dim)]
-            for (i, j), terms in G.struct.items():
-                pairs = []
-                for m1, c1 in cols[a][i].items():
-                    for m2, c2 in cols[b][j].items():
-                        pairs.append((m1, m2, c1 * c2))
-                for m1, c1 in cols[a][j].items():
-                    for m2, c2 in cols[b][i].items():
-                        pairs.append((m1, m2, -c1 * c2))
-                for m1, m2, cc in pairs:
-                    if cc == 0:
-                        continue
-                    mono = tuple(sorted(m1 + m2))
-                    for k, c in terms.items():
-                        _poly_add(quad[k], mono, cc * c)
-            for k in range(G.dim):
-                eq = dict(quad[k])
-                for mono, c in lin[k].items():
-                    _poly_add(eq, mono, -c)
-                if eq:
-                    eqs.append(eq)
-    return eqs, unknowns, s0_cols
-
-
-def _witness_from_values(L, unknowns, s0_cols, values):
-    G, M = L.domain, L.codomain
-    cols = []
-    for b in range(M.dim):
-        col = list(s0_cols[b])
-        for t, (bb, kv) in enumerate(unknowns):
-            if bb == b and values[t] != 0:
-                col = [x + values[t] * y for x, y in zip(col, kv)]
-        cols.append(col)
-    return layered_decomposition(G, cols)
+    for a, b in itertools.combinations(range(M.dim), 2):
+        br = M.bracket_coords(M.basis_coords(a), M.basis_coords(b))
+        image = [sum((col[k] * w for w, col in zip(br, cols) if w), Polynomial())
+                 for k in range(G.dim)]
+        brackets = G.bracket_coords(cols[a], cols[b])
+        eqs += [e for e in (u - v for u, v in zip(brackets, image)) if e]
+    return eqs, cols, nvars
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +446,12 @@ def _omega_form(algebra, z_index):
     """The bilinear form omega(a, b) = coefficient of basis vector z_index in
     [a, b], restricted to first-layer coordinates."""
     idx = algebra.layer_indices(1)
-    pos = {k: p for p, k in enumerate(idx)}
     m = len(idx)
     W = [[Q(0)] * m for _ in range(m)]
-    for (i, j), terms in algebra.struct.items():
-        c = terms.get(z_index)
-        if c and i in pos and j in pos:
-            W[pos[i]][pos[j]] += c
-            W[pos[j]][pos[i]] -= c
+    for p, q in itertools.combinations(range(m), 2):
+        c = algebra.bracket_coords(algebra.basis_coords(idx[p]),
+                                   algebra.basis_coords(idx[q]))[z_index]
+        W[p][q], W[q][p] = c, -c
     return W, idx
 
 
@@ -790,14 +712,16 @@ def classify_epimorphism(L, budget=10000, seed=0):
         else zero_subalgebra(L.domain)
     if kernel.total_dim == 0:
         return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel)
-    eqs, unknowns, s0 = _right_inverse_system(L, kernel)
-    nvars = len(unknowns)
+    eqs, cols, nvars = _right_inverse_system(L, kernel)
+
+    def witness(values):
+        return layered_decomposition(L.domain, [[p(values) for p in col] for col in cols])
+
     deg = _system_degree(eqs)
     if deg <= 1:
         status, data = _solve_affine_system(eqs, nvars)
         if status == "witness":
-            w = _witness_from_values(L, unknowns, s0, data)
-            return EpiClassification("h_epimorphism", w, kernel)
+            return EpiClassification("h_epimorphism", witness(data), kernel)
         cert = NonexistenceCertificate(
             "affine_infeasible",
             "the right-inverse equations are affine in the kernel corrections "
@@ -805,9 +729,8 @@ def classify_epimorphism(L, budget=10000, seed=0):
         return EpiClassification("surjective_not_epi", cert, kernel)
     # quadratic tier: cheap witnesses first
     zero_vals = [Q(0)] * nvars
-    if all(_poly_eval(p, zero_vals) == 0 for p in eqs):
-        return EpiClassification("h_epimorphism",
-                                 _witness_from_values(L, unknowns, s0, zero_vals), kernel)
+    if not any(p(zero_vals) for p in eqs):
+        return EpiClassification("h_epimorphism", witness(zero_vals), kernel)
     G, M = L.domain, L.codomain
     if _abelian_image(M):
         closed = _abelian_kernel_complement(G, kernel, M.dim)
@@ -818,9 +741,8 @@ def classify_epimorphism(L, budget=10000, seed=0):
     rng = np.random.default_rng(seed)
     for trial in range(budget):
         vals = [Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(nvars)]
-        if all(_poly_eval(p, vals) == 0 for p in eqs):
-            return EpiClassification("h_epimorphism",
-                                     _witness_from_values(L, unknowns, s0, vals), kernel)
+        if not any(p(vals) for p in eqs):
+            return EpiClassification("h_epimorphism", witness(vals), kernel)
     if _groebner_says_empty(eqs, nvars):
         cert = NonexistenceCertificate(
             "groebner_unit_ideal",

@@ -1,16 +1,20 @@
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import carnot
 from carnot import catalog
-from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, bracket,
-                            bracket_norm_constant, dilate,
+from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, Polynomial,
+                            bracket, bracket_norm_constant, dilate,
                             homogeneous_dimension, is_stratified,
                             iterated_bracket, project_layer, project_tail,
                             validate_grading, validate_table)
@@ -42,6 +46,128 @@ def test_validate_jacobi_violation():
                             [(0, 1, 3, 1), (1, 2, 3, 1),
                              (0, 3, 4, 1), (2, 3, 4, 1)])
     assert any(v["kind"] == "jacobi" for v in report.violations)
+
+
+def dense_jacobi_triples(dim, entries):
+    """Reference Jacobi check: every basis triple i < j < k whose cyclic
+    bracket sum is nonzero, from the dense structure tensor T[a, b, k] =
+    c_ab^k of the table as validate_table reads it (entries summed, diagonal
+    ones dropped, the first orientation of a pair kept), scaled to integers.
+    [b_i, [b_j, b_k]] is sum_l T[j, k, l] T[i, l, :]."""
+    table = {}
+    for i, j, k, c in entries:
+        if i != j:
+            terms = table.setdefault((i, j), {})
+            terms[k] = terms.get(k, Q(0)) + Q(c)
+    canon = {}
+    for (i, j), terms in table.items():
+        a, b, sgn = (i, j, 1) if i < j else (j, i, -1)
+        for k, c in terms.items():
+            if c and k not in canon.setdefault((a, b), {}):
+                canon[(a, b)][k] = sgn * c
+    scale = math.lcm(*(c.denominator for t in canon.values() for c in t.values()))
+    T = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (a, b), terms in canon.items():
+        for k, c in terms.items():
+            T[a, b, k], T[b, a, k] = int(c * scale), -int(c * scale)
+    cyclic = (np.einsum("jkl,ilm->ijkm", T, T) + np.einsum("kil,jlm->ijkm", T, T)
+              + np.einsum("ijl,klm->ijkm", T, T))
+    return [t for t in itertools.combinations(range(dim), 3) if cyclic[t].any()]
+
+
+def _mutations(alg, rng):
+    """One seeded mutation of each kind of alg's table, as (kind, entries)."""
+    entries = [(i, j, k, c) for (i, j), t in sorted(alg.struct.items())
+               for k, c in sorted(t.items())]
+    lay = alg.layer_of
+    pairs = list(itertools.combinations(range(alg.dim), 2))
+    coeff = Q(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    i, j, k, c = rng.choice(entries)
+    bumped = [(i, j, k, c + coeff) if e == (i, j, k, c) else e for e in entries]
+    graded = [(a, b, k) for a, b in pairs for k in range(alg.dim)
+              if lay[k] == lay[a] + lay[b]]
+    off = [(a, b, k) for a, b in pairs for k in range(alg.dim)
+           if lay[k] != lay[a] + lay[b]]
+    out = [("bump", bumped), ("off-grade", entries + [rng.choice(off) + (coeff,)]),
+           ("conflict", entries + [(j, i, k, c)])]
+    if graded:
+        out.append(("in-grade", entries + [rng.choice(graded) + (coeff,)]))
+    return out
+
+
+def test_sparse_jacobi_matches_dense_reference():
+    # on seeded mutations of catalog tables the report is the one the dense
+    # check gives: the same violations, in the same order
+    rng = random.Random(20261018)
+    failing = 0
+    for name in ("h1", "h2", "h12", "g42", "free_2_3", "free_3_2", "free_2_4",
+                 "free_3_3", "free_2_5"):
+        alg = catalog.get(name)
+        for _ in range(8):
+            for kind, entries in _mutations(alg, rng):
+                report = validate_table(alg.dim, alg.step, alg.layer_of, entries)
+                dense = dense_jacobi_triples(alg.dim, entries)
+                others = [v for v in report.violations if v["kind"] != "jacobi"]
+                assert report.violations == others + [
+                    {"kind": "jacobi", "where": t, "detail": "cyclic bracket sum nonzero"}
+                    for t in dense], (name, kind)
+                # an off-grade entry breaks the grading, a second orientation
+                # the antisymmetry; a changed coefficient may stay valid
+                assert kind in ("bump", "in-grade") or not report.ok, (name, kind)
+                failing += bool(dense)
+    assert failing >= 20  # the comparison is not vacuous
+
+
+def test_validate_catalog_tables_ok():
+    for name in catalog.catalog_names():
+        alg = catalog.get(name)
+        assert validate_grading(alg).ok
+        assert dense_jacobi_triples(alg.dim, [(i, j, k, c) for (i, j), t in alg.struct.items()
+                                              for k, c in t.items()]) == []
+
+
+# polynomials in 3 variables up to degree 3 with coefficients of denominator
+# up to 4, zero a third of the time; scalars are ints or Fractions
+fractions = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+monomials = st.lists(st.integers(0, 2), max_size=3).map(lambda m: tuple(sorted(m)))
+polynomials = st.dictionaries(monomials, st.one_of(st.just(Q(0)), fractions, fractions),
+                              max_size=5).map(Polynomial)
+scalars = st.one_of(st.integers(-3, 3), fractions)
+XS = sympy.symbols("x0:3")
+
+
+def as_sympy(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(XS[v] for v in m))
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polynomials, polynomials, scalars, st.lists(fractions, min_size=3, max_size=3))
+def test_polynomial_matches_sympy(p, q, s, values):
+    P, Qs, S = as_sympy(p), as_sympy(q), sympy.Rational(Q(s).numerator, Q(s).denominator)
+    for got, want in ((p + q, P + Qs), (p - q, P - Qs), (p * q, P * Qs),
+                      (s * p, S * P), (p * s, P * S), (p + s, P + S), (s + p, S + P),
+                      (p - s, P - S), (s - p, S - P), (-p, -P)):
+        assert isinstance(got, Polynomial) and sympy.expand(as_sympy(got) - want) == 0
+        assert all(c != 0 and isinstance(c, Q) for c in got.terms.values())
+        assert all(list(m) == sorted(m) for m in got.terms)
+    point = dict(zip(XS, (sympy.Rational(v.numerator, v.denominator) for v in values)))
+    assert p(values) == P.subs(point) and isinstance(p(values), Q)
+    zero = p - p
+    assert zero.terms == {} and not zero and not p * 0 and not (0 * p).terms
+    assert bool(p - q) == (sympy.expand(P - Qs) != 0) and not p - (p + 0)
+
+
+def test_polynomial_vectors_through_bracket_coords(f23, rng):
+    # bracketing symbolic vectors, then substituting, is bracketing numbers
+    d = f23.dim
+    symbolic = f23.bracket_coords([Polynomial({(i,): 1}) for i in range(d)],
+                                  [Polynomial({(d + i,): 1}) for i in range(d)])
+    for _ in range(5):
+        u, v = rational_vector(f23, rng), rational_vector(f23, rng)
+        values = list(u.coords + v.coords)
+        assert tuple((Polynomial() + c)(values) for c in symbolic) == \
+            f23.bracket_coords(u.coords, v.coords)
 
 
 def test_bracket_h1(h1):
@@ -197,6 +323,83 @@ INPUT_CHECKS = {
     "free-series-mul": (
         "from carnot.bch import FreeSeries\n"
         "FreeSeries.letter(0, 2).mul(FreeSeries.letter(0, 3))", "degree mismatch"),
+    "h-type-j-shape": (
+        "from carnot.catalog import HTypeData, h_type_from_J\n"
+        "h_type_from_J(HTypeData(dim_v=2, dim_z=1, j_matrices=[[[0, 1]]]))", "J-data"),
+    "sampled-curve-shape": (
+        "from carnot import catalog\n"
+        "from carnot.curves import SampledCurve\n"
+        "SampledCurve(catalog.get('h1'), [0, 1], [[0, 0], [0, 0]])", "shape"),
+    "sampled-curve-times": (
+        "from carnot import catalog\n"
+        "from carnot.curves import SampledCurve\n"
+        "SampledCurve(catalog.get('h1'), [0, 0], [[0, 0, 0], [0, 0, 0]])",
+        "strictly increasing"),
+    "sampled-curve-finite": (
+        "from carnot import catalog\n"
+        "from carnot.curves import SampledCurve\n"
+        "SampledCurve(catalog.get('h1'), [0, 1], [[0, 0, 0], [0, float('nan'), 0]])",
+        "finite"),
+    "lift-steps": (
+        "from carnot import catalog\n"
+        "from carnot.algebra import identity_element\n"
+        "from carnot.curves import horizontal_lift, make_control\n"
+        "h1 = catalog.get('h1')\n"
+        "horizontal_lift(make_control(h1, 'line', direction=[1.0, 0.0]),"
+        " identity_element(h1), steps=1)", "steps >= 2"),
+    "lift-control-length": (
+        "from carnot import catalog\n"
+        "from carnot.algebra import identity_element\n"
+        "from carnot.curves import horizontal_lift, make_control\n"
+        "h1 = catalog.get('h1')\n"
+        "c = make_control(h1, 'line', direction=[1.0, 0.0])\n"
+        "c.fn = lambda t: [1.0, 0.0, 0.0]\n"
+        "horizontal_lift(c, identity_element(h1), steps=16)", "layer 1"),
+    "sphere-point-zero": (
+        "from carnot import catalog, metric\n"
+        "metric.sphere_point(metric.default_metric(catalog.get('h1')), [0.0, 0.0, 0.0])",
+        "nonzero"),
+    "morphism-call": (
+        "from carnot import catalog\n"
+        "from carnot.algebra import vector\n"
+        "from carnot.morphism import identity_morphism\n"
+        "identity_morphism(catalog.get('h1'))(vector(catalog.get('h2'), [0] * 5))",
+        "algebra mismatch"),
+    "morphism-compose": (
+        "from carnot import catalog\n"
+        "from carnot.morphism import identity_morphism\n"
+        "identity_morphism(catalog.get('h1')).compose(identity_morphism(catalog.get('h2')))",
+        "codomain"),
+    "morphism-kernel-float": (
+        "from carnot import catalog\n"
+        "from carnot.morphism import identity_morphism\n"
+        "identity_morphism(catalog.get('h1')).to_float().kernel_basis()", "exact"),
+    "morphism-image-float": (
+        "from carnot import catalog\n"
+        "from carnot.morphism import identity_morphism\n"
+        "identity_morphism(catalog.get('h1')).to_float().image_basis()", "exact"),
+    "morphism-determinant-shape": (
+        "from carnot import catalog\n"
+        "from carnot.morphism import GradedMorphism\n"
+        "GradedMorphism(catalog.get('h1'), catalog.abelian(2),"
+        " [[1, 0, 0], [0, 1, 0]]).determinant_is_one()", "endomorphism"),
+    "compose-maps": (
+        "from carnot import catalog, pdiff\n"
+        "from carnot.morphism import identity_morphism\n"
+        "f = pdiff.hom_map(identity_morphism(catalog.get('h1')))\n"
+        "g = pdiff.hom_map(identity_morphism(catalog.get('h2')))\n"
+        "pdiff.compose_maps(g, f)", "f.codomain"),
+    "local-inverse-dims": (
+        "from carnot import catalog, pdiff\n"
+        "from carnot.morphism import GradedMorphism\n"
+        "L = GradedMorphism(catalog.get('h1'), catalog.abelian(2), [[1, 0, 0], [0, 1, 0]])\n"
+        "pdiff.local_inverse(pdiff.hom_map(L), [0.0] * 3, [0.0] * 2)", "dimensions"),
+    "split-element-float": (
+        "from carnot import catalog, subgroups\n"
+        "from carnot.algebra import element\n"
+        "h1 = catalog.get('h1')\n"
+        "subgroups.split_element(element(h1, [0, 0, 1]).to_float(),"
+        " subgroups.full_subalgebra(h1), subgroups.zero_subalgebra(h1))", "exact element"),
 }
 
 

@@ -45,7 +45,7 @@ def test_parabola_vertical_growth(h1):
 def test_lift_requires_horizontal_control(h1):
     bad = make_control(h1, "line", direction=[1.0, 0.0])
     bad.fn = lambda t: np.array([1.0, 0.0, 0.0])  # wrong length: leaves layer 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="layer 1"):
         horizontal_lift(bad, identity_of(h1), steps=16)
 
 

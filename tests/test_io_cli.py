@@ -284,9 +284,13 @@ def _write(directory, name, content):
 
 BAD_MORPHISM = {"domain": "h1", "codomain": "r2", "matrix": [["1", "0"], ["0", "1"]]}
 
-# one bad morphism file, subalgebra file or experiment config per probe: the
-# field its message must name, and the command line that reads it
+# one bad catalog name, morphism file, subalgebra file or experiment config
+# per probe: the field its message must name, and the command line that
+# reads it
 INPUT_PROBES = {
+    "catalog-h0": ("n >= 1", lambda d: ["group", "info", "h0"]),
+    "catalog-free_0_3": ("p = 0", lambda d: ["group", "info", "free_0_3"]),
+    "catalog-free_2_0": ("step = 0", lambda d: ["group", "info", "free_2_0"]),
     "classify-epi": ("matrix", lambda d: [
         "subgroups", "classify-epi", _write(d, "m.json", BAD_MORPHISM)]),
     "classify-mono": ("matrix", lambda d: [

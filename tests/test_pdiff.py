@@ -172,8 +172,8 @@ def test_local_inverse(h1, rng):
 
 def test_local_inverse_requires_invertible(h1):
     r2 = catalog.abelian(2)
-    # not even same dimension: assert guards
-    with pytest.raises(AssertionError):
+    # not even same dimension: a typed input error
+    with pytest.raises(ValueError, match="dimensions"):
         pdiff.local_inverse(pdiff.hom_map(GradedMorphism(h1, r2,
                                                          [[1, 0, 0], [0, 1, 0]])),
                             np.zeros(3), np.zeros(2))
