@@ -195,13 +195,14 @@ class GradedAlgebra:
 
     layer_of: layer index (1-based) of each basis vector.
     struct:   {(i, j): {k: Fraction}} with i < j only.
-    tags:     optional metadata set by catalog constructors (e.g. a symplectic
-              J-structure); used to register closed-form algorithms.
+    tags:     metadata that catalog constructors and the group-file reader
+              set after construction (e.g. a symplectic J-structure, a metric
+              block); used to register closed-form algorithms.
 
     Every table is validated once, here: an invalid one raises ValueError.
     """
 
-    def __init__(self, name, layer_of, struct, basis_names=None, tags=None):
+    def __init__(self, name, layer_of, struct, basis_names=None):
         self.name = name
         self.layer_of = tuple(int(l) for l in layer_of)
         self.dim = len(self.layer_of)
@@ -216,7 +217,7 @@ class GradedAlgebra:
         self.struct = canon
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(self.dim))
-        self.tags = dict(tags or {})
+        self.tags = {}
         self._float_ops = None
         self._stratified = None
         self._bch_law = None  # the BCH table, built by carnot.bch on first use
@@ -476,12 +477,10 @@ class EmpiricalConstant:
         return [self.label, "%.17g" % self.nu, str(self.samples), "%.17g" % self.sup_observed]
 
 
-def bracket_norm_constant(algebra, norm_spec="euclidean"):
+def bracket_norm_constant(algebra):
     """Certified upper bound for |[X,Y]| <= beta |X| |Y| in the Euclidean
     coordinate norm: the Frobenius norm of the full structure tensor.  This is
     a triangle-inequality bound over the table, not a sampled value."""
-    if norm_spec != "euclidean":
-        raise ValueError("only the Euclidean coordinate norm is supported, got %r" % (norm_spec,))
     total = Q(0)
     for (i, j), terms in algebra.struct.items():
         for k, c in terms.items():

@@ -262,10 +262,10 @@ def _tree_to_series(tree, degree):
     return _tree_to_series(tree[0], degree).commutator(_tree_to_series(tree[1], degree))
 
 
-def _tree_name(tree, prefix="x"):
+def _tree_name(tree):
     if isinstance(tree[0], int) and len(tree) == 1:
-        return "%s%d" % (prefix, tree[0] + 1)
-    return "[%s,%s]" % (_tree_name(tree[0], prefix), _tree_name(tree[1], prefix))
+        return "x%d" % (tree[0] + 1)
+    return "[%s,%s]" % (_tree_name(tree[0]), _tree_name(tree[1]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,8 +20,7 @@ import numpy as np
 from . import catalog as cat
 from . import io as cio
 from . import metric as cmetric
-from .algebra import (AlgebraVector, GroupElement, homogeneous_dimension,
-                      is_stratified, validate_grading)
+from .algebra import AlgebraVector, GroupElement, homogeneous_dimension, is_stratified
 from .bch import bch_term, decompose_cn, group_product, series_oracle_product
 
 EXIT_OK = 0
@@ -82,7 +81,6 @@ def cmd_group(args):
         print("layer dims: %s" % g.layer_dims())
         print("homogeneous dimension: %d" % homogeneous_dimension(g))
         print("stratified: %s" % is_stratified(g))
-        print("grading: %s" % ("valid" if validate_grading(g).ok else "INVALID"))
         return EXIT_OK
     if args.action == "emit":
         g = cat.get(args.catalog) if args.catalog else _load_group(args.file)

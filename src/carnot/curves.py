@@ -300,10 +300,11 @@ def pansu_quotient_norms(curve, t, hs):
     return np.array([float(np.linalg.norm(pansu_quotient(curve, t, h))) for h in hs])
 
 
-def decay_order(hs, values, floor=1e-14):
-    """Least-squares slope of log(values) against log(hs)."""
+def decay_order(hs, values):
+    """Least-squares slope of log(values) against log(hs), values floored at
+    1e-14."""
     hs = np.asarray(hs, dtype=float)
-    values = np.maximum(np.asarray(values, dtype=float), floor)
+    values = np.maximum(np.asarray(values, dtype=float), 1e-14)
     return float(np.polyfit(np.log(hs), np.log(values), 1)[0])
 
 
@@ -349,15 +350,11 @@ def group_riemann_sum(curve, partition):
     return inc.sum(axis=0)
 
 
-def riemann_limit(curve, upto=None):
+def riemann_limit(curve):
     """The mesh -> 0 limit of the group Riemann sum:
     gamma(s) - gamma(0) + sum_{n>=2} ((-1)^{n-1}/n!) int [gamma, dgamma]_{n-1}."""
     ops = curve.algebra.float_ops()
-    coords = curve.coords
-    ts = curve.ts
-    if upto is not None:
-        mask = ts <= upto + 1e-12
-        coords, ts = coords[mask], ts[mask]
+    coords, ts = curve.coords, curve.ts
     gdot = np.gradient(coords, ts, axis=0)
     return coords[-1] - coords[0] - np.trapezoid(ops.dexp_series(coords, gdot),
                                                  ts, axis=0)
@@ -367,23 +364,24 @@ def riemann_limit(curve, upto=None):
 # variation
 # ---------------------------------------------------------------------------
 
-def variation(curve, metric=None, max_level=16, tol=1e-6):
+def variation(curve, metric=None):
     """Total variation two ways: (A) sup of partition sums over dyadic
-    refinements, (B) quadrature of rho(exp(gdot_1)).  For a smooth horizontal
-    curve the two agree; non-horizontal input makes them legitimately
-    disagree and is flagged."""
+    refinements (2^4 .. 2^16 intervals, stopping at relative change 1e-6 or
+    at four times the curve's grid), (B) quadrature of rho(exp(gdot_1)).
+    For a smooth horizontal curve the two agree; non-horizontal input makes
+    them legitimately disagree and is flagged."""
     metric = metric or default_metric(curve.algebra)
     alg = curve.algebra
     a, b = curve.domain
     prev = None
     var_a = 0.0
-    for level in range(4, max_level + 1):
+    for level in range(4, 17):
         n = 2 ** level
         ts = np.linspace(a, b, n + 1)
         pts = np.stack([curve.eval(t) for t in ts])
         d = metric.distance_np(pts[:-1], pts[1:])
         var_a = float(np.sum(d))
-        if prev is not None and abs(var_a - prev) <= tol * max(var_a, 1e-12):
+        if prev is not None and abs(var_a - prev) <= 1e-6 * max(var_a, 1e-12):
             break
         prev = var_a
         if n >= len(curve.ts) * 4:
@@ -438,15 +436,15 @@ def verify_ac_lip_characterization(curve, metric=None):
 # layerwise lift estimate driver
 # ---------------------------------------------------------------------------
 
-def lift_layer_bound(control, algebra, lambdas, reference=None, steps=512):
+def lift_layer_bound(control, algebra, lambdas, steps=512):
     """Sampled sup over the lambda grid and layers i >= 2 of
     |int_0^lam gdot_i| / (A_0^lam(gdot_1 - X) * lam^i), for lifts from the
-    identity; X defaults to gdot_1(0)."""
+    identity, with X = gdot_1(0)."""
     from .algebra import GroupElement as GE
     start = GE(algebra, np.zeros(algebra.dim))
     curve = horizontal_lift(control, start, steps=steps)
     t0 = control.domain[0]
-    x_ref = _embed_layer1(algebra, control(t0)) if reference is None else reference
+    x_ref = _embed_layer1(algebra, control(t0))
     ops = algebra.float_ops()
     sup = 0.0
     for lam in lambdas:

@@ -23,7 +23,10 @@ FORMAT_VERSION = 1
 # group definition files
 # ---------------------------------------------------------------------------
 
-def group_to_dict(algebra, metric=None):
+def group_to_dict(algebra):
+    """The group-file object of an algebra, with the metric block the algebra
+    was read with (kind and per-layer weights, as metric_weights resolves
+    them), if any."""
     brackets = []
     for (i, j) in sorted(algebra.struct):
         terms = [{"k": k + 1, "num": c.numerator, "den": c.denominator}
@@ -37,14 +40,16 @@ def group_to_dict(algebra, metric=None):
         "basis_names": list(algebra.basis_names),
         "brackets": brackets,
     }
-    if metric is not None:
-        out["metric"] = {"kind": metric.kind, "weights": list(metric.weights)}
+    spec = algebra.tags.get("metric_spec")
+    if spec is not None:
+        out["metric"] = {"kind": spec["kind"], "weights": list(metric_weights(
+            algebra.step, spec["kind"], spec.get("weights") or None))}
     return out
 
 
-def emit_group(algebra, metric=None):
+def emit_group(algebra):
     """Canonical byte-stable serialization."""
-    return json.dumps(group_to_dict(algebra, metric), indent=2,
+    return json.dumps(group_to_dict(algebra), indent=2,
                       sort_keys=False) + "\n"
 
 

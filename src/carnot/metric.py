@@ -104,13 +104,14 @@ def sample_box(algebra, radius, count, rng):
     return rng.uniform(-radius, radius, size=(count, algebra.dim))
 
 
-def sample_ball(metric, radius, count, rng, oversample=4):
-    """Points with quasi-norm <= radius, by rejection from a box."""
+def sample_ball(metric, radius, count, rng):
+    """Points with quasi-norm <= radius, by rejection from a box: four
+    candidates per missing point, at least 64 per draw."""
     alg = metric.algebra
     out = []
     need = count
     while need > 0:
-        cand = sample_box(alg, radius * 1.5, max(64, need * oversample), rng)
+        cand = sample_box(alg, radius * 1.5, max(64, need * 4), rng)
         # box coordinates scale like the layer, so widen upper layers
         for i in range(1, alg.step + 1):
             mask = np.array([1.0 if l == i else 0.0 for l in alg.layer_of])
@@ -418,9 +419,10 @@ def solve_word(x, ws):
     return a
 
 
-def word_constant(ws, metric=None, samples=400, seed=0):
-    """c(G, d): max over sampled unit-sphere points of max_s |a_s|."""
-    metric = metric or ws.metric
+def word_constant(ws, samples=400, seed=0):
+    """c(G, d): max over sampled unit-sphere points of max_s |a_s|, in the
+    word system's metric."""
+    metric = ws.metric
     alg = ws.algebra
     rng = np.random.default_rng(seed)
     sup = 0.0

@@ -3,7 +3,7 @@
 A GradedMorphism holds the matrix of a linear map in the fixed graded bases
 (columns = images of domain basis vectors).  It is the common container for
 algebra homomorphisms, projections and Pansu differentials; the homomorphism
-flags are computed on demand and cached.
+flags read one exact report, computed on demand and cached.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ class GradedMorphism:
             raise ValueError("matrix: expected shape %d x %d (codomain dim x domain "
                              "dim), got %s" % (codomain.dim, domain.dim,
                                                " x ".join(map(str, shape))))
-        self._flags = {}
+        self._report = None
 
     @property
     def scalar_mode(self):
@@ -76,56 +76,19 @@ class GradedMorphism:
         return GradedMorphism(other.domain, self.codomain,
                               linalg.matmul(self.matrix, other.matrix))
 
-    # -- flags --------------------------------------------------------------
-    def is_layer_preserving(self, tol=0.0):
+    # -- flags (read from check_h_homomorphism's cached report) --------------
+    def is_layer_preserving(self):
         """Equivalent to commuting with dilations: the matrix block from
         domain layer i to codomain layer j vanishes unless i == j."""
-        key = ("layer", tol)
-        if key not in self._flags:
-            ok = True
-            for j in range(self.domain.dim):
-                lj = self.domain.layer_of[j]
-                for k in range(self.codomain.dim):
-                    if self.codomain.layer_of[k] != lj:
-                        v = self.matrix[k][j] if self.scalar_mode == "exact" else self.matrix[k, j]
-                        if (v != 0) if tol == 0.0 else (abs(float(v)) > tol):
-                            ok = False
-            self._flags[key] = ok
-        return self._flags[key]
+        return check_h_homomorphism(self).is_layer_preserving
 
-    def is_lie_hom(self, tol=0.0):
-        """L[X,Y] = [LX, LY] on all basis pairs."""
-        key = ("lie", tol)
-        if key not in self._flags:
-            dom, cod = self.domain, self.codomain
-            ok = True
-            if self.scalar_mode == "exact":
-                cols = [self.column(j) for j in range(dom.dim)]
-                for i in range(dom.dim):
-                    for j in range(i + 1, dom.dim):
-                        br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
-                        lhs = self.apply_coords(br)
-                        rhs = cod.bracket_coords(cols[i], cols[j])
-                        if lhs != rhs:
-                            ok = False
-                self._flags[key] = ok
-            else:
-                m = self.matrix
-                ops_d, ops_c = dom.float_ops(), cod.float_ops()
-                worst = 0.0
-                eye = np.eye(dom.dim)
-                for i in range(dom.dim):
-                    for j in range(i + 1, dom.dim):
-                        br = ops_d.bracket(eye[i], eye[j])
-                        diff = m @ br - ops_c.bracket(m[:, i], m[:, j])
-                        worst = max(worst, float(np.max(np.abs(diff))))
-                self._flags[key] = worst <= tol
-            if self.scalar_mode == "float" and tol == 0.0:
-                self._flags[key] = False  # exact claims need exact arithmetic
-        return self._flags[key]
+    def is_lie_hom(self):
+        """L[X,Y] = [LX, LY] on all basis pairs, exactly; never claimed for a
+        float morphism."""
+        return check_h_homomorphism(self).is_lie_hom
 
-    def is_h_homomorphism(self, tol=0.0):
-        return self.is_layer_preserving(tol) and self.is_lie_hom(tol)
+    def is_h_homomorphism(self):
+        return check_h_homomorphism(self).is_h_homomorphism
 
     def is_surjective(self):
         if self.scalar_mode == "exact":
@@ -189,24 +152,26 @@ class HomReport:
         return self.is_lie_hom and self.is_layer_preserving
 
 
-def check_h_homomorphism(L, tol=0.0):
-    """Diagnostic report: bracket compatibility on basis pairs and block
-    structure of the matrix.  h-homomorphism iff both hold."""
-    violations = []
-    lp = L.is_layer_preserving(tol)
-    if not lp:
-        for j in range(L.domain.dim):
-            for k in range(L.codomain.dim):
-                v = L.matrix[k][j] if L.scalar_mode == "exact" else L.matrix[k, j]
-                if ((v != 0) if tol == 0.0 else abs(float(v)) > tol) and \
-                        L.codomain.layer_of[k] != L.domain.layer_of[j]:
-                    violations.append(("layer", j, k))
-    lie = L.is_lie_hom(tol)
-    if not lie and L.scalar_mode == "exact":
+def check_h_homomorphism(L):
+    """Diagnostic report, computed once per morphism: block structure of the
+    matrix (exact zeros off the layer diagonal) and bracket compatibility on
+    basis pairs (exact arithmetic only: a float morphism is never reported a
+    Lie homomorphism).  h-homomorphism iff both hold."""
+    if L._report is None:
         dom, cod = L.domain, L.codomain
-        for i in range(dom.dim):
-            for j in range(i + 1, dom.dim):
-                br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
-                if L.apply_coords(br) != cod.bracket_coords(L.column(i), L.column(j)):
-                    violations.append(("bracket", i, j))
-    return HomReport(is_lie_hom=lie, is_layer_preserving=lp, violations=violations)
+        exact = L.scalar_mode == "exact"
+        violations = [("layer", j, k) for j in range(dom.dim) for k in range(cod.dim)
+                      if cod.layer_of[k] != dom.layer_of[j]
+                      and (L.matrix[k][j] if exact else L.matrix[k, j]) != 0]
+        layer_ok, lie_ok = not violations, exact
+        if exact:
+            cols = [L.column(j) for j in range(dom.dim)]
+            for i in range(dom.dim):
+                for j in range(i + 1, dom.dim):
+                    br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
+                    if L.apply_coords(br) != cod.bracket_coords(cols[i], cols[j]):
+                        violations.append(("bracket", i, j))
+                        lie_ok = False
+        L._report = HomReport(is_lie_hom=lie_ok, is_layer_preserving=layer_ok,
+                              violations=violations)
+    return L._report

@@ -262,16 +262,15 @@ def lift_differential(domain, codomain, dfirst_matrix):
 class DifferentialReport:
     morphism: object
     defect_by_scale: dict
-    hom_tolerance: float
     converged: bool
 
 
-def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
-                       seed=0, hom_tol=1e-6):
+def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), seed=0):
     """Numerical Pansu differential at x: first-layer columns by Richardson-
     extrapolated central quotients (or the analytic first-layer differential
     when attached), lifted to all layers; reports the sup of
-    rho(f(x)^{-1} f(xh), L(h)) / d(h) per scale on sampled unit directions."""
+    rho(f(x)^{-1} f(xh), L(h)) / d(h) per scale on 24 sampled unit
+    directions."""
     dom, cod = pdmap.domain, pdmap.codomain
     x = np.asarray(x, dtype=float)
     di1 = dom.layer_indices(1)
@@ -296,7 +295,7 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
     defects = {}
     for h in h_grid:
         worst = 0.0
-        for _ in range(directions):
+        for _ in range(24):
             u = rng.standard_normal(dom.dim)
             u /= max(float(dmetric.quasi_norm_np(u)), 1e-12)
             hv = opsd.dilate(u, h)
@@ -316,13 +315,14 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), directions=24,
     floor = 3e-5 * max(1.0, float(np.max(np.abs(np.asarray(L.matrix)))))
     decays = defects[scales[0]] <= max(0.5 * defects[scales[-1]], 1e-7)
     converged = decays or min(defects.values()) <= floor
-    return DifferentialReport(L, defects, hom_tol, converged)
+    return DifferentialReport(L, defects, converged)
 
 
-def contact_check(pdmap, sample_points, h=1e-5):
+def contact_check(pdmap, sample_points):
     """Residual of the first-order contact system
     X_i F_j = sum_n ((-1)^n / n!) pi_j([F, X_i F]_{n-1}) for all horizontal
-    directions i and layers j >= 2, by central differences."""
+    directions i and layers j >= 2, by central differences of step 1e-5."""
+    h = 1e-5
     dom, cod = pdmap.domain, pdmap.codomain
     copc = cod.float_ops()
     worst = 0.0
@@ -413,8 +413,9 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
 # Newton machinery
 # ---------------------------------------------------------------------------
 
-def _newton(residual, t0, tol=1e-10, budget=100, fd_scale=1e-6):
-    """Damped Newton with finite-difference Jacobian and Armijo backtracking."""
+def _newton(residual, t0, tol=1e-10, budget=100):
+    """Damped Newton with central finite-difference Jacobian (step 1e-6,
+    relative once |t| > 1) and Armijo backtracking."""
     t = np.asarray(t0, dtype=float).copy()
     r = residual(t)
     best, best_t = float(np.linalg.norm(r)), t.copy()
@@ -424,7 +425,7 @@ def _newton(residual, t0, tol=1e-10, budget=100, fd_scale=1e-6):
             return t, nrm, True
         n_out, n_in = len(r), len(t)
         jac = np.zeros((n_out, n_in))
-        h = fd_scale * max(1.0, float(np.linalg.norm(t)))
+        h = 1e-6 * max(1.0, float(np.linalg.norm(t)))
         for c in range(n_in):
             dt = np.zeros(n_in)
             dt[c] = h
@@ -449,12 +450,11 @@ def _newton(residual, t0, tol=1e-10, budget=100, fd_scale=1e-6):
     return best_t, best, best <= tol
 
 
-def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
-                           coef_bound=10.0):
+def product_set_membership(g, basis_a, basis_b, restarts=16, seed=0):
     """Numerical membership of g in exp(span A) exp(span B): one damped
-    Newton solve on the coefficient vector of (a, b) per random restart.  A
-    solve counts only when its coefficients lie in the ball
-    |t| <= coef_bound.  Returns (found, best_residual, coeffs).
+    Newton solve (residual <= 1e-9) on the coefficient vector of (a, b) per
+    random restart.  A solve counts only when its coefficients lie in the
+    ball |t| <= 10.  Returns (found, best_residual, coeffs).
 
     A failure is a semi-decision, not a nonexistence proof; the bound matters
     because these product sets need not be closed (the defining equations can
@@ -472,8 +472,8 @@ def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
     best, best_t = math.inf, None
     for r in range(restarts):
         t0 = rng.standard_normal(na + len(B)) * (0.5 + r % 3)
-        t, nrm, ok = _newton(resid, t0, tol=tol, budget=80)
-        if float(np.linalg.norm(t)) > coef_bound:
+        t, nrm, ok = _newton(resid, t0, tol=1e-9, budget=80)
+        if float(np.linalg.norm(t)) > 10.0:
             continue
         if ok:
             return True, nrm, (t[:na], t[na:])
@@ -482,7 +482,7 @@ def product_set_membership(g, basis_a, basis_b, tol=1e-9, restarts=16, seed=0,
     return False, best, (None, None) if best_t is None else (best_t[:na], best_t[na:])
 
 
-def local_inverse(pdmap, xbar, y, tol=1e-10, budget=100):
+def local_inverse(pdmap, xbar, y):
     """Solve f(x) = y near xbar by damped Newton on coordinates; requires an
     invertible differential (checked numerically at xbar)."""
     if pdmap.domain.dim != pdmap.codomain.dim:
@@ -491,8 +491,7 @@ def local_inverse(pdmap, xbar, y, tol=1e-10, budget=100):
     if abs(np.linalg.det(np.asarray(rep.morphism.matrix))) < 1e-10:
         raise ValueError("differential not invertible at the base point")
     y = np.asarray(y, dtype=float)
-    t, resid, ok = _newton(lambda z: pdmap(z) - y, np.asarray(xbar, dtype=float),
-                           tol=tol, budget=budget)
+    t, resid, ok = _newton(lambda z: pdmap(z) - y, np.asarray(xbar, dtype=float))
     if not ok:
         raise RuntimeError("no convergence within budget (residual %.3g)" % resid)
     return t, resid
@@ -540,10 +539,10 @@ class ImplicitSolution:
         nh = group_product_np(dom, self.nodes, self.phis)
         return group_product_np(dom, self.xbar[None, :], nh)
 
-    def holder_constants(self, max_pairs=200000):
+    def holder_constants(self):
         """kappa with d(phi(n), phi(n')) <= kappa d(phi(n')^-1 n^-1 n' phi(n'))
-        over grid pairs, plus the 1/step-Holder constant against the
-        Euclidean kernel displacement."""
+        over grid pairs (a seeded subset of 200000 on larger grids), plus the
+        1/step-Holder constant against the Euclidean kernel displacement."""
         dom = self.pdmap.domain
         metric = default_metric(dom)
         count = len(self.nodes)
@@ -551,8 +550,8 @@ class ImplicitSolution:
         ii, jj = np.meshgrid(idx, idx, indexing="ij")
         mask = ii < jj
         ii, jj = ii[mask], jj[mask]
-        if len(ii) > max_pairs:
-            sel = np.random.default_rng(0).choice(len(ii), max_pairs, replace=False)
+        if len(ii) > 200000:
+            sel = np.random.default_rng(0).choice(len(ii), 200000, replace=False)
             ii, jj = ii[sel], jj[sel]
         n, np_, ph, ph_ = (self.nodes[ii], self.nodes[jj],
                            self.phis[ii], self.phis[jj])
@@ -596,7 +595,7 @@ def _graph_newton(pdmap, xbar, node, hbasis, level, t0, tol, budget):
     return _newton(resid, t0, tol=tol, budget=budget)
 
 
-def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0):
+def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
     """Solve the level set of f through xbar as an intrinsic graph over the
     kernel of the differential.
 
@@ -670,9 +669,10 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100, seed=0
                        % (last_error, shrink_attempts))
 
 
-def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
-    """Multi-restart agreement of the implicit solve at random nodes: the
-    empirical surrogate for uniqueness of the graph map."""
+def uniqueness_check(solution, restarts=5, subset=40, seed=0):
+    """Multi-restart agreement of the implicit solve at random nodes, each
+    restart from a normal draw of scale 0.3: the empirical surrogate for
+    uniqueness of the graph map."""
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -681,7 +681,7 @@ def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
     for i in pick:
         sols = []
         for r in range(restarts):
-            t0 = rng.standard_normal(len(hbasis)) * scale
+            t0 = rng.standard_normal(len(hbasis)) * 0.3
             hc, rr, ok = _graph_newton(solution.pdmap, solution.xbar, solution.nodes[i],
                                        hbasis, solution.level, t0, 1e-11, 200)
             if ok:
@@ -691,7 +691,7 @@ def uniqueness_check(solution, restarts=5, subset=40, scale=0.3, seed=0):
     return worst
 
 
-def translated_graph_check(solution, g, subset=25, tol=1e-7, seed=0):
+def translated_graph_check(solution, g, subset=25, seed=0):
     """Left-translating the graph yields a graph over the same kernel
     subgroup: decompose the translated points along (N, H) and re-solve the
     translated level problem at the new nodes."""
@@ -760,8 +760,7 @@ class RankParametrization:
     lip_ratio: float
 
 
-def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
-                         tol=1e-10, seed=0):
+def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6, seed=0):
     """Represent the image of f near xbar as an intrinsic graph over the
     image subgroup of the differential: psi inverts p o f, and
     phi(h) = (p-complement part of f(psi(h)))."""
@@ -792,7 +791,7 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6,
         def resid(z):
             return pmat @ pdmap(z) - target
 
-        z, r, ok = _newton(resid, t_seed, tol=tol, budget=200)
+        z, r, ok = _newton(resid, t_seed, budget=200)
         if not ok:
             raise RuntimeError("rank solve failed (residual %.3g)" % r)
         t_seed = z
@@ -840,18 +839,17 @@ class LevelSetSampler:
     solver, exposing both dilated point clouds and graph heights over kernel
     nodes."""
 
-    def __init__(self, pdmap, xbar, solution, tol=1e-10):
+    def __init__(self, pdmap, xbar, solution):
         self.pdmap = pdmap
         self.xbar = np.asarray(xbar, dtype=float)
         self.solution = solution
-        self.tol = tol
         self._hbasis = np.array([[float(c) for c in v]
                                  for v in solution.witness.basis()])
 
     def _solve(self, node, seed_coef=None):
         t0 = np.zeros(len(self._hbasis)) if seed_coef is None else seed_coef
         hc, r, ok = _graph_newton(self.pdmap, self.xbar, node, self._hbasis,
-                                  self.solution.level, t0, self.tol, 200)
+                                  self.solution.level, t0, 1e-10, 200)
         if not ok:
             raise RuntimeError("sampler solve failed")
         return hc
@@ -890,12 +888,24 @@ class LevelSetSampler:
         return float(metric.quasi_norm_np(ops.dilate(phi, 1.0 / lam)))
 
 
+def _is_vertical(sub):
+    """A subalgebra of a step <= 2 algebra that contains the whole second
+    layer."""
+    alg = sub.algebra
+    rows = [list(v) for v in sub.basis()]
+    return alg.step <= 2 and all(linalg.in_span(rows, list(alg.basis_coords(k)))
+                                 for k in alg.layer_indices(2))
+
+
 def distance_to_vertical_subgroup(metric, sub, points):
     """Exact homogeneous distance from points to a vertical subgroup of a
     step-2 group (one containing the whole second layer): minimize over the
-    free vertical part and the first-layer span."""
+    free vertical part and the first-layer span.  Raises ValueError on any
+    other subgroup."""
     alg = metric.algebra
-    assert alg.step <= 2
+    if not _is_vertical(sub):
+        raise ValueError("distance_to_vertical_subgroup needs step <= 2 and a "
+                         "subgroup containing the whole second layer")
     idx1 = alg.layer_indices(1)
     rows = [[v[k] for k in idx1] for v in sub.layer_basis(1)]
     pts = np.asarray(points, dtype=float)
@@ -911,27 +921,28 @@ def distance_to_vertical_subgroup(metric, sub, points):
     return metric.quasi_norm_np(rep)
 
 
-def _directed_hausdorff(metric, A, B, chunk=256):
-    """sup over a in A of the distance from a to the cloud B, chunked brute
-    force (k-d trees only support Minkowski metrics)."""
+def _directed_hausdorff(metric, A, B):
+    """sup over a in A of the distance from a to the cloud B, brute force in
+    chunks of 256 (k-d trees only support Minkowski metrics)."""
     worst = 0.0
-    for s in range(0, len(A), chunk):
-        blk = A[s:s + chunk]
+    for s in range(0, len(A), 256):
+        blk = A[s:s + 256]
         d = metric.distance_np(blk[:, None, :], B[None, :, :])
         worst = max(worst, float(np.max(np.min(d, axis=1))))
     return worst
 
 
-def hausdorff_distance(metric, cloud_a, cloud_b, chunk=256):
+def hausdorff_distance(metric, cloud_a, cloud_b):
     """Symmetric Hausdorff distance between point clouds in the homogeneous
     metric."""
-    return max(_directed_hausdorff(metric, cloud_a, cloud_b, chunk),
-               _directed_hausdorff(metric, cloud_b, cloud_a, chunk))
+    return max(_directed_hausdorff(metric, cloud_a, cloud_b),
+               _directed_hausdorff(metric, cloud_b, cloud_a))
 
 
-def cone_samples(algebra, cone, R, count, rng, metric=None):
-    """Random points of the subgroup exp(cone) with gauge <= R."""
-    metric = metric or default_metric(algebra)
+def cone_samples(algebra, cone, R, count, rng):
+    """Random points of the subgroup exp(cone) with gauge <= R in the default
+    metric."""
+    metric = default_metric(algebra)
     basis = np.array([[float(c) for c in v] for v in cone.basis()])
     layers = cone.basis_layers()
     out = []
@@ -944,33 +955,29 @@ def cone_samples(algebra, cone, R, count, rng, metric=None):
     return np.array(out)
 
 
-def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200,
-                         seed=0, metric=None):
+def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0):
     """Blow-up report: per scale, the two one-sided deviations between the
-    dilated set and the candidate cone inside D_R.
+    dilated set of a LevelSetSampler and the candidate cone inside D_R, in
+    the default metric.
 
-    set -> cone uses the exact vertical projection when available (else a
-    dense cone sample); cone -> set uses the intrinsic graph height when the
-    sampler provides it (else nearest neighbours against the cloud)."""
-    alg = sampler.pdmap.domain if hasattr(sampler, "pdmap") else cone.algebra
-    metric = metric or default_metric(alg)
+    set -> cone uses the exact vertical projection when the cone is vertical
+    (else nearest neighbours in a dense cone sample); cone -> set uses the
+    intrinsic graph height over sampled cone nodes.  The base point is the
+    sampler's; xbar is not read."""
+    alg = sampler.pdmap.domain
+    metric = default_metric(alg)
     rng = np.random.default_rng(seed)
-    v2 = [list(alg.basis_coords(k)) for k in alg.layer_indices(2)]
-    rows = [list(v) for v in cone.basis()]
-    vertical = alg.step <= 2 and all(linalg.in_span(rows, v) for v in v2)
+    vertical = _is_vertical(cone)
     set_to_cone, cone_to_set, dists = [], [], []
     for lam in scales:
         cloud = sampler.dilated_points(lam, count, rng, R)
         if vertical:
             d_a = float(np.max(distance_to_vertical_subgroup(metric, cone, cloud)))
         else:
-            cs = cone_samples(alg, cone, R, 4 * count, rng, metric)
+            cs = cone_samples(alg, cone, R, 4 * count, rng)
             d_a = _directed_hausdorff(metric, cloud, cs)
-        nodes = cone_samples(alg, cone, 0.95 * R, count, rng, metric)
-        if hasattr(sampler, "graph_height"):
-            d_b = max(sampler.graph_height(lam, u) for u in nodes)
-        else:
-            d_b = _directed_hausdorff(metric, nodes, cloud)
+        nodes = cone_samples(alg, cone, 0.95 * R, count, rng)
+        d_b = max(sampler.graph_height(lam, u) for u in nodes)
         set_to_cone.append(d_a)
         cone_to_set.append(d_b)
         dists.append(max(d_a, d_b))

@@ -47,7 +47,7 @@ class HomogeneousSubalgebra:
     """A dilation-invariant subalgebra, stored as per-layer reduced echelon
     bases (so equality is matrix comparison)."""
 
-    def __init__(self, algebra, layered_bases, check=True):
+    def __init__(self, algebra, layered_bases):
         self.algebra = algebra
         canon = {}
         for layer, vecs in layered_bases.items():
@@ -62,10 +62,9 @@ class HomogeneousSubalgebra:
             if basis:
                 canon[layer] = [tuple(v) for v in basis]
         self.layered_bases = canon
-        if check:
-            w = self._bracket_escape()
-            if w is not None:
-                raise NotSubalgebra("bracket leaves the span", witness=w)
+        w = self._bracket_escape()
+        if w is not None:
+            raise NotSubalgebra("bracket leaves the span", witness=w)
 
     def _bracket_escape(self):
         basis = self.basis()
@@ -186,12 +185,13 @@ def is_complementary(a, b):
     return True
 
 
-def random_homogeneous_subalgebra(algebra, rng, n_generators=1, coeff_bound=3):
-    """Homogeneous closure of random rational vectors: take the span, close
-    under layer projections and brackets.  Used by the property-test drivers."""
+def random_homogeneous_subalgebra(algebra, rng, n_generators=1):
+    """Homogeneous closure of random rational vectors (entries a/b with
+    |a| <= 3, b in {1, 2}): take the span, close under layer projections and
+    brackets.  Used by the property-test drivers."""
     rows = []
     for _ in range(n_generators):
-        rows.append([Q(int(rng.integers(-coeff_bound, coeff_bound + 1)),
+        rows.append([Q(int(rng.integers(-3, 4)),
                        int(rng.integers(1, 3))) for _ in range(algebra.dim)])
     rows = [r for r in rows if any(c != 0 for c in r)]
     if not rows:
@@ -379,11 +379,11 @@ def _solve_affine_system(eqs, nvars):
     return ("witness", sol)
 
 
-def _groebner_says_empty(eqs, nvars, max_vars=10):
+def _groebner_says_empty(eqs, nvars):
     """Certificate of infeasibility over C (hence over R): 1 in the ideal.
     Sound but incomplete for real feasibility; used only to certify
-    nonexistence, never existence."""
-    if nvars == 0 or nvars > max_vars:
+    nonexistence, never existence, and only on 1 to 10 unknowns."""
+    if nvars == 0 or nvars > 10:
         return False
     try:
         import sympy
@@ -996,8 +996,9 @@ def find_complement(sub, budget=4000, seed=0):
     return EpiClassification("undecided", BudgetExhausted(budget), sub)
 
 
-def random_complementary_pairs(algebra, rng, count, budget=4000):
-    """Search-generated complementary pairs for property tests.
+def random_complementary_pairs(algebra, rng, count):
+    """Search-generated complementary pairs for property tests, from at most
+    4000 trials.
 
     Mixes (a) vertical kernels with their constructive horizontal
     complements (Heisenberg-type groups), and (b) fully random homogeneous
@@ -1009,7 +1010,7 @@ def random_complementary_pairs(algebra, rng, count, budget=4000):
     idx1 = algebra.layer_indices(1)
     m = len(idx1)
     trials = 0
-    while len(out) < count and trials < budget:
+    while len(out) < count and trials < 4000:
         trials += 1
         mode = trials % 3
         if mode != 2 and (hn or is_h12):

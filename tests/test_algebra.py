@@ -313,10 +313,6 @@ INPUT_CHECKS = {
         "from carnot.algebra import AlgebraVector, iterated_bracket\n"
         "x = AlgebraVector(catalog.get('h1'), [1, 0, 0])\n"
         "iterated_bracket(x, x, -1)", "k >= 0"),
-    "bracket-norm-spec": (
-        "from carnot import catalog\n"
-        "from carnot.algebra import bracket_norm_constant\n"
-        "bracket_norm_constant(catalog.get('h1'), 'max')", "Euclidean"),
     "free-series-add": (
         "from carnot.bch import FreeSeries\n"
         "FreeSeries.letter(0, 2).add(FreeSeries.letter(0, 3))", "degree mismatch"),
@@ -394,6 +390,20 @@ INPUT_CHECKS = {
         "from carnot.morphism import GradedMorphism\n"
         "L = GradedMorphism(catalog.get('h1'), catalog.abelian(2), [[1, 0, 0], [0, 1, 0]])\n"
         "pdiff.local_inverse(pdiff.hom_map(L), [0.0] * 3, [0.0] * 2)", "dimensions"),
+    "vertical-subgroup-step": (
+        "from carnot import catalog, pdiff, subgroups\n"
+        "from carnot.metric import default_metric\n"
+        "g = catalog.get('free_2_3')\n"
+        "sub = subgroups.layered_decomposition(g, [g.basis_coords(2)])\n"
+        "pdiff.distance_to_vertical_subgroup(default_metric(g), sub,"
+        " [[0.0, 0.0, 0.0, 1.0, 0.0]])", "whole second layer"),
+    "vertical-subgroup-horizontal": (
+        "from carnot import catalog, pdiff, subgroups\n"
+        "from carnot.metric import default_metric\n"
+        "g = catalog.get('h2')\n"
+        "sub = subgroups.layered_decomposition(g, [g.basis_coords(0)])\n"
+        "pdiff.distance_to_vertical_subgroup(default_metric(g), sub,"
+        " [[0.0, 0.0, 0.0, 0.0, 1.0]])", "whole second layer"),
     "split-element-float": (
         "from carnot import catalog, subgroups\n"
         "from carnot.algebra import element\n"

@@ -17,3 +17,29 @@ def test_no_private_cross_module_imports():
                 found.extend("%s:%d %s" % (path.name, node.lineno, a.name)
                              for a in node.names if a.name.startswith("_"))
     assert not found, found
+
+
+# parameters kept unread on purpose, with the reason
+UNREAD_ALLOWED = {
+    # passed positionally by the benchmark workloads; the sampler carries
+    # the base point
+    ("pdiff.py", "tangent_cone_samples", "xbar"),
+}
+
+
+def test_every_parameter_is_read():
+    # a parameter that the body never reads is an option that does nothing
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            found.extend((path.name, node.name, p) for p in params
+                         if p not in read and p not in ("self", "cls")
+                         and (path.name, node.name, p) not in UNREAD_ALLOWED)
+    assert not found, found

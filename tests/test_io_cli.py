@@ -353,3 +353,43 @@ def test_library_input_checks_raise_value_error(tmp_path, h1):
             _write(tmp_path, "s.json", {"vectors": [["1", "0", "0"], ["1"]]}), 3)
     with pytest.raises(ValueError, match="control csv"):
         control_from_csv(h1, _write(tmp_path, "c.csv", "t\n0\n1\n"))
+
+
+def test_cli_group_emit_keeps_metric_block(tmp_path, capsys):
+    # emit, then load: the metric block survives with its kind and weights
+    from carnot.cli import _metric_for
+    group = cio.group_to_dict(catalog.get("h1"))
+    group["metric"] = {"kind": "weighted_max", "weights": [1, 2]}
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(group))
+    capsys.readouterr()
+    assert main(["group", "emit", str(src)]) == 0
+    out = tmp_path / "emitted.json"
+    out.write_text(capsys.readouterr().out)
+    metric = _metric_for(cio.load_group(str(out)))
+    assert metric.kind == "weighted_max" and metric.weights == (1.0, 2.0)
+
+
+def test_cli_experiment_mvi(tmp_path, capsys):
+    cfg = {"map": "radial_level", "center": [0, 1, 0, 0, 0], "r1": 0.2,
+           "r2": 1.0, "pairs": 60, "bins": 3}
+    p = tmp_path / "mvi.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["--output-dir", str(tmp_path), "experiment", "mvi", str(p)]) == 0
+    summary = json.loads((tmp_path / "mvi_summary.json").read_text())
+    assert set(summary) == {"experiment", "seed", "decreasing", "ratio_sups",
+                            "defect_sups"}
+    assert summary["decreasing"] and len(summary["ratio_sups"]) == 3
+    lines = (tmp_path / "mvi_bins.csv").read_text().splitlines()
+    assert lines[0] == "edge,ratio_sup,defect_sup" and len(lines) == 4
+
+
+def test_cli_experiment_rank(tmp_path, capsys):
+    cfg = {"map": "legendrian_line", "base_point": [0.0], "radius": 0.25, "count": 5}
+    p = tmp_path / "rank.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["--output-dir", str(tmp_path), "experiment", "rank", str(p)]) == 0
+    summary = json.loads((tmp_path / "rank_summary.json").read_text())
+    assert set(summary) == {"experiment", "seed", "lip_ratio", "graph_sup"}
+    # the Legendrian line is its own graph: nothing leaves the image subgroup
+    assert summary["lip_ratio"] == 0.0 and summary["graph_sup"] == 0.0

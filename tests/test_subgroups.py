@@ -119,6 +119,17 @@ def test_check_h_homomorphism(h1):
     assert rep.is_h_homomorphism and proj.is_surjective()
     swap = GradedMorphism(h1, h1, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert not check_h_homomorphism(swap).is_layer_preserving
+    assert check_h_homomorphism(swap).violations == [
+        ("layer", 0, 2), ("layer", 2, 0), ("bracket", 0, 1), ("bracket", 1, 2)]
+    # one cached report per morphism, read by the three flags
+    assert check_h_homomorphism(proj) is rep and proj.is_h_homomorphism()
+    # a float morphism keeps its layer verdict, lists no bracket violations,
+    # and is never reported a Lie homomorphism
+    fproj = proj.to_float()
+    assert fproj.is_layer_preserving() and not fproj.is_lie_hom()
+    assert not fproj.is_h_homomorphism()
+    assert check_h_homomorphism(swap.to_float()).violations == [
+        ("layer", 0, 2), ("layer", 2, 0)]
 
 
 def test_classify_epi_heisenberg_to_r2(h1):
@@ -375,9 +386,9 @@ def test_classification_cross_validation(rng):
                 assert is_complementary(sub, out.witness)
             elif out.verdict == "surjective_not_epi":
                 _, dpi = q_(g, sub)
-                eqs, unknowns, _ = _right_inverse_system(dpi, sub)
-                if 0 < len(unknowns) <= 10:
-                    assert _groebner_says_empty(eqs, len(unknowns))
+                eqs, _, nvars = _right_inverse_system(dpi, sub)
+                if 0 < nvars <= 10:
+                    assert _groebner_says_empty(eqs, nvars)
                 probe = np.random.default_rng(seed + 77)
                 for _ in range(120):
                     cand = random_homogeneous_subalgebra(
