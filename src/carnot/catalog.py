@@ -23,7 +23,6 @@ def heisenberg(n):
     """h^n: basis (x1, y1, ..., xn, yn, z), step 2, [x_i, y_i] = z."""
     if n < 1:
         raise ValueError("heisenberg group h^n needs n >= 1, got %d" % n)
-    dim = 2 * n + 1
     layers = [1] * (2 * n) + [2]
     names = []
     for i in range(1, n + 1):

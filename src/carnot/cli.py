@@ -6,8 +6,9 @@ subgroups (classify-epi / classify-mono / complement / quotient),
 experiment (lift / pansu / mvi / implicit / rank / blowup / verify-estimates).
 
 Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 semi-decision budget exhausted.  All sampled commands are deterministic
-under --seed; exact-mode commands are deterministic unconditionally.
+4 undecided: no exact tier applies.  All sampled commands are deterministic
+under --seed; exact-mode commands, the subgroups classifiers among them, are
+deterministic unconditionally.
 """
 
 import argparse
@@ -160,10 +161,10 @@ def cmd_subgroups(args):
         except ValueError as e:
             raise _BadInput("invalid morphism file %s" % args.file, e) from None
         if args.action == "classify-epi":
-            out = sg.classify_epimorphism(L, seed=args.seed)
+            out = sg.classify_epimorphism(L)
             print(json.dumps(out.to_json_dict(), indent=2))
             return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
-        out = sg.classify_monomorphism(L, seed=args.seed)
+        out = sg.classify_monomorphism(L)
         print(json.dumps(out.to_json_dict(), indent=2))
         return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
     g = _load_group(args.group)
@@ -178,7 +179,7 @@ def cmd_subgroups(args):
                           "witness": [str(c) for c in (e.witness or [])]}, indent=2))
         return EXIT_VALIDATION
     if args.action == "complement":
-        out = sg.find_complement(sub, seed=args.seed)
+        out = sg.find_complement(sub)
         print(json.dumps(out.to_json_dict(), indent=2))
         return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
     if args.action == "quotient":
@@ -304,7 +305,7 @@ def cmd_experiment(args):
                 rp = pdiff.rank_parametrization(
                     f, np.asarray(cfg["base_point"], dtype=float),
                     grid_radius=float(cfg.get("radius", 0.25)),
-                    grid_count=int(cfg.get("count", 5)), seed=seed)
+                    grid_count=int(cfg.get("count", 5)))
             except RuntimeError as e:
                 print(json.dumps({"error": str(e)}))
                 return EXIT_SOLVER

@@ -155,13 +155,3 @@ def in_span(basis_rows, v):
             w = _reduce(w, prow, c)
     return not any(w)
 
-
-def complement_basis(basis_rows, dim):
-    """Coordinate vectors extending basis_rows to a basis of Q^dim.
-
-    Picks standard basis vectors on the non-pivot columns of the RREF, which
-    keeps the choice canonical.
-    """
-    pivots = rref(basis_rows)[1]
-    return [[ONE if k == c else ZERO for k in range(dim)]
-            for c in range(dim) if c not in pivots]

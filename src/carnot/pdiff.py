@@ -760,7 +760,7 @@ class RankParametrization:
     lip_ratio: float
 
 
-def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6, seed=0):
+def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
     """Represent the image of f near xbar as an intrinsic graph over the
     image subgroup of the differential: psi inverts p o f, and
     phi(h) = (p-complement part of f(psi(h)))."""
@@ -776,7 +776,6 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6, seed=0):
     fxbar = pdmap(xbar)
     h0 = np.linalg.lstsq(hbasis.T, pmat @ fxbar, rcond=None)[0]
 
-    rng = np.random.default_rng(seed)
     hlayers = H.basis_layers()
     offsets = [np.linspace(-grid_radius ** l, grid_radius ** l, grid_count)
                for l in hlayers]

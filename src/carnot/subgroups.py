@@ -4,14 +4,15 @@ classification, and the constructive complement algorithms for Heisenberg
 type groups.
 
 Everything here is exact rational arithmetic, and every bracket is the
-algebra's ``bracket_coords``.  Classification verdicts come in tiers: closed
-forms and affine systems are decided exactly (with nonexistence
-certificates); genuinely quadratic systems fall back to witness search plus
-a Groebner-basis infeasibility certificate, and an honest `undecided`
-verdict with a budget marker when neither side lands.  The right-inverse
-system of an h-epimorphism is written with ``algebra.Polynomial``: the
-columns of the unknown right inverse are vectors of polynomials, bracketed
-by ``bracket_coords``.
+algebra's ``bracket_coords``.  Classification verdicts come in exact,
+deterministic tiers: closed forms and affine systems (with nonexistence
+certificates), the zero correction of a quadratic system, complements
+spanned by basis vectors, and a Groebner-basis infeasibility certificate.
+When no tier decides, the verdict is `undecided`, and its marker names the
+tiers that ran.  No tier searches at random.  The right-inverse system of
+an h-epimorphism is written with ``algebra.Polynomial``: the columns of the
+unknown right inverse are vectors of polynomials, bracketed by
+``bracket_coords``.
 """
 
 import itertools
@@ -274,8 +275,10 @@ def section_through(dpi, witness):
     cols = [list(v) for v in witness.basis()]
     img = [dpi.apply_coords(tuple(v)) for v in cols]
     m = [[img[j][r] for j in range(len(img))] for r in range(dpi.codomain.dim)]
-    minv = linalg.inverse(m)
-    assert minv is not None, "witness does not map isomorphically onto the quotient"
+    minv = linalg.inverse(m) if len(cols) == dpi.codomain.dim else None
+    if minv is None:
+        raise ValueError("witness %r does not map isomorphically onto the quotient %s"
+                         % (witness, dpi.codomain.name))
     big = [[cols[j][r] for j in range(len(cols))] for r in range(dpi.domain.dim)]
     return GradedMorphism(dpi.codomain, dpi.domain, linalg.matmul(big, minv))
 
@@ -319,9 +322,9 @@ def split_element(g, first, second):
         cols = first.layer_basis(layer) + second.layer_basis(layer)
         np_cols = len(first.layer_basis(layer))
         m = [[col[k] for col in cols] for k in idx]
-        rhs = [g.coords[k] - corr[k] for k in idx]
-        sol = linalg.solve(m, rhs)
-        assert sol is not None, "pair is not complementary at layer %d" % layer
+        if len(cols) != len(idx) or linalg.rank(m) != len(idx):
+            raise ValueError("pair is not complementary at layer %d" % layer)
+        sol = linalg.solve(m, [g.coords[k] - corr[k] for k in idx])
         for t, (c, col) in enumerate(zip(sol, cols)):
             target = p if t < np_cols else h
             for k in range(alg.dim):
@@ -342,8 +345,10 @@ class NonexistenceCertificate:
 
 @dataclass
 class BudgetExhausted:
+    """Marker of an `undecided` verdict: no exact tier applied.  `trials` is
+    always 0 (no tier searches at random); `note` names the tiers that ran."""
     trials: int
-    note: str = "semi-decision budget exhausted"
+    note: str
 
 
 def _system_degree(eqs):
@@ -379,11 +384,14 @@ def _solve_affine_system(eqs, nvars):
     return ("witness", sol)
 
 
+GROEBNER_MAX_VARS = 10
+
+
 def _groebner_says_empty(eqs, nvars):
     """Certificate of infeasibility over C (hence over R): 1 in the ideal.
     Sound but incomplete for real feasibility; used only to certify
-    nonexistence, never existence, and only on 1 to 10 unknowns."""
-    if nvars == 0 or nvars > 10:
+    nonexistence, never existence, and only on 1 to GROEBNER_MAX_VARS unknowns."""
+    if nvars == 0 or nvars > GROEBNER_MAX_VARS:
         return False
     try:
         import sympy
@@ -661,14 +669,14 @@ def _lambda_candidates():
 
 def _witness_json(verdict, witness):
     """The JSON form shared by both classifications: the witness basis as
-    rational strings, or the certificate (nonexistence or budget marker)."""
+    rational strings, or the certificate (nonexistence or undecided marker)."""
     out = {"verdict": verdict, "witness_basis": None, "certificate": None}
     if isinstance(witness, HomogeneousSubalgebra):
         out["witness_basis"] = [[str(c) for c in v] for v in witness.basis()]
     elif isinstance(witness, NonexistenceCertificate):
         out["certificate"] = {"reason": witness.reason, "detail": witness.detail}
     elif isinstance(witness, BudgetExhausted):
-        out["certificate"] = {"reason": "budget_exhausted", "detail": witness.note}
+        out["certificate"] = {"reason": "no_exact_tier", "detail": witness.note}
     return out
 
 
@@ -697,11 +705,11 @@ def _abelian_image(M):
     return all(M.layer_of[k] == 1 for k in range(M.dim))
 
 
-def classify_epimorphism(L, budget=10000, seed=0):
+def classify_epimorphism(L):
     """Decide whether a surjective h-homomorphism admits an h-homomorphism
     right inverse, equivalently whether its kernel has a complementary
     homogeneous subgroup.  Returns the witness subalgebra, a nonexistence
-    certificate, or an explicit budget marker."""
+    certificate, or an undecided marker naming the exact tiers that ran."""
     rep = check_h_homomorphism(L)
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
@@ -732,23 +740,23 @@ def classify_epimorphism(L, budget=10000, seed=0):
     if not any(p(zero_vals) for p in eqs):
         return EpiClassification("h_epimorphism", witness(zero_vals), kernel)
     G, M = L.domain, L.codomain
+    tiers = ["zero correction"]
     if _abelian_image(M):
+        tiers.append("abelian closed forms")
         closed = _abelian_kernel_complement(G, kernel, M.dim)
         if closed is not None:
             if isinstance(closed, HomogeneousSubalgebra):
                 return EpiClassification("h_epimorphism", closed, kernel)
             return EpiClassification("surjective_not_epi", closed, kernel)
-    rng = np.random.default_rng(seed)
-    for trial in range(budget):
-        vals = [Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(nvars)]
-        if not any(p(vals) for p in eqs):
-            return EpiClassification("h_epimorphism", witness(vals), kernel)
     if _groebner_says_empty(eqs, nvars):
         cert = NonexistenceCertificate(
             "groebner_unit_ideal",
             "the right-inverse equations generate the unit ideal over Q")
         return EpiClassification("surjective_not_epi", cert, kernel)
-    return EpiClassification("undecided", BudgetExhausted(budget), kernel)
+    if nvars <= GROEBNER_MAX_VARS:
+        tiers.append("Groebner unit-ideal test")
+    note = "%d-unknown quadratic system; ran: %s" % (nvars, ", ".join(tiers))
+    return EpiClassification("undecided", BudgetExhausted(0, note), kernel)
 
 
 def _abelian_kernel_complement(G, kernel, k):
@@ -774,7 +782,7 @@ def _abelian_kernel_complement(G, kernel, k):
     if k == 1:
         # a single horizontal direction off the kernel always splits; the
         # kernel holds every layer >= 2, so its canonical complement is it
-        return HomogeneousSubalgebra(G, _canonical_complement(kernel))
+        return next(_coordinate_complements(kernel))
     report = max_commutative_horizontal_dim(G, budget=200, seed=1)
     if report.exact and report.dim < k:
         return NonexistenceCertificate(
@@ -786,7 +794,9 @@ def _abelian_kernel_complement(G, kernel, k):
 def classify_monomorphism(T, budget=2000, seed=0):
     """Decide whether an injective h-homomorphism admits an h-homomorphism
     left inverse, equivalently whether its image has a normal complementary
-    subgroup; returns the projection p with p|_H = Id when found."""
+    subgroup; returns the projection p with p|_H = Id when found.  The one
+    tier tries the coordinate complements of the image, else `undecided`;
+    `budget` and `seed` are unread."""
     rep = check_h_homomorphism(T)
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
@@ -794,45 +804,51 @@ def classify_monomorphism(T, budget=2000, seed=0):
         return MonoClassification("not_injective")
     M = T.codomain
     image = layered_decomposition(M, T.image_basis())
-    if image.total_dim == M.dim:
-        n = zero_subalgebra(M)
-        return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
-    # structured candidate: the canonical per-layer complement (always an
-    # ideal complement when the image is horizontal)
-    try:
-        n = HomogeneousSubalgebra(M, _canonical_complement(image))
-        if is_ideal(n) and is_complementary(n, image):
-            return MonoClassification("h_monomorphism", n,
-                                      _projection_along(M, image, n), image)
-    except NotSubalgebra:
-        pass
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        cand = random_homogeneous_subalgebra(M, rng, n_generators=M.dim - image.total_dim)
-        if cand.total_dim == M.dim - image.total_dim and is_ideal(cand) \
-                and is_complementary(cand, image):
-            return MonoClassification("h_monomorphism", cand,
-                                      _projection_along(M, image, cand), image)
-    return MonoClassification("undecided", BudgetExhausted(budget), None, image)
+    # the canonical complement comes first: it is an ideal complement when
+    # the image is horizontal, and zero when the image is all of M
+    n = next((c for c in _coordinate_complements(image) if is_ideal(c)), None)
+    if n is not None:
+        return MonoClassification("h_monomorphism", n,
+                                  _projection_along(M, image, n), image)
+    note = "ran: coordinate complements of the image; none is an ideal"
+    return MonoClassification("undecided", BudgetExhausted(0, note), None, image)
 
 
-def _canonical_complement(sub):
-    """Per-layer canonical complement of sub (linalg.complement_basis on each
-    layer, lifted to ambient coordinates), as a layered dict."""
+def _coordinate_complements(sub):
+    """The complements of sub spanned by basis vectors, layer by layer, that
+    are closed under the bracket, found depth first over the layers.  Each
+    layer takes every set of its basis vectors that completes sub's layer and
+    holds the brackets of the lower layers already chosen; the canonical set
+    (the non-pivot columns of sub's layer) comes first, so the canonical
+    complement, when it is a subalgebra, is the first one yielded."""
     alg = sub.algebra
-    layered = {}
-    for layer in range(1, alg.step + 1):
+
+    def extend(chosen):
+        layer = len(chosen) + 1
+        if layer > alg.step:
+            yield HomogeneousSubalgebra(alg, {l: [alg.basis_coords(k) for k in ks]
+                                              for l, ks in enumerate(chosen, 1)})
+            return
         idx = alg.layer_indices(layer)
-        rows = [[v[t] for t in idx] for v in sub.layer_basis(layer)]
-        comp = []
-        for cand in linalg.complement_basis(rows, len(idx)):
-            vec = [Q(0)] * alg.dim
-            for pos, t in enumerate(idx):
-                vec[t] = cand[pos]
-            comp.append(vec)
-        if comp:
-            layered[layer] = comp
-    return layered
+        rows = [list(v) for v in sub.layer_basis(layer)]
+        pivots = linalg.rref([[v[k] for k in idx] for v in rows])[1]
+        free = tuple(k for c, k in enumerate(idx) if c not in pivots)
+        forced = {k for i in range(1, layer // 2 + 1)
+                  for a in chosen[i - 1] for b in chosen[layer - i - 1]
+                  for k, c in enumerate(alg.bracket_coords(alg.basis_coords(a),
+                                                           alg.basis_coords(b))) if c}
+        if len(forced) > len(free):
+            return
+        if forced <= set(free):
+            yield from extend(chosen + [free])
+        rest = [k for k in idx if k not in forced]
+        for ks in itertools.combinations(rest, len(free) - len(forced)):
+            ks = tuple(sorted(forced.union(ks)))
+            if ks != free and linalg.rank(
+                    rows + [list(alg.basis_coords(k)) for k in ks]) == len(idx):
+                yield from extend(chosen + [ks])
+
+    return extend([])
 
 
 def _projection_along(M, image, normal):
@@ -969,9 +985,9 @@ def find_complement(sub, budget=4000, seed=0):
     """Complementary homogeneous subgroup of `sub`, when one can be found.
 
     Ideals reduce to the right-inverse problem for the quotient projection
-    (exact tiers, certificates included).  Non-ideals get structured and
-    randomized search only; nonexistence is never claimed from the random
-    tier."""
+    (exact tiers, certificates included).  A non-ideal gets its first
+    coordinate complement that is a subalgebra, else `undecided`:
+    nonexistence is never claimed for it.  `budget` and `seed` are unread."""
     alg = sub.algebra
     if sub.total_dim == 0:
         return EpiClassification("h_epimorphism", full_subalgebra(alg), sub)
@@ -979,21 +995,13 @@ def find_complement(sub, budget=4000, seed=0):
         return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub)
     if is_ideal(sub):
         _, dpi = quotient(alg, sub)
-        out = classify_epimorphism(dpi, budget=budget, seed=seed)
+        out = classify_epimorphism(dpi)
         return EpiClassification(out.verdict, out.witness, sub)
-    rng = np.random.default_rng(seed)
-    try:
-        cand = HomogeneousSubalgebra(alg, _canonical_complement(sub))
-        if is_complementary(sub, cand):
-            return EpiClassification("h_epimorphism", cand, sub)
-    except NotSubalgebra:
-        pass
-    for _ in range(budget):
-        cand = random_homogeneous_subalgebra(alg, rng, n_generators=max(
-            1, alg.dim - sub.total_dim - 1))
-        if cand.total_dim == alg.dim - sub.total_dim and is_complementary(sub, cand):
-            return EpiClassification("h_epimorphism", cand, sub)
-    return EpiClassification("undecided", BudgetExhausted(budget), sub)
+    cand = next(_coordinate_complements(sub), None)
+    if cand is not None:
+        return EpiClassification("h_epimorphism", cand, sub)
+    note = "non-ideal; ran: coordinate complements; none is a subalgebra"
+    return EpiClassification("undecided", BudgetExhausted(0, note), sub)
 
 
 def random_complementary_pairs(algebra, rng, count):
@@ -1008,7 +1016,6 @@ def random_complementary_pairs(algebra, rng, count):
     hn = algebra.tags.get("heisenberg_n")
     is_h12 = bool(algebra.tags.get("complexified_heisenberg"))
     idx1 = algebra.layer_indices(1)
-    m = len(idx1)
     trials = 0
     while len(out) < count and trials < 4000:
         trials += 1

@@ -410,6 +410,19 @@ INPUT_CHECKS = {
         "h1 = catalog.get('h1')\n"
         "subgroups.split_element(element(h1, [0, 0, 1]).to_float(),"
         " subgroups.full_subalgebra(h1), subgroups.zero_subalgebra(h1))", "exact element"),
+    "split-element-pair": (
+        "from carnot import catalog, subgroups\n"
+        "from carnot.algebra import element\n"
+        "h1 = catalog.get('h1')\n"
+        "P = subgroups.span_subalgebra(h1, [1, 0, 0])\n"
+        "subgroups.split_element(element(h1, [0, 1, 0]), P, P)",
+        "not complementary at layer 1"),
+    "section-through-witness": (
+        "from carnot import catalog, subgroups\n"
+        "h1 = catalog.get('h1')\n"
+        "_, dpi = subgroups.quotient(h1, subgroups.span_subalgebra(h1, [0, 0, 1]))\n"
+        "subgroups.section_through(dpi, subgroups.span_subalgebra(h1, [1, 0, 0]))",
+        "does not map isomorphically"),
 }
 
 

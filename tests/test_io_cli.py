@@ -114,6 +114,25 @@ def test_cli_subgroups_mono(tmp_path, capsys):
     assert out["witness_basis"]
 
 
+def test_cli_complement_undecided_exit_4(tmp_path, capsys):
+    # a non-ideal of free_2_3 that holds the whole second layer: a
+    # complement would hold x1, x2 and so [x2, x1], yet its second layer is
+    # zero, so none exists, and no exact tier proves it.  The verdict does
+    # not depend on --seed, and the command exits 4
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"vectors": [["0", "0", "1", "0", "0"],
+                                           ["0", "0", "0", "1", "1"]]}))
+    texts = []
+    for seed in ("0", "9"):
+        assert main(["--seed", seed, "subgroups", "complement",
+                     "--group", "free_2_3", str(sub)]) == 4
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    out = json.loads(texts[0])
+    assert out["verdict"] == "undecided"
+    assert out["certificate"]["reason"] == "no_exact_tier"
+
+
 def test_cli_experiment_lift(tmp_path, capsys):
     cfg = {"group": "h1", "control": {"name": "square"}, "steps": 400}
     p = tmp_path / "square.json"

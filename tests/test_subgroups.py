@@ -279,6 +279,18 @@ def test_classify_mono(h1):
     assert classify_monomorphism(T3).verdict == "not_injective"
 
 
+def test_classify_mono_undecided_spends_no_trials(h1):
+    # the inclusion of the center of h^1: its canonical complement span{X, Y}
+    # is not a subalgebra, and no tier searches at random
+    center = span_subalgebra(h1, [0, 0, 1])
+    T = GradedMorphism(subalgebra_as_algebra(center), h1, [[0], [0], [1]])
+    out = classify_monomorphism(T)
+    assert out.verdict == "undecided"
+    assert isinstance(out.normal_complement, BudgetExhausted)
+    assert out.normal_complement.trials == 0
+    assert out.to_json_dict()["certificate"]["reason"] == "no_exact_tier"
+
+
 def test_classify_mono_r2_into_h2(h2):
     r2 = catalog.abelian(2)
     # t -> exp(t1 x1 + t2 x2): commutative horizontal image
@@ -324,6 +336,13 @@ def test_split_element(h1, rng):
         # deterministic
         p2, h2 = split_element(g, P, H)
         assert p2.coords == p.coords and h2.coords == h.coords
+    # a pair that is not complementary is refused even when the element
+    # happens to factor through it
+    with pytest.raises(ValueError, match="layer 1"):
+        split_element(GroupElement(h1, H.basis()[0]), H, H)
+    with pytest.raises(ValueError, match="layer 1"):
+        split_element(GroupElement(h1, [0, 0, 1]), span_subalgebra(h1, [0, 0, 1]),
+                      zero_subalgebra(h1))
 
 
 def test_section_through_witness(g42):
@@ -348,6 +367,20 @@ def test_qkp_additivity_on_found_pairs(h2, rng):
         assert qa + qb == total
 
 
+def test_find_complement_tries_every_coordinate_chart():
+    # in free_2_3 (x1, x2, [x2,x1], [[x2,x1],x1], [[x2,x1],x2]) the canonical
+    # complement {x1, [x2,x1], [[x2,x1],x2]} of span{x2, [[x2,x1],x1] -
+    # 2 [[x2,x1],x2]} is not a subalgebra, since [x1, [x2,x1]] leaves it;
+    # taking [[x2,x1],x1] in the third layer instead gives one
+    g = catalog.get("free_2_3")
+    sub = span_subalgebra(g, [0, 1, 0, 0, 0], [0, 0, 0, 1, -2])
+    assert not is_ideal(sub)
+    out = find_complement(sub)
+    assert out.verdict == "h_epimorphism" and is_complementary(sub, out.witness)
+    assert out.witness == span_subalgebra(g, [1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+                                          [0, 0, 0, 1, 0])
+
+
 def test_quadratic_tier_and_honest_budget(h2):
     # the embedded copy span{x1, y1, z} of the 3-dimensional Heisenberg group
     # inside h^2 is an ideal whose complement needs a nonzero correction
@@ -358,11 +391,12 @@ def test_quadratic_tier_and_honest_budget(h2):
     out = find_complement(sub, budget=4000, seed=0)
     assert out.verdict == "h_epimorphism"
     assert is_complementary(out.witness, sub)
-    # with a zero random budget (and the witness not at C = 0) the verdict
-    # must be an explicit budget marker, never a silent nonexistence claim
+    # with no random tier (and the witness not at C = 0) the verdict must
+    # be a witness or an explicit undecided marker, never a silent
+    # nonexistence claim
     from carnot.subgroups import quotient as q_
     _, dpi = q_(h2, sub)
-    out0 = classify_epimorphism(dpi, budget=0, seed=0)
+    out0 = classify_epimorphism(dpi)
     assert out0.verdict in ("undecided", "h_epimorphism")
     if out0.verdict == "undecided":
         assert isinstance(out0.witness, BudgetExhausted)
