@@ -193,11 +193,15 @@ class Polynomial:
 class GradedAlgebra:
     """Finite-dimensional graded Lie algebra over Q.
 
-    layer_of: layer index (1-based) of each basis vector.
-    struct:   {(i, j): {k: Fraction}} with i < j only.
-    tags:     metadata that catalog constructors and the group-file reader
-              set after construction (e.g. a symplectic J-structure, a metric
-              block); used to register closed-form algorithms.
+    layer_of:   layer index (1-based) of each basis vector.
+    struct:     {(i, j): {k: Fraction}} with i < j only.
+    struct_den: the least common denominator of the table.
+    struct_num: the same table as integers over struct_den, a tuple of
+                (i, j, ((k, c_{ij}^k * struct_den), ...)); bracket_coords
+                reads it.  Every catalog table has struct_den == 1.
+    tags:       metadata that catalog constructors and the group-file reader
+                set after construction (e.g. a symplectic J-structure, a
+                metric block); used to register closed-form algorithms.
 
     Every table is validated once, here: an invalid one raises ValueError.
     """
@@ -215,6 +219,11 @@ class GradedAlgebra:
             if kept:
                 canon[(i, j)] = kept
         self.struct = canon
+        self.struct_den = math.lcm(*(c.denominator for t in canon.values()
+                                     for c in t.values()))
+        self.struct_num = tuple(
+            (i, j, tuple((k, int(c * self.struct_den)) for k, c in t.items()))
+            for (i, j), t in canon.items())
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(self.dim))
         self.tags = {}
@@ -251,15 +260,20 @@ class GradedAlgebra:
         return tuple(Q(1) if t == k else Q(0) for t in range(self.dim))
 
     def bracket_coords(self, x, y):
-        """[x, y] on coordinate sequences; the coordinates may be Fraction or
-        Polynomial (a vector of polynomials gives the bracket of symbolic
-        vectors)."""
-        out = [Q(0)] * self.dim
-        for (i, j), terms in self.struct.items():
+        """[x, y] on coordinate sequences; the coordinates may be int,
+        Fraction or Polynomial (a vector of polynomials gives the bracket of
+        symbolic vectors).  The sums run over the integer table; each output
+        coordinate is divided by struct_den once, so int inputs on an
+        integer table give int outputs."""
+        out = [0] * self.dim
+        for i, j, terms in self.struct_num:
             coef = x[i] * y[j] - x[j] * y[i]
             if coef:
-                for k, c in terms.items():
-                    out[k] = out[k] + coef * c
+                for k, c in terms:
+                    out[k] = coef * c + out[k]
+        if self.struct_den != 1:
+            scale = Q(1, self.struct_den)
+            out = [c * scale for c in out]
         return tuple(out)
 
     def dilate_coords(self, x, r):

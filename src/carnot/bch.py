@@ -23,8 +23,12 @@ twin ``group_product_np`` on arrays of shape (..., dim), broadcast over the
 leading axes.  The latter is the one float group law of the analytic modules
 (metric, curves, pdiff).
 
-Everything in exact mode is Fraction arithmetic; nilpotency makes all series
-finite, so there are no convergence questions.
+The exact routes run in integers over common denominators: the table holds
+integer coefficients over one denominator, the oracle scales its letters to
+integers and sums each word over one common denominator, and the algebra's
+bracket runs on its integer structure table.  Both routes form one Fraction
+per output coordinate.  Nilpotency makes all series finite, so there are no
+convergence questions.
 """
 
 import functools
@@ -181,10 +185,15 @@ def group_product(x, y):
     """Group operation read in exponential coordinates: sum of all c_n."""
     alg = x.algebra
     x._check(y)
-    cls = GroupElement if isinstance(x, GroupElement) or isinstance(y, GroupElement) \
-        else AlgebraVector
     terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
-    return cls(alg, terms(alg, x.coords, y.coords, range(1, alg.step + 1)))
+    return _product_class(x, y)(alg, terms(alg, x.coords, y.coords,
+                                           range(1, alg.step + 1)))
+
+
+def _product_class(x, y):
+    """A product is a GroupElement if either factor is one."""
+    return GroupElement if isinstance(x, GroupElement) or isinstance(y, GroupElement) \
+        else AlgebraVector
 
 
 def group_inverse(x):
@@ -249,16 +258,7 @@ def exp_differential_oracle(x):
     alg = x.algebra
     if x.scalar_mode != "exact":
         raise ValueError("exp_differential_oracle needs an exact vector")
-    deg = alg.step
-    exp_negx = _exp_series(FreeSeries.letter(0, deg, sign=Q(-1)))
-    # t-linear part of exp(x + t y): sum_k 1/k! sum_{i+j=k-1} x^i y x^j
-    lin = FreeSeries(deg)
-    for k in range(1, deg + 1):
-        coeff = Q(1, math.factorial(k))
-        for i in range(k):
-            word = (0,) * i + (1,) + (0,) * (k - 1 - i)
-            lin.terms[word] = lin.terms.get(word, Q(0)) + coeff
-    poly = exp_negx.mul(lin)
+    poly = dexp_word_polynomial(alg.step)
     cols = []
     for j in range(alg.dim):
         letters = {0: x.coords, 1: alg.basis_coords(j)}
@@ -347,30 +347,65 @@ def bch_word_polynomial(degree):
     return _log_series(_exp_series(x).mul(_exp_series(y)))
 
 
+@functools.lru_cache(maxsize=None)
+def dexp_word_polynomial(degree):
+    """exp(-x) (d/dt) exp(x + t y) at t = 0 in the truncated free tensor
+    algebra on {x, y}: exp(-x) times sum_k 1/k! sum_{i+j=k-1} x^i y x^j."""
+    lin = FreeSeries(degree)
+    for k in range(1, degree + 1):
+        coeff = Q(1, math.factorial(k))
+        for i in range(k):
+            word = (0,) * i + (1,) + (0,) * (k - 1 - i)
+            lin.terms[word] = lin.terms.get(word, Q(0)) + coeff
+    return _exp_series(FreeSeries.letter(0, degree, sign=Q(-1))).mul(lin)
+
+
 def _dynkin_evaluate(series, algebra, letters):
     """Evaluate a Lie polynomial given as an associative series.
 
     By Dynkin-Specht-Wever, a homogeneous Lie element P of degree n satisfies
     P = (1/n) * delta(P) with delta the left-to-right bracketing of words, so
     each word w = l_1 ... l_n contributes (coeff/n) [[..[l_1,l_2],..],l_n].
+
+    The letters are scaled to integers over their common denominator D.  The
+    words are walked in sorted order, so the left-nested bracket of a word is
+    the stored value of its prefix bracketed with the last letter: each
+    distinct prefix is bracketed once, and a zero prefix drops every word
+    that extends it.  A word of degree n enters an integer sum over one
+    common denominator that absorbs coeff/n and D^n; each coordinate is
+    divided by it once, at the end.
     """
-    out = [Q(0)] * algebra.dim
-    for w, c in series.terms.items():
-        n = len(w)
-        if n == 0:
-            if c != 0:
-                raise ValueError("not a Lie element (scalar part)")
+    den = math.lcm(*(c.denominator for vec in letters.values() for c in vec))
+    ints = {l: tuple(c.numerator * (den // c.denominator) for c in vec)
+            for l, vec in letters.items()}
+    words = sorted(series.terms)
+    if words and not words[0]:
+        if series.terms[()] != 0:
+            raise ValueError("not a Lie element (scalar part)")
+        words = words[1:]
+    top = max(map(len, words), default=0)
+    common = math.lcm(*(series.terms[w].denominator * len(w) for w in words)) * den ** top
+    acc = [0] * algebra.dim
+    path, values = (), []  # values[t]: the left-nested bracket of path[:t + 1]
+    for w in words:
+        m = 0
+        while m < len(path) and m < len(w) and path[m] == w[m]:
+            m += 1
+        del values[m:]
+        for letter in w[m:]:
+            if not values:
+                values.append(ints[letter])
+            elif any(values[-1]):
+                values.append(algebra.bracket_coords(values[-1], ints[letter]))
+            else:
+                break
+        path = w[:len(values)]
+        if len(values) < len(w) or not any(values[-1]):
             continue
-        if n == 1:
-            vec = letters[w[0]]
-            out = [a + c * b for a, b in zip(out, vec)]
-            continue
-        vec = letters[w[0]]
-        for letter in w[1:]:
-            vec = algebra.bracket_coords(vec, letters[letter])
-        q = c / n
-        out = [a + q * b for a, b in zip(out, vec)]
-    return tuple(out)
+        c = series.terms[w]
+        a = c.numerator * (common // (c.denominator * len(w) * den ** len(w)))
+        acc = [s + a * v for s, v in zip(acc, values[-1])]
+    return tuple(Q(s, common) for s in acc)
 
 
 def series_oracle_product(x, y):
@@ -390,8 +425,7 @@ def series_oracle_product(x, y):
         via_model = model.product_coords(x.coords, y.coords)
         if tuple(via_model) != tuple(coords):
             raise AssertionError("matrix model disagrees with the series oracle")
-    cls = GroupElement if isinstance(x, GroupElement) else AlgebraVector
-    return cls(alg, coords)
+    return _product_class(x, y)(alg, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +563,9 @@ def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
     """Sampled sup of ||c_n(X, Y)|| / ||[X, Y]|| over ||X||, ||Y|| <= nu with
     [X, Y] != 0; finite because every addend of c_n beyond the first contains
     a bracket factor."""
+    if not 2 <= n <= algebra.step:
+        raise ValueError("bilinear_bound needs 2 <= n <= step = %d, got n = %d"
+                         % (algebra.step, n))
     rng = np.random.default_rng(seed)
     worst, used = 0.0, 0
     while used < samples:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import AlgebraVector, GroupElement, dilate
-from carnot.bch import (bch_term, bernoulli, cn_difference_bound,
+from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement,
+                            Polynomial, dilate)
+from carnot.bch import (_dynkin_evaluate, bch_term, bch_word_polynomial,
+                        bernoulli, bilinear_bound, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
-                        exp_differential, exp_differential_oracle,
-                        group_inverse, group_product, group_product_np,
-                        series_oracle_product)
+                        dexp_word_polynomial, exp_differential,
+                        exp_differential_oracle, group_inverse, group_product,
+                        group_product_np, series_oracle_product)
 from conftest import rational_vector
 
 
@@ -264,7 +266,6 @@ def test_float_product_matches_exact(rng):
 
 
 def test_bilinear_bound_recorder(f23):
-    from carnot.bch import bilinear_bound
     c = bilinear_bound(f23, 3, nu=1.0, samples=100, seed=0)
     assert math.isfinite(c.sup_observed) and c.samples == 100
     assert "alpha_3" in c.label
@@ -287,3 +288,122 @@ def test_high_step_bernoulli_terms(rng):
         a = rational_vector(g6, rng, 2, 2)
         b = rational_vector(g6, rng, 2, 2)
         assert dec.evaluate(a, b).coords == bch_term(n, a, b).coords
+
+
+def test_bilinear_bound_rejects_degrees_without_brackets(h1):
+    # on an abelian algebra every bracket is zero, and c_n vanishes above
+    # the step: no sample could ever be drawn
+    r2 = catalog.get("r2")
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="step"):
+            bilinear_bound(r2, n, samples=3)
+    with pytest.raises(ValueError, match="step"):
+        bilinear_bound(h1, 3, samples=3)
+
+
+def test_mixed_pair_products_agree_in_type(h1, rng):
+    # a product is a GroupElement if either factor is one, on both routes
+    x, y = rational_vector(h1, rng), rational_vector(h1, rng)
+    gx, gy = GroupElement(h1, x.coords), GroupElement(h1, y.coords)
+    for a, b in ((x, gy), (gx, y), (gx, gy)):
+        z, ref = group_product(a, b), series_oracle_product(a, b)
+        assert type(z) is type(ref) is GroupElement
+        assert z.coords == ref.coords
+    assert type(group_product(x, y)) is type(series_oracle_product(x, y)) is AlgebraVector
+
+
+def _dynkin_reference(series, algebra, letters):
+    """Word-by-word Dynkin evaluation in Fraction arithmetic: each word is
+    bracketed from its first letter on, with no shared prefixes."""
+    out = [Q(0)] * algebra.dim
+    for w, c in series.terms.items():
+        n = len(w)
+        if n == 0:
+            if c != 0:
+                raise ValueError("not a Lie element (scalar part)")
+            continue
+        if n == 1:
+            vec = letters[w[0]]
+            out = [a + c * b for a, b in zip(out, vec)]
+            continue
+        vec = letters[w[0]]
+        for letter in w[1:]:
+            vec = algebra.bracket_coords(vec, letters[letter])
+        q = c / n
+        out = [a + q * b for a, b in zip(out, vec)]
+    return tuple(out)
+
+
+def _fractional_table():
+    # Jacobi holds because e4 and e5 are central; struct_den = 12
+    return GradedAlgebra("frac5", [1, 1, 2, 3, 3],
+                         {(0, 1): {2: Q(1, 2)}, (0, 2): {3: Q(3, 4)},
+                          (1, 2): {4: Q(2, 3)}})
+
+
+def _old_bracket(algebra, x, y):
+    """The bracket summed over the Fraction table, one Fraction product per
+    table entry."""
+    out = [Q(0)] * algebra.dim
+    for (i, j), terms in algebra.struct.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef:
+            for k, c in terms.items():
+                out[k] = out[k] + coef * c
+    return tuple(out)
+
+
+def _poly_terms(c):
+    return c.terms if isinstance(c, Polynomial) else ({(): c} if c else {})
+
+
+def test_bracket_coords_on_a_fractional_table(rng):
+    g = _fractional_table()
+    assert g.struct_den == 12
+    assert g.bracket_coords(g.basis_coords(1), g.basis_coords(2)) == (0, 0, 0, 0, Q(2, 3))
+    for _ in range(10):
+        ints = [tuple(int(c) for c in rng.integers(-5, 6, g.dim)) for _ in range(2)]
+        fracs = [rational_vector(g, rng).coords for _ in range(2)]
+        for u, v in (ints, fracs, (ints[0], fracs[1])):
+            got = g.bracket_coords(u, v)
+            assert got == _old_bracket(g, u, v)
+            assert all(isinstance(c, (int, Q)) for c in got)
+    d = g.dim
+    x = [Polynomial({(i,): 1}) for i in range(d)]
+    y = [Polynomial({(d + i,): 1}) for i in range(d)]
+    for u, v in ((x, y), (x, fracs[0]), (ints[0], y)):
+        got = g.bracket_coords(u, v)
+        assert [_poly_terms(c) for c in got] == \
+            [_poly_terms(c) for c in _old_bracket(g, u, v)]
+
+
+def test_integer_tables_stay_in_int(h1, f23):
+    for g in (h1, f23):
+        assert g.struct_den == 1
+        got = g.bracket_coords(*(tuple(range(i, i + g.dim)) for i in (1, 3)))
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("name", list(catalog.catalog_names())
+                         + ["free_2_5", "free_2_6", "abelian_0", "frac5"])
+def test_dynkin_evaluate_matches_word_by_word(name, rng):
+    # the shared-prefix integer evaluator equals the word-by-word Fraction
+    # one on the BCH series and the d exp series of every degree 2..6
+    g = {"abelian_0": catalog.abelian(0), "frac5": _fractional_table()}.get(name) \
+        or catalog.get(name)
+    x, y = rational_vector(g, rng).coords, rational_vector(g, rng).coords
+    for degree in range(2, 7):
+        for series in (bch_word_polynomial(degree), dexp_word_polynomial(degree)):
+            for letters in ({0: x, 1: y}, {0: x, 1: g.zero_coords()},
+                            {0: y, 1: g.basis_coords(g.dim - 1) if g.dim else ()}):
+                got = _dynkin_evaluate(series, g, letters)
+                assert got == _dynkin_reference(series, g, letters), (name, degree)
+                assert all(type(c) is Q for c in got)
+
+
+def test_oracles_on_a_fractional_table(rng):
+    g = _fractional_table()
+    for _ in range(5):
+        x, y = rational_vector(g, rng), rational_vector(g, rng)
+        assert group_product(x, y).coords == series_oracle_product(x, y).coords
+        assert exp_differential(x).matrix == exp_differential_oracle(x).matrix

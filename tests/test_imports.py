@@ -67,3 +67,31 @@ def test_every_assignment_is_read():
                          for t in n.targets
                          if isinstance(t, ast.Name) and t.id not in read)
     assert not found, found
+
+
+# the independent product routes of carnot.bch, and what they must not run
+ORACLE_ROUTES = ("series_oracle_product", "exp_differential_oracle", "_dynkin_evaluate")
+LAW_NAMES = {"_law", "_bch_terms", "_exact_terms", "_accumulate", "_bch_law"}
+
+
+def test_oracles_do_not_read_the_compiled_law():
+    # the series oracles check the compiled BCH law only while nothing they
+    # run, directly or through other functions of the module, reads the
+    # law's table or its recursion
+    tree = ast.parse((PACKAGE / "bch.py").read_text())
+    defs = {n.name: n for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    found = []
+    for root in ORACLE_ROUTES:
+        seen, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            refs = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+            found.extend((root, name, r) for r in sorted(refs & LAW_NAMES))
+            todo.extend(refs & defs.keys())
+        assert {"_dynkin_evaluate", "bch_word_polynomial"} & seen, root
+    assert not found, found
