@@ -104,23 +104,44 @@ def sample_box(algebra, radius, count, rng):
     return rng.uniform(-radius, radius, size=(count, algebra.dim))
 
 
+def _unit_vectors(rng, count, d):
+    """`count` directions uniform on the unit sphere of R^d, shape (count, d)."""
+    g = rng.standard_normal((count, d))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _euclidean_ball(rng, radius, count, d):
+    """`count` points uniform in the Euclidean ball of R^d; `radius` is one
+    number or one per point."""
+    scale = np.asarray(radius, dtype=float) * rng.uniform(size=count) ** (1.0 / d)
+    return _unit_vectors(rng, count, d) * scale[:, None]
+
+
 def sample_ball(metric, radius, count, rng):
-    """Points with quasi-norm <= radius, by rejection from a box: four
-    candidates per missing point, at least 64 per draw."""
+    """`count` points uniform (Haar) in the gauge ball N(x) <= radius, shape
+    (count, dim), drawn in closed form.  Haar measure is Lebesgue measure in
+    exponential coordinates, so this is the law of rejection from a box.
+
+    Weighted max: layer i is uniform in its Euclidean ball of radius
+    radius**i / w_i.  Koranyi, with m = dim V_1 and k = dim V_2 (0 in step
+    1): s = |x_1|^4 / r^4 is Beta(m/4, k/2 + 1), x_1 lies on the sphere of
+    radius r s^{1/4}, and x_2 is uniform in the ball of radius
+    r^2 sqrt(1 - s) / 4."""
     alg = metric.algebra
-    out = []
-    need = count
-    while need > 0:
-        cand = sample_box(alg, radius * 1.5, max(64, need * 4), rng)
-        # box coordinates scale like the layer, so widen upper layers
-        for i in range(1, alg.step + 1):
-            mask = np.array([1.0 if l == i else 0.0 for l in alg.layer_of])
-            cand = cand * (1.0 + (radius ** (i - 1) - 1.0) * mask)
-        norms = metric.quasi_norm_np(cand)
-        good = cand[norms <= radius]
-        out.append(good[:need])
-        need -= len(good[:need])
-    return np.concatenate(out, axis=0)
+    layers = [alg.layer_indices(i) for i in range(1, alg.step + 1)]
+    out = np.zeros((count, alg.dim))
+    if metric.kind == "koranyi":
+        m, k = len(layers[0]), len(layers[1]) if alg.step == 2 else 0
+        s = rng.beta(m / 4, k / 2 + 1, size=count)
+        out[:, layers[0]] = _unit_vectors(rng, count, m) * (radius * s ** 0.25)[:, None]
+        if k:
+            out[:, layers[1]] = _euclidean_ball(rng, radius ** 2 * np.sqrt(1 - s) / 4,
+                                                count, k)
+        return out
+    for i, (idx, w) in enumerate(zip(layers, metric.weights), start=1):
+        if idx:
+            out[:, idx] = _euclidean_ball(rng, radius ** i / w, count, len(idx))
+    return out
 
 
 def sphere_point(metric, u):
@@ -162,13 +183,14 @@ def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
 
 
 def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
-    """Per-layer sup of |pi^i(log x)| / d(x)^i over the ball of the given
-    radius; one EmpiricalConstant per layer i >= 1."""
+    """Per-layer sup of |pi^i(log x)| / d(x)^i over `samples` points drawn
+    uniformly from the gauge ball of the given radius; one EmpiricalConstant
+    per layer i >= 1."""
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    pts = sample_box(alg, radius, samples, rng)
+    pts = sample_ball(metric, radius, samples, rng)
     norms = metric.quasi_norm_np(pts)
-    mask = (norms <= radius) & (norms > 1e-9)
+    mask = norms > 1e-9
     pts, norms = pts[mask], norms[mask]
     ops = alg.float_ops()
     out = []
@@ -233,9 +255,12 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
 
 
 def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
-    """sup of d(A_1..A_N, B_1..B_N) / sum_j d(A_j, B_j)^{1/step} over factor
-    lists satisfying the tail and pairwise hypotheses; violating samples are
-    rejected."""
+    """sup of d(A_1..A_N, B_1..B_N) / sum_j d(A_j, B_j)^{1/step} over
+    `samples` factor lists that satisfy the tail and pairwise hypotheses.
+    Each candidate draws its N factors B_j from the ball of radius nu / 2N
+    and its N perturbations (A_j = B_j p_j) from the ball of radius nu / 2,
+    one sample_ball call per list; a candidate that violates a hypothesis is
+    discarded."""
     alg = metric.algebra
     rng = np.random.default_rng(seed)
 
@@ -249,12 +274,11 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 
     sup, used = 0.0, 0
     while used < samples:
-        b = [sample_ball(metric, nu / (2 * n_factors), 1, rng)[0]
-             for _ in range(n_factors)]
+        b = sample_ball(metric, nu / (2 * n_factors), n_factors, rng)
         _, tails = prods(b)
         if any(float(metric.quasi_norm_np(t)) > nu for t in tails):
             continue
-        pert = [sample_ball(metric, nu / 2, 1, rng)[0] for _ in range(n_factors)]
+        pert = sample_ball(metric, nu / 2, n_factors, rng)
         a = [group_product_np(alg, bb, pp) for bb, pp in zip(b, pert)]
         dterms = [float(metric.distance_np(aa, bb)) for aa, bb in zip(a, b)]
         if any(d > nu for d in dterms):

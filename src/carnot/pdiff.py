@@ -20,7 +20,7 @@ from .algebra import homogeneous_dimension
 from .bch import group_product_np
 from .curves import contact_derivative
 from .morphism import GradedMorphism
-from .metric import default_metric, sample_ball
+from .metric import default_metric, sample_ball, sphere_point
 from .subgroups import (HomogeneousSubalgebra, classify_epimorphism,
                         classify_monomorphism, layered_decomposition)
 
@@ -296,8 +296,7 @@ def pansu_differential(pdmap, x, h_grid=(1e-2, 1e-3, 1e-4), seed=0):
     for h in h_grid:
         worst = 0.0
         for _ in range(24):
-            u = rng.standard_normal(dom.dim)
-            u /= max(float(dmetric.quasi_norm_np(u)), 1e-12)
+            u = sphere_point(dmetric, rng.standard_normal(dom.dim))
             hv = opsd.dilate(u, h)
             try:
                 diff = group_log_difference(pdmap, x, hv)
@@ -392,8 +391,7 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     for u in xs:
         x = group_product_np(dom, center, u)
         L = lift_differential(dom, cod, pdmap.dfirst(x))
-        w = rng.standard_normal(dom.dim)
-        w /= max(float(dmetric.quasi_norm_np(w)), 1e-12)
+        w = sphere_point(dmetric, rng.standard_normal(dom.dim))
         used += 1
         for k in range(bins):
             s = edges[k] * (2 / 3)  # interior of bin k: (edges[k+1], edges[k]]
@@ -825,8 +823,6 @@ class BlowupReport:
 
     def __post_init__(self):
         assert all(d >= 0 for d in self.distances)
-        assert all(a > b for a, b in zip(self.scales, self.scales[1:])), \
-            "scales must decrease"
 
     @property
     def decreasing(self):
@@ -962,7 +958,12 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0)
     set -> cone uses the exact vertical projection when the cone is vertical
     (else nearest neighbours in a dense cone sample); cone -> set uses the
     intrinsic graph height over sampled cone nodes.  The base point is the
-    sampler's; xbar is not read."""
+    sampler's; xbar is not read.  Raises ValueError unless the scales are
+    non-empty, positive and strictly decreasing."""
+    scales = [float(lam) for lam in scales]
+    if not scales or not all(a > b for a, b in zip(scales, scales[1:] + [0.0])):
+        raise ValueError("scales must be non-empty, positive and strictly "
+                         "decreasing; got %r" % (scales,))
     alg = sampler.pdmap.domain
     metric = default_metric(alg)
     rng = np.random.default_rng(seed)
@@ -980,7 +981,7 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0)
         set_to_cone.append(d_a)
         cone_to_set.append(d_b)
         dists.append(max(d_a, d_b))
-    return BlowupReport(list(scales), dists, set_to_cone, cone_to_set, R)
+    return BlowupReport(scales, dists, set_to_cone, cone_to_set, R)
 
 
 def tangent_cone_bracket_rank(cone):

@@ -317,6 +317,10 @@ INPUT_PROBES = {
     "complement": ("vectors[0]", lambda d: [
         "subgroups", "complement", "--group", "h1",
         _write(d, "s.json", {"vectors": [["1", "0"]]})]),
+    "blowup-scales": ("scales", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "xcoord", "base_point": [0, 0, 0],
+                             "counts": [3, 3], "scales": [0.01, 0.1]})]),
     "config-json": ("line 1 column 2", lambda d: [
         "experiment", "lift", _write(d, "l.json", "{not json")]),
     "implicit-counts": ("counts", lambda d: [

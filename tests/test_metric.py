@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import GroupElement, dilate
+from carnot.algebra import GroupElement, dilate, homogeneous_dimension
 from carnot.bch import group_product
 from carnot.metric import (HomogeneousMetric, distance, first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
-                           quasi_norm, quasi_triangle_constant, solve_word,
-                           sphere_point, standard_word_system,
+                           quasi_norm, quasi_triangle_constant, sample_ball,
+                           solve_word, sphere_point, standard_word_system,
                            verify_conjugation_estimate,
                            verify_product_estimate,
                            verify_projection_estimate, weighted_max,
@@ -94,10 +94,37 @@ def test_projection_estimate(h1):
     K = koranyi(h1)
     consts = verify_projection_estimate(K, radius=1.0, samples=4000, seed=0)
     assert len(consts) == 2
+    assert [c.samples for c in consts] == [4000, 4000]  # every sample is a ball point
     # vertical points realize ratio 1/4 for the layer >= 2 tail
     assert consts[1].sup_observed <= 0.25 + 1e-9
     z = np.array([0.0, 0.0, 0.7])
     assert abs(0.7 / float(K.quasi_norm_np(z)) ** 2 - 0.25) < 1e-12
+
+
+def _ball_metrics():
+    for name in catalog.catalog_names():
+        g = catalog.get(name)
+        if g.step <= 2:
+            yield koranyi(g)
+        yield weighted_max(g, [1.0 + i / 2 for i in range(g.step)])
+
+
+@pytest.mark.parametrize("metric", list(_ball_metrics()), ids=repr)
+def test_sample_ball_law(metric):
+    # uniform on a homogeneous ball: (N(x)/r)^Q is Uniform(0, 1), Q the
+    # homogeneous dimension; Kolmogorov-Smirnov at p ~ 0.001
+    n = 20000
+    hom = homogeneous_dimension(metric.algebra)
+    rng = np.random.default_rng(11)
+    for r in (1.0, 0.3):
+        pts = sample_ball(metric, r, n, rng)
+        assert pts.shape == (n, metric.algebra.dim)
+        norms = metric.quasi_norm_np(pts)
+        assert np.all(norms <= r)
+        u = np.sort((norms / r) ** hom)
+        ks = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+        assert math.sqrt(n) * ks <= 1.95, (r, math.sqrt(n) * ks)
+    assert sample_ball(metric, 1.0, 0, rng).shape == (0, metric.algebra.dim)
 
 
 def test_conjugation_product_estimates(h1):

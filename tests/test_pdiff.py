@@ -147,6 +147,28 @@ def test_mean_value_tables(h1, radial):
     assert tabc.bin_sup[-1] > 0.5 * tabc.bin_sup[0]  # no decay: flagged
 
 
+def test_mean_value_pairs_in_their_bins(radial, monkeypatch):
+    # each pair y = x o delta_s(w) sits in the dyadic bin it is credited to,
+    # so the direction w must lie on the gauge's unit sphere
+    from carnot.metric import HomogeneousMetric
+    seen = []
+    distance_np = HomogeneousMetric.distance_np
+
+    def recording(self, a, b):
+        d = distance_np(self, a, b)
+        if self.algebra is radial.domain:
+            seen.append(float(d))
+        return d
+
+    monkeypatch.setattr(HomogeneousMetric, "distance_np", recording)
+    bins = 4
+    tab = pdiff.mean_value_ratio(radial, XI, r1=0.6, r2=8.0, pair_samples=200,
+                                 bins=bins, seed=3)
+    d = np.array(seen).reshape(tab.samples, bins)
+    edges = np.array(tab.bin_edges)
+    assert np.all((d > edges[1:]) & (d <= edges[:-1]))
+
+
 def test_mean_value_nesting_guard(radial, h2):
     from carnot.metric import standard_word_system
     ws = standard_word_system(h2)
