@@ -205,9 +205,22 @@ def _outpath(args, name):
 
 
 def _control_from_cfg(cv, g, spec):
+    if not isinstance(spec, dict):
+        raise ValueError("control: expected an object, got %r" % (spec,))
     if "csv" in spec:
         return cv.control_from_csv(g, spec["csv"])
-    return cv.make_control(g, spec["name"], **spec.get("params", {}))
+    try:
+        return cv.make_control(g, spec["name"], **spec.get("params", {}))
+    except TypeError as e:
+        raise ValueError("control params: %s" % e) from None
+
+
+def _number(cfg, key, default, kind=float):
+    """cfg[key], or the default, as a number; a bad value names its key."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError("%s: expected a number, got %r" % (key, cfg[key])) from None
 
 
 def cmd_experiment(args):
@@ -218,13 +231,15 @@ def cmd_experiment(args):
             cfg = json.load(f)
         except ValueError as e:
             raise _BadInput("invalid config %s" % args.config, e) from None
-    seed = int(cfg.get("seed", args.seed))
-    manifest = cio.RunManifest(command="experiment %s" % args.action, seed=seed)
-    manifest.add_input(args.config)
+    if not isinstance(cfg, dict):
+        raise _BadInput("invalid config %s" % args.config, "expected a JSON object")
     base = os.path.splitext(os.path.basename(args.config))[0]
-    summary = {"experiment": args.action, "seed": seed}
 
     try:
+        seed = _number(cfg, "seed", args.seed, int)
+        manifest = cio.RunManifest(command="experiment %s" % args.action, seed=seed)
+        manifest.add_input(args.config)
+        summary = {"experiment": args.action, "seed": seed}
         if args.action == "lift":
             g = _load_group(cfg["group"])
             control = _control_from_cfg(cv, g, cfg["control"])
@@ -233,12 +248,12 @@ def cmd_experiment(args):
                 raise ValueError("start: expected %d coordinates, got %d"
                                  % (g.dim, len(start)))
             start = GroupElement(g, np.asarray(start, dtype=float))
-            curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 512)),
-                                       tol=float(cfg.get("tol", 1e-8)))
+            curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 512, int),
+                                       _number(cfg, "tol", 1e-8))
             rows = [[t] + list(c) for t, c in zip(curve.ts, curve.coords)]
             csv = cio.write_csv(_outpath(args, base + "_curve.csv"),
                                 ["t"] + list(g.basis_names), rows)
-            rep = cv.is_horizontal(curve, tol=float(cfg.get("check_tol", 1e-6)))
+            rep = cv.is_horizontal(curve, tol=_number(cfg, "check_tol", 1e-6))
             summary.update({"endpoint": list(map(float, curve.coords[-1])),
                             "horizontal_residual": rep.max_residual,
                             "horizontal": bool(rep.ok)})
@@ -248,8 +263,8 @@ def cmd_experiment(args):
             g = _load_group(cfg["group"])
             control = _control_from_cfg(cv, g, cfg["control"])
             start = GroupElement(g, np.zeros(g.dim))
-            curve = cv.horizontal_lift(control, start, steps=int(cfg.get("steps", 2048)))
-            t = float(cfg.get("t", 0.5))
+            curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 2048, int))
+            t = _number(cfg, "t", 0.5)
             scales = cfg.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
             vals = cv.pansu_quotient_norms(curve, t, scales)
             csv = cio.write_csv(_outpath(args, base + "_quotient.csv"),
@@ -263,8 +278,8 @@ def cmd_experiment(args):
             f = pdiff.named_map(cfg["map"])
             tab = pdiff.mean_value_ratio(
                 f, np.asarray(cfg["center"], dtype=float), float(cfg["r1"]),
-                float(cfg["r2"]), pair_samples=int(cfg.get("pairs", 800)),
-                bins=int(cfg.get("bins", 4)), seed=seed)
+                float(cfg["r2"]), pair_samples=_number(cfg, "pairs", 800, int),
+                bins=_number(cfg, "bins", 4, int), seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
                                 ["edge", "ratio_sup", "defect_sup"],
                                 [[e, r, d] for e, r, d in
@@ -275,17 +290,12 @@ def cmd_experiment(args):
 
         elif args.action == "implicit":
             f = pdiff.named_map(cfg["map"])
-            try:
-                sol, numerical = pdiff.implicit_function(
-                    f, np.asarray(cfg["base_point"], dtype=float),
-                    {"radius": float(cfg.get("radius", 0.3)),
-                     "counts": cfg.get("counts", None) or None,
-                     "shrink_attempts": int(cfg.get("shrink_attempts", 3))},
-                    tol=float(cfg.get("tol", 1e-10)),
-                    budget=int(cfg.get("budget", 100)))
-            except RuntimeError as e:
-                print(json.dumps({"error": str(e)}))
-                return EXIT_SOLVER
+            sol, numerical = pdiff.implicit_function(
+                f, np.asarray(cfg["base_point"], dtype=float),
+                {"radius": _number(cfg, "radius", 0.3),
+                 "counts": cfg.get("counts", None) or None,
+                 "shrink_attempts": _number(cfg, "shrink_attempts", 3, int)},
+                tol=_number(cfg, "tol", 1e-10), budget=_number(cfg, "budget", 100, int))
             rows = [list(n) + list(p) + [r] for n, p, r in
                     zip(sol.nodes, sol.phis, sol.residuals)]
             csv = cio.write_csv(_outpath(args, base + "_graph.csv"),
@@ -301,14 +311,10 @@ def cmd_experiment(args):
 
         elif args.action == "rank":
             f = pdiff.named_map(cfg["map"])
-            try:
-                rp = pdiff.rank_parametrization(
-                    f, np.asarray(cfg["base_point"], dtype=float),
-                    grid_radius=float(cfg.get("radius", 0.25)),
-                    grid_count=int(cfg.get("count", 5)))
-            except RuntimeError as e:
-                print(json.dumps({"error": str(e)}))
-                return EXIT_SOLVER
+            rp = pdiff.rank_parametrization(
+                f, np.asarray(cfg["base_point"], dtype=float),
+                grid_radius=_number(cfg, "radius", 0.25),
+                grid_count=_number(cfg, "count", 5, int))
             summary.update({"lip_ratio": rp.lip_ratio,
                             "graph_sup": float(np.max(np.abs(rp.phi_points)))})
 
@@ -316,12 +322,13 @@ def cmd_experiment(args):
             f = pdiff.named_map(cfg["map"])
             xbar = np.asarray(cfg["base_point"], dtype=float)
             sol, _ = pdiff.implicit_function(
-                f, xbar, {"radius": float(cfg.get("radius", 0.4)),
+                f, xbar, {"radius": _number(cfg, "radius", 0.4),
                           "counts": cfg.get("counts", None) or None})
             sampler = pdiff.LevelSetSampler(f, xbar, sol)
             rep = pdiff.tangent_cone_samples(
                 sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
-                R=float(cfg.get("R", 1.0)), count=int(cfg.get("count", 400)), seed=seed)
+                R=_number(cfg, "R", 1.0), count=_number(cfg, "count", 400, int),
+                seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
                                 ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
                                 [[l, d, a, b] for l, d, a, b in
@@ -335,8 +342,8 @@ def cmd_experiment(args):
 
         elif args.action == "verify-estimates":
             m = _metric_for(_load_group(cfg["group"]))
-            nu = float(cfg.get("nu", 1.0))
-            samples = int(cfg.get("samples", 2000))
+            nu = _number(cfg, "nu", 1.0)
+            samples = _number(cfg, "samples", 2000, int)
             consts = collect_estimates(m, nu, samples, seed)
             csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
             summary.update({"constants": {c.label: c.sup_observed for c in consts}})
@@ -344,8 +351,11 @@ def cmd_experiment(args):
 
         else:
             raise SystemExit("unknown experiment %r" % args.action)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise _BadInput("invalid %s config %s" % (args.action, args.config), e) from None
+    except RuntimeError as e:  # a solver or integrator that did not converge
+        print(json.dumps({"error": str(e)}))
+        return EXIT_SOLVER
 
     spath = _outpath(args, base + "_summary.json")
     with open(spath, "w") as f:

@@ -1,14 +1,14 @@
-"""Horizontal curves in graded groups: lifting through the layer-triangular
-contact ODE, horizontality checks, difference quotients of Pansu type,
-group-valued Riemann sums, and variation.
+"""Horizontal curves in graded groups: lifts of first-layer controls,
+horizontality checks, difference quotients of Pansu type, group-valued
+Riemann sums, and variation.
 
-A curve Gamma = exp(gamma) is horizontal iff for every layer i >= 2
+A curve Gamma = exp(gamma) is horizontal iff Gamma' = Gamma u(t) with u(t) in
+the first layer; in exponential coordinates, for every layer i >= 2,
 
-    dgamma_i/dt = sum_{n=2}^{step} ((-1)^n / n!) pi_i([gamma, dgamma/dt]_{n-1}),
+    dgamma_i/dt = sum_{n=2}^{step} ((-1)^n / n!) pi_i([gamma, dgamma/dt]_{n-1}).
 
-and the right side at layer i only involves derivative components of layers
-below i, so the lift integrates layer by layer.  The integrator is classical
-RK4 with a Richardson halving check; the system is polynomial and non-stiff.
+The lift multiplies fourth-order Magnus increments, one per grid cell, in the
+float group law by a prefix scan, with a Richardson halving check.
 """
 
 import math
@@ -18,12 +18,18 @@ import numpy as np
 
 from .algebra import GroupElement, EmpiricalConstant
 from .bch import group_product_np
-from .metric import quasi_norm, default_metric
+from .metric import default_metric
 
 
 # ---------------------------------------------------------------------------
 # data containers
 # ---------------------------------------------------------------------------
+
+def _interp(t, ts, rows):
+    """Row-wise linear interpolation of samples rows[j] at times ts[j]."""
+    return np.stack([np.interp(t, ts, rows[:, k]) for k in range(rows.shape[1])],
+                    axis=-1)
+
 
 class SampledCurve:
     """Discretized curve: strictly increasing time grid and per-sample
@@ -47,9 +53,8 @@ class SampledCurve:
         return float(self.ts[0]), float(self.ts[-1])
 
     def eval(self, t):
-        """Linear interpolation; exact at grid points."""
-        return np.array([np.interp(t, self.ts, self.coords[:, k])
-                         for k in range(self.algebra.dim)])
+        """Linear interpolation at a time or an array of times; exact at grid points."""
+        return _interp(t, self.ts, self.coords)
 
     def derivative_grid(self):
         """Central differences in the interior, one-sided at the ends."""
@@ -82,12 +87,8 @@ def control_from_csv(algebra, path):
                          % (path, m + 1, data.shape[1]))
     if not np.all(np.diff(ts) > 0):
         raise ValueError("control csv %s: column t must be strictly increasing" % path)
-
-    def fn(t):
-        return np.array([np.interp(t, ts, vals[:, k]) for k in range(m)])
-
-    return HorizontalControl(fn, (float(ts[0]), float(ts[-1])), "sampled",
-                             name="csv")
+    return HorizontalControl(lambda t: _interp(t, ts, vals),
+                             (float(ts[0]), float(ts[-1])), "sampled", name="csv")
 
 
 def make_control(algebra, name, **params):
@@ -142,9 +143,9 @@ def make_control(algebra, name, **params):
 # ---------------------------------------------------------------------------
 
 def _embed_layer1(algebra, v1):
-    out = np.zeros(algebra.dim)
-    for pos, k in enumerate(algebra.layer_indices(1)):
-        out[k] = v1[pos]
+    v1 = np.asarray(v1, dtype=float)
+    out = np.zeros(v1.shape[:-1] + (algebra.dim,))
+    out[..., algebra.layer_indices(1)] = v1
     return out
 
 
@@ -166,35 +167,34 @@ def horizontal_residuals(algebra, gamma, gdot):
     return ops.project_tail(gdot - ops.dexp_series(gamma, gdot), 2)
 
 
-def _rk4_path(algebra, control, start_coords, t0, t1, steps):
-    v1probe = control(0.5 * (t0 + t1))
-    if len(v1probe) != len(algebra.layer_indices(1)):
-        raise ValueError("control must take values in layer 1 (%d components), got %d"
-                         % (len(algebra.layer_indices(1)), len(v1probe)))
+def _lift_path(algebra, control, start_coords, t0, t1, steps):
+    """Grid of `steps` cells from t0 to t1 (either order) and the lift at its
+    nodes, start exp(Omega_1) ... exp(Omega_k): Omega_k is the fourth-order
+    Magnus increment from the control at the two (interior) Gauss points."""
     ts = np.linspace(t0, t1, steps + 1)
     h = (t1 - t0) / steps
-    out = np.empty((steps + 1, algebra.dim))
-    out[0] = start_coords
-    g = np.array(start_coords, dtype=float)
-
-    def f(t, y):
-        return contact_derivative(algebra, y, control(t))
-
-    for i in range(steps):
-        t = ts[i]
-        k1 = f(t, g)
-        k2 = f(t + h / 2, g + h / 2 * k1)
-        k3 = f(t + h / 2, g + h / 2 * k2)
-        k4 = f(t + h, g + h * k3)
-        g = g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = g
-    return ts, out
+    mid, off = 0.5 * (ts[:-1] + ts[1:]), math.sqrt(3.0) / 6.0 * h
+    v1 = np.array([control(t) for t in np.concatenate([mid - off, mid + off])])
+    m = len(algebra.layer_indices(1))
+    if v1.shape[1:] != (m,):
+        raise ValueError("control must map into layer 1 (%d), got %s" % (m, v1.shape[1:]))
+    a1, a2 = np.split(_embed_layer1(algebra, v1), 2)
+    omega = (0.5 * h) * (a1 + a2) + (math.sqrt(3.0) / 12.0 * h * h) * \
+        algebra.float_ops().bracket(a1, a2)
+    path = np.vstack([start_coords, omega])
+    # Hillis-Steele scan: after the pass with shift d, row i holds the
+    # product of rows max(0, i - 2d + 1) .. i in order
+    d = 1
+    while d <= steps:
+        path[d:] = group_product_np(algebra, path[:-d], path[d:])
+        d *= 2
+    return ts, path
 
 
 def horizontal_lift(control, start, steps=256, tol=1e-8):
-    """Integrate the contact ODE for the given first-layer control.
+    """Lift a first-layer control from `start` by Magnus steps (`_lift_path`).
 
-    Piecewise controls are integrated segment by segment between their
+    Piecewise controls are lifted segment by segment between their
     breakpoints.  A Richardson halving pass estimates the endpoint error and
     raises if it exceeds `tol` (so callers can trust the advertised
     accuracy); the returned curve carries the fine grid.
@@ -202,30 +202,28 @@ def horizontal_lift(control, start, steps=256, tol=1e-8):
     algebra = start.algebra
     if steps < 2:
         raise ValueError("horizontal lift needs steps >= 2, got %r" % (steps,))
-    t0, t1 = control.domain
+    try:
+        t0, t1 = map(float, control.domain)
+    except (TypeError, ValueError):
+        t0 = t1 = 0.0
+    if not t0 < t1:
+        raise ValueError("control domain must be t0 < t1, got %r" % (control.domain,))
     cuts = [t0] + [b for b in control.breakpoints if t0 < b < t1] + [t1]
     grids, paths = [], []
     g = np.asarray(start.to_float().coords, dtype=float)
-    coarse_end = None
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         seg_steps = max(2, int(round(steps * (hi - lo) / (t1 - t0))))
-        # clamp below the right endpoint so stage evaluations stay on this
-        # smooth piece (the RK4 k4 stage sits exactly on the breakpoint)
-        eps = 1e-12 * max(1.0, hi - lo)
-        seg_control = (lambda hi=hi, eps=eps: lambda t: control(min(t, hi - eps)))()
-        ts_f, path_f = _rk4_path(algebra, seg_control, g, lo, hi, 2 * seg_steps)
-        _, path_c = _rk4_path(algebra, seg_control, g, lo, hi, seg_steps)
-        coarse_end = path_c[-1]
-        err = np.max(np.abs(path_f[-1] - coarse_end)) / 15.0
+        ts_f, path_f = _lift_path(algebra, control, g, lo, hi, 2 * seg_steps)
+        _, path_c = _lift_path(algebra, control, g, lo, hi, seg_steps)
+        err = np.max(np.abs(path_f[-1] - path_c[-1])) / 15.0
         if err > tol:
             raise RuntimeError("integrator error estimate %.3g above tol %.3g; "
                                "increase steps" % (err, tol))
         grids.append(ts_f if not grids else ts_f[1:])
         paths.append(path_f if not paths else path_f[1:])
         g = path_f[-1]
-    curve = SampledCurve(algebra, np.concatenate(grids), np.concatenate(paths),
-                         control=control)
-    return curve
+    return SampledCurve(algebra, np.concatenate(grids), np.concatenate(paths),
+                        control=control)
 
 
 @dataclass
@@ -264,10 +262,8 @@ def is_horizontal(curve, tol=1e-6):
 def _gamma_dot1(curve, t):
     if curve.control is not None:
         return _embed_layer1(curve.algebra, curve.control(t))
-    d = np.gradient(curve.coords, curve.ts, axis=0)
-    ops = curve.algebra.float_ops()
-    return ops.project_layer(np.array([np.interp(t, curve.ts, d[:, k])
-                                       for k in range(curve.algebra.dim)]), 1)
+    d = curve.derivative_grid()
+    return curve.algebra.float_ops().project_layer(_interp(t, curve.ts, d), 1)
 
 
 def pansu_quotient(curve, t, h):
@@ -292,8 +288,7 @@ def _refined_eval(curve, t, s):
     grid alone cannot support h^2-level accuracy at very small h)."""
     if curve.control is None or s == t:
         return curve.eval(s)
-    _, path = _rk4_path(curve.algebra, curve.control, curve.eval(t), t, s, 64)
-    return path[-1]
+    return _lift_path(curve.algebra, curve.control, curve.eval(t), t, s, 64)[1][-1]
 
 
 def pansu_quotient_norms(curve, t, hs):
@@ -322,15 +317,9 @@ def sup_average(ts, values, t, lam):
     if lam < 0:
         sub_t, sub_v = sub_t[::-1], sub_v[::-1]
         sub_t = sub_t[0] - (sub_t - sub_t[0])
-    best = float(sub_v[0])
-    acc = 0.0
-    for i in range(1, len(sub_t)):
-        dt = abs(sub_t[i] - sub_t[i - 1])
-        acc += 0.5 * dt * (sub_v[i] + sub_v[i - 1])
-        tau = abs(sub_t[i] - sub_t[0])
-        if tau > 0:
-            best = max(best, acc / tau)
-    return best
+    acc = np.cumsum(0.5 * np.abs(np.diff(sub_t)) * (sub_v[1:] + sub_v[:-1]))
+    tau = np.abs(sub_t[1:] - sub_t[0])
+    return float(np.max(acc[tau > 0] / tau[tau > 0], initial=sub_v[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def group_riemann_sum(curve, partition):
     a, b = curve.domain
     if ts[0] < a - 1e-12 or ts[-1] > b + 1e-12 or np.any(np.diff(ts) <= 0):
         raise ValueError("invalid partition")
-    pts = np.stack([curve.eval(t) for t in ts])
+    pts = curve.eval(ts)
     inc = group_product_np(alg, -pts[:-1], pts[1:])
     return inc.sum(axis=0)
 
@@ -377,8 +366,7 @@ def variation(curve, metric=None):
     var_a = 0.0
     for level in range(4, 17):
         n = 2 ** level
-        ts = np.linspace(a, b, n + 1)
-        pts = np.stack([curve.eval(t) for t in ts])
+        pts = curve.eval(np.linspace(a, b, n + 1))
         d = metric.distance_np(pts[:-1], pts[1:])
         var_a = float(np.sum(d))
         if prev is not None and abs(var_a - prev) <= 1e-6 * max(var_a, 1e-12):
@@ -387,13 +375,10 @@ def variation(curve, metric=None):
         if n >= len(curve.ts) * 4:
             break
     if curve.control is not None:
-        speeds = np.array([float(metric.quasi_norm_np(
-            _embed_layer1(alg, curve.control(t)))) for t in curve.ts])
+        v1 = _embed_layer1(alg, np.array([curve.control(t) for t in curve.ts]))
     else:
-        gdot = curve.derivative_grid()
-        ops = alg.float_ops()
-        speeds = metric.quasi_norm_np(ops.project_layer(gdot, 1))
-    var_b = float(np.trapezoid(speeds, curve.ts))
+        v1 = alg.float_ops().project_layer(curve.derivative_grid(), 1)
+    var_b = float(np.trapezoid(metric.quasi_norm_np(v1), curve.ts))
     rep = is_horizontal(curve, tol=1e-5)
     return {"partition": var_a, "first_layer_integral": var_b,
             "horizontal": rep.ok, "agreement": abs(var_a - var_b) /
@@ -440,8 +425,7 @@ def lift_layer_bound(control, algebra, lambdas, steps=512):
     """Sampled sup over the lambda grid and layers i >= 2 of
     |int_0^lam gdot_i| / (A_0^lam(gdot_1 - X) * lam^i), for lifts from the
     identity, with X = gdot_1(0)."""
-    from .algebra import GroupElement as GE
-    start = GE(algebra, np.zeros(algebra.dim))
+    start = GroupElement(algebra, np.zeros(algebra.dim))
     curve = horizontal_lift(control, start, steps=steps)
     t0 = control.domain[0]
     x_ref = _embed_layer1(algebra, control(t0))

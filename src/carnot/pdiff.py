@@ -192,8 +192,7 @@ def component_differentials(domain, codomain, dfirst_matrix, f_at_x):
     h -> sum_j dF_j(h)."""
     block = np.asarray(dfirst_matrix, dtype=float)
     mat = np.zeros((codomain.dim, domain.dim))
-    for pos, b in enumerate(domain.layer_indices(1)):
-        mat[:, b] = contact_derivative(codomain, f_at_x, block[:, pos])
+    mat[:, domain.layer_indices(1)] = contact_derivative(codomain, f_at_x, block.T).T
     return mat
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from carnot import catalog
 from carnot.algebra import GroupElement
-from carnot.curves import (SampledCurve, decay_order, group_riemann_sum,
-                           horizontal_lift, is_horizontal, lift_layer_bound,
-                           make_control, pansu_quotient, pansu_quotient_norms,
-                           riemann_limit, sup_average, variation,
-                           verify_ac_lip_characterization)
+from carnot.curves import (HorizontalControl, SampledCurve, decay_order,
+                           group_riemann_sum, horizontal_lift, is_horizontal,
+                           lift_layer_bound, make_control, pansu_quotient,
+                           pansu_quotient_norms, riemann_limit, sup_average,
+                           variation, verify_ac_lip_characterization)
 from carnot.metric import koranyi
 
 
@@ -177,10 +177,43 @@ def test_lift_layer_bound(h1):
 
 
 def test_step3_lift_consistency(f23):
-    # triangular integration in a step-3 group stays horizontal
-    c = make_control(f23, "circle")
-    curve = horizontal_lift(c, identity_of(f23), steps=2048)
-    assert is_horizontal(curve, tol=1e-5).ok
+    # lifts in groups of step 3 and 4, smooth and piecewise, stay horizontal
+    for g in (f23, catalog.get("free_2_4")):
+        for name in ("circle", "square"):
+            curve = horizontal_lift(make_control(g, name), identity_of(g), steps=2048)
+            assert is_horizontal(curve, tol=1e-5).ok, (g.name, name)
+
+
+def test_lift_never_evaluates_control_at_cell_ends(h1):
+    # a piecewise control need not be defined at its breakpoints or at the
+    # ends of its domain: the lift only reads it inside the cells
+    square = make_control(h1, "square")
+
+    def fn(t):
+        if t in (0.0, 1.0, 2.0, 3.0, 4.0):
+            raise ValueError("evaluated at %r" % t)
+        return square.fn(t)
+
+    open_square = HorizontalControl(fn, square.domain, "piecewise", square.breakpoints)
+    curve = horizontal_lift(open_square, identity_of(h1), steps=400)
+    assert np.array_equal(curve.coords, horizontal_lift(square, identity_of(h1),
+                                                         steps=400).coords)
+    assert abs(curve.coords[-1][2] - 1.0) <= 1e-8
+
+
+def test_lift_cocycle():
+    # one lift over [0, 2 pi] equals the lift over [0, pi] continued from its
+    # endpoint over [pi, 2 pi], on the same grid (300 steps: no power of two)
+    g = catalog.get("free_2_4")
+    whole = horizontal_lift(make_control(g, "circle"), identity_of(g), steps=300)
+    first = horizontal_lift(make_control(g, "circle", domain=(0.0, math.pi)),
+                            identity_of(g), steps=150)
+    second = horizontal_lift(make_control(g, "circle", domain=(math.pi, 2 * math.pi)),
+                             GroupElement(g, first.coords[-1]), steps=150)
+    assert np.allclose(whole.ts, np.concatenate([first.ts, second.ts[1:]]),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(whole.coords, np.concatenate([first.coords, second.coords[1:]]),
+                       rtol=0, atol=1e-12)
 
 
 def test_control_from_csv(tmp_path, h1):
@@ -207,3 +240,11 @@ def test_sup_average_negative_window():
     # constant integrand: both directions give the constant
     const = np.full_like(ts, 2.5)
     assert sup_average(ts, const, 0.7, -0.5) == pytest.approx(2.5)
+
+
+def test_eval_on_arrays_matches_scalar_eval(h1):
+    curve = horizontal_lift(make_control(h1, "circle"), identity_of(h1))
+    ts = np.linspace(-0.5, 7.0, 37)  # the ends lie outside the domain
+    batch = curve.eval(ts)
+    assert batch.shape == (37, 3) and curve.eval(ts[:, None]).shape == (37, 1, 3)
+    assert all(np.array_equal(batch[i], curve.eval(t)) for i, t in enumerate(ts))

@@ -185,6 +185,12 @@ def test_cli_experiment_solver_failure_exit_code(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["--output-dir", str(tmp_path), "experiment",
                  "implicit", str(p)]) == 3
+    # so does a lift whose Richardson estimate stays above tol at 4 steps
+    p = tmp_path / "lift.json"
+    p.write_text(json.dumps({"group": "h1", "control": {"name": "circle"}, "steps": 4}))
+    capsys.readouterr()
+    assert main(["--output-dir", str(tmp_path), "experiment", "lift", str(p)]) == 3
+    assert "integrator error estimate" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
@@ -341,6 +347,38 @@ INPUT_PROBES = {
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
                              "start": [0, 0]})]),
+    "lift-csv-one-row": ("domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "csv": _write(d, "c.csv", "t,u1,u2\n0,1,0\n")}})]),
+    "lift-domain-empty": ("domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "circle", "params": {"domain": [1, 1]}}})]),
+    "lift-domain-reversed": ("domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "line", "params": {"domain": [1, 0]}}})]),
+    "lift-domain-type": ("domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "circle", "params": {"domain": "ab"}}})]),
+    "lift-radius-null": ("control params", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "circle", "params": {"radius": None}}})]),
+    "lift-control-type": ("control", lambda d: [
+        "experiment", "lift", _write(d, "l.json", {"group": "h1", "control": "circle"})]),
+    "lift-steps-null": ("steps", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
+                             "steps": None})]),
+    "lift-tol-null": ("tol", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
+                             "tol": None})]),
+    "config-not-object": ("JSON object", lambda d: [
+        "experiment", "lift", _write(d, "l.json", [1, 2])]),
 }
 
 
