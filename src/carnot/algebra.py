@@ -526,6 +526,8 @@ class FloatOps:
         self.layer_of = np.array(algebra.layer_of)
         self.layer_masks = [None] + [
             (self.layer_of == i).astype(float) for i in range(1, self.step + 1)]
+        self.layer_idx = [np.flatnonzero(self.layer_of == i)
+                          for i in range(1, self.step + 1)]
         # tail_masks[step + 1] is all zeros: the tail above the top layer
         self.tail_masks = [None] + [
             (self.layer_of >= i).astype(float) for i in range(1, self.step + 2)]
@@ -560,7 +562,8 @@ class FloatOps:
         return np.asarray(x, dtype=float) * self.tail_masks[i]
 
     def layer_norms(self, x):
-        """Euclidean norm of each layer component, shape (..., step)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.linalg.norm(x * self.layer_masks[i], axis=-1)
-                         for i in range(1, self.step + 1)], axis=-1)
+        """Euclidean norm of each layer component, shape (..., step): the
+        coordinates are squared once and summed over each layer's indices."""
+        sq = np.square(np.asarray(x, dtype=float))
+        return np.sqrt(np.stack([sq[..., idx].sum(axis=-1) for idx in self.layer_idx],
+                                axis=-1))

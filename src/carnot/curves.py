@@ -312,6 +312,8 @@ def sup_average(ts, values, t, lam):
     if lo < ts[0] - 1e-12 or hi > ts[-1] + 1e-12:
         raise ValueError("window escapes the grid")
     mask = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+    if not mask.any():
+        raise ValueError("window [%r, %r] holds no grid point" % (lo, hi))
     sub_t = ts[mask]
     sub_v = values[mask]
     if lam < 0:

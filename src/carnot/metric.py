@@ -145,12 +145,12 @@ def sample_ball(metric, radius, count, rng):
 
 
 def sphere_point(metric, u):
-    """Dilate a nonzero point onto the unit sphere of the gauge."""
-    n = float(metric.quasi_norm_np(u))
-    if not n > 0:
-        raise ValueError("sphere_point needs a nonzero point")
-    ops = metric.algebra.float_ops()
-    return ops.dilate(u, 1.0 / n)
+    """Dilate nonzero points, shape (..., dim), onto the unit sphere of the
+    gauge."""
+    n = metric.quasi_norm_np(u)
+    if not np.all(n > 0):
+        raise ValueError("sphere_point needs nonzero points")
+    return metric.algebra.float_ops().dilate(u, 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +192,13 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     norms = metric.quasi_norm_np(pts)
     mask = norms > 1e-9
     pts, norms = pts[mask], norms[mask]
-    ops = alg.float_ops()
+    # tails[:, i - 1] = |pi^i|: tail_i^2 is the sum of the squared layer
+    # norms of layers j >= i
+    sq = np.square(alg.float_ops().layer_norms(pts))
+    tails = np.sqrt(np.cumsum(sq[:, ::-1], axis=-1)[:, ::-1])
     out = []
     for i in range(1, alg.step + 1):
-        tails = np.linalg.norm(ops.project_tail(pts, i), axis=-1)
-        ratios = tails / norms ** i
+        ratios = tails[:, i - 1] / norms ** i
         out.append(EmpiricalConstant(
             "tail_projection K_U layer>=%d[%s]" % (i, alg.name),
             float(np.max(ratios)) if len(ratios) else 0.0, int(mask.sum()), nu=radius))

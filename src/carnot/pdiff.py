@@ -34,9 +34,12 @@ Q = Fraction
 class PDMap:
     """Group-valued map on a coordinate box.
 
-    evaluator: float coords -> float coords.
-    dfirst:    optional analytic first-layer differential, x -> matrix of
-               shape (dim W_1, dim V_1) on the layer-1 bases.
+    evaluator: float coords -> float coords, on arrays: it maps shape
+               (..., domain.dim) to (..., codomain.dim), so one call serves a
+               point or a batch (write it with x[..., i]).  Calls check the
+               output shape and raise ValueError naming the map otherwise.
+    dfirst:    optional analytic first-layer differential at one point,
+               x -> matrix of shape (dim W_1, dim V_1) on the layer-1 bases.
     dfirst_exact: same but Fraction-valued at exact points (enables exact
                kernel/complement classification).
     """
@@ -52,7 +55,15 @@ class PDMap:
         self.name = name
 
     def __call__(self, coords):
-        return np.asarray(self.evaluator(np.asarray(coords, dtype=float)), dtype=float)
+        x = np.asarray(coords, dtype=float)
+        out = np.asarray(self.evaluator(x), dtype=float)
+        expect = x.shape[:-1] + (self.codomain.dim,)
+        if out.shape != expect:
+            raise ValueError("map %r: evaluator gave shape %s on input of shape %s, "
+                             "expected %s (evaluators map (..., %d) to (..., %d))"
+                             % (self.name, out.shape, x.shape, expect,
+                                self.domain.dim, self.codomain.dim))
+        return out
 
     def in_box(self, coords):
         if self.box is None:
@@ -71,7 +82,7 @@ def compose_maps(g, f, name=None):
 def hom_map(L, name=None):
     """The map induced by an h-homomorphism (exact contact structure)."""
     Lf = L.to_float()
-    return PDMap(L.domain, L.codomain, lambda x: Lf.matrix @ x,
+    return PDMap(L.domain, L.codomain, lambda x: x @ Lf.matrix.T,
                  dfirst=lambda x: _layer_block(Lf, 1), name=name or "hom")
 
 
@@ -105,7 +116,7 @@ def radial_level_map(h2):
     r2 = abelian(2)
 
     def ev(x):
-        return np.array([math.hypot(x[1], x[2]), x[3]])
+        return np.stack([np.hypot(x[..., 1], x[..., 2]), x[..., 3]], axis=-1)
 
     def dfirst(x):
         r = math.hypot(x[1], x[2])
@@ -142,7 +153,7 @@ def vertical_shear_map(h1):
     difference-quotient divergence) must agree on flagging it."""
     def ev(x):
         out = x.copy()
-        out[2] = x[2] + x[0] ** 2
+        out[..., 2] = x[..., 2] + x[..., 0] ** 2
         return out
     return PDMap(h1, h1, ev, dfirst=lambda x: np.eye(2), name="vertical_shear")
 
@@ -150,7 +161,8 @@ def vertical_shear_map(h1):
 def corner_map(h1):
     """x -> |x_1|: Lipschitz but not P-differentiable on the crease."""
     from .catalog import abelian
-    return PDMap(h1, abelian(1), lambda x: np.array([abs(x[0])]), name="corner")
+    return PDMap(h1, abelian(1), lambda x: np.abs(x[..., :1]),
+                 name="corner")
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +243,38 @@ def lift_differential(domain, codomain, dfirst_matrix):
     Accepts a float matrix (returns a float morphism, transported with the
     float bracket) or a Fraction matrix (exact morphism); the bracket
     combinations are exact in both modes."""
-    exact = not isinstance(dfirst_matrix, np.ndarray)
-    if exact:
-        block = [[Q(c) for c in row] for row in dfirst_matrix]
-        cast, brk = Q, codomain.bracket_coords
+    if isinstance(dfirst_matrix, np.ndarray):
+        return GradedMorphism(domain, codomain, _lift_blocks(domain, codomain,
+                                                             dfirst_matrix))
+    block = np.array([[Q(c) for c in row] for row in dfirst_matrix], dtype=object)
+    block = block.reshape(len(codomain.layer_indices(1)), len(domain.layer_indices(1)))
+    return GradedMorphism(domain, codomain,
+                          _lift_blocks(domain, codomain, block).tolist())
+
+
+def _lift_blocks(domain, codomain, blocks):
+    """The body of lift_differential on first-layer blocks stacked along the
+    leading axes: shape (..., dim W_1, dim V_1) -> (..., codomain.dim,
+    domain.dim).  Float blocks move with the float bracket, an object array
+    of Fractions (one block) with the exact one."""
+    if blocks.dtype == object:
+        cast = Q
+
+        def brk(u, v):
+            return np.array(codomain.bracket_coords(u, v), dtype=object)
     else:
-        block = np.asarray(dfirst_matrix, dtype=float)
+        blocks = np.asarray(blocks, dtype=float)
         cast, brk = float, codomain.float_ops().bracket
-    zero = cast(0)
-    ci1 = codomain.layer_indices(1)
-    cols = {}
+    # cols[..., b, :] is the image of the domain basis vector e_b
+    cols = np.full(blocks.shape[:-2] + (domain.dim, codomain.dim), cast(0),
+                   dtype=blocks.dtype)
     for pos, b in enumerate(domain.layer_indices(1)):
-        cols[b] = [zero] * codomain.dim
-        for rpos, k in enumerate(ci1):
-            cols[b][k] = block[rpos][pos]
+        cols[..., b, codomain.layer_indices(1)] = blocks[..., :, pos]
     for layer in range(2, domain.step + 1):
         for k, comb in _bracket_combinations(domain, layer):
-            col = [zero] * codomain.dim
-            for a, b, c in comb:
-                col = [x + cast(c) * y for x, y in zip(col, brk(cols[a], cols[b]))]
-            cols[k] = col
-    matrix = [[cols[b][k] for b in range(domain.dim)] for k in range(codomain.dim)]
-    if not exact:
-        matrix = np.array(matrix, dtype=float).reshape(codomain.dim, domain.dim)
-    return GradedMorphism(domain, codomain, matrix)
+            cols[..., k, :] = sum(cast(c) * brk(cols[..., a, :], cols[..., b, :])
+                                  for a, b, c in comb)
+    return cols.swapaxes(-1, -2)
 
 
 @dataclass
@@ -384,26 +404,23 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     # monotonicity of the defect instead of sampling noise
     xs = sample_ball(dmetric, r1 / 2, pair_samples, rng)
     edges = [r1 / 2 ** k for k in range(bins + 1)]
-    sups = [0.0] * bins
-    defects = [0.0] * bins
-    used = 0
-    for u in xs:
-        x = group_product_np(dom, center, u)
-        L = lift_differential(dom, cod, pdmap.dfirst(x))
-        w = sphere_point(dmetric, rng.standard_normal(dom.dim))
-        used += 1
-        for k in range(bins):
-            s = edges[k] * (2 / 3)  # interior of bin k: (edges[k+1], edges[k]]
-            y = group_product_np(dom, x, ops.dilate(w, s))
-            d = float(dmetric.distance_np(x, y))
-            xy = group_product_np(dom, -x, y)
-            pred = L.matrix @ xy
-            fdiff = group_product_np(cod, -pdmap(x), pdmap(y))
-            gap = group_product_np(cod, -pred, fdiff)
-            rho = float(cmetric.quasi_norm_np(gap))
-            sups[k] = max(sups[k], rho / d)
-            defects[k] = max(defects[k], rho)
-    return MeanValueTable(edges, sups, defects, used)
+    x = group_product_np(dom, center, xs)
+    blocks = np.array([pdmap.dfirst(p) for p in x], dtype=float)
+    lifts = _lift_blocks(dom, cod, blocks.reshape(len(x), len(cod.layer_indices(1)),
+                                                  len(dom.layer_indices(1))))
+    w = sphere_point(dmetric, rng.standard_normal((len(x), dom.dim)))
+    # arrays of shape (pairs, bins, dim): s_k in the interior of bin k,
+    # (edges[k+1], edges[k]]
+    s = np.array(edges[:bins]) * (2 / 3)
+    x = x[:, None, :]
+    y = group_product_np(dom, x, ops.dilate(w[:, None, :], s))
+    d = dmetric.distance_np(x, y)
+    pred = np.einsum("pij,pbj->pbi", lifts, group_product_np(dom, -x, y))
+    fdiff = group_product_np(cod, -pdmap(x), pdmap(y))
+    rho = cmetric.quasi_norm_np(group_product_np(cod, -pred, fdiff))
+    sups = np.max(rho / d, axis=0, initial=0.0)
+    defects = np.max(rho, axis=0, initial=0.0)
+    return MeanValueTable(edges, sups.tolist(), defects.tolist(), len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -411,47 +428,65 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
 # ---------------------------------------------------------------------------
 
 def _newton(residual, t0, tol=1e-10, budget=100):
-    """Damped Newton with central finite-difference Jacobian (step 1e-6,
-    relative once |t| > 1) and Armijo backtracking."""
-    t = np.asarray(t0, dtype=float).copy()
-    r = residual(t)
-    best, best_t = float(np.linalg.norm(r)), t.copy()
+    """Damped Newton on N independent systems at once.
+
+    t0 has shape (N, k); residual(t, rows) returns the residuals, shape
+    (len(rows), n), of the systems `rows` at the points t, one row each.
+    Every iteration takes the central-difference Jacobians of all active
+    systems from one residual call on 2k rows per system (step 1e-6,
+    relative once |t| > 1), solves the stacked Newton systems (least
+    squares through the pseudo-inverse when n != k) and backtracks (Armijo,
+    halving down to 1e-8) on a per-system mask.  A system leaves the batch
+    when it converges, stalls or meets a singular Jacobian.  Returns
+    (t, residual norms, ok) of shapes (N, k), (N,) and (N,)."""
+    t = np.array(t0, dtype=float)
+    count, k = t.shape
+    r = residual(t, np.arange(count))
+    nrm = np.linalg.norm(r, axis=-1)
+    eye = np.eye(k)
+    active = np.arange(count)
     for _ in range(budget):
-        nrm = float(np.linalg.norm(r))
-        if nrm <= tol:
-            return t, nrm, True
-        n_out, n_in = len(r), len(t)
-        jac = np.zeros((n_out, n_in))
-        h = 1e-6 * max(1.0, float(np.linalg.norm(t)))
-        for c in range(n_in):
-            dt = np.zeros(n_in)
-            dt[c] = h
-            jac[:, c] = (residual(t + dt) - residual(t - dt)) / (2 * h)
-        try:
-            step = np.linalg.solve(jac, -r) if n_out == n_in else \
-                np.linalg.lstsq(jac, -r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return best_t, best, False
-        lam = 1.0
-        while lam > 1e-8:
-            cand = t + lam * step
-            rc = residual(cand)
-            if float(np.linalg.norm(rc)) < nrm:
-                t, r = cand, rc
-                break
-            lam *= 0.5
+        active = active[nrm[active] > tol]
+        if not len(active):
+            break
+        ta, ra = t[active], r[active]
+        h = 1e-6 * np.maximum(1.0, np.linalg.norm(ta, axis=-1))[:, None, None]
+        probes = np.concatenate([ta[:, None] + h * eye, ta[:, None] - h * eye], axis=1)
+        rp = residual(probes.reshape(2 * k * len(active), k), np.repeat(active, 2 * k))
+        rp = rp.reshape(len(active), 2 * k, -1)
+        jac = ((rp[:, :k] - rp[:, k:]) / (2 * h)).swapaxes(1, 2)
+        if jac.shape[1] == k:
+            solvable = np.linalg.slogdet(jac)[0] != 0  # exactly where solve raises
         else:
-            return best_t, best, False
-        if float(np.linalg.norm(r)) < best:
-            best, best_t = float(np.linalg.norm(r)), t.copy()
-    return best_t, best, best <= tol
+            solvable = np.isfinite(jac).all(axis=(1, 2))  # where the SVD can run
+        step = np.zeros_like(ta)
+        rhs = -ra[solvable][..., None]
+        step[solvable] = (np.linalg.solve(jac[solvable], rhs) if jac.shape[1] == k
+                          else np.linalg.pinv(jac[solvable]) @ rhs)[..., 0]
+        lam = np.ones(len(active))
+        moved = np.zeros(len(active), dtype=bool)
+        pending = np.flatnonzero(solvable)
+        while len(pending):
+            cand = ta[pending] + lam[pending, None] * step[pending]
+            rc = residual(cand, active[pending])
+            nc = np.linalg.norm(rc, axis=-1)
+            better = nc < nrm[active[pending]]
+            rows = active[pending[better]]
+            t[rows], r[rows], nrm[rows] = cand[better], rc[better], nc[better]
+            moved[pending[better]] = True
+            pending = pending[~better]
+            lam[pending] *= 0.5
+            pending = pending[lam[pending] > 1e-8]
+        active = active[moved]
+    return t, nrm, nrm <= tol
 
 
 def product_set_membership(g, basis_a, basis_b, restarts=16, seed=0):
     """Numerical membership of g in exp(span A) exp(span B): one damped
     Newton solve (residual <= 1e-9) on the coefficient vector of (a, b) per
-    random restart.  A solve counts only when its coefficients lie in the
-    ball |t| <= 10.  Returns (found, best_residual, coeffs).
+    random restart, all restarts in one batch.  The first converging restart
+    (in restart order) whose coefficients lie in the ball |t| <= 10 wins.
+    Returns (found, best_residual, coeffs).
 
     A failure is a semi-decision, not a nonexistence proof; the bound matters
     because these product sets need not be closed (the defining equations can
@@ -461,22 +496,22 @@ def product_set_membership(g, basis_a, basis_b, restarts=16, seed=0):
     A = np.array([[float(c) for c in v] for v in basis_a]).reshape(-1, alg.dim)
     B = np.array([[float(c) for c in v] for v in basis_b]).reshape(-1, alg.dim)
     na = len(A)
-
-    def resid(t):
-        return group_product_np(alg, t[:na] @ A, t[na:] @ B) - gf
-
     rng = np.random.default_rng(seed)
-    best, best_t = math.inf, None
-    for r in range(restarts):
-        t0 = rng.standard_normal(na + len(B)) * (0.5 + r % 3)
-        t, nrm, ok = _newton(resid, t0, tol=1e-9, budget=80)
-        if float(np.linalg.norm(t)) > 10.0:
-            continue
-        if ok:
-            return True, nrm, (t[:na], t[na:])
-        if nrm < best:
-            best, best_t = nrm, t
-    return False, best, (None, None) if best_t is None else (best_t[:na], best_t[na:])
+    scale = 0.5 + np.arange(restarts) % 3
+    t0 = rng.standard_normal((restarts, na + len(B))) * scale[:, None]
+    # every restart solves the same system
+    t, nrm, ok = _newton(lambda c, rows: group_product_np(alg, c[:, :na] @ A,
+                                                          c[:, na:] @ B) - gf,
+                         t0, tol=1e-9, budget=80)
+    inside = np.linalg.norm(t, axis=-1) <= 10.0
+    won = np.flatnonzero(inside & ok)
+    if len(won):
+        return True, float(nrm[won[0]]), (t[won[0], :na], t[won[0], na:])
+    tried = np.flatnonzero(inside & np.isfinite(nrm))
+    if not len(tried):
+        return False, math.inf, (None, None)
+    i = tried[np.argmin(nrm[tried])]
+    return False, float(nrm[i]), (t[i, :na], t[i, na:])
 
 
 def local_inverse(pdmap, xbar, y):
@@ -488,29 +523,25 @@ def local_inverse(pdmap, xbar, y):
     if abs(np.linalg.det(np.asarray(rep.morphism.matrix))) < 1e-10:
         raise ValueError("differential not invertible at the base point")
     y = np.asarray(y, dtype=float)
-    t, resid, ok = _newton(lambda z: pdmap(z) - y, np.asarray(xbar, dtype=float))
-    if not ok:
-        raise RuntimeError("no convergence within budget (residual %.3g)" % resid)
-    return t, resid
+    t, resid, ok = _newton(lambda z, rows: pdmap(z) - y,
+                           np.asarray(xbar, dtype=float)[None, :])
+    if not ok[0]:
+        raise RuntimeError("no convergence within budget (residual %.3g)" % resid[0])
+    return t[0], float(resid[0])
 
 
 def bilipschitz_bounds(pdmap, xbar, radius=0.2, samples=400, seed=0):
-    """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar."""
+    """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar, over pairs
+    with d(a, b) >= 1e-8."""
     dmetric, cmetric = default_metric(pdmap.domain), default_metric(pdmap.codomain)
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float)
-    a = sample_ball(dmetric, radius, samples, rng)
-    b = sample_ball(dmetric, radius, samples, rng)
-    lo, hi = math.inf, 0.0
-    for u, v in zip(a, b):
-        x = group_product_np(pdmap.domain, xbar, u)
-        y = group_product_np(pdmap.domain, xbar, v)
-        d = float(dmetric.distance_np(x, y))
-        if d < 1e-8:
-            continue
-        r = float(cmetric.distance_np(pdmap(x), pdmap(y))) / d
-        lo, hi = min(lo, r), max(hi, r)
-    return lo, hi
+    x = group_product_np(pdmap.domain, xbar, sample_ball(dmetric, radius, samples, rng))
+    y = group_product_np(pdmap.domain, xbar, sample_ball(dmetric, radius, samples, rng))
+    d = dmetric.distance_np(x, y)
+    far = d >= 1e-8
+    ratio = cmetric.distance_np(pdmap(x[far]), pdmap(y[far])) / d[far]
+    return float(np.min(ratio, initial=math.inf)), float(np.max(ratio, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +611,16 @@ def _rational_differential(pdmap, xbar):
                                      for row in mat]), True
 
 
-def _graph_newton(pdmap, xbar, node, hbasis, level, t0, tol, budget):
-    """Newton solve of f(xbar o node o exp(c @ hbasis)) = level over the
-    coefficients c on the complement H: one point of the intrinsic graph."""
+def _graph_residual(pdmap, bases, hbasis, level):
+    """Residual of the systems f(bases[i] o exp(c @ hbasis)) = level over the
+    coefficients c on the complement H, one system per base point: the
+    points of the intrinsic graph, in the form _newton takes."""
     dom = pdmap.domain
-    base = group_product_np(dom, xbar, node)
 
-    def resid(hcoef):
-        return pdmap(group_product_np(dom, base, hcoef @ hbasis)) - level
+    def resid(hcoef, rows):
+        return pdmap(group_product_np(dom, bases[rows], hcoef @ hbasis)) - level
 
-    return _newton(resid, t0, tol=tol, budget=budget)
+    return resid
 
 
 def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
@@ -598,9 +629,9 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
 
     The differential must be an h-epimorphism; its kernel N and a
     complementary H are computed exactly when the analytic differential is
-    attached (else numerically, with a warning flag).  Each grid node n in N
-    gets a damped-Newton solve of f(xbar n h) = f(xbar) over H, seeded by
-    continuation from the previous node.
+    attached (else numerically, with a warning flag).  The grid nodes n in N
+    are solved together: one batched damped-Newton call on f(xbar n h) =
+    f(xbar) over H, every node seeded at h = 0.
 
     The neighbourhood sizes of the underlying theorem are existential: if a
     node fails, the grid box is halved (up to `shrink_attempts` times) and
@@ -634,33 +665,16 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
         mesh = np.meshgrid(*axes, indexing="ij")
         coeffs = np.stack([m.ravel() for m in mesh], axis=-1)
         nodes = coeffs @ nbasis
-        count = len(nodes)
-        phis = np.zeros((count, dom.dim))
-        resids = np.zeros(count)
-        hdim = len(hbasis)
-        prev = np.zeros(hdim)
-        row_len = counts[-1] if counts else 1
-        phis_coef_cache = np.zeros(hdim)
-        failed = False
-        for i in range(count):
-            seed_coef = prev if i % max(row_len, 1) != 0 or i == 0 \
-                else phis_coef_cache
-            hc, r, ok = _graph_newton(pdmap, xbar, nodes[i], hbasis, target,
-                                      seed_coef, tol, budget)
-            if not ok:
-                last_error = "node %d of radius %.3g (residual %.3g)" % (
-                    i, radius, r)
-                failed = True
-                break
-            if i % max(row_len, 1) == 0:
-                phis_coef_cache = hc.copy()
-            prev = hc
-            phis[i] = hc @ hbasis
-            resids[i] = r
-        if not failed:
-            return ImplicitSolution(pdmap, xbar, N, H, nodes, phis, resids,
+        resid = _graph_residual(pdmap, group_product_np(dom, xbar, nodes), hbasis,
+                                target)
+        hc, resids, ok = _newton(resid, np.zeros((len(nodes), len(hbasis))), tol,
+                                 budget)
+        if ok.all():
+            return ImplicitSolution(pdmap, xbar, N, H, nodes, hc @ hbasis, resids,
                                     target, tuple(counts), radius), \
                 numerical_kernel
+        i = np.flatnonzero(~ok)[0]
+        last_error = "node %d of radius %.3g (residual %.3g)" % (i, radius, resids[i])
         radius *= 0.5  # the theorem's neighbourhood is existential: shrink
     raise RuntimeError("implicit solve failed at %s after %d shrink attempts"
                        % (last_error, shrink_attempts))
@@ -668,30 +682,26 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
 
 def uniqueness_check(solution, restarts=5, subset=40, seed=0):
     """Multi-restart agreement of the implicit solve at random nodes, each
-    restart from a normal draw of scale 0.3: the empirical surrogate for
-    uniqueness of the graph map."""
+    restart from a normal draw of scale 0.3, all solved in one batch: the
+    empirical surrogate for uniqueness of the graph map."""
     hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
     rng = np.random.default_rng(seed)
-    worst = 0.0
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
-    for i in pick:
-        sols = []
-        for r in range(restarts):
-            t0 = rng.standard_normal(len(hbasis)) * 0.3
-            hc, rr, ok = _graph_newton(solution.pdmap, solution.xbar, solution.nodes[i],
-                                       hbasis, solution.level, t0, 1e-11, 200)
-            if ok:
-                sols.append(hc @ hbasis)
-        for a in sols:
-            worst = max(worst, float(np.max(np.abs(a - solution.phis[i]))))
-    return worst
+    pick = np.repeat(pick, restarts)
+    t0 = rng.standard_normal((len(pick), len(hbasis))) * 0.3
+    bases = group_product_np(solution.pdmap.domain, solution.xbar,
+                             solution.nodes[pick])
+    hc, _, ok = _newton(_graph_residual(solution.pdmap, bases, hbasis, solution.level),
+                        t0, 1e-11, 200)
+    gaps = np.abs(hc @ hbasis - solution.phis[pick])[ok]
+    return float(np.max(gaps, initial=0.0))
 
 
 def translated_graph_check(solution, g, subset=25, seed=0):
     """Left-translating the graph yields a graph over the same kernel
     subgroup: decompose the translated points along (N, H) and re-solve the
-    translated level problem at the new nodes."""
+    translated level problem at the new nodes, all in one batch."""
     pdmap = solution.pdmap
     dom = pdmap.domain
     g = np.asarray(g, dtype=float)
@@ -702,42 +712,34 @@ def translated_graph_check(solution, g, subset=25, seed=0):
     new_xbar = group_product_np(dom, g, solution.xbar)
     translated = PDMap(dom, pdmap.codomain,
                        lambda x: pdmap.evaluator(group_product_np(dom, -g, x)))
-    worst = 0.0
-    for i in pick:
-        node, phi = solution.nodes[i], solution.phis[i]
-        nh = group_product_np(dom, node, phi)
-        n2, h2 = split_coords_np(dom, solution.kernel, solution.witness, nh)
-        seed0 = np.linalg.lstsq(hbasis.T, h2, rcond=None)[0]
-        hc, r, ok = _graph_newton(translated, new_xbar, n2, hbasis, solution.level,
-                                  seed0, 1e-11, 200)
-        if not ok:
-            return math.inf
-        worst = max(worst, float(np.max(np.abs(hc @ hbasis - h2))))
-    return worst
+    nh = group_product_np(dom, solution.nodes[pick], solution.phis[pick])
+    n2, h2 = split_coords_np(dom, solution.kernel, solution.witness, nh)
+    seed0 = np.linalg.lstsq(hbasis.T, h2.T, rcond=None)[0].T
+    resid = _graph_residual(translated, group_product_np(dom, new_xbar, n2), hbasis,
+                            solution.level)
+    hc, _, ok = _newton(resid, seed0, 1e-11, 200)
+    if not ok.all():
+        return math.inf
+    return float(np.max(np.abs(hc @ hbasis - h2), initial=0.0))
 
 
 def split_coords_np(algebra, first, second, coords):
-    """Float layerwise split g = exp(p) exp(h) along a complementary pair."""
-    p = np.zeros(algebra.dim)
-    h = np.zeros(algebra.dim)
+    """Float layerwise split g = exp(p) exp(h) along a complementary pair, on
+    coordinate arrays of shape (..., dim)."""
+    coords = np.asarray(coords, dtype=float)
+    p = np.zeros(coords.shape)
+    h = np.zeros(coords.shape)
     for layer in range(1, algebra.step + 1):
         idx = algebra.layer_indices(layer)
-        if not idx:
+        firsts, seconds = first.layer_basis(layer), second.layer_basis(layer)
+        if not idx or not firsts + seconds:
             continue
-        corr = group_product_np(algebra, p, h)
-        cols = [np.array([float(c) for c in v])
-                for v in first.layer_basis(layer) + second.layer_basis(layer)]
-        npcols = len(first.layer_basis(layer))
-        if not cols:
-            continue
-        m = np.array([[c[k] for c in cols] for k in idx])
-        rhs = np.array([coords[k] - corr[k] for k in idx])
-        sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
-        for t, (c, col) in enumerate(zip(sol, cols)):
-            if t < npcols:
-                p = p + c * col
-            else:
-                h = h + c * col
+        cols = np.array([[float(c) for c in v] for v in firsts + seconds])
+        rhs = (coords - group_product_np(algebra, p, h))[..., idx]
+        sol = np.linalg.lstsq(cols[:, idx].T, rhs.reshape(-1, len(idx)).T,
+                              rcond=None)[0].T.reshape(rhs.shape[:-1] + (len(cols),))
+        p = p + sol[..., :len(firsts)] @ cols[:len(firsts)]
+        h = h + sol[..., len(firsts):] @ cols[len(firsts):]
     return p, h
 
 
@@ -759,7 +761,8 @@ class RankParametrization:
 
 def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
     """Represent the image of f near xbar as an intrinsic graph over the
-    image subgroup of the differential: psi inverts p o f, and
+    image subgroup of the differential: psi inverts p o f (one batched
+    Newton solve over the grid, every node seeded at xbar), and
     phi(h) = (p-complement part of f(psi(h)))."""
     cod = pdmap.codomain
     xbar = np.asarray(xbar, dtype=float)
@@ -779,32 +782,19 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
     mesh = np.meshgrid(*offsets, indexing="ij")
     coeffs = np.stack([m.ravel() for m in mesh], axis=-1) + h0
 
-    psi_pts, h_pts, phi_pts = [], [], []
-    t_seed = xbar.copy()
-    for c in coeffs:
-        target = c @ hbasis
-
-        def resid(z):
-            return pmat @ pdmap(z) - target
-
-        z, r, ok = _newton(resid, t_seed, budget=200)
-        if not ok:
-            raise RuntimeError("rank solve failed (residual %.3g)" % r)
-        t_seed = z
-        fz = pdmap(z)
-        hpart = pmat @ fz
-        npart = group_product_np(cod, -hpart, fz)
-        psi_pts.append(z)
-        h_pts.append(hpart)
-        phi_pts.append(npart)
-    psi_pts, h_pts, phi_pts = map(np.array, (psi_pts, h_pts, phi_pts))
-    cmetric = default_metric(cod)
-    lip = 0.0
-    for i in range(len(h_pts)):
-        for j in range(i + 1, len(h_pts)):
-            d = float(cmetric.distance_np(h_pts[i], h_pts[j]))
-            if d > 1e-10:
-                lip = max(lip, float(np.linalg.norm(phi_pts[i] - phi_pts[j])) / d)
+    targets = coeffs @ hbasis
+    psi_pts, r, ok = _newton(lambda z, rows: pdmap(z) @ pmat.T - targets[rows],
+                             np.tile(xbar, (len(targets), 1)), budget=200)
+    if not ok.all():
+        raise RuntimeError("rank solve failed (residual %.3g)" % r[~ok][0])
+    fz = pdmap(psi_pts)
+    h_pts = fz @ pmat.T
+    phi_pts = group_product_np(cod, -h_pts, fz)
+    ii, jj = np.triu_indices(len(h_pts), k=1)
+    d = default_metric(cod).distance_np(h_pts[ii], h_pts[jj])
+    far = d > 1e-10
+    lip = float(np.max(np.linalg.norm(phi_pts[ii] - phi_pts[jj], axis=-1)[far] / d[far],
+                       initial=0.0))
     return RankParametrization(pdmap, H, N, p, psi_pts, h_pts, phi_pts, lip)
 
 
@@ -840,46 +830,58 @@ class LevelSetSampler:
         self._hbasis = np.array([[float(c) for c in v]
                                  for v in solution.witness.basis()])
 
-    def _solve(self, node, seed_coef=None):
-        t0 = np.zeros(len(self._hbasis)) if seed_coef is None else seed_coef
-        hc, r, ok = _graph_newton(self.pdmap, self.xbar, node, self._hbasis,
-                                  self.solution.level, t0, 1e-10, 200)
-        if not ok:
+    def _graph_points(self, nodes):
+        """phi(n) for kernel nodes of shape (n, dim): one batched solve,
+        every node seeded at h = 0."""
+        dom = self.pdmap.domain
+        resid = _graph_residual(self.pdmap, group_product_np(dom, self.xbar, nodes),
+                                self._hbasis, self.solution.level)
+        hc, _, ok = _newton(resid, np.zeros((len(nodes), len(self._hbasis))), 1e-10, 200)
+        if not ok.all():
             raise RuntimeError("sampler solve failed")
-        return hc
+        return hc @ self._hbasis
 
     def dilated_points(self, lam, count, rng, R):
-        """Points of D_R cap delta_{1/lam}(xbar^{-1} S)."""
+        """Points of D_R cap delta_{1/lam}(xbar^{-1} S): candidate nodes are
+        drawn and solved in batches until `count` land in D_R."""
         dom = self.pdmap.domain
         ops = dom.float_ops()
-        nbasis = np.array([[float(c) for c in v] for v in self.solution.kernel.basis()])
-        layers = self.solution.kernel.basis_layers()
-        out = []
-        seed_coef = None
-        while len(out) < count:
-            coef = np.array([rng.uniform(-(1.2 * R) ** l, (1.2 * R) ** l)
-                             for l in layers])
-            u = coef @ nbasis
-            n = ops.dilate(u, lam)
-            hc = self._solve(n, seed_coef)
-            seed_coef = hc
-            nh = group_product_np(dom, n, hc @ self._hbasis)
-            pt = ops.dilate(nh, 1.0 / lam)
-            metric = default_metric(dom)
-            if float(metric.quasi_norm_np(pt)) <= R:
-                out.append(pt)
-        return np.array(out)
-
-    def graph_height(self, lam, node_u):
-        """gauge(delta_{1/lam} phi(delta_lam u)): the distance from the cone
-        node u to its graph point after zooming."""
-        dom = self.pdmap.domain
-        ops = dom.float_ops()
-        n = ops.dilate(node_u, lam)
-        hc = self._solve(n)
-        phi = hc @ self._hbasis
         metric = default_metric(dom)
-        return float(metric.quasi_norm_np(ops.dilate(phi, 1.0 / lam)))
+        nbasis = np.array([[float(c) for c in v] for v in self.solution.kernel.basis()])
+        half = (1.2 * R) ** np.array(self.solution.kernel.basis_layers())
+
+        def draw(n):
+            nodes = ops.dilate(rng.uniform(-half, half, size=(n, len(half))) @ nbasis,
+                               lam)
+            pts = ops.dilate(group_product_np(dom, nodes, self._graph_points(nodes)),
+                             1.0 / lam)
+            return pts[metric.quasi_norm_np(pts) <= R]
+
+        return _draw_until(count, dom.dim, draw)
+
+    def graph_height(self, lam, nodes):
+        """gauge(delta_{1/lam} phi(delta_lam u)) for cone nodes u of shape
+        (n, dim): the distance from each node to its graph point after
+        zooming."""
+        dom = self.pdmap.domain
+        ops = dom.float_ops()
+        phi = self._graph_points(ops.dilate(np.asarray(nodes, dtype=float), lam))
+        return default_metric(dom).quasi_norm_np(ops.dilate(phi, 1.0 / lam))
+
+
+def _draw_until(count, dim, draw):
+    """The first `count` rows that draw(n) accepts, where draw(n) takes n
+    fresh candidates and returns the accepted ones in draw order.  Each call
+    asks for the rows still missing over the acceptance rate seen so far
+    (Laplace-smoothed, 20% margin, at most 16 * count)."""
+    kept = [np.zeros((0, dim))]
+    have = drawn = 0
+    while have < count:
+        n = count if not drawn else \
+            min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
+        kept.append(draw(n))
+        have, drawn = have + len(kept[-1]), drawn + n
+    return np.concatenate(kept)[:count]
 
 
 def _is_vertical(sub):
@@ -938,15 +940,14 @@ def cone_samples(algebra, cone, R, count, rng):
     metric."""
     metric = default_metric(algebra)
     basis = np.array([[float(c) for c in v] for v in cone.basis()])
-    layers = cone.basis_layers()
-    out = []
-    while len(out) < count:
-        coef = np.array([rng.uniform(-(1.3 * R) ** l, (1.3 * R) ** l) for l in layers])
+    half = (1.3 * R) ** np.array(cone.basis_layers())
+
+    def draw(n):
         # subgroup = exp of the subalgebra: exponential coordinates directly
-        v = coef @ basis
-        if float(metric.quasi_norm_np(v)) <= R:
-            out.append(v)
-    return np.array(out)
+        v = rng.uniform(-half, half, size=(n, len(half))) @ basis
+        return v[metric.quasi_norm_np(v) <= R]
+
+    return _draw_until(count, algebra.dim, draw)
 
 
 def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0):
@@ -976,7 +977,7 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0)
             cs = cone_samples(alg, cone, R, 4 * count, rng)
             d_a = _directed_hausdorff(metric, cloud, cs)
         nodes = cone_samples(alg, cone, 0.95 * R, count, rng)
-        d_b = max(sampler.graph_height(lam, u) for u in nodes)
+        d_b = float(np.max(sampler.graph_height(lam, nodes)))
         set_to_cone.append(d_a)
         cone_to_set.append(d_b)
         dists.append(max(d_a, d_b))
@@ -1018,7 +1019,7 @@ def named_map(name):
         return radial_level_map(catalog.get("h2"))
     if name == "xcoord":
         h1 = catalog.get("h1")
-        return PDMap(h1, catalog.abelian(1), lambda c: np.array([c[0]]),
+        return PDMap(h1, catalog.abelian(1), lambda c: c[..., :1].copy(),
                      dfirst=lambda c: np.array([[1.0, 0.0]]),
                      dfirst_exact=lambda c: [[1, 0]], name="xcoord")
     if name == "vertical_shear":
@@ -1030,7 +1031,8 @@ def named_map(name):
     if name == "legendrian_line":
         h1 = catalog.get("h1")
         return PDMap(catalog.abelian(1), h1,
-                     lambda t: np.array([t[0], 0.0, 0.0]),
+                     lambda t: np.concatenate(
+                         [t[..., :1], np.zeros(t.shape[:-1] + (2,))], axis=-1),
                      dfirst=lambda t: np.array([[1.0], [0.0]]),
                      dfirst_exact=lambda t: [[1], [0]], name="legendrian_line")
     raise KeyError("unknown named map %r" % name)

@@ -242,6 +242,16 @@ def test_sup_average_negative_window():
     assert sup_average(ts, const, 0.7, -0.5) == pytest.approx(2.5)
 
 
+def test_sup_average_empty_window():
+    # [0.3, 0.35] lies between the samples 0.25 and 0.5: a typed error naming
+    # the window, in both directions
+    ts = np.linspace(0, 1, 5)
+    with pytest.raises(ValueError, match=r"window \[0\.3, 0\.35"):
+        sup_average(ts, ts, 0.3, 0.05)
+    with pytest.raises(ValueError, match="no grid point"):
+        sup_average(ts, ts, 0.35, -0.05)
+
+
 def test_eval_on_arrays_matches_scalar_eval(h1):
     curve = horizontal_lift(make_control(h1, "circle"), identity_of(h1))
     ts = np.linspace(-0.5, 7.0, 37)  # the ends lie outside the domain

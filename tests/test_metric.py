@@ -7,7 +7,8 @@ import pytest
 from carnot import catalog
 from carnot.algebra import GroupElement, dilate, homogeneous_dimension
 from carnot.bch import group_product
-from carnot.metric import (HomogeneousMetric, distance, first_layer_constant,
+from carnot.metric import (HomogeneousMetric, default_metric, distance,
+                           first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
                            quasi_norm, quasi_triangle_constant, sample_ball,
@@ -99,6 +100,27 @@ def test_projection_estimate(h1):
     assert consts[1].sup_observed <= 0.25 + 1e-9
     z = np.array([0.0, 0.0, 0.7])
     assert abs(0.7 / float(K.quasi_norm_np(z)) ** 2 - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["h1", "g42", "free_2_4"])
+def test_layer_norms_and_tails_match_masked_norms(name):
+    # layer norms come from one pass over the squared coordinates and the
+    # projection tails from the layer norms; the masked Euclidean norms are
+    # the reference, up to summation order
+    g = catalog.get(name)
+    ops = g.float_ops()
+    x = np.random.default_rng(3).standard_normal((500, g.dim))
+    ref = np.stack([np.linalg.norm(x * ops.layer_masks[i], axis=-1)
+                    for i in range(1, g.step + 1)], axis=-1)
+    assert np.allclose(ops.layer_norms(x), ref, rtol=1e-14, atol=0)
+    m = default_metric(g)
+    consts = verify_projection_estimate(m, radius=1.0, samples=500, seed=1)
+    pts = sample_ball(m, 1.0, 500, np.random.default_rng(1))
+    norms = m.quasi_norm_np(pts)
+    for i, c in enumerate(consts, start=1):
+        tails = np.linalg.norm(ops.project_tail(pts, i), axis=-1)
+        assert c.sup_observed == pytest.approx(float(np.max(tails / norms ** i)),
+                                               rel=1e-12)
 
 
 def _ball_metrics():

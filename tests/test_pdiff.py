@@ -34,6 +34,84 @@ def test_horizontal_derivative_identity_and_translation(h1, rng):
         pdiff.horizontal_derivative(boxed, np.zeros(3), [1, 0, 0], h=1.0)
 
 
+def test_pdmap_checks_evaluator_shape(h1):
+    # evaluators map (..., dim) to (..., dim'); a scalar-only one handed a
+    # batch returns shape (1, 3) here, which the call rejects by name
+    f = pdiff.PDMap(h1, catalog.abelian(1), lambda x: np.array([abs(x[0])]),
+                    name="scalar_only")
+    assert f(np.array([-0.5, 0.0, 1.0])).tolist() == [0.5]
+    with pytest.raises(ValueError, match="scalar_only"):
+        f(np.zeros((4, 3)))
+    wide = pdiff.PDMap(h1, catalog.abelian(1), lambda x: x[..., :2], name="wide")
+    with pytest.raises(ValueError, match="wide"):
+        wide(np.zeros(3))
+
+
+def test_batched_maps_match_pointwise(h1, radial, rng):
+    maps = [radial, pdiff.named_map("xcoord"), pdiff.vertical_shear_map(h1),
+            pdiff.corner_map(h1), pdiff.named_map("legendrian_line"),
+            pdiff.hom_map(identity_morphism(h1)), pdiff.dilation_map(h1, 2.0)]
+    for f in maps:
+        x = rng.standard_normal((6, 2, f.domain.dim))
+        batch = f(x)
+        assert batch.shape == (6, 2, f.codomain.dim)
+        assert all(np.array_equal(batch[i, j], f(x[i, j]))
+                   for i in range(6) for j in range(2))
+
+
+def _random_systems(rng, count, n_out, k=3):
+    """count systems A_i (t + 0.2 sin t) = A_i s_i with well-conditioned A_i:
+    square for n_out = k, consistent least squares otherwise."""
+    A = rng.standard_normal((count, n_out, k)) * 0.3 + np.eye(n_out, k)
+    s = rng.standard_normal((count, k))
+    b = np.einsum("nij,nj->ni", A, s + 0.2 * np.sin(s))
+
+    def resid(t, rows):
+        return np.einsum("nij,nj->ni", A[rows], t + 0.2 * np.sin(t)) - b[rows]
+
+    return resid, s
+
+
+@pytest.mark.parametrize("n_out", [3, 5])
+@pytest.mark.parametrize("budget", [100, 3])
+def test_newton_batch_matches_single_solves(rng, n_out, budget):
+    # one batched call gives each system the result of solving it alone;
+    # budget 3 leaves some systems unconverged, with the same flags
+    count = 24
+    resid, roots = _random_systems(rng, count, n_out)
+    t0 = rng.standard_normal((count, 3)) * 0.5
+    t, nrm, ok = pdiff._newton(resid, t0, tol=1e-12, budget=budget)
+    assert t.shape == (count, 3) and nrm.shape == ok.shape == (count,)
+    for i in range(count):
+        ti, ri, oki = pdiff._newton(lambda z, rows: resid(z, rows + i), t0[i:i + 1],
+                                    tol=1e-12, budget=budget)
+        assert np.max(np.abs(ti[0] - t[i])) <= 1e-12
+        assert abs(ri[0] - nrm[i]) <= 1e-12 and oki[0] == ok[i]
+    if budget == 100:
+        assert ok.all() and np.max(np.abs(t - roots)) <= 1e-9
+    else:
+        assert not ok.all()
+
+
+def test_newton_singular_system_fails_alone():
+    # system 2 has an exactly zero Jacobian column: only it fails, and it
+    # returns its seed with the seed's residual norm
+    targets = np.array([[1.0, 2.0], [-0.5, 0.3], [1.0, 1.0], [0.2, 0.7]])
+
+    def resid(t, rows):
+        out = np.stack([t[:, 0] + 0.1 * t[:, 1] ** 2, t[:, 1] + 0.1 * t[:, 0] ** 3],
+                       axis=-1)
+        singular = rows == 2
+        out[singular] = np.stack([t[singular, 0], t[singular, 0] ** 2], axis=-1)
+        return out - targets[rows]
+
+    t0 = np.zeros((4, 2))
+    t, nrm, ok = pdiff._newton(resid, t0)
+    assert ok.tolist() == [True, True, False, True]
+    assert np.array_equal(t[2], t0[2]) and nrm[2] == pytest.approx(math.sqrt(2.0))
+    assert np.max(np.linalg.norm(resid(t, np.arange(4))[ok], axis=-1)) <= 1e-10
+
+
 def test_horizontal_derivative_radial(radial):
     d = pdiff.horizontal_derivative(radial, XI, [0, 1, 0, 0, 0])
     assert np.allclose(d, [1.0, 0.0], atol=1e-9)
@@ -157,16 +235,54 @@ def test_mean_value_pairs_in_their_bins(radial, monkeypatch):
     def recording(self, a, b):
         d = distance_np(self, a, b)
         if self.algebra is radial.domain:
-            seen.append(float(d))
+            seen.append(np.array(d))
         return d
 
     monkeypatch.setattr(HomogeneousMetric, "distance_np", recording)
     bins = 4
     tab = pdiff.mean_value_ratio(radial, XI, r1=0.6, r2=8.0, pair_samples=200,
                                  bins=bins, seed=3)
-    d = np.array(seen).reshape(tab.samples, bins)
+    d = np.concatenate([s.ravel() for s in seen]).reshape(tab.samples, bins)
     edges = np.array(tab.bin_edges)
     assert np.all((d > edges[1:]) & (d <= edges[:-1]))
+
+
+def test_batched_estimates_match_pointwise_loops(radial):
+    # the mean-value table and the bi-Lipschitz bounds run all pairs as
+    # arrays; the one-pair-at-a-time loops are the reference
+    from carnot.bch import group_product_np
+    from carnot.metric import default_metric, sample_ball, sphere_point
+    dom, cod = radial.domain, radial.codomain
+    dm, cm = default_metric(dom), default_metric(cod)
+    ops = dom.float_ops()
+    tab = pdiff.mean_value_ratio(radial, XI, r1=0.6, r2=8.0, pair_samples=60,
+                                 bins=3, seed=4)
+    rng = np.random.default_rng(4)
+    sups, defects = np.zeros(3), np.zeros(3)
+    for u in sample_ball(dm, 0.3, 60, rng):
+        x = group_product_np(dom, XI, u)
+        L = np.asarray(pdiff.lift_differential(dom, cod, radial.dfirst(x)).matrix)
+        w = sphere_point(dm, rng.standard_normal(dom.dim))
+        for k in range(3):
+            y = group_product_np(dom, x, ops.dilate(w, tab.bin_edges[k] * 2 / 3))
+            gap = group_product_np(cod, -(L @ group_product_np(dom, -x, y)),
+                                   group_product_np(cod, -radial(x), radial(y)))
+            rho = float(cm.quasi_norm_np(gap))
+            sups[k] = max(sups[k], rho / float(dm.distance_np(x, y)))
+            defects[k] = max(defects[k], rho)
+    assert np.allclose(tab.bin_sup, sups, rtol=1e-9, atol=0)
+    assert np.allclose(tab.bin_defect, defects, rtol=1e-9, atol=0)
+    lo, hi = pdiff.bilipschitz_bounds(radial, XI, radius=0.3, samples=80, seed=2)
+    rng = np.random.default_rng(2)
+    a, b = sample_ball(dm, 0.3, 80, rng), sample_ball(dm, 0.3, 80, rng)
+    ratios = []
+    for u, v in zip(a, b):
+        x, y = group_product_np(dom, XI, u), group_product_np(dom, XI, v)
+        d = float(dm.distance_np(x, y))
+        if d >= 1e-8:
+            ratios.append(float(cm.distance_np(radial(x), radial(y))) / d)
+    assert lo == pytest.approx(min(ratios), rel=1e-12)
+    assert hi == pytest.approx(max(ratios), rel=1e-12)
 
 
 def test_mean_value_nesting_guard(radial, h2):
@@ -252,8 +368,10 @@ def test_rank_parametrization(radial):
     from carnot.bch import group_product_np
 
     def pl(t):
-        base = np.array([t[0], 0.0, t[1], 0.0, 0.0])
-        corr = 0.05 * np.array([0.0, t[0] * t[1], 0.0, 0.0, 0.0])
+        base = np.zeros(t.shape[:-1] + (5,))
+        base[..., 0], base[..., 2] = t[..., 0], t[..., 1]
+        corr = np.zeros(t.shape[:-1] + (5,))
+        corr[..., 1] = 0.05 * (t[..., 0] * t[..., 1])
         return group_product_np(h2, base, corr)
 
     plm = pdiff.PDMap(catalog.abelian(2), h2, pl, name="pert_legendrian",
@@ -263,9 +381,9 @@ def test_rank_parametrization(radial):
     assert math.isfinite(rp2.lip_ratio)
     for h, phi in zip(rp2.h_points[:4], rp2.phi_points[:4]):
         graph_pt = group_product_np(h2, h, phi)
-        t, r, ok = pdiff._newton(lambda z: pl(z) - graph_pt, np.zeros(2),
+        t, r, ok = pdiff._newton(lambda z, rows: pl(z) - graph_pt, np.zeros((1, 2)),
                                  tol=1e-9)
-        assert ok
+        assert ok[0]
 
 
 def test_chain_rule(h1, rng):
