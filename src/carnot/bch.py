@@ -153,17 +153,32 @@ def _exact_terms(algebra, xc, yc, degrees):
     return tuple(Q(num, den * big_d ** degrees[-1]) for num, den in zip(nums, dens))
 
 
+_BLOCK_ITEMS = 32768   # coordinates per block of the batched float law (256 KiB)
+
+
 def _float_terms(algebra, x, y, degrees):
     """Float twin of _exact_terms on arrays of shape (..., dim), starting from
     c_1 = x + y.  One point runs over Python floats, a batch over column
-    views; both do the same float operations, so they agree bit for bit."""
+    views; both do the same float operations, so they agree bit for bit.
+
+    A batch runs in blocks of at most _BLOCK_ITEMS coordinates along the
+    leading axis of the broadcast shape, so that each block's strided columns
+    stay in cache (about 4096 rows of a dimension-8 group).  A factor that
+    broadcasts along that axis enters every block whole, so no factor is
+    copied or expanded."""
     total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
     higher, float_rows = [n for n in degrees if n > 1], _law(algebra)[2]
     if total.ndim == 1:
         return np.array(_accumulate(float_rows, x.tolist() + y.tolist(), higher,
                                     total.tolist()))
-    columns = [x[..., i] for i in range(algebra.dim)] + [y[..., i] for i in range(algebra.dim)]
-    _accumulate(float_rows, columns, higher, total.transpose(-1, *range(total.ndim - 1)))
+    out = total.transpose(-1, *range(total.ndim - 1))
+    rows = max(1, _BLOCK_ITEMS * len(total) // max(1, total.size))
+    x, y = (v.reshape((1,) * (total.ndim - v.ndim) + v.shape) for v in (x, y))
+    for s in range(0, len(total), rows):
+        xb, yb = (v if len(v) == 1 else v[s:s + rows] for v in (x, y))
+        columns = [xb[..., i] for i in range(algebra.dim)] + \
+            [yb[..., i] for i in range(algebra.dim)]
+        _accumulate(float_rows, columns, higher, out[:, s:s + rows])
     return total
 
 

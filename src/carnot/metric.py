@@ -144,6 +144,22 @@ def sample_ball(metric, radius, count, rng):
     return out
 
 
+def draw_until(count, row_shape, draw):
+    """The first `count` rows, each of shape `row_shape`, that draw(n)
+    accepts, where draw(n) takes n fresh candidates and returns the accepted
+    ones in draw order.  Each call asks for the rows still missing over the
+    acceptance rate seen so far (Laplace-smoothed, 20% margin, at most
+    16 * count)."""
+    kept = [np.zeros((0,) + tuple(row_shape))]
+    have = drawn = 0
+    while have < count:
+        n = count if not drawn else \
+            min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
+        kept.append(draw(n))
+        have, drawn = have + len(kept[-1]), drawn + n
+    return np.concatenate(kept)[:count]
+
+
 def sphere_point(metric, u):
     """Dilate nonzero points, shape (..., dim), onto the unit sphere of the
     gauge."""
@@ -256,44 +272,53 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     return c1, c2
 
 
+def _product_ratios(metric, nu, b, pert):
+    """The product-list statistic of K candidates at once: factors b and
+    perturbations pert of shape (K, N, dim), A_j = B_j p_j.  Returns the mask
+    of candidates that meet the tail hypothesis (every d(B_j..B_N) <= nu),
+    the pairwise one (every d(A_j, B_j) <= nu) and den > 1e-12, and the
+    ratios d(A_1..A_N, B_1..B_N) / den, den = sum_j d(A_j, B_j)^{1/step}."""
+    alg = metric.algebra
+
+    def tails(m):
+        # out[:, j] = m_j .. m_N, by N - 1 batched products from the right
+        out = m.copy()
+        for j in range(m.shape[1] - 2, -1, -1):
+            out[:, j] = group_product_np(alg, m[:, j], out[:, j + 1])
+        return out
+
+    a = group_product_np(alg, b, pert)
+    tb, d = tails(b), metric.distance_np(a, b)
+    den = 0.0
+    for j in range(b.shape[1]):
+        den = den + d[:, j] ** (1.0 / alg.step)
+    ok = ~np.any(metric.quasi_norm_np(tb) > nu, axis=1) & \
+        ~np.any(d > nu, axis=1) & (den > 1e-12)
+    return ok, metric.distance_np(tails(a)[:, 0], tb[:, 0]) / np.where(ok, den, 1.0)
+
+
 def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     """sup of d(A_1..A_N, B_1..B_N) / sum_j d(A_j, B_j)^{1/step} over
     `samples` factor lists that satisfy the tail and pairwise hypotheses.
-    Each candidate draws its N factors B_j from the ball of radius nu / 2N
-    and its N perturbations (A_j = B_j p_j) from the ball of radius nu / 2,
-    one sample_ball call per list; a candidate that violates a hypothesis is
-    discarded."""
+    Candidates are drawn in batches (draw_until): per batch of K, one
+    sample_ball call gives the K N factors B_j, from the ball of radius
+    nu / 2N, and one more the K N perturbations p_j (A_j = B_j p_j), from the
+    ball of radius nu / 2.  A candidate that violates a hypothesis is
+    discarded; the first `samples` kept, in draw order, give the sup."""
     alg = metric.algebra
     rng = np.random.default_rng(seed)
+    shape = (-1, n_factors, alg.dim)
 
-    def prods(mats):
-        out = mats[-1]
-        acc = [out]
-        for j in range(len(mats) - 2, -1, -1):
-            out = group_product_np(alg, mats[j], out)
-            acc.append(out)
-        return out, acc[::-1]  # full product, tails B_j..B_N
+    def draw(k):
+        b = sample_ball(metric, nu / (2 * n_factors), k * n_factors, rng).reshape(shape)
+        pert = sample_ball(metric, nu / 2, k * n_factors, rng).reshape(shape)
+        ok, ratios = _product_ratios(metric, nu, b, pert)
+        return ratios[ok]
 
-    sup, used = 0.0, 0
-    while used < samples:
-        b = sample_ball(metric, nu / (2 * n_factors), n_factors, rng)
-        _, tails = prods(b)
-        if any(float(metric.quasi_norm_np(t)) > nu for t in tails):
-            continue
-        pert = sample_ball(metric, nu / 2, n_factors, rng)
-        a = [group_product_np(alg, bb, pp) for bb, pp in zip(b, pert)]
-        dterms = [float(metric.distance_np(aa, bb)) for aa, bb in zip(a, b)]
-        if any(d > nu for d in dterms):
-            continue
-        pa, _ = prods(a)
-        pb, _ = prods(b)
-        num = float(metric.distance_np(pa, pb))
-        den = sum(d ** (1.0 / alg.step) for d in dterms)
-        if den > 1e-12:
-            sup = max(sup, num / den)
-            used += 1
+    ratios = draw_until(samples, (), draw)
     return EmpiricalConstant("product_list_comparison K_nu[N=%d,%s]"
-                             % (n_factors, alg.name), sup, used, nu=nu)
+                             % (n_factors, alg.name),
+                             float(np.max(ratios, initial=0.0)), len(ratios), nu=nu)
 
 
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):

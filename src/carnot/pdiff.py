@@ -20,7 +20,7 @@ from .algebra import homogeneous_dimension
 from .bch import group_product_np
 from .curves import contact_derivative
 from .morphism import GradedMorphism
-from .metric import default_metric, sample_ball, sphere_point
+from .metric import default_metric, draw_until, sample_ball, sphere_point
 from .subgroups import (HomogeneousSubalgebra, classify_epimorphism,
                         classify_monomorphism, layered_decomposition)
 
@@ -857,7 +857,7 @@ class LevelSetSampler:
                              1.0 / lam)
             return pts[metric.quasi_norm_np(pts) <= R]
 
-        return _draw_until(count, dom.dim, draw)
+        return draw_until(count, (dom.dim,), draw)
 
     def graph_height(self, lam, nodes):
         """gauge(delta_{1/lam} phi(delta_lam u)) for cone nodes u of shape
@@ -867,21 +867,6 @@ class LevelSetSampler:
         ops = dom.float_ops()
         phi = self._graph_points(ops.dilate(np.asarray(nodes, dtype=float), lam))
         return default_metric(dom).quasi_norm_np(ops.dilate(phi, 1.0 / lam))
-
-
-def _draw_until(count, dim, draw):
-    """The first `count` rows that draw(n) accepts, where draw(n) takes n
-    fresh candidates and returns the accepted ones in draw order.  Each call
-    asks for the rows still missing over the acceptance rate seen so far
-    (Laplace-smoothed, 20% margin, at most 16 * count)."""
-    kept = [np.zeros((0, dim))]
-    have = drawn = 0
-    while have < count:
-        n = count if not drawn else \
-            min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
-        kept.append(draw(n))
-        have, drawn = have + len(kept[-1]), drawn + n
-    return np.concatenate(kept)[:count]
 
 
 def _is_vertical(sub):
@@ -947,7 +932,7 @@ def cone_samples(algebra, cone, R, count, rng):
         v = rng.uniform(-half, half, size=(n, len(half))) @ basis
         return v[metric.quasi_norm_np(v) <= R]
 
-    return _draw_until(count, algebra.dim, draw)
+    return draw_until(count, (algebra.dim,), draw)
 
 
 def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0):

@@ -265,6 +265,27 @@ def test_float_product_matches_exact(rng):
         group_product_np(g, xs[0][:-1], ys[0])
 
 
+@pytest.mark.parametrize("name", list(catalog.catalog_names()) + ["free_2_5"])
+def test_blocked_law_matches_scalar_products(name, rng):
+    # a batch that spans several blocks of the float law, plain and as an
+    # (m, 1, dim) x (1, n, dim) broadcast either way round, equals the
+    # per-row scalar products bit for bit
+    from carnot.bch import _BLOCK_ITEMS
+    g = catalog.get(name)
+    block = _BLOCK_ITEMS // g.dim
+    xs = rng.standard_normal((2 * block + 17, g.dim))
+    ys = rng.standard_normal((2 * block + 17, g.dim))
+    got = group_product_np(g, xs, ys)
+    assert np.array_equal(got, [group_product_np(g, a, b) for a, b in zip(xs, ys)])
+    n = 40
+    m = 2 * max(1, block // n) + 3
+    a, b = rng.standard_normal((m, 1, g.dim)), rng.standard_normal((1, n, g.dim))
+    want = [[group_product_np(g, u, v) for v in b[0]] for u in a[:, 0]]
+    assert np.array_equal(group_product_np(g, a, b), want)
+    want = [[group_product_np(g, v, u) for v in b[0]] for u in a[:, 0]]
+    assert np.array_equal(group_product_np(g, b, a), want)
+
+
 def test_bilinear_bound_recorder(f23):
     c = bilinear_bound(f23, 3, nu=1.0, samples=100, seed=0)
     assert math.isfinite(c.sup_observed) and c.samples == 100

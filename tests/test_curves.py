@@ -60,6 +60,45 @@ def test_is_horizontal_flags_vertical_curve(h1):
         is_horizontal(SampledCurve(h1, [0, 1], np.zeros((2, 3))))
 
 
+def test_is_horizontal_reads_accurate_circle_lifts(h1, f23):
+    # the residual of an accurate lift is far below the tolerance: the
+    # velocity is taken to fourth order, so the check does not measure its
+    # own difference error (at 512 steps a central difference read 3e-6 on
+    # h1 and 1e-5 on free_2_4, above the default 1e-6)
+    for g in (h1, f23, catalog.get("free_2_4")):
+        for steps in (512, 1024):
+            curve = horizontal_lift(make_control(g, "circle"), identity_of(g), steps=steps)
+            rep = is_horizontal(curve)
+            assert rep.ok, (g.name, steps, rep.max_residual)
+    ts = np.linspace(0, 1, 4)
+    with pytest.raises(ValueError, match="5 samples"):
+        is_horizontal(SampledCurve(h1, ts, np.zeros((4, 3))))
+
+
+def test_is_horizontal_excludes_stencils_across_an_off_grid_breakpoint(h1):
+    # a horizontal corner whose breakpoint b falls between grid nodes: the
+    # node 1.8 cells past b has a five-point stencil that reaches across it
+    from carnot.bch import group_product_np
+    ts, b = np.linspace(0, 2, 201), 1.002
+    turn = group_product_np(h1, [b, 0, 0],
+                            np.stack([0 * ts, np.maximum(ts - b, 0), 0 * ts], axis=1))
+    coords = np.where((ts <= b)[:, None], np.stack([ts, 0 * ts, 0 * ts], axis=1), turn)
+    corner = HorizontalControl(lambda t: [1.0, 0.0] if t < b else [0.0, 1.0], (0.0, 2.0),
+                               "piecewise", breakpoints=(b,))
+    assert is_horizontal(SampledCurve(h1, ts, coords, control=corner)).max_residual <= 1e-12
+    assert not is_horizontal(SampledCurve(h1, ts, coords)).ok
+    # segments of different spacing: a 4-cell middle segment (h = 5e-4)
+    # between outer ones of h ~ 2e-3; a coarse node just past 0.502 has a
+    # stencil that reaches back across that corner, so a rule in multiples
+    # of the smallest spacing would keep it
+    zigzag = HorizontalControl(
+        lambda t: [1.0, 0.0] if t < 0.5 else ([0.0, 1.0] if t < 0.502 else [-1.0, 0.0]),
+        (0.0, 1.0), "piecewise", breakpoints=(0.5, 0.502))
+    lift = horizontal_lift(zigzag, identity_of(h1), steps=256)
+    assert np.ptp(np.diff(lift.ts)) > 1e-3
+    assert is_horizontal(lift).max_residual <= 1e-12
+
+
 def test_pansu_quotient(h1):
     line = make_control(h1, "line", direction=[1.0, 0.0])
     lc = horizontal_lift(line, identity_of(h1), steps=64)

@@ -8,7 +8,7 @@ from carnot import catalog
 from carnot.algebra import GroupElement, dilate, homogeneous_dimension
 from carnot.bch import group_product
 from carnot.metric import (HomogeneousMetric, default_metric, distance,
-                           first_layer_constant,
+                           draw_until, first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
                            quasi_norm, quasi_triangle_constant, sample_ball,
@@ -158,6 +158,77 @@ def test_conjugation_product_estimates(h1):
     # single-factor case reduces to the two-point comparison
     p1 = verify_product_estimate(K, nu=1.0, n_factors=1, samples=120, seed=0)
     assert math.isfinite(p1.sup_observed)
+
+
+def _product_reference(metric, nu, b, pert):
+    """The one-candidate product-list statistic: (accepted, ratio)."""
+    from carnot.bch import group_product_np
+    alg = metric.algebra
+    tails = [b[-1]]
+    for bb in b[-2::-1]:
+        tails.insert(0, group_product_np(alg, bb, tails[0]))
+    a = [group_product_np(alg, bb, pp) for bb, pp in zip(b, pert)]
+    pa = a[-1]
+    for aa in a[-2::-1]:
+        pa = group_product_np(alg, aa, pa)
+    dterms = [float(metric.distance_np(aa, bb)) for aa, bb in zip(a, b)]
+    den = sum(d ** (1.0 / alg.step) for d in dterms)
+    ok = not any(float(metric.quasi_norm_np(t)) > nu for t in tails) and \
+        not any(d > nu for d in dterms) and den > 1e-12
+    return ok, float(metric.distance_np(pa, tails[0])) / den
+
+
+@pytest.mark.parametrize("n_factors", [1, 3])
+def test_batched_product_estimate_matches_one_candidate_loop(n_factors, h1, f23):
+    # the masks and ratios of a batch of candidates equal the one-candidate
+    # loop on the same (b, pert) draws; the balls are wider than the
+    # driver's, so that the hypotheses fail for some candidates
+    from carnot.metric import _product_ratios
+    k, nu = 300, 0.8
+    for metric in (koranyi(h1), weighted_max(f23)):
+        rng = np.random.default_rng(5)
+        shape = (k, n_factors, metric.algebra.dim)
+        b = sample_ball(metric, 1.1 * nu / math.sqrt(n_factors), k * n_factors,
+                        rng).reshape(shape)
+        pert = sample_ball(metric, 1.1 * nu, k * n_factors, rng).reshape(shape)
+        ok, ratios = _product_ratios(metric, nu, b, pert)
+        # d(A_j, B_j) = N(p_j): some candidates fail the pairwise hypothesis,
+        # some others only the tail one
+        pairwise = np.all(metric.quasi_norm_np(pert) <= nu, axis=1)
+        assert ok.any() and (~pairwise).any() and (pairwise & ~ok).any()
+        for c in range(k):
+            want_ok, want = _product_reference(metric, nu, b[c], pert[c])
+            assert ok[c] == want_ok, (metric, c)
+            if want_ok:
+                assert ratios[c] == pytest.approx(want, rel=1e-12), (metric, c)
+        est = verify_product_estimate(metric, nu=nu, n_factors=n_factors,
+                                      samples=137, seed=2)
+        assert est.samples == 137
+    # on h1 the Koranyi gauge is a distance, so every candidate of the
+    # driver's balls is kept: the sup is that of the first `samples` draws
+    metric, rng = koranyi(h1), np.random.default_rng(2)
+    shape = (137, n_factors, 3)
+    b = sample_ball(metric, nu / (2 * n_factors), 137 * n_factors, rng).reshape(shape)
+    pert = sample_ball(metric, nu / 2, 137 * n_factors, rng).reshape(shape)
+    want = max(_product_reference(metric, nu, bb, pp)[1] for bb, pp in zip(b, pert))
+    est = verify_product_estimate(metric, nu=nu, n_factors=n_factors, samples=137, seed=2)
+    assert est.sup_observed == pytest.approx(want, rel=1e-12)
+
+
+def test_draw_until_keeps_the_first_accepted_rows_in_draw_order():
+    rng = np.random.default_rng(1)
+    seen = []
+
+    def draw(n):
+        seen.append(rng.uniform(size=n))
+        return seen[-1][seen[-1] < 0.1]
+
+    got = draw_until(50, (), draw)
+    drawn = np.concatenate(seen)
+    assert len(seen) > 1 and np.sum(drawn < 0.1) > 50
+    assert np.array_equal(got, drawn[drawn < 0.1][:50])
+    assert draw_until(7, (3,), lambda n: np.ones((n, 3))).shape == (7, 3)
+    assert draw_until(0, (2,), draw).shape == (0, 2)
 
 
 def test_norm_and_left_inverse_estimates(h12):
