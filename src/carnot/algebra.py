@@ -257,7 +257,9 @@ class GradedAlgebra:
         return tuple([Q(0)] * self.dim)
 
     def basis_coords(self, k):
-        return tuple(Q(1) if t == k else Q(0) for t in range(self.dim))
+        """Basis vector k as an int tuple: its brackets on an integer table
+        stay int."""
+        return tuple(int(t == k) for t in range(self.dim))
 
     def bracket_coords(self, x, y):
         """[x, y] on coordinate sequences; the coordinates may be int,
@@ -484,8 +486,12 @@ class EmpiricalConstant:
     nu: float = float("nan")
 
     def __post_init__(self):
-        assert self.sup_observed >= 0.0
-        assert self.samples >= 1
+        if not self.sup_observed >= 0.0:
+            raise ValueError("%s: sup_observed must be >= 0, got %r"
+                             % (self.label, self.sup_observed))
+        if not self.samples >= 1:
+            raise ValueError("%s: samples must be >= 1, got %r"
+                             % (self.label, self.samples))
 
     def csv_row(self):
         return [self.label, "%.17g" % self.nu, str(self.samples), "%.17g" % self.sup_observed]

@@ -7,6 +7,7 @@ counterexample group whose ideals separate the two surjection classes.
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import GradedAlgebra
@@ -43,7 +44,9 @@ def heisenberg(n):
 class UnipotentHeisenbergModel:
     """Faithful (n+2)x(n+2) strictly-upper-triangular model of h^n, used as an
     exp/log cross-check for the group law.  Exact over Q: the matrices are
-    nilpotent of index 3, so exp and log are finite sums."""
+    nilpotent of index 3, so exp and log are finite sums.  They run on
+    integer matrices over one denominator: for a = A / d with A integer,
+    exp(a) = (2 d^2 I + 2 d A + A^2) / (2 d^2)."""
 
     def __init__(self, n):
         self.n = n
@@ -51,25 +54,30 @@ class UnipotentHeisenbergModel:
 
     def algebra_matrix(self, coords):
         n = self.n
-        m = linalg.zeros(self.size, self.size)
+        m = [[0] * self.size for _ in range(self.size)]
         for i in range(n):
-            m[0][1 + i] = Q(coords[2 * i])
-            m[1 + i][n + 1] = Q(coords[2 * i + 1])
-        m[0][n + 1] = Q(coords[2 * n])
+            m[0][1 + i] = coords[2 * i]
+            m[1 + i][n + 1] = coords[2 * i + 1]
+        m[0][n + 1] = coords[2 * n]
         return m
 
-    def exp(self, a):
-        i = linalg.identity(self.size)
+    def _exp(self, coords):
+        """(E, s): exp of the algebra matrix is E / s, E an integer matrix."""
+        d = lcm(*(Q(c).denominator for c in coords))
+        a = self.algebra_matrix([int(Q(c) * d) for c in coords])
         a2 = linalg.matmul(a, a)
-        return [[i[r][c] + a[r][c] + a2[r][c] / 2 for c in range(self.size)]
-                for r in range(self.size)]
+        s = 2 * d * d
+        return [[s * (r == c) + 2 * d * a[r][c] + a2[r][c] for c in range(self.size)]
+                for r in range(self.size)], s
 
-    def log(self, m):
-        i = linalg.identity(self.size)
-        nmat = [[m[r][c] - i[r][c] for c in range(self.size)] for r in range(self.size)]
+    def _log_coords(self, m, s):
+        """Coordinates of log(m / s) for a unipotent m / s: with N = m - s I,
+        log = (2 s N - N^2) / (2 s^2)."""
+        nmat = [[x - s * (r == c) for c, x in enumerate(row)] for r, row in enumerate(m)]
         n2 = linalg.matmul(nmat, nmat)
-        return [[nmat[r][c] - n2[r][c] / 2 for c in range(self.size)]
-                for r in range(self.size)]
+        return tuple(Q(2 * s * x - y, 2 * s * s) for x, y in
+                     zip(self.coords_from_algebra_matrix(nmat),
+                         self.coords_from_algebra_matrix(n2)))
 
     def coords_from_algebra_matrix(self, a):
         n = self.n
@@ -81,15 +89,15 @@ class UnipotentHeisenbergModel:
         return tuple(out)
 
     def to_matrix(self, coords):
-        return self.exp(self.algebra_matrix(coords))
+        e, s = self._exp(coords)
+        return [[Q(x, s) for x in row] for row in e]
 
     def product_coords(self, xc, yc):
-        m = linalg.matmul(self.to_matrix(xc), self.to_matrix(yc))
-        return self.coords_from_algebra_matrix(self.log(m))
+        (ex, sx), (ey, sy) = self._exp(xc), self._exp(yc)
+        return self._log_coords(linalg.matmul(ex, ey), sx * sy)
 
     def inverse_coords(self, xc):
-        m = linalg.inverse(self.to_matrix(xc))
-        return self.coords_from_algebra_matrix(self.log(m))
+        return self._log_coords(linalg.inverse(self.to_matrix(xc)), 1)
 
 
 def matrix_model(algebra):

@@ -215,12 +215,16 @@ def _control_from_cfg(cv, g, spec):
         raise ValueError("control params: %s" % e) from None
 
 
-def _number(cfg, key, default, kind=float):
-    """cfg[key], or the default, as a number; a bad value names its key."""
+def _number(cfg, key, default, kind=float, positive=False):
+    """cfg[key], or the default, as a number; a bad value names its key.
+    With `positive` the number must be > 0 (a count at least 1)."""
     try:
-        return kind(cfg.get(key, default))
+        value = kind(cfg.get(key, default))
     except (TypeError, ValueError):
         raise ValueError("%s: expected a number, got %r" % (key, cfg[key])) from None
+    if positive and not value > 0:
+        raise ValueError("%s: expected a number > 0, got %r" % (key, cfg[key]))
+    return value
 
 
 def cmd_experiment(args):
@@ -319,6 +323,7 @@ def cmd_experiment(args):
                             "graph_sup": float(np.max(np.abs(rp.phi_points)))})
 
         elif args.action == "blowup":
+            count = _number(cfg, "count", 400, int, positive=True)
             f = pdiff.named_map(cfg["map"])
             xbar = np.asarray(cfg["base_point"], dtype=float)
             sol, _ = pdiff.implicit_function(
@@ -327,7 +332,7 @@ def cmd_experiment(args):
             sampler = pdiff.LevelSetSampler(f, xbar, sol)
             rep = pdiff.tangent_cone_samples(
                 sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
-                R=_number(cfg, "R", 1.0), count=_number(cfg, "count", 400, int),
+                R=_number(cfg, "R", 1.0), count=count,
                 seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
                                 ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
@@ -342,8 +347,8 @@ def cmd_experiment(args):
 
         elif args.action == "verify-estimates":
             m = _metric_for(_load_group(cfg["group"]))
-            nu = _number(cfg, "nu", 1.0)
-            samples = _number(cfg, "samples", 2000, int)
+            nu = _number(cfg, "nu", 1.0, positive=True)
+            samples = _number(cfg, "samples", 2000, int, positive=True)
             consts = collect_estimates(m, nu, samples, seed)
             csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
             summary.update({"constants": {c.label: c.sup_observed for c in consts}})

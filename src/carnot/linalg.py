@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major);
-results are ``Fraction``.  Other entries, floats included, raise ``TypeError``
-rather than make an exact result inexact.  Nothing here mutates its arguments.
-This is the kernel behind subalgebra canonicalization, quotients and all
-classification decisions.  Elimination is fraction-free over the integers
-(after Bareiss, Math. Comp. 22 (1968) 565-578): ``_echelon`` scales each row
-once by the lcm of its denominators, each step is ``row <- p*row - f*pivot``
-divided by the row's content gcd, and ``rref`` divides by the pivots at the end.
+Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major).
+Eliminations return ``Fraction``; ``matmul`` and ``matvec`` keep integer
+inputs integer, and a ``Span`` keeps primitive integer rows.  Other entries,
+floats included, raise ``TypeError`` rather than make an exact result inexact.
+Nothing here mutates its arguments.  This is the kernel behind subalgebra
+canonicalization, quotients and all classification decisions.  Elimination is
+fraction-free over the integers (after Bareiss, Math. Comp. 22 (1968)
+565-578): ``_echelon`` scales each row once by the lcm of its denominators,
+each step is ``row <- p*row - f*pivot`` divided by the row's content gcd, and
+``rref`` divides by the pivots at the end.
 """
 
 from fractions import Fraction
@@ -34,13 +36,13 @@ def matmul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ: %d vs %d" % (len(a[0]), len(b)))
     bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def matvec(a, v):
-    if len(a[0]) != len(v):
+    if a and len(a[0]) != len(v):
         raise ValueError("%d matrix columns vs %d vector entries" % (len(a[0]), len(v)))
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _int_row(row):
@@ -145,13 +147,31 @@ def inverse(m):
     return [row[n:] for row in r[:n]]
 
 
-def in_span(basis_rows, v):
-    """Is v in the row span of basis_rows?  Exact membership test: one
-    elimination of the basis, then v reduced against its pivot rows."""
-    w = _int_row(v)
-    rows, pivots = _echelon(basis_rows)
-    for prow, c in zip(rows, pivots):
-        if w[c]:
-            w = _reduce(w, prow, c)
-    return not any(w)
+class Span:
+    """The row span of `rows`, brought to echelon form once.  `rows` holds primitive
+    integer rows and `pivots` their pivot columns; each row is zero in the
+    pivot columns of the rows before it, so a vector reduced against them in
+    order is zero exactly when it lies in the span.  A vector and its
+    nonzero multiples get the same answer."""
 
+    def __init__(self, rows):
+        self.rows, self.pivots = _echelon(rows)
+
+    def _residue(self, v):
+        w = _int_row(v)
+        for prow, c in zip(self.rows, self.pivots):
+            if w[c]:
+                w = _reduce(w, prow, c)
+        return w
+
+    def contains(self, v):
+        return not any(self._residue(v))
+
+    def add(self, v):
+        """Extend the span by v in place; True iff v was not in it."""
+        w = self._residue(v)
+        if not any(w):
+            return False
+        self.rows.append(w)
+        self.pivots.append(next(c for c, x in enumerate(w) if x))
+        return True

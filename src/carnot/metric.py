@@ -380,15 +380,14 @@ def standard_word_system(algebra, metric=None):
     blocks = []
     if algebra.step == 2 and algebra.layer_indices(2):
         idx2 = algebra.layer_indices(2)
-        chosen, rows = [], []
+        chosen = []
         import itertools as it
         from . import linalg
+        span = linalg.Span([])
         for (i, j) in it.combinations(range(m), 2):
             br = algebra.bracket_coords(algebra.basis_coords(idx1[i]),
                                         algebra.basis_coords(idx1[j]))
-            row = [br[k] for k in idx2]
-            if any(c != 0 for c in row) and not linalg.in_span(rows, row):
-                rows.append(row)
+            if span.add([br[k] for k in idx2]):
                 chosen.append((i, j))
             if len(chosen) == len(idx2):
                 break

@@ -8,6 +8,8 @@ flags read one exact report, computed on demand and cached.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 
@@ -155,8 +157,9 @@ class HomReport:
 def check_h_homomorphism(L):
     """Diagnostic report, computed once per morphism: block structure of the
     matrix (exact zeros off the layer diagonal) and bracket compatibility on
-    basis pairs (exact arithmetic only: a float morphism is never reported a
-    Lie homomorphism).  h-homomorphism iff both hold."""
+    basis pairs, checked on the matrix scaled once to integers (exact
+    arithmetic only: a float morphism is never reported a Lie homomorphism).
+    h-homomorphism iff both hold."""
     if L._report is None:
         dom, cod = L.domain, L.codomain
         exact = L.scalar_mode == "exact"
@@ -165,13 +168,16 @@ def check_h_homomorphism(L):
                       and (L.matrix[k][j] if exact else L.matrix[k, j]) != 0]
         layer_ok, lie_ok = not violations, exact
         if exact:
-            cols = [L.column(j) for j in range(dom.dim)]
-            for i in range(dom.dim):
-                for j in range(i + 1, dom.dim):
-                    br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
-                    if L.apply_coords(br) != cod.bracket_coords(cols[i], cols[j]):
-                        violations.append(("bracket", i, j))
-                        lie_ok = False
+            # L[e_i, e_j] = [L e_i, L e_j] times d^2, for M = d L in integers
+            d = lcm(*(c.denominator for row in L.matrix for c in row))
+            M = [[c.numerator * (d // c.denominator) for c in row] for row in L.matrix]
+            cols = [tuple(row[j] for row in M) for j in range(dom.dim)]
+            for i, j in combinations(range(dom.dim), 2):
+                br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
+                if tuple(d * c for c in linalg.matvec(M, br)) != \
+                        cod.bracket_coords(cols[i], cols[j]):
+                    violations.append(("bracket", i, j))
+                    lie_ok = False
         L._report = HomReport(is_lie_hom=lie_ok, is_layer_preserving=layer_ok,
                               violations=violations)
     return L._report

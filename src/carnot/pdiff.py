@@ -873,8 +873,7 @@ def _is_vertical(sub):
     """A subalgebra of a step <= 2 algebra that contains the whole second
     layer."""
     alg = sub.algebra
-    rows = [list(v) for v in sub.basis()]
-    return alg.step <= 2 and all(linalg.in_span(rows, list(alg.basis_coords(k)))
+    return alg.step <= 2 and all(sub.contains(alg.basis_coords(k))
                                  for k in alg.layer_indices(2))
 
 

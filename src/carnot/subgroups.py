@@ -46,7 +46,9 @@ class NotSubalgebra(ValueError):
 
 class HomogeneousSubalgebra:
     """A dilation-invariant subalgebra, stored as per-layer reduced echelon
-    bases (so equality is matrix comparison)."""
+    bases (so equality is matrix comparison).  `span`, built once, is the same
+    space as a ``linalg.Span`` of primitive integer rows; the membership,
+    bracket-closure and ideal checks read it."""
 
     def __init__(self, algebra, layered_bases):
         self.algebra = algebra
@@ -63,18 +65,20 @@ class HomogeneousSubalgebra:
             if basis:
                 canon[layer] = [tuple(v) for v in basis]
         self.layered_bases = canon
+        self.span = linalg.Span(self.basis())
         w = self._bracket_escape()
         if w is not None:
             raise NotSubalgebra("bracket leaves the span", witness=w)
 
     def _bracket_escape(self):
-        basis = self.basis()
-        rows = [list(v) for v in basis]
-        for u, v in itertools.combinations(basis, 2):
-            br = self.algebra.bracket_coords(u, v)
-            if any(c != 0 for c in br) and not linalg.in_span(rows, list(br)):
-                return br
-        return None
+        """None when the span is closed under the bracket, decided on the
+        integer rows; else the first escaping bracket of two basis vectors."""
+        bracket, span = self.algebra.bracket_coords, self.span
+        if all(span.contains(bracket(u, v))
+               for u, v in itertools.combinations(span.rows, 2)):
+            return None
+        return next(br for u, v in itertools.combinations(self.basis(), 2)
+                    for br in [bracket(u, v)] if not span.contains(br))
 
     @property
     def total_dim(self):
@@ -95,8 +99,7 @@ class HomogeneousSubalgebra:
                 for _ in self.layered_bases[layer]]
 
     def contains(self, coords):
-        rows = [list(v) for v in self.basis()]
-        return linalg.in_span(rows, list(coords))
+        return self.span.contains(coords)
 
     def __eq__(self, other):
         return (isinstance(other, HomogeneousSubalgebra)
@@ -121,13 +124,14 @@ def layered_decomposition(algebra, span_vectors):
     the escaping bracket.
     """
     rows = linalg.row_space_basis([[Q(c) for c in v] for v in span_vectors])
+    span = linalg.Span(rows)
     for v in rows:
         for layer in range(1, algebra.step + 1):
-            proj = list(algebra.project_layer_coords(tuple(v), layer))
-            if any(c != 0 for c in proj) and not linalg.in_span(rows, proj):
+            proj = algebra.project_layer_coords(tuple(v), layer)
+            if not span.contains(proj):
                 raise NotHomogeneous(
                     "span is not dilation invariant: a layer projection escapes",
-                    witness=tuple(proj))
+                    witness=proj)
     layered = {}
     for layer in range(1, algebra.step + 1):
         vecs = []
@@ -154,17 +158,12 @@ def zero_subalgebra(algebra):
 
 
 def is_ideal(sub):
-    """[G, a] inside a, checked on basis pairs exactly.  For homogeneous
-    subgroups this is equivalent to normality."""
-    rows = [list(v) for v in sub.basis()]
-    alg = sub.algebra
-    for k in range(alg.dim):
-        ek = alg.basis_coords(k)
-        for v in sub.basis():
-            br = alg.bracket_coords(ek, v)
-            if any(c != 0 for c in br) and not linalg.in_span(rows, list(br)):
-                return False
-    return True
+    """[G, a] inside a, checked exactly on the brackets of the basis vectors
+    of G with the integer rows of a.  For homogeneous subgroups this is
+    equivalent to normality."""
+    alg, span = sub.algebra, sub.span
+    return all(span.contains(alg.bracket_coords(alg.basis_coords(k), v))
+               for k in range(alg.dim) for v in span.rows)
 
 
 def is_complementary(a, b):
@@ -188,33 +187,24 @@ def is_complementary(a, b):
 
 def random_homogeneous_subalgebra(algebra, rng, n_generators=1):
     """Homogeneous closure of random rational vectors (entries a/b with
-    |a| <= 3, b in {1, 2}): take the span, close under layer projections and
-    brackets.  Used by the property-test drivers."""
+    |a| <= 3, b in {1, 2}): the smallest span that holds them and is closed
+    under layer projections and brackets.  Used by the property-test
+    drivers."""
     rows = []
     for _ in range(n_generators):
         rows.append([Q(int(rng.integers(-3, 4)),
                        int(rng.integers(1, 3))) for _ in range(algebra.dim)])
-    rows = [r for r in rows if any(c != 0 for c in r)]
-    if not rows:
-        return zero_subalgebra(algebra)
-    span = linalg.row_space_basis(rows)
-    changed = True
-    while changed:
-        changed = False
-        new = list(span)
-        for v in span:
-            for layer in range(1, algebra.step + 1):
-                p = list(algebra.project_layer_coords(tuple(v), layer))
-                if any(c != 0 for c in p) and not linalg.in_span(new, p):
-                    new.append(p)
-                    changed = True
-        for u, v in itertools.combinations(span, 2):
-            br = list(algebra.bracket_coords(tuple(u), tuple(v)))
-            if any(c != 0 for c in br) and not linalg.in_span(new, br):
-                new.append(br)
-                changed = True
-        span = linalg.row_space_basis(new)
-    return layered_decomposition(algebra, span)
+    # a worklist: each vector that grows the span has its layer projections
+    # and its brackets with the vectors before it offered to the span in turn
+    span = linalg.Span([])
+    basis = [r for r in rows if span.add(r)]
+    for i, v in enumerate(basis):
+        for w in [algebra.project_layer_coords(v, layer)
+                  for layer in range(1, algebra.step + 1)] + \
+                [algebra.bracket_coords(u, v) for u in basis[:i]]:
+            if span.add(w):
+                basis.append(w)
+    return layered_decomposition(algebra, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +219,35 @@ def quotient(algebra, ideal):
         ideal = layered_decomposition(algebra, ideal)
     if not is_ideal(ideal):
         raise ValueError("subalgebra is not an ideal; quotient undefined")
-    nbasis = [list(v) for v in ideal.basis()]
-    reps = []     # representative standard-basis indices, per layer order
-    rep_layers = []
-    for layer in range(1, algebra.step + 1):
-        idx = algebra.layer_indices(layer)
-        layer_rows = [[v[k] for k in idx] for v in ideal.layer_basis(layer)]
-        _, pivots = linalg.rref(layer_rows) if layer_rows else ([], [])
-        for pos, k in enumerate(idx):
-            if pos not in pivots:
-                reps.append(k)
-                rep_layers.append(layer)
-    qdim = len(reps)
-    # express a vector of the big algebra in representatives mod the ideal
-    cols = [[Q(1) if r == k else Q(0) for r in range(algebra.dim)] for k in reps]
-    cols += [list(v) for v in nbasis]
-    amat = [[cols[c][r] for c in range(len(cols))] for r in range(algebra.dim)]
+    pivoted = _pivoted_basis(ideal)
+    pivots = {p for p, _ in pivoted}
+    # the representatives: the standard basis vectors off the pivots, in
+    # layer order
+    reps = [k for layer in range(1, algebra.step + 1)
+            for k in algebra.layer_indices(layer) if k not in pivots]
 
     def reduce_mod(vec):
-        sol = linalg.solve(amat, list(vec))
-        assert sol is not None, "representatives + ideal must span"
-        return sol[:qdim]
+        """vec modulo the ideal in the representatives: subtract vec[p] n for
+        each ideal vector n with pivot p, read at the representative columns."""
+        return [vec[k] - sum(vec[p] * n[k] for p, n in pivoted if vec[p]) for k in reps]
 
     proj_matrix = linalg.transpose([reduce_mod(algebra.basis_coords(k))
                                     for k in range(algebra.dim)])
     struct = _induced_table(algebra, [algebra.basis_coords(k) for k in reps], reduce_mod)
-    name = ("%s/[dim %d]" % (algebra.name, ideal.total_dim) if qdim
+    name = ("%s/[dim %d]" % (algebra.name, ideal.total_dim) if reps
             else algebra.name + "/full")
-    qalg = GradedAlgebra(name, rep_layers, struct,
+    qalg = GradedAlgebra(name, [algebra.layer_of[k] for k in reps], struct,
                          basis_names=[algebra.basis_names[k] + "~" for k in reps])
     dpi = GradedMorphism(algebra, qalg, proj_matrix)
     return qalg, dpi
+
+
+def _pivoted_basis(sub):
+    """(pivot column, vector) for each vector of sub's basis.  Each layer is
+    in reduced echelon form and the layers have disjoint supports, so each
+    vector is 1 at its own pivot and 0 at every other: the coordinates of a
+    vector of the span are its entries at the pivots."""
+    return [(next(k for k, c in enumerate(v) if c), v) for v in sub.basis()]
 
 
 def _induced_table(algebra, vectors, coords_of):
@@ -286,17 +274,11 @@ def section_through(dpi, witness):
 def subalgebra_as_algebra(sub, name=None):
     """A homogeneous subalgebra as a standalone graded algebra (its own basis,
     induced brackets)."""
-    basis = sub.basis()
+    pivots = [p for p, _ in _pivoted_basis(sub)]
     alg = sub.algebra
-    bmat = [[basis[j][r] for j in range(len(basis))] for r in range(alg.dim)]
-
-    def coords_of(vec):
-        sol = linalg.solve(bmat, list(vec))
-        assert sol is not None
-        return sol
-
     return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(),
-                         _induced_table(alg, basis, coords_of))
+                         _induced_table(alg, sub.basis(),
+                                        lambda vec: [vec[p] for p in pivots]))
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +812,14 @@ def _coordinate_complements(sub):
                                               for l, ks in enumerate(chosen, 1)})
             return
         idx = alg.layer_indices(layer)
-        rows = [list(v) for v in sub.layer_basis(layer)]
-        pivots = linalg.rref([[v[k] for k in idx] for v in rows])[1]
-        free = tuple(k for c, k in enumerate(idx) if c not in pivots)
+        rows = [r for r, p in zip(sub.span.rows, sub.span.pivots)
+                if alg.layer_of[p] == layer]
+        pivots = set(sub.span.pivots)
+        free = tuple(k for k in idx if k not in pivots)
+        # the support of [e_a, e_b], read from the structure table
         forced = {k for i in range(1, layer // 2 + 1)
                   for a in chosen[i - 1] for b in chosen[layer - i - 1]
-                  for k, c in enumerate(alg.bracket_coords(alg.basis_coords(a),
-                                                           alg.basis_coords(b))) if c}
+                  for k in alg.struct.get((min(a, b), max(a, b)), ())}
         if len(forced) > len(free):
             return
         if forced <= set(free):
@@ -845,7 +828,7 @@ def _coordinate_complements(sub):
         for ks in itertools.combinations(rest, len(free) - len(forced)):
             ks = tuple(sorted(forced.union(ks)))
             if ks != free and linalg.rank(
-                    rows + [list(alg.basis_coords(k)) for k in ks]) == len(idx):
+                    rows + [alg.basis_coords(k) for k in ks]) == len(idx):
                 yield from extend(chosen + [ks])
 
     return extend([])
@@ -877,9 +860,7 @@ def horizontal_vertical_classify(sub):
         raise ValueError("classification defined for step-2 ambient groups")
     if set(sub.layered_bases) <= {1}:
         return "horizontal"
-    v2 = [list(alg.basis_coords(k)) for k in alg.layer_indices(2)]
-    rows = [list(v) for v in sub.basis()]
-    if all(linalg.in_span(rows, v) for v in v2):
+    if all(sub.contains(alg.basis_coords(k)) for k in alg.layer_indices(2)):
         return "vertical"
     return "neither"
 
@@ -924,6 +905,7 @@ def max_commutative_horizontal_dim(algebra, budget=2000, seed=0):
     for trial in range(max(budget // 40, 12)):
         current = []
         while True:
+            span = linalg.Span(current)
             if current:
                 mrows = []
                 for v in current:
@@ -936,14 +918,14 @@ def max_commutative_horizontal_dim(algebra, budget=2000, seed=0):
             order = list(range(len(space)))
             rng.shuffle(order)
             for t in order:
-                if not linalg.in_span(current, space[t]):
+                if not span.contains(space[t]):
                     # random rational combination keeps the search from cycling
                     mix = list(space[t])
                     if len(space) > 1 and trial % 3 == 2:
                         other = space[int(rng.integers(0, len(space)))]
                         co = Q(int(rng.integers(-2, 3)))
                         mix = [a + co * b for a, b in zip(mix, other)]
-                        if linalg.in_span(current, mix):
+                        if span.contains(mix):
                             mix = list(space[t])
                     ok = all(all(_omega_of(W, mix, v) == 0 for W in forms)
                              for v in current + [mix])

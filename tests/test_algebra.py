@@ -305,6 +305,12 @@ def test_zero_dimensional_algebra(h1):
 # raise ValueError naming the bad input; also under python -O, where an
 # assert would vanish
 INPUT_CHECKS = {
+    "empirical-constant-samples": (
+        "from carnot.algebra import EmpiricalConstant\n"
+        "EmpiricalConstant('c', 1.0, samples=0)", "samples must be >= 1"),
+    "empirical-constant-sup": (
+        "from carnot.algebra import EmpiricalConstant\n"
+        "EmpiricalConstant('c', -1.0, samples=10)", "sup_observed must be >= 0"),
     "structure-orientation": (
         "from carnot.algebra import GradedAlgebra\n"
         "GradedAlgebra('bad', [1, 1, 2], {(1, 0): {2: 1}})", "i < j"),

@@ -327,6 +327,15 @@ INPUT_PROBES = {
         "experiment", "blowup",
         _write(d, "b.json", {"map": "xcoord", "base_point": [0, 0, 0],
                              "counts": [3, 3], "scales": [0.01, 0.1]})]),
+    "blowup-count-zero": ("count", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "xcoord", "base_point": [0, 0, 0], "count": 0})]),
+    "estimates-samples-zero": ("samples", lambda d: [
+        "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "samples": 0})]),
+    "estimates-samples-negative": ("samples", lambda d: [
+        "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "samples": -5})]),
+    "estimates-nu-negative": ("nu", lambda d: [
+        "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": -1})]),
     "config-json": ("line 1 column 2", lambda d: [
         "experiment", "lift", _write(d, "l.json", "{not json")]),
     "implicit-counts": ("counts", lambda d: [

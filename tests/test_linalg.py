@@ -85,10 +85,28 @@ def test_rref_matches_reference(m):
 
 
 @PROPS
-@given(basis_and_vector())
-def test_in_span_agrees_with_rank(bv):
+@given(basis_and_vector(), st.data())
+def test_span_contains_agrees_with_elimination(bv, data):
     basis, v = bv
-    assert linalg.in_span(basis, v) == (linalg.rank(basis + [v]) == linalg.rank(basis))
+    span = linalg.Span(basis)
+    inside = reference_rank(basis + [v]) == reference_rank(basis)
+    assert span.contains(v) == inside
+    assert span.contains([-3 * x for x in v]) == inside
+    assert span.contains([0] * len(v))
+    # a span grown in place answers like one built from scratch
+    assert span.add(v) == (not inside) and span.contains(v)
+    w = data.draw(st.lists(entries, min_size=len(v), max_size=len(v)))
+    assert span.contains(w) == (reference_rank(basis + [v, w]) ==
+                                reference_rank(basis + [v]))
+    assert len(span.pivots) == reference_rank(basis + [v])
+
+
+def test_span_of_no_rows():
+    span = linalg.Span([])
+    assert span.contains([0, 0]) and not span.contains([0, Q(1, 2)])
+    assert not span.add([0, 0])
+    assert span.add([0, Q(-1, 2)]) and (span.rows, span.pivots) == ([[0, -1]], [1])
+    assert span.contains([0, 7]) and not span.contains([1, 0])
 
 
 @PROPS
@@ -132,7 +150,7 @@ def test_float_entries_rejected():
     with pytest.raises(TypeError):
         linalg.rank([[Q(1)], [0.5]])
     with pytest.raises(TypeError):
-        linalg.in_span([[Q(1), Q(0)]], [0.5, 0])
+        linalg.Span([[Q(1), Q(0)]]).contains([0.5, 0])
     with pytest.raises(TypeError):
         linalg.solve([[Q(1)]], [0.5])
 
@@ -142,3 +160,5 @@ def test_shape_errors():
         linalg.matmul(linalg.identity(2), linalg.identity(3))
     with pytest.raises(ValueError, match="vector"):
         linalg.matvec(linalg.identity(2), [Q(1)] * 3)
+    # a map onto the zero space has no rows
+    assert linalg.matvec([], [Q(1)] * 3) == []

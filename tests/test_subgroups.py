@@ -19,6 +19,8 @@ from carnot.subgroups import (BudgetExhausted, NonexistenceCertificate,
                               span_subalgebra, split_element,
                               subalgebra_as_algebra, zero_subalgebra)
 from conftest import rational_vector
+from test_bch import _fractional_table
+from test_linalg import reference_rank
 
 
 def test_layered_decomposition(h1):
@@ -76,6 +78,13 @@ def test_quotient_dilation_covariance(f23, rng):
         assert lhs == rhs
     from carnot.algebra import is_stratified
     assert is_stratified(qalg)
+
+
+def test_quotient_by_everything(h1):
+    from carnot.subgroups import full_subalgebra
+    qalg, dpi = quotient(h1, full_subalgebra(h1))
+    assert qalg.dim == 0 and dpi.is_h_homomorphism() and dpi.is_surjective()
+    assert dpi.apply_coords((1, 2, 3)) == ()
 
 
 def test_quotient_requires_ideal(h1):
@@ -429,3 +438,157 @@ def test_classification_cross_validation(rng):
                         g, probe, n_generators=max(1, g.dim - sub.total_dim - 1))
                     assert not (cand.total_dim == g.dim - sub.total_dim
                                 and is_complementary(sub, cand))
+
+
+# ---------------------------------------------------------------------------
+# the integer classification path against the Fraction routes it replaced
+# ---------------------------------------------------------------------------
+
+def _in_span_reference(rows, v):
+    """Membership by one textbook Fraction elimination per call."""
+    return reference_rank(rows + [list(v)]) == reference_rank(rows)
+
+
+def _is_ideal_reference(sub):
+    """[e_k, v] in the span for every basis vector e_k of G and v of sub,
+    each bracket of Fraction vectors checked by its own elimination."""
+    alg = sub.algebra
+    rows = [list(v) for v in sub.basis()]
+    return all(_in_span_reference(rows, alg.bracket_coords(
+        tuple(map(Q, alg.basis_coords(k))), v))
+        for k in range(alg.dim) for v in sub.basis())
+
+
+def _solve_coords(cols, vec):
+    """Coordinates of vec in the columns cols, by an exact solve."""
+    from carnot import linalg
+    sol = linalg.solve([list(r) for r in zip(*cols)], list(vec))
+    assert sol is not None
+    return sol
+
+
+def _table_reference(alg, vectors, coords_of):
+    return {(a, b): dict(enumerate(coords_of(alg.bracket_coords(vectors[a], vectors[b]))))
+            for a in range(len(vectors)) for b in range(a + 1, len(vectors))}
+
+
+def _quotient_reference(alg, ideal):
+    """(layers, projection matrix, structure table) of the quotient: the
+    representatives are the non-pivot columns of each layer's rref, and each
+    vector is read by a solve in representatives + ideal basis."""
+    from carnot import linalg
+    reps = []
+    for layer in range(1, alg.step + 1):
+        idx = alg.layer_indices(layer)
+        rows = [[v[k] for k in idx] for v in ideal.layer_basis(layer)]
+        pivots = linalg.rref(rows)[1] if rows else []
+        reps += [k for pos, k in enumerate(idx) if pos not in pivots]
+    units = [tuple(map(Q, alg.basis_coords(k))) for k in range(alg.dim)]
+    cols = [units[k] for k in reps] + ideal.basis()
+
+    def reduce_mod(vec):
+        return _solve_coords(cols, vec)[:len(reps)]
+
+    proj = [list(r) for r in zip(*[reduce_mod(u) for u in units])]
+    return ([alg.layer_of[k] for k in reps], proj,
+            _table_reference(alg, [units[k] for k in reps], reduce_mod))
+
+
+def _subalgebra_table_reference(sub):
+    basis = sub.basis()
+    return _table_reference(sub.algebra, basis, lambda vec: _solve_coords(basis, vec))
+
+
+def _check_h_homomorphism_reference(L):
+    """The bracket violations of L, from Fraction matrix-vector products."""
+    dom, cod = L.domain, L.codomain
+    cols = [L.column(j) for j in range(dom.dim)]
+    units = [tuple(map(Q, dom.basis_coords(k))) for k in range(dom.dim)]
+
+    def apply(v):
+        return tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in L.matrix)
+
+    return [("bracket", i, j) for i in range(dom.dim) for j in range(i + 1, dom.dim)
+            if apply(dom.bracket_coords(units[i], units[j]))
+            != cod.bracket_coords(cols[i], cols[j])]
+
+
+def _assert_matches_references(sub):
+    from carnot.algebra import GradedAlgebra
+    alg = sub.algebra
+    ideal = is_ideal(sub)
+    assert ideal == _is_ideal_reference(sub)
+    assert subalgebra_as_algebra(sub) == GradedAlgebra(
+        "ref", sub.basis_layers(), _subalgebra_table_reference(sub))
+    if ideal:
+        qalg, dpi = quotient(alg, sub)
+        layers, proj, table = _quotient_reference(alg, sub)
+        assert qalg == GradedAlgebra("ref", layers, table)
+        assert dpi.matrix == proj
+    # the inclusion of sub, and the projection when sub is an ideal
+    basis = sub.basis()
+    incl = GradedMorphism(subalgebra_as_algebra(sub), alg,
+                          [[v[r] for v in basis] for r in range(alg.dim)])
+    for L in [incl] + ([dpi] if ideal else []):
+        assert [v for v in check_h_homomorphism(L).violations if v[0] == "bracket"] \
+            == _check_h_homomorphism_reference(L) == []
+    return ideal
+
+
+@pytest.mark.parametrize("name", list(catalog.catalog_names()) + ["frac5"])
+def test_integer_path_matches_fraction_references(name):
+    alg = _fractional_table() if name == "frac5" else catalog.get(name)
+    rng = np.random.default_rng(5)
+    subs = [random_homogeneous_subalgebra(alg, rng, n_generators=int(rng.integers(1, 3)))
+            for _ in range(4 if alg.dim > 8 else 10)]
+    # the line through the last basis vector is central (top layer), so every
+    # group runs the quotient branch at least once
+    subs.append(span_subalgebra(alg, alg.basis_coords(alg.dim - 1)))
+    for sub in subs:
+        _assert_matches_references(sub)
+
+
+def test_frac5_subalgebras_match_references():
+    # on the table with struct_den 12: the ideal span{e1, e3, e4, e5}, given
+    # by a scaled vector, and the non-ideal span{e1 + 3/2 e2, e4, e5}, with a
+    # fractional entry beside its pivot
+    g = _fractional_table()
+    sub = span_subalgebra(g, [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+                          [Q(3, 5), 0, 0, 0, 0])
+    assert _assert_matches_references(sub)
+    sub = span_subalgebra(g, [Q(2, 3), 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1])
+    assert not _assert_matches_references(sub)
+
+
+def test_check_h_homomorphism_with_denominators():
+    g = _fractional_table()
+    r = Q(2, 3)
+    # the dilation by 2/3 is an automorphism with non-unit denominators
+    dil = GradedMorphism(g, g, [[r ** l if i == j else 0 for j in range(g.dim)]
+                                for i, l in enumerate(g.layer_of)])
+    assert check_h_homomorphism(dil).is_h_homomorphism
+    assert _check_h_homomorphism_reference(dil) == []
+    # halving e1 alone breaks [e1, e2] = 1/2 e3 and [e1, e3] = 3/4 e4
+    half = GradedMorphism(g, g, [[Q(1, 2) if i == j == 0 else int(i == j)
+                                  for j in range(g.dim)] for i in range(g.dim)])
+    rep = check_h_homomorphism(half)
+    assert rep.is_layer_preserving and not rep.is_lie_hom
+    assert rep.violations == _check_h_homomorphism_reference(half) == [
+        ("bracket", 0, 1), ("bracket", 0, 2)]
+    # random layer-preserving rational maps: mostly not homomorphisms
+    rng = np.random.default_rng(3)
+    broken = 0
+    for _ in range(10):
+        m = [[Q(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+              if g.layer_of[i] == g.layer_of[j] else 0 for j in range(g.dim)]
+             for i in range(g.dim)]
+        L = GradedMorphism(g, g, m)
+        assert check_h_homomorphism(L).violations == _check_h_homomorphism_reference(L)
+        broken += not check_h_homomorphism(L).is_lie_hom
+    assert broken >= 5
+
+
+def test_max_commutative_witness_has_the_reported_dimension():
+    for name in ("h1", "h2", "h3", "h12", "g42", "free_3_2"):
+        rep = max_commutative_horizontal_dim(catalog.get(name), budget=200, seed=1)
+        assert rep.witness.total_dim == rep.dim, name
