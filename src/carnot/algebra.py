@@ -518,7 +518,10 @@ def bracket_norm_constant(algebra):
 
 class FloatOps:
     """Vectorized float operations; all functions accept arrays of shape
-    (..., dim) and broadcast over the leading axes."""
+    (..., dim) and broadcast over the leading axes.  layer_squares gives the
+    squared Euclidean norm of every layer component, shape (..., step), from
+    the coordinate columns in index order; the gauges and the metric
+    estimates read their layer norms from it."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -567,9 +570,26 @@ class FloatOps:
     def project_tail(self, x, i):
         return np.asarray(x, dtype=float) * self.tail_masks[i]
 
+    def layer_squares(self, x):
+        """Squared Euclidean norm of each layer component, shape (..., step):
+        layer i adds its squared coordinate columns x[..., k]**2 in index
+        order (0 for an empty layer).  Each layer's sums fill one contiguous
+        row of a (step, ...) array, returned as its (..., step) view; on a
+        column-major batch every column read is contiguous too."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.step,) + x.shape[:-1])
+        for i, idx in enumerate(self.layer_idx):
+            acc = out[i, ...]
+            if not len(idx):
+                acc[...] = 0.0
+            for n, k in enumerate(idx):
+                col = x[..., k]
+                if n:
+                    acc += col * col
+                else:
+                    np.multiply(col, col, out=acc)
+        return np.moveaxis(out, 0, -1)
+
     def layer_norms(self, x):
-        """Euclidean norm of each layer component, shape (..., step): the
-        coordinates are squared once and summed over each layer's indices."""
-        sq = np.square(np.asarray(x, dtype=float))
-        return np.sqrt(np.stack([sq[..., idx].sum(axis=-1) for idx in self.layer_idx],
-                                axis=-1))
+        """Euclidean norm of each layer component, shape (..., step)."""
+        return np.sqrt(self.layer_squares(x))

@@ -162,10 +162,12 @@ def _float_terms(algebra, x, y, degrees):
     views; both do the same float operations, so they agree bit for bit.
 
     A batch runs in blocks of at most _BLOCK_ITEMS coordinates along the
-    leading axis of the broadcast shape, so that each block's strided columns
-    stay in cache (about 4096 rows of a dimension-8 group).  A factor that
+    leading axis of the broadcast shape, so that each block's columns stay
+    in cache (about 4096 rows of a dimension-8 group).  A factor that
     broadcasts along that axis enters every block whole, so no factor is
-    copied or expanded."""
+    copied or expanded.  The result takes the memory order of x + y: on
+    column-major input (the samplers' layout) each column is contiguous and
+    the result is column-major, bit for bit the row-major result."""
     total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
     higher, float_rows = [n for n in degrees if n > 1], _law(algebra)[2]
     if total.ndim == 1:

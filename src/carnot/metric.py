@@ -11,6 +11,7 @@ Distances are left-invariant by construction: d(x, y) = N(x^{-1} y).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,22 @@ class HomogeneousMetric:
 
     # -- vectorized core ----------------------------------------------------
     def quasi_norm_np(self, coords):
-        ops = self.algebra.float_ops()
-        ln = ops.layer_norms(coords)
+        return self._gauge(self.algebra.float_ops().layer_squares(coords))
+
+    def _gauge(self, sq):
+        """The gauge of points whose squared layer norms are sq, shape
+        (..., step): Koranyi sqrt(sqrt(s_1^2 + 16 s_2)), weighted max the
+        running maximum of the roots (w_i sqrt(s_i))^{1/i}."""
         if self.kind == "koranyi":
-            n1 = ln[..., 0]
-            n2 = ln[..., 1] if self.algebra.step >= 2 else 0.0
-            return (n1 ** 4 + 16.0 * n2 ** 2) ** 0.25
-        vals = [ (self.weights[i - 1] * ln[..., i - 1]) ** (1.0 / i)
-                 for i in range(1, self.algebra.step + 1) ]
-        return np.max(np.stack(vals, axis=-1), axis=-1)
+            q = sq[..., 0] * sq[..., 0]
+            if self.algebra.step >= 2:
+                q = q + 16.0 * sq[..., 1]
+            return np.sqrt(np.sqrt(q))
+        out = None
+        for i, w in enumerate(self.weights, start=1):
+            v = _root(w * np.sqrt(sq[..., i - 1]), i)
+            out = v if out is None else np.maximum(out, v)
+        return out
 
     def distance_np(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -68,6 +76,19 @@ class HomogeneousMetric:
 
     def __repr__(self):
         return "HomogeneousMetric(%s, %s)" % (self.algebra.name, self.kind)
+
+
+def _root(v, i):
+    """v ** (1 / i) for v >= 0, by sqrt and cbrt up to i = 4."""
+    if i == 1:
+        return v
+    if i == 2:
+        return np.sqrt(v)
+    if i == 3:
+        return np.cbrt(v)
+    if i == 4:
+        return np.sqrt(np.sqrt(v))
+    return v ** (1.0 / i)
 
 
 def quasi_norm(x, metric):
@@ -98,29 +119,36 @@ def default_metric(algebra):
 # ---------------------------------------------------------------------------
 # sampling helpers
 # ---------------------------------------------------------------------------
+# Batches are column-major: a sampler draws a (dim, count) array and returns
+# its (count, dim) transpose, so each coordinate is one contiguous column for
+# the group law (bch._float_terms) and FloatOps.layer_squares, which read
+# x[..., k] columns and keep the input's memory order.
 
 def sample_box(algebra, radius, count, rng):
-    """Euclidean-coordinate box sample, shape (count, dim)."""
-    return rng.uniform(-radius, radius, size=(count, algebra.dim))
+    """Euclidean-coordinate box sample, shape (count, dim), column-major."""
+    return rng.uniform(-radius, radius, size=(algebra.dim, count)).T
 
 
 def _unit_vectors(rng, count, d):
-    """`count` directions uniform on the unit sphere of R^d, shape (count, d)."""
-    g = rng.standard_normal((count, d))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    """`count` directions uniform on the unit sphere of R^d, shape (count, d),
+    column-major; one column-sum reduction gives the norms."""
+    g = rng.standard_normal((d, count))
+    g /= np.sqrt(np.square(g).sum(axis=0))
+    return g.T
 
 
 def _euclidean_ball(rng, radius, count, d):
-    """`count` points uniform in the Euclidean ball of R^d; `radius` is one
-    number or one per point."""
+    """`count` points uniform in the Euclidean ball of R^d, shape (count, d),
+    column-major; `radius` is one number or one per point."""
     scale = np.asarray(radius, dtype=float) * rng.uniform(size=count) ** (1.0 / d)
     return _unit_vectors(rng, count, d) * scale[:, None]
 
 
 def sample_ball(metric, radius, count, rng):
     """`count` points uniform (Haar) in the gauge ball N(x) <= radius, shape
-    (count, dim), drawn in closed form.  Haar measure is Lebesgue measure in
-    exponential coordinates, so this is the law of rejection from a box.
+    (count, dim), column-major (the transpose of a (dim, count) draw), drawn
+    in closed form.  Haar measure is Lebesgue measure in exponential
+    coordinates, so this is the law of rejection from a box.
 
     Weighted max: layer i is uniform in its Euclidean ball of radius
     radius**i / w_i.  Koranyi, with m = dim V_1 and k = dim V_2 (0 in step
@@ -129,19 +157,19 @@ def sample_ball(metric, radius, count, rng):
     r^2 sqrt(1 - s) / 4."""
     alg = metric.algebra
     layers = [alg.layer_indices(i) for i in range(1, alg.step + 1)]
-    out = np.zeros((count, alg.dim))
+    out = np.zeros((alg.dim, count))
     if metric.kind == "koranyi":
         m, k = len(layers[0]), len(layers[1]) if alg.step == 2 else 0
         s = rng.beta(m / 4, k / 2 + 1, size=count)
-        out[:, layers[0]] = _unit_vectors(rng, count, m) * (radius * s ** 0.25)[:, None]
+        out[layers[0]] = _unit_vectors(rng, count, m).T * (radius * s ** 0.25)
         if k:
-            out[:, layers[1]] = _euclidean_ball(rng, radius ** 2 * np.sqrt(1 - s) / 4,
-                                                count, k)
-        return out
+            out[layers[1]] = _euclidean_ball(rng, radius ** 2 * np.sqrt(1 - s) / 4,
+                                             count, k).T
+        return out.T
     for i, (idx, w) in enumerate(zip(layers, metric.weights), start=1):
         if idx:
-            out[:, idx] = _euclidean_ball(rng, radius ** i / w, count, len(idx))
-    return out
+            out[idx] = _euclidean_ball(rng, radius ** i / w, count, len(idx)).T
+    return out.T
 
 
 def draw_until(count, row_shape, draw):
@@ -173,6 +201,13 @@ def sphere_point(metric, u):
 # estimate drivers
 # ---------------------------------------------------------------------------
 
+def _check_samples(samples):
+    """The sample-count check of every estimate below, at entry."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
+            or samples < 1:
+        raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
+
+
 def first_layer_lower_bound(x, y, metric):
     """|pi_1(xi - eta)| / d(x, y); the sampled sup realizes the comparison
     constant between the gauge and the first-layer Euclidean norm."""
@@ -186,11 +221,11 @@ def first_layer_lower_bound(x, y, metric):
 
 
 def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     pts = sample_box(metric.algebra, radius, 2 * samples, rng)
     a, b = pts[:samples], pts[samples:]
-    ops = metric.algebra.float_ops()
-    num = np.linalg.norm(ops.project_layer(a - b, 1), axis=-1)
+    num = np.sqrt(metric.algebra.float_ops().layer_squares(a - b)[:, 0])
     den = metric.distance_np(a, b)
     mask = den > 1e-12
     sup = float(np.max(num[mask] / den[mask]))
@@ -202,56 +237,65 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     """Per-layer sup of |pi^i(log x)| / d(x)^i over `samples` points drawn
     uniformly from the gauge ball of the given radius; one EmpiricalConstant
     per layer i >= 1."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    pts = sample_ball(metric, radius, samples, rng)
-    norms = metric.quasi_norm_np(pts)
+    sq = alg.float_ops().layer_squares(sample_ball(metric, radius, samples, rng))
+    norms = metric._gauge(sq)
     mask = norms > 1e-9
-    pts, norms = pts[mask], norms[mask]
-    # tails[:, i - 1] = |pi^i|: tail_i^2 is the sum of the squared layer
-    # norms of layers j >= i
-    sq = np.square(alg.float_ops().layer_norms(pts))
-    tails = np.sqrt(np.cumsum(sq[:, ::-1], axis=-1)[:, ::-1])
-    out = []
-    for i in range(1, alg.step + 1):
-        ratios = tails[:, i - 1] / norms ** i
+    kept = int(mask.sum())
+    # a point outside the mask gets gauge inf, so its ratios are 0
+    norms = np.where(mask, norms, np.inf)
+    # tails[i - 1] = |pi^i|^2, the sum of the squared layer norms of layers
+    # j >= i, added from the top layer down
+    tails, acc = [], 0.0
+    for i in range(alg.step, 0, -1):
+        acc = acc + sq[:, i - 1]
+        tails.insert(0, acc)
+    out, power = [], 1.0
+    for i, tail in enumerate(tails, start=1):
+        power = power * norms
         out.append(EmpiricalConstant(
             "tail_projection K_U layer>=%d[%s]" % (i, alg.name),
-            float(np.max(ratios)) if len(ratios) else 0.0, int(mask.sum()), nu=radius))
+            float(np.max(np.sqrt(tail) / power, initial=0.0)), kept, nu=radius))
     return out
 
 
 def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
-    """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu."""
+    """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu: xi is a uniform
+    direction times a radius |xi| drawn uniformly from [0.05, nu]."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, alg.dim))
-    scales = rng.uniform(0.05, nu, samples) / np.maximum(
-        np.linalg.norm(pts, axis=-1), 1e-12)
-    pts = pts * scales[:, None]
-    ratios = metric.quasi_norm_np(pts) / np.linalg.norm(pts, axis=-1) ** (1.0 / alg.step)
+    directions = _unit_vectors(rng, samples, alg.dim)
+    radii = rng.uniform(0.05, nu, samples)
+    ratios = metric.quasi_norm_np(directions * radii[:, None]) / _root(radii, alg.step)
     return EmpiricalConstant("gauge_vs_norm kappa(nu)[%s]" % alg.name,
                              float(np.max(ratios)), samples, nu=nu)
 
 
 def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup |(-xi) o eta| / |xi - eta| over |xi|, |eta| <= nu (Euclidean
-    coordinate norms; the group-difference comparison)."""
+    coordinate norms; the group-difference comparison).  The ratio is taken
+    on squared norms, with one square root of the sup."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
     eta = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
-    diff = group_product_np(alg, -xi, eta)
-    num = np.linalg.norm(diff, axis=-1)
-    den = np.linalg.norm(xi - eta, axis=-1)
-    mask = den > 1e-12
+    ops = alg.float_ops()
+    num = ops.layer_squares(group_product_np(alg, -xi, eta)).sum(axis=-1)
+    den = ops.layer_squares(xi - eta).sum(axis=-1)
+    mask = den > 1e-24
     return EmpiricalConstant("group_difference_vs_linear C(nu)[%s]" % alg.name,
-                             float(np.max(num[mask] / den[mask])), int(mask.sum()), nu=nu)
+                             math.sqrt(float(np.max(num[mask] / den[mask]))),
+                             int(mask.sum()), nu=nu)
 
 
 def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
     d(y^-1 x y) / d(x)^{1/step}."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, nu, samples, rng)
@@ -305,6 +349,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     nu / 2N, and one more the K N perturbations p_j (A_j = B_j p_j), from the
     ball of radius nu / 2.  A candidate that violates a hypothesis is
     discarded; the first `samples` kept, in draw order, give the sup."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     shape = (-1, n_factors, alg.dim)
@@ -323,6 +368,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance."""
+    _check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, radius, samples, rng)
@@ -472,6 +518,7 @@ def solve_word(x, ws):
 def word_constant(ws, samples=400, seed=0):
     """c(G, d): max over sampled unit-sphere points of max_s |a_s|, in the
     word system's metric."""
+    _check_samples(samples)
     metric = ws.metric
     alg = ws.algebra
     rng = np.random.default_rng(seed)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
@@ -11,13 +10,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-import carnot
 from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, Polynomial,
                             bracket, bracket_norm_constant, dilate,
                             homogeneous_dimension, is_stratified,
                             iterated_bracket, project_layer, project_tail,
                             validate_grading, validate_table)
+from conftest import OPTIMIZED_RUNNER, run_optimized
 from conftest import rational_vector
 
 
@@ -311,6 +310,10 @@ INPUT_CHECKS = {
     "empirical-constant-sup": (
         "from carnot.algebra import EmpiricalConstant\n"
         "EmpiricalConstant('c', -1.0, samples=10)", "sup_observed must be >= 0"),
+    "estimate-samples": (
+        "from carnot import catalog, metric\n"
+        "metric.norm_exp_estimate(metric.default_metric(catalog.get('h1')), samples=0)",
+        "samples must be an integer >= 1"),
     "structure-orientation": (
         "from carnot.algebra import GradedAlgebra\n"
         "GradedAlgebra('bad', [1, 1, 2], {(1, 0): {2: 1}})", "i < j"),
@@ -432,18 +435,58 @@ INPUT_CHECKS = {
 }
 
 
+def _guarded(script):
+    """The script with a ValueError it raises printed, not raised."""
+    return "try:\n%s\nexcept ValueError as e:\n    print(e)\n" % "\n".join(
+        "    " + line for line in script.splitlines())
+
+
+@pytest.fixture(scope="module")
+def optimized_checks(tmp_path_factory):
+    # every guarded INPUT_CHECKS script, each in its own directory, in one
+    # python -O interpreter
+    probes = {name: {"cwd": str(tmp_path_factory.mktemp(name)), "script": _guarded(script)}
+              for name, (script, _) in INPUT_CHECKS.items()}
+    return run_optimized(probes, tmp_path_factory.mktemp("optimized"))
+
+
 @pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
 @pytest.mark.parametrize("probe", sorted(INPUT_CHECKS))
-def test_input_check_raises_value_error(probe, optimized):
+def test_input_check_raises_value_error(request, probe, optimized):
     script, message = INPUT_CHECKS[probe]
     if not optimized:
         with pytest.raises(ValueError, match=message):
             exec(script, {})
         return
-    guarded = "try:\n%s\nexcept ValueError as e:\n    print(e)\n" % "\n".join(
-        "    " + line for line in script.splitlines())
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(carnot.__file__)))
-    run = subprocess.run([sys.executable, "-O", "-c", guarded], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0 and not run.stderr, run.stderr
-    assert message in run.stdout
+    run = request.getfixturevalue("optimized_checks")[probe]
+    assert run["code"] == 0 and not run["stderr"], run["stderr"]
+    assert message in run["stdout"]
+
+
+def test_optimized_runner_reports_like_a_process(tmp_path):
+    # a failing probe fails as its own process would (exit 1, traceback on
+    # stderr), and the runner refuses to run with asserts left in
+    probes = {
+        "assert-compiled-out": "assert False",
+        "assertion-error": "raise AssertionError('kept')",
+        "exit": "import sys\nsys.exit(1)",
+        "exit-message": "import sys\nsys.exit('bad input')",
+        "value-error": "raise ValueError('named')",
+        "ok": "import os, sys\nprint(sys.flags.optimize, os.path.basename(os.getcwd()))",
+    }
+    dirs = {name: tmp_path / name for name in probes}
+    for d in dirs.values():
+        d.mkdir()
+    runs = run_optimized({name: {"cwd": str(dirs[name]), "script": script}
+                          for name, script in probes.items()}, tmp_path)
+    assert runs["assert-compiled-out"] == {"code": 0, "stdout": "", "stderr": ""}
+    assert runs["assertion-error"]["code"] == 1 and \
+        "AssertionError: kept" in runs["assertion-error"]["stderr"]
+    assert runs["exit"] == {"code": 1, "stdout": "", "stderr": ""}
+    assert runs["exit-message"] == {"code": 1, "stdout": "", "stderr": "bad input\n"}
+    assert runs["value-error"]["code"] == 1 and "ValueError: named" in \
+        runs["value-error"]["stderr"]
+    assert runs["ok"] == {"code": 0, "stdout": "1 ok\n", "stderr": ""}
+    plain = subprocess.run([sys.executable, OPTIMIZED_RUNNER, "p.json", "r.json"],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert plain.returncode == 1 and "python -O" in plain.stderr

@@ -286,6 +286,24 @@ def test_blocked_law_matches_scalar_products(name, rng):
     assert np.array_equal(group_product_np(g, b, a), want)
 
 
+@pytest.mark.parametrize("name", list(catalog.catalog_names()) + ["free_2_5"])
+def test_law_is_bit_identical_across_memory_orders(name, rng):
+    # column-major batches, as the samplers draw them, give the row-major
+    # products bit for bit across the block boundary, also with the factors
+    # in different orders or one broadcast; the product keeps the order
+    from carnot.bch import _BLOCK_ITEMS
+    g = catalog.get(name)
+    n = 2 * (_BLOCK_ITEMS // g.dim) + 17
+    xs, ys = rng.standard_normal((2, n, g.dim))
+    want = group_product_np(g, xs, ys)
+    xf, yf = np.asfortranarray(xs), np.asfortranarray(ys)
+    for x, y in ((xf, yf), (xs, yf), (xf, ys)):
+        assert np.array_equal(group_product_np(g, x, y), want), name
+    assert group_product_np(g, xf, yf).flags.f_contiguous
+    assert np.array_equal(group_product_np(g, xs[0], yf), group_product_np(g, xs[0], ys))
+    assert np.array_equal(group_product_np(g, xf, ys[3]), group_product_np(g, xs, ys[3]))
+
+
 def test_bilinear_bound_recorder(f23):
     c = bilinear_bound(f23, 3, nu=1.0, samples=100, seed=0)
     assert math.isfinite(c.sup_observed) and c.samples == 100

@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -11,6 +8,7 @@ import pytest
 from carnot import catalog
 from carnot import io as cio
 from carnot.cli import main
+from conftest import run_optimized
 
 
 def test_group_roundtrip_bit_exact(tmp_path, h12, g42):
@@ -193,7 +191,18 @@ def test_cli_experiment_solver_failure_exit_code(tmp_path, capsys):
     assert "integrator error estimate" in json.loads(capsys.readouterr().out)["error"]
 
 
-def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
+def _bad_weights_argv(directory):
+    """verify-estimates on h1 with a group-file metric block of bad weights."""
+    group = cio.group_to_dict(catalog.get("h1"))
+    group["metric"] = {"kind": "weighted_max", "weights": [1, -1]}
+    gfile = directory / "g.json"
+    gfile.write_text(json.dumps(group))
+    cfg = directory / "est.json"
+    cfg.write_text(json.dumps({"group": str(gfile), "samples": 100}))
+    return ["--output-dir", str(directory), "experiment", "verify-estimates", str(cfg)]
+
+
+def test_cli_estimates_bad_metric_weights(request, tmp_path, capsys):
     # the metric block of a group file is input: bad weights are a
     # validation failure (exit 2), also under python -O
     from carnot.metric import HomogeneousMetric
@@ -201,24 +210,10 @@ def test_cli_estimates_bad_metric_weights(tmp_path, capsys):
     for weights in ([1, -1], [1.0], [1, "x"]):
         with pytest.raises(ValueError, match="weights"):
             HomogeneousMetric(h1, "weighted_max", weights)
-    group = cio.group_to_dict(h1)
-    group["metric"] = {"kind": "weighted_max", "weights": [1, -1]}
-    gfile = tmp_path / "g.json"
-    gfile.write_text(json.dumps(group))
-    cfg = tmp_path / "est.json"
-    cfg.write_text(json.dumps({"group": str(gfile), "samples": 100}))
-    argv = ["--output-dir", str(tmp_path), "experiment", "verify-estimates", str(cfg)]
-    assert main(argv) == 2
+    assert main(_bad_weights_argv(tmp_path)) == 2
     assert "weights" in capsys.readouterr().out
-    run = _run_optimized(argv)
-    assert run.returncode == 2 and "weights" in run.stdout and not run.stderr
-
-
-def _run_optimized(argv):
-    """The command line in a fresh `python -O`, where asserts are gone."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cio.__file__)))
-    return subprocess.run([sys.executable, "-O", "-m", "carnot.cli"] + argv, env=env,
-                          capture_output=True, text=True, timeout=120)
+    run = request.getfixturevalue("optimized_runs")["metric-weights"]
+    assert run["code"] == 2 and "weights" in run["stdout"] and not run["stderr"]
 
 
 def test_group_file_metric_block_checked(tmp_path, capsys):
@@ -294,11 +289,10 @@ def test_cli_unknown_group_exit_code(capsys):
     assert "nosuch" in capsys.readouterr().out
 
 
-def test_group_file_layers_length_under_optimize(tmp_path):
+def test_group_file_layers_length_under_optimize(request):
     # the layers-length rule is not an assert: it holds under python -O
-    _, path = _probe_file(tmp_path, "layers")
-    run = _run_optimized(["group", "info", str(path)])
-    assert run.returncode == 2 and "layers" in run.stdout and not run.stderr
+    run = request.getfixturevalue("optimized_runs")["layers-length"]
+    assert run["code"] == 2 and "layers" in run["stdout"] and not run["stderr"]
 
 
 def _write(directory, name, content):
@@ -391,18 +385,38 @@ INPUT_PROBES = {
 }
 
 
+# command lines that must hold under python -O, where asserts are compiled
+# out: each input probe, and the two checks above
+OPTIMIZED_ARGVS = {
+    probe: lambda d, make_argv=make_argv: ["--output-dir", str(d)] + make_argv(d)
+    for probe, (_, make_argv) in INPUT_PROBES.items()}
+OPTIMIZED_ARGVS["metric-weights"] = _bad_weights_argv
+OPTIMIZED_ARGVS["layers-length"] = \
+    lambda d: ["group", "info", str(_probe_file(d, "layers")[1])]
+
+
+@pytest.fixture(scope="module")
+def optimized_runs(tmp_path_factory):
+    # every command line of OPTIMIZED_ARGVS, each with its files in its own
+    # directory, in one python -O interpreter
+    probes = {}
+    for name, make_argv in OPTIMIZED_ARGVS.items():
+        d = tmp_path_factory.mktemp(name)
+        probes[name] = {"cwd": str(d), "argv": make_argv(d)}
+    return run_optimized(probes, tmp_path_factory.mktemp("optimized"))
+
+
 @pytest.mark.parametrize("optimized", [False, True], ids=["python", "python-O"])
 @pytest.mark.parametrize("probe", sorted(INPUT_PROBES))
-def test_bad_input_file_probe(tmp_path, capsys, probe, optimized):
+def test_bad_input_file_probe(request, tmp_path, capsys, probe, optimized):
     # a malformed input is a validation failure: exit 2 and one line naming
     # the field, with no traceback, also when asserts are compiled out
     field, make_argv = INPUT_PROBES[probe]
-    argv = ["--output-dir", str(tmp_path)] + make_argv(tmp_path)
     if optimized:
-        run = _run_optimized(argv)
-        code, out, err = run.returncode, run.stdout, run.stderr
+        run = request.getfixturevalue("optimized_runs")[probe]
+        code, out, err = run["code"], run["stdout"], run["stderr"]
     else:
-        code = main(argv)
+        code = main(["--output-dir", str(tmp_path)] + make_argv(tmp_path))
         out, err = capsys.readouterr()
     assert code == 2 and not err
     assert field in out and len(out.strip().splitlines()) == 1

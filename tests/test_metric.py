@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import GroupElement, dilate, homogeneous_dimension
-from carnot.bch import group_product
+from carnot.algebra import (GradedAlgebra, GroupElement, dilate,
+                            homogeneous_dimension)
+from carnot.bch import group_product, group_product_np
 from carnot.metric import (HomogeneousMetric, default_metric, distance,
                            draw_until, first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
                            quasi_norm, quasi_triangle_constant, sample_ball,
-                           solve_word, sphere_point, standard_word_system,
+                           sample_box, solve_word, sphere_point,
+                           standard_word_system,
                            verify_conjugation_estimate,
                            verify_product_estimate,
                            verify_projection_estimate, weighted_max,
@@ -123,6 +125,158 @@ def test_layer_norms_and_tails_match_masked_norms(name):
                                                rel=1e-12)
 
 
+def _layer_tables():
+    """Every catalog group, a table whose layers interleave and one with an
+    empty layer."""
+    for name in catalog.catalog_names():
+        yield catalog.get(name)
+    yield GradedAlgebra("interleaved", [1, 2, 1], {(0, 2): {1: 1}})
+    yield GradedAlgebra("gap", [1, 1, 3], {})
+
+
+@pytest.mark.parametrize("g", list(_layer_tables()), ids=lambda g: g.name)
+def test_layer_squares_match_masked_reference(g):
+    # each layer adds its squared coordinate columns in index order: bit for
+    # bit that loop, in either memory order, on one point and on a (m, n,
+    # dim) batch; the masked squared norms up to summation order
+    ops = g.float_ops()
+    x = np.random.default_rng(4).standard_normal((300, g.dim))
+    loop = np.zeros((300, g.step))
+    for k, layer in enumerate(g.layer_of):
+        loop[:, layer - 1] += x[:, k] * x[:, k]
+    for batch in (x, np.asfortranarray(x)):
+        got = ops.layer_squares(batch)
+        assert got.shape == (300, g.step) and np.array_equal(got, loop)
+    assert np.array_equal(ops.layer_squares(x[7]), loop[7])
+    assert np.array_equal(ops.layer_squares(x.reshape(30, 10, g.dim)),
+                          loop.reshape(30, 10, g.step))
+    masked = np.stack([np.sum(np.square(x * ops.layer_masks[i]), axis=-1)
+                       for i in range(1, g.step + 1)], axis=-1)
+    assert np.allclose(got, masked, rtol=1e-14, atol=0)
+    assert np.array_equal(ops.layer_norms(x), np.sqrt(loop))
+
+
+def _gauge_reference(metric, x):
+    """The gauge by its ** formula: (|x_1|^4 + 16 |x_2|^2)^{1/4} or
+    max_i (w_i |x_i|)^{1/i}, from the masked layer norms."""
+    alg = metric.algebra
+    ops = alg.float_ops()
+    ln = np.stack([np.linalg.norm(x * ops.layer_masks[i], axis=-1)
+                   for i in range(1, alg.step + 1)], axis=-1)
+    if metric.kind == "koranyi":
+        n2 = ln[..., 1] if alg.step >= 2 else 0.0
+        return (ln[..., 0] ** 4 + 16.0 * n2 ** 2) ** 0.25
+    return np.max(np.stack([(w * ln[..., i - 1]) ** (1.0 / i)
+                            for i, w in enumerate(metric.weights, start=1)], axis=-1),
+                  axis=-1)
+
+
+def _gauge_metrics():
+    # free_2_5 and free_2_6 reach the ** (1 / i) branch above layer 4
+    for name in list(catalog.catalog_names()) + ["free_2_5", "free_2_6"]:
+        g = catalog.get(name)
+        if g.step <= 2:
+            yield koranyi(g)
+        yield weighted_max(g, [1.0 + i / 2 for i in range(g.step)])
+
+
+@pytest.mark.parametrize("metric", list(_gauge_metrics()), ids=repr)
+def test_gauge_matches_power_formula(metric):
+    # the gauge from the squared layer sums, by sqrt and cbrt, equals the **
+    # formula to 1e-13 relative, over six decades of scale, at 0 and on
+    # points in one layer
+    g = metric.algebra
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((400, g.dim)) * 10.0 ** rng.uniform(-3, 3, (400, 1))
+    x[0] = 0.0
+    x[1] *= g.float_ops().layer_masks[g.step]
+    want = _gauge_reference(metric, x)
+    for batch in (x, np.asfortranarray(x)):
+        assert np.allclose(metric.quasi_norm_np(batch), want, rtol=1e-13, atol=0)
+    one = metric.quasi_norm_np(x[5])
+    assert np.ndim(one) == 0 and one == pytest.approx(want[5], rel=1e-13)
+
+
+def _estimate_metrics():
+    yield koranyi(catalog.get("h1"))
+    yield koranyi(catalog.get("g42"))
+    yield weighted_max(catalog.get("free_2_4"), [1.0, 1.5, 2.0, 2.5])
+    yield weighted_max(catalog.get("free_2_5"))
+
+
+@pytest.mark.parametrize("metric", list(_estimate_metrics()), ids=repr)
+def test_estimates_match_their_norm_formulas(metric):
+    # each estimate that reads squared layer sums, or divides by the drawn
+    # radius, equals the formula with one norm per use on the same draws;
+    # the draws are replayed from the seed: each sampler fills a (dim,
+    # count) array
+    alg, n, seed = metric.algebra, 600, 9
+    ops = alg.float_ops()
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.8, 0.8, size=(alg.dim, 2 * n)).T
+    a, b = pts[:n], pts[n:]
+    num = np.linalg.norm(ops.project_layer(a - b, 1), axis=-1)
+    den = _gauge_reference(metric, group_product_np(alg, -a, b))
+    mask = den > 1e-12
+    got = first_layer_constant(metric, radius=0.8, samples=n, seed=seed)
+    assert got.samples == mask.sum()
+    assert got.sup_observed == pytest.approx(float(np.max(num[mask] / den[mask])),
+                                             rel=1e-13)
+
+    pts = sample_ball(metric, 0.7, n, np.random.default_rng(seed))
+    norms = _gauge_reference(metric, pts)
+    sq = np.square(np.stack([np.linalg.norm(pts * ops.layer_masks[i], axis=-1)
+                             for i in range(1, alg.step + 1)], axis=-1))
+    tails = np.sqrt(np.cumsum(sq[:, ::-1], axis=-1)[:, ::-1])
+    got = verify_projection_estimate(metric, radius=0.7, samples=n, seed=seed)
+    assert [c.samples for c in got] == [n] * alg.step
+    for i, c in enumerate(got, start=1):
+        assert c.sup_observed == pytest.approx(
+            float(np.max(tails[:, i - 1] / norms ** i)), rel=1e-13)
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((alg.dim, n))
+    pts = (g / np.linalg.norm(g, axis=0)).T * rng.uniform(0.05, 0.9, n)[:, None]
+    want = np.max(_gauge_reference(metric, pts)
+                  / np.linalg.norm(pts, axis=-1) ** (1.0 / alg.step))
+    got = norm_exp_estimate(metric, nu=0.9, samples=n, seed=seed)
+    assert got.samples == n and got.sup_observed == pytest.approx(float(want), rel=1e-13)
+
+    rng = np.random.default_rng(seed)
+    h = 0.9 / math.sqrt(alg.dim)
+    xi, eta = (rng.uniform(-h, h, size=(alg.dim, n)).T for _ in range(2))
+    num = np.linalg.norm(group_product_np(alg, -xi, eta), axis=-1)
+    den = np.linalg.norm(xi - eta, axis=-1)
+    mask = den > 1e-12
+    got = left_inverse_estimate(metric, nu=0.9, samples=n, seed=seed)
+    assert got.samples == mask.sum()
+    assert got.sup_observed == pytest.approx(float(np.max(num[mask] / den[mask])),
+                                             rel=1e-13)
+
+
+def test_estimates_check_samples(h1):
+    # one check at entry: a count that is not an integer >= 1 is a
+    # ValueError naming samples, before any draw
+    K = koranyi(h1)
+    ws = standard_word_system(h1, K)
+    estimates = [
+        lambda n: first_layer_constant(K, samples=n),
+        lambda n: verify_projection_estimate(K, samples=n),
+        lambda n: norm_exp_estimate(K, samples=n),
+        lambda n: left_inverse_estimate(K, samples=n),
+        lambda n: verify_conjugation_estimate(K, samples=n),
+        lambda n: verify_product_estimate(K, samples=n),
+        lambda n: quasi_triangle_constant(K, samples=n),
+        lambda n: word_constant(ws, samples=n),
+    ]
+    for run in estimates:
+        for bad in (0, -3, 2.5, True, "10", None):
+            with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+                run(bad)
+        run(np.int64(3))
+
+
 def _ball_metrics():
     for name in catalog.catalog_names():
         g = catalog.get(name)
@@ -140,13 +294,16 @@ def test_sample_ball_law(metric):
     rng = np.random.default_rng(11)
     for r in (1.0, 0.3):
         pts = sample_ball(metric, r, n, rng)
-        assert pts.shape == (n, metric.algebra.dim)
+        assert pts.shape == (n, metric.algebra.dim) and pts.flags.f_contiguous
         norms = metric.quasi_norm_np(pts)
         assert np.all(norms <= r)
         u = np.sort((norms / r) ** hom)
         ks = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
         assert math.sqrt(n) * ks <= 1.95, (r, math.sqrt(n) * ks)
-    assert sample_ball(metric, 1.0, 0, rng).shape == (0, metric.algebra.dim)
+    empty = sample_ball(metric, 1.0, 0, rng)
+    assert empty.shape == (0, metric.algebra.dim) and empty.flags.f_contiguous
+    box = sample_box(metric.algebra, 1.0, 5, rng)
+    assert box.shape == (5, metric.algebra.dim) and box.flags.f_contiguous
 
 
 def test_conjugation_product_estimates(h1):
