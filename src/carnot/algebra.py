@@ -9,6 +9,7 @@ numpy arrays for the analytic modules.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -497,6 +498,14 @@ class EmpiricalConstant:
         return [self.label, "%.17g" % self.nu, str(self.samples), "%.17g" % self.sup_observed]
 
 
+def check_samples(samples, name="samples"):
+    """The count check of every sampled estimate, at entry: `samples` must be
+    an integer >= 1, else ValueError naming it as `name`."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
+            or samples < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, samples))
+
+
 def bracket_norm_constant(algebra):
     """Certified upper bound for |[X,Y]| <= beta |X| |Y| in the Euclidean
     coordinate norm: the Frobenius norm of the full structure tensor.  This is
@@ -590,6 +599,3 @@ class FloatOps:
                     np.multiply(col, col, out=acc)
         return np.moveaxis(out, 0, -1)
 
-    def layer_norms(self, x):
-        """Euclidean norm of each layer component, shape (..., step)."""
-        return np.sqrt(self.layer_squares(x))

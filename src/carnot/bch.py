@@ -38,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraVector, GroupElement, EmpiricalConstant, Polynomial, bracket
+from .algebra import (AlgebraVector, GroupElement, EmpiricalConstant, Polynomial, bracket,
+                      check_samples)
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -561,6 +562,7 @@ def cn_difference_ratio(n, x, y, d1, d2, nu):
 
 def cn_difference_bound(algebra, n, nu, samples=200, seed=0):
     """Sampled sup of the c_n difference ratio over ||X||,||Y||,||D|| <= nu."""
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -580,6 +582,7 @@ def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
     """Sampled sup of ||c_n(X, Y)|| / ||[X, Y]|| over ||X||, ||Y|| <= nu with
     [X, Y] != 0; finite because every addend of c_n beyond the first contains
     a bracket factor."""
+    check_samples(samples)
     if not 2 <= n <= algebra.step:
         raise ValueError("bilinear_bound needs 2 <= n <= step = %d, got n = %d"
                          % (algebra.step, n))

@@ -282,8 +282,8 @@ def cmd_experiment(args):
             f = pdiff.named_map(cfg["map"])
             tab = pdiff.mean_value_ratio(
                 f, np.asarray(cfg["center"], dtype=float), float(cfg["r1"]),
-                float(cfg["r2"]), pair_samples=_number(cfg, "pairs", 800, int),
-                bins=_number(cfg, "bins", 4, int), seed=seed)
+                float(cfg["r2"]), pair_samples=_number(cfg, "pairs", 800, int, positive=True),
+                bins=_number(cfg, "bins", 4, int, positive=True), seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
                                 ["edge", "ratio_sup", "defect_sup"],
                                 [[e, r, d] for e, r, d in

@@ -11,12 +11,11 @@ Distances are left-invariant by construction: d(x, y) = N(x^{-1} y).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupElement, EmpiricalConstant
+from .algebra import GroupElement, EmpiricalConstant, check_samples
 from .bch import group_product_np
 
 from fractions import Fraction
@@ -201,13 +200,6 @@ def sphere_point(metric, u):
 # estimate drivers
 # ---------------------------------------------------------------------------
 
-def _check_samples(samples):
-    """The sample-count check of every estimate below, at entry."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
-            or samples < 1:
-        raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
-
-
 def first_layer_lower_bound(x, y, metric):
     """|pi_1(xi - eta)| / d(x, y); the sampled sup realizes the comparison
     constant between the gauge and the first-layer Euclidean norm."""
@@ -221,7 +213,7 @@ def first_layer_lower_bound(x, y, metric):
 
 
 def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
-    _check_samples(samples)
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     pts = sample_box(metric.algebra, radius, 2 * samples, rng)
     a, b = pts[:samples], pts[samples:]
@@ -237,7 +229,7 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     """Per-layer sup of |pi^i(log x)| / d(x)^i over `samples` points drawn
     uniformly from the gauge ball of the given radius; one EmpiricalConstant
     per layer i >= 1."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     sq = alg.float_ops().layer_squares(sample_ball(metric, radius, samples, rng))
@@ -264,7 +256,7 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
 def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu: xi is a uniform
     direction times a radius |xi| drawn uniformly from [0.05, nu]."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     directions = _unit_vectors(rng, samples, alg.dim)
@@ -278,7 +270,7 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup |(-xi) o eta| / |xi - eta| over |xi|, |eta| <= nu (Euclidean
     coordinate norms; the group-difference comparison).  The ratio is taken
     on squared norms, with one square root of the sup."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
@@ -295,7 +287,7 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
 def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
     d(y^-1 x y) / d(x)^{1/step}."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, nu, samples, rng)
@@ -349,7 +341,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     nu / 2N, and one more the K N perturbations p_j (A_j = B_j p_j), from the
     ball of radius nu / 2.  A candidate that violates a hypothesis is
     discarded; the first `samples` kept, in draw order, give the sup."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     shape = (-1, n_factors, alg.dim)
@@ -368,7 +360,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance."""
-    _check_samples(samples)
+    check_samples(samples)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, radius, samples, rng)
@@ -518,7 +510,7 @@ def solve_word(x, ws):
 def word_constant(ws, samples=400, seed=0):
     """c(G, d): max over sampled unit-sphere points of max_s |a_s|, in the
     word system's metric."""
-    _check_samples(samples)
+    check_samples(samples)
     metric = ws.metric
     alg = ws.algebra
     rng = np.random.default_rng(seed)

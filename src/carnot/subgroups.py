@@ -45,27 +45,34 @@ class NotSubalgebra(ValueError):
 # ---------------------------------------------------------------------------
 
 class HomogeneousSubalgebra:
-    """A dilation-invariant subalgebra, stored as per-layer reduced echelon
-    bases (so equality is matrix comparison).  `span`, built once, is the same
-    space as a ``linalg.Span`` of primitive integer rows; the membership,
-    bracket-closure and ideal checks read it."""
+    """A dilation-invariant subalgebra, computed once as `span`: a
+    ``linalg.Span`` of primitive integer rows, the echelon form of the given
+    vectors, which the membership, bracket-closure and ideal checks read.
+    Each given vector lies in its layer, so each row of `span` lies in the
+    layer of its pivot.  `layered_bases` holds the rows by that layer, each
+    divided by its pivot, in pivot order: the layers' reduced echelon bases,
+    canonical, so equality is matrix comparison.  `pivots` holds the pivot
+    column of each vector of basis(), in the same order; a vector of the
+    space has its coordinates in basis() at these columns."""
 
     def __init__(self, algebra, layered_bases):
         self.algebra = algebra
-        canon = {}
+        rows = []
         for layer, vecs in layered_bases.items():
-            rows = [list(map(Q, v)) for v in vecs]
-            for v in rows:
+            for v in (list(map(Q, v)) for v in vecs):
                 for k, c in enumerate(v):
                     if c != 0 and algebra.layer_of[k] != layer:
                         raise NotHomogeneous(
                             "vector assigned to layer %d has support in layer %d"
                             % (layer, algebra.layer_of[k]), witness=tuple(v))
-            basis = linalg.row_space_basis(rows)
-            if basis:
-                canon[layer] = [tuple(v) for v in basis]
-        self.layered_bases = canon
-        self.span = linalg.Span(self.basis())
+                rows.append(v)
+        self.span = linalg.Span(rows)
+        canon = {}
+        for row, p in zip(self.span.rows, self.span.pivots):
+            canon.setdefault(algebra.layer_of[p], []).append((p, _unit_pivot(row, p)))
+        self.layered_bases = {layer: [v for _, v in canon[layer]]
+                              for layer in layered_bases if layer in canon}
+        self.pivots = [p for layer in sorted(canon) for p, _ in canon[layer]]
         w = self._bracket_escape()
         if w is not None:
             raise NotSubalgebra("bracket leaves the span", witness=w)
@@ -115,33 +122,34 @@ class HomogeneousSubalgebra:
         return "HomogeneousSubalgebra(%s, layer dims %s)" % (self.algebra.name, dims)
 
 
+def _unit_pivot(row, p):
+    """An integer echelon row divided by its pivot entry row[p]: the row of
+    the reduced echelon form, in Fractions."""
+    return tuple(Q(x, row[p]) if x else linalg.ZERO for x in row)
+
+
 def layered_decomposition(algebra, span_vectors):
     """Split a spanning set into per-layer bases.
 
     Succeeds iff the span is invariant under all layer projections (the
     algebraic form of dilation invariance) and closed under the bracket.
-    Raises NotHomogeneous with the escaping projection, or NotSubalgebra with
-    the escaping bracket.
+    The span is brought to echelon form once.  It is invariant exactly when
+    each echelon row lies in one layer: the reduced echelon form of a graded
+    space is the union of its layers' reduced echelon forms.  Raises
+    NotHomogeneous with the projection of the first row that leaves its
+    layer onto the lowest layer it touches (none of that row's nonzero
+    projections lies in the span), or NotSubalgebra with the escaping bracket.
     """
-    rows = linalg.row_space_basis([[Q(c) for c in v] for v in span_vectors])
-    span = linalg.Span(rows)
-    for v in rows:
-        for layer in range(1, algebra.step + 1):
-            proj = algebra.project_layer_coords(tuple(v), layer)
-            if not span.contains(proj):
-                raise NotHomogeneous(
-                    "span is not dilation invariant: a layer projection escapes",
-                    witness=proj)
+    span = linalg.Span([[Q(c) for c in v] for v in span_vectors])
     layered = {}
-    for layer in range(1, algebra.step + 1):
-        vecs = []
-        for v in rows:
-            proj = algebra.project_layer_coords(tuple(v), layer)
-            if any(c != 0 for c in proj):
-                vecs.append(proj)
-        if vecs:
-            layered[layer] = vecs
-    return HomogeneousSubalgebra(algebra, layered)
+    for row, p in zip(span.rows, span.pivots):
+        layers = {algebra.layer_of[k] for k, x in enumerate(row) if x}
+        if len(layers) > 1:
+            raise NotHomogeneous(
+                "span is not dilation invariant: a layer projection escapes",
+                witness=algebra.project_layer_coords(_unit_pivot(row, p), min(layers)))
+        layered.setdefault(algebra.layer_of[p], []).append(row)
+    return HomogeneousSubalgebra(algebra, {layer: layered[layer] for layer in sorted(layered)})
 
 
 def span_subalgebra(algebra, *vectors):
@@ -168,21 +176,15 @@ def is_ideal(sub):
 
 def is_complementary(a, b):
     """Layer-wise direct sum spanning each layer: certifies the group-level
-    factorization with uniqueness of the decomposition."""
+    factorization with uniqueness of the decomposition.  Both spaces are
+    graded, so this holds exactly when their dimensions add up to the
+    algebra's and together they span it."""
     if a.algebra != b.algebra:
         raise ValueError("subalgebras of different algebras: %s and %s"
                          % (a.algebra.name, b.algebra.name))
-    alg = a.algebra
-    for layer in range(1, alg.step + 1):
-        idx = alg.layer_indices(layer)
-        if not idx:
-            continue
-        av, bv = a.layer_basis(layer), b.layer_basis(layer)
-        if len(av) + len(bv) != len(idx):
-            return False
-        if linalg.rank([list(v) for v in av + bv]) != len(idx):
-            return False
-    return True
+    dim = a.algebra.dim
+    return (a.total_dim + b.total_dim == dim
+            and linalg.rank(a.span.rows + b.span.rows) == dim)
 
 
 def random_homogeneous_subalgebra(algebra, rng, n_generators=1):
@@ -219,12 +221,11 @@ def quotient(algebra, ideal):
         ideal = layered_decomposition(algebra, ideal)
     if not is_ideal(ideal):
         raise ValueError("subalgebra is not an ideal; quotient undefined")
-    pivoted = _pivoted_basis(ideal)
-    pivots = {p for p, _ in pivoted}
+    pivoted = list(zip(ideal.pivots, ideal.basis()))
     # the representatives: the standard basis vectors off the pivots, in
     # layer order
     reps = [k for layer in range(1, algebra.step + 1)
-            for k in algebra.layer_indices(layer) if k not in pivots]
+            for k in algebra.layer_indices(layer) if k not in ideal.pivots]
 
     def reduce_mod(vec):
         """vec modulo the ideal in the representatives: subtract vec[p] n for
@@ -240,14 +241,6 @@ def quotient(algebra, ideal):
                          basis_names=[algebra.basis_names[k] + "~" for k in reps])
     dpi = GradedMorphism(algebra, qalg, proj_matrix)
     return qalg, dpi
-
-
-def _pivoted_basis(sub):
-    """(pivot column, vector) for each vector of sub's basis.  Each layer is
-    in reduced echelon form and the layers have disjoint supports, so each
-    vector is 1 at its own pivot and 0 at every other: the coordinates of a
-    vector of the span are its entries at the pivots."""
-    return [(next(k for k, c in enumerate(v) if c), v) for v in sub.basis()]
 
 
 def _induced_table(algebra, vectors, coords_of):
@@ -274,11 +267,10 @@ def section_through(dpi, witness):
 def subalgebra_as_algebra(sub, name=None):
     """A homogeneous subalgebra as a standalone graded algebra (its own basis,
     induced brackets)."""
-    pivots = [p for p, _ in _pivoted_basis(sub)]
     alg = sub.algebra
     return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(),
                          _induced_table(alg, sub.basis(),
-                                        lambda vec: [vec[p] for p in pivots]))
+                                        lambda vec: [vec[p] for p in sub.pivots]))
 
 
 # ---------------------------------------------------------------------------

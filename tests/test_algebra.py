@@ -314,6 +314,28 @@ INPUT_CHECKS = {
         "from carnot import catalog, metric\n"
         "metric.norm_exp_estimate(metric.default_metric(catalog.get('h1')), samples=0)",
         "samples must be an integer >= 1"),
+    "bilinear-bound-samples": (
+        "from carnot import bch, catalog\n"
+        "bch.bilinear_bound(catalog.get('h1'), 2, samples=2.5)",
+        "samples must be an integer >= 1"),
+    "cn-difference-samples": (
+        "from carnot import bch, catalog\n"
+        "bch.cn_difference_bound(catalog.get('h1'), 2, 1.0, samples=2.5)",
+        "samples must be an integer >= 1"),
+    "bilipschitz-samples": (
+        "from carnot import catalog, pdiff\n"
+        "from carnot.morphism import identity_morphism\n"
+        "f = pdiff.hom_map(identity_morphism(catalog.get('h1')))\n"
+        "pdiff.bilipschitz_bounds(f, [0.0] * 3, samples=0)",
+        "samples must be an integer >= 1"),
+    "mvi-pair-samples": (
+        "from carnot import pdiff\n"
+        "pdiff.mean_value_ratio(pdiff.named_map('xcoord'), [0.0] * 3, 0.4, 5.0,"
+        " pair_samples=0)", "pair_samples must be an integer >= 1"),
+    "mvi-bins": (
+        "from carnot import pdiff\n"
+        "pdiff.mean_value_ratio(pdiff.named_map('xcoord'), [0.0] * 3, 0.4, 5.0,"
+        " bins=0)", "bins must be an integer >= 1"),
     "structure-orientation": (
         "from carnot.algebra import GradedAlgebra\n"
         "GradedAlgebra('bad', [1, 1, 2], {(1, 0): {2: 1}})", "i < j"),

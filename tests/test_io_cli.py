@@ -330,6 +330,14 @@ INPUT_PROBES = {
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "samples": -5})]),
     "estimates-nu-negative": ("nu", lambda d: [
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": -1})]),
+    "mvi-pairs-zero": ("pairs", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],
+                             "r1": 0.2, "r2": 1.0, "pairs": 0})]),
+    "mvi-bins-zero": ("bins", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],
+                             "r1": 0.2, "r2": 1.0, "bins": 0})]),
     "config-json": ("line 1 column 2", lambda d: [
         "experiment", "lift", _write(d, "l.json", "{not json")]),
     "implicit-counts": ("counts", lambda d: [

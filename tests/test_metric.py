@@ -114,7 +114,7 @@ def test_layer_norms_and_tails_match_masked_norms(name):
     x = np.random.default_rng(3).standard_normal((500, g.dim))
     ref = np.stack([np.linalg.norm(x * ops.layer_masks[i], axis=-1)
                     for i in range(1, g.step + 1)], axis=-1)
-    assert np.allclose(ops.layer_norms(x), ref, rtol=1e-14, atol=0)
+    assert np.allclose(np.sqrt(ops.layer_squares(x)), ref, rtol=1e-14, atol=0)
     m = default_metric(g)
     consts = verify_projection_estimate(m, radius=1.0, samples=500, seed=1)
     pts = sample_ball(m, 1.0, 500, np.random.default_rng(1))
@@ -153,7 +153,7 @@ def test_layer_squares_match_masked_reference(g):
     masked = np.stack([np.sum(np.square(x * ops.layer_masks[i]), axis=-1)
                        for i in range(1, g.step + 1)], axis=-1)
     assert np.allclose(got, masked, rtol=1e-14, atol=0)
-    assert np.array_equal(ops.layer_norms(x), np.sqrt(loop))
+    assert np.array_equal(np.sqrt(ops.layer_squares(x)), np.sqrt(loop))
 
 
 def _gauge_reference(metric, x):
@@ -257,10 +257,17 @@ def test_estimates_match_their_norm_formulas(metric):
 
 def test_estimates_check_samples(h1):
     # one check at entry: a count that is not an integer >= 1 is a
-    # ValueError naming samples, before any draw
+    # ValueError naming samples, before any draw; the sampled bounds of bch
+    # and pdiff share it
+    from carnot import bch, pdiff
+    from carnot.morphism import identity_morphism
     K = koranyi(h1)
     ws = standard_word_system(h1, K)
+    f = pdiff.hom_map(identity_morphism(h1))
     estimates = [
+        lambda n: bch.cn_difference_bound(h1, 2, 1.0, samples=n),
+        lambda n: bch.bilinear_bound(h1, 2, samples=n),
+        lambda n: pdiff.bilipschitz_bounds(f, np.zeros(3), samples=n),
         lambda n: first_layer_constant(K, samples=n),
         lambda n: verify_projection_estimate(K, samples=n),
         lambda n: norm_exp_estimate(K, samples=n),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -7,10 +8,11 @@ from carnot import catalog
 from carnot.algebra import GroupElement, homogeneous_dimension, validate_grading
 from carnot.bch import group_product
 from carnot.morphism import GradedMorphism, check_h_homomorphism
-from carnot.subgroups import (BudgetExhausted, NonexistenceCertificate,
-                              NotHomogeneous, NotSubalgebra,
+from carnot.subgroups import (BudgetExhausted, HomogeneousSubalgebra,
+                              NonexistenceCertificate, NotHomogeneous,
+                              NotSubalgebra,
                               classify_epimorphism, classify_monomorphism,
-                              find_complement, h21_complement,
+                              find_complement, full_subalgebra, h21_complement,
                               heisenberg_complement,
                               horizontal_vertical_classify, is_complementary,
                               is_ideal, layered_decomposition, quotient,
@@ -21,6 +23,7 @@ from carnot.subgroups import (BudgetExhausted, NonexistenceCertificate,
 from conftest import rational_vector
 from test_bch import _fractional_table
 from test_linalg import reference_rank
+from test_metric import _layer_tables
 
 
 def test_layered_decomposition(h1):
@@ -592,3 +595,137 @@ def test_max_commutative_witness_has_the_reported_dimension():
     for name in ("h1", "h2", "h3", "h12", "g42", "free_3_2"):
         rep = max_commutative_horizontal_dim(catalog.get(name), budget=200, seed=1)
         assert rep.witness.total_dim == rep.dim, name
+
+
+# ---------------------------------------------------------------------------
+# one echelon per subalgebra against the per-layer algorithm it replaced
+# ---------------------------------------------------------------------------
+
+def _layered_reference(alg, span_vectors):
+    """The per-layer algorithm: a Fraction RREF of the span, each row's
+    projection onto each layer tested for membership, a fresh RREF per
+    layer, then the bracket test on the layered basis.  Returns the layered
+    bases, or raises what that algorithm raised."""
+    from carnot import linalg
+    rows = linalg.row_space_basis([[Q(c) for c in v] for v in span_vectors])
+    span = linalg.Span(rows)
+    for v in rows:
+        for layer in range(1, alg.step + 1):
+            proj = alg.project_layer_coords(tuple(v), layer)
+            if not span.contains(proj):
+                raise NotHomogeneous(
+                    "span is not dilation invariant: a layer projection escapes",
+                    witness=proj)
+    layered = {}
+    for layer in range(1, alg.step + 1):
+        projs = [p for p in (alg.project_layer_coords(tuple(v), layer) for v in rows)
+                 if any(p)]
+        if projs:
+            layered[layer] = [tuple(v) for v in linalg.row_space_basis(projs)]
+    basis = [v for layer in sorted(layered) for v in layered[layer]]
+    for u, v in itertools.combinations(basis, 2):
+        br = alg.bracket_coords(u, v)
+        if not span.contains(br):
+            raise NotSubalgebra("bracket leaves the span", witness=br)
+    return layered
+
+
+def _complementary_reference(a, b):
+    """The per-layer test: in each layer the two bases have the layer's
+    dimension together and span it."""
+    from carnot import linalg
+    alg = a.algebra
+    for layer in range(1, alg.step + 1):
+        idx = alg.layer_indices(layer)
+        vecs = a.layer_basis(layer) + b.layer_basis(layer)
+        if idx and (len(vecs) != len(idx) or linalg.rank([list(v) for v in vecs]) != len(idx)):
+            return False
+    return True
+
+
+def _random_spans(alg, rng, count):
+    """Spanning sets of four kinds, in turn: random vectors (rarely
+    homogeneous), single-layer vectors (homogeneous, not always closed),
+    combinations of a homogeneous subalgebra's basis, and the same with one
+    basis vector added."""
+    for t in range(count):
+        kind = t % 4
+        if kind == 0:
+            yield [[Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+                    for _ in range(alg.dim)] for _ in range(int(rng.integers(1, 3)))]
+        elif kind == 1:
+            vecs = []
+            for _ in range(int(rng.integers(1, 4))):
+                layer = int(rng.integers(1, alg.step + 1))
+                vecs.append([Q(int(rng.integers(-3, 4))) if alg.layer_of[k] == layer
+                             else Q(0) for k in range(alg.dim)])
+            yield vecs
+        else:
+            sub = random_homogeneous_subalgebra(alg, rng,
+                                                n_generators=int(rng.integers(1, 3)))
+            basis = sub.basis()
+            vecs = [[sum((Q(int(rng.integers(-2, 3))) * v[k] for v in basis), Q(0))
+                     for k in range(alg.dim)] for _ in range(len(basis) + 1)]
+            if kind == 3:
+                vecs.append(alg.basis_coords(int(rng.integers(0, alg.dim))))
+            yield vecs
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (NotHomogeneous, NotSubalgebra) as e:
+        return type(e), str(e), e.witness
+
+
+def _assert_matches_layered(got, want):
+    """got (a subalgebra or an exception triple) is what the reference gave."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.layered_bases == want
+    assert got.basis_layers() == [l for l in sorted(want) for _ in want[l]]
+    assert got.pivots == [next(k for k, c in enumerate(v) if c) for v in got.basis()]
+
+
+@pytest.mark.parametrize("alg", list(_layer_tables()), ids=lambda g: g.name)
+def test_one_echelon_matches_layered_reference(alg):
+    # layered bases, basis layers, pivots and every exception (type,
+    # message, witness) as the per-layer algorithm gives them, for the span
+    # and for its layer projections handed over layer by layer
+    rng = np.random.default_rng(17)
+    subs, raised = [], 0
+    for vecs in _random_spans(alg, rng, 12 if alg.dim > 8 else 24):
+        want = _outcome(lambda: _layered_reference(alg, vecs))
+        got = _outcome(lambda: layered_decomposition(alg, vecs))
+        _assert_matches_layered(got, want)
+        by_layer = {}
+        for v in vecs:
+            for layer in range(1, alg.step + 1):
+                proj = alg.project_layer_coords(tuple(v), layer)
+                if any(proj):
+                    by_layer.setdefault(layer, []).append(proj)
+        direct = _outcome(lambda: HomogeneousSubalgebra(alg, by_layer))
+        _assert_matches_layered(direct, _outcome(lambda: _layered_reference(
+            alg, [v for vs in by_layer.values() for v in vs])))
+        if isinstance(want, tuple):
+            raised += 1
+        else:
+            assert direct == got and hash(direct) == hash(got)
+            subs.append(got)
+    assert subs and (raised or alg.step == 1), (len(subs), raised)
+    # a vector placed in the wrong layer is named as it was given
+    if alg.step > 1:
+        k = next(k for k in range(alg.dim) if alg.layer_of[k] != 1)
+        v = alg.basis_coords(k)
+        assert _outcome(lambda: HomogeneousSubalgebra(alg, {1: [v]})) == (
+            NotHomogeneous, "vector assigned to layer 1 has support in layer %d"
+            % alg.layer_of[k], tuple(map(Q, v)))
+    # the found complements, whole and zero, and every pair of the spans
+    pairs = [(sub, out.witness) for sub in subs[:6]
+             for out in [find_complement(sub)] if out.verdict == "h_epimorphism"]
+    pairs += [(full_subalgebra(alg), zero_subalgebra(alg))]
+    pairs += [(a, b) for a in subs for b in subs]
+    verdicts = [is_complementary(a, b) for a, b in pairs]
+    assert verdicts == [_complementary_reference(a, b) for a, b in pairs]
+    assert any(verdicts) and not all(verdicts)
