@@ -217,11 +217,15 @@ def _control_from_cfg(cv, g, spec):
 
 def _number(cfg, key, default, kind=float, positive=False):
     """cfg[key], or the default, as a number; a bad value names its key.
+    An int key takes only a JSON integer: 2.7 is refused, not truncated.
     With `positive` the number must be > 0 (a count at least 1)."""
+    value = cfg.get(key, default)
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError("%s: expected an integer, got %r" % (key, value))
     try:
-        value = kind(cfg.get(key, default))
+        value = kind(value)
     except (TypeError, ValueError):
-        raise ValueError("%s: expected a number, got %r" % (key, cfg[key])) from None
+        raise ValueError("%s: expected a number, got %r" % (key, value)) from None
     if positive and not value > 0:
         raise ValueError("%s: expected a number > 0, got %r" % (key, cfg[key]))
     return value

@@ -64,17 +64,19 @@ def _check_metric_block(spec, step):
         raise ValueError("metric.%s" % e) from None
 
 
+_KINDS = {int: "an integer", list: "a list", str: "a string"}
+
+
 def _field(obj, key, path, kind, lo=None, hi=None):
-    """obj[key], which must be a JSON `kind` (int or list), an int within
-    lo..hi.  A float is refused, not truncated; the ValueError opens with
-    the field's path."""
+    """obj[key], which must be a JSON `kind` (int, list or str), an int
+    within lo..hi.  A float is refused, not truncated; the ValueError opens
+    with the field's path."""
     try:
         v = obj[key]
     except (KeyError, IndexError, TypeError):
         raise ValueError("%s: missing" % path) from None
     if isinstance(v, bool) or not isinstance(v, kind):
-        raise ValueError("%s: must be %s, got %r"
-                         % (path, "an integer" if kind is int else "a list", v))
+        raise ValueError("%s: must be %s, got %r" % (path, _KINDS[kind], v))
     if (lo is not None and v < lo) or (hi is not None and v > hi):
         raise ValueError("%s: must be in %s..%s, got %d" % (path, lo, hi, v))
     return v
@@ -185,29 +187,44 @@ def format_vector(coords):
     return ",".join(format_rational(c) for c in coords)
 
 
+def _rational_rows(data, key, width=None):
+    """data[key], a list of rows of rationals given as strings, as tuples of
+    Fractions, each of `width` entries if given.  The ValueError opens with
+    the path of the field at fault, e.g. ``vectors[1]: expected 3
+    coordinates, got 1``."""
+    rows = []
+    raw = _field(data, key, key, list)
+    for pos in range(len(raw)):
+        path = "%s[%d]" % (key, pos)
+        row = _field(raw, pos, path, list)
+        if width is not None and len(row) != width:
+            raise ValueError("%s: expected %d coordinates, got %d" % (path, width, len(row)))
+        try:
+            rows.append(tuple(parse_rational(str(c)) for c in row))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValueError("%s: %s" % (path, e)) from None
+    return rows
+
+
 def load_subalgebra_vectors(path, dim):
     """Subalgebra file: {"vectors": [[...], ...]}, each vector with `dim`
-    rational coordinates given as strings."""
+    rational coordinates given as strings.  Schema errors raise ValueError
+    naming the field."""
     with open(path) as f:
         data = json.load(f)
-    vectors = [tuple(parse_rational(str(c)) for c in vec) for vec in data["vectors"]]
-    for pos, vec in enumerate(vectors):
-        if len(vec) != dim:
-            raise ValueError("vectors[%d]: expected %d coordinates, got %d"
-                             % (pos, dim, len(vec)))
-    return vectors
+    return _rational_rows(data, "vectors", dim)
 
 
 def load_morphism(path, group_loader):
     """Morphism file: {domain, codomain, matrix} with groups as catalog names
-    or paths and rationals as strings."""
+    or paths and rationals as strings.  Schema errors raise ValueError
+    naming the field."""
     from .morphism import GradedMorphism
     with open(path) as f:
         data = json.load(f)
-    dom = group_loader(data["domain"])
-    cod = group_loader(data["codomain"])
-    matrix = [[parse_rational(str(c)) for c in row] for row in data["matrix"]]
-    return GradedMorphism(dom, cod, matrix)
+    dom = group_loader(_field(data, "domain", "domain", str))
+    cod = group_loader(_field(data, "codomain", "codomain", str))
+    return GradedMorphism(dom, cod, _rational_rows(data, "matrix"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major).
 Eliminations return ``Fraction``; ``matmul`` and ``matvec`` keep integer
-inputs integer, and a ``Span`` keeps primitive integer rows.  Other entries,
-floats included, raise ``TypeError`` rather than make an exact result inexact.
+inputs integer, and a ``Span`` keeps primitive integer rows.  Eliminations
+read other rational entries, numpy integers among them, as the Python ints
+they hold, so no fixed-width product can overflow; other entries, floats and
+strings included, raise ``TypeError`` rather than make an exact result
+inexact.
 Nothing here mutates its arguments.  This is the kernel behind subalgebra
 canonicalization, quotients and all classification decisions.  Elimination is
 fraction-free over the integers (after Bareiss, Math. Comp. 22 (1968)
@@ -48,12 +51,21 @@ def matvec(a, v):
 def _int_row(row):
     """The primitive integer row with the same span as a rational row."""
     for x in row:
-        if type(x) is not Fraction and type(x) is not int and not isinstance(x, Rational):
-            raise TypeError("entry %r is not an int or a Fraction" % (x,))
+        if type(x) is not Fraction and type(x) is not int:
+            row = [_exact(x) for x in row]
+            break
     den = lcm(*[x.denominator for x in row])
     out = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
+
+
+def _exact(x):
+    """A rational entry as a Fraction of Python ints: numpy integers and other
+    Rationals would carry their own fixed-width arithmetic into the row."""
+    if not isinstance(x, Rational):
+        raise TypeError("entry %r is not an int or a Fraction" % (x,))
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def _reduce(row, prow, c):

@@ -103,9 +103,10 @@ class GradedMorphism:
         return np.linalg.matrix_rank(self.matrix) == self.domain.dim
 
     def kernel_basis(self):
-        """Exact basis of the kernel (list of coordinate vectors)."""
+        """Exact basis of the kernel (list of coordinate vectors).  A map
+        onto the zero space has no matrix rows and the whole domain as kernel."""
         self._require_exact("kernel_basis")
-        return linalg.nullspace(self.matrix)
+        return linalg.nullspace(self.matrix) if self.matrix else linalg.identity(self.domain.dim)
 
     def image_basis(self):
         self._require_exact("image_basis")

@@ -57,16 +57,14 @@ class HomogeneousSubalgebra:
 
     def __init__(self, algebra, layered_bases):
         self.algebra = algebra
-        rows = []
+        self.span = linalg.Span([v for vecs in layered_bases.values() for v in vecs])
         for layer, vecs in layered_bases.items():
-            for v in (list(map(Q, v)) for v in vecs):
+            for v in vecs:
                 for k, c in enumerate(v):
-                    if c != 0 and algebra.layer_of[k] != layer:
+                    if c and algebra.layer_of[k] != layer:
                         raise NotHomogeneous(
                             "vector assigned to layer %d has support in layer %d"
                             % (layer, algebra.layer_of[k]), witness=tuple(v))
-                rows.append(v)
-        self.span = linalg.Span(rows)
         canon = {}
         for row, p in zip(self.span.rows, self.span.pivots):
             canon.setdefault(algebra.layer_of[p], []).append((p, _unit_pivot(row, p)))
@@ -140,7 +138,7 @@ def layered_decomposition(algebra, span_vectors):
     layer onto the lowest layer it touches (none of that row's nonzero
     projections lies in the span), or NotSubalgebra with the escaping bracket.
     """
-    span = linalg.Span([[Q(c) for c in v] for v in span_vectors])
+    span = linalg.Span(span_vectors)
     layered = {}
     for row, p in zip(span.rows, span.pivots):
         layers = {algebra.layer_of[k] for k, x in enumerate(row) if x}
@@ -154,7 +152,7 @@ def layered_decomposition(algebra, span_vectors):
 
 def span_subalgebra(algebra, *vectors):
     """Convenience: layered_decomposition of explicit coordinate vectors."""
-    return layered_decomposition(algebra, [list(map(Q, v)) for v in vectors])
+    return layered_decomposition(algebra, vectors)
 
 
 def full_subalgebra(algebra):
@@ -683,17 +681,22 @@ def classify_epimorphism(L):
     """Decide whether a surjective h-homomorphism admits an h-homomorphism
     right inverse, equivalently whether its kernel has a complementary
     homogeneous subgroup.  Returns the witness subalgebra, a nonexistence
-    certificate, or an undecided marker naming the exact tiers that ran."""
+    certificate, or an undecided marker naming the exact tiers that ran.
+    L is surjective exactly when its kernel has dimension dim G - dim M."""
     rep = check_h_homomorphism(L)
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
-    if not L.is_surjective():
+    kernel = layered_decomposition(L.domain, L.kernel_basis())
+    if kernel.total_dim != L.domain.dim - L.codomain.dim:
         return EpiClassification("not_surjective")
-    kernel_vectors = L.kernel_basis()
-    kernel = layered_decomposition(L.domain, kernel_vectors) if kernel_vectors \
-        else zero_subalgebra(L.domain)
-    if kernel.total_dim == 0:
-        return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel)
+    return _split_kernel(L, kernel)
+
+
+def _split_kernel(L, kernel):
+    """The exact tiers for a surjective h-homomorphism L with the given
+    kernel: the right-inverse system (affine, or its zero correction), the
+    closed forms for abelian images, the Groebner unit-ideal test, else
+    undecided.  An isomorphism gives an empty system and the whole domain."""
     eqs, cols, nvars = _right_inverse_system(L, kernel)
 
     def witness(values):
@@ -769,15 +772,16 @@ def classify_monomorphism(T, budget=2000, seed=0):
     """Decide whether an injective h-homomorphism admits an h-homomorphism
     left inverse, equivalently whether its image has a normal complementary
     subgroup; returns the projection p with p|_H = Id when found.  The one
-    tier tries the coordinate complements of the image, else `undecided`;
-    `budget` and `seed` are unread."""
+    tier tries the coordinate complements of the image, the span of T's
+    columns, else `undecided`; `budget` and `seed` are unread.  T is
+    injective exactly when its image has dimension dim H."""
     rep = check_h_homomorphism(T)
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
-    if not T.is_injective():
-        return MonoClassification("not_injective")
     M = T.codomain
-    image = layered_decomposition(M, T.image_basis())
+    image = layered_decomposition(M, linalg.transpose(T.matrix))
+    if image.total_dim != T.domain.dim:
+        return MonoClassification("not_injective")
     # the canonical complement comes first: it is an ideal complement when
     # the image is horizontal, and zero when the image is all of M
     n = next((c for c in _coordinate_complements(image) if is_ideal(c)), None)
@@ -939,8 +943,7 @@ def max_commutative_horizontal_dim(algebra, budget=2000, seed=0):
         for pos, k in enumerate(idx1):
             vec[k] = v[pos]
         witness_rows.append(vec)
-    witness = layered_decomposition(algebra, witness_rows) if witness_rows \
-        else zero_subalgebra(algebra)
+    witness = layered_decomposition(algebra, witness_rows)
     exact = len(best) == bound
     note = "" if exact else "lower bound from search budget; upper bound %d" % bound
     return MaxCommutativeReport(len(best), witness, bound, exact, note)
@@ -958,19 +961,13 @@ def full_first_layer(algebra):
 def find_complement(sub, budget=4000, seed=0):
     """Complementary homogeneous subgroup of `sub`, when one can be found.
 
-    Ideals reduce to the right-inverse problem for the quotient projection
-    (exact tiers, certificates included).  A non-ideal gets its first
+    An ideal is the kernel of its quotient projection, a surjective
+    h-homomorphism, so it goes straight to the exact tiers (certificates
+    included), the zero and whole algebras too.  A non-ideal gets its first
     coordinate complement that is a subalgebra, else `undecided`:
     nonexistence is never claimed for it.  `budget` and `seed` are unread."""
-    alg = sub.algebra
-    if sub.total_dim == 0:
-        return EpiClassification("h_epimorphism", full_subalgebra(alg), sub)
-    if sub.total_dim == alg.dim:
-        return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub)
     if is_ideal(sub):
-        _, dpi = quotient(alg, sub)
-        out = classify_epimorphism(dpi)
-        return EpiClassification(out.verdict, out.witness, sub)
+        return _split_kernel(quotient(sub.algebra, sub)[1], sub)
     cand = next(_coordinate_complements(sub), None)
     if cand is not None:
         return EpiClassification("h_epimorphism", cand, sub)

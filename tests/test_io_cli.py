@@ -317,6 +317,19 @@ INPUT_PROBES = {
     "complement": ("vectors[0]", lambda d: [
         "subgroups", "complement", "--group", "h1",
         _write(d, "s.json", {"vectors": [["1", "0"]]})]),
+    "complement-no-vectors": ("vectors", lambda d: [
+        "subgroups", "complement", "--group", "h1",
+        _write(d, "s.json", {"vecs": [["1", "0", "0"]]})]),
+    "complement-vectors-int": ("vectors", lambda d: [
+        "subgroups", "complement", "--group", "h1", _write(d, "s.json", {"vectors": 5})]),
+    "complement-not-object": ("vectors", lambda d: [
+        "subgroups", "complement", "--group", "h1", _write(d, "s.json", [1, 2])]),
+    "complement-zero-denominator": ("vectors[0]", lambda d: [
+        "subgroups", "complement", "--group", "h1",
+        _write(d, "s.json", {"vectors": [["1", "0", "1/0"]]})]),
+    "classify-epi-no-codomain": ("codomain", lambda d: [
+        "subgroups", "classify-epi",
+        _write(d, "m.json", {"domain": "h1", "matrix": [["1", "0", "0"]]})]),
     "blowup-scales": ("scales", lambda d: [
         "experiment", "blowup",
         _write(d, "b.json", {"map": "xcoord", "base_point": [0, 0, 0],
@@ -328,12 +341,19 @@ INPUT_PROBES = {
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "samples": 0})]),
     "estimates-samples-negative": ("samples", lambda d: [
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "samples": -5})]),
+    "estimates-samples-fraction": ("samples", lambda d: [
+        "experiment", "verify-estimates",
+        _write(d, "e.json", {"group": "h1", "samples": 2.7})]),
     "estimates-nu-negative": ("nu", lambda d: [
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": -1})]),
     "mvi-pairs-zero": ("pairs", lambda d: [
         "experiment", "mvi",
         _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],
                              "r1": 0.2, "r2": 1.0, "pairs": 0})]),
+    "mvi-pairs-fraction": ("pairs", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],
+                             "r1": 0.2, "r2": 1.0, "pairs": 2.5})]),
     "mvi-bins-zero": ("bins", lambda d: [
         "experiment", "mvi",
         _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],

@@ -4,6 +4,7 @@ duplicate rows and dependent rows."""
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,6 +154,17 @@ def test_float_entries_rejected():
         linalg.Span([[Q(1), Q(0)]]).contains([0.5, 0])
     with pytest.raises(TypeError):
         linalg.solve([[Q(1)]], [0.5])
+
+
+def test_numpy_integer_entries_are_exact():
+    # 2**32 * 2**32 overflows an int64: numpy integers are read as the
+    # Python ints they hold, so the solve is the exact one of those ints
+    a = [[2**32, 2**32], [1, 2**32 + 1]]
+    a64 = [[np.int64(x) for x in row] for row in a]
+    x = linalg.solve(a, [1, 0])
+    assert x is not None and linalg.solve(a64, [1, 0]) == x
+    assert linalg.rank(a64) == 2 and linalg.Span(a64).rows == linalg.Span(a).rows
+    assert linalg.Span(a64[:1]).contains([np.int64(3), np.int64(3)])
 
 
 def test_shape_errors():

@@ -8,7 +8,8 @@ from carnot import catalog
 from carnot.algebra import GroupElement, homogeneous_dimension, validate_grading
 from carnot.bch import group_product
 from carnot.morphism import GradedMorphism, check_h_homomorphism
-from carnot.subgroups import (BudgetExhausted, HomogeneousSubalgebra,
+from carnot.subgroups import (BudgetExhausted, EpiClassification,
+                              HomogeneousSubalgebra, MonoClassification,
                               NonexistenceCertificate, NotHomogeneous,
                               NotSubalgebra,
                               classify_epimorphism, classify_monomorphism,
@@ -729,3 +730,146 @@ def test_one_echelon_matches_layered_reference(alg):
     verdicts = [is_complementary(a, b) for a, b in pairs]
     assert verdicts == [_complementary_reference(a, b) for a, b in pairs]
     assert any(verdicts) and not all(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the classifiers against the routes they replaced
+# ---------------------------------------------------------------------------
+
+def _classify_epimorphism_reference(L):
+    """The front that tested surjectivity by its own elimination, took the
+    kernel from a nullspace and returned the whole domain for an
+    isomorphism before the exact tiers ran."""
+    from carnot.subgroups import _split_kernel
+    if not check_h_homomorphism(L).is_h_homomorphism:
+        raise ValueError("not an h-homomorphism")
+    if not L.is_surjective():
+        return EpiClassification("not_surjective")
+    vecs = L.kernel_basis()
+    kernel = layered_decomposition(L.domain, vecs) if vecs else zero_subalgebra(L.domain)
+    if kernel.total_dim == 0:
+        return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel)
+    return _split_kernel(L, kernel)
+
+
+def _find_complement_reference(sub):
+    """The zero and whole algebras answered first, an ideal classified
+    through its quotient projection and its verdict wrapped with sub."""
+    from carnot.subgroups import _coordinate_complements
+    alg = sub.algebra
+    if sub.total_dim == 0:
+        return EpiClassification("h_epimorphism", full_subalgebra(alg), sub)
+    if sub.total_dim == alg.dim:
+        return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub)
+    if is_ideal(sub):
+        out = _classify_epimorphism_reference(quotient(alg, sub)[1])
+        return EpiClassification(out.verdict, out.witness, sub)
+    cand = next(_coordinate_complements(sub), None)
+    if cand is not None:
+        return EpiClassification("h_epimorphism", cand, sub)
+    return EpiClassification("undecided", BudgetExhausted(
+        0, "non-ideal; ran: coordinate complements; none is a subalgebra"), sub)
+
+
+def _classify_monomorphism_reference(T):
+    """The front that tested injectivity by its own elimination and took
+    the image from the RREF of T's columns."""
+    from carnot.subgroups import _coordinate_complements, _projection_along
+    if not check_h_homomorphism(T).is_h_homomorphism:
+        raise ValueError("not an h-homomorphism")
+    if not T.is_injective():
+        return MonoClassification("not_injective")
+    M = T.codomain
+    image = layered_decomposition(M, T.image_basis())
+    n = next((c for c in _coordinate_complements(image) if is_ideal(c)), None)
+    if n is not None:
+        return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
+    return MonoClassification("undecided", BudgetExhausted(
+        0, "ran: coordinate complements of the image; none is an ideal"), None, image)
+
+
+def _assert_same_epi(got, want):
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def _assert_same_mono(got, want):
+    assert (got.verdict, got.normal_complement, got.image) == \
+        (want.verdict, want.normal_complement, want.image)
+    assert (got.projection is None) == (want.projection is None)
+    if got.projection is not None:
+        assert got.projection.matrix == want.projection.matrix
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_classifiers_match_parent_routes(name):
+    # find_complement, and both classifiers on the inclusion of each
+    # subalgebra and on the projection of each ideal: verdict, witness,
+    # certificate, kernel, image, projection and JSON as the old fronts gave
+    alg = catalog.get(name)
+    rng = np.random.default_rng(23)
+    subs = [random_homogeneous_subalgebra(alg, rng, n_generators=int(rng.integers(1, 3)))
+            for _ in range(3 if alg.dim > 8 else 8)]
+    subs += [zero_subalgebra(alg), full_subalgebra(alg)]
+    verdicts = set()
+    for sub in subs:
+        out = find_complement(sub)
+        _assert_same_epi(out, _find_complement_reference(sub))
+        verdicts.add(out.verdict)
+        basis = sub.basis()
+        maps = [GradedMorphism(subalgebra_as_algebra(sub), alg,
+                               [[v[r] for v in basis] for r in range(alg.dim)])]
+        if is_ideal(sub):
+            maps.append(quotient(alg, sub)[1])
+        for L in maps:
+            epi = classify_epimorphism(L)
+            _assert_same_epi(epi, _classify_epimorphism_reference(L))
+            mono = classify_monomorphism(L)
+            _assert_same_mono(mono, _classify_monomorphism_reference(L))
+            verdicts.update([epi.verdict, mono.verdict])
+    assert {"h_epimorphism", "h_monomorphism"} <= verdicts
+    if alg.dim > 1:
+        assert {"not_surjective", "not_injective"} <= verdicts
+
+
+def test_classifier_fronts_on_rank_deficient_maps(h1):
+    # the zero map onto r1 is not surjective; the projection onto r2 is
+    # surjective and not injective
+    r1, r2 = catalog.abelian(1), catalog.abelian(2)
+    zero = GradedMorphism(h1, r1, [[0, 0, 0]])
+    proj = GradedMorphism(h1, r2, [[1, 0, 0], [0, 1, 0]])
+    assert classify_epimorphism(zero).verdict == "not_surjective"
+    assert classify_monomorphism(proj).verdict == "not_injective"
+    for L in (zero, proj):
+        _assert_same_epi(classify_epimorphism(L), _classify_epimorphism_reference(L))
+        _assert_same_mono(classify_monomorphism(L), _classify_monomorphism_reference(L))
+
+
+def test_subalgebra_entries_are_taken_as_given(h1):
+    # a float or a string is refused, not read as the exact value of the float
+    for bad in ([0.1, 0.3, 0], ["1", "0", "0"]):
+        with pytest.raises(TypeError):
+            span_subalgebra(h1, bad)
+        with pytest.raises(TypeError):
+            layered_decomposition(h1, [bad])
+        with pytest.raises(TypeError):
+            HomogeneousSubalgebra(h1, {1: [bad]})
+    # numpy integers give the subalgebra of the Python ints they hold, also
+    # where the elimination's products overflow an int64
+    r3 = catalog.abelian(3)
+    rows = [[2**32, 2**32, 1], [1, 2**32 + 1, 0]]
+    rows64 = [[np.int64(x) for x in row] for row in rows]
+    plane = span_subalgebra(r3, *rows)
+    assert plane.layer_basis(1) == [(1, 0, Q(2**32 + 1, 2**64)), (0, 1, Q(-1, 2**64))]
+    assert span_subalgebra(r3, *rows64) == plane == HomogeneousSubalgebra(r3, {1: rows64})
+
+
+def test_classify_epi_onto_the_zero_algebra(h1):
+    # the projection onto h1/h1 has no matrix rows: its kernel is all of h1
+    # and its complement the zero subalgebra
+    _, dpi = quotient(h1, full_subalgebra(h1))
+    assert len(dpi.kernel_basis()) == 3
+    out = classify_epimorphism(dpi)
+    assert (out.verdict, out.witness, out.kernel) == (
+        "h_epimorphism", zero_subalgebra(h1), full_subalgebra(h1))
