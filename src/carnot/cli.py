@@ -158,7 +158,7 @@ def cmd_subgroups(args):
     if args.action in ("classify-epi", "classify-mono"):
         try:
             L = cio.load_morphism(args.file, _load_group)
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise _BadInput("invalid morphism file %s" % args.file, e) from None
         if args.action == "classify-epi":
             out = sg.classify_epimorphism(L)
@@ -170,7 +170,7 @@ def cmd_subgroups(args):
     g = _load_group(args.group)
     try:
         vectors = cio.load_subalgebra_vectors(args.file, g.dim)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         raise _BadInput("invalid subalgebra file %s" % args.file, e) from None
     try:
         sub = sg.layered_decomposition(g, vectors)
@@ -208,7 +208,10 @@ def _control_from_cfg(cv, g, spec):
     if not isinstance(spec, dict):
         raise ValueError("control: expected an object, got %r" % (spec,))
     if "csv" in spec:
-        return cv.control_from_csv(g, spec["csv"])
+        try:
+            return cv.control_from_csv(g, spec["csv"])
+        except OSError as e:
+            raise ValueError("control csv: %s" % e) from None
     try:
         return cv.make_control(g, spec["name"], **spec.get("params", {}))
     except TypeError as e:
@@ -234,11 +237,11 @@ def _number(cfg, key, default, kind=float, positive=False):
 def cmd_experiment(args):
     from . import curves as cv
     from . import pdiff
-    with open(args.config) as f:
-        try:
+    try:
+        with open(args.config) as f:
             cfg = json.load(f)
-        except ValueError as e:
-            raise _BadInput("invalid config %s" % args.config, e) from None
+    except (OSError, ValueError) as e:
+        raise _BadInput("invalid config %s" % args.config, e) from None
     if not isinstance(cfg, dict):
         raise _BadInput("invalid config %s" % args.config, "expected a JSON object")
     base = os.path.splitext(os.path.basename(args.config))[0]

@@ -21,8 +21,7 @@ from .bch import group_product_np
 from .curves import contact_derivative
 from .morphism import GradedMorphism
 from .metric import default_metric, draw_until, sample_ball, sphere_point
-from .subgroups import (HomogeneousSubalgebra, classify_epimorphism,
-                        classify_monomorphism, layered_decomposition)
+from .subgroups import classify_epimorphism, classify_monomorphism
 
 Q = Fraction
 

@@ -5,12 +5,14 @@ type groups.
 
 Everything here is exact rational arithmetic, and every bracket is the
 algebra's ``bracket_coords``.  Classification verdicts come in exact,
-deterministic tiers: closed forms and affine systems (with nonexistence
-certificates), the zero correction of a quadratic system, complements
-spanned by basis vectors, and a Groebner-basis infeasibility certificate.
-When no tier decides, the verdict is `undecided`, and its marker names the
-tiers that ran.  No tier searches at random.  The right-inverse system of
-an h-epimorphism is written with ``algebra.Polynomial``: the columns of the
+deterministic tiers, in this order: affine right-inverse systems, decided
+both ways; the zero correction of a quadratic system; the Heisenberg and
+h12 closed forms; the isotropic rank bound; a unit-ideal test of degree
+<= 1, whose certificate is one exact solve on ``linalg``.  Non-ideals and
+monomorphisms try the complements spanned by basis vectors.  When no tier
+decides, the verdict is `undecided`, and its marker names the tiers that
+ran.  No tier uses sympy or randomness.  The right-inverse system of an
+h-epimorphism is written with ``algebra.Polynomial``: the columns of the
 unknown right inverse are vectors of polynomials, bracketed by
 ``bracket_coords``.
 """
@@ -18,8 +20,6 @@ unknown right inverse are vectors of polynomials, bracketed by
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .algebra import GradedAlgebra, Polynomial
@@ -219,6 +219,11 @@ def quotient(algebra, ideal):
         ideal = layered_decomposition(algebra, ideal)
     if not is_ideal(ideal):
         raise ValueError("subalgebra is not an ideal; quotient undefined")
+    return _quotient(algebra, ideal)
+
+
+def _quotient(algebra, ideal):
+    """quotient() of a HomogeneousSubalgebra known to be an ideal."""
     pivoted = list(zip(ideal.pivots, ideal.basis()))
     # the representatives: the standard basis vectors off the pivots, in
     # layer order
@@ -356,37 +361,36 @@ def _solve_affine_system(eqs, nvars):
     return ("witness", sol)
 
 
-GROEBNER_MAX_VARS = 10
+UNIT_IDEAL_MAX_VARS = 10
 
 
-def _groebner_says_empty(eqs, nvars):
-    """Certificate of infeasibility over C (hence over R): 1 in the ideal.
-    Sound but incomplete for real feasibility; used only to certify
-    nonexistence, never existence, and only on 1 to GROEBNER_MAX_VARS unknowns."""
-    if nvars == 0 or nvars > GROEBNER_MAX_VARS:
-        return False
-    try:
-        import sympy
-    except ImportError:  # pragma: no cover
-        return False
-    xs = sympy.symbols("c0:%d" % nvars)
-    polys = []
-    for p in eqs:
-        expr = sympy.Integer(0)
-        for mono, c in p.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for v in mono:
-                term *= xs[v]
-            expr += term
-        if expr != 0:
-            polys.append(sympy.Poly(expr, *xs, domain="QQ"))
-    if not polys:
-        return False
-    try:
-        g = sympy.groebner(polys, *xs, order="grevlex")
-    except Exception:  # pragma: no cover
-        return False
-    return g.exprs == [sympy.Integer(1)]
+def _unit_ideal_degree(eqs, nvars):
+    """The least d <= 1 such that 1 lies in the span of the products m p of
+    the equations p with the monomials m of degree <= d, else None.  The
+    coefficients of that combination are cofactors h_i with sum h_i p_i = 1,
+    a degree-bounded Nullstellensatz certificate (De Loera, Lee, Malkin and
+    Margulies, J. Symbolic Comput. 46 (2011)): the equations have no common
+    zero over C, hence none over R.  Sound, and incomplete past degree 1."""
+    shifted = [{tuple(sorted(m + (v,))): c for m, c in p.terms.items()}
+               for p in eqs for v in range(nvars)]
+    columns = {(): 0}
+    for terms in [p.terms for p in eqs] + shifted:
+        for m in terms:
+            columns.setdefault(m, len(columns))
+
+    def row(terms):
+        out = [0] * len(columns)
+        for m, c in terms.items():
+            out[columns[m]] = c
+        return out
+
+    one = row({(): 1})
+    span = linalg.Span([row(p.terms) for p in eqs])
+    if span.contains(one):
+        return 0
+    for terms in shifted:
+        span.add(row(terms))
+    return 1 if span.contains(one) else None
 
 
 def _right_inverse_system(L, kernel):
@@ -695,8 +699,9 @@ def classify_epimorphism(L):
 def _split_kernel(L, kernel):
     """The exact tiers for a surjective h-homomorphism L with the given
     kernel: the right-inverse system (affine, or its zero correction), the
-    closed forms for abelian images, the Groebner unit-ideal test, else
-    undecided.  An isomorphism gives an empty system and the whole domain."""
+    closed forms and the isotropic rank bound for abelian images, the
+    unit-ideal test, else undecided.  An isomorphism gives an empty system
+    and the whole domain."""
     eqs, cols, nvars = _right_inverse_system(L, kernel)
 
     def witness(values):
@@ -719,19 +724,21 @@ def _split_kernel(L, kernel):
     G, M = L.domain, L.codomain
     tiers = ["zero correction"]
     if _abelian_image(M):
-        tiers.append("abelian closed forms")
+        tiers += ["abelian closed forms", "isotropic rank bound"]
         closed = _abelian_kernel_complement(G, kernel, M.dim)
         if closed is not None:
             if isinstance(closed, HomogeneousSubalgebra):
                 return EpiClassification("h_epimorphism", closed, kernel)
             return EpiClassification("surjective_not_epi", closed, kernel)
-    if _groebner_says_empty(eqs, nvars):
-        cert = NonexistenceCertificate(
-            "groebner_unit_ideal",
-            "the right-inverse equations generate the unit ideal over Q")
-        return EpiClassification("surjective_not_epi", cert, kernel)
-    if nvars <= GROEBNER_MAX_VARS:
-        tiers.append("Groebner unit-ideal test")
+    if nvars <= UNIT_IDEAL_MAX_VARS:
+        tiers.append("unit-ideal test of degree <= 1")
+        d = _unit_ideal_degree(eqs, nvars)
+        if d is not None:
+            cert = NonexistenceCertificate(
+                "unit_ideal",
+                "degree %d: 1 is a rational combination of the right-inverse "
+                "equations times monomials of degree <= %d" % (d, d))
+            return EpiClassification("surjective_not_epi", cert, kernel)
     note = "%d-unknown quadratic system; ran: %s" % (nvars, ", ".join(tiers))
     return EpiClassification("undecided", BudgetExhausted(0, note), kernel)
 
@@ -739,32 +746,20 @@ def _split_kernel(L, kernel):
 def _abelian_kernel_complement(G, kernel, k):
     """Closed forms for kernels of abelian quotients: the kernel contains all
     layers >= 2 and a complement is a commutative horizontal transversal of
-    its first-layer part."""
-    n1 = kernel.layer_basis(1)
+    its first-layer part, of dimension k.  A quadratic system has k >= 2
+    codomain directions and two kernel directions in the first layer, so on
+    h12, whose first layer has dimension 4, k is 2."""
     hn = G.tags.get("heisenberg_n")
-    if hn is not None:
-        if k > hn:
-            return NonexistenceCertificate(
-                "isotropic_dimension_bound",
-                "commutative horizontal subalgebras of h^%d have dimension <= %d < %d"
-                % (hn, hn, k))
-        return heisenberg_complement(G, n1 or [])
+    if hn is not None and k <= hn:
+        return heisenberg_complement(G, kernel.layer_basis(1))
     if G.tags.get("complexified_heisenberg"):
-        if k > 2:
-            return NonexistenceCertificate(
-                "isotropic_dimension_bound",
-                "commutative horizontal subalgebras here have dimension <= 2 < %d" % k)
-        if k == 2:
-            return h21_complement(G, n1)
-    if k == 1:
-        # a single horizontal direction off the kernel always splits; the
-        # kernel holds every layer >= 2, so its canonical complement is it
-        return next(_coordinate_complements(kernel))
-    report = max_commutative_horizontal_dim(G, budget=200, seed=1)
-    if report.exact and report.dim < k:
+        return h21_complement(G, kernel.layer_basis(1))
+    bound = _isotropic_bound(G)
+    if bound < k:
         return NonexistenceCertificate(
             "isotropic_dimension_bound",
-            "maximal commutative horizontal dimension %d < %d" % (report.dim, k))
+            "commutative horizontal subalgebras have dimension <= %d < %d"
+            % (bound, k))
     return None
 
 
@@ -870,73 +865,41 @@ class MaxCommutativeReport:
     note: str = ""
 
 
-def max_commutative_horizontal_dim(algebra, budget=2000, seed=0):
+def _isotropic_bound(algebra):
+    """Upper bound on the dimension of a commutative subalgebra inside the
+    first layer V1.  Such a subspace is isotropic for each combination
+    omega_c = sum_f c_f omega_f of the forms of the second-layer basis
+    vectors, so its dimension is at most dim V1 - rank(omega_c) / 2.  The
+    minimum runs over the unit combinations and the moment-curve points
+    c = (1, t, ..., t^(F-1)), t = 2 .. 2 dim V1 + 1."""
+    m = len(algebra.layer_indices(1))
+    forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
+    combos = [[int(f == s) for f in range(len(forms))] for s in range(len(forms))]
+    combos += [[t ** f for f in range(len(forms))] for t in range(2, 2 * m + 2)]
+    return min((m - linalg.rank([[sum(c * W[i][j] for c, W in zip(combo, forms))
+                                  for j in range(m)] for i in range(m)]) // 2
+                for combo in combos), default=m)
+
+
+def max_commutative_horizontal_dim(algebra):
     """Largest dimension of a commutative subalgebra inside the first layer.
 
-    Upper bound: for any center direction combination c, an isotropic
-    subspace of omega_c has dimension <= dim V1 - rank(omega_c)/2; the best
-    sampled combination certifies the bound.  Lower bound: greedy isotropic
-    extension with random restarts.  Exact verdict when the two meet.
+    Upper bound: `_isotropic_bound`.  Lower bound: one greedy pass that
+    adds the first vector omega-orthogonal to those chosen (for every form)
+    outside their span.  Exact verdict when the two meet.
     """
     idx1 = algebra.layer_indices(1)
-    m = len(idx1)
-    if m > 8 and "htype" not in algebra.tags:
-        raise ValueError("first layer dimension %d above search bound" % m)
-    idx2 = algebra.layer_indices(2)
-    forms = [_omega_form(algebra, z)[0] for z in idx2]
-    if not forms:
-        return MaxCommutativeReport(m, full_first_layer(algebra), m, True)
-    rng = np.random.default_rng(seed)
-    bound = m
-    combos = [tuple(Q(1) if t == s else Q(0) for t in range(len(forms)))
-              for s in range(len(forms))]
-    for _ in range(24):
-        combos.append(tuple(Q(int(rng.integers(-3, 4))) for _ in range(len(forms))))
-    for combo in combos:
-        W = [[sum((c * forms[f][i][j] for f, c in enumerate(combo)), Q(0))
-              for j in range(m)] for i in range(m)]
-        r = linalg.rank(W)
-        bound = min(bound, m - r // 2)
-    best = []
-    for trial in range(max(budget // 40, 12)):
-        current = []
-        while True:
-            span = linalg.Span(current)
-            if current:
-                mrows = []
-                for v in current:
-                    for W in forms:
-                        mrows.append([_omega_of(W, v, e) for e in linalg.identity(m)])
-                space = linalg.nullspace(mrows)
-            else:
-                space = linalg.identity(m)
-            cand = None
-            order = list(range(len(space)))
-            rng.shuffle(order)
-            for t in order:
-                if not span.contains(space[t]):
-                    # random rational combination keeps the search from cycling
-                    mix = list(space[t])
-                    if len(space) > 1 and trial % 3 == 2:
-                        other = space[int(rng.integers(0, len(space)))]
-                        co = Q(int(rng.integers(-2, 3)))
-                        mix = [a + co * b for a, b in zip(mix, other)]
-                        if span.contains(mix):
-                            mix = list(space[t])
-                    ok = all(all(_omega_of(W, mix, v) == 0 for W in forms)
-                             for v in current + [mix])
-                    if ok:
-                        cand = mix
-                        break
-            if cand is None:
-                break
-            current.append(cand)
-            if len(current) == bound:
-                break
-        if len(current) > len(best):
-            best = current
-        if len(best) == bound:
+    forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
+    bound = _isotropic_bound(algebra)
+    best, span = [], linalg.Span([])
+    while len(best) < bound:
+        orthogonal = [linalg.matvec(W, v) for v in best for W in forms]
+        space = linalg.nullspace(orthogonal) if orthogonal else linalg.identity(len(idx1))
+        v = next((v for v in space if not span.contains(v)), None)
+        if v is None:
             break
+        span.add(v)
+        best.append(v)
     witness_rows = []
     for v in best:
         vec = [Q(0)] * algebra.dim
@@ -945,13 +908,8 @@ def max_commutative_horizontal_dim(algebra, budget=2000, seed=0):
         witness_rows.append(vec)
     witness = layered_decomposition(algebra, witness_rows)
     exact = len(best) == bound
-    note = "" if exact else "lower bound from search budget; upper bound %d" % bound
+    note = "" if exact else "lower bound from one greedy pass; upper bound %d" % bound
     return MaxCommutativeReport(len(best), witness, bound, exact, note)
-
-
-def full_first_layer(algebra):
-    vs = [list(algebra.basis_coords(k)) for k in algebra.layer_indices(1)]
-    return layered_decomposition(algebra, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -967,7 +925,7 @@ def find_complement(sub, budget=4000, seed=0):
     coordinate complement that is a subalgebra, else `undecided`:
     nonexistence is never claimed for it.  `budget` and `seed` are unread."""
     if is_ideal(sub):
-        return _split_kernel(quotient(sub.algebra, sub)[1], sub)
+        return _split_kernel(_quotient(sub.algebra, sub)[1], sub)
     cand = next(_coordinate_complements(sub), None)
     if cand is not None:
         return EpiClassification("h_epimorphism", cand, sub)

@@ -95,3 +95,57 @@ def test_oracles_do_not_read_the_compiled_law():
             todo.extend(refs & defs.keys())
         assert {"_dynkin_evaluate", "bch_word_polynomial"} & seen, root
     assert not found, found
+
+
+def _unread_imports(source, filename):
+    """The names that `source` imports, at any depth, and never reads."""
+    tree = ast.parse(source, filename)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return ["%s:%d %s" % (filename, line, name)
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_every_import_is_read():
+    # an imported name that its module never reads is dead coupling; the
+    # package __init__ imports to re-export, so it is exempt
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            found.extend(_unread_imports(path.read_text(), path.name))
+    assert not found, found
+
+
+def test_unread_import_check_sees_each_form():
+    src = ("import numpy as np\nimport os.path\nfrom . import linalg\n"
+           "from .algebra import Polynomial as P, bracket\n"
+           "def f():\n    from .bch import group_product\n    return bracket\n")
+    assert [e.split()[1] for e in _unread_imports(src, "m.py")] == \
+        ["P", "group_product", "linalg", "np", "os"]
+
+
+def test_library_runs_without_sympy():
+    # sympy is a test-only reference: importing every module and reaching
+    # the unit-ideal tier leaves it unimported
+    import os
+    import subprocess
+    import sys
+    script = (
+        "import sys\n"
+        "import carnot, carnot.cli, carnot.curves, carnot.pdiff\n"
+        "from carnot import catalog, subgroups\n"
+        "h1 = catalog.get('h1')\n"
+        "g = catalog.direct_product(h1, h1)\n"
+        "sub = subgroups.span_subalgebra(g, *[[int(k == i) for k in range(6)]\n"
+        "                                    for i in (3, 4, 2, 5)])\n"
+        "assert subgroups.find_complement(sub).witness.reason == 'unit_ideal'\n"
+        "assert 'sympy' not in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert run.returncode == 0, run.stderr

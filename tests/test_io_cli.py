@@ -410,6 +410,15 @@ INPUT_PROBES = {
                              "tol": None})]),
     "config-not-object": ("JSON object", lambda d: [
         "experiment", "lift", _write(d, "l.json", [1, 2])]),
+    "complement-missing-file": ("nosuch.json", lambda d: [
+        "subgroups", "complement", "--group", "h1", str(d / "nosuch.json")]),
+    "classify-epi-missing-file": ("nosuch.json", lambda d: [
+        "subgroups", "classify-epi", str(d / "nosuch.json")]),
+    "config-missing-file": ("nosuch.json", lambda d: [
+        "experiment", "lift", str(d / "nosuch.json")]),
+    "lift-csv-missing-file": ("nosuch.csv", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"csv": str(d / "nosuch.csv")}})]),
 }
 
 

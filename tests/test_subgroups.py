@@ -1,8 +1,10 @@
 import itertools
+import json
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import sympy
 
 from carnot import catalog
 from carnot.algebra import GroupElement, homogeneous_dimension, validate_grading
@@ -415,33 +417,128 @@ def test_quadratic_tier_and_honest_budget(h2):
         assert isinstance(out0.witness, BudgetExhausted)
 
 
+def _groebner_says_empty_reference(eqs, nvars):
+    """1 in the ideal of the equations over Q, read off a reduced sympy
+    Groebner basis: the reference for the in-repo unit-ideal test."""
+    xs = sympy.symbols("c0:%d" % nvars)
+    polys = [sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) *
+                             sympy.Mul(*(xs[v] for v in mono))
+                             for mono, c in p.terms.items()), sympy.Integer(0)),
+                        *xs, domain="QQ") for p in eqs]
+    return sympy.groebner(polys, *xs, order="grevlex").exprs == [sympy.Integer(1)]
+
+
+def _h1xh1():
+    # basis x1, y1, z1, x2, y2, z2
+    return catalog.direct_product(catalog.get("h1"), catalog.get("h1"))
+
+
+def _h1xh2():
+    # basis h1.x1, h1.y1, h1.z, h2.x1, h2.y1, h2.x2, h2.y2, h2.z
+    return catalog.direct_product(catalog.get("h1"), catalog.get("h2"))
+
+
+def _units(g, *sums):
+    """One vector per tuple of basis indices: the sum of those basis vectors."""
+    return span_subalgebra(g, *[[int(k in ks) for k in range(g.dim)] for ks in sums])
+
+
 def test_classification_cross_validation(rng):
     # witnesses must verify exactly; nonexistence certificates must agree
-    # with the Groebner tier and survive an independent random probe
-    from carnot.subgroups import (_groebner_says_empty, _right_inverse_system,
-                                  quotient as q_)
-    for name in ("h1", "h2"):
-        g = catalog.get(name)
+    # with a sympy Groebner basis and survive an independent random probe
+    from carnot.subgroups import _right_inverse_system, quotient as q_
+    reasons = set()
+    for g in (catalog.get("h1"), catalog.get("h2"), _h1xh1(), _h1xh2()):
+        subs = []
         for seed in range(10):
             local = np.random.default_rng(seed)
-            sub = random_homogeneous_subalgebra(g, local,
-                                                n_generators=int(local.integers(1, 3)))
+            subs.append(random_homogeneous_subalgebra(
+                g, local, n_generators=int(local.integers(1, 3))))
+        if g.name == "h1xh1":
+            subs.append(_units(g, (3,), (4,), (2,), (5,)))
+        for seed, sub in enumerate(subs):
             if sub.total_dim in (0, g.dim) or not is_ideal(sub):
                 continue
             out = find_complement(sub, budget=300, seed=seed)
             if out.verdict == "h_epimorphism":
                 assert is_complementary(sub, out.witness)
             elif out.verdict == "surjective_not_epi":
+                reasons.add(out.witness.reason)
                 _, dpi = q_(g, sub)
                 eqs, _, nvars = _right_inverse_system(dpi, sub)
                 if 0 < nvars <= 10:
-                    assert _groebner_says_empty(eqs, nvars)
+                    assert _groebner_says_empty_reference(eqs, nvars)
                 probe = np.random.default_rng(seed + 77)
                 for _ in range(120):
                     cand = random_homogeneous_subalgebra(
                         g, probe, n_generators=max(1, g.dim - sub.total_dim - 1))
                     assert not (cand.total_dim == g.dim - sub.total_dim
                                 and is_complementary(sub, cand))
+    assert "unit_ideal" in reasons, reasons
+
+
+def test_unit_ideal_degree():
+    from carnot.algebra import Polynomial
+    from carnot.subgroups import _unit_ideal_degree
+    x0, x1 = Polynomial({(0,): 1}), Polynomial({(1,): 1})
+    assert _unit_ideal_degree([x0 * x1, x0 * x1 + 3], 2) == 0
+    # 1 = x1 * x0 - (x0 x1 - 1): degree 1, and no constant combination
+    eqs = [x0 * x1 - 1, x0]
+    assert _unit_ideal_degree(eqs, 2) == 1 and _groebner_says_empty_reference(eqs, 2)
+    assert _unit_ideal_degree([x0 * x1 - 1, x0 - 1], 2) is None
+
+
+def test_unit_ideal_tier_on_h1xh1():
+    # a right inverse sends x1~, y1~ to x1 + u, y1 + w with u, w in
+    # span{x2, y2}; their bracket is z1 + (...) z2, so the z1 equation is 1 = 0
+    out = find_complement(_units(_h1xh1(), (3,), (4,), (2,), (5,)))
+    assert out.verdict == "surjective_not_epi"
+    assert out.witness.reason == "unit_ideal"
+    assert out.witness.detail.startswith("degree 0:")
+
+
+def test_undecided_on_h1xh1(tmp_path, capsys):
+    from carnot import io as cio
+    from carnot.cli import main
+    g = _h1xh1()
+    sub = _units(g, (4,), (1, 3), (2,), (5,))
+    out = find_complement(sub)
+    assert out.verdict == "undecided"
+    assert "isotropic rank bound, unit-ideal test of degree <= 1" in out.witness.note
+    group, vectors = tmp_path / "g.json", tmp_path / "s.json"
+    group.write_text(cio.emit_group(g))
+    vectors.write_text(json.dumps({"vectors": [[str(c) for c in v] for v in sub.basis()]}))
+    assert main(["subgroups", "complement", "--group", str(group), str(vectors)]) == 4
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
+
+
+def test_isotropic_bound_on_h1xh2():
+    # the forms of h1.z and h2.z sum to a nondegenerate form on the
+    # 6-dimensional first layer: commutative horizontal subalgebras have
+    # dimension <= 3, and the quotient needs 4
+    out = find_complement(_units(_h1xh2(), (5,), (6,), (2,), (7,)))
+    assert out.verdict == "surjective_not_epi"
+    assert out.witness.reason == "isotropic_dimension_bound"
+    assert out.witness.detail.endswith("<= 3 < 4")
+
+
+def test_find_complement_tests_an_ideal_once(monkeypatch):
+    # the ideal check runs once per input; the quotient of an ideal is
+    # built without a second one
+    from carnot import subgroups as sg
+    calls, real = [], sg.is_ideal
+    monkeypatch.setattr(sg, "is_ideal", lambda sub: calls.append(sub) or real(sub))
+    ideals = 0
+    for name in ("h1", "h2", "g42", "h12"):
+        g = catalog.get(name)
+        local = np.random.default_rng(5)
+        for _ in range(8):
+            sub = random_homogeneous_subalgebra(g, local)
+            ideals += real(sub)
+            calls.clear()
+            sg.find_complement(sub)
+            assert calls == [sub], name
+    assert ideals >= 8
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +691,7 @@ def test_check_h_homomorphism_with_denominators():
 
 def test_max_commutative_witness_has_the_reported_dimension():
     for name in ("h1", "h2", "h3", "h12", "g42", "free_3_2"):
-        rep = max_commutative_horizontal_dim(catalog.get(name), budget=200, seed=1)
+        rep = max_commutative_horizontal_dim(catalog.get(name))
         assert rep.witness.total_dim == rep.dim, name
 
 
