@@ -201,8 +201,8 @@ class GradedAlgebra:
                 (i, j, ((k, c_{ij}^k * struct_den), ...)); bracket_coords
                 reads it.  Every catalog table has struct_den == 1.
     tags:       metadata that catalog constructors and the group-file reader
-                set after construction (e.g. a symplectic J-structure, a
-                metric block); used to register closed-form algorithms.
+                set after construction (e.g. the J-data of an H-type table,
+                a matrix model, a metric block).
 
     Every table is validated once, here: an invalid one raises ValueError.
     """

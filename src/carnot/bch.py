@@ -193,7 +193,7 @@ def bch_term(n, x, y):
     """Homogeneous BCH term c_n(X, Y); c_1 = X + Y, c_2 = [X,Y]/2."""
     alg = x.algebra
     if not (1 <= n <= alg.step):
-        raise ValueError("term index out of range 1..step")
+        raise ValueError("term index %d out of range 1..%d" % (n, alg.step))
     x._check(y)
     terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
     return AlgebraVector(alg, terms(alg, x.coords, y.coords, (n,)))
@@ -522,7 +522,7 @@ def decompose_cn(n, algebra):
     are universal (free Lie algebra on two generators); the algebra argument
     fixes the admissible range of n."""
     if not (2 <= n <= algebra.step):
-        raise ValueError("n out of range 2..step")
+        raise ValueError("n = %d out of range 2..%d" % (n, algebra.step))
     return LnDecomposition(n, _decompose_cn_universal(n))
 
 

@@ -31,12 +31,6 @@ def heisenberg(n):
     names.append("z")
     struct = {(2 * i, 2 * i + 1): {2 * n: Q(1)} for i in range(n)}
     alg = GradedAlgebra("h%d" % n, layers, struct, basis_names=names)
-    jz = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        jz[2 * i + 1][2 * i] = Q(1)   # J z x_i = y_i
-        jz[2 * i][2 * i + 1] = Q(-1)  # J z y_i = -x_i
-    alg.tags["heisenberg_n"] = n
-    alg.tags["htype"] = HTypeData(dim_v=2 * n, dim_z=1, j_matrices=[jz])
     alg.tags["matrix_model"] = UnipotentHeisenbergModel(n)
     return alg
 
@@ -191,7 +185,6 @@ def complexified_heisenberg():
     j2[2][0], j2[0][2], j2[3][1], j2[1][3] = Q(1), Q(-1), Q(-1), Q(1)
     alg = h_type_from_J(HTypeData(dim_v=4, dim_z=2, j_matrices=[j1, j2]), name="h12")
     alg.basis_names = ("r0", "r1", "r2", "r3", "z1", "z2")
-    alg.tags["complexified_heisenberg"] = True
     return alg
 
 

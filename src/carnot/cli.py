@@ -39,6 +39,21 @@ class _BadInput(Exception):
         super().__init__("%s: %s" % (what, " ".join(str(err).split())))
 
 
+def _required(value, name):
+    """An optional argument that the action needs; missing, it is bad input."""
+    if value is None:
+        raise _BadInput(name, "required by this action")
+    return value
+
+
+def _arg(name, fn, *args):
+    """fn(*args), with a ValueError reported as the bad argument `name`."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise _BadInput(name, e) from None
+
+
 def _load_group(spec):
     """Catalog name, or path to a group-definition file."""
     if os.path.exists(spec):
@@ -68,14 +83,14 @@ def _metric_for(algebra):
 
 def cmd_group(args):
     if args.action == "validate":
-        report, err = cio.validate_group_file(args.file)
+        report, err = cio.validate_group_file(_required(args.file, "file"))
         if err:
             print(err)
             return EXIT_VALIDATION
         print(report)
         return EXIT_OK if report.ok else EXIT_VALIDATION
     if args.action == "info":
-        g = _load_group(args.file)
+        g = _load_group(_required(args.file, "file"))
         print("name: %s" % g.name)
         print("dim: %d" % g.dim)
         print("step: %d" % g.step)
@@ -84,7 +99,7 @@ def cmd_group(args):
         print("stratified: %s" % is_stratified(g))
         return EXIT_OK
     if args.action == "emit":
-        g = cat.get(args.catalog) if args.catalog else _load_group(args.file)
+        g = _load_group(_required(args.catalog or args.file, "file or --catalog"))
         sys.stdout.write(cio.emit_group(g))
         return EXIT_OK
     raise SystemExit("unknown group action %r" % args.action)
@@ -98,7 +113,7 @@ def cmd_catalog(args):
                   (name, g.dim, g.step, homogeneous_dimension(g)))
         return EXIT_OK
     if args.action == "emit":
-        sys.stdout.write(cio.emit_group(cat.get(args.name)))
+        sys.stdout.write(cio.emit_group(_load_group(_required(args.name, "name"))))
         return EXIT_OK
     raise SystemExit("unknown catalog action %r" % args.action)
 
@@ -109,9 +124,12 @@ def cmd_catalog(args):
 
 def cmd_algebra(args):
     g = _load_group(args.group)
+    if args.action in ("product", "term"):
+        if len(args.vectors) != 2:
+            raise _BadInput("vectors", "expected 2, got %d" % len(args.vectors))
+        x, y = (AlgebraVector(g, _arg("vectors", cio.parse_vector, v, g.dim))
+                for v in args.vectors)
     if args.action == "product":
-        x = AlgebraVector(g, cio.parse_vector(args.vectors[0], g.dim))
-        y = AlgebraVector(g, cio.parse_vector(args.vectors[1], g.dim))
         p = group_product(x, y)
         check = series_oracle_product(x, y)
         if p.coords != check.coords:
@@ -120,17 +138,17 @@ def cmd_algebra(args):
         print(cio.format_vector(p.coords))
         return EXIT_OK
     if args.action == "term":
-        x = AlgebraVector(g, cio.parse_vector(args.vectors[0], g.dim))
-        y = AlgebraVector(g, cio.parse_vector(args.vectors[1], g.dim))
-        print(cio.format_vector(bch_term(args.n, x, y).coords))
+        print(cio.format_vector(_arg("-n", bch_term, args.n, x, y).coords))
         return EXIT_OK
     if args.action == "decompose":
-        dec = decompose_cn(args.n, g)
+        dec = _arg("-n", decompose_cn, args.n, g)
         for alpha in sorted(dec.coefficients):
             print("%s %s" % ("".join(map(str, alpha)),
                              cio.format_rational(dec.coefficients[alpha])))
         return EXIT_OK
     if args.action == "oracle":
+        if args.trials < 1:
+            raise _BadInput("--trials", "expected an integer >= 1, got %d" % args.trials)
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
             xv = [cio.parse_rational("%d/%d" % (rng.integers(-6, 7),
@@ -167,7 +185,7 @@ def cmd_subgroups(args):
         out = sg.classify_monomorphism(L)
         print(json.dumps(out.to_json_dict(), indent=2))
         return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
-    g = _load_group(args.group)
+    g = _load_group(_required(args.group, "--group"))
     try:
         vectors = cio.load_subalgebra_vectors(args.file, g.dim)
     except (OSError, ValueError) as e:
@@ -444,8 +462,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # seed propagates into every sampled routine for reproducibility
-    np.random.seed(args.seed)
     try:
         return args.fn(args)
     except _BadInput as e:

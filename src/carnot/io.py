@@ -163,11 +163,15 @@ def validate_group_file(path):
 # ---------------------------------------------------------------------------
 
 def parse_rational(text):
+    """An exact rational from "p/q" or a decimal; ValueError if it is not one."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Q(int(num), int(den))
-    return Q(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Q(int(num), int(den))
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def parse_vector(text, dim=None):
@@ -201,7 +205,7 @@ def _rational_rows(data, key, width=None):
             raise ValueError("%s: expected %d coordinates, got %d" % (path, width, len(row)))
         try:
             rows.append(tuple(parse_rational(str(c)) for c in row))
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             raise ValueError("%s: %s" % (path, e)) from None
     return rows
 

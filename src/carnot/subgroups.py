@@ -6,12 +6,14 @@ type groups.
 Everything here is exact rational arithmetic, and every bracket is the
 algebra's ``bracket_coords``.  Classification verdicts come in exact,
 deterministic tiers, in this order: affine right-inverse systems, decided
-both ways; the zero correction of a quadratic system; the Heisenberg and
-h12 closed forms; the isotropic rank bound; a unit-ideal test of degree
-<= 1, whose certificate is one exact solve on ``linalg``.  Non-ideals and
-monomorphisms try the complements spanned by basis vectors.  When no tier
-decides, the verdict is `undecided`, and its marker names the tiers that
-ran.  No tier uses sympy or randomness.  The right-inverse system of an
+both ways; the complements spanned by basis vectors; the Heisenberg and h12
+closed forms; the isotropic rank bound; a unit-ideal test of degree <= 1,
+whose certificate is one exact solve on ``linalg``.  Non-ideals and
+monomorphisms try the complements spanned by basis vectors.  Every tier
+reads the structure table alone, never the tags, so a group read back from
+its file gets the verdicts of the catalog group it was written from.  When
+no tier decides, the verdict is `undecided`, and its marker names the tiers
+that ran.  No tier uses sympy or randomness.  The right-inverse system of an
 h-epimorphism is written with ``algebra.Polynomial``: the columns of the
 unknown right inverse are vectors of polynomials, bracketed by
 ``bracket_coords``.
@@ -451,15 +453,8 @@ def _symplectic_pairs(W, vectors):
     rows = [list(v) for v in linalg.row_space_basis([list(v) for v in vectors])]
     pairs = []
     while True:
-        found = None
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                om = _omega_of(W, rows[i], rows[j])
-                if om != 0:
-                    found = (i, j, om)
-                    break
-            if found:
-                break
+        found = next(((i, j, om) for i, j in itertools.combinations(range(len(rows)), 2)
+                      for om in [_omega_of(W, rows[i], rows[j])] if om), None)
         if not found:
             return pairs, rows
         i, j, om = found
@@ -468,10 +463,8 @@ def _symplectic_pairs(W, vectors):
         rest = [rows[t] for t in range(len(rows)) if t not in (i, j)]
         newrows = []
         for v in rest:
-            lam = _omega_of(W, v, b)
-            mu = _omega_of(W, v, a)
-            vv = [x - lam * ya + mu * yb for x, ya, yb in zip(v, a, b)]
-            newrows.append(vv)
+            lam, mu = _omega_of(W, v, b), _omega_of(W, v, a)
+            newrows.append([x - lam * ya + mu * yb for x, ya, yb in zip(v, a, b)])
         pairs.append((a, b))
         rows = [r for r in linalg.row_space_basis(newrows)] if newrows else []
 
@@ -480,20 +473,51 @@ def _omega_orthogonal(W, vectors, ambient_rows):
     """Basis of {x in span(ambient_rows) : omega(v, x) = 0 for all v}."""
     if not vectors:
         return [list(r) for r in ambient_rows]
-    m = []
-    for v in vectors:
-        m.append([_omega_of(W, v, r) for r in ambient_rows])
-    out = []
-    for k in linalg.nullspace(m):
-        vec = [sum((k[t] * ambient_rows[t][d] for t in range(len(ambient_rows))), Q(0))
-               for d in range(len(ambient_rows[0]))]
-        out.append(vec)
-    return linalg.row_space_basis(out)
+    m = [[_omega_of(W, v, r) for r in ambient_rows] for v in vectors]
+    combine = linalg.transpose(ambient_rows)
+    return linalg.row_space_basis([linalg.matvec(combine, k) for k in linalg.nullspace(m)])
+
+
+def _heisenberg_n(algebra):
+    """n when the table is that of h^n up to a first-layer change of basis:
+    step 2, one second-layer vector, and its form omega nondegenerate on V1;
+    else None."""
+    dims = algebra.layer_dims()
+    if len(dims) != 2 or dims[1] != 1:
+        return None
+    W, _ = _omega_form(algebra, algebra.layer_indices(2)[0])
+    return dims[0] // 2 if linalg.rank(W) == dims[0] else None
+
+
+def _j_map(algebra, z, x):
+    """J_Z x of a step-2 table, for second-layer coordinates z: the
+    first-layer vector with coordinates <Z, [x, e_i]>, so that
+    <J_Z x, Y> = <Z, [x, Y]> in the declared basis, i.e. J_k = -W_k on the
+    form W_k of the k-th second-layer vector."""
+    idx2 = algebra.layer_indices(2)
+    brs = [algebra.bracket_coords(x, algebra.basis_coords(i)) for i in range(algebra.dim)]
+    return [sum(c * br[k] for c, k in zip(z, idx2)) if l == 1 else 0
+            for br, l in zip(brs, algebra.layer_of)]
+
+
+def _is_h12(algebra):
+    """Whether the table is that of the complexified Heisenberg group h12:
+    layer dims [4, 2], and the maps J_1, J_2 of the two second-layer vectors
+    satisfy J_k^2 = -Id and J_1 J_2 = -J_2 J_1 on each first-layer basis
+    vector."""
+    def j(k, x):
+        return _j_map(algebra, (1 - k, k), x)
+
+    return algebra.layer_dims() == [4, 2] and all(
+        j(0, j(0, e)) == j(1, j(1, e)) == [-c for c in e]
+        and j(0, j(1, e)) == [-c for c in j(1, j(0, e))]
+        for e in map(algebra.basis_coords, algebra.layer_indices(1)))
 
 
 def heisenberg_complement(algebra, n1):
-    """Commutative horizontal complement of a horizontal subspace n1 of the
-    first layer of h^n, with dim n1 >= n (the kernel part of an abelian
+    """Commutative horizontal complement of a horizontal subspace n1 (a list
+    of vectors) of the first layer of a Heisenberg table (see
+    `_heisenberg_n`), with dim n1 >= n (the kernel part of an abelian
     quotient).  Constructive and exact.
 
     The construction is the symplectic normal form of the classical
@@ -502,22 +526,15 @@ def heisenberg_complement(algebra, n1):
     inside as (c + a, d - b); both families are omega-isotropic, i.e.
     commutative, and transversal to n1.
     """
-    n = algebra.tags.get("heisenberg_n")
+    n = _heisenberg_n(algebra)
     if n is None:
         raise ValueError("heisenberg_complement needs a Heisenberg group")
-    if isinstance(n1, HomogeneousSubalgebra):
-        if any(l != 1 for l in n1.layered_bases):
-            raise ValueError("n1 must be horizontal")
-        vecs = n1.layer_basis(1)
-    else:
-        vecs = [list(map(Q, v)) for v in n1]
+    vecs = [list(map(Q, v)) for v in n1]
     z_index = algebra.layer_indices(2)[0]
     W, idx = _omega_form(algebra, z_index)
     rows = linalg.row_space_basis([[v[k] for k in idx] for v in vecs])
-    for v in vecs:
-        for k, c in enumerate(v):
-            if c != 0 and algebra.layer_of[k] != 1:
-                raise ValueError("n1 must be horizontal")
+    if any(c != 0 and algebra.layer_of[k] != 1 for v in vecs for k, c in enumerate(v)):
+        raise ValueError("n1 must be horizontal")
     p = len(rows)
     k_out = 2 * n - p
     if not (1 <= k_out <= n):
@@ -535,8 +552,7 @@ def heisenberg_complement(algebra, n1):
         rhs = [Q(1) if t == i else Q(0) for t in range(m)]
         sol = linalg.solve(mrows, rhs)
         assert sol is not None, "symplectic dual solve failed"
-        h = [sum((sol[t] * vprime[t][d] for t in range(len(vprime))), Q(0))
-             for d in range(2 * n)]
+        h = linalg.matvec(linalg.transpose(vprime), sol)
         for j, prev in enumerate(duals):
             lam = _omega_of(W, prev, h)
             h = [x + lam * g2 for x, g2 in zip(h, kernel[j])]
@@ -552,13 +568,8 @@ def heisenberg_complement(algebra, n1):
         a, b = pairs_w[t]
         out.append([x + y for x, y in zip(c, a)])
         out.append([x - y for x, y in zip(d, b)])
-    full = []
-    for v in out:
-        vec = [Q(0)] * algebra.dim
-        for pos, k in enumerate(idx):
-            vec[k] = v[pos]
-        full.append(vec)
-    s = layered_decomposition(algebra, full)
+    s = layered_decomposition(algebra, [[dict(zip(idx, v)).get(k, 0) for k in range(algebra.dim)]
+                                        for v in out])
     # exact verification before returning
     for u, v in itertools.combinations(s.layer_basis(1), 2):
         assert all(c == 0 for c in algebra.bracket_coords(u, v)), \
@@ -571,72 +582,54 @@ def heisenberg_complement(algebra, n1):
 
 def h21_complement(algebra, nsub):
     """Complement construction in the complexified Heisenberg group for an
-    ideal n = n1 + center with dim n1 = 2.
+    ideal n = n1 + center with dim n1 = 2.  The table must be that of h12
+    (see `_is_h12`); J is read off it.
 
     Commutative case: J_z(X) for any nonzero X in n1 (invariant under the
     adapted rotation of the center basis).  Non-commutative case: the
     two-vector family with a free parameter lambda, scanned over rationals
     until the exact direct-sum and commutativity checks pass (only finitely
-    many lambda are excluded).
+    many lambda are excluded).  A ValueError names an input for which
+    neither holds.
     """
-    if not algebra.tags.get("complexified_heisenberg"):
-        raise ValueError("h21_complement needs the complexified Heisenberg group")
-    data = algebra.tags["htype"]
+    if not _is_h12(algebra):
+        raise ValueError("h21_complement needs the table of the complexified "
+                         "Heisenberg group h12")
     if isinstance(nsub, HomogeneousSubalgebra):
         n1 = nsub.layer_basis(1)
-        n2 = nsub.layer_basis(2)
-        if len(n2) != 2:
+        if len(nsub.layer_basis(2)) != 2:
             raise ValueError("the ideal must contain the center")
     else:
         n1 = [list(map(Q, v)) for v in nsub]
-        n2 = [list(algebra.basis_coords(4)), list(algebra.basis_coords(5))]
+    n2 = [algebra.basis_coords(k) for k in algebra.layer_indices(2)]
     if len(n1) != 2:
         raise ValueError("dim n1 must be 2")
-    v = [x for x in n1[0][:4]]
-    w = [x for x in n1[1][:4]]
-    z = algebra.bracket_coords(tuple(n1[0]), tuple(n1[1]))[4:6]
-
-    def apply_j(zc, x):
-        jm = data.j_of(zc)
-        return [sum((jm[r][s] * x[s] for s in range(4)), Q(0)) for r in range(4)]
-
-    def lift(xs):
-        return [list(x) + [Q(0), Q(0)] for x in xs]
+    v, w = (algebra.project_layer_coords(u, 1) for u in n1)
+    z = [algebra.bracket_coords(v, w)[k] for k in algebra.layer_indices(2)]
 
     def good(cand):
-        br = algebra.bracket_coords(tuple(cand[0]), tuple(cand[1]))
-        if any(c != 0 for c in br):
-            return False
-        stacked = [list(x) for x in cand] + [list(x) for x in n1] + [list(x) for x in n2]
-        return linalg.rank(stacked) == 6
+        return not any(algebra.bracket_coords(*cand)) and \
+            linalg.rank([list(x) for x in cand + n1 + n2]) == algebra.dim
 
     if all(c == 0 for c in z):
         # commutative case: J_{z1} X and J_{z2} X for the declared center basis
         x = v if any(c != 0 for c in v) else w
-        cand = lift([apply_j([Q(1), Q(0)], x), apply_j([Q(0), Q(1)], x)])
+        cand = [_j_map(algebra, [Q(1), Q(0)], x), _j_map(algebra, [Q(0), Q(1)], x)]
         if not good(cand):
-            raise AssertionError("commutative-case construction failed verification")
+            raise ValueError("n1 and the center do not span a 4-dimensional ideal")
         return layered_decomposition(algebra, cand)
     zperp = [-z[1], z[0]]
     qnorm = z[0] * z[0] + z[1] * z[1]
     x = v
-    jz_x = apply_j(list(z), x)
-    jzp_x = apply_j(zperp, x)
-    jzjzp_x = apply_j(list(z), apply_j(zperp, x))
-    for lam in _lambda_candidates():
+    jz_x = _j_map(algebra, list(z), x)
+    jzp_x = _j_map(algebra, zperp, x)
+    jzjzp_x = _j_map(algebra, list(z), _j_map(algebra, zperp, x))
+    for lam in (c for k in range(1, 20) for c in (Q(k), Q(-k), Q(1, k + 1), Q(-1, k + 1))):
         u1 = [a - lam * b for a, b in zip(x, jzp_x)]
         u2 = [lam * qnorm * a + b for a, b in zip(jz_x, jzjzp_x)]
-        cand = lift([u1, u2])
-        if good(cand):
-            return layered_decomposition(algebra, cand)
-    raise AssertionError("no admissible lambda found; should not occur")
-
-
-def _lambda_candidates():
-    out = []
-    for k in range(1, 20):
-        out.extend([Q(k), Q(-k), Q(1, k + 1), Q(-1, k + 1)])
-    return out
+        if good([u1, u2]):
+            return layered_decomposition(algebra, [u1, u2])
+    raise ValueError("no admissible lambda among the candidates for this n1")
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +670,6 @@ class MonoClassification:
         return _witness_json(self.verdict, self.normal_complement)
 
 
-def _abelian_image(M):
-    return all(M.layer_of[k] == 1 for k in range(M.dim))
-
-
 def classify_epimorphism(L):
     """Decide whether a surjective h-homomorphism admits an h-homomorphism
     right inverse, equivalently whether its kernel has a complementary
@@ -698,32 +687,29 @@ def classify_epimorphism(L):
 
 def _split_kernel(L, kernel):
     """The exact tiers for a surjective h-homomorphism L with the given
-    kernel: the right-inverse system (affine, or its zero correction), the
-    closed forms and the isotropic rank bound for abelian images, the
-    unit-ideal test, else undecided.  An isomorphism gives an empty system
-    and the whole domain."""
+    kernel: the affine right-inverse system, the coordinate complements of
+    the kernel, the closed forms and the isotropic rank bound for abelian
+    images, the unit-ideal test, else undecided.  Each reads only the
+    structure table.  An isomorphism gives an empty system and the whole
+    domain."""
     eqs, cols, nvars = _right_inverse_system(L, kernel)
-
-    def witness(values):
-        return layered_decomposition(L.domain, [[p(values) for p in col] for col in cols])
-
-    deg = _system_degree(eqs)
-    if deg <= 1:
+    if _system_degree(eqs) <= 1:
         status, data = _solve_affine_system(eqs, nvars)
         if status == "witness":
-            return EpiClassification("h_epimorphism", witness(data), kernel)
+            return EpiClassification("h_epimorphism", layered_decomposition(
+                L.domain, [[p(data) for p in col] for col in cols]), kernel)
         cert = NonexistenceCertificate(
             "affine_infeasible",
             "the right-inverse equations are affine in the kernel corrections "
             "and exactly inconsistent")
         return EpiClassification("surjective_not_epi", cert, kernel)
-    # quadratic tier: cheap witnesses first
-    zero_vals = [Q(0)] * nvars
-    if not any(p(zero_vals) for p in eqs):
-        return EpiClassification("h_epimorphism", witness(zero_vals), kernel)
+    # a complementary subalgebra of the kernel maps isomorphically onto M
+    cand = next(_coordinate_complements(kernel), None)
+    if cand is not None:
+        return EpiClassification("h_epimorphism", cand, kernel)
     G, M = L.domain, L.codomain
-    tiers = ["zero correction"]
-    if _abelian_image(M):
+    tiers = ["coordinate complements"]
+    if set(M.layer_of) <= {1}:
         tiers += ["abelian closed forms", "isotropic rank bound"]
         closed = _abelian_kernel_complement(G, kernel, M.dim)
         if closed is not None:
@@ -749,10 +735,10 @@ def _abelian_kernel_complement(G, kernel, k):
     its first-layer part, of dimension k.  A quadratic system has k >= 2
     codomain directions and two kernel directions in the first layer, so on
     h12, whose first layer has dimension 4, k is 2."""
-    hn = G.tags.get("heisenberg_n")
+    hn = _heisenberg_n(G)
     if hn is not None and k <= hn:
         return heisenberg_complement(G, kernel.layer_basis(1))
-    if G.tags.get("complexified_heisenberg"):
+    if _is_h12(G):
         return h21_complement(G, kernel.layer_basis(1))
     bound = _isotropic_bound(G)
     if bound < k:
@@ -942,8 +928,8 @@ def random_complementary_pairs(algebra, rng, count):
     subalgebra pairs kept when exactly complementary.  Every returned pair is
     re-verified with is_complementary."""
     out = []
-    hn = algebra.tags.get("heisenberg_n")
-    is_h12 = bool(algebra.tags.get("complexified_heisenberg"))
+    hn = _heisenberg_n(algebra)
+    is_h12 = _is_h12(algebra)
     idx1 = algebra.layer_indices(1)
     trials = 0
     while len(out) < count and trials < 4000:

@@ -419,6 +419,27 @@ INPUT_PROBES = {
     "lift-csv-missing-file": ("nosuch.csv", lambda d: [
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {"csv": str(d / "nosuch.csv")}})]),
+    "group-info-no-file": ("file", lambda d: ["group", "info"]),
+    "group-validate-no-file": ("file", lambda d: ["group", "validate"]),
+    "group-emit-no-file": ("--catalog", lambda d: ["group", "emit"]),
+    "catalog-emit-no-name": ("name", lambda d: ["catalog", "emit"]),
+    "complement-no-group": ("--group", lambda d: [
+        "subgroups", "complement", _write(d, "s.json", {"vectors": [["0", "0", "1"]]})]),
+    "quotient-no-group": ("--group", lambda d: [
+        "subgroups", "quotient", _write(d, "s.json", {"vectors": [["0", "0", "1"]]})]),
+    "product-three-vectors": ("vectors", lambda d: [
+        "algebra", "product", "h1", "1,0,0", "0,1,0", "1,1,1"]),
+    "term-one-vector": ("vectors", lambda d: ["algebra", "term", "h1", "1,0,0"]),
+    "product-not-rational": ("vectors", lambda d: [
+        "algebra", "product", "h1", "1,x,0", "0,1,0"]),
+    "product-zero-denominator": ("vectors", lambda d: [
+        "algebra", "product", "h1", "1/0,0,0", "0,1,0"]),
+    "term-n-range": ("-n", lambda d: [
+        "algebra", "term", "-n", "3", "h1", "1,0,0", "0,1,0"]),
+    "decompose-n-range": ("-n", lambda d: ["algebra", "decompose", "-n", "1", "h1"]),
+    "oracle-trials-zero": ("--trials", lambda d: ["algebra", "oracle", "h1", "--trials", "0"]),
+    "oracle-trials-negative": ("--trials", lambda d: [
+        "algebra", "oracle", "h1", "--trials", "-1"]),
 }
 
 

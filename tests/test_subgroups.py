@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from carnot import catalog
-from carnot.algebra import GroupElement, homogeneous_dimension, validate_grading
+from carnot import io as cio
+from carnot.algebra import GradedAlgebra, GroupElement, homogeneous_dimension, validate_grading
 from carnot.bch import group_product
 from carnot.morphism import GradedMorphism, check_h_homomorphism
 from carnot.subgroups import (BudgetExhausted, EpiClassification,
@@ -497,14 +498,29 @@ def test_unit_ideal_tier_on_h1xh1():
     assert out.witness.detail.startswith("degree 0:")
 
 
+def _h1xh1_mixed():
+    # h1 x h1 in the first-layer basis u1 = x1 + x2, v1 = y1 + y2, u2 = x2,
+    # v2 = y2; basis u1, v1, z1, u2, v2, z2: [u1, v1] = z1 + z2 and
+    # [u1, v2] = [u2, v1] = [u2, v2] = z2
+    return GradedAlgebra("h1xh1", [1, 1, 2, 1, 1, 2], {
+        (0, 1): {2: 1, 5: 1}, (0, 4): {5: 1}, (1, 3): {5: -1}, (3, 4): {5: 1}})
+
+
 def test_undecided_on_h1xh1(tmp_path, capsys):
-    from carnot import io as cio
+    # the second factor span{u2, v2, z2} is an ideal, and the first factor
+    # span{u1 - u2, v1 - v2, z1} a complement of it.  Its one coordinate
+    # candidate span{u1, v1, z1} is not a subalgebra, the quotient h1 is
+    # not abelian, and a system with a solution has no unit-ideal
+    # certificate, so no tier decides
     from carnot.cli import main
-    g = _h1xh1()
-    sub = _units(g, (4,), (1, 3), (2,), (5,))
+    g = _h1xh1_mixed()
+    sub = _units(g, (3,), (4,), (5,))
+    assert is_ideal(sub) and is_complementary(sub, span_subalgebra(
+        g, [1, 0, 0, -1, 0, 0], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, 0, 0]))
     out = find_complement(sub)
     assert out.verdict == "undecided"
-    assert "isotropic rank bound, unit-ideal test of degree <= 1" in out.witness.note
+    assert out.witness.note.endswith(
+        "ran: coordinate complements, unit-ideal test of degree <= 1")
     group, vectors = tmp_path / "g.json", tmp_path / "s.json"
     group.write_text(cio.emit_group(g))
     vectors.write_text(json.dumps({"vectors": [[str(c) for c in v] for v in sub.basis()]}))
@@ -520,6 +536,90 @@ def test_isotropic_bound_on_h1xh2():
     assert out.verdict == "surjective_not_epi"
     assert out.witness.reason == "isotropic_dimension_bound"
     assert out.witness.detail.endswith("<= 3 < 4")
+
+
+def _zero_correction_reference(L, kernel):
+    """The tier that the coordinate complements replaced: the particular
+    right inverse, with every kernel correction zero, when it solves a
+    quadratic right-inverse system; else None."""
+    from carnot.subgroups import _right_inverse_system, _system_degree
+    eqs, cols, nvars = _right_inverse_system(L, kernel)
+    zero = [Q(0)] * nvars
+    if _system_degree(eqs) <= 1 or any(p(zero) for p in eqs):
+        return None
+    return layered_decomposition(L.domain, [[p(zero) for p in col] for col in cols])
+
+
+def test_coordinate_tier_decides_what_zero_correction_decided():
+    # the zero-correction witness spans the pivot columns of the quotient
+    # projection, a coordinate complement; every ideal it decides gets the
+    # first coordinate complement instead
+    from carnot.subgroups import _coordinate_complements
+    decided = 0
+    for name in ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2"):
+        g = catalog.get(name)
+        local = np.random.default_rng(3)
+        for _ in range(40):
+            sub = random_homogeneous_subalgebra(
+                g, local, n_generators=int(local.integers(1, 3)))
+            if not is_ideal(sub):
+                continue
+            ref = _zero_correction_reference(quotient(g, sub)[1], sub)
+            if ref is None:
+                continue
+            decided += 1
+            assert all(sorted(v) == [0] * (g.dim - 1) + [1] for v in ref.basis())
+            out = find_complement(sub)
+            assert out.verdict == "h_epimorphism"
+            assert out.witness == next(_coordinate_complements(sub))
+            assert is_complementary(sub, out.witness)
+    assert decided >= 20, decided
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "h3", "h12"])
+def test_file_loaded_group_gets_the_catalog_verdicts(name):
+    # the classifiers read the structure table only: a group written to a
+    # file and read back is classified as its catalog original
+    g = catalog.get(name)
+    f = cio.parse_group_dict(cio.group_to_dict(g))
+    local = np.random.default_rng(0)
+    verdicts = set()
+    for _ in range(60):
+        sub = random_homogeneous_subalgebra(g, local, n_generators=int(local.integers(1, 3)))
+        if not is_ideal(sub):
+            continue
+        want = find_complement(sub)
+        got = find_complement(layered_decomposition(f, sub.basis()))
+        assert got.to_json_dict() == want.to_json_dict()
+        verdicts.add(got.verdict)
+        if got.verdict == "h_epimorphism":
+            assert is_complementary(got.kernel, got.witness)
+    assert "undecided" not in verdicts and verdicts, verdicts
+
+
+def test_closed_forms_on_file_loaded_groups():
+    def loaded(g):
+        return cio.parse_group_dict(cio.group_to_dict(g))
+
+    for name, n1 in (("h2", [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]),
+                     ("h3", [[1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                             [0, 0, 0, 0, 1, 2, 0]])):
+        g = catalog.get(name)
+        assert heisenberg_complement(loaded(g), n1).basis() == \
+            heisenberg_complement(g, n1).basis()
+    h12 = catalog.get("h12")
+    for n1 in ([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],      # commutative
+               [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],      # [r0, r1] = z1
+               [[1, 2, 0, -1, 0, 0], [0, 1, Q(1, 2), 3, 0, 0]]):
+        assert h21_complement(loaded(h12), n1).basis() == h21_complement(h12, n1).basis()
+
+
+def test_h21_complement_refuses_h1xh1():
+    # layer dims [4, 2], but J_{z1} is zero on x2, y2: not the table of h12
+    g = _h1xh1()
+    assert g.layer_dims() == [4, 2]
+    with pytest.raises(ValueError, match="h12"):
+        h21_complement(g, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
 
 
 def test_find_complement_tests_an_ideal_once(monkeypatch):
