@@ -621,9 +621,9 @@ def h21_complement(algebra, nsub):
     zperp = [-z[1], z[0]]
     qnorm = z[0] * z[0] + z[1] * z[1]
     x = v
-    jz_x = _j_map(algebra, list(z), x)
+    jz_x = _j_map(algebra, z, x)
     jzp_x = _j_map(algebra, zperp, x)
-    jzjzp_x = _j_map(algebra, list(z), _j_map(algebra, zperp, x))
+    jzjzp_x = _j_map(algebra, z, _j_map(algebra, zperp, x))
     for lam in (c for k in range(1, 20) for c in (Q(k), Q(-k), Q(1, k + 1), Q(-1, k + 1))):
         u1 = [a - lam * b for a, b in zip(x, jzp_x)]
         u2 = [lam * qnorm * a + b for a, b in zip(jz_x, jzjzp_x)]
