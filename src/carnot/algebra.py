@@ -48,33 +48,37 @@ def validate_table(dim, step, layer_of, entries):
     Reports antisymmetry conflicts (both orientations present and
     inconsistent, or diagonal entries), grading violations
     layer(k) != layer(i)+layer(j), layers out of range, and Jacobi failures.
-    Jacobi is checked on every basis triple i < j < k, by sparse signed
-    lookups in the canonical table.  Diagnostic only: always returns a
-    report, never raises.
+    Every check runs on the table scaled to integers over the common
+    denominator of its entries: antisymmetry, grading and Jacobi are all
+    invariant under that scaling.  Jacobi is checked on every basis triple
+    i < j < k, by sparse signed lookups in the canonical table.  Diagnostic
+    only: always returns a report, never raises.
     """
     report = ValidationReport()
     for idx, layer in enumerate(layer_of):
         if not (1 <= layer <= step):
             report.add("layer_range", (idx,), "layer %d outside 1..%d" % (layer, step))
+    entries = [(i, j, k, c if type(c) is int else Q(c)) for i, j, k, c in entries]
+    den = math.lcm(*(c.denominator for *_, c in entries))
     table = {}
     for (i, j, k, c) in entries:
-        c = Q(c)
+        c = c.numerator * (den // c.denominator)
         if i == j and c != 0:
             report.add("antisymmetry", (i, j, k), "nonzero [b_i, b_i] coefficient")
             continue
-        table.setdefault((i, j), {}).setdefault(k, Q(0))
-        table[(i, j)][k] += c
+        terms = table.setdefault((i, j), {})
+        terms[k] = terms.get(k, 0) + c
     # antisymmetry between explicit opposite orientations
     for (i, j), terms in table.items():
         if i < j and (j, i) in table:
             for k in set(terms) | set(table[(j, i)]):
-                if terms.get(k, Q(0)) != -table[(j, i)].get(k, Q(0)):
+                if terms.get(k, 0) != -table[(j, i)].get(k, 0):
                     report.add("antisymmetry", (i, j, k),
                                "c_%d%d^%d != -c_%d%d^%d" % (i, j, k, j, i, k))
     # canonical table for the remaining checks
     canon = {}
     for (i, j), terms in table.items():
-        a, b, sgn = (i, j, Q(1)) if i < j else (j, i, Q(-1))
+        a, b, sgn = (i, j, 1) if i < j else (j, i, -1)
         for k, c in terms.items():
             if c == 0:
                 continue
@@ -98,7 +102,7 @@ def validate_table(dim, step, layer_of, entries):
                 out[k] = out.get(k, 0) + v * c
         return out
 
-    inner = {(b, c): ad(b, {c: Q(1)}) for b, c in itertools.permutations(range(dim), 2)}
+    inner = {(b, c): ad(b, {c: 1}) for b, c in itertools.permutations(range(dim), 2)}
     for i, j, k in itertools.combinations(range(dim), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -111,11 +115,9 @@ def validate_table(dim, step, layer_of, entries):
 
 def validate_grading(algebra):
     """Validation report for an already-constructed algebra (grading + Jacobi;
-    antisymmetry holds by construction of the canonical table)."""
-    entries = []
-    for (i, j), terms in algebra.struct.items():
-        for k, c in terms.items():
-            entries.append((i, j, k, c))
+    antisymmetry holds by construction of the canonical table), read off
+    the integer table struct_num."""
+    entries = [(i, j, k, c) for i, j, terms in algebra.struct_num for k, c in terms]
     return validate_table(algebra.dim, algebra.step, algebra.layer_of, entries)
 
 
@@ -126,19 +128,21 @@ def validate_grading(algebra):
 class Polynomial:
     """Sparse polynomial over Q in variables 0, 1, 2, ...: ``terms`` maps a
     monomial, the sorted tuple of its variables (``()`` for the constant),
-    to a nonzero Fraction.  ``+``, ``-`` and ``*`` take a scalar on either
-    side, so a vector of polynomials goes through
+    to a nonzero int or Fraction, kept as given: int coefficients and int
+    scalars give int coefficients.  ``+``, ``-`` and ``*`` take a scalar on
+    either side, so a vector of polynomials goes through
     ``GradedAlgebra.bracket_coords`` unchanged.  ``p(values)`` evaluates at
     a value list; a zero polynomial has no terms and is falsy."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {m: Q(c) for m, c in (terms or {}).items() if c}
+        self.terms = {m: c if type(c) is int else Q(c)
+                      for m, c in (terms or {}).items() if c}
 
     @staticmethod
     def _terms_of(x):
-        return x.terms if isinstance(x, Polynomial) else {(): Q(x)} if x else {}
+        return x.terms if isinstance(x, Polynomial) else {(): x} if x else {}
 
     @classmethod
     def _of(cls, terms):
@@ -179,7 +183,7 @@ class Polynomial:
         return bool(self.terms)
 
     def __call__(self, values):
-        out = Q(0)
+        out = 0
         for mono, c in self.terms.items():
             for v in mono:
                 c = c * values[v]
@@ -216,18 +220,20 @@ class GradedAlgebra:
         for (i, j), terms in struct.items():
             if not i < j:
                 raise ValueError("structure table must use i < j orientation, got %r" % ((i, j),))
-            kept = {k: Q(c) for k, c in terms.items() if Q(c) != 0}
+            kept = {k: c for k, c in ((k, Q(c)) for k, c in terms.items()) if c}
             if kept:
                 canon[(i, j)] = kept
         self.struct = canon
-        self.struct_den = math.lcm(*(c.denominator for t in canon.values()
-                                     for c in t.values()))
+        den = self.struct_den = math.lcm(*(c.denominator for t in canon.values()
+                                           for c in t.values()))
         self.struct_num = tuple(
-            (i, j, tuple((k, int(c * self.struct_den)) for k, c in t.items()))
+            (i, j, tuple((k, c.numerator * (den // c.denominator)) for k, c in t.items()))
             for (i, j), t in canon.items())
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(self.dim))
         self.tags = {}
+        self._basis = tuple(tuple(int(t == k) for t in range(self.dim))
+                            for k in range(self.dim))
         self._float_ops = None
         self._stratified = None
         self._bch_law = None  # the BCH table, built by carnot.bch on first use
@@ -260,24 +266,32 @@ class GradedAlgebra:
     def basis_coords(self, k):
         """Basis vector k as an int tuple: its brackets on an integer table
         stay int."""
-        return tuple(int(t == k) for t in range(self.dim))
+        return self._basis[k]
 
-    def bracket_coords(self, x, y):
-        """[x, y] on coordinate sequences; the coordinates may be int,
-        Fraction or Polynomial (a vector of polynomials gives the bracket of
-        symbolic vectors).  The sums run over the integer table; each output
-        coordinate is divided by struct_den once, so int inputs on an
-        integer table give int outputs."""
+    def bracket_num(self, x, y):
+        """struct_den times [x, y]: the sums over the integer table struct_num,
+        undivided, so int inputs give int outputs on every table.  Tests that
+        a nonzero scaling leaves alone (span membership, ranks, the
+        homomorphism check) read this form."""
         out = [0] * self.dim
         for i, j, terms in self.struct_num:
             coef = x[i] * y[j] - x[j] * y[i]
             if coef:
                 for k, c in terms:
                     out[k] = coef * c + out[k]
-        if self.struct_den != 1:
-            scale = Q(1, self.struct_den)
-            out = [c * scale for c in out]
         return tuple(out)
+
+    def bracket_coords(self, x, y):
+        """[x, y] on coordinate sequences; the coordinates may be int,
+        Fraction or Polynomial (a vector of polynomials gives the bracket of
+        symbolic vectors).  This is bracket_num with each output coordinate
+        divided by struct_den once, so int inputs on an integer table give
+        int outputs."""
+        out = self.bracket_num(x, y)
+        if self.struct_den == 1:
+            return out
+        scale = Q(1, self.struct_den)
+        return tuple(c * scale for c in out)
 
     def dilate_coords(self, x, r):
         return tuple(c * r ** self.layer_of[k] for k, c in enumerate(x))

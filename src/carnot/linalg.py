@@ -49,15 +49,17 @@ def matvec(a, v):
 
 
 def _int_row(row):
-    """The primitive integer row with the same span as a rational row."""
+    """The primitive integer row with the same span as a rational row; a row
+    of ints goes straight to its content gcd."""
     for x in row:
-        if type(x) is not Fraction and type(x) is not int:
-            row = [_exact(x) for x in row]
+        if type(x) is not int:
+            if any(type(x) is not Fraction and type(x) is not int for x in row):
+                row = [_exact(x) for x in row]
+            den = lcm(*[x.denominator for x in row])
+            row = [x.numerator * (den // x.denominator) for x in row]
             break
-    den = lcm(*[x.denominator for x in row])
-    out = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
 def _exact(x):

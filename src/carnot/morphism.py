@@ -169,14 +169,16 @@ def check_h_homomorphism(L):
                       and (L.matrix[k][j] if exact else L.matrix[k, j]) != 0]
         layer_ok, lie_ok = not violations, exact
         if exact:
-            # L[e_i, e_j] = [L e_i, L e_j] times d^2, for M = d L in integers
+            # L[e_i, e_j] = [L e_i, L e_j] times d^2 and both struct_den, for
+            # M = d L in integers: all of it on the integer tables
             d = lcm(*(c.denominator for row in L.matrix for c in row))
             M = [[c.numerator * (d // c.denominator) for c in row] for row in L.matrix]
             cols = [tuple(row[j] for row in M) for j in range(dom.dim)]
+            left, right = d * cod.struct_den, dom.struct_den
             for i, j in combinations(range(dom.dim), 2):
-                br = dom.bracket_coords(dom.basis_coords(i), dom.basis_coords(j))
-                if tuple(d * c for c in linalg.matvec(M, br)) != \
-                        cod.bracket_coords(cols[i], cols[j]):
+                br = dom.bracket_num(dom.basis_coords(i), dom.basis_coords(j))
+                if [left * c for c in linalg.matvec(M, br)] != \
+                        [right * c for c in cod.bracket_num(cols[i], cols[j])]:
                     violations.append(("bracket", i, j))
                     lie_ok = False
         L._report = HomReport(is_lie_hom=lie_ok, is_layer_preserving=layer_ok,

@@ -3,25 +3,32 @@ complementary pairs, quotient gradings, h-epimorphism / h-monomorphism
 classification, and the constructive complement algorithms for Heisenberg
 type groups.
 
-Everything here is exact rational arithmetic, and every bracket is the
-algebra's ``bracket_coords``.  Classification verdicts come in exact,
-deterministic tiers, in this order: affine right-inverse systems, decided
-both ways; the complements spanned by basis vectors; the Heisenberg and h12
-closed forms; the isotropic rank bound; a unit-ideal test of degree <= 1,
-whose certificate is one exact solve on ``linalg``.  Non-ideals and
-monomorphisms try the complements spanned by basis vectors.  Every tier
-reads the structure table alone, never the tags, so a group read back from
-its file gets the verdicts of the catalog group it was written from.  When
-no tier decides, the verdict is `undecided`, and its marker names the tiers
-that ran.  No tier uses sympy or randomness.  The right-inverse system of an
-h-epimorphism is written with ``algebra.Polynomial``: the columns of the
-unknown right inverse are vectors of polynomials, bracketed by
-``bracket_coords``.
+Everything here is exact, and it computes on integer rows: a subalgebra is
+the primitive integer rows of its ``linalg.Span``, and the closure, ideal
+and classification checks bracket them on the algebra's integer table
+(``bracket_num``): span membership and ranks do not see a nonzero scaling.
+Fractions are built only where values leave: the canonical bases, the
+witnesses, the induced structure tables and projections, and the JSON.
+Classification verdicts come in exact, deterministic tiers, in this order:
+affine right-inverse systems, decided both ways; the complements spanned by
+basis vectors; the Heisenberg and h12 closed forms; the isotropic rank
+bound; a unit-ideal test of degree <= 1, whose certificate is one exact
+solve on ``linalg``.  Non-ideals and monomorphisms try the complements
+spanned by basis vectors.  Every tier reads the structure table alone, never
+the tags, so a group read back from its file gets the verdicts of the
+catalog group it was written from.  When no tier decides, the verdict is
+`undecided`, and its marker names the tiers that ran.  No tier uses sympy or
+randomness.  The right-inverse system of an h-epimorphism is written with
+``algebra.Polynomial`` with int coefficients: the columns of the unknown
+right inverse, scaled to integers, are vectors of polynomials, bracketed by
+``bracket_num``.  The self-checks of the closed forms raise explicitly, so
+they hold under ``python -O`` too.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import GradedAlgebra, Polynomial
@@ -51,11 +58,12 @@ class HomogeneousSubalgebra:
     ``linalg.Span`` of primitive integer rows, the echelon form of the given
     vectors, which the membership, bracket-closure and ideal checks read.
     Each given vector lies in its layer, so each row of `span` lies in the
-    layer of its pivot.  `layered_bases` holds the rows by that layer, each
-    divided by its pivot, in pivot order: the layers' reduced echelon bases,
-    canonical, so equality is matrix comparison.  `pivots` holds the pivot
-    column of each vector of basis(), in the same order; a vector of the
-    space has its coordinates in basis() at these columns."""
+    layer of its pivot.  `rows` holds those rows by that layer, in pivot
+    order, and `pivots` their pivot columns.  basis() divides each row by
+    its pivot entry: the layers' reduced echelon bases, canonical, so
+    equality is matrix comparison; a vector of the space has its coordinates
+    in basis() at the columns `pivots`.  `layered_bases`, basis() by layer,
+    is built on first use."""
 
     def __init__(self, algebra, layered_bases):
         self.algebra = algebra
@@ -67,12 +75,11 @@ class HomogeneousSubalgebra:
                         raise NotHomogeneous(
                             "vector assigned to layer %d has support in layer %d"
                             % (layer, algebra.layer_of[k]), witness=tuple(v))
-        canon = {}
-        for row, p in zip(self.span.rows, self.span.pivots):
-            canon.setdefault(algebra.layer_of[p], []).append((p, _unit_pivot(row, p)))
-        self.layered_bases = {layer: [v for _, v in canon[layer]]
-                              for layer in layered_bases if layer in canon}
-        self.pivots = [p for layer in sorted(canon) for p, _ in canon[layer]]
+        order = sorted(range(len(self.span.pivots)),
+                       key=lambda r: algebra.layer_of[self.span.pivots[r]])
+        self.rows = [self.span.rows[r] for r in order]
+        self.pivots = [self.span.pivots[r] for r in order]
+        self._layered = None
         w = self._bracket_escape()
         if w is not None:
             raise NotSubalgebra("bracket leaves the span", witness=w)
@@ -80,16 +87,30 @@ class HomogeneousSubalgebra:
     def _bracket_escape(self):
         """None when the span is closed under the bracket, decided on the
         integer rows; else the first escaping bracket of two basis vectors."""
-        bracket, span = self.algebra.bracket_coords, self.span
+        bracket, span = self.algebra.bracket_num, self.span
         if all(span.contains(bracket(u, v))
                for u, v in itertools.combinations(span.rows, 2)):
             return None
         return next(br for u, v in itertools.combinations(self.basis(), 2)
-                    for br in [bracket(u, v)] if not span.contains(br))
+                    for br in [self.algebra.bracket_coords(u, v)]
+                    if not span.contains(br))
+
+    @property
+    def layered_bases(self):
+        if self._layered is None:
+            self._layered = {}
+            for row, p in zip(self.rows, self.pivots):
+                self._layered.setdefault(self.algebra.layer_of[p], []).append(
+                    tuple(Q(x, row[p]) if x else linalg.ZERO for x in row))
+        return self._layered
 
     @property
     def total_dim(self):
-        return sum(len(v) for v in self.layered_bases.values())
+        return len(self.rows)
+
+    def layer_rows(self, i):
+        """The integer rows of layer i, in the order of layer_basis(i)."""
+        return [r for r, p in zip(self.rows, self.pivots) if self.algebra.layer_of[p] == i]
 
     def layer_basis(self, i):
         return list(self.layered_bases.get(i, []))
@@ -102,8 +123,7 @@ class HomogeneousSubalgebra:
 
     def basis_layers(self):
         """Layer of each vector of basis(), in the same order."""
-        return [layer for layer in sorted(self.layered_bases)
-                for _ in self.layered_bases[layer]]
+        return [self.algebra.layer_of[p] for p in self.pivots]
 
     def contains(self, coords):
         return self.span.contains(coords)
@@ -120,12 +140,6 @@ class HomogeneousSubalgebra:
     def __repr__(self):
         dims = {l: len(v) for l, v in self.layered_bases.items()}
         return "HomogeneousSubalgebra(%s, layer dims %s)" % (self.algebra.name, dims)
-
-
-def _unit_pivot(row, p):
-    """An integer echelon row divided by its pivot entry row[p]: the row of
-    the reduced echelon form, in Fractions."""
-    return tuple(Q(x, row[p]) if x else linalg.ZERO for x in row)
 
 
 def layered_decomposition(algebra, span_vectors):
@@ -147,7 +161,8 @@ def layered_decomposition(algebra, span_vectors):
         if len(layers) > 1:
             raise NotHomogeneous(
                 "span is not dilation invariant: a layer projection escapes",
-                witness=algebra.project_layer_coords(_unit_pivot(row, p), min(layers)))
+                witness=algebra.project_layer_coords(
+                    tuple(Q(x, row[p]) for x in row), min(layers)))
         layered.setdefault(algebra.layer_of[p], []).append(row)
     return HomogeneousSubalgebra(algebra, {layer: layered[layer] for layer in sorted(layered)})
 
@@ -170,7 +185,7 @@ def is_ideal(sub):
     of G with the integer rows of a.  For homogeneous subgroups this is
     equivalent to normality."""
     alg, span = sub.algebra, sub.span
-    return all(span.contains(alg.bracket_coords(alg.basis_coords(k), v))
+    return all(span.contains(alg.bracket_num(alg.basis_coords(k), v))
                for k in range(alg.dim) for v in span.rows)
 
 
@@ -189,13 +204,14 @@ def is_complementary(a, b):
 
 def random_homogeneous_subalgebra(algebra, rng, n_generators=1):
     """Homogeneous closure of random rational vectors (entries a/b with
-    |a| <= 3, b in {1, 2}): the smallest span that holds them and is closed
-    under layer projections and brackets.  Used by the property-test
-    drivers."""
+    |a| <= 3, b in {1, 2}, drawn in that order and kept as the integers
+    2a/b, which span the same line): the smallest span that holds them and
+    is closed under layer projections and brackets.  Used by the
+    property-test drivers."""
     rows = []
     for _ in range(n_generators):
-        rows.append([Q(int(rng.integers(-3, 4)),
-                       int(rng.integers(1, 3))) for _ in range(algebra.dim)])
+        rows.append([int(rng.integers(-3, 4)) * 2 // int(rng.integers(1, 3))
+                     for _ in range(algebra.dim)])
     # a worklist: each vector that grows the span has its layer projections
     # and its brackets with the vectors before it offered to the span in turn
     span = linalg.Span([])
@@ -226,20 +242,26 @@ def quotient(algebra, ideal):
 
 def _quotient(algebra, ideal):
     """quotient() of a HomogeneousSubalgebra known to be an ideal."""
-    pivoted = list(zip(ideal.pivots, ideal.basis()))
     # the representatives: the standard basis vectors off the pivots, in
     # layer order
     reps = [k for layer in range(1, algebra.step + 1)
             for k in algebra.layer_indices(layer) if k not in ideal.pivots]
+    # the ideal's integer rows, each scaled to the common pivot entry den
+    den = lcm(*(row[p] for row, p in zip(ideal.rows, ideal.pivots)))
+    pivoted = [(p, [x * (den // row[p]) for x in row])
+               for row, p in zip(ideal.rows, ideal.pivots)]
 
     def reduce_mod(vec):
-        """vec modulo the ideal in the representatives: subtract vec[p] n for
-        each ideal vector n with pivot p, read at the representative columns."""
-        return [vec[k] - sum(vec[p] * n[k] for p, n in pivoted if vec[p]) for k in reps]
+        """den times an integer vec modulo the ideal, in the representatives:
+        subtract vec[p] n for each scaled row n with pivot p, read at the
+        representative columns."""
+        return [den * vec[k] - sum(vec[p] * n[k] for p, n in pivoted if vec[p])
+                for k in reps]
 
-    proj_matrix = linalg.transpose([reduce_mod(algebra.basis_coords(k))
+    proj_matrix = linalg.transpose([[Q(x, den) for x in reduce_mod(algebra.basis_coords(k))]
                                     for k in range(algebra.dim)])
-    struct = _induced_table(algebra, [algebra.basis_coords(k) for k in reps], reduce_mod)
+    struct = _induced_table(algebra, [algebra.basis_coords(k) for k in reps],
+                            [1] * len(reps), reduce_mod, den)
     name = ("%s/[dim %d]" % (algebra.name, ideal.total_dim) if reps
             else algebra.name + "/full")
     qalg = GradedAlgebra(name, [algebra.layer_of[k] for k in reps], struct,
@@ -248,11 +270,20 @@ def _quotient(algebra, ideal):
     return qalg, dpi
 
 
-def _induced_table(algebra, vectors, coords_of):
-    """The table {(a, b): [v_a, v_b] read by coords_of} of the brackets of
-    `vectors`, a < b, in a new basis; GradedAlgebra drops its zeros."""
-    return {(a, b): dict(enumerate(coords_of(algebra.bracket_coords(vectors[a], vectors[b]))))
-            for a, b in itertools.combinations(range(len(vectors)), 2)}
+def _induced_table(algebra, rows, scales, read, den):
+    """The table {(a, b): {c: coefficient}}, a < b, of a new basis whose a-th
+    vector is the integer row rows[a] divided by scales[a]; `read` maps an
+    integer vector to den times its integer coordinates in the new basis.
+    The brackets and the reading stay in integers, and each nonzero entry is
+    divided once."""
+    out = {}
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        d = algebra.struct_den * den * scales[a] * scales[b]
+        terms = {c: Q(x, d) for c, x in enumerate(read(algebra.bracket_num(rows[a], rows[b])))
+                 if x}
+        if terms:
+            out[(a, b)] = terms
+    return out
 
 
 def section_through(dpi, witness):
@@ -274,8 +305,9 @@ def subalgebra_as_algebra(sub, name=None):
     induced brackets)."""
     alg = sub.algebra
     return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(),
-                         _induced_table(alg, sub.basis(),
-                                        lambda vec: [vec[p] for p in sub.pivots]))
+                         _induced_table(alg, sub.rows,
+                                        [row[p] for row, p in zip(sub.rows, sub.pivots)],
+                                        lambda vec: [vec[p] for p in sub.pivots], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +323,8 @@ def split_element(g, first, second):
     alg = g.algebra
     if g.scalar_mode != "exact":
         raise ValueError("split_element needs an exact element")
-    p = [Q(0)] * alg.dim
-    h = [Q(0)] * alg.dim
+    p = [0] * alg.dim
+    h = [0] * alg.dim
     for layer in range(1, alg.step + 1):
         idx = alg.layer_indices(layer)
         if not idx:
@@ -338,11 +370,11 @@ def _solve_affine_system(eqs, nvars):
     """Exact solve of an affine system of Polynomials.  Returns
     ('witness', values) or ('infeasible', equation index)."""
     if not eqs:
-        return ("witness", [Q(0)] * nvars)
+        return ("witness", [0] * nvars)
     rows, rhs = [], []
     for p in eqs:
-        row = [Q(0)] * nvars
-        const = Q(0)
+        row = [0] * nvars
+        const = 0
         for mono, c in p.terms.items():
             if len(mono) == 0:
                 const += c
@@ -396,30 +428,41 @@ def _unit_ideal_degree(eqs, nvars):
 
 
 def _right_inverse_system(L, kernel):
-    """Polynomial system for a layer-preserving right inverse R of L that is
-    also a Lie homomorphism.  R = S0 + sum_t c_t E_t with E_t ranging over
-    (kernel vector, codomain basis vector) pairs of equal layer; the equations
-    are [R w_a, R w_b] - R [w_a, w_b] = 0 on codomain basis pairs.  L o R = Id
-    holds identically by construction.  Returns the equations, the columns
-    R w_b as vectors of Polynomials in the unknowns c_t, and the number of
-    unknowns."""
+    """Polynomial system, with int coefficients, for a layer-preserving right
+    inverse R of L that is also a Lie homomorphism.  D R = S + sum_t c_t E_t:
+    one fraction-free echelon form of [L | I] gives D, the lcm of its pivot
+    entries, and column b of S, D times the solution of L x = w_b with free
+    variables zero; E_t ranges over the (integer kernel row, codomain basis
+    vector) pairs of equal layer.  The equations are [R w_a, R w_b] -
+    R [w_a, w_b] = 0 on codomain basis pairs, times D^2 and both struct_den.
+    L o R = Id holds identically, and scaling the unknowns leaves the
+    free-variables-zero solution, hence every witness, unchanged.  Returns
+    the equations, the columns D R w_b as vectors of Polynomials in the
+    unknowns c_t, and the number of unknowns."""
     G, M = L.domain, L.codomain
+    span = linalg.Span([list(row) + [int(r == b) for b in range(M.dim)]
+                        for r, row in enumerate(L.matrix)])
+    if span.pivots and span.pivots[-1] >= G.dim:
+        raise ValueError("L is not surjective")
+    big_d = lcm(*(row[p] for row, p in zip(span.rows, span.pivots)))
+    s = {p: [x * (big_d // row[p]) for x in row[G.dim:]]
+         for row, p in zip(span.rows, span.pivots)}
     cols, nvars = [], 0
     for b in range(M.dim):
-        s0 = linalg.solve(L.matrix, list(M.basis_coords(b)))
-        assert s0 is not None, "not surjective"
-        col = [{(): c} for c in s0]
-        for kv in kernel.layer_basis(M.layer_of[b]):
+        col = [{(): s[k][b]} if k in s else {} for k in range(G.dim)]
+        for kv in kernel.layer_rows(M.layer_of[b]):
             for terms, c in zip(col, kv):
                 terms[(nvars,)] = c
             nvars += 1
         cols.append([Polynomial(terms) for terms in col])
-    eqs = []
+    eqs, scale = [], big_d * G.struct_den
     for a, b in itertools.combinations(range(M.dim), 2):
-        br = M.bracket_coords(M.basis_coords(a), M.basis_coords(b))
-        image = [sum((col[k] * w for w, col in zip(br, cols) if w), Polynomial())
+        br = M.bracket_num(M.basis_coords(a), M.basis_coords(b))
+        image = [sum((col[k] * (w * scale) for w, col in zip(br, cols) if w), Polynomial())
                  for k in range(G.dim)]
-        brackets = G.bracket_coords(cols[a], cols[b])
+        brackets = G.bracket_num(cols[a], cols[b])
+        if M.struct_den != 1:
+            brackets = [u * M.struct_den for u in brackets]
         eqs += [e for e in (u - v for u, v in zip(brackets, image)) if e]
     return eqs, cols, nvars
 
@@ -433,7 +476,7 @@ def _omega_form(algebra, z_index):
     [a, b], restricted to first-layer coordinates."""
     idx = algebra.layer_indices(1)
     m = len(idx)
-    W = [[Q(0)] * m for _ in range(m)]
+    W = [[0] * m for _ in range(m)]
     for p, q in itertools.combinations(range(m), 2):
         c = algebra.bracket_coords(algebra.basis_coords(idx[p]),
                                    algebra.basis_coords(idx[q]))[z_index]
@@ -442,8 +485,7 @@ def _omega_form(algebra, z_index):
 
 
 def _omega_of(W, u, v):
-    return sum((u[i] * sum((W[i][j] * v[j] for j in range(len(v))), Q(0))
-                for i in range(len(u))), Q(0))
+    return sum(u[i] * sum(W[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 
 def _symplectic_pairs(W, vectors):
@@ -529,7 +571,7 @@ def heisenberg_complement(algebra, n1):
     n = _heisenberg_n(algebra)
     if n is None:
         raise ValueError("heisenberg_complement needs a Heisenberg group")
-    vecs = [list(map(Q, v)) for v in n1]
+    vecs = [list(v) for v in n1]
     z_index = algebra.layer_indices(2)[0]
     W, idx = _omega_form(algebra, z_index)
     rows = linalg.row_space_basis([[v[k] for k in idx] for v in vecs])
@@ -549,9 +591,9 @@ def heisenberg_complement(algebra, n1):
     duals = []
     for i, g in enumerate(kernel):
         mrows = [[_omega_of(W, gg, vp) for vp in vprime] for gg in kernel]
-        rhs = [Q(1) if t == i else Q(0) for t in range(m)]
-        sol = linalg.solve(mrows, rhs)
-        assert sol is not None, "symplectic dual solve failed"
+        sol = linalg.solve(mrows, [int(t == i) for t in range(m)])
+        if sol is None:
+            raise AssertionError("symplectic dual solve failed")
         h = linalg.matvec(linalg.transpose(vprime), sol)
         for j, prev in enumerate(duals):
             lam = _omega_of(W, prev, h)
@@ -559,9 +601,11 @@ def heisenberg_complement(algebra, n1):
         duals.append(h)
     vsecond = _omega_orthogonal(W, kernel + duals, vprime)
     pairs_v, rad = _symplectic_pairs(W, vsecond)
-    assert not rad, "residual symplectic space must be nondegenerate"
+    if rad:
+        raise AssertionError("residual symplectic space must be nondegenerate")
     q = len(pairs_v)
-    assert q == n - l - m and q <= l, "dimension bookkeeping failed"
+    if not (q == n - l - m and q <= l):
+        raise AssertionError("dimension bookkeeping failed")
     out = list(duals)
     for t in range(q):
         c, d = pairs_v[t]
@@ -571,12 +615,13 @@ def heisenberg_complement(algebra, n1):
     s = layered_decomposition(algebra, [[dict(zip(idx, v)).get(k, 0) for k in range(algebra.dim)]
                                         for v in out])
     # exact verification before returning
-    for u, v in itertools.combinations(s.layer_basis(1), 2):
-        assert all(c == 0 for c in algebra.bracket_coords(u, v)), \
-            "complement is not commutative"
-    assert linalg.rank([list(r) for r in rows] +
-                       [[v[k] for k in idx] for v in s.layer_basis(1)]) == 2 * n
-    assert s.total_dim == k_out
+    horizontal = s.layer_rows(1)
+    if any(any(algebra.bracket_num(u, v)) for u, v in itertools.combinations(horizontal, 2)):
+        raise AssertionError("complement is not commutative")
+    if linalg.rank([list(r) for r in rows] + [[v[k] for k in idx] for v in horizontal]) != 2 * n:
+        raise AssertionError("complement is not transversal to n1")
+    if s.total_dim != k_out:
+        raise AssertionError("complement has dimension %d, not %d" % (s.total_dim, k_out))
     return s
 
 
@@ -600,7 +645,7 @@ def h21_complement(algebra, nsub):
         if len(nsub.layer_basis(2)) != 2:
             raise ValueError("the ideal must contain the center")
     else:
-        n1 = [list(map(Q, v)) for v in nsub]
+        n1 = [list(v) for v in nsub]
     n2 = [algebra.basis_coords(k) for k in algebra.layer_indices(2)]
     if len(n1) != 2:
         raise ValueError("dim n1 must be 2")
@@ -614,7 +659,7 @@ def h21_complement(algebra, nsub):
     if all(c == 0 for c in z):
         # commutative case: J_{z1} X and J_{z2} X for the declared center basis
         x = v if any(c != 0 for c in v) else w
-        cand = [_j_map(algebra, [Q(1), Q(0)], x), _j_map(algebra, [Q(0), Q(1)], x)]
+        cand = [_j_map(algebra, [1, 0], x), _j_map(algebra, [0, 1], x)]
         if not good(cand):
             raise ValueError("n1 and the center do not span a 4-dimensional ideal")
         return layered_decomposition(algebra, cand)
@@ -624,7 +669,7 @@ def h21_complement(algebra, nsub):
     jz_x = _j_map(algebra, z, x)
     jzp_x = _j_map(algebra, zperp, x)
     jzjzp_x = _j_map(algebra, z, _j_map(algebra, zperp, x))
-    for lam in (c for k in range(1, 20) for c in (Q(k), Q(-k), Q(1, k + 1), Q(-1, k + 1))):
+    for lam in (c for k in range(1, 20) for c in (k, -k, Q(1, k + 1), Q(-1, k + 1))):
         u1 = [a - lam * b for a, b in zip(x, jzp_x)]
         u2 = [lam * qnorm * a + b for a, b in zip(jz_x, jzjzp_x)]
         if good([u1, u2]):
@@ -817,9 +862,10 @@ def _projection_along(M, image, normal):
     cols = [list(v) for v in image.basis()] + [list(v) for v in normal.basis()]
     amat = [[cols[c][r] for c in range(len(cols))] for r in range(M.dim)]
     ainv = linalg.inverse(amat)
-    assert ainv is not None
+    if ainv is None:
+        raise AssertionError("image and normal complement do not span M")
     hdim = image.total_dim
-    hmat = [[cols[c][r] if c < hdim else Q(0) for c in range(len(cols))]
+    hmat = [[cols[c][r] if c < hdim else 0 for c in range(len(cols))]
             for r in range(M.dim)]
     proj = linalg.matmul(hmat, ainv)
     return GradedMorphism(M, M, proj)
@@ -888,7 +934,7 @@ def max_commutative_horizontal_dim(algebra):
         best.append(v)
     witness_rows = []
     for v in best:
-        vec = [Q(0)] * algebra.dim
+        vec = [0] * algebra.dim
         for pos, k in enumerate(idx1):
             vec[k] = v[pos]
         witness_rows.append(vec)
@@ -939,9 +985,9 @@ def random_complementary_pairs(algebra, rng, count):
             target = 2 if is_h12 else int(rng.integers(hn, 2 * hn))
             rows = []
             while linalg.rank(rows) < target:
-                v = [Q(0)] * algebra.dim
-                for k in idx1:
-                    v[k] = Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+                v = [0] * algebra.dim
+                for k in idx1:  # a/b, scaled by 2 to an integer
+                    v[k] = int(rng.integers(-3, 4)) * 2 // int(rng.integers(1, 3))
                 rows.append(v)
                 rows = [list(r) for r in linalg.row_space_basis(rows)]
             vert = rows + [list(algebra.basis_coords(k))

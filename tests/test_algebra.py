@@ -99,9 +99,15 @@ def test_sparse_jacobi_matches_dense_reference():
     # check gives: the same violations, in the same order
     rng = random.Random(20261018)
     failing = 0
-    for name in ("h1", "h2", "h12", "g42", "free_2_3", "free_3_2", "free_2_4",
-                 "free_3_3", "free_2_5"):
-        alg = catalog.get(name)
+    algs = [catalog.get(name) for name in ("h1", "h2", "h12", "g42", "free_2_3", "free_3_2",
+                                           "free_2_4", "free_3_3", "free_2_5")]
+    # free_2_3 with every bracket scaled by 2/3, so that struct_den is 3
+    f23 = algs[4]
+    algs.append(GradedAlgebra("free_2_3*2/3", f23.layer_of, {
+        pair: {k: c * Q(2, 3) for k, c in terms.items()} for pair, terms in f23.struct.items()}))
+    assert algs[-1].struct_den == 3
+    for alg in algs:
+        name = alg.name
         for _ in range(8):
             for kind, entries in _mutations(alg, rng):
                 report = validate_table(alg.dim, alg.step, alg.layer_of, entries)
@@ -125,12 +131,16 @@ def test_validate_catalog_tables_ok():
                                               for k, c in t.items()]) == []
 
 
-# polynomials in 3 variables up to degree 3 with coefficients of denominator
-# up to 4, zero a third of the time; scalars are ints or Fractions
+# polynomials in 3 variables up to degree 3 with int coefficients, or with
+# int and Fraction coefficients of denominator up to 4, zero a third of the
+# time; scalars and values are ints or Fractions
 fractions = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+ints = st.integers(-5, 5)
 monomials = st.lists(st.integers(0, 2), max_size=3).map(lambda m: tuple(sorted(m)))
-polynomials = st.dictionaries(monomials, st.one_of(st.just(Q(0)), fractions, fractions),
-                              max_size=5).map(Polynomial)
+polynomials = st.one_of(
+    st.dictionaries(monomials, st.one_of(st.just(0), ints, ints), max_size=5),
+    st.dictionaries(monomials, st.one_of(st.just(Q(0)), fractions, ints),
+                    max_size=5)).map(Polynomial)
 scalars = st.one_of(st.integers(-3, 3), fractions)
 XS = sympy.symbols("x0:3")
 
@@ -140,18 +150,25 @@ def as_sympy(p):
                 for m, c in p.terms.items()), sympy.Integer(0))
 
 
+def integral(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(polynomials, polynomials, scalars, st.lists(fractions, min_size=3, max_size=3))
+@given(polynomials, polynomials, scalars, st.lists(st.one_of(fractions, ints), min_size=3,
+                                                   max_size=3))
 def test_polynomial_matches_sympy(p, q, s, values):
     P, Qs, S = as_sympy(p), as_sympy(q), sympy.Rational(Q(s).numerator, Q(s).denominator)
+    ints_in = integral(p) and integral(q) and type(s) is int
     for got, want in ((p + q, P + Qs), (p - q, P - Qs), (p * q, P * Qs),
                       (s * p, S * P), (p * s, P * S), (p + s, P + S), (s + p, S + P),
                       (p - s, P - S), (s - p, S - P), (-p, -P)):
         assert isinstance(got, Polynomial) and sympy.expand(as_sympy(got) - want) == 0
-        assert all(c != 0 and isinstance(c, Q) for c in got.terms.values())
+        assert all(c != 0 and type(c) in (int, Q) for c in got.terms.values())
+        assert integral(got) or not ints_in  # int coefficients stay int
         assert all(list(m) == sorted(m) for m in got.terms)
     point = dict(zip(XS, (sympy.Rational(v.numerator, v.denominator) for v in values)))
-    assert p(values) == P.subs(point) and isinstance(p(values), Q)
+    assert p(values) == P.subs(point) and type(p(values)) in (int, Q)
     zero = p - p
     assert zero.terms == {} and not zero and not p * 0 and not (0 * p).terms
     assert bool(p - q) == (sympy.expand(P - Qs) != 0) and not p - (p + 0)

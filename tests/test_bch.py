@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -7,7 +8,7 @@ import pytest
 from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement,
                             Polynomial, dilate)
-from carnot.bch import (_dynkin_evaluate, bch_term, bch_word_polynomial,
+from carnot.bch import (_dynkin_evaluate, _law, bch_term, bch_word_polynomial,
                         bernoulli, bilinear_bound, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
                         dexp_word_polynomial, exp_differential,
@@ -446,3 +447,18 @@ def test_oracles_on_a_fractional_table(rng):
         x, y = rational_vector(g, rng), rational_vector(g, rng)
         assert group_product(x, y).coords == series_oracle_product(x, y).coords
         assert exp_differential(x).matrix == exp_differential_oracle(x).matrix
+
+
+# the first 16 hex digits of the sha256 of repr((rows, dens, float_rows)) of
+# each compiled law, as compiled with Fraction polynomial coefficients
+LAW_DIGESTS = {"h1": "380ca9ff33c6009f", "g42": "a32b1d4b7751e114",
+               "h12": "da1d2f078ada08fc", "free_2_3": "87fddf92b513111f",
+               "free_3_3": "93459b9df7182ce7", "free_2_4": "40b57938ab106323",
+               "free_2_5": "8732b1b8a0bdd7eb", "free_2_6": "8e26fb31eb26458d"}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_DIGESTS))
+def test_compiled_law_is_pinned(name):
+    # the integer-coefficient polynomials compile the same table
+    law = _law(catalog.get(name))
+    assert hashlib.sha256(repr(law).encode()).hexdigest()[:16] == LAW_DIGESTS[name]

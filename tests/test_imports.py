@@ -149,3 +149,46 @@ def test_library_runs_without_sympy():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert run.returncode == 0, run.stderr
+
+
+def test_subgroups_has_no_assert():
+    # python -O compiles assert statements out; the self-checks of the
+    # closed forms and of the projection raise explicitly instead
+    tree = ast.parse((PACKAGE / "subgroups.py").read_text())
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not found, found
+
+
+# the functions of subgroups.py that build Fractions, where values leave the
+# integer rows: the basis of a subalgebra, the witness of a span that is not
+# homogeneous, the quotient projection, the induced structure tables and
+# the rational parameter scan of h21_complement
+FRACTION_BUILDERS = {"layered_bases", "layered_decomposition", "_quotient",
+                     "_induced_table", "h21_complement"}
+
+
+def _fraction_builders(source):
+    """The innermost functions of `source` that read the name Q or Fraction."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in ("Q", "Fraction") \
+                    and isinstance(child.ctx, ast.Load) and function:
+                found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_fraction_builders_of_subgroups():
+    # the classifiers compute on integer rows; a new Fraction site is a
+    # conversion that this list has to name
+    assert _fraction_builders((PACKAGE / "subgroups.py").read_text()) == FRACTION_BUILDERS
+    assert _fraction_builders("Q = Fraction\ndef f(v):\n    return list(map(Q, v))\n"
+                              "def g():\n    def h():\n        return Fraction(1, 2)\n"
+                              "    return 0\n") == {"f", "h"}

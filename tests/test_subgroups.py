@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction as Q
@@ -749,6 +750,27 @@ def test_integer_path_matches_fraction_references(name):
         _assert_matches_references(sub)
 
 
+CLASSIFY_GROUPS = ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2")
+
+
+def test_subalgebra_tables_with_non_unit_pivots():
+    # the integer rows of these draws have pivot entries other than 1, so
+    # each induced entry is divided by a product of pivots; the table is the
+    # one read off the Fraction basis(), zeros dropped
+    non_unit = 0
+    for name in CLASSIFY_GROUPS:
+        alg = catalog.get(name)
+        rng = np.random.default_rng(9)
+        for _ in range(8):
+            sub = random_homogeneous_subalgebra(alg, rng, n_generators=2)
+            want = {pair: {k: c for k, c in terms.items() if c}
+                    for pair, terms in _subalgebra_table_reference(sub).items()}
+            assert subalgebra_as_algebra(sub).struct == {
+                pair: terms for pair, terms in want.items() if terms}, name
+            non_unit += any(abs(row[p]) != 1 for row, p in zip(sub.rows, sub.pivots))
+    assert non_unit >= 10, non_unit
+
+
 def test_frac5_subalgebras_match_references():
     # on the table with struct_den 12: the ideal span{e1, e3, e4, e5}, given
     # by a scaled vector, and the non-ideal span{e1 + 3/2 e2, e4, e5}, with a
@@ -1070,3 +1092,38 @@ def test_classify_epi_onto_the_zero_algebra(h1):
     out = classify_epimorphism(dpi)
     assert (out.verdict, out.witness, out.kernel) == (
         "h_epimorphism", zero_subalgebra(h1), full_subalgebra(h1))
+
+
+# ---------------------------------------------------------------------------
+# the verdicts of the Classify groups, pinned
+# ---------------------------------------------------------------------------
+
+
+def _verdict_text(out):
+    j = out.to_json_dict()
+    return "%s:%s:%s" % (j["verdict"], j["witness_basis"],
+                         j["certificate"] and j["certificate"]["reason"])
+
+
+def test_classify_verdicts_are_pinned():
+    # 24 seeded draws on each group: the find_complement and
+    # classify_monomorphism verdicts, witness bases and certificate reasons
+    # hash to the value the Fraction implementation gave
+    digest = hashlib.sha256()
+    verdicts = set()
+    for name in CLASSIFY_GROUPS:
+        alg = catalog.get(name)
+        rng = np.random.default_rng(21)
+        for _ in range(24):
+            sub = random_homogeneous_subalgebra(alg, rng,
+                                                n_generators=int(rng.integers(1, 3)))
+            basis = sub.basis()
+            incl = GradedMorphism(subalgebra_as_algebra(sub), alg,
+                                  [[v[r] for v in basis] for r in range(alg.dim)])
+            epi, mono = find_complement(sub), classify_monomorphism(incl)
+            verdicts |= {epi.verdict, mono.verdict}
+            digest.update(("%s|%s|%s|%s\n" % (name, basis, _verdict_text(epi),
+                                              _verdict_text(mono))).encode())
+    assert verdicts == {"h_epimorphism", "surjective_not_epi", "h_monomorphism",
+                        "undecided"}
+    assert digest.hexdigest()[:16] == "bdb0042c4e591875"
