@@ -237,6 +237,7 @@ class GradedAlgebra:
         self._float_ops = None
         self._stratified = None
         self._bch_law = None  # the BCH table, built by carnot.bch on first use
+        self._isotropic = None  # built by carnot.subgroups on first use
         report = validate_grading(self)
         if not report.ok:
             raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
@@ -293,14 +294,8 @@ class GradedAlgebra:
         scale = Q(1, self.struct_den)
         return tuple(c * scale for c in out)
 
-    def dilate_coords(self, x, r):
-        return tuple(c * r ** self.layer_of[k] for k, c in enumerate(x))
-
     def project_layer_coords(self, x, i):
         return tuple(c if self.layer_of[k] == i else c * 0 for k, c in enumerate(x))
-
-    def project_tail_coords(self, x, i):
-        return tuple(c if self.layer_of[k] >= i else c * 0 for k, c in enumerate(x))
 
     # -- float backend ------------------------------------------------------
     def float_ops(self):
@@ -312,30 +307,68 @@ class GradedAlgebra:
 class AlgebraVector:
     """Coordinate vector in the fixed graded basis of an algebra.
 
-    scalar_mode is 'exact' (tuple of Fraction) or 'float' (1-d numpy array).
-    Conversion is one way, exact -> float, via to_float().
+    scalar_mode is 'exact' or 'float'.  An exact vector holds one form,
+    ``int_form``: a tuple of int numerators over one positive int
+    denominator, kept primitive (gcd(den, *nums) == 1), so that equal
+    vectors have equal forms.  Its ``coords``, a tuple of Fraction, is built
+    from that form on first read and kept; a vector given Fractions computes
+    its form on first use.  Float inputs to an exact vector are read
+    exactly: 0.1 becomes 3602879701896397/36028797018963968.  A float
+    vector's coords is a 1-d numpy array.  Conversion is one way, exact ->
+    float, via to_float().
     """
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "_coords", "_form")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
+        self._form = None
         if isinstance(coords, np.ndarray):
-            self.coords = np.asarray(coords, dtype=float)
+            self._coords = np.asarray(coords, dtype=float)
         else:
-            self.coords = tuple(Q(c) for c in coords)
-        if len(self.coords) != algebra.dim:
+            self._coords = tuple(c if type(c) is Q else Q(c) for c in coords)
+        if len(self._coords) != algebra.dim:
             raise ValueError("expected %d coordinates, got %d"
-                             % (algebra.dim, len(self.coords)))
+                             % (algebra.dim, len(self._coords)))
+
+    @classmethod
+    def from_int_form(cls, algebra, nums, den):
+        """The exact vector nums / den (den > 0), reduced to its primitive
+        form by one gcd."""
+        g = math.gcd(den, *nums)
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out._coords = None
+        out._form = (tuple(nums), den) if g == 1 else (tuple(n // g for n in nums), den // g)
+        return out
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            nums, den = self._form
+            self._coords = tuple(Q(n, den) for n in nums)
+        return self._coords
+
+    @property
+    def int_form(self):
+        """(nums, den) of an exact vector: the coordinates are nums[k] / den,
+        with den > 0 and gcd(den, *nums) == 1."""
+        if self._form is None:
+            den = math.lcm(*(c.denominator for c in self._coords))
+            self._form = (tuple(c.numerator * (den // c.denominator) for c in self._coords),
+                          den)
+        return self._form
 
     @property
     def scalar_mode(self):
-        return "float" if isinstance(self.coords, np.ndarray) else "exact"
+        return "float" if isinstance(self._coords, np.ndarray) else "exact"
 
     def to_float(self):
         if self.scalar_mode == "float":
             return self
-        return type(self)(self.algebra, np.array([float(c) for c in self.coords]))
+        nums, den = self.int_form
+        # int true division rounds as float(Fraction(n, den)) does
+        return type(self)(self.algebra, np.array([n / den for n in nums]))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraVector) or self.algebra is not other.algebra:
@@ -343,34 +376,47 @@ class AlgebraVector:
         if self.scalar_mode == "float" or other.scalar_mode == "float":
             return bool(np.array_equal(np.asarray(self.coords, dtype=float),
                                        np.asarray(other.coords, dtype=float)))
-        return self.coords == other.coords
+        return self.int_form == other.int_form
 
     def __hash__(self):
         if self.scalar_mode == "float":
             raise TypeError("float-mode vectors are not hashable")
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.int_form))
+
+    def _combine(self, other, sign):
+        """self + sign * other on exact vectors, over the lcm of the two
+        denominators."""
+        (a, da), (b, db) = self.int_form, other.int_form
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return type(self).from_int_form(self.algebra,
+                                        [x * sa + y * sb for x, y in zip(a, b)], den)
 
     def __add__(self, other):
         self._check(other)
         if self.scalar_mode == "float":
             return type(self)(self.algebra, self.coords + other.coords)
-        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         self._check(other)
         if self.scalar_mode == "float":
             return type(self)(self.algebra, self.coords - other.coords)
-        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __neg__(self):
         if self.scalar_mode == "float":
             return type(self)(self.algebra, -self.coords)
-        return type(self)(self.algebra, tuple(-a for a in self.coords))
+        nums, den = self.int_form
+        return type(self).from_int_form(self.algebra, [-n for n in nums], den)
 
     def __rmul__(self, scalar):
         if self.scalar_mode == "float":
             return type(self)(self.algebra, float(scalar) * self.coords)
-        return type(self)(self.algebra, tuple(Q(scalar) * a for a in self.coords))
+        s = Q(scalar)
+        nums, den = self.int_form
+        return type(self).from_int_form(self.algebra, [s.numerator * n for n in nums],
+                                        s.denominator * den)
 
     def _check(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -382,7 +428,8 @@ class AlgebraVector:
         """Euclidean norm of the coordinates (the declared coordinate norm)."""
         if self.scalar_mode == "float":
             return float(np.linalg.norm(self.coords))
-        return math.sqrt(float(sum(c * c for c in self.coords)))
+        nums, den = self.int_form
+        return math.sqrt(sum(n * n for n in nums) / (den * den))
 
     def __repr__(self):
         if self.scalar_mode == "float":
@@ -408,7 +455,7 @@ def element(algebra, coords):
 
 
 def identity_element(algebra):
-    return GroupElement(algebra, algebra.zero_coords())
+    return GroupElement.from_int_form(algebra, (0,) * algebra.dim, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +463,14 @@ def identity_element(algebra):
 # ---------------------------------------------------------------------------
 
 def bracket(x, y):
-    """Exact bilinear extension of the structure constants."""
+    """Exact bilinear extension of the structure constants: bracket_num on
+    the two integer forms, over den_x den_y struct_den."""
     x._check(y)
+    alg = x.algebra
     if x.scalar_mode == "float":
-        ops = x.algebra.float_ops()
-        return AlgebraVector(x.algebra, ops.bracket(x.coords, y.coords))
-    return AlgebraVector(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
+        return AlgebraVector(alg, alg.float_ops().bracket(x.coords, y.coords))
+    (a, da), (b, db) = x.int_form, y.int_form
+    return AlgebraVector.from_int_form(alg, alg.bracket_num(a, b), da * db * alg.struct_den)
 
 
 def iterated_bracket(x, y, k):
@@ -435,17 +484,30 @@ def iterated_bracket(x, y, k):
 
 
 def dilate(x, r):
-    """Grading dilation: layer-i coordinates scale by r^i.  Needs r > 0."""
+    """Grading dilation: layer-i coordinates scale by r^i.  Needs r > 0.
+    On an exact vector with r = p/q, layer i scales by p^i q^(step - i) over
+    q^step."""
+    alg = x.algebra
     if x.scalar_mode == "float":
         r = float(r)
         if r <= 0:
             raise ValueError("dilation parameter must be positive")
-        ops = x.algebra.float_ops()
-        return type(x)(x.algebra, ops.dilate(x.coords, r))
+        return type(x)(alg, alg.float_ops().dilate(x.coords, r))
     r = Q(r)
     if r <= 0:
         raise ValueError("dilation parameter must be positive")
-    return type(x)(x.algebra, x.algebra.dilate_coords(x.coords, r))
+    p, q = r.numerator, r.denominator
+    nums, den = x.int_form
+    return type(x).from_int_form(
+        alg, [n * p ** l * q ** (alg.step - l) for n, l in zip(nums, alg.layer_of)],
+        den * q ** alg.step)
+
+
+def _keep_layers(x, layers):
+    """The exact vector x with its coordinates outside `layers` set to 0."""
+    nums, den = x.int_form
+    return type(x).from_int_form(
+        x.algebra, [n if l in layers else 0 for n, l in zip(nums, x.algebra.layer_of)], den)
 
 
 def project_layer(x, i):
@@ -453,7 +515,7 @@ def project_layer(x, i):
         raise ValueError("layer out of range")
     if x.scalar_mode == "float":
         return type(x)(x.algebra, x.algebra.float_ops().project_layer(x.coords, i))
-    return type(x)(x.algebra, x.algebra.project_layer_coords(x.coords, i))
+    return _keep_layers(x, (i,))
 
 
 def project_tail(x, i):
@@ -461,7 +523,7 @@ def project_tail(x, i):
         raise ValueError("layer out of range")
     if x.scalar_mode == "float":
         return type(x)(x.algebra, x.algebra.float_ops().project_tail(x.coords, i))
-    return type(x)(x.algebra, x.algebra.project_tail_coords(x.coords, i))
+    return _keep_layers(x, range(i, x.algebra.step + 1))
 
 
 def homogeneous_dimension(algebra):

@@ -26,9 +26,11 @@ leading axes.  The latter is the one float group law of the analytic modules
 The exact routes run in integers over common denominators: the table holds
 integer coefficients over one denominator, the oracle scales its letters to
 integers and sums each word over one common denominator, and the algebra's
-bracket runs on its integer structure table.  Both routes form one Fraction
-per output coordinate.  Nilpotency makes all series finite, so there are no
-convergence questions.
+bracket runs on its integer structure table.  Both routes take the integer
+forms (nums, den) of exact vectors and return one, so no Fraction is built
+between products: they are formed where values leave (``coords``, the
+tuples of ``group_product_coords``, the matrices of d exp).
+Nilpotency makes all series finite, so there are no convergence questions.
 """
 
 import functools
@@ -141,17 +143,23 @@ def _accumulate(rows, v, degrees, out):
     return out
 
 
-def _exact_terms(algebra, xc, yc, degrees):
-    """sum of c_n(X, Y) over the consecutive `degrees` on Fraction coordinates,
-    scaled to integers over their common denominator D: the degree-n rows sum
-    to dens[k] D^n c_n[k], and Horner's rule in D adds the degrees up."""
+def _exact_terms(algebra, x, y, degrees):
+    """sum of c_n(X, Y) over the consecutive `degrees`, on the integer forms
+    x = (nums, den) and y, as an integer form (nums, den), not reduced.  The
+    variables are scaled to integers over D = lcm of the two denominators:
+    the degree-n rows sum to dens[k] D^n c_n[k], Horner's rule in D adds the
+    degrees up, and each coordinate k is brought from dens[k] to lcm(dens)."""
     rows, dens, _ = _law(algebra)
-    big_d = math.lcm(*(c.denominator for c in xc + yc))
-    v = [c.numerator * (big_d // c.denominator) for c in xc + yc]
+    (xn, xd), (yn, yd) = x, y
+    big_d = math.lcm(xd, yd)
+    sx, sy = big_d // xd, big_d // yd
+    v = [n * sx for n in xn] + [n * sy for n in yn]
     nums = [0] * algebra.dim
     for n in degrees:
         nums = _accumulate(rows, v, (n,), [num * big_d for num in nums])
-    return tuple(Q(num, den * big_d ** degrees[-1]) for num, den in zip(nums, dens))
+    den = math.lcm(*dens)
+    return ([num * (den // d) for num, d in zip(nums, dens)],
+            den * big_d ** degrees[-1])
 
 
 _BLOCK_ITEMS = 32768   # coordinates per block of the batched float law (256 KiB)
@@ -195,17 +203,20 @@ def bch_term(n, x, y):
     if not (1 <= n <= alg.step):
         raise ValueError("term index %d out of range 1..%d" % (n, alg.step))
     x._check(y)
-    terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
-    return AlgebraVector(alg, terms(alg, x.coords, y.coords, (n,)))
+    if x.scalar_mode == "float":
+        return AlgebraVector(alg, _float_terms(alg, x.coords, y.coords, (n,)))
+    return AlgebraVector.from_int_form(alg, *_exact_terms(alg, x.int_form, y.int_form, (n,)))
 
 
 def group_product(x, y):
     """Group operation read in exponential coordinates: sum of all c_n."""
     alg = x.algebra
     x._check(y)
-    terms = _exact_terms if x.scalar_mode == "exact" else _float_terms
-    return _product_class(x, y)(alg, terms(alg, x.coords, y.coords,
-                                           range(1, alg.step + 1)))
+    degrees = range(1, alg.step + 1)
+    if x.scalar_mode == "float":
+        return _product_class(x, y)(alg, _float_terms(alg, x.coords, y.coords, degrees))
+    return _product_class(x, y).from_int_form(
+        alg, *_exact_terms(alg, x.int_form, y.int_form, degrees))
 
 
 def _product_class(x, y):
@@ -220,8 +231,10 @@ def group_inverse(x):
 
 
 def group_product_coords(algebra, xc, yc):
-    """Exact group product on raw coordinate tuples."""
-    return _exact_terms(algebra, tuple(xc), tuple(yc), range(1, algebra.step + 1))
+    """Exact group product on raw coordinate sequences, as a Fraction tuple."""
+    x, y = (AlgebraVector(algebra, c).int_form for c in (xc, yc))
+    return AlgebraVector.from_int_form(
+        algebra, *_exact_terms(algebra, x, y, range(1, algebra.step + 1))).coords
 
 
 def group_product_np(algebra, x, y):
@@ -277,11 +290,9 @@ def exp_differential_oracle(x):
     if x.scalar_mode != "exact":
         raise ValueError("exp_differential_oracle needs an exact vector")
     poly = dexp_word_polynomial(alg.step)
-    cols = []
-    for j in range(alg.dim):
-        letters = {0: x.coords, 1: alg.basis_coords(j)}
-        cols.append(_dynkin_evaluate(poly, alg, letters))
-    matrix = [[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
+    cols = [_dynkin_evaluate(poly, alg, {0: x.int_form, 1: (alg.basis_coords(j), 1)})
+            for j in range(alg.dim)]
+    matrix = [[Q(nums[k], common) for nums, common in cols] for k in range(alg.dim)]
     return GradedMorphism(alg, alg, matrix)
 
 
@@ -385,24 +396,26 @@ def _dynkin_evaluate(series, algebra, letters):
     P = (1/n) * delta(P) with delta the left-to-right bracketing of words, so
     each word w = l_1 ... l_n contributes (coeff/n) [[..[l_1,l_2],..],l_n].
 
-    The letters are scaled to integers over their common denominator D.  The
-    words are walked in sorted order, so the left-nested bracket of a word is
-    the stored value of its prefix bracketed with the last letter: each
+    The letters are integer forms {letter: (nums, den)}, scaled to integers
+    over their common denominator D.  The words are walked in sorted order,
+    so the left-nested bracket of a word is the stored value of its prefix
+    bracketed with the last letter by the algebra's bracket_num: each
     distinct prefix is bracketed once, and a zero prefix drops every word
     that extends it.  A word of degree n enters an integer sum over one
-    common denominator that absorbs coeff/n and D^n; each coordinate is
-    divided by it once, at the end.
+    common denominator that absorbs coeff/n, D^n and struct_den^(n-1).
+    Returns the integer form (nums, common), not reduced.
     """
-    den = math.lcm(*(c.denominator for vec in letters.values() for c in vec))
-    ints = {l: tuple(c.numerator * (den // c.denominator) for c in vec)
-            for l, vec in letters.items()}
+    den = math.lcm(*(d for _, d in letters.values()))
+    ints = {l: tuple(n * (den // d) for n in nums) for l, (nums, d) in letters.items()}
     words = sorted(series.terms)
     if words and not words[0]:
         if series.terms[()] != 0:
             raise ValueError("not a Lie element (scalar part)")
         words = words[1:]
-    top = max(map(len, words), default=0)
-    common = math.lcm(*(series.terms[w].denominator * len(w) for w in words)) * den ** top
+    top = max(map(len, words), default=1)
+    sd = algebra.struct_den
+    common = math.lcm(*(series.terms[w].denominator * len(w) for w in words)) * \
+        den ** top * sd ** (top - 1)
     acc = [0] * algebra.dim
     path, values = (), []  # values[t]: the left-nested bracket of path[:t + 1]
     for w in words:
@@ -414,16 +427,17 @@ def _dynkin_evaluate(series, algebra, letters):
             if not values:
                 values.append(ints[letter])
             elif any(values[-1]):
-                values.append(algebra.bracket_coords(values[-1], ints[letter]))
+                values.append(algebra.bracket_num(values[-1], ints[letter]))
             else:
                 break
         path = w[:len(values)]
         if len(values) < len(w) or not any(values[-1]):
             continue
         c = series.terms[w]
-        a = c.numerator * (common // (c.denominator * len(w) * den ** len(w)))
+        a = c.numerator * (common // (c.denominator * len(w) * den ** len(w)
+                                      * sd ** (len(w) - 1)))
         acc = [s + a * v for s, v in zip(acc, values[-1])]
-    return tuple(Q(s, common) for s in acc)
+    return acc, common
 
 
 def series_oracle_product(x, y):
@@ -436,14 +450,13 @@ def series_oracle_product(x, y):
     if x.scalar_mode != "exact":
         raise ValueError("the series oracle runs in exact mode")
     poly = bch_word_polynomial(alg.step)
-    letters = {0: x.coords, 1: y.coords}
-    coords = _dynkin_evaluate(poly, alg, letters)
+    out = _product_class(x, y).from_int_form(
+        alg, *_dynkin_evaluate(poly, alg, {0: x.int_form, 1: y.int_form}))
     model = alg.tags.get("matrix_model")
-    if model is not None:
-        via_model = model.product_coords(x.coords, y.coords)
-        if tuple(via_model) != tuple(coords):
-            raise AssertionError("matrix model disagrees with the series oracle")
-    return _product_class(x, y)(alg, coords)
+    if model is not None and AlgebraVector.from_int_form(
+            alg, *model.product_form(x.int_form, y.int_form)) != out:
+        raise AssertionError("matrix model disagrees with the series oracle")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +474,16 @@ class LnDecomposition:
 
     def evaluate(self, a1, a2):
         """Exact evaluation of the right-hand side on algebra vectors."""
-        alg = a1.algebra
-        s = tuple(u + v for u, v in zip(a1.coords, a2.coords))
-        args = {1: a1.coords, 2: a2.coords}
-        out = [Q(0)] * alg.dim
+        args = {1: a1, 2: a2}
+        out = AlgebraVector.from_int_form(a1.algebra, (0,) * a1.algebra.dim, 1)
         for alpha, e in self.coefficients.items():
             if e == 0:
                 continue
-            vec = s
+            vec = a1 + a2
             for letter in reversed(alpha):
-                vec = alg.bracket_coords(args[letter], vec)
-            out = [u + e * v for u, v in zip(out, vec)]
-        return AlgebraVector(alg, tuple(out))
+                vec = bracket(args[letter], vec)
+            out = out + e * vec
+        return out
 
 
 @functools.lru_cache(maxsize=None)

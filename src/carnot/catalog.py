@@ -55,23 +55,23 @@ class UnipotentHeisenbergModel:
         m[0][n + 1] = coords[2 * n]
         return m
 
-    def _exp(self, coords):
-        """(E, s): exp of the algebra matrix is E / s, E an integer matrix."""
-        d = lcm(*(Q(c).denominator for c in coords))
-        a = self.algebra_matrix([int(Q(c) * d) for c in coords])
+    def _exp(self, form):
+        """(E, s): for the integer form (A, d) of a point, exp of the algebra
+        matrix of A / d is E / s, E an integer matrix."""
+        nums, d = form
+        a = self.algebra_matrix(nums)
         a2 = linalg.matmul(a, a)
         s = 2 * d * d
         return [[s * (r == c) + 2 * d * a[r][c] + a2[r][c] for c in range(self.size)]
                 for r in range(self.size)], s
 
-    def _log_coords(self, m, s):
-        """Coordinates of log(m / s) for a unipotent m / s: with N = m - s I,
-        log = (2 s N - N^2) / (2 s^2)."""
+    def _log_form(self, m, s):
+        """(nums, 2 s^2): log(m / s) for a unipotent m / s, not reduced.  With
+        N = m - s I, log = (2 s N - N^2) / (2 s^2)."""
         nmat = [[x - s * (r == c) for c, x in enumerate(row)] for r, row in enumerate(m)]
         n2 = linalg.matmul(nmat, nmat)
-        return tuple(Q(2 * s * x - y, 2 * s * s) for x, y in
-                     zip(self.coords_from_algebra_matrix(nmat),
-                         self.coords_from_algebra_matrix(n2)))
+        return [2 * s * x - y for x, y in zip(self.coords_from_algebra_matrix(nmat),
+                                              self.coords_from_algebra_matrix(n2))], 2 * s * s
 
     def coords_from_algebra_matrix(self, a):
         n = self.n
@@ -82,16 +82,29 @@ class UnipotentHeisenbergModel:
         out.append(a[0][n + 1])
         return tuple(out)
 
+    @staticmethod
+    def _form(coords):
+        coords = [Q(c) for c in coords]
+        d = lcm(*(c.denominator for c in coords))
+        return [c.numerator * (d // c.denominator) for c in coords], d
+
     def to_matrix(self, coords):
-        e, s = self._exp(coords)
+        e, s = self._exp(self._form(coords))
         return [[Q(x, s) for x in row] for row in e]
 
+    def product_form(self, xf, yf):
+        """The product of the integer forms xf = (nums, den) and yf, as an
+        integer form (nums, den), not reduced."""
+        (ex, sx), (ey, sy) = self._exp(xf), self._exp(yf)
+        return self._log_form(linalg.matmul(ex, ey), sx * sy)
+
     def product_coords(self, xc, yc):
-        (ex, sx), (ey, sy) = self._exp(xc), self._exp(yc)
-        return self._log_coords(linalg.matmul(ex, ey), sx * sy)
+        nums, den = self.product_form(self._form(xc), self._form(yc))
+        return tuple(Q(x, den) for x in nums)
 
     def inverse_coords(self, xc):
-        return self._log_coords(linalg.inverse(self.to_matrix(xc)), 1)
+        nums, den = self._log_form(linalg.inverse(self.to_matrix(xc)), 1)
+        return tuple(Q(x, den) for x in nums)
 
 
 def matrix_model(algebra):

@@ -132,7 +132,7 @@ def cmd_algebra(args):
     if args.action == "product":
         p = group_product(x, y)
         check = series_oracle_product(x, y)
-        if p.coords != check.coords:
+        if p != check:
             print("recursion and series oracle disagree", file=sys.stderr)
             return EXIT_VALIDATION
         print(cio.format_vector(p.coords))
@@ -158,7 +158,7 @@ def cmd_algebra(args):
                                                 rng.integers(1, 5)))
                   for _ in range(g.dim)]
             x, y = AlgebraVector(g, xv), AlgebraVector(g, yv)
-            if group_product(x, y).coords != series_oracle_product(x, y).coords:
+            if group_product(x, y) != series_oracle_product(x, y):
                 print("MISMATCH at x=%s y=%s" % (cio.format_vector(xv),
                                                  cio.format_vector(yv)))
                 return EXIT_VALIDATION

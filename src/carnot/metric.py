@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupElement, EmpiricalConstant, check_samples
-from .bch import group_product_np
+from .algebra import GroupElement, EmpiricalConstant, check_samples, identity_element
+from .bch import group_product, group_product_np
 
 from fractions import Fraction
-Q = Fraction
 
 
 def metric_weights(step, kind, weights=None):
@@ -453,14 +452,13 @@ def generating_word(a, ws, s=None):
     exact = all(isinstance(c, (int, Fraction)) for c in a) and \
         all(sc == 1.0 for sc in ws.generator_scales)
     if exact:
-        from .bch import group_product_coords
-        cur = alg.zero_coords()
+        cur = identity_element(alg)
         idx1 = alg.layer_indices(1)
         for t in range(s):
-            vec = [Q(0)] * alg.dim
-            vec[idx1[ws.indices[t]]] = Q(a[t])
-            cur = group_product_coords(alg, cur, tuple(vec))
-        return GroupElement(alg, cur)
+            vec = [0] * alg.dim
+            vec[idx1[ws.indices[t]]] = a[t]
+            cur = group_product(cur, GroupElement(alg, vec))
+        return cur
     cur = np.zeros(alg.dim)
     for t in range(s):
         vec = float(a[t]) * ws.generator_vector(t)

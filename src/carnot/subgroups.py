@@ -903,14 +903,18 @@ def _isotropic_bound(algebra):
     omega_c = sum_f c_f omega_f of the forms of the second-layer basis
     vectors, so its dimension is at most dim V1 - rank(omega_c) / 2.  The
     minimum runs over the unit combinations and the moment-curve points
-    c = (1, t, ..., t^(F-1)), t = 2 .. 2 dim V1 + 1."""
-    m = len(algebra.layer_indices(1))
-    forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
-    combos = [[int(f == s) for f in range(len(forms))] for s in range(len(forms))]
-    combos += [[t ** f for f in range(len(forms))] for t in range(2, 2 * m + 2)]
-    return min((m - linalg.rank([[sum(c * W[i][j] for c, W in zip(combo, forms))
-                                  for j in range(m)] for i in range(m)]) // 2
-                for combo in combos), default=m)
+    c = (1, t, ..., t^(F-1)), t = 2 .. 2 dim V1 + 1.  It depends on the
+    table only: computed once per algebra and kept on it."""
+    if algebra._isotropic is None:
+        m = len(algebra.layer_indices(1))
+        forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
+        combos = [[int(f == s) for f in range(len(forms))] for s in range(len(forms))]
+        combos += [[t ** f for f in range(len(forms))] for t in range(2, 2 * m + 2)]
+        algebra._isotropic = min(
+            (m - linalg.rank([[sum(c * W[i][j] for c, W in zip(combo, forms))
+                               for j in range(m)] for i in range(m)]) // 2
+             for combo in combos), default=m)
+    return algebra._isotropic
 
 
 def max_commutative_horizontal_dim(algebra):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,14 @@ def rational_vector(algebra, rng, num_bound=5, den_bound=4):
     coords = [Fraction(int(rng.integers(-num_bound, num_bound + 1)),
                        int(rng.integers(1, den_bound))) for _ in range(algebra.dim)]
     return AlgebraVector(algebra, coords)
+
+
+def is_primitive(v):
+    """True iff the integer form of the exact vector v is (nums, den) with
+    int entries, den > 0 and gcd(den, *nums) == 1."""
+    nums, den = v.int_form
+    return (len(nums) == v.algebra.dim and type(den) is int and den > 0
+            and all(type(n) is int for n in nums) and math.gcd(den, *nums) == 1)
 
 
 def run_optimized(probes, workdir):

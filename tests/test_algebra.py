@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, Polynomial,
                             bracket, bracket_norm_constant, dilate,
-                            homogeneous_dimension, is_stratified,
+                            homogeneous_dimension, identity_element, is_stratified,
                             iterated_bracket, project_layer, project_tail,
                             validate_grading, validate_table)
 from conftest import OPTIMIZED_RUNNER, run_optimized
-from conftest import rational_vector
+from conftest import is_primitive, rational_vector
+from test_bch import _fractional_table
 
 
 def test_validate_grading_h1(h1):
@@ -304,6 +305,64 @@ def test_scalar_modes(h1):
     with pytest.raises(ValueError):
         v + f  # no implicit mixing
     assert (f + f).scalar_mode == "float"
+
+
+@pytest.mark.parametrize("name", ["h1", "free_2_3", "g42", "free_2_4", "frac5"])
+def test_vector_arithmetic_keeps_the_integer_form_primitive(name, rng):
+    # every exact operation returns the primitive integer form of the value
+    # that the Fraction coordinate operations give
+    g = _fractional_table() if name == "frac5" else catalog.get(name)
+    for _ in range(10):
+        x, y = rational_vector(g, rng, 7, 10), rational_vector(g, rng, 7, 10)
+        r = Q(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        xc, yc = x.coords, y.coords
+        cases = [(bracket(x, y), g.bracket_coords(xc, yc)),
+                 (x + y, tuple(a + b for a, b in zip(xc, yc))),
+                 (x - y, tuple(a - b for a, b in zip(xc, yc))),
+                 (-x, tuple(-a for a in xc)),
+                 (r * x, tuple(r * a for a in xc)),
+                 (0 * x, g.zero_coords()),
+                 (dilate(x, r), tuple(c * r ** l for c, l in zip(xc, g.layer_of)))]
+        for i in range(1, g.step + 1):
+            cases.append((project_layer(x, i), g.project_layer_coords(xc, i)))
+            cases.append((project_tail(x, i),
+                          tuple(c if l >= i else 0 for c, l in zip(xc, g.layer_of))))
+        for got, want in cases:
+            assert is_primitive(got), got
+            assert got.coords == tuple(want)
+            assert got.int_form == AlgebraVector(g, want).int_form
+    zero = ((0,) * g.dim, 1)
+    assert (x - x).int_form == zero and AlgebraVector(g, [0] * g.dim).int_form == zero
+    assert identity_element(g).int_form == zero
+
+
+def test_the_two_constructions_of_a_vector_agree(f23, rng):
+    # one value built from Fractions and from an integer form that is not
+    # reduced: equal, with equal hash, repr and bit-identical float image
+    for _ in range(20):
+        v = rational_vector(f23, rng, 10 ** 6, 10 ** 6)
+        nums, den = v.int_form
+        k = int(rng.integers(2, 50))
+        w = AlgebraVector.from_int_form(f23, [k * n for n in nums], k * den)
+        assert w.int_form == (nums, den)
+        assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+        assert w.coords == v.coords and all(type(c) is Q for c in w.coords)
+        floats = np.array([float(c) for c in v.coords])
+        assert w.to_float().coords.tobytes() == floats.tobytes() == \
+            v.to_float().coords.tobytes()
+    e = GroupElement.from_int_form(f23, [0, 2, 0, 0, 4], 6)
+    assert type(e) is GroupElement and e.int_form == ((0, 1, 0, 0, 2), 3)
+    assert repr(e) == "GroupElement(0,1/3,0,0,2/3)"
+
+
+def test_float_coordinates_of_an_exact_vector_are_read_exactly(h1):
+    # a float given to an exact vector becomes its exact binary value, not
+    # the decimal it prints as; metric and demo 02 pass floats such as 0.0
+    v = AlgebraVector(h1, [0.1, 0.0, 2.5])
+    assert v.scalar_mode == "exact"
+    assert v.coords == (Q(3602879701896397, 36028797018963968), Q(0), Q(5, 2))
+    assert v.int_form == ((3602879701896397, 0, 90071992547409920), 36028797018963968)
+    assert v.to_float().coords.tolist() == [0.1, 0.0, 2.5]
 
 
 def test_zero_dimensional_algebra(h1):

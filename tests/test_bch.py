@@ -13,8 +13,9 @@ from carnot.bch import (_dynkin_evaluate, _law, bch_term, bch_word_polynomial,
                         cn_difference_ratio, cn_remainder, decompose_cn,
                         dexp_word_polynomial, exp_differential,
                         exp_differential_oracle, group_inverse, group_product,
-                        group_product_np, series_oracle_product)
-from conftest import rational_vector
+                        group_product_coords, group_product_np,
+                        series_oracle_product)
+from conftest import is_primitive, rational_vector
 
 
 def XY(g):
@@ -427,18 +428,23 @@ def test_integer_tables_stay_in_int(h1, f23):
 @pytest.mark.parametrize("name", list(catalog.catalog_names())
                          + ["free_2_5", "free_2_6", "abelian_0", "frac5"])
 def test_dynkin_evaluate_matches_word_by_word(name, rng):
-    # the shared-prefix integer evaluator equals the word-by-word Fraction
-    # one on the BCH series and the d exp series of every degree 2..6
+    # the shared-prefix integer evaluator, on integer forms in and out,
+    # equals the word-by-word Fraction one on the BCH series and the d exp
+    # series of every degree 2..6
     g = {"abelian_0": catalog.abelian(0), "frac5": _fractional_table()}.get(name) \
         or catalog.get(name)
-    x, y = rational_vector(g, rng).coords, rational_vector(g, rng).coords
+    x, y = rational_vector(g, rng), rational_vector(g, rng)
+    zero = AlgebraVector(g, g.zero_coords())
+    last = AlgebraVector(g, g.basis_coords(g.dim - 1) if g.dim else ())
     for degree in range(2, 7):
         for series in (bch_word_polynomial(degree), dexp_word_polynomial(degree)):
-            for letters in ({0: x, 1: y}, {0: x, 1: g.zero_coords()},
-                            {0: y, 1: g.basis_coords(g.dim - 1) if g.dim else ()}):
-                got = _dynkin_evaluate(series, g, letters)
-                assert got == _dynkin_reference(series, g, letters), (name, degree)
-                assert all(type(c) is Q for c in got)
+            for letters in ({0: x, 1: y}, {0: x, 1: zero}, {0: y, 1: last}):
+                nums, common = _dynkin_evaluate(
+                    series, g, {l: v.int_form for l, v in letters.items()})
+                assert all(type(n) is int for n in nums) and type(common) is int
+                assert common > 0 and len(nums) == g.dim
+                assert tuple(Q(n, common) for n in nums) == _dynkin_reference(
+                    series, g, {l: v.coords for l, v in letters.items()}), (name, degree)
 
 
 def test_oracles_on_a_fractional_table(rng):
@@ -447,6 +453,36 @@ def test_oracles_on_a_fractional_table(rng):
         x, y = rational_vector(g, rng), rational_vector(g, rng)
         assert group_product(x, y).coords == series_oracle_product(x, y).coords
         assert exp_differential(x).matrix == exp_differential_oracle(x).matrix
+
+
+LAW_GROUPS = [n for n in catalog.catalog_names() if catalog.get(n).step >= 2] + \
+    ["free_2_5", "frac5"]
+
+
+@pytest.mark.parametrize("name", LAW_GROUPS)
+def test_product_routes_agree_on_large_coprime_denominators(name, rng):
+    # recursion, series oracle and (on the Heisenberg groups) the matrix
+    # model agree exactly, with denominators 7, 9 and 10**6 + 3 mixed in
+    # every coordinate; the law's outputs are primitive integer forms
+    g = _fractional_table() if name == "frac5" else catalog.get(name)
+    dens = (7, 9, 10 ** 6 + 3)
+    model = g.tags.get("matrix_model")
+    for t in range(3):
+        x, y = (AlgebraVector(g, [Q(int(rng.integers(-10 ** 6, 10 ** 6)),
+                                    dens[(k + t + s) % 3]) for k in range(g.dim)])
+                for s in (0, 1))
+        z = group_product(x, y)
+        assert is_primitive(z)
+        assert z == series_oracle_product(x, y)
+        assert group_product_coords(g, x.coords, y.coords) == z.coords
+        if model is not None:
+            assert model.product_coords(x.coords, y.coords) == z.coords
+        terms = [bch_term(n, x, y) for n in range(1, g.step + 1)]
+        assert all(is_primitive(c) for c in terms)
+        total = terms[0]
+        for c in terms[1:]:
+            total = total + c
+        assert total == z
 
 
 # the first 16 hex digits of the sha256 of repr((rows, dens, float_rows)) of

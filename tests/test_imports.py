@@ -185,6 +185,32 @@ def _fraction_builders(source):
     return found
 
 
+# the functions of bch.py that build Fractions: the one-time tables (the
+# Bernoulli numbers, the recursion on polynomial coordinates, the free tensor
+# algebra and the multilinear decomposition), the exact scalars of
+# cn_remainder, and the matrices of d exp.  The law and the series oracle
+# run on integer forms and are not here.
+BCH_FRACTION_BUILDERS = {"bernoulli", "_k_coefficient", "_bch_terms", "letter", "add",
+                         "mul", "commutator", "_exp_series", "_log_series",
+                         "dexp_word_polynomial", "_decompose_cn_universal",
+                         "cn_remainder", "exp_differential", "exp_differential_oracle"}
+# the functions of algebra.py that build Fractions: table input and
+# validation, vector input (both __init__), the public coords of an exact
+# vector, the coordinate operations on Fraction tuples, the exact scalar of
+# __rmul__ and dilate, and the bracket norm bound.  Vector arithmetic runs on
+# integer forms.
+ALGEBRA_FRACTION_BUILDERS = {"validate_table", "__init__", "zero_coords", "bracket_coords",
+                             "coords", "__rmul__", "dilate", "bracket_norm_constant"}
+
+
+def test_fraction_builders_of_the_law_and_the_vectors():
+    # a new Fraction site in the law, the oracle or the vector arithmetic
+    # is a conversion that these lists have to name
+    assert _fraction_builders((PACKAGE / "bch.py").read_text()) == BCH_FRACTION_BUILDERS
+    assert _fraction_builders((PACKAGE / "algebra.py").read_text()) == \
+        ALGEBRA_FRACTION_BUILDERS
+
+
 def test_fraction_builders_of_subgroups():
     # the classifiers compute on integer rows; a new Fraction site is a
     # conversion that this list has to name

@@ -9,7 +9,8 @@ import sympy
 
 from carnot import catalog
 from carnot import io as cio
-from carnot.algebra import GradedAlgebra, GroupElement, homogeneous_dimension, validate_grading
+from carnot.algebra import (GradedAlgebra, GroupElement, dilate, homogeneous_dimension,
+                            validate_grading)
 from carnot.bch import group_product
 from carnot.morphism import GradedMorphism, check_h_homomorphism
 from carnot.subgroups import (BudgetExhausted, EpiClassification,
@@ -81,9 +82,7 @@ def test_quotient_dilation_covariance(f23, rng):
     for _ in range(5):
         x = rational_vector(f23, rng)
         r = Q(int(rng.integers(1, 5)), int(rng.integers(1, 3)))
-        lhs = dpi.apply_coords(f23.dilate_coords(x.coords, r))
-        rhs = qalg.dilate_coords(dpi.apply_coords(x.coords), r)
-        assert lhs == rhs
+        assert dpi(dilate(x, r)).coords == dilate(dpi(x), r).coords
     from carnot.algebra import is_stratified
     assert is_stratified(qalg)
 
@@ -537,6 +536,20 @@ def test_isotropic_bound_on_h1xh2():
     assert out.verdict == "surjective_not_epi"
     assert out.witness.reason == "isotropic_dimension_bound"
     assert out.witness.detail.endswith("<= 3 < 4")
+
+
+def test_isotropic_bound_is_kept_on_the_algebra(monkeypatch):
+    # the bound depends on the table only: the first call runs the ranks,
+    # a second call on the same algebra reads the kept value and runs none
+    from carnot import linalg
+    from carnot.subgroups import _isotropic_bound
+    ranks, rank = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or rank(rows))
+    g = _h1xh2()
+    assert _isotropic_bound(g) == 3
+    first = len(ranks)
+    assert first > 0
+    assert _isotropic_bound(g) == 3 and len(ranks) == first
 
 
 def _zero_correction_reference(L, kernel):
