@@ -582,6 +582,15 @@ def check_samples(samples, name="samples"):
         raise ValueError("%s must be an integer >= 1, got %r" % (name, samples))
 
 
+def check_radius(radius, name="radius", above=0.0):
+    """The radius check of every sampled estimate, at entry, beside
+    check_samples: `radius` must be a finite real number > `above`, else
+    ValueError naming it as `name`."""
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) \
+            or not math.isfinite(radius) or radius <= above:
+        raise ValueError("%s must be a finite number > %s, got %r" % (name, above, radius))
+
+
 def bracket_norm_constant(algebra):
     """Certified upper bound for |[X,Y]| <= beta |X| |Y| in the Euclidean
     coordinate norm: the Frobenius norm of the full structure tensor.  This is

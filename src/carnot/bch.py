@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (AlgebraVector, GroupElement, EmpiricalConstant, Polynomial, bracket,
-                      check_samples)
+                      check_radius, check_samples)
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -130,8 +130,8 @@ def _law(algebra):
 
 def _accumulate(rows, v, degrees, out):
     """Add to out[k] each term of each row (n, k), n in `degrees`, at the
-    variables v, in table order.  v and out hold ints, floats or float
-    arrays; every kind sees the same operations."""
+    variables v, in table order.  v and out hold ints or floats; a batch of
+    float arrays runs through _accumulate_block, by the same operations."""
     for n in degrees:
         for k, terms in rows[n]:
             acc = out[k]
@@ -167,14 +167,17 @@ _BLOCK_ITEMS = 32768   # coordinates per block of the batched float law (256 KiB
 
 def _float_terms(algebra, x, y, degrees):
     """Float twin of _exact_terms on arrays of shape (..., dim), starting from
-    c_1 = x + y.  One point runs over Python floats, a batch over column
-    views; both do the same float operations, so they agree bit for bit.
+    c_1 = x + y.  One point runs over Python floats, also when it comes as
+    a batch of one, a batch over column views; both do the same float
+    operations, so they agree bit for bit.
 
     A batch runs in blocks of at most _BLOCK_ITEMS coordinates along the
     leading axis of the broadcast shape, so that each block's columns stay
     in cache (about 4096 rows of a dimension-8 group).  A factor that
     broadcasts along that axis enters every block whole, so no factor is
-    copied or expanded.  The result takes the memory order of x + y: on
+    copied or expanded.  Each monomial of a block is built in one scratch
+    array and added into its output row in place (_accumulate_block), so a
+    block allocates one array.  The result takes the memory order of x + y: on
     column-major input (the samplers' layout) each column is contiguous and
     the result is column-major, bit for bit the row-major result."""
     total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
@@ -182,6 +185,9 @@ def _float_terms(algebra, x, y, degrees):
     if total.ndim == 1:
         return np.array(_accumulate(float_rows, x.tolist() + y.tolist(), higher,
                                     total.tolist()))
+    if total.size == algebra.dim:
+        return _float_terms(algebra, x.reshape(-1), y.reshape(-1),
+                            degrees).reshape(total.shape)
     out = total.transpose(-1, *range(total.ndim - 1))
     rows = max(1, _BLOCK_ITEMS * len(total) // max(1, total.size))
     x, y = (v.reshape((1,) * (total.ndim - v.ndim) + v.shape) for v in (x, y))
@@ -189,8 +195,24 @@ def _float_terms(algebra, x, y, degrees):
         xb, yb = (v if len(v) == 1 else v[s:s + rows] for v in (x, y))
         columns = [xb[..., i] for i in range(algebra.dim)] + \
             [yb[..., i] for i in range(algebra.dim)]
-        _accumulate(float_rows, columns, higher, out[:, s:s + rows])
+        block = out[:, s:s + rows]
+        _accumulate_block(float_rows, columns, higher, block, np.empty(block.shape[1:]))
     return total
+
+
+def _accumulate_block(rows, v, degrees, out, scratch):
+    """_accumulate on one block of float arrays, in place: each monomial is
+    built in `scratch` and added into its row out[k], by the same operations
+    in the same order, so the sums are bit for bit _accumulate's."""
+    multiply, add = np.multiply, np.add
+    for n in degrees:
+        for k, terms in rows[n]:
+            acc = out[k]
+            for a, (first, *rest) in terms:
+                multiply(v[first], a, scratch)
+                for i in rest:
+                    multiply(scratch, v[i], scratch)
+                add(acc, scratch, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +596,7 @@ def cn_difference_ratio(n, x, y, d1, d2, nu):
 def cn_difference_bound(algebra, n, nu, samples=200, seed=0):
     """Sampled sup of the c_n difference ratio over ||X||,||Y||,||D|| <= nu."""
     check_samples(samples)
+    check_radius(nu, "nu")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -594,6 +617,7 @@ def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
     [X, Y] != 0; finite because every addend of c_n beyond the first contains
     a bracket factor."""
     check_samples(samples)
+    check_radius(nu, "nu")
     if not 2 <= n <= algebra.step:
         raise ValueError("bilinear_bound needs 2 <= n <= step = %d, got n = %d"
                          % (algebra.step, n))

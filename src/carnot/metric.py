@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupElement, EmpiricalConstant, check_samples, identity_element
+from .algebra import (GroupElement, EmpiricalConstant, check_radius, check_samples,
+                      identity_element)
 from .bch import group_product, group_product_np
 
 from fractions import Fraction
@@ -135,11 +136,32 @@ def _unit_vectors(rng, count, d):
     return g.T
 
 
-def _euclidean_ball(rng, radius, count, d):
-    """`count` points uniform in the Euclidean ball of R^d, shape (count, d),
-    column-major; `radius` is one number or one per point."""
-    scale = np.asarray(radius, dtype=float) * rng.uniform(size=count) ** (1.0 / d)
-    return _unit_vectors(rng, count, d) * scale[:, None]
+def _layer_norms(metric, radius, count, rng):
+    """The Euclidean layer norms |x_i| of `count` points uniform (Haar) in
+    the gauge ball N(x) <= radius, in the law of sample_ball's docstring:
+    yields (i, norms) for each nonempty layer i in turn, drawing from rng
+    just before each yield.  A weighted-max layer, and the Koranyi layer 2,
+    is uniform in a Euclidean ball, so its norms are R U^{1/d_i}; the
+    Koranyi layer-1 norm is r s^{1/4}."""
+    alg = metric.algebra
+    dims = [len(alg.layer_indices(i)) for i in range(1, alg.step + 1)]
+    if metric.kind == "koranyi":
+        m, k = dims[0], dims[1] if alg.step == 2 else 0
+        s = rng.beta(m / 4, k / 2 + 1, size=count)
+        yield 1, radius * s ** 0.25
+        if k:
+            yield 2, _ball_radii(rng, radius ** 2 * np.sqrt(1 - s) / 4, count, k)
+        return
+    for i, (d, w) in enumerate(zip(dims, metric.weights), start=1):
+        if d:
+            yield i, _ball_radii(rng, radius ** i / w, count, d)
+
+
+def _ball_radii(rng, radius, count, d):
+    """The norms of `count` points uniform in the Euclidean ball of R^d:
+    radius U^{1/d}, one uniform U each; `radius` is one number or one per
+    point."""
+    return np.asarray(radius, dtype=float) * rng.uniform(size=count) ** (1.0 / d)
 
 
 def sample_ball(metric, radius, count, rng):
@@ -152,22 +174,42 @@ def sample_ball(metric, radius, count, rng):
     radius**i / w_i.  Koranyi, with m = dim V_1 and k = dim V_2 (0 in step
     1): s = |x_1|^4 / r^4 is Beta(m/4, k/2 + 1), x_1 lies on the sphere of
     radius r s^{1/4}, and x_2 is uniform in the ball of radius
-    r^2 sqrt(1 - s) / 4."""
+    r^2 sqrt(1 - s) / 4.  The draws, layer by layer: the layer's norms (the
+    Koranyi split s first; for a layer uniform in a ball of radius R, one
+    uniform U per point, norm R U^{1/d_i}), then its directions, d_i
+    standard normals per point, normalised."""
     alg = metric.algebra
-    layers = [alg.layer_indices(i) for i in range(1, alg.step + 1)]
     out = np.zeros((alg.dim, count))
-    if metric.kind == "koranyi":
-        m, k = len(layers[0]), len(layers[1]) if alg.step == 2 else 0
-        s = rng.beta(m / 4, k / 2 + 1, size=count)
-        out[layers[0]] = _unit_vectors(rng, count, m).T * (radius * s ** 0.25)
-        if k:
-            out[layers[1]] = _euclidean_ball(rng, radius ** 2 * np.sqrt(1 - s) / 4,
-                                             count, k).T
-        return out.T
-    for i, (idx, w) in enumerate(zip(layers, metric.weights), start=1):
-        if idx:
-            out[idx] = _euclidean_ball(rng, radius ** i / w, count, len(idx)).T
+    for i, norms in _layer_norms(metric, radius, count, rng):
+        idx = alg.layer_indices(i)
+        out[idx] = _unit_vectors(rng, count, len(idx)).T * norms
     return out.T
+
+
+def ball_layer_squares(metric, radius, count, rng):
+    """The squared layer norms |x_i|^2, shape (count, step), column-major, of
+    `count` points uniform in the gauge ball N(x) <= radius: the law of
+    FloatOps.layer_squares of sample_ball points, from the same layer-norm
+    draws, without drawing their directions (0 on an empty layer)."""
+    sq = np.zeros((metric.algebra.step, count))
+    for i, norms in _layer_norms(metric, radius, count, rng):
+        sq[i - 1] = np.square(norms)
+    return sq.T
+
+
+def direction_layer_squares(algebra, count, rng):
+    """The squared layer norms |u_i|^2, shape (count, step), column-major, of
+    `count` directions u uniform on the unit sphere of R^dim, without drawing
+    the directions: Dirichlet(d_1/2, ..., d_s/2), drawn as G_i / sum_j G_j
+    from independent G_i ~ Gamma(d_i/2), one per nonempty layer in order
+    (0 on an empty layer)."""
+    sq = np.zeros((algebra.step, count))
+    for i in range(1, algebra.step + 1):
+        d = len(algebra.layer_indices(i))
+        if d:
+            sq[i - 1] = rng.standard_gamma(d / 2, size=count)
+    sq /= sq.sum(axis=0)
+    return sq.T
 
 
 def draw_until(count, row_shape, draw):
@@ -212,26 +254,44 @@ def first_layer_lower_bound(x, y, metric):
 
 
 def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
+    """sup |pi_1(a - b)| / d(a, b) over pairs of the box of half-side
+    `radius`.  No full-size temporary is made: a is negated in place, since
+    d(a, b) = N((-a) o b) and a - b = -((-a) + b) has the same squares, and
+    only the layer-1 columns of (-a) + b are formed, one at a time."""
     check_samples(samples)
+    check_radius(radius)
+    alg = metric.algebra
     rng = np.random.default_rng(seed)
-    pts = sample_box(metric.algebra, radius, 2 * samples, rng)
-    a, b = pts[:samples], pts[samples:]
-    num = np.sqrt(metric.algebra.float_ops().layer_squares(a - b)[:, 0])
-    den = metric.distance_np(a, b)
+    pts = sample_box(alg, radius, 2 * samples, rng)
+    a, b = np.negative(pts[:samples], out=pts[:samples]), pts[samples:]
+    num = np.zeros(samples)
+    for k in alg.layer_indices(1):
+        col = a[:, k] + b[:, k]
+        num += np.square(col, out=col)
+    num = np.sqrt(num, out=num)
+    den = metric.quasi_norm_np(group_product_np(alg, a, b))
     mask = den > 1e-12
-    sup = float(np.max(num[mask] / den[mask]))
-    return EmpiricalConstant("first_layer_comparison[%s]" % metric.algebra.name,
-                             sup, int(mask.sum()), nu=radius)
+    return EmpiricalConstant("first_layer_comparison[%s]" % alg.name,
+                             _masked_sup(num, den, mask), int(mask.sum()), nu=radius)
+
+
+def _masked_sup(num, den, mask):
+    """max of num / den where mask holds (0 where it holds nowhere), divided
+    in place in num."""
+    return float(np.max(np.divide(num, den, out=num, where=mask), where=mask,
+                        initial=0.0))
 
 
 def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     """Per-layer sup of |pi^i(log x)| / d(x)^i over `samples` points drawn
     uniformly from the gauge ball of the given radius; one EmpiricalConstant
-    per layer i >= 1."""
+    per layer i >= 1.  The ratios read only the squared layer norms of the
+    points, so only those are drawn (ball_layer_squares), not the points."""
     check_samples(samples)
+    check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    sq = alg.float_ops().layer_squares(sample_ball(metric, radius, samples, rng))
+    sq = ball_layer_squares(metric, radius, samples, rng)
     norms = metric._gauge(sq)
     mask = norms > 1e-9
     kept = int(mask.sum())
@@ -253,14 +313,18 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
 
 
 def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
-    """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu: xi is a uniform
-    direction times a radius |xi| drawn uniformly from [0.05, nu]."""
+    """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu: xi = r u with u a
+    uniform unit direction and r drawn uniformly from [0.05, nu], so nu must
+    exceed 0.05.  The gauge of r u reads only r^2 |u_i|^2, so only the layer
+    shares |u_i|^2 are drawn (direction_layer_squares), then the radii."""
     check_samples(samples)
+    check_radius(nu, "nu", above=0.05)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    directions = _unit_vectors(rng, samples, alg.dim)
+    sq = direction_layer_squares(alg, samples, rng)
     radii = rng.uniform(0.05, nu, samples)
-    ratios = metric.quasi_norm_np(directions * radii[:, None]) / _root(radii, alg.step)
+    sq *= np.square(radii)[:, None]
+    ratios = metric._gauge(sq) / _root(radii, alg.step)
     return EmpiricalConstant("gauge_vs_norm kappa(nu)[%s]" % alg.name,
                              float(np.max(ratios)), samples, nu=nu)
 
@@ -268,18 +332,22 @@ def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
 def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup |(-xi) o eta| / |xi - eta| over |xi|, |eta| <= nu (Euclidean
     coordinate norms; the group-difference comparison).  The ratio is taken
-    on squared norms, with one square root of the sup."""
+    on squared norms, with one square root of the sup.  xi is negated in
+    place, and xi - eta = -((-xi) + eta) has the same squares, so no
+    full-size temporary is made beside the product."""
     check_samples(samples)
+    check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
     eta = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
     ops = alg.float_ops()
-    num = ops.layer_squares(group_product_np(alg, -xi, eta)).sum(axis=-1)
-    den = ops.layer_squares(xi - eta).sum(axis=-1)
+    neg = np.negative(xi, out=xi)
+    num = ops.layer_squares(group_product_np(alg, neg, eta)).sum(axis=-1)
+    den = ops.layer_squares(np.add(neg, eta, out=neg)).sum(axis=-1)
     mask = den > 1e-24
     return EmpiricalConstant("group_difference_vs_linear C(nu)[%s]" % alg.name,
-                             math.sqrt(float(np.max(num[mask] / den[mask]))),
+                             math.sqrt(_masked_sup(num, den, mask)),
                              int(mask.sum()), nu=nu)
 
 
@@ -287,6 +355,7 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
     d(y^-1 x y) / d(x)^{1/step}."""
     check_samples(samples)
+    check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, nu, samples, rng)
@@ -341,6 +410,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     ball of radius nu / 2.  A candidate that violates a hypothesis is
     discarded; the first `samples` kept, in draw order, give the sup."""
     check_samples(samples)
+    check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     shape = (-1, n_factors, alg.dim)
@@ -360,6 +430,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance."""
     check_samples(samples)
+    check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, radius, samples, rng)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import check_samples, homogeneous_dimension
+from .algebra import check_radius, check_samples, homogeneous_dimension
 from .bch import group_product_np
 from .curves import contact_derivative
 from .morphism import GradedMorphism
@@ -385,9 +385,11 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     The nesting precondition (the piecewise-horizontal connecting lines must
     stay where the differential is controlled) is checked through the word
     constant when a word system is supplied.  Both counts, `pair_samples`
-    and `bins`, must be integers >= 1."""
+    and `bins`, must be integers >= 1, and both radii finite numbers > 0."""
     check_samples(pair_samples, "pair_samples")
     check_samples(bins, "bins")
+    check_radius(r1, "r1")
+    check_radius(r2, "r2")
     dom, cod = pdmap.domain, pdmap.codomain
     dmetric, cmetric = default_metric(dom), default_metric(cod)
     if word_system is not None:
@@ -536,6 +538,7 @@ def bilipschitz_bounds(pdmap, xbar, radius=0.2, samples=400, seed=0):
     """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar, over pairs
     with d(a, b) >= 1e-8."""
     check_samples(samples)
+    check_radius(radius)
     dmetric, cmetric = default_metric(pdmap.domain), default_metric(pdmap.codomain)
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float)

@@ -390,6 +390,14 @@ INPUT_CHECKS = {
         "from carnot import catalog, metric\n"
         "metric.norm_exp_estimate(metric.default_metric(catalog.get('h1')), samples=0)",
         "samples must be an integer >= 1"),
+    "estimate-radius": (
+        "from carnot import catalog, metric\n"
+        "metric.verify_projection_estimate(metric.default_metric(catalog.get('h1')),"
+        " radius=-1.0)", "radius must be a finite number > 0"),
+    "estimate-nu": (
+        "from carnot import catalog, metric\n"
+        "metric.norm_exp_estimate(metric.default_metric(catalog.get('h1')), nu=0.01)",
+        "nu must be a finite number > 0.05"),
     "bilinear-bound-samples": (
         "from carnot import bch, catalog\n"
         "bch.bilinear_bound(catalog.get('h1'), 2, samples=2.5)",

@@ -248,8 +248,8 @@ def test_bilinear_bound_sampled(f23, rng):
 
 def test_float_product_matches_exact(rng):
     # every catalog group up to step 5: the float law agrees with the exact
-    # one, and is the same float law per point, batched (N, dim) and with a
-    # (dim,) side broadcast against (N, dim)
+    # one, and is the same float law per point, batched (N, dim), as a batch
+    # of one point and with a (dim,) side broadcast against (N, dim)
     for name in list(catalog.catalog_names()) + ["free_2_5"]:
         g = catalog.get(name)
         pairs = [(rational_vector(g, rng), rational_vector(g, rng)) for _ in range(5)]
@@ -263,6 +263,9 @@ def test_float_product_matches_exact(rng):
         assert np.array_equal(group_product_np(g, xs, ys), single), name
         assert np.array_equal(group_product_np(g, xs[0], ys),
                               [group_product_np(g, xs[0], b) for b in ys]), name
+        for shape in ((1, g.dim), (1, 1, g.dim)):
+            one = group_product_np(g, xs[0].reshape(shape), ys[0])
+            assert one.shape == shape and np.array_equal(one.ravel(), single[0]), name
     with pytest.raises(ValueError, match="dimension"):
         group_product_np(g, xs[0][:-1], ys[0])
 

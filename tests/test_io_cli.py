@@ -346,6 +346,8 @@ INPUT_PROBES = {
         _write(d, "e.json", {"group": "h1", "samples": 2.7})]),
     "estimates-nu-negative": ("nu", lambda d: [
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": -1})]),
+    "estimates-nu-below-the-radius-floor": ("nu", lambda d: [
+        "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": 0.01})]),
     "mvi-pairs-zero": ("pairs", lambda d: [
         "experiment", "mvi",
         _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],

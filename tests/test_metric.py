@@ -8,7 +8,8 @@ from carnot import catalog
 from carnot.algebra import (GradedAlgebra, GroupElement, dilate,
                             homogeneous_dimension)
 from carnot.bch import group_product, group_product_np
-from carnot.metric import (HomogeneousMetric, default_metric, distance,
+from carnot.metric import (HomogeneousMetric, ball_layer_squares,
+                           default_metric, direction_layer_squares, distance,
                            draw_until, first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
@@ -104,11 +105,46 @@ def test_projection_estimate(h1):
     assert abs(0.7 / float(K.quasi_norm_np(z)) ** 2 - 0.25) < 1e-12
 
 
+def _replay_ball_layer_norms(metric, r, n, rng):
+    """The layer norms that verify_projection_estimate draws for n points of
+    the gauge ball of radius r, shape (n, step), replayed from the law in
+    sample_ball's docstring: Koranyi s ~ Beta(m/4, k/2 + 1), |x_1| =
+    r s^{1/4}, then |x_2| = r^2 sqrt(1 - s) / 4 U^{1/k}; weighted max, per
+    nonempty layer in order, |x_i| = r^i / w_i U_i^{1/d_i}."""
+    alg = metric.algebra
+    dims = [len(alg.layer_indices(i)) for i in range(1, alg.step + 1)]
+    out = np.zeros((n, alg.step))
+    if metric.kind == "koranyi":
+        m, k = dims[0], dims[1] if alg.step == 2 else 0
+        s = rng.beta(m / 4, k / 2 + 1, n)
+        out[:, 0] = r * s ** 0.25
+        if k:
+            out[:, 1] = r ** 2 * np.sqrt(1 - s) / 4 * rng.uniform(size=n) ** (1 / k)
+        return out
+    for i, (d, w) in enumerate(zip(dims, metric.weights), start=1):
+        if d:
+            out[:, i - 1] = r ** i / w * rng.uniform(size=n) ** (1 / d)
+    return out
+
+
+def _points_with_layer_norms(alg, norms):
+    """Points, shape (n, dim), whose layer i is norms[:, i - 1] times the
+    first basis vector of layer i."""
+    pts = np.zeros((len(norms), alg.dim))
+    for i in range(1, alg.step + 1):
+        idx = alg.layer_indices(i)
+        if idx:
+            pts[:, idx[0]] = norms[:, i - 1]
+    return pts
+
+
 @pytest.mark.parametrize("name", ["h1", "g42", "free_2_4"])
 def test_layer_norms_and_tails_match_masked_norms(name):
     # layer norms come from one pass over the squared coordinates and the
     # projection tails from the layer norms; the masked Euclidean norms are
-    # the reference, up to summation order
+    # the reference, up to summation order.  The projection estimate draws
+    # only the layer norms of its ball points: replayed, they give points
+    # with those layer norms
     g = catalog.get(name)
     ops = g.float_ops()
     x = np.random.default_rng(3).standard_normal((500, g.dim))
@@ -117,7 +153,8 @@ def test_layer_norms_and_tails_match_masked_norms(name):
     assert np.allclose(np.sqrt(ops.layer_squares(x)), ref, rtol=1e-14, atol=0)
     m = default_metric(g)
     consts = verify_projection_estimate(m, radius=1.0, samples=500, seed=1)
-    pts = sample_ball(m, 1.0, 500, np.random.default_rng(1))
+    pts = _points_with_layer_norms(g, _replay_ball_layer_norms(
+        m, 1.0, 500, np.random.default_rng(1)))
     norms = m.quasi_norm_np(pts)
     for i, c in enumerate(consts, start=1):
         tails = np.linalg.norm(ops.project_tail(pts, i), axis=-1)
@@ -208,8 +245,9 @@ def _estimate_metrics():
 def test_estimates_match_their_norm_formulas(metric):
     # each estimate that reads squared layer sums, or divides by the drawn
     # radius, equals the formula with one norm per use on the same draws;
-    # the draws are replayed from the seed: each sampler fills a (dim,
-    # count) array
+    # the draws are replayed from the seed: each box sampler fills a (dim,
+    # count) array, and the projection and gauge-vs-norm estimates draw
+    # layer norms only
     alg, n, seed = metric.algebra, 600, 9
     ops = alg.float_ops()
 
@@ -224,7 +262,8 @@ def test_estimates_match_their_norm_formulas(metric):
     assert got.sup_observed == pytest.approx(float(np.max(num[mask] / den[mask])),
                                              rel=1e-13)
 
-    pts = sample_ball(metric, 0.7, n, np.random.default_rng(seed))
+    pts = _points_with_layer_norms(alg, _replay_ball_layer_norms(
+        metric, 0.7, n, np.random.default_rng(seed)))
     norms = _gauge_reference(metric, pts)
     sq = np.square(np.stack([np.linalg.norm(pts * ops.layer_masks[i], axis=-1)
                              for i in range(1, alg.step + 1)], axis=-1))
@@ -235,9 +274,17 @@ def test_estimates_match_their_norm_formulas(metric):
         assert c.sup_observed == pytest.approx(
             float(np.max(tails[:, i - 1] / norms ** i)), rel=1e-13)
 
+    # the gauge-vs-norm estimate draws the layer shares |u_i|^2 of its unit
+    # directions u, Gamma(d_i / 2) per nonempty layer over their sum, and
+    # then the radii r: the point r u has layer norms r |u_i|
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((alg.dim, n))
-    pts = (g / np.linalg.norm(g, axis=0)).T * rng.uniform(0.05, 0.9, n)[:, None]
+    gam = np.zeros((n, alg.step))
+    for i in range(1, alg.step + 1):
+        if alg.layer_indices(i):
+            gam[:, i - 1] = rng.standard_gamma(len(alg.layer_indices(i)) / 2, n)
+    shares = gam / gam.sum(axis=-1, keepdims=True)
+    r = rng.uniform(0.05, 0.9, n)
+    pts = _points_with_layer_norms(alg, r[:, None] * np.sqrt(shares))
     want = np.max(_gauge_reference(metric, pts)
                   / np.linalg.norm(pts, axis=-1) ** (1.0 / alg.step))
     got = norm_exp_estimate(metric, nu=0.9, samples=n, seed=seed)
@@ -285,8 +332,9 @@ def test_estimates_check_samples(h1):
 
 
 def _ball_metrics():
-    for name in catalog.catalog_names():
-        g = catalog.get(name)
+    """Both gauges (Koranyi up to step 2) on every catalog group, the
+    interleaved table and the table with an empty layer."""
+    for g in _layer_tables():
         if g.step <= 2:
             yield koranyi(g)
         yield weighted_max(g, [1.0 + i / 2 for i in range(g.step)])
@@ -311,6 +359,145 @@ def test_sample_ball_law(metric):
     assert empty.shape == (0, metric.algebra.dim) and empty.flags.f_contiguous
     box = sample_box(metric.algebra, 1.0, 5, rng)
     assert box.shape == (5, metric.algebra.dim) and box.flags.f_contiguous
+
+
+def _ks_uniform(u):
+    """sqrt(n) times the Kolmogorov-Smirnov distance of the sample u to
+    Uniform(0, 1)."""
+    n, u = len(u), np.sort(u)
+    return math.sqrt(n) * max(np.max(np.arange(1, n + 1) / n - u),
+                              np.max(u - np.arange(n) / n))
+
+
+def _ks_two_sample(a, b):
+    """sqrt(n m / (n + m)) times the two-sample Kolmogorov-Smirnov distance."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    d = np.max(np.abs(np.searchsorted(a, grid, side="right") / len(a)
+                      - np.searchsorted(b, grid, side="right") / len(b)))
+    return math.sqrt(len(a) * len(b) / (len(a) + len(b))) * d
+
+
+@pytest.mark.parametrize("metric", list(_ball_metrics()), ids=repr)
+def test_ball_layer_squares_law(metric):
+    # the squared layer norms that the projection estimate draws are those
+    # of uniform ball points: (N/r)^Q is Uniform(0, 1), as in
+    # test_sample_ball_law, and each layer's law is that of sample_ball's
+    # layer_squares (two-sample KS); Kolmogorov-Smirnov at p ~ 0.001
+    n, alg = 20000, metric.algebra
+    hom = homogeneous_dimension(alg)
+    rng = np.random.default_rng(12)
+    for r in (1.0, 0.3):
+        sq = ball_layer_squares(metric, r, n, rng)
+        assert sq.shape == (n, alg.step) and sq.flags.f_contiguous
+        norms = metric.quasi_norm_np(_points_with_layer_norms(alg, np.sqrt(sq)))
+        assert np.all(norms <= r * (1 + 1e-12))
+        assert _ks_uniform((norms / r) ** hom) <= 1.95, r
+        ref = alg.float_ops().layer_squares(sample_ball(metric, r, n, rng))
+        for i in range(1, alg.step + 1):
+            if alg.layer_indices(i):
+                assert _ks_two_sample(sq[:, i - 1], ref[:, i - 1]) <= 1.95, (r, i)
+            else:
+                assert not sq[:, i - 1].any()
+    assert ball_layer_squares(metric, 1.0, 0, rng).shape == (0, alg.step)
+
+
+@pytest.mark.parametrize("g", list(_layer_tables()) + [catalog.get("free_2_5")],
+                         ids=lambda g: g.name)
+def test_direction_layer_squares_law(g):
+    # the layer shares that the gauge-vs-norm estimate draws, Gamma(d_i / 2)
+    # over their sum, against the layer shares of normalised Gaussians: a
+    # two-sample KS per layer and on the Koranyi-type statistic
+    # s_1^2 + 16 s_2, at p ~ 0.001
+    n = 20000
+    rng = np.random.default_rng(13)
+    got = direction_layer_squares(g, n, rng)
+    u = rng.standard_normal((n, g.dim))
+    ref = g.float_ops().layer_squares(u / np.linalg.norm(u, axis=-1, keepdims=True))
+    assert got.shape == (n, g.step) and got.flags.f_contiguous
+    assert np.allclose(got.sum(axis=-1), 1.0, rtol=1e-14, atol=0)
+    for i in range(1, g.step + 1):
+        if not g.layer_indices(i):
+            assert not got[:, i - 1].any()
+        elif g.step == 1:
+            assert np.all(got[:, 0] == 1.0)
+        else:
+            assert _ks_two_sample(got[:, i - 1], ref[:, i - 1]) <= 1.95, i
+    if g.step >= 2:
+        stat = [s[:, 0] ** 2 + 16 * s[:, 1] for s in (got, ref)]
+        assert _ks_two_sample(*stat) <= 1.95
+
+
+@pytest.mark.parametrize("metric", list(_ball_metrics()), ids=repr)
+def test_sample_ball_replays_its_documented_draws(metric):
+    # sample_ball's stream, pinned bit for bit by replaying its docstring:
+    # layer by layer the layer norms (the Koranyi split s first, one uniform
+    # per uniform-ball layer), then d_i standard normals per point,
+    # normalised by one column-sum reduction
+    alg, n, r = metric.algebra, 257, 0.8
+    got = sample_ball(metric, r, n, np.random.default_rng(14))
+    rng = np.random.default_rng(14)
+    want = np.zeros((alg.dim, n))
+
+    def direction(d):
+        g = rng.standard_normal((d, n))
+        return g / np.sqrt(np.square(g).sum(axis=0))
+
+    dims = [len(alg.layer_indices(i)) for i in range(1, alg.step + 1)]
+    if metric.kind == "koranyi":
+        m, k = dims[0], dims[1] if alg.step == 2 else 0
+        s = rng.beta(m / 4, k / 2 + 1, size=n)
+        want[alg.layer_indices(1)] = direction(m) * (r * s ** 0.25)
+        if k:
+            norms = r ** 2 * np.sqrt(1 - s) / 4 * rng.uniform(size=n) ** (1.0 / k)
+            want[alg.layer_indices(2)] = direction(k) * norms
+    else:
+        for i, (d, w) in enumerate(zip(dims, metric.weights), start=1):
+            if d:
+                norms = r ** i / w * rng.uniform(size=n) ** (1.0 / d)
+                want[alg.layer_indices(i)] = direction(d) * norms
+    assert np.array_equal(got, want.T)
+
+
+def test_estimates_check_radius(h1, monkeypatch):
+    # one check at entry, beside the count check: a radius that is not a
+    # finite number > 0 is a ValueError naming the argument, before any
+    # draw; the gauge-vs-norm estimate draws its radii from [0.05, nu], so
+    # it needs nu > 0.05
+    from carnot import bch, pdiff
+    from carnot.morphism import identity_morphism
+    K = koranyi(h1)
+    f = pdiff.hom_map(identity_morphism(h1))
+    o = np.zeros(3)
+    estimates = [
+        ("nu", lambda v: bch.cn_difference_bound(h1, 2, v, samples=3)),
+        ("nu", lambda v: bch.bilinear_bound(h1, 2, nu=v, samples=3)),
+        ("radius", lambda v: pdiff.bilipschitz_bounds(f, o, radius=v, samples=3)),
+        ("r1", lambda v: pdiff.mean_value_ratio(f, o, r1=v, r2=8.0, pair_samples=3)),
+        ("r2", lambda v: pdiff.mean_value_ratio(f, o, r1=0.5, r2=v, pair_samples=3)),
+        ("radius", lambda v: first_layer_constant(K, radius=v, samples=3)),
+        ("radius", lambda v: verify_projection_estimate(K, radius=v, samples=3)),
+        ("nu", lambda v: left_inverse_estimate(K, nu=v, samples=3)),
+        ("nu", lambda v: verify_conjugation_estimate(K, nu=v, samples=3)),
+        ("nu", lambda v: verify_product_estimate(K, nu=v, samples=3)),
+        ("radius", lambda v: quasi_triangle_constant(K, radius=v, samples=3)),
+    ]
+    bad = [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True, "1", None]
+    cases = [(name, run, bad, [np.float64(0.5), Q(1, 2), 2]) for name, run in estimates]
+    cases.append(("nu", lambda v: norm_exp_estimate(K, nu=v, samples=3),
+                  bad + [0.01, 0.05], [np.float64(0.06), Q(1, 2), 2]))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the radius")
+
+    for name, run, bad_values, good_values in cases:
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", no_draw)
+            for v in bad_values:
+                with pytest.raises(ValueError, match="^%s must be a finite number > " % name):
+                    run(v)
+        for v in good_values:
+            run(v)
 
 
 def test_conjugation_product_estimates(h1):
