@@ -50,8 +50,10 @@ def validate_table(dim, step, layer_of, entries):
     layer(k) != layer(i)+layer(j), layers out of range, and Jacobi failures.
     Every check runs on the table scaled to integers over the common
     denominator of its entries: antisymmetry, grading and Jacobi are all
-    invariant under that scaling.  Jacobi is checked on every basis triple
-    i < j < k, by sparse signed lookups in the canonical table.  Diagnostic
+    invariant under that scaling.  Jacobi is checked on the basis triples
+    i < j < k, by sparse signed lookups in the canonical table; when nothing
+    else was reported, the triples whose layers add up past `step` are
+    skipped, since their brackets vanish.  Diagnostic
     only: always returns a report, never raises.
     """
     report = ValidationReport()
@@ -102,10 +104,15 @@ def validate_table(dim, step, layer_of, entries):
                 out[k] = out.get(k, 0) + v * c
         return out
 
-    inner = {(b, c): ad(b, {c: 1}) for b, c in itertools.permutations(range(dim), 2)}
+    graded = not report.violations  # then brackets stay in their layer sums
+    inner = {}
     for i, j, k in itertools.combinations(range(dim), 3):
+        if graded and layer_of[i] + layer_of[j] + layer_of[k] > step:
+            continue
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if (b, c) not in inner:
+                inner[b, c] = ad(b, {c: 1})
             for m, v in ad(a, inner[b, c]).items():
                 acc[m] = acc.get(m, 0) + v
         if any(acc.values()):
@@ -585,10 +592,13 @@ def check_samples(samples, name="samples"):
 def check_radius(radius, name="radius", above=0.0):
     """The radius check of every sampled estimate, at entry, beside
     check_samples: `radius` must be a finite real number > `above`, else
-    ValueError naming it as `name`."""
+    ValueError naming it as `name`.  Returns it as a float, which the
+    samplers read: a Fraction radius would make them compute in arrays of
+    Python objects."""
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real) \
             or not math.isfinite(radius) or radius <= above:
         raise ValueError("%s must be a finite number > %s, got %r" % (name, above, radius))
+    return float(radius)
 
 
 def bracket_norm_constant(algebra):

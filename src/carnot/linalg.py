@@ -12,7 +12,8 @@ canonicalization, quotients and all classification decisions.  Elimination is
 fraction-free over the integers (after Bareiss, Math. Comp. 22 (1968)
 565-578): ``_echelon`` scales each row once by the lcm of its denominators,
 each step is ``row <- p*row - f*pivot`` divided by the row's content gcd, and
-``rref`` divides by the pivots at the end.
+``rref`` divides by the pivots at the end.  ``det`` is Bareiss's own
+determinant of an int matrix, exact division by the previous pivot.
 """
 
 from fractions import Fraction
@@ -114,6 +115,27 @@ def rref(m):
 
 def rank(m):
     return len(_echelon(m)[1])
+
+
+def det(m):
+    """Determinant of a square matrix of ints (1 for the 0 x 0 matrix), by
+    Bareiss's fraction-free elimination: each step divides exactly by the
+    previous pivot, so every entry stays an int minor of m."""
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for c in range(len(a)):
+        i = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if i is None:
+            return 0
+        if i != c:
+            a[c], a[i], sign = a[i], a[c], -sign
+        prow, p = a[c], a[c][c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, len(a)):
+                row[k] = (p * row[k] - f * prow[k]) // prev
+        prev = p
+    return sign * prev
 
 
 def row_space_basis(m):

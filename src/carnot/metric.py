@@ -142,8 +142,8 @@ def _layer_norms(metric, radius, count, rng):
     yields (i, norms) for each nonempty layer i in turn, drawing from rng
     just before each yield.  A weighted-max layer, and the Koranyi layer 2,
     is uniform in a Euclidean ball, so its norms are R U^{1/d_i}; the
-    Koranyi layer-1 norm is r s^{1/4}."""
-    alg = metric.algebra
+    Koranyi layer-1 norm is r s^{1/4}.  The radius is read as a float."""
+    alg, radius = metric.algebra, float(radius)
     dims = [len(alg.layer_indices(i)) for i in range(1, alg.step + 1)]
     if metric.kind == "koranyi":
         m, k = dims[0], dims[1] if alg.step == 2 else 0
@@ -259,7 +259,7 @@ def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
     d(a, b) = N((-a) o b) and a - b = -((-a) + b) has the same squares, and
     only the layer-1 columns of (-a) + b are formed, one at a time."""
     check_samples(samples)
-    check_radius(radius)
+    radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     pts = sample_box(alg, radius, 2 * samples, rng)
@@ -288,7 +288,7 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     per layer i >= 1.  The ratios read only the squared layer norms of the
     points, so only those are drawn (ball_layer_squares), not the points."""
     check_samples(samples)
-    check_radius(radius)
+    radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     sq = ball_layer_squares(metric, radius, samples, rng)
@@ -318,7 +318,7 @@ def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
     exceed 0.05.  The gauge of r u reads only r^2 |u_i|^2, so only the layer
     shares |u_i|^2 are drawn (direction_layer_squares), then the radii."""
     check_samples(samples)
-    check_radius(nu, "nu", above=0.05)
+    nu = check_radius(nu, "nu", above=0.05)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     sq = direction_layer_squares(alg, samples, rng)
@@ -336,7 +336,7 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     place, and xi - eta = -((-xi) + eta) has the same squares, so no
     full-size temporary is made beside the product."""
     check_samples(samples)
-    check_radius(nu, "nu")
+    nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
@@ -355,7 +355,7 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
     d(y^-1 x y) / d(x)^{1/step}."""
     check_samples(samples)
-    check_radius(nu, "nu")
+    nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, nu, samples, rng)
@@ -410,7 +410,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     ball of radius nu / 2.  A candidate that violates a hypothesis is
     discarded; the first `samples` kept, in draw order, give the sup."""
     check_samples(samples)
-    check_radius(nu, "nu")
+    nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     shape = (-1, n_factors, alg.dim)
@@ -430,7 +430,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance."""
     check_samples(samples)
-    check_radius(radius)
+    radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
     x = sample_ball(metric, radius, samples, rng)

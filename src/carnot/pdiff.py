@@ -388,8 +388,8 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     and `bins`, must be integers >= 1, and both radii finite numbers > 0."""
     check_samples(pair_samples, "pair_samples")
     check_samples(bins, "bins")
-    check_radius(r1, "r1")
-    check_radius(r2, "r2")
+    r1 = check_radius(r1, "r1")
+    r2 = check_radius(r2, "r2")
     dom, cod = pdmap.domain, pdmap.codomain
     dmetric, cmetric = default_metric(dom), default_metric(cod)
     if word_system is not None:
@@ -538,7 +538,7 @@ def bilipschitz_bounds(pdmap, xbar, radius=0.2, samples=400, seed=0):
     """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar, over pairs
     with d(a, b) >= 1e-8."""
     check_samples(samples)
-    check_radius(radius)
+    radius = check_radius(radius)
     dmetric, cmetric = default_metric(pdmap.domain), default_metric(pdmap.codomain)
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float)

@@ -7,22 +7,29 @@ Everything here is exact, and it computes on integer rows: a subalgebra is
 the primitive integer rows of its ``linalg.Span``, and the closure, ideal
 and classification checks bracket them on the algebra's integer table
 (``bracket_num``): span membership and ranks do not see a nonzero scaling.
-Fractions are built only where values leave: the canonical bases, the
-witnesses, the induced structure tables and projections, and the JSON.
-Classification verdicts come in exact, deterministic tiers, in this order:
-affine right-inverse systems, decided both ways; the complements spanned by
-basis vectors; the Heisenberg and h12 closed forms; the isotropic rank
-bound; a unit-ideal test of degree <= 1, whose certificate is one exact
-solve on ``linalg``.  Non-ideals and monomorphisms try the complements
-spanned by basis vectors.  Every tier reads the structure table alone, never
-the tags, so a group read back from its file gets the verdicts of the
-catalog group it was written from.  When no tier decides, the verdict is
-`undecided`, and its marker names the tiers that ran.  No tier uses sympy or
-randomness.  The right-inverse system of an h-epimorphism is written with
-``algebra.Polynomial`` with int coefficients: the columns of the unknown
-right inverse, scaled to integers, are vectors of polynomials, bracketed by
-``bracket_num``.  The self-checks of the closed forms raise explicitly, so
-they hold under ``python -O`` too.
+On a stratified table the ideal test brackets with V1 alone, which
+generates the algebra.  Fractions are built only where values leave: the
+canonical bases, the witnesses, the induced structure tables and
+projections, and the JSON.  Classification verdicts come in exact,
+deterministic tiers, in this order: affine right-inverse systems, decided
+both ways; the complements spanned by basis vectors; the Heisenberg and h12
+closed forms; the isotropic rank bound; a unit-ideal test of degree <= 1,
+whose certificate is one exact solve on ``linalg``.  Non-ideals and
+monomorphisms try the complements spanned by basis vectors.  Those are
+walked as index sets: bracket closure is read off the support of the
+table, transversality off one integer determinant (a minor of the
+subalgebra's rows), the ideal test of a monomorphism's candidate off the
+support too, and only the complement returned is built as a subalgebra.
+Every tier reads the structure table alone, never the tags, so a group
+read back from its file gets the verdicts of the catalog group it was
+written from.  When no tier decides, the verdict is `undecided`, and its
+marker names the tiers that ran.  No tier uses sympy or randomness.  The
+right-inverse system of an h-epimorphism is a list of
+``algebra.Polynomial`` with int coefficients, each equation's coefficients
+read off int brackets of the columns of the unknown right inverse, scaled
+to integers: a constant vector plus one kernel row per unknown.  The
+self-checks of the closed forms raise explicitly, so they hold under
+``python -O`` too.
 """
 
 import itertools
@@ -31,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra import GradedAlgebra, Polynomial
+from .algebra import GradedAlgebra, Polynomial, is_stratified
 from .morphism import GradedMorphism, check_h_homomorphism
 
 Q = Fraction
@@ -180,13 +187,21 @@ def zero_subalgebra(algebra):
     return HomogeneousSubalgebra(algebra, {})
 
 
+def _ideal_probes(alg):
+    """The basis vectors whose brackets with a subalgebra decide whether it
+    is an ideal: V1 on a stratified table, every basis vector otherwise.
+    The x with [x, a] inside a form a subalgebra, and V1 generates a
+    stratified algebra."""
+    return alg.layer_indices(1) if is_stratified(alg) else range(alg.dim)
+
+
 def is_ideal(sub):
-    """[G, a] inside a, checked exactly on the brackets of the basis vectors
-    of G with the integer rows of a.  For homogeneous subgroups this is
-    equivalent to normality."""
+    """[G, a] inside a, checked exactly on the brackets of the integer rows
+    of a with the basis vectors of `_ideal_probes`.  For homogeneous
+    subgroups this is equivalent to normality."""
     alg, span = sub.algebra, sub.span
     return all(span.contains(alg.bracket_num(alg.basis_coords(k), v))
-               for k in range(alg.dim) for v in span.rows)
+               for k in _ideal_probes(alg) for v in span.rows)
 
 
 def is_complementary(a, b):
@@ -438,7 +453,14 @@ def _right_inverse_system(L, kernel):
     L o R = Id holds identically, and scaling the unknowns leaves the
     free-variables-zero solution, hence every witness, unchanged.  Returns
     the equations, the columns D R w_b as vectors of Polynomials in the
-    unknowns c_t, and the number of unknowns."""
+    unknowns c_t, and the number of unknowns.
+
+    Column b is the int vector s_b plus sum_t c_t kv_t, so each equation's
+    coefficients are int brackets: [s_a, s_b] for the constant, [s_a, kv_u]
+    and [kv_t, s_b] for the unknowns of columns b and a, [kv_t, kv_u] for
+    c_t c_u (t < u, since a < b), and the image R [w_a, w_b] adds -D
+    struct_den [w_a, w_b]_w (s_w + sum c_t kv_t) over the codomain
+    coordinates w; each monomial comes from one of these alone."""
     G, M = L.domain, L.codomain
     span = linalg.Span([list(row) + [int(r == b) for b in range(M.dim)]
                         for r, row in enumerate(L.matrix)])
@@ -447,23 +469,35 @@ def _right_inverse_system(L, kernel):
     big_d = lcm(*(row[p] for row, p in zip(span.rows, span.pivots)))
     s = {p: [x * (big_d // row[p]) for x in row[G.dim:]]
          for row, p in zip(span.rows, span.pivots)}
-    cols, nvars = [], 0
+    consts = [[s[k][b] if k in s else 0 for k in range(G.dim)] for b in range(M.dim)]
+    # unknowns[b]: the (variable, integer kernel row) pairs of column b
+    unknowns, nvars = [], 0
     for b in range(M.dim):
-        col = [{(): s[k][b]} if k in s else {} for k in range(G.dim)]
-        for kv in kernel.layer_rows(M.layer_of[b]):
-            for terms, c in zip(col, kv):
-                terms[(nvars,)] = c
-            nvars += 1
-        cols.append([Polynomial(terms) for terms in col])
-    eqs, scale = [], big_d * G.struct_den
+        rows = kernel.layer_rows(M.layer_of[b])
+        unknowns.append(list(enumerate(rows, nvars)))
+        nvars += len(rows)
+    cols = [[Polynomial._of({(): c, **{(t,): kv[k] for t, kv in unknowns[b]}})
+             for k, c in enumerate(consts[b])] for b in range(M.dim)]
+    bracket, eqs, scale, mden = G.bracket_num, [], big_d * G.struct_den, M.struct_den
     for a, b in itertools.combinations(range(M.dim), 2):
-        br = M.bracket_num(M.basis_coords(a), M.basis_coords(b))
-        image = [sum((col[k] * (w * scale) for w, col in zip(br, cols) if w), Polynomial())
-                 for k in range(G.dim)]
-        brackets = G.bracket_num(cols[a], cols[b])
-        if M.struct_den != 1:
-            brackets = [u * M.struct_den for u in brackets]
-        eqs += [e for e in (u - v for u, v in zip(brackets, image)) if e]
+        sa, sb = consts[a], consts[b]
+        # (monomial, int vector) pairs: the brackets, then the image's unknowns
+        parts = [((), bracket(sa, sb))]
+        parts += [((u,), bracket(sa, kv)) for u, kv in unknowns[b]]
+        parts += [((t,), bracket(kv, sb)) for t, kv in unknowns[a]]
+        parts += [((t, u), bracket(kt, ku)) for t, kt in unknowns[a] for u, ku in unknowns[b]]
+        if mden != 1:
+            parts = [(m, [x * mden for x in v]) for m, v in parts]
+        image = [(w * scale, c) for c, w in enumerate(
+            M.bracket_num(M.basis_coords(a), M.basis_coords(b))) if w]
+        if image:
+            parts[0] = ((), [x - sum(f * consts[c][k] for f, c in image)
+                             for k, x in enumerate(parts[0][1])])
+            parts += [((t,), [-f * x for x in kv]) for f, c in image for t, kv in unknowns[c]]
+        for k in range(G.dim):
+            eq = Polynomial._of({m: v[k] for m, v in parts})
+            if eq:
+                eqs.append(eq)
     return eqs, cols, nvars
 
 
@@ -749,9 +783,10 @@ def _split_kernel(L, kernel):
             "and exactly inconsistent")
         return EpiClassification("surjective_not_epi", cert, kernel)
     # a complementary subalgebra of the kernel maps isomorphically onto M
-    cand = next(_coordinate_complements(kernel), None)
-    if cand is not None:
-        return EpiClassification("h_epimorphism", cand, kernel)
+    ks = next(_coordinate_complements(kernel), None)
+    if ks is not None:
+        return EpiClassification("h_epimorphism", _coordinate_span(kernel.algebra, ks),
+                                  kernel)
     G, M = L.domain, L.codomain
     tiers = ["coordinate complements"]
     if set(M.layer_of) <= {1}:
@@ -810,8 +845,10 @@ def classify_monomorphism(T, budget=2000, seed=0):
         return MonoClassification("not_injective")
     # the canonical complement comes first: it is an ideal complement when
     # the image is horizontal, and zero when the image is all of M
-    n = next((c for c in _coordinate_complements(image) if is_ideal(c)), None)
-    if n is not None:
+    ks = next((ks for ks in _coordinate_complements(image)
+               if _is_coordinate_ideal(M, ks)), None)
+    if ks is not None:
+        n = _coordinate_span(M, ks)
         return MonoClassification("h_monomorphism", n,
                                   _projection_along(M, image, n), image)
     note = "ran: coordinate complements of the image; none is an ideal"
@@ -820,24 +857,36 @@ def classify_monomorphism(T, budget=2000, seed=0):
 
 def _coordinate_complements(sub):
     """The complements of sub spanned by basis vectors, layer by layer, that
-    are closed under the bracket, found depth first over the layers.  Each
-    layer takes every set of its basis vectors that completes sub's layer and
-    holds the brackets of the lower layers already chosen; the canonical set
-    (the non-pivot columns of sub's layer) comes first, so the canonical
-    complement, when it is a subalgebra, is the first one yielded."""
+    are closed under the bracket, found depth first over the layers, each as
+    the tuple of its basis indices in layer order (`_coordinate_span` builds
+    it).  Each layer takes every set ks of its basis vectors that completes
+    sub's layer and holds the brackets of the lower layers already chosen,
+    read off the support of the structure table; the canonical set (the
+    non-pivot columns of sub's layer) comes first, so the canonical
+    complement, when it is a subalgebra, is the first one yielded.  ks
+    completes the layer exactly when the square minor of sub's integer layer
+    rows on the columns left out of ks is nonsingular; each minor's verdict
+    is kept for the rest of the walk."""
     alg = sub.algebra
+    pivots = set(sub.pivots)
+    layers = []  # per layer: its indices, its canonical set and sub's rows
+    for layer in range(1, alg.step + 1):
+        idx = alg.layer_indices(layer)
+        layers.append((idx, tuple(k for k in idx if k not in pivots), sub.layer_rows(layer)))
+    minors = {}
+
+    def transversal(ks, idx, rows):
+        if ks not in minors:
+            out = [k for k in idx if k not in ks]
+            minors[ks] = linalg.det([[row[k] for k in out] for row in rows]) != 0
+        return minors[ks]
 
     def extend(chosen):
         layer = len(chosen) + 1
         if layer > alg.step:
-            yield HomogeneousSubalgebra(alg, {l: [alg.basis_coords(k) for k in ks]
-                                              for l, ks in enumerate(chosen, 1)})
+            yield tuple(itertools.chain.from_iterable(chosen))
             return
-        idx = alg.layer_indices(layer)
-        rows = [r for r, p in zip(sub.span.rows, sub.span.pivots)
-                if alg.layer_of[p] == layer]
-        pivots = set(sub.span.pivots)
-        free = tuple(k for k in idx if k not in pivots)
+        idx, free, rows = layers[layer - 1]
         # the support of [e_a, e_b], read from the structure table
         forced = {k for i in range(1, layer // 2 + 1)
                   for a in chosen[i - 1] for b in chosen[layer - i - 1]
@@ -849,11 +898,26 @@ def _coordinate_complements(sub):
         rest = [k for k in idx if k not in forced]
         for ks in itertools.combinations(rest, len(free) - len(forced)):
             ks = tuple(sorted(forced.union(ks)))
-            if ks != free and linalg.rank(
-                    rows + [alg.basis_coords(k) for k in ks]) == len(idx):
+            if ks != free and transversal(ks, idx, rows):
                 yield from extend(chosen + [ks])
 
     return extend([])
+
+
+def _coordinate_span(alg, ks):
+    """The subalgebra spanned by the basis vectors ks, given in layer order."""
+    layered = {}
+    for k in ks:
+        layered.setdefault(alg.layer_of[k], []).append(alg.basis_coords(k))
+    return HomogeneousSubalgebra(alg, layered)
+
+
+def _is_coordinate_ideal(alg, ks):
+    """is_ideal of the span of the basis vectors ks, on the index set: a
+    coordinate span holds a vector exactly when it holds its support."""
+    inside = set(ks)
+    return all(k in inside for j in _ideal_probes(alg) for a in ks
+               for k in alg.struct.get((min(j, a), max(j, a)), ()))
 
 
 def _projection_along(M, image, normal):
@@ -962,9 +1026,9 @@ def find_complement(sub, budget=4000, seed=0):
     nonexistence is never claimed for it.  `budget` and `seed` are unread."""
     if is_ideal(sub):
         return _split_kernel(_quotient(sub.algebra, sub)[1], sub)
-    cand = next(_coordinate_complements(sub), None)
-    if cand is not None:
-        return EpiClassification("h_epimorphism", cand, sub)
+    ks = next(_coordinate_complements(sub), None)
+    if ks is not None:
+        return EpiClassification("h_epimorphism", _coordinate_span(sub.algebra, ks), sub)
     note = "non-ideal; ran: coordinate complements; none is a subalgebra"
     return EpiClassification("undecided", BudgetExhausted(0, note), sub)
 

@@ -15,7 +15,7 @@ from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement, Polynomi
                             bracket, bracket_norm_constant, dilate,
                             homogeneous_dimension, identity_element, is_stratified,
                             iterated_bracket, project_layer, project_tail,
-                            validate_grading, validate_table)
+                            ValidationReport, validate_grading, validate_table)
 from conftest import OPTIMIZED_RUNNER, run_optimized
 from conftest import is_primitive, rational_vector
 from test_bch import _fractional_table
@@ -130,6 +130,109 @@ def test_validate_catalog_tables_ok():
         assert validate_grading(alg).ok
         assert dense_jacobi_triples(alg.dim, [(i, j, k, c) for (i, j), t in alg.struct.items()
                                               for k, c in t.items()]) == []
+
+
+def _validate_table_reference(dim, step, layer_of, entries):
+    """validate_table as it was before it skipped triples: the Jacobi loop
+    runs on every basis triple, over brackets built for every ordered pair
+    up front."""
+    report = ValidationReport()
+    for idx, layer in enumerate(layer_of):
+        if not (1 <= layer <= step):
+            report.add("layer_range", (idx,), "layer %d outside 1..%d" % (layer, step))
+    entries = [(i, j, k, Q(c)) for i, j, k, c in entries]
+    den = math.lcm(*(c.denominator for *_, c in entries))
+    table = {}
+    for (i, j, k, c) in entries:
+        c = c.numerator * (den // c.denominator)
+        if i == j and c != 0:
+            report.add("antisymmetry", (i, j, k), "nonzero [b_i, b_i] coefficient")
+            continue
+        terms = table.setdefault((i, j), {})
+        terms[k] = terms.get(k, 0) + c
+    for (i, j), terms in table.items():
+        if i < j and (j, i) in table:
+            for k in set(terms) | set(table[(j, i)]):
+                if terms.get(k, 0) != -table[(j, i)].get(k, 0):
+                    report.add("antisymmetry", (i, j, k),
+                               "c_%d%d^%d != -c_%d%d^%d" % (i, j, k, j, i, k))
+    canon = {}
+    for (i, j), terms in table.items():
+        a, b, sgn = (i, j, 1) if i < j else (j, i, -1)
+        for k, c in terms.items():
+            if c != 0 and not ((a, b) in canon and k in canon[(a, b)]):
+                canon.setdefault((a, b), {})[k] = sgn * c
+    for (i, j), terms in canon.items():
+        for k, c in terms.items():
+            if c != 0 and layer_of[k] != layer_of[i] + layer_of[j]:
+                report.add("grading", (i, j, k),
+                           "layer(%d)=%d but layer(%d)+layer(%d)=%d"
+                           % (k, layer_of[k], i, j, layer_of[i] + layer_of[j]))
+
+    def ad(a, vec):
+        out = {}
+        for m, v in vec.items():
+            lo, hi, v = (a, m, v) if a < m else (m, a, -v)
+            for k, c in canon.get((lo, hi), {}).items():
+                out[k] = out.get(k, 0) + v * c
+        return out
+
+    inner = {(b, c): ad(b, {c: 1}) for b, c in itertools.permutations(range(dim), 2)}
+    for i, j, k in itertools.combinations(range(dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in ad(a, inner[b, c]).items():
+                acc[m] = acc.get(m, 0) + v
+        if any(acc.values()):
+            report.add("jacobi", (i, j, k), "cyclic bracket sum nonzero")
+    return report
+
+
+# a step-3 table whose first layer e1, e2, e3 brackets into e4, e5, e6 and
+# whose only third-layer bracket is [e1, e6] = e7; the cyclic sum on
+# (e1, e2, e3) is [e1, e6] = e7, so it fails Jacobi and nothing else
+STEP3 = ([1, 1, 1, 2, 2, 2, 3],
+         [(0, 1, 3, 1), (0, 2, 4, 1), (1, 2, 5, 1), (0, 5, 6, 1)])
+INVALID_TABLES = {
+    "grading": ([1, 1, 1, 2, 2, 2, 3], STEP3[1] + [(3, 4, 6, 2)]),
+    "jacobi": STEP3,
+    "antisymmetry": (STEP3[0], STEP3[1] + [(2, 1, 5, 1)]),
+    "layer_range": ([1, 1, 1, 2, 2, 2, 4], STEP3[1]),
+}
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names() + sorted(INVALID_TABLES))
+def test_validate_table_matches_the_full_triple_reference(name):
+    # the report, violations in order, of every catalog table and of one
+    # table with each kind of violation is the one the loop over every
+    # triple gives; each invalid table reports its own kind
+    if name in INVALID_TABLES:
+        layer_of, entries = INVALID_TABLES[name]
+        dim, step = len(layer_of), 3
+    else:
+        alg = catalog.get(name)
+        dim, step, layer_of = alg.dim, alg.step, alg.layer_of
+        entries = [(i, j, k, c) for (i, j), t in alg.struct.items() for k, c in t.items()]
+    report = validate_table(dim, step, layer_of, entries)
+    assert report.violations == _validate_table_reference(dim, step, layer_of,
+                                                          entries).violations
+    if name in INVALID_TABLES:
+        assert {v["kind"] for v in report.violations} >= {name}
+        assert name != "jacobi" or [v["kind"] for v in report.violations] == ["jacobi"]
+    else:
+        assert report.ok
+
+
+def test_validate_table_mutations_match_the_full_triple_reference():
+    # the seeded mutations of catalog tables, valid ones included
+    rng = random.Random(20261019)
+    for name in ("h1", "h2", "h12", "g42", "free_2_3", "free_3_2", "free_2_4", "free_3_3"):
+        alg = catalog.get(name)
+        for _ in range(4):
+            for kind, entries in _mutations(alg, rng):
+                got = validate_table(alg.dim, alg.step, alg.layer_of, entries)
+                want = _validate_table_reference(alg.dim, alg.step, alg.layer_of, entries)
+                assert got.violations == want.violations, (name, kind)
 
 
 # polynomials in 3 variables up to degree 3 with int coefficients, or with

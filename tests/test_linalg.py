@@ -2,6 +2,7 @@
 Gauss-Jordan over Fraction, on random rational matrices with zero rows,
 duplicate rows and dependent rows."""
 
+import itertools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -174,3 +175,38 @@ def test_shape_errors():
         linalg.matvec(linalg.identity(2), [Q(1)] * 3)
     # a map onto the zero space has no rows
     assert linalg.matvec([], [Q(1)] * 3) == []
+
+
+def _leibniz_det(m):
+    """The determinant as the signed sum over permutations: the reference."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+@PROPS
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4) | st.just(0), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.sampled_from(["none", "zero", "duplicate", "combination"]))))
+def test_det_matches_leibniz(case):
+    # square int matrices, some of them singular by a zero, a repeated or a
+    # combined row, and with zero leading entries that make the elimination
+    # swap rows
+    m, extra = case
+    if len(m) > 1 and extra == "zero":
+        m[1] = [0] * len(m)
+    elif len(m) > 1 and extra == "duplicate":
+        m[1] = list(m[0])
+    elif len(m) > 2 and extra == "combination":
+        m[2] = [2 * x - 3 * y for x, y in zip(m[0], m[1])]
+    before = [list(row) for row in m]
+    d = linalg.det(m)
+    assert type(d) is int and d == _leibniz_det(m)
+    assert m == before
+    assert (d != 0) == (linalg.rank(m) == len(m))

@@ -680,3 +680,48 @@ def test_word_system_rescaled_generators(h1, rng):
         a = solve_word(GroupElement(h1, xc), ws)
         back = generating_word(a, ws)
         assert np.max(np.abs(np.asarray(back.coords) - xc)) < 1e-10
+
+
+def test_a_fraction_radius_draws_the_float_radius(monkeypatch):
+    # Fraction(1, 2) is read as 0.5: the same draws bit for bit, in float64
+    # arrays; the layer norms are float64 on the way, not Python objects
+    from carnot import metric as metric_module, pdiff
+    from carnot.morphism import identity_morphism
+    layer_norms = metric_module._layer_norms
+
+    def float_norms(*args):
+        for i, norms in layer_norms(*args):
+            assert np.asarray(norms).dtype == np.float64
+            yield i, norms
+
+    monkeypatch.setattr(metric_module, "_layer_norms", float_norms)
+    g42, f23 = catalog.get("g42"), catalog.get("free_2_3")
+    for metric in (koranyi(g42), default_metric(f23)):
+        for sampler in (sample_ball, ball_layer_squares):
+            got = sampler(metric, Q(1, 2), 500, np.random.default_rng(3))
+            want = sampler(metric, 0.5, 500, np.random.default_rng(3))
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+        for run in (verify_projection_estimate, quasi_triangle_constant,
+                    first_layer_constant):
+            got = run(metric, Q(1, 2), samples=300, seed=4)
+            want = run(metric, 0.5, samples=300, seed=4)
+            for a, b in zip(np.atleast_1d(got), np.atleast_1d(want)):
+                assert (a.sup_observed, a.nu) == (b.sup_observed, b.nu)
+                assert type(a.nu) is float
+        for run in (verify_conjugation_estimate, left_inverse_estimate, norm_exp_estimate):
+            got = run(metric, nu=Q(1, 2), samples=300, seed=4)
+            want = run(metric, nu=0.5, samples=300, seed=4)
+            for a, b in zip(np.atleast_1d(got), np.atleast_1d(want)):
+                assert (a.sup_observed, a.nu) == (b.sup_observed, b.nu)
+        got = verify_product_estimate(metric, nu=Q(1, 2), samples=50, seed=4)
+        want = verify_product_estimate(metric, nu=0.5, samples=50, seed=4)
+        assert (got.sup_observed, got.nu) == (want.sup_observed, want.nu)
+    f = pdiff.hom_map(identity_morphism(catalog.get("h1")))
+    o = np.zeros(3)
+    got = pdiff.mean_value_ratio(f, o, r1=Q(1, 2), r2=Q(8), pair_samples=50)
+    want = pdiff.mean_value_ratio(f, o, r1=0.5, r2=8.0, pair_samples=50)
+    assert got == want
+    assert all(type(e) is float for e in got.bin_edges)
+    assert pdiff.bilipschitz_bounds(f, o, radius=Q(1, 4), samples=50) == \
+        pdiff.bilipschitz_bounds(f, o, radius=0.25, samples=50)

@@ -568,7 +568,7 @@ def test_coordinate_tier_decides_what_zero_correction_decided():
     # the zero-correction witness spans the pivot columns of the quotient
     # projection, a coordinate complement; every ideal it decides gets the
     # first coordinate complement instead
-    from carnot.subgroups import _coordinate_complements
+    from carnot.subgroups import _coordinate_complements, _coordinate_span
     decided = 0
     for name in ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2"):
         g = catalog.get(name)
@@ -585,7 +585,7 @@ def test_coordinate_tier_decides_what_zero_correction_decided():
             assert all(sorted(v) == [0] * (g.dim - 1) + [1] for v in ref.basis())
             out = find_complement(sub)
             assert out.verdict == "h_epimorphism"
-            assert out.witness == next(_coordinate_complements(sub))
+            assert out.witness == _coordinate_span(g, next(_coordinate_complements(sub)))
             assert is_complementary(sub, out.witness)
     assert decided >= 20, decided
 
@@ -987,16 +987,15 @@ def _classify_epimorphism_reference(L):
 def _find_complement_reference(sub):
     """The zero and whole algebras answered first, an ideal classified
     through its quotient projection and its verdict wrapped with sub."""
-    from carnot.subgroups import _coordinate_complements
     alg = sub.algebra
     if sub.total_dim == 0:
         return EpiClassification("h_epimorphism", full_subalgebra(alg), sub)
     if sub.total_dim == alg.dim:
         return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub)
-    if is_ideal(sub):
+    if _is_ideal_full(sub):
         out = _classify_epimorphism_reference(quotient(alg, sub)[1])
         return EpiClassification(out.verdict, out.witness, sub)
-    cand = next(_coordinate_complements(sub), None)
+    cand = next(_coordinate_complements_reference(sub), None)
     if cand is not None:
         return EpiClassification("h_epimorphism", cand, sub)
     return EpiClassification("undecided", BudgetExhausted(
@@ -1006,14 +1005,15 @@ def _find_complement_reference(sub):
 def _classify_monomorphism_reference(T):
     """The front that tested injectivity by its own elimination and took
     the image from the RREF of T's columns."""
-    from carnot.subgroups import _coordinate_complements, _projection_along
+    from carnot.subgroups import _projection_along
     if not check_h_homomorphism(T).is_h_homomorphism:
         raise ValueError("not an h-homomorphism")
     if not T.is_injective():
         return MonoClassification("not_injective")
     M = T.codomain
     image = layered_decomposition(M, T.image_basis())
-    n = next((c for c in _coordinate_complements(image) if is_ideal(c)), None)
+    n = next((c for c in _coordinate_complements_reference(image)
+              if _is_ideal_reference(c)), None)
     if n is not None:
         return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
     return MonoClassification("undecided", BudgetExhausted(
@@ -1140,3 +1140,163 @@ def test_classify_verdicts_are_pinned():
     assert verdicts == {"h_epimorphism", "surjective_not_epi", "h_monomorphism",
                         "undecided"}
     assert digest.hexdigest()[:16] == "bdb0042c4e591875"
+
+
+# ---------------------------------------------------------------------------
+# the index-set complements and the integer right-inverse system against
+# the routes they replaced
+# ---------------------------------------------------------------------------
+
+def _coordinate_complements_reference(sub):
+    """The Span-based enumerator: a full rank elimination of sub's layer
+    rows and the candidate basis vectors per candidate, and a
+    HomogeneousSubalgebra per complement yielded."""
+    from carnot import linalg
+    alg = sub.algebra
+
+    def extend(chosen):
+        layer = len(chosen) + 1
+        if layer > alg.step:
+            yield HomogeneousSubalgebra(alg, {l: [alg.basis_coords(k) for k in ks]
+                                              for l, ks in enumerate(chosen, 1)})
+            return
+        idx = alg.layer_indices(layer)
+        rows = [r for r, p in zip(sub.span.rows, sub.span.pivots)
+                if alg.layer_of[p] == layer]
+        pivots = set(sub.span.pivots)
+        free = tuple(k for k in idx if k not in pivots)
+        forced = {k for i in range(1, layer // 2 + 1)
+                  for a in chosen[i - 1] for b in chosen[layer - i - 1]
+                  for k in alg.struct.get((min(a, b), max(a, b)), ())}
+        if len(forced) > len(free):
+            return
+        if forced <= set(free):
+            yield from extend(chosen + [free])
+        rest = [k for k in idx if k not in forced]
+        for ks in itertools.combinations(rest, len(free) - len(forced)):
+            ks = tuple(sorted(forced.union(ks)))
+            if ks != free and linalg.rank(
+                    rows + [alg.basis_coords(k) for k in ks]) == len(idx):
+                yield from extend(chosen + [ks])
+
+    return extend([])
+
+
+def _right_inverse_system_reference(L, kernel):
+    """The right-inverse system built by Polynomial products: the columns as
+    vectors of Polynomials, bracketed by bracket_num, minus their images."""
+    from math import lcm
+    from carnot import linalg
+    from carnot.algebra import Polynomial
+    G, M = L.domain, L.codomain
+    span = linalg.Span([list(row) + [int(r == b) for b in range(M.dim)]
+                        for r, row in enumerate(L.matrix)])
+    big_d = lcm(*(row[p] for row, p in zip(span.rows, span.pivots)))
+    s = {p: [x * (big_d // row[p]) for x in row[G.dim:]]
+         for row, p in zip(span.rows, span.pivots)}
+    cols, nvars = [], 0
+    for b in range(M.dim):
+        col = [{(): s[k][b]} if k in s else {} for k in range(G.dim)]
+        for kv in kernel.layer_rows(M.layer_of[b]):
+            for terms, c in zip(col, kv):
+                terms[(nvars,)] = c
+            nvars += 1
+        cols.append([Polynomial(terms) for terms in col])
+    eqs, scale = [], big_d * G.struct_den
+    for a, b in itertools.combinations(range(M.dim), 2):
+        br = M.bracket_num(M.basis_coords(a), M.basis_coords(b))
+        image = [sum((col[k] * (w * scale) for w, col in zip(br, cols) if w), Polynomial())
+                 for k in range(G.dim)]
+        brackets = G.bracket_num(cols[a], cols[b])
+        if M.struct_den != 1:
+            brackets = [u * M.struct_den for u in brackets]
+        eqs += [e for e in (u - v for u, v in zip(brackets, image)) if e]
+    return eqs, cols, nvars
+
+
+def _is_ideal_full(sub):
+    """is_ideal bracketing with every basis vector, on the integer rows."""
+    alg = sub.algebra
+    return all(sub.span.contains(alg.bracket_num(alg.basis_coords(k), v))
+               for k in range(alg.dim) for v in sub.span.rows)
+
+
+def _oracle_algebra(name):
+    return _h1xh1_mixed() if name == "h1xh1_mixed" else \
+        _fractional_table() if name == "frac5" else catalog.get(name)
+
+
+def _oracle_inputs(alg):
+    """Seeded random subalgebras, 12 of them (6 past dimension 8), with the
+    zero and whole algebras; on h1 x h1 in the mixed basis also the ideal
+    span{u2, v2, z2} that no tier decides."""
+    rng = np.random.default_rng(31)
+    subs = [random_homogeneous_subalgebra(alg, rng, n_generators=int(rng.integers(1, 3)))
+            for _ in range(6 if alg.dim > 8 else 12)]
+    subs += [zero_subalgebra(alg), full_subalgebra(alg)]
+    if alg.name == "h1xh1":
+        subs.append(_units(alg, (3,), (4,), (5,)))
+    return subs
+
+
+ORACLE_NAMES = catalog.catalog_names() + ["h1xh1_mixed", "frac5"]
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_coordinate_complements_match_the_span_enumerator(name):
+    # the index-set walk yields the complements of the Span-based one, in
+    # its order, and the index-set ideal test agrees with the full one
+    from carnot.subgroups import _coordinate_complements, _coordinate_span, \
+        _is_coordinate_ideal
+    alg = _oracle_algebra(name)
+    yielded = 0
+    for sub in _oracle_inputs(alg):
+        walk = list(_coordinate_complements(sub))
+        want = list(_coordinate_complements_reference(sub))
+        assert [_coordinate_span(alg, ks) for ks in walk] == want
+        assert all(ks == tuple(sorted(ks, key=lambda k: (alg.layer_of[k], k)))
+                   for ks in walk)
+        assert [_is_coordinate_ideal(alg, ks) for ks in walk] == \
+            [_is_ideal_full(c) for c in want] == [is_ideal(c) for c in want]
+        yielded += len(walk)
+    assert yielded > 0
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_right_inverse_system_matches_the_polynomial_products(name):
+    # on the quotient projection of every ideal: the same equations term
+    # for term and in order, the same columns and the same unknowns
+    from carnot.subgroups import _right_inverse_system, _system_degree
+    alg = _oracle_algebra(name)
+    degrees = set()
+    for sub in _oracle_inputs(alg):
+        if not is_ideal(sub):
+            continue
+        dpi = quotient(alg, sub)[1]
+        eqs, cols, nvars = _right_inverse_system(dpi, sub)
+        ref_eqs, ref_cols, ref_nvars = _right_inverse_system_reference(dpi, sub)
+        assert [p.terms for p in eqs] == [p.terms for p in ref_eqs]
+        assert [[p.terms for p in col] for col in cols] == \
+            [[p.terms for p in col] for col in ref_cols]
+        assert nvars == ref_nvars
+        degrees.add(_system_degree(eqs))
+    assert degrees
+    if name in ("h2", "h1xh1_mixed"):
+        assert 2 in degrees, degrees
+
+
+def test_is_ideal_reads_every_basis_vector_off_stratified_tables():
+    # V2 = span{e3} is not [V1, V1] = 0, so the table is not stratified: its
+    # span{e2} holds [V1, e2] = 0, yet [e3, e2] = -e4 leaves it
+    from carnot.algebra import is_stratified
+    from carnot.subgroups import _is_coordinate_ideal
+    g = GradedAlgebra("gap", [1, 1, 2, 3], {(1, 2): {3: 1}})
+    assert not is_stratified(g)
+    a = span_subalgebra(g, [0, 1, 0, 0])
+    assert all(a.contains(g.bracket_coords(g.basis_coords(k), (0, 1, 0, 0)))
+               for k in g.layer_indices(1))
+    assert not is_ideal(a) and not _is_ideal_full(a)
+    assert not _is_coordinate_ideal(g, (1,))
+    # span{e2, e4} is an ideal
+    assert is_ideal(span_subalgebra(g, [0, 1, 0, 0], [0, 0, 0, 1]))
+    assert _is_coordinate_ideal(g, (1, 3))
