@@ -122,6 +122,14 @@ def default_metric(algebra):
 # its (count, dim) transpose, so each coordinate is one contiguous column for
 # the group law (bch._float_terms) and FloatOps.layer_squares, which read
 # x[..., k] columns and keep the input's memory order.
+#
+# The estimate drivers walk their sample count in blocks of _BLOCK_POINTS
+# points (_streamed), and draw_until asks for at most that many candidates a
+# call, so memory is bounded by the block and not by the count.  A block
+# draws what the driver draws for a count of that size, so a count of at
+# most one block keeps its draws.
+_BLOCK_POINTS = 1 << 14
+
 
 def sample_box(algebra, radius, count, rng):
     """Euclidean-coordinate box sample, shape (count, dim), column-major."""
@@ -202,11 +210,15 @@ def direction_layer_squares(algebra, count, rng):
     `count` directions u uniform on the unit sphere of R^dim, without drawing
     the directions: Dirichlet(d_1/2, ..., d_s/2), drawn as G_i / sum_j G_j
     from independent G_i ~ Gamma(d_i/2), one per nonempty layer in order
-    (0 on an empty layer)."""
+    (0 on an empty layer).  A one-dimensional layer draws G_i as Z^2 / 2
+    from one standard normal Z, which has the law of Gamma(1/2) and is
+    cheaper to draw."""
     sq = np.zeros((algebra.step, count))
     for i in range(1, algebra.step + 1):
         d = len(algebra.layer_indices(i))
-        if d:
+        if d == 1:
+            sq[i - 1] = np.square(rng.standard_normal(count)) / 2
+        elif d:
             sq[i - 1] = rng.standard_gamma(d / 2, size=count)
     sq /= sq.sum(axis=0)
     return sq.T
@@ -217,12 +229,13 @@ def draw_until(count, row_shape, draw):
     accepts, where draw(n) takes n fresh candidates and returns the accepted
     ones in draw order.  Each call asks for the rows still missing over the
     acceptance rate seen so far (Laplace-smoothed, 20% margin, at most
-    16 * count)."""
+    16 * count), and for at most _BLOCK_POINTS candidates."""
     kept = [np.zeros((0,) + tuple(row_shape))]
     have = drawn = 0
     while have < count:
         n = count if not drawn else \
             min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
+        n = min(n, _BLOCK_POINTS)
         kept.append(draw(n))
         have, drawn = have + len(kept[-1]), drawn + n
     return np.concatenate(kept)[:count]
@@ -253,26 +266,53 @@ def first_layer_lower_bound(x, y, metric):
     return num / float(metric.distance_np(xc, yc))
 
 
+def _streamed(samples, block, labels, nu):
+    """One EmpiricalConstant per label, from `samples` points walked in
+    blocks of at most _BLOCK_POINTS, in order: block(n) draws n points from
+    the driver's generator, as the driver would for a count of n, and
+    returns their sups, one per label (each a max with initial 0), and the
+    count of points its mask kept.  The sups fold by a running max and the
+    counts by a sum, so a count of at most one block is one call.  Raises
+    ValueError, labelled with the first label, when no block keeps a
+    point."""
+    sups, kept = np.zeros(len(labels)), 0
+    for start in range(0, samples, _BLOCK_POINTS):
+        sup, k = block(min(_BLOCK_POINTS, samples - start))
+        np.maximum(sups, sup, out=sups)
+        kept += k
+    if not kept:
+        raise ValueError("%s: no sample of %d was kept; every ratio's denominator "
+                         "is below its cutoff, so nu or the radius is too small"
+                         % (labels[0], samples))
+    return [EmpiricalConstant(label, float(sup), kept, nu=nu)
+            for label, sup in zip(labels, sups)]
+
+
 def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
     """sup |pi_1(a - b)| / d(a, b) over pairs of the box of half-side
-    `radius`.  No full-size temporary is made: a is negated in place, since
+    `radius`, drawn per block of n pairs as one box sample of 2n points, a
+    then b.  No full-size temporary is made: a is negated in place, since
     d(a, b) = N((-a) o b) and a - b = -((-a) + b) has the same squares, and
     only the layer-1 columns of (-a) + b are formed, one at a time."""
     check_samples(samples)
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    pts = sample_box(alg, radius, 2 * samples, rng)
-    a, b = np.negative(pts[:samples], out=pts[:samples]), pts[samples:]
-    num = np.zeros(samples)
-    for k in alg.layer_indices(1):
-        col = a[:, k] + b[:, k]
-        num += np.square(col, out=col)
-    num = np.sqrt(num, out=num)
-    den = metric.quasi_norm_np(group_product_np(alg, a, b))
-    mask = den > 1e-12
-    return EmpiricalConstant("first_layer_comparison[%s]" % alg.name,
-                             _masked_sup(num, den, mask), int(mask.sum()), nu=radius)
+
+    def block(n):
+        pts = sample_box(alg, radius, 2 * n, rng)
+        a, b = np.negative(pts[:n], out=pts[:n]), pts[n:]
+        num = np.zeros(n)
+        for k in alg.layer_indices(1):
+            col = a[:, k] + b[:, k]
+            num += np.square(col, out=col)
+        num = np.sqrt(num, out=num)
+        den = metric.quasi_norm_np(group_product_np(alg, a, b))
+        mask = den > 1e-12
+        return _masked_sup(num, den, mask), int(mask.sum())
+
+    return _streamed(samples, block, ["first_layer_comparison[%s]" % alg.name],
+                     radius)[0]
 
 
 def _masked_sup(num, den, mask):
@@ -291,89 +331,99 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    sq = ball_layer_squares(metric, radius, samples, rng)
-    norms = metric._gauge(sq)
-    mask = norms > 1e-9
-    kept = int(mask.sum())
-    # a point outside the mask gets gauge inf, so its ratios are 0
-    norms = np.where(mask, norms, np.inf)
-    # tails[i - 1] = |pi^i|^2, the sum of the squared layer norms of layers
-    # j >= i, added from the top layer down
-    tails, acc = [], 0.0
-    for i in range(alg.step, 0, -1):
-        acc = acc + sq[:, i - 1]
-        tails.insert(0, acc)
-    out, power = [], 1.0
-    for i, tail in enumerate(tails, start=1):
-        power = power * norms
-        out.append(EmpiricalConstant(
-            "tail_projection K_U layer>=%d[%s]" % (i, alg.name),
-            float(np.max(np.sqrt(tail) / power, initial=0.0)), kept, nu=radius))
-    return out
+
+    def block(n):
+        sq = ball_layer_squares(metric, radius, n, rng)
+        norms = metric._gauge(sq)
+        mask = norms > 1e-9
+        # a point outside the mask gets gauge inf, so its ratios are 0
+        norms = np.where(mask, norms, np.inf)
+        # tails[i - 1] = |pi^i|^2, the sum of the squared layer norms of
+        # layers j >= i, added from the top layer down
+        tails, acc = [], 0.0
+        for i in range(alg.step, 0, -1):
+            acc = acc + sq[:, i - 1]
+            tails.insert(0, acc)
+        sups, power = [], 1.0
+        for tail in tails:
+            power = power * norms
+            sups.append(np.max(np.sqrt(tail) / power, initial=0.0))
+        return sups, int(mask.sum())
+
+    return _streamed(samples, block, ["tail_projection K_U layer>=%d[%s]" % (i, alg.name)
+                                      for i in range(1, alg.step + 1)], radius)
 
 
 def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup d(exp xi) / |xi|^{1/step} over |xi| <= nu: xi = r u with u a
     uniform unit direction and r drawn uniformly from [0.05, nu], so nu must
-    exceed 0.05.  The gauge of r u reads only r^2 |u_i|^2, so only the layer
-    shares |u_i|^2 are drawn (direction_layer_squares), then the radii."""
+    exceed 0.05.  The gauge of r u reads only r^2 |u_i|^2, so per block only
+    the layer shares |u_i|^2 are drawn (direction_layer_squares), then the
+    radii."""
     check_samples(samples)
     nu = check_radius(nu, "nu", above=0.05)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    sq = direction_layer_squares(alg, samples, rng)
-    radii = rng.uniform(0.05, nu, samples)
-    sq *= np.square(radii)[:, None]
-    ratios = metric._gauge(sq) / _root(radii, alg.step)
-    return EmpiricalConstant("gauge_vs_norm kappa(nu)[%s]" % alg.name,
-                             float(np.max(ratios)), samples, nu=nu)
+
+    def block(n):
+        sq = direction_layer_squares(alg, n, rng)
+        radii = rng.uniform(0.05, nu, n)
+        sq *= np.square(radii)[:, None]
+        return np.max(metric._gauge(sq) / _root(radii, alg.step)), n
+
+    return _streamed(samples, block, ["gauge_vs_norm kappa(nu)[%s]" % alg.name], nu)[0]
 
 
 def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup |(-xi) o eta| / |xi - eta| over |xi|, |eta| <= nu (Euclidean
-    coordinate norms; the group-difference comparison).  The ratio is taken
-    on squared norms, with one square root of the sup.  xi is negated in
-    place, and xi - eta = -((-xi) + eta) has the same squares, so no
-    full-size temporary is made beside the product."""
+    coordinate norms; the group-difference comparison), drawn per block of n
+    pairs as two box samples of n points, xi then eta.  The ratio is taken
+    on squared norms, with one square root of each block's sup.  xi is
+    negated in place, and xi - eta = -((-xi) + eta) has the same squares, so
+    no full-size temporary is made beside the product."""
     check_samples(samples)
     nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    xi = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
-    eta = sample_box(alg, nu / math.sqrt(alg.dim), samples, rng)
     ops = alg.float_ops()
-    neg = np.negative(xi, out=xi)
-    num = ops.layer_squares(group_product_np(alg, neg, eta)).sum(axis=-1)
-    den = ops.layer_squares(np.add(neg, eta, out=neg)).sum(axis=-1)
-    mask = den > 1e-24
-    return EmpiricalConstant("group_difference_vs_linear C(nu)[%s]" % alg.name,
-                             math.sqrt(_masked_sup(num, den, mask)),
-                             int(mask.sum()), nu=nu)
+    half = nu / math.sqrt(alg.dim)
+
+    def block(n):
+        xi = sample_box(alg, half, n, rng)
+        eta = sample_box(alg, half, n, rng)
+        neg = np.negative(xi, out=xi)
+        num = ops.layer_squares(group_product_np(alg, neg, eta)).sum(axis=-1)
+        den = ops.layer_squares(np.add(neg, eta, out=neg)).sum(axis=-1)
+        mask = den > 1e-24
+        return math.sqrt(_masked_sup(num, den, mask)), int(mask.sum())
+
+    return _streamed(samples, block,
+                     ["group_difference_vs_linear C(nu)[%s]" % alg.name], nu)[0]
 
 
 def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
-    d(y^-1 x y) / d(x)^{1/step}."""
+    d(y^-1 x y) / d(x)^{1/step}, drawn per block of n pairs as two ball
+    samples of n points, x then y."""
     check_samples(samples)
     nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    x = sample_ball(metric, nu, samples, rng)
-    y = sample_ball(metric, nu, samples, rng)
-    xy = group_product_np(alg, x, y)
-    conj = group_product_np(alg, -y, xy)
-    d_conj = metric.quasi_norm_np(conj)
-    norm_x = np.linalg.norm(x, axis=-1)
-    d_x = metric.quasi_norm_np(x)
-    mask = (norm_x > 1e-9) & (d_x > 1e-9)
     e = 1.0 / alg.step
-    c1 = EmpiricalConstant("conjugation_vs_norm[%s]" % alg.name,
-                           float(np.max(d_conj[mask] / norm_x[mask] ** e)),
-                           int(mask.sum()), nu=nu)
-    c2 = EmpiricalConstant("conjugation_vs_gauge[%s]" % alg.name,
-                           float(np.max(d_conj[mask] / d_x[mask] ** e)),
-                           int(mask.sum()), nu=nu)
-    return c1, c2
+
+    def block(n):
+        x = sample_ball(metric, nu, n, rng)
+        y = sample_ball(metric, nu, n, rng)
+        conj = group_product_np(alg, -y, group_product_np(alg, x, y))
+        d_conj = metric.quasi_norm_np(conj)
+        norm_x = np.linalg.norm(x, axis=-1)
+        d_x = metric.quasi_norm_np(x)
+        mask = (norm_x > 1e-9) & (d_x > 1e-9)
+        return ((_masked_sup(d_conj.copy(), norm_x ** e, mask),
+                 _masked_sup(d_conj, d_x ** e, mask)), int(mask.sum()))
+
+    return tuple(_streamed(samples, block, ["conjugation_vs_norm[%s]" % alg.name,
+                                            "conjugation_vs_gauge[%s]" % alg.name], nu))
 
 
 def _product_ratios(metric, nu, b, pert):
@@ -428,20 +478,23 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 
 
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
-    """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance."""
+    """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance.  Drawn per
+    block of n pairs as two ball samples of n points, x then y."""
     check_samples(samples)
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
-    x = sample_ball(metric, radius, samples, rng)
-    y = sample_ball(metric, radius, samples, rng)
-    xy = group_product_np(alg, x, y)
-    num = metric.quasi_norm_np(xy)
-    den = metric.quasi_norm_np(x) + metric.quasi_norm_np(y)
-    mask = den > 1e-12
-    return EmpiricalConstant("quasi_triangle[%s,%s]" % (metric.kind, alg.name),
-                             float(np.max(num[mask] / den[mask])), int(mask.sum()),
-                             nu=radius)
+
+    def block(n):
+        x = sample_ball(metric, radius, n, rng)
+        y = sample_ball(metric, radius, n, rng)
+        num = metric.quasi_norm_np(group_product_np(alg, x, y))
+        den = metric.quasi_norm_np(x) + metric.quasi_norm_np(y)
+        mask = den > 1e-12
+        return _masked_sup(num, den, mask), int(mask.sum())
+
+    return _streamed(samples, block, ["quasi_triangle[%s,%s]" % (metric.kind, alg.name)],
+                     radius)[0]
 
 
 # ---------------------------------------------------------------------------

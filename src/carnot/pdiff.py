@@ -907,22 +907,28 @@ def distance_to_vertical_subgroup(metric, sub, points):
     return metric.quasi_norm_np(rep)
 
 
-def _directed_hausdorff(metric, A, B):
-    """sup over a in A of the distance from a to the cloud B, brute force in
-    chunks of 256 (k-d trees only support Minkowski metrics)."""
-    worst = 0.0
+def _hausdorff_sups(metric, A, B):
+    """The two directed Hausdorff distances (sup over a in A of the distance
+    from a to B, and sup over b in B of the distance from b to A), brute
+    force in one pass over A x B, in chunks of 256 rows of A (k-d trees only
+    support Minkowski metrics).  Both gauges read layer squares, so
+    N(-x) = N(x), and d(b, a) = N((-b) o a) = N((-a) o b) = d(a, b) up to
+    rounding: row minima give the first sup and running column minima the
+    second."""
+    worst, col_min = 0.0, np.full(len(B), np.inf)
     for s in range(0, len(A), 256):
-        blk = A[s:s + 256]
-        d = metric.distance_np(blk[:, None, :], B[None, :, :])
+        d = metric.distance_np(A[s:s + 256, None, :], B[None, :, :])
         worst = max(worst, float(np.max(np.min(d, axis=1))))
-    return worst
+        np.minimum(col_min, np.min(d, axis=0), out=col_min)
+    return worst, float(np.max(col_min))
 
 
 def hausdorff_distance(metric, cloud_a, cloud_b):
     """Symmetric Hausdorff distance between point clouds in the homogeneous
-    metric."""
-    return max(_directed_hausdorff(metric, cloud_a, cloud_b),
-               _directed_hausdorff(metric, cloud_b, cloud_a))
+    metric.  Raises ValueError when a cloud is empty."""
+    if not (len(cloud_a) and len(cloud_b)):
+        raise ValueError("hausdorff_distance needs two nonempty clouds")
+    return max(_hausdorff_sups(metric, cloud_a, cloud_b))
 
 
 def cone_samples(algebra, cone, R, count, rng):
@@ -965,7 +971,7 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0)
             d_a = float(np.max(distance_to_vertical_subgroup(metric, cone, cloud)))
         else:
             cs = cone_samples(alg, cone, R, 4 * count, rng)
-            d_a = _directed_hausdorff(metric, cloud, cs)
+            d_a = _hausdorff_sups(metric, cloud, cs)[0]
         nodes = cone_samples(alg, cone, 0.95 * R, count, rng)
         d_b = float(np.max(sampler.graph_height(lam, nodes)))
         set_to_cone.append(d_a)

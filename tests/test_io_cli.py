@@ -348,6 +348,9 @@ INPUT_PROBES = {
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": -1})]),
     "estimates-nu-below-the-radius-floor": ("nu", lambda d: [
         "experiment", "verify-estimates", _write(d, "e.json", {"group": "h1", "nu": 0.01})]),
+    "estimates-nu-keeps-no-sample": ("no sample of 50 was kept", lambda d: [
+        "experiment", "verify-estimates",
+        _write(d, "e.json", {"group": "h1", "nu": 1e-13, "samples": 50})]),
     "mvi-pairs-zero": ("pairs", lambda d: [
         "experiment", "mvi",
         _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,7 +9,7 @@ from carnot import catalog
 from carnot.algebra import (GradedAlgebra, GroupElement, dilate,
                             homogeneous_dimension)
 from carnot.bch import group_product, group_product_np
-from carnot.metric import (HomogeneousMetric, ball_layer_squares,
+from carnot.metric import (_BLOCK_POINTS, HomogeneousMetric, ball_layer_squares,
                            default_metric, direction_layer_squares, distance,
                            draw_until, first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
@@ -275,13 +276,17 @@ def test_estimates_match_their_norm_formulas(metric):
             float(np.max(tails[:, i - 1] / norms ** i)), rel=1e-13)
 
     # the gauge-vs-norm estimate draws the layer shares |u_i|^2 of its unit
-    # directions u, Gamma(d_i / 2) per nonempty layer over their sum, and
-    # then the radii r: the point r u has layer norms r |u_i|
+    # directions u, Gamma(d_i / 2) per nonempty layer over their sum (Z^2 / 2
+    # from one standard normal Z on a one-dimensional layer), and then the
+    # radii r: the point r u has layer norms r |u_i|
     rng = np.random.default_rng(seed)
     gam = np.zeros((n, alg.step))
     for i in range(1, alg.step + 1):
-        if alg.layer_indices(i):
-            gam[:, i - 1] = rng.standard_gamma(len(alg.layer_indices(i)) / 2, n)
+        d = len(alg.layer_indices(i))
+        if d == 1:
+            gam[:, i - 1] = rng.standard_normal(n) ** 2 / 2
+        elif d:
+            gam[:, i - 1] = rng.standard_gamma(d / 2, n)
     shares = gam / gam.sum(axis=-1, keepdims=True)
     r = rng.uniform(0.05, 0.9, n)
     pts = _points_with_layer_norms(alg, r[:, None] * np.sqrt(shares))
@@ -580,6 +585,167 @@ def test_draw_until_keeps_the_first_accepted_rows_in_draw_order():
     assert np.array_equal(got, drawn[drawn < 0.1][:50])
     assert draw_until(7, (3,), lambda n: np.ones((n, 3))).shape == (7, 3)
     assert draw_until(0, (2,), draw).shape == (0, 2)
+    # no call asks for more than one block, whatever the count and rate
+    seen.clear()
+    got = draw_until(3 * _BLOCK_POINTS, (), draw)
+    drawn = np.concatenate(seen)
+    assert max(map(len, seen)) == _BLOCK_POINTS
+    assert np.array_equal(got, drawn[drawn < 0.1][:3 * _BLOCK_POINTS])
+
+
+def _unblocked_references():
+    """The six streamed drivers as they were before they walked their count
+    in blocks: every point drawn at once from one generator, the sup taken
+    over the whole count.  name -> (driver, reference), each called as
+    f(metric, r, samples, seed) and returning a list of (sup, kept)."""
+
+    def first_layer(metric, radius, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        pts = sample_box(alg, radius, 2 * samples, rng)
+        a, b = -pts[:samples], pts[samples:]
+        num = np.zeros(samples)
+        for k in alg.layer_indices(1):
+            num += np.square(a[:, k] + b[:, k])
+        num = np.sqrt(num)
+        den = metric.quasi_norm_np(group_product_np(alg, a, b))
+        mask = den > 1e-12
+        return [(np.max(num[mask] / den[mask]), mask.sum())]
+
+    def projection(metric, radius, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        sq = ball_layer_squares(metric, radius, samples, rng)
+        norms = metric._gauge(sq)
+        mask = norms > 1e-9
+        tails = np.cumsum(sq[:, ::-1], axis=-1)[:, ::-1]
+        out, power = [], 1.0
+        for i in range(1, alg.step + 1):
+            power = power * norms[mask]
+            out.append((np.max(np.sqrt(tails[mask, i - 1]) / power), mask.sum()))
+        return out
+
+    def norm_exp(metric, nu, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        sq = direction_layer_squares(alg, samples, rng)
+        radii = rng.uniform(0.05, nu, samples)
+        return [(np.max(metric._gauge(sq * np.square(radii)[:, None])
+                        / radii ** (1.0 / alg.step)), samples)]
+
+    def left_inverse(metric, nu, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        h = nu / math.sqrt(alg.dim)
+        xi = sample_box(alg, h, samples, rng)
+        eta = sample_box(alg, h, samples, rng)
+        ops = alg.float_ops()
+        num = ops.layer_squares(group_product_np(alg, -xi, eta)).sum(axis=-1)
+        den = ops.layer_squares(eta - xi).sum(axis=-1)
+        mask = den > 1e-24
+        return [(math.sqrt(np.max(num[mask] / den[mask])), mask.sum())]
+
+    def conjugation(metric, nu, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        x = sample_ball(metric, nu, samples, rng)
+        y = sample_ball(metric, nu, samples, rng)
+        d_conj = metric.quasi_norm_np(group_product_np(alg, -y, group_product_np(alg, x, y)))
+        norm_x, d_x = np.linalg.norm(x, axis=-1), metric.quasi_norm_np(x)
+        mask, e = (norm_x > 1e-9) & (d_x > 1e-9), 1.0 / alg.step
+        return [(np.max(d_conj[mask] / norm_x[mask] ** e), mask.sum()),
+                (np.max(d_conj[mask] / d_x[mask] ** e), mask.sum())]
+
+    def quasi_triangle(metric, radius, samples, seed):
+        alg, rng = metric.algebra, np.random.default_rng(seed)
+        x = sample_ball(metric, radius, samples, rng)
+        y = sample_ball(metric, radius, samples, rng)
+        num = metric.quasi_norm_np(group_product_np(alg, x, y))
+        den = metric.quasi_norm_np(x) + metric.quasi_norm_np(y)
+        mask = den > 1e-12
+        return [(np.max(num[mask] / den[mask]), mask.sum())]
+
+    return {
+        "first_layer": (lambda m, r, n, s: [first_layer_constant(m, r, n, s)], first_layer),
+        "projection": (verify_projection_estimate, projection),
+        "norm_exp": (lambda m, r, n, s: [norm_exp_estimate(m, r, n, s)], norm_exp),
+        "left_inverse": (lambda m, r, n, s: [left_inverse_estimate(m, r, n, s)],
+                         left_inverse),
+        "conjugation": (verify_conjugation_estimate, conjugation),
+        "quasi_triangle": (lambda m, r, n, s: [quasi_triangle_constant(m, r, n, s)],
+                           quasi_triangle),
+    }
+
+
+STREAMED = _unblocked_references()
+
+
+def _streamed_metrics():
+    yield koranyi(catalog.get("h1"))
+    yield koranyi(catalog.get("g42"))
+    yield weighted_max(catalog.get("free_2_4"), [1.0, 1.5, 2.0, 2.5])
+
+
+@pytest.mark.parametrize("metric", list(_streamed_metrics()), ids=repr)
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_one_block_is_bit_identical_to_the_unblocked_driver(name, metric):
+    # a count of exactly one block draws and reduces what the driver drew
+    # before it streamed: the same sups to the bit and the same kept counts
+    driver, reference = STREAMED[name]
+    got = driver(metric, 0.9, _BLOCK_POINTS, 4)
+    want = reference(metric, 0.9, _BLOCK_POINTS, 4)
+    assert [(c.sup_observed, c.samples) for c in got] == \
+        [(float(sup), int(kept)) for sup, kept in want]
+
+
+@pytest.mark.parametrize("metric", list(_streamed_metrics()), ids=repr)
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_driver_replays_its_blocks_from_one_generator(name, metric):
+    # 2.5 blocks: two full blocks and a half block, each drawn as the driver
+    # draws a count of that size, one after the other from the generator of
+    # the seed (default_rng returns a Generator it is given unaltered); the
+    # sups fold by a max and the kept counts by a sum
+    driver, _ = STREAMED[name]
+    n = 5 * _BLOCK_POINTS // 2
+    got = driver(metric, 0.9, n, 4)
+    rng = np.random.default_rng(4)
+    blocks = [driver(metric, 0.9, k, rng)
+              for k in (_BLOCK_POINTS, _BLOCK_POINTS, n % _BLOCK_POINTS)]
+    for j, c in enumerate(got):
+        assert c.sup_observed == max(b[j].sup_observed for b in blocks)
+        assert c.samples == sum(b[j].samples for b in blocks)
+        assert c.label == blocks[0][j].label and c.nu == 0.9
+
+
+def test_streamed_drivers_hold_one_block_of_memory(h1):
+    # at 10^6 samples on h1 the unblocked drivers peaked at 48-152 MB of
+    # traced allocations; streamed, the peak is set by one block
+    import tracemalloc
+    K = koranyi(h1)
+    for name, (driver, _) in sorted(STREAMED.items()):
+        tracemalloc.start()
+        try:
+            driver(K, 0.9, 10 ** 6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (name, peak)
+
+
+@pytest.mark.parametrize("name, run", [
+    ("first_layer_comparison[h1]",
+     lambda K: first_layer_constant(K, radius=1e-26, samples=50)),
+    ("tail_projection K_U layer>=1[h1]",
+     lambda K: verify_projection_estimate(K, radius=1e-12, samples=50)),
+    ("group_difference_vs_linear C(nu)[h1]",
+     lambda K: left_inverse_estimate(K, nu=1e-13, samples=50)),
+    ("conjugation_vs_norm[h1]",
+     lambda K: verify_conjugation_estimate(K, nu=1e-12, samples=50)),
+    ("quasi_triangle[koranyi,h1]",
+     lambda K: quasi_triangle_constant(K, radius=1e-13, samples=50)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_a_mask_that_keeps_no_sample_is_one_labelled_error(h1, name, run):
+    # at a radius so small that every denominator falls below its cutoff,
+    # each masked driver raises the same ValueError, labelled with its
+    # (first) constant; the gauge-vs-norm estimate keeps every sample
+    with pytest.raises(ValueError, match=r"^%s: no sample of 50 was kept;"
+                       % re.escape(name)):
+        run(koranyi(h1))
 
 
 def test_norm_and_left_inverse_estimates(h12):

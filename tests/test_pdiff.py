@@ -430,6 +430,35 @@ def test_blowup_trivial_and_radial(radial):
     assert rep2.distances[-1] <= 0.05
 
 
+def _hausdorff_two_pass(metric, A, B):
+    """The symmetric Hausdorff distance from both directed distances, each
+    from its own full distance matrix: d(a, b) for A -> B, d(b, a) for
+    B -> A."""
+    ab = metric.distance_np(A[:, None, :], B[None, :, :])
+    ba = metric.distance_np(B[:, None, :], A[None, :, :])
+    return max(float(np.max(np.min(ab, axis=1))), float(np.max(np.min(ba, axis=1))))
+
+
+@pytest.mark.parametrize("name", ["h1", "g42", "free_2_3"])
+def test_hausdorff_distance_matches_the_two_pass_brute_force(name):
+    # one pass over A x B reads d(b, a) as d(a, b), equal up to rounding; the
+    # clouds span two chunks of 256 rows and are of unequal sizes, each
+    # either way round, once with a far cloud so that B -> A is the larger
+    from carnot.metric import default_metric, sample_ball
+    g = catalog.get(name)
+    metric = default_metric(g)
+    rng = np.random.default_rng(21)
+    a = sample_ball(metric, 1.0, 300, rng)
+    b = sample_ball(metric, 0.5, 170, rng)
+    far = b.copy()
+    far[:20] = sample_ball(metric, 3.0, 20, rng)
+    for x, y in ((a, b), (b, a), (b, far), (far, b), (a[:1], b)):
+        want = _hausdorff_two_pass(metric, x, y)
+        assert pdiff.hausdorff_distance(metric, x, y) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="two nonempty clouds"):
+        pdiff.hausdorff_distance(metric, a[:0], b)
+
+
 def test_bilipschitz_of_smooth_maps(radial):
     # local Lipschitz property of continuously P-differentiable maps
     lo, hi = pdiff.bilipschitz_bounds(radial, XI, radius=0.3, samples=300)
