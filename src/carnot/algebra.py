@@ -582,8 +582,9 @@ class EmpiricalConstant:
 
 
 def check_samples(samples, name="samples"):
-    """The count check of every sampled estimate, at entry: `samples` must be
-    an integer >= 1, else ValueError naming it as `name`."""
+    """The count check of every sampled estimate, before any draw (streamed
+    runs it): `samples` must be an integer >= 1, else ValueError naming it
+    as `name`."""
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
             or samples < 1:
         raise ValueError("%s must be an integer >= 1, got %r" % (name, samples))
@@ -599,6 +600,63 @@ def check_radius(radius, name="radius", above=0.0):
             or not math.isfinite(radius) or radius <= above:
         raise ValueError("%s must be a finite number > %s, got %r" % (name, above, radius))
     return float(radius)
+
+
+# Every sampled constant of bch, metric and pdiff walks its count in blocks
+# of BLOCK_POINTS points, so memory is bounded by the block, not the count.
+BLOCK_POINTS = 1 << 14
+
+
+def unit_vectors(rng, count, d):
+    """`count` directions uniform on the unit sphere of R^d, shape (count, d),
+    column-major; one column-sum reduction gives the norms."""
+    g = rng.standard_normal((d, count))
+    g /= np.sqrt(np.square(g).sum(axis=0))
+    return g.T
+
+
+def masked_sup(num, den, mask):
+    """max of num / den where mask holds (0 where it holds nowhere), divided
+    in place in num: pass a copy of num if it is read again."""
+    return float(np.max(np.divide(num, den, out=num, where=mask), where=mask,
+                        initial=0.0))
+
+
+def streamed(samples, block, labels, nu):
+    """One EmpiricalConstant per label, from `samples` points (check_samples)
+    walked in blocks of at most BLOCK_POINTS: block(n) draws n points as the
+    driver would for a count of n and returns their sups, one per label (a
+    max with initial 0; a min is the sup of reciprocals), and the count its
+    mask kept.  Sups fold by a max, counts by a sum.  Raises ValueError,
+    labelled with the first label, when no block keeps a point."""
+    check_samples(samples)
+    sups, kept = np.zeros(len(labels)), 0
+    for start in range(0, samples, BLOCK_POINTS):
+        sup, k = block(min(BLOCK_POINTS, samples - start))
+        np.maximum(sups, sup, out=sups)
+        kept += k
+    if not kept:
+        raise ValueError("%s: no sample of %d was kept; every ratio's denominator "
+                         "is below its cutoff, so nu or the radius is too small"
+                         % (labels[0], samples))
+    return [EmpiricalConstant(label, float(sup), kept, nu=nu)
+            for label, sup in zip(labels, sups)]
+
+
+def draw_until(count, row_shape, draw):
+    """The walker of the samplers with a hypothesis: the first `count` rows
+    of shape `row_shape` that draw(n) accepts of n fresh candidates, in draw
+    order.  Each call asks for the missing rows over the acceptance rate so
+    far (Laplace-smoothed, 20% margin, at most 16 * count and BLOCK_POINTS)."""
+    kept = [np.zeros((0,) + tuple(row_shape))]
+    have = drawn = 0
+    while have < count:
+        n = count if not drawn else \
+            min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
+        n = min(n, BLOCK_POINTS)
+        kept.append(draw(n))
+        have, drawn = have + len(kept[-1]), drawn + n
+    return np.concatenate(kept)[:count]
 
 
 def bracket_norm_constant(algebra):

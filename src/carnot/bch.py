@@ -40,8 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import (AlgebraVector, GroupElement, EmpiricalConstant, Polynomial, bracket,
-                      check_radius, check_samples)
+from .algebra import (AlgebraVector, GroupElement, Polynomial, bracket, check_radius,
+                      masked_sup, streamed, unit_vectors)
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -594,43 +594,50 @@ def cn_difference_ratio(n, x, y, d1, d2, nu):
 
 
 def cn_difference_bound(algebra, n, nu, samples=200, seed=0):
-    """Sampled sup of the c_n difference ratio over ||X||,||Y||,||D|| <= nu."""
-    check_samples(samples)
-    check_radius(nu, "nu")
+    """Sampled sup of cn_difference_ratio over ||X||, ||Y||, ||D|| <= nu, in
+    blocks (algebra.streamed): a block of k samples draws X, Y, D1 and D2 in
+    turn, each as k vectors r u, unit_vectors u then radii r on [0, nu]."""
+    nu = check_radius(nu, "nu")
+    if not 1 <= n <= algebra.step:
+        raise ValueError("term index %d out of range 1..%d" % (n, algebra.step))
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x, y, d1, d2 = (_random_ball_vector(algebra, nu, rng) for _ in range(4))
-        worst = max(worst, cn_difference_ratio(n, x, y, d1, d2, nu))
-    return EmpiricalConstant(label="bch_term_difference gamma_%d[%s]" % (n, algebra.name),
-                             sup_observed=worst, samples=samples, nu=nu)
 
+    def block(k):
+        x, y, d1, d2 = (unit_vectors(rng, k, algebra.dim) * rng.uniform(0, nu, (k, 1))
+                        for _ in range(4))
+        diff = _float_terms(algebra, x + d1, y + d2, (n,)) - _float_terms(algebra, x, y, (n,))
+        den = nu ** (n - 1) * np.maximum(_norms(d1), _norms(d2))
+        return masked_sup(_norms(diff), den, den != 0), k
 
-def _random_ball_vector(algebra, nu, rng):
-    v = rng.standard_normal(algebra.dim)
-    v *= rng.uniform(0, nu) / max(np.linalg.norm(v), 1e-300)
-    return AlgebraVector(algebra, v)
+    label = "bch_term_difference gamma_%d[%s]" % (n, algebra.name)
+    return streamed(samples, block, [label], nu)[0]
 
 
 def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
     """Sampled sup of ||c_n(X, Y)|| / ||[X, Y]|| over ||X||, ||Y|| <= nu with
     [X, Y] != 0; finite because every addend of c_n beyond the first contains
-    a bracket factor."""
-    check_samples(samples)
-    check_radius(nu, "nu")
+    a bracket factor.  `samples` pairs are drawn in blocks, as X and Y of
+    cn_difference_bound; a pair with ||[X, Y]|| < 1e-9 is dropped, and the
+    constant's `samples` counts the pairs kept."""
+    nu = check_radius(nu, "nu")
     if not 2 <= n <= algebra.step:
         raise ValueError("bilinear_bound needs 2 <= n <= step = %d, got n = %d"
                          % (algebra.step, n))
     rng = np.random.default_rng(seed)
-    worst, used = 0.0, 0
-    while used < samples:
-        x = _random_ball_vector(algebra, nu, rng)
-        y = _random_ball_vector(algebra, nu, rng)
-        br = bracket(x, y).norm()
-        if br < 1e-9:
-            continue
-        worst = max(worst, bch_term(n, x, y).norm() / br)
-        used += 1
-    return EmpiricalConstant(label="bch_term_vs_bracket alpha_%d[%s]"
-                             % (n, algebra.name),
-                             sup_observed=worst, samples=used, nu=nu)
+
+    def block(k):
+        x, y = (unit_vectors(rng, k, algebra.dim) * rng.uniform(0, nu, (k, 1))
+                for _ in range(2))
+        br = _norms(algebra.float_ops().bracket(x, y))
+        keep = br >= 1e-9
+        return masked_sup(_norms(_float_terms(algebra, x, y, (n,))), br, keep), int(keep.sum())
+
+    label = "bch_term_vs_bracket alpha_%d[%s]" % (n, algebra.name)
+    return streamed(samples, block, [label], nu)[0]
+
+
+def _norms(v):
+    """The norms of the rows of v, each as AlgebraVector.norm takes it (the
+    dot product of a contiguous row), so the two agree bit for bit."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])

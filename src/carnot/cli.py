@@ -174,15 +174,14 @@ def cmd_algebra(args):
 def cmd_subgroups(args):
     from . import subgroups as sg
     if args.action in ("classify-epi", "classify-mono"):
+        what = "invalid morphism file %s" % args.file
         try:
             L = cio.load_morphism(args.file, _load_group)
         except (OSError, ValueError) as e:
-            raise _BadInput("invalid morphism file %s" % args.file, e) from None
-        if args.action == "classify-epi":
-            out = sg.classify_epimorphism(L)
-            print(json.dumps(out.to_json_dict(), indent=2))
-            return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
-        out = sg.classify_monomorphism(L)
+            raise _BadInput(what, e) from None
+        # a well-formed file that is not an h-homomorphism is bad input too
+        out = _arg(what, sg.classify_epimorphism if args.action == "classify-epi"
+                   else sg.classify_monomorphism, L)
         print(json.dumps(out.to_json_dict(), indent=2))
         return EXIT_UNDECIDED if out.verdict == "undecided" else EXIT_OK
     g = _load_group(_required(args.group, "--group"))
@@ -252,6 +251,24 @@ def _number(cfg, key, default, kind=float, positive=False):
     return value
 
 
+def _name(cfg, key):
+    """cfg[key], a catalog or map name or a file path, which must be a string:
+    a JSON integer would reach open() as a file descriptor."""
+    value = cfg[key]
+    if not isinstance(value, str):
+        raise ValueError("%s: expected a string, got %r" % (key, value))
+    return value
+
+
+def _point(value, key, dim):
+    """A config point (`start`, `center`, `base_point`) as `dim` float
+    coordinates; any other length is bad input naming its key."""
+    point = np.asarray(value, dtype=float)
+    if point.shape != (dim,):
+        raise ValueError("%s: expected %d coordinates, got %r" % (key, dim, value))
+    return point
+
+
 def cmd_experiment(args):
     from . import curves as cv
     from . import pdiff
@@ -270,13 +287,9 @@ def cmd_experiment(args):
         manifest.add_input(args.config)
         summary = {"experiment": args.action, "seed": seed}
         if args.action == "lift":
-            g = _load_group(cfg["group"])
+            g = _load_group(_name(cfg, "group"))
             control = _control_from_cfg(cv, g, cfg["control"])
-            start = cfg.get("start", [0.0] * g.dim)
-            if len(start) != g.dim:
-                raise ValueError("start: expected %d coordinates, got %d"
-                                 % (g.dim, len(start)))
-            start = GroupElement(g, np.asarray(start, dtype=float))
+            start = GroupElement(g, _point(cfg.get("start", [0.0] * g.dim), "start", g.dim))
             curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 512, int),
                                        _number(cfg, "tol", 1e-8))
             rows = [[t] + list(c) for t, c in zip(curve.ts, curve.coords)]
@@ -289,7 +302,7 @@ def cmd_experiment(args):
             manifest.outputs.append(csv)
 
         elif args.action == "pansu":
-            g = _load_group(cfg["group"])
+            g = _load_group(_name(cfg, "group"))
             control = _control_from_cfg(cv, g, cfg["control"])
             start = GroupElement(g, np.zeros(g.dim))
             curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 2048, int))
@@ -304,9 +317,9 @@ def cmd_experiment(args):
             manifest.outputs.append(csv)
 
         elif args.action == "mvi":
-            f = pdiff.named_map(cfg["map"])
+            f = pdiff.named_map(_name(cfg, "map"))
             tab = pdiff.mean_value_ratio(
-                f, np.asarray(cfg["center"], dtype=float), float(cfg["r1"]),
+                f, _point(cfg["center"], "center", f.domain.dim), float(cfg["r1"]),
                 float(cfg["r2"]), pair_samples=_number(cfg, "pairs", 800, int, positive=True),
                 bins=_number(cfg, "bins", 4, int, positive=True), seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
@@ -318,9 +331,9 @@ def cmd_experiment(args):
             manifest.outputs.append(csv)
 
         elif args.action == "implicit":
-            f = pdiff.named_map(cfg["map"])
+            f = pdiff.named_map(_name(cfg, "map"))
             sol, numerical = pdiff.implicit_function(
-                f, np.asarray(cfg["base_point"], dtype=float),
+                f, _point(cfg["base_point"], "base_point", f.domain.dim),
                 {"radius": _number(cfg, "radius", 0.3),
                  "counts": cfg.get("counts", None) or None,
                  "shrink_attempts": _number(cfg, "shrink_attempts", 3, int)},
@@ -339,9 +352,9 @@ def cmd_experiment(args):
             manifest.outputs.append(csv)
 
         elif args.action == "rank":
-            f = pdiff.named_map(cfg["map"])
+            f = pdiff.named_map(_name(cfg, "map"))
             rp = pdiff.rank_parametrization(
-                f, np.asarray(cfg["base_point"], dtype=float),
+                f, _point(cfg["base_point"], "base_point", f.domain.dim),
                 grid_radius=_number(cfg, "radius", 0.25),
                 grid_count=_number(cfg, "count", 5, int))
             summary.update({"lip_ratio": rp.lip_ratio,
@@ -349,8 +362,8 @@ def cmd_experiment(args):
 
         elif args.action == "blowup":
             count = _number(cfg, "count", 400, int, positive=True)
-            f = pdiff.named_map(cfg["map"])
-            xbar = np.asarray(cfg["base_point"], dtype=float)
+            f = pdiff.named_map(_name(cfg, "map"))
+            xbar = _point(cfg["base_point"], "base_point", f.domain.dim)
             sol, _ = pdiff.implicit_function(
                 f, xbar, {"radius": _number(cfg, "radius", 0.4),
                           "counts": cfg.get("counts", None) or None})
@@ -371,7 +384,7 @@ def cmd_experiment(args):
             manifest.outputs.append(csv)
 
         elif args.action == "verify-estimates":
-            m = _metric_for(_load_group(cfg["group"]))
+            m = _metric_for(_load_group(_name(cfg, "group")))
             nu = _number(cfg, "nu", 1.0, positive=True)
             samples = _number(cfg, "samples", 2000, int, positive=True)
             consts = collect_estimates(m, nu, samples, seed)

@@ -12,14 +12,13 @@ Distances are left-invariant by construction: d(x, y) = N(x^{-1} y).
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import (GroupElement, EmpiricalConstant, check_radius, check_samples,
-                      identity_element)
+                      draw_until, identity_element, masked_sup, streamed, unit_vectors)
 from .bch import group_product, group_product_np
-
-from fractions import Fraction
 
 
 def metric_weights(step, kind, weights=None):
@@ -122,26 +121,11 @@ def default_metric(algebra):
 # its (count, dim) transpose, so each coordinate is one contiguous column for
 # the group law (bch._float_terms) and FloatOps.layer_squares, which read
 # x[..., k] columns and keep the input's memory order.
-#
-# The estimate drivers walk their sample count in blocks of _BLOCK_POINTS
-# points (_streamed), and draw_until asks for at most that many candidates a
-# call, so memory is bounded by the block and not by the count.  A block
-# draws what the driver draws for a count of that size, so a count of at
-# most one block keeps its draws.
-_BLOCK_POINTS = 1 << 14
 
 
 def sample_box(algebra, radius, count, rng):
     """Euclidean-coordinate box sample, shape (count, dim), column-major."""
     return rng.uniform(-radius, radius, size=(algebra.dim, count)).T
-
-
-def _unit_vectors(rng, count, d):
-    """`count` directions uniform on the unit sphere of R^d, shape (count, d),
-    column-major; one column-sum reduction gives the norms."""
-    g = rng.standard_normal((d, count))
-    g /= np.sqrt(np.square(g).sum(axis=0))
-    return g.T
 
 
 def _layer_norms(metric, radius, count, rng):
@@ -190,7 +174,7 @@ def sample_ball(metric, radius, count, rng):
     out = np.zeros((alg.dim, count))
     for i, norms in _layer_norms(metric, radius, count, rng):
         idx = alg.layer_indices(i)
-        out[idx] = _unit_vectors(rng, count, len(idx)).T * norms
+        out[idx] = unit_vectors(rng, count, len(idx)).T * norms
     return out.T
 
 
@@ -224,23 +208,6 @@ def direction_layer_squares(algebra, count, rng):
     return sq.T
 
 
-def draw_until(count, row_shape, draw):
-    """The first `count` rows, each of shape `row_shape`, that draw(n)
-    accepts, where draw(n) takes n fresh candidates and returns the accepted
-    ones in draw order.  Each call asks for the rows still missing over the
-    acceptance rate seen so far (Laplace-smoothed, 20% margin, at most
-    16 * count), and for at most _BLOCK_POINTS candidates."""
-    kept = [np.zeros((0,) + tuple(row_shape))]
-    have = drawn = 0
-    while have < count:
-        n = count if not drawn else \
-            min(math.ceil(1.2 * (count - have) * (drawn + 1) / (have + 1)), 16 * count)
-        n = min(n, _BLOCK_POINTS)
-        kept.append(draw(n))
-        have, drawn = have + len(kept[-1]), drawn + n
-    return np.concatenate(kept)[:count]
-
-
 def sphere_point(metric, u):
     """Dilate nonzero points, shape (..., dim), onto the unit sphere of the
     gauge."""
@@ -266,35 +233,12 @@ def first_layer_lower_bound(x, y, metric):
     return num / float(metric.distance_np(xc, yc))
 
 
-def _streamed(samples, block, labels, nu):
-    """One EmpiricalConstant per label, from `samples` points walked in
-    blocks of at most _BLOCK_POINTS, in order: block(n) draws n points from
-    the driver's generator, as the driver would for a count of n, and
-    returns their sups, one per label (each a max with initial 0), and the
-    count of points its mask kept.  The sups fold by a running max and the
-    counts by a sum, so a count of at most one block is one call.  Raises
-    ValueError, labelled with the first label, when no block keeps a
-    point."""
-    sups, kept = np.zeros(len(labels)), 0
-    for start in range(0, samples, _BLOCK_POINTS):
-        sup, k = block(min(_BLOCK_POINTS, samples - start))
-        np.maximum(sups, sup, out=sups)
-        kept += k
-    if not kept:
-        raise ValueError("%s: no sample of %d was kept; every ratio's denominator "
-                         "is below its cutoff, so nu or the radius is too small"
-                         % (labels[0], samples))
-    return [EmpiricalConstant(label, float(sup), kept, nu=nu)
-            for label, sup in zip(labels, sups)]
-
-
 def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
     """sup |pi_1(a - b)| / d(a, b) over pairs of the box of half-side
     `radius`, drawn per block of n pairs as one box sample of 2n points, a
     then b.  No full-size temporary is made: a is negated in place, since
     d(a, b) = N((-a) o b) and a - b = -((-a) + b) has the same squares, and
     only the layer-1 columns of (-a) + b are formed, one at a time."""
-    check_samples(samples)
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -309,17 +253,10 @@ def first_layer_constant(metric, radius=1.0, samples=2000, seed=0):
         num = np.sqrt(num, out=num)
         den = metric.quasi_norm_np(group_product_np(alg, a, b))
         mask = den > 1e-12
-        return _masked_sup(num, den, mask), int(mask.sum())
+        return masked_sup(num, den, mask), int(mask.sum())
 
-    return _streamed(samples, block, ["first_layer_comparison[%s]" % alg.name],
-                     radius)[0]
-
-
-def _masked_sup(num, den, mask):
-    """max of num / den where mask holds (0 where it holds nowhere), divided
-    in place in num."""
-    return float(np.max(np.divide(num, den, out=num, where=mask), where=mask,
-                        initial=0.0))
+    return streamed(samples, block, ["first_layer_comparison[%s]" % alg.name],
+                    radius)[0]
 
 
 def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
@@ -327,7 +264,6 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
     uniformly from the gauge ball of the given radius; one EmpiricalConstant
     per layer i >= 1.  The ratios read only the squared layer norms of the
     points, so only those are drawn (ball_layer_squares), not the points."""
-    check_samples(samples)
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -350,8 +286,8 @@ def verify_projection_estimate(metric, radius=1.0, samples=4000, seed=0):
             sups.append(np.max(np.sqrt(tail) / power, initial=0.0))
         return sups, int(mask.sum())
 
-    return _streamed(samples, block, ["tail_projection K_U layer>=%d[%s]" % (i, alg.name)
-                                      for i in range(1, alg.step + 1)], radius)
+    return streamed(samples, block, ["tail_projection K_U layer>=%d[%s]" % (i, alg.name)
+                                     for i in range(1, alg.step + 1)], radius)
 
 
 def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
@@ -360,7 +296,6 @@ def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
     exceed 0.05.  The gauge of r u reads only r^2 |u_i|^2, so per block only
     the layer shares |u_i|^2 are drawn (direction_layer_squares), then the
     radii."""
-    check_samples(samples)
     nu = check_radius(nu, "nu", above=0.05)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -371,7 +306,7 @@ def norm_exp_estimate(metric, nu=1.0, samples=4000, seed=0):
         sq *= np.square(radii)[:, None]
         return np.max(metric._gauge(sq) / _root(radii, alg.step)), n
 
-    return _streamed(samples, block, ["gauge_vs_norm kappa(nu)[%s]" % alg.name], nu)[0]
+    return streamed(samples, block, ["gauge_vs_norm kappa(nu)[%s]" % alg.name], nu)[0]
 
 
 def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
@@ -381,7 +316,6 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
     on squared norms, with one square root of each block's sup.  xi is
     negated in place, and xi - eta = -((-xi) + eta) has the same squares, so
     no full-size temporary is made beside the product."""
-    check_samples(samples)
     nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -395,17 +329,16 @@ def left_inverse_estimate(metric, nu=1.0, samples=4000, seed=0):
         num = ops.layer_squares(group_product_np(alg, neg, eta)).sum(axis=-1)
         den = ops.layer_squares(np.add(neg, eta, out=neg)).sum(axis=-1)
         mask = den > 1e-24
-        return math.sqrt(_masked_sup(num, den, mask)), int(mask.sum())
+        return math.sqrt(masked_sup(num, den, mask)), int(mask.sum())
 
-    return _streamed(samples, block,
-                     ["group_difference_vs_linear C(nu)[%s]" % alg.name], nu)[0]
+    return streamed(samples, block,
+                    ["group_difference_vs_linear C(nu)[%s]" % alg.name], nu)[0]
 
 
 def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
     """sup over d(x), d(y) <= nu of d(y^-1 x y) / |log x|^{1/step} and of
     d(y^-1 x y) / d(x)^{1/step}, drawn per block of n pairs as two ball
     samples of n points, x then y."""
-    check_samples(samples)
     nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -419,11 +352,11 @@ def verify_conjugation_estimate(metric, nu=1.0, samples=4000, seed=0):
         norm_x = np.linalg.norm(x, axis=-1)
         d_x = metric.quasi_norm_np(x)
         mask = (norm_x > 1e-9) & (d_x > 1e-9)
-        return ((_masked_sup(d_conj.copy(), norm_x ** e, mask),
-                 _masked_sup(d_conj, d_x ** e, mask)), int(mask.sum()))
+        return ((masked_sup(d_conj.copy(), norm_x ** e, mask),
+                 masked_sup(d_conj, d_x ** e, mask)), int(mask.sum()))
 
-    return tuple(_streamed(samples, block, ["conjugation_vs_norm[%s]" % alg.name,
-                                            "conjugation_vs_gauge[%s]" % alg.name], nu))
+    return tuple(streamed(samples, block, ["conjugation_vs_norm[%s]" % alg.name,
+                                           "conjugation_vs_gauge[%s]" % alg.name], nu))
 
 
 def _product_ratios(metric, nu, b, pert):
@@ -480,7 +413,6 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
 def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
     """sup N(x o y) / (N(x) + N(y)); 1 for a genuine distance.  Drawn per
     block of n pairs as two ball samples of n points, x then y."""
-    check_samples(samples)
     radius = check_radius(radius)
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -491,10 +423,10 @@ def quasi_triangle_constant(metric, radius=1.0, samples=4000, seed=0):
         num = metric.quasi_norm_np(group_product_np(alg, x, y))
         den = metric.quasi_norm_np(x) + metric.quasi_norm_np(y)
         mask = den > 1e-12
-        return _masked_sup(num, den, mask), int(mask.sum())
+        return masked_sup(num, den, mask), int(mask.sum())
 
-    return _streamed(samples, block, ["quasi_triangle[%s,%s]" % (metric.kind, alg.name)],
-                     radius)[0]
+    return streamed(samples, block, ["quasi_triangle[%s,%s]" % (metric.kind, alg.name)],
+                    radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,57 +523,51 @@ def generating_word(a, ws, s=None):
 
 
 def solve_word(x, ws):
-    """Coefficients a with P^N(a) = x, for the built-in step <= 2 systems.
+    """Coefficients a, shape (..., N), with P^N(a) = x, for the built-in
+    step <= 2 systems; x is a GroupElement or float coordinates of shape
+    (..., dim), one path for a point and a batch.
 
     The horizontal letters take the first-layer coordinates; the remaining
-    vertical defect is solved through the commutator blocks, coefficient c
-    becoming the 4-letter pattern (s, sgn(c) s, -s, -sgn(c) s) with
-    s = sqrt(|c|) (positive first letter)."""
+    vertical defect is solved through the commutator blocks, one
+    np.linalg.solve for all points, coefficient c becoming the 4-letter
+    pattern (s, sgn(c) s, -s, -sgn(c) s), s = sqrt(|c|) (positive first)."""
     alg = ws.algebra
     if alg.step > 2:
         raise ValueError("no registered solver for this group")
-    xc = np.asarray(x.to_float().coords, dtype=float)
+    xc = np.asarray(x.to_float().coords if isinstance(x, GroupElement) else x, dtype=float)
     idx1 = alg.layer_indices(1)
     m = len(idx1)
-    a = np.zeros(ws.length)
-    for t in range(m):
-        a[t] = xc[idx1[ws.indices[t]]] * ws.generator_scales[t]
+    a = np.zeros(xc.shape[:-1] + (ws.length,))
+    a[..., :m] = xc[..., [idx1[i] for i in ws.indices[:m]]] * \
+        np.array(ws.generator_scales[:m])
     if alg.step == 1 or not ws.commutator_blocks:
         return a
     horiz = np.zeros(alg.dim)
     for t in range(m):
-        horiz = group_product_np(alg, horiz, a[t] * ws.generator_vector(t))
-    defect = group_product_np(alg, -horiz, xc)
+        horiz = group_product_np(alg, horiz, a[..., t, None] * ws.generator_vector(t))
     idx2 = alg.layer_indices(2)
-    fops = alg.float_ops()
-    cols = []
-    for (start, i, j) in ws.commutator_blocks:
-        u, v = np.zeros(alg.dim), np.zeros(alg.dim)
-        u[idx1[i]] = 1.0 / ws.generator_scales[start]
-        v[idx1[j]] = 1.0 / ws.generator_scales[start + 1]
-        cols.append(fops.bracket(u, v)[idx2])
-    bmat = np.array(cols).T
-    coeffs = np.linalg.solve(bmat, defect[idx2])
-    for (start, i, j), c in zip(ws.commutator_blocks, coeffs):
-        s = math.sqrt(abs(c))
-        t = math.copysign(s, c) if c != 0 else 0.0
-        a[start:start + 4] = [s, t, -s, -t]
+    rhs = group_product_np(alg, -horiz, xc)[..., idx2]
+    # block (start, i, j) spells i j i j: its column is [X_i, X_j], scaled
+    gen, bracket = ws.generator_vector, alg.float_ops().bracket
+    bmat = np.array([bracket(gen(t), gen(t + 1))
+                     for t, _, _ in ws.commutator_blocks])[:, idx2].T
+    c = np.linalg.solve(bmat, rhs.reshape(-1, len(bmat)).T).T.reshape(rhs.shape)
+    s = np.sqrt(np.abs(c))
+    pattern = np.stack([s, np.copysign(s, c)], axis=-1)
+    for b, (start, _, _) in enumerate(ws.commutator_blocks):
+        a[..., start:start + 2] = pattern[..., b, :]
+        a[..., start + 2:start + 4] = -pattern[..., b, :]
     return a
 
 
 def word_constant(ws, samples=400, seed=0):
     """c(G, d): max over sampled unit-sphere points of max_s |a_s|, in the
-    word system's metric."""
-    check_samples(samples)
-    metric = ws.metric
-    alg = ws.algebra
-    rng = np.random.default_rng(seed)
-    sup = 0.0
-    for _ in range(samples):
-        u = rng.standard_normal(alg.dim)
-        u /= max(np.linalg.norm(u), 1e-12)
-        xc = sphere_point(metric, u)
-        a = solve_word(GroupElement(alg, xc), ws)
-        sup = max(sup, float(np.max(np.abs(a))))
-    return EmpiricalConstant("word_coefficient c(G,d)[%s]" % alg.name,
-                             sup, samples, nu=1.0)
+    word system's metric.  In blocks (algebra.streamed): n unit_vectors of
+    R^dim, dilated onto the gauge sphere and solved as one batch."""
+    alg, rng = ws.algebra, np.random.default_rng(seed)
+
+    def block(n):
+        a = solve_word(sphere_point(ws.metric, unit_vectors(rng, n, alg.dim)), ws)
+        return np.max(np.abs(a)), n
+
+    return streamed(samples, block, ["word_coefficient c(G,d)[%s]" % alg.name], 1.0)[0]

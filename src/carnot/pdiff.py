@@ -16,11 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import check_radius, check_samples, homogeneous_dimension
+from .algebra import (check_radius, check_samples, draw_until, homogeneous_dimension,
+                      masked_sup, streamed)
 from .bch import group_product_np
 from .curves import contact_derivative
 from .morphism import GradedMorphism
-from .metric import default_metric, draw_until, sample_ball, sphere_point
+from .metric import default_metric, sample_ball, sphere_point, word_constant
 from .subgroups import classify_epimorphism, classify_monomorphism
 
 Q = Fraction
@@ -393,7 +394,6 @@ def mean_value_ratio(pdmap, center, r1, r2, pair_samples=2000, bins=4,
     dom, cod = pdmap.domain, pdmap.codomain
     dmetric, cmetric = default_metric(dom), default_metric(cod)
     if word_system is not None:
-        from .metric import word_constant
         c = word_constant(word_system, samples=100, seed=seed).sup_observed
         if r1 + 2.0 * c * word_system.length * (2 * r1) > r2:
             raise ValueError("nesting condition violated: enlarge r2")
@@ -536,18 +536,27 @@ def local_inverse(pdmap, xbar, y):
 
 def bilipschitz_bounds(pdmap, xbar, radius=0.2, samples=400, seed=0):
     """Sampled min/max of rho(f(a), f(b)) / d(a, b) near xbar, over pairs
-    with d(a, b) >= 1e-8."""
-    check_samples(samples)
+    with d(a, b) >= 1e-8, in blocks (algebra.streamed) of n pairs: two ball
+    samples of n points, a then b, translated by xbar.  The min is 1 / sup
+    d(a, b) / rho(f(a), f(b)); no pair kept raises streamed's ValueError."""
     radius = check_radius(radius)
-    dmetric, cmetric = default_metric(pdmap.domain), default_metric(pdmap.codomain)
+    dom = pdmap.domain
+    dmetric, cmetric = default_metric(dom), default_metric(pdmap.codomain)
     rng = np.random.default_rng(seed)
     xbar = np.asarray(xbar, dtype=float)
-    x = group_product_np(pdmap.domain, xbar, sample_ball(dmetric, radius, samples, rng))
-    y = group_product_np(pdmap.domain, xbar, sample_ball(dmetric, radius, samples, rng))
-    d = dmetric.distance_np(x, y)
-    far = d >= 1e-8
-    ratio = cmetric.distance_np(pdmap(x[far]), pdmap(y[far])) / d[far]
-    return float(np.min(ratio, initial=math.inf)), float(np.max(ratio, initial=0.0))
+
+    def block(n):
+        x = group_product_np(dom, xbar, sample_ball(dmetric, radius, n, rng))
+        y = group_product_np(dom, xbar, sample_ball(dmetric, radius, n, rng))
+        d = dmetric.distance_np(x, y)
+        rho = cmetric.distance_np(pdmap(x), pdmap(y))
+        far = d >= 1e-8
+        with np.errstate(divide="ignore"):  # rho = 0 gives the min 1 / inf = 0
+            return (masked_sup(rho.copy(), d, far), masked_sup(d, rho, far)), int(far.sum())
+
+    labels = ["bilipschitz_%s[%s]" % (kind, pdmap.name) for kind in ("upper", "inverse")]
+    upper, inverse = streamed(samples, block, labels, radius)
+    return 1.0 / inverse.sup_observed, upper.sup_observed
 
 
 # ---------------------------------------------------------------------------

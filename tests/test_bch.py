@@ -7,7 +7,7 @@ import pytest
 
 from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement,
-                            Polynomial, dilate)
+                            Polynomial, bracket, dilate, unit_vectors)
 from carnot.bch import (_dynkin_evaluate, _law, bch_term, bch_word_polynomial,
                         bernoulli, bilinear_bound, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
@@ -313,6 +313,31 @@ def test_bilinear_bound_recorder(f23):
     c = bilinear_bound(f23, 3, nu=1.0, samples=100, seed=0)
     assert math.isfinite(c.sup_observed) and c.samples == 100
     assert "alpha_3" in c.label
+
+
+@pytest.mark.parametrize("name", ["h1", "g42", "free_2_4"])
+def test_sampled_bch_bounds_equal_the_scalar_ratios_over_their_draws(name):
+    # a block draws X, Y, D1, D2 in turn, each as r u: unit_vectors, then
+    # radii uniform on [0, nu]; bilinear_bound draws X, Y alone.  The batched
+    # sups equal the scalar ratios over the same draws, bit for bit.  At
+    # nu = 1e-4 a share of the pairs has |[X, Y]| < 1e-9, and the bilinear
+    # constant counts the pairs kept
+    g, k = catalog.get(name), 300
+    for nu in (0.8, 1e-4):
+        rng = np.random.default_rng(5)
+        draws = [unit_vectors(rng, k, g.dim) * rng.uniform(0, nu, (k, 1)) for _ in range(4)]
+        rows = [[AlgebraVector(g, v[i].copy()) for v in draws] for i in range(k)]
+        for n in range(1, g.step + 1):
+            got = cn_difference_bound(g, n, nu, samples=k, seed=5)
+            assert (got.sup_observed, got.samples) == \
+                (max(cn_difference_ratio(n, *r, nu) for r in rows), k)
+        kept = [(x, y) for x, y, _, _ in rows if bracket(x, y).norm() >= 1e-9]
+        assert 0 < len(kept) < k if nu < 1e-3 else len(kept) == k
+        for n in range(2, g.step + 1):
+            got = bilinear_bound(g, n, nu, samples=k, seed=5)
+            assert (got.sup_observed, got.samples) == \
+                (max(bch_term(n, x, y).norm() / bracket(x, y).norm() for x, y in kept),
+                 len(kept))
 
 
 def test_high_step_bernoulli_terms(rng):

@@ -302,6 +302,9 @@ def _write(directory, name, content):
 
 
 BAD_MORPHISM = {"domain": "h1", "codomain": "r2", "matrix": [["1", "0"], ["0", "1"]]}
+# well formed, but it maps the centre of h1 into the first layer of r2
+NOT_H_HOMOMORPHISM = {"domain": "h1", "codomain": "r2",
+                      "matrix": [["1", "0", "1"], ["0", "1", "0"]]}
 
 # one bad catalog name, morphism file, subalgebra file or experiment config
 # per probe: the field its message must name, and the command line that
@@ -327,6 +330,10 @@ INPUT_PROBES = {
     "complement-zero-denominator": ("vectors[0]", lambda d: [
         "subgroups", "complement", "--group", "h1",
         _write(d, "s.json", {"vectors": [["1", "0", "1/0"]]})]),
+    "classify-epi-not-h-homomorphism": ("h-homomorphism", lambda d: [
+        "subgroups", "classify-epi", _write(d, "m.json", NOT_H_HOMOMORPHISM)]),
+    "classify-mono-not-h-homomorphism": ("h-homomorphism", lambda d: [
+        "subgroups", "classify-mono", _write(d, "m.json", NOT_H_HOMOMORPHISM)]),
     "classify-epi-no-codomain": ("codomain", lambda d: [
         "subgroups", "classify-epi",
         _write(d, "m.json", {"domain": "h1", "matrix": [["1", "0", "0"]]})]),
@@ -371,6 +378,38 @@ INPUT_PROBES = {
                              "counts": [5, 5]})]),
     "implicit-map": ("map", lambda d: [
         "experiment", "implicit", _write(d, "i.json", {"base_point": [0, 1, 0, 1, 0]})]),
+    # a name that is not a string: `group` once reached os.path.exists (an
+    # integer, open(): see test_a_config_group_that_is_an_integer_exits_2),
+    # `map` pdiff.named_map
+    "lift-group-float": ("group", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": 1.5, "control": {"name": "circle"}})]),
+    "estimates-group-object": ("group", lambda d: [
+        "experiment", "verify-estimates", _write(d, "e.json", {"group": {}})]),
+    "implicit-map-int": ("map", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": 3, "base_point": [0, 1, 0, 1, 0]})]),
+    "rank-map-float": ("map", lambda d: [
+        "experiment", "rank", _write(d, "r.json", {"map": 1.5, "base_point": [0, 0, 0]})]),
+    "mvi-map-null": ("map", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": None, "center": [0, 1, 0, 0, 0], "r1": 0.2, "r2": 1.0})]),
+    "blowup-map-list": ("map", lambda d: [
+        "experiment", "blowup", _write(d, "b.json", {"map": [], "base_point": [0, 0, 0]})]),
+    # a point of another length than the map's domain dimension
+    "implicit-base-point-short": ("base_point", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0]})]),
+    "blowup-base-point-short": ("base_point", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "radial_level", "base_point": [0, 1, 0]})]),
+    "rank-base-point-long": ("base_point", lambda d: [
+        "experiment", "rank",
+        _write(d, "r.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0, 0]})]),
+    "mvi-center-short": ("center", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0], "r1": 0.2,
+                             "r2": 1.0})]),
     "lift-csv": ("control csv", lambda d: [
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {
@@ -483,6 +522,26 @@ def test_bad_input_file_probe(request, tmp_path, capsys, probe, optimized):
         out, err = capsys.readouterr()
     assert code == 2 and not err
     assert field in out and len(out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("fd", [0, 1, 5])
+def test_a_config_group_that_is_an_integer_exits_2(tmp_path, fd):
+    # a JSON integer as `group` once reached open() as a file descriptor
+    # when one was open: 0 read a group file from stdin, 1 closed stdout
+    # before the error was printed, and 5, not open, failed in catalog.get.
+    # Run in a subprocess, so that no run can close this process's
+    # descriptors; stdin holds a valid group file
+    import os
+    import subprocess
+    import sys
+    import carnot
+    cfg = _write(tmp_path, "l.json", {"group": fd, "control": {"name": "circle"}})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(carnot.__file__)))
+    run = subprocess.run([sys.executable, "-m", "carnot.cli", "--output-dir", str(tmp_path),
+                          "experiment", "lift", cfg], input=cio.emit_group(catalog.get("h1")),
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 2 and not run.stderr, (run.returncode, run.stderr)
+    assert "group" in run.stdout and len(run.stdout.strip().splitlines()) == 1
 
 
 def test_library_input_checks_raise_value_error(tmp_path, h1):

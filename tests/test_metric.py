@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import (GradedAlgebra, GroupElement, dilate,
-                            homogeneous_dimension)
+from carnot.algebra import (BLOCK_POINTS, GradedAlgebra, GroupElement, dilate,
+                            draw_until, homogeneous_dimension, unit_vectors)
 from carnot.bch import group_product, group_product_np
-from carnot.metric import (_BLOCK_POINTS, HomogeneousMetric, ball_layer_squares,
+from carnot.metric import (HomogeneousMetric, ball_layer_squares,
                            default_metric, direction_layer_squares, distance,
-                           draw_until, first_layer_constant,
+                           first_layer_constant,
                            first_layer_lower_bound, generating_word, koranyi,
                            left_inverse_estimate, norm_exp_estimate,
                            quasi_norm, quasi_triangle_constant, sample_ball,
@@ -587,10 +587,10 @@ def test_draw_until_keeps_the_first_accepted_rows_in_draw_order():
     assert draw_until(0, (2,), draw).shape == (0, 2)
     # no call asks for more than one block, whatever the count and rate
     seen.clear()
-    got = draw_until(3 * _BLOCK_POINTS, (), draw)
+    got = draw_until(3 * BLOCK_POINTS, (), draw)
     drawn = np.concatenate(seen)
-    assert max(map(len, seen)) == _BLOCK_POINTS
-    assert np.array_equal(got, drawn[drawn < 0.1][:3 * _BLOCK_POINTS])
+    assert max(map(len, seen)) == BLOCK_POINTS
+    assert np.array_equal(got, drawn[drawn < 0.1][:3 * BLOCK_POINTS])
 
 
 def _unblocked_references():
@@ -675,6 +675,32 @@ def _unblocked_references():
 STREAMED = _unblocked_references()
 
 
+def _bound_drivers():
+    """The four sampled bounds of bch, metric and pdiff that walk their
+    count through the same blocks, each called as f(metric, r, samples,
+    seed) on the metric's group: name -> driver.  The constants' driver
+    returns a list of EmpiricalConstants, bilipschitz_bounds its (min, max)
+    for the map x -> 2x, which is no homomorphism."""
+    from carnot import bch, pdiff
+
+    def bilipschitz(metric, radius, samples, seed):
+        alg = metric.algebra
+        f = pdiff.PDMap(alg, alg, lambda c: 2.0 * c, name="double")
+        return pdiff.bilipschitz_bounds(f, np.zeros(alg.dim), radius, samples, seed)
+
+    return {
+        "cn_difference": lambda m, r, n, s: [bch.cn_difference_bound(m.algebra, 2, r, n, s)],
+        "bilinear": lambda m, r, n, s: [bch.bilinear_bound(m.algebra, 2, r, n, s)],
+        "word_constant": lambda m, r, n, s: [
+            word_constant(standard_word_system(m.algebra, m), n, s)],
+        "bilipschitz": bilipschitz,
+    }
+
+
+BOUNDS = _bound_drivers()
+DRIVERS = dict(BOUNDS, **{name: driver for name, (driver, _) in STREAMED.items()})
+
+
 def _streamed_metrics():
     yield koranyi(catalog.get("h1"))
     yield koranyi(catalog.get("g42"))
@@ -687,40 +713,51 @@ def test_one_block_is_bit_identical_to_the_unblocked_driver(name, metric):
     # a count of exactly one block draws and reduces what the driver drew
     # before it streamed: the same sups to the bit and the same kept counts
     driver, reference = STREAMED[name]
-    got = driver(metric, 0.9, _BLOCK_POINTS, 4)
-    want = reference(metric, 0.9, _BLOCK_POINTS, 4)
+    got = driver(metric, 0.9, BLOCK_POINTS, 4)
+    want = reference(metric, 0.9, BLOCK_POINTS, 4)
     assert [(c.sup_observed, c.samples) for c in got] == \
         [(float(sup), int(kept)) for sup, kept in want]
 
 
-@pytest.mark.parametrize("metric", list(_streamed_metrics()), ids=repr)
-@pytest.mark.parametrize("name", sorted(STREAMED))
+@pytest.mark.parametrize("name, metric", [
+    pytest.param(name, metric, id="%s-%r" % (name, metric))
+    for name in sorted(STREAMED) + sorted(BOUNDS) for metric in _streamed_metrics()
+    # the word systems stop at step 2
+    if name != "word_constant" or metric.algebra.step <= 2])
 def test_streamed_driver_replays_its_blocks_from_one_generator(name, metric):
     # 2.5 blocks: two full blocks and a half block, each drawn as the driver
     # draws a count of that size, one after the other from the generator of
     # the seed (default_rng returns a Generator it is given unaltered); the
     # sups fold by a max and the kept counts by a sum
-    driver, _ = STREAMED[name]
-    n = 5 * _BLOCK_POINTS // 2
+    driver = DRIVERS[name]
+    n = 5 * BLOCK_POINTS // 2
     got = driver(metric, 0.9, n, 4)
     rng = np.random.default_rng(4)
     blocks = [driver(metric, 0.9, k, rng)
-              for k in (_BLOCK_POINTS, _BLOCK_POINTS, n % _BLOCK_POINTS)]
+              for k in (BLOCK_POINTS, BLOCK_POINTS, n % BLOCK_POINTS)]
+    if name == "bilipschitz":
+        # the min is 1 / the sup of the reciprocal ratios, so it folds by a
+        # min, to the bit
+        assert got == (min(b[0] for b in blocks), max(b[1] for b in blocks))
+        assert 0 < got[0] < got[1]
+        return
     for j, c in enumerate(got):
         assert c.sup_observed == max(b[j].sup_observed for b in blocks)
         assert c.samples == sum(b[j].samples for b in blocks)
-        assert c.label == blocks[0][j].label and c.nu == 0.9
+        assert c.label == blocks[0][j].label
+        assert c.nu == (1.0 if name == "word_constant" else 0.9)
 
 
 def test_streamed_drivers_hold_one_block_of_memory(h1):
-    # at 10^6 samples on h1 the unblocked drivers peaked at 48-152 MB of
-    # traced allocations; streamed, the peak is set by one block
+    # at 10^6 samples on h1 the unblocked drivers peaked at 48-161 MB of
+    # traced allocations (bilipschitz_bounds drew every pair at once);
+    # streamed, the peak is set by one block
     import tracemalloc
     K = koranyi(h1)
-    for name, (driver, _) in sorted(STREAMED.items()):
+    for name in sorted(STREAMED) + ["bilipschitz"]:
         tracemalloc.start()
         try:
-            driver(K, 0.9, 10 ** 6, 5)
+            DRIVERS[name](K, 0.9, 10 ** 6, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -738,11 +775,14 @@ def test_streamed_drivers_hold_one_block_of_memory(h1):
      lambda K: verify_conjugation_estimate(K, nu=1e-12, samples=50)),
     ("quasi_triangle[koranyi,h1]",
      lambda K: quasi_triangle_constant(K, radius=1e-13, samples=50)),
+    ("bilipschitz_upper[double]",
+     lambda K: BOUNDS["bilipschitz"](K, 1e-20, 50, 0)),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_a_mask_that_keeps_no_sample_is_one_labelled_error(h1, name, run):
     # at a radius so small that every denominator falls below its cutoff,
     # each masked driver raises the same ValueError, labelled with its
-    # (first) constant; the gauge-vs-norm estimate keeps every sample
+    # (first) constant; the gauge-vs-norm estimate keeps every sample, and
+    # bilipschitz_bounds keeps no pair closer than 1e-8
     with pytest.raises(ValueError, match=r"^%s: no sample of 50 was kept;"
                        % re.escape(name)):
         run(koranyi(h1))
@@ -799,6 +839,21 @@ def test_word_homogeneity(h1, rng):
         a = solve_word(x, ws)
         ar = solve_word(dilate(x, r), ws)
         assert np.allclose(ar, r * np.asarray(a), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "h12", "g42", "free_3_2", "r2"])
+def test_solve_word_on_a_batch_equals_it_per_point(name, rng):
+    # one path serves a point and a batch: the rows of a column-major batch
+    # (as word_constant draws it) and of a (2, 20) batch equal the per-point
+    # solutions bit for bit
+    g = catalog.get(name)
+    ws = standard_word_system(g)
+    x = sphere_point(ws.metric, unit_vectors(rng, 40, g.dim))
+    a = solve_word(x, ws)
+    assert a.shape == (40, ws.length)
+    for xi, ai in zip(x, a):
+        assert np.array_equal(solve_word(GroupElement(g, xi.copy()), ws), ai)
+    assert np.array_equal(solve_word(x.reshape(2, 20, g.dim), ws), a.reshape(2, 20, -1))
 
 
 def test_word_constant(h1, rng):
