@@ -206,23 +206,23 @@ class GradedAlgebra:
     """Finite-dimensional graded Lie algebra over Q.
 
     layer_of:   layer index (1-based) of each basis vector.
-    struct:     {(i, j): {k: Fraction}} with i < j only.
     struct_den: the least common denominator of the table.
-    struct_num: the same table as integers over struct_den, a tuple of
-                (i, j, ((k, c_{ij}^k * struct_den), ...)); bracket_coords
-                reads it.  Every catalog table has struct_den == 1.
+    struct_num: the table as integers over struct_den, a tuple of
+                (i, j, ((k, c_{ij}^k * struct_den), ...)), i < j, nonzero
+                entries; every exact operation reads it.  Every catalog
+                table has struct_den == 1.
+    struct:     the same table as {(i, j): {k: Fraction}}, built on first
+                read for an induced algebra.
     tags:       metadata that catalog constructors and the group-file reader
                 set after construction (e.g. the J-data of an H-type table,
                 a matrix model, a metric block).
 
-    Every table is validated once, here: an invalid one raises ValueError.
+    Every table given here is validated once: an invalid one raises
+    ValueError.  ``_induced`` takes the integer table of a subalgebra or a
+    quotient, valid by construction, and skips only the validation.
     """
 
     def __init__(self, name, layer_of, struct, basis_names=None):
-        self.name = name
-        self.layer_of = tuple(int(l) for l in layer_of)
-        self.dim = len(self.layer_of)
-        self.step = max(self.layer_of) if self.layer_of else 1
         canon = {}
         for (i, j), terms in struct.items():
             if not i < j:
@@ -230,12 +230,31 @@ class GradedAlgebra:
             kept = {k: c for k, c in ((k, Q(c)) for k, c in terms.items()) if c}
             if kept:
                 canon[(i, j)] = kept
-        self.struct = canon
-        den = self.struct_den = math.lcm(*(c.denominator for t in canon.values()
-                                           for c in t.values()))
-        self.struct_num = tuple(
+        den = math.lcm(*(c.denominator for t in canon.values() for c in t.values()))
+        self._init(name, layer_of, tuple(
             (i, j, tuple((k, c.numerator * (den // c.denominator)) for k, c in t.items()))
-            for (i, j), t in canon.items())
+            for (i, j), t in canon.items()), den, basis_names)
+        self._struct = canon
+        report = validate_grading(self)
+        if not report.ok:
+            raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
+
+    @classmethod
+    def _induced(cls, name, layer_of, struct_num, struct_den, basis_names=None):
+        """The algebra of a table induced from a valid one, given as
+        struct_num over its least common denominator, not re-validated."""
+        out = cls.__new__(cls)
+        out._init(name, layer_of, struct_num, struct_den, basis_names)
+        return out
+
+    def _init(self, name, layer_of, struct_num, struct_den, basis_names):
+        self.name = name
+        self.layer_of = tuple(int(l) for l in layer_of)
+        self.dim = len(self.layer_of)
+        self.step = max(self.layer_of) if self.layer_of else 1
+        self.struct_num = struct_num
+        self.struct_den = struct_den
+        self._struct = None
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(self.dim))
         self.tags = {}
@@ -245,9 +264,14 @@ class GradedAlgebra:
         self._stratified = None
         self._bch_law = None  # the BCH table, built by carnot.bch on first use
         self._isotropic = None  # built by carnot.subgroups on first use
-        report = validate_grading(self)
-        if not report.ok:
-            raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
+
+    @property
+    def struct(self):
+        if self._struct is None:
+            den = self.struct_den
+            self._struct = {(i, j): {k: Q(c, den) for k, c in terms}
+                            for i, j, terms in self.struct_num}
+        return self._struct
 
     # -- basic geometry of the grading ------------------------------------
     def layer_indices(self, i):
@@ -260,8 +284,9 @@ class GradedAlgebra:
         return "GradedAlgebra(%r, dim=%d, step=%d)" % (self.name, self.dim, self.step)
 
     def __eq__(self, other):
-        return (isinstance(other, GradedAlgebra) and self.layer_of == other.layer_of
-                and self.struct == other.struct)
+        return self is other or (isinstance(other, GradedAlgebra)
+                                 and self.layer_of == other.layer_of
+                                 and self.struct == other.struct)
 
     def __hash__(self):
         return hash((self.layer_of, tuple(sorted(

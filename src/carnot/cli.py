@@ -6,13 +6,16 @@ subgroups (classify-epi / classify-mono / complement / quotient),
 experiment (lift / pansu / mvi / implicit / rank / blowup / verify-estimates).
 
 Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 undecided: no exact tier applies.  All sampled commands are deterministic
+4 undecided: no exact tier applies.  A config number that is not finite, or
+a radius (`radius`, `R`, `r1`, `r2`, `nu`) outside (0, MAX_RADIUS], is a
+validation failure.  All sampled commands are deterministic
 under --seed; exact-mode commands, the subgroups classifiers among them, are
 deterministic unconditionally.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -238,16 +241,36 @@ def _control_from_cfg(cv, g, spec):
 def _number(cfg, key, default, kind=float, positive=False):
     """cfg[key], or the default, as a number; a bad value names its key.
     An int key takes only a JSON integer: 2.7 is refused, not truncated.
-    With `positive` the number must be > 0 (a count at least 1)."""
+    A float key takes only a finite number: Python's json reads NaN,
+    Infinity and 1e400 (as inf).  With `positive` the number must be > 0
+    (a count at least 1)."""
     value = cfg.get(key, default)
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError("%s: expected an integer, got %r" % (key, value))
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("%s: expected a number, got %r" % (key, value)) from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError("%s: expected a finite number, got %r" % (key, value))
     if positive and not value > 0:
         raise ValueError("%s: expected a number > 0, got %r" % (key, cfg[key]))
+    return value
+
+
+# The largest radius an experiment config may give.  The solvers and
+# samplers raise a radius to the powers of the layers and square it, which
+# overflows a float long before 1e300; at 1e6 the square of a tenth power
+# is 1e120.
+MAX_RADIUS = 1e6
+
+
+def _radius(cfg, key, default=None):
+    """cfg[key], or the default, as a radius in (0, MAX_RADIUS]; a missing
+    required radius or a value out of that range names its key."""
+    value = _number(cfg, key, default, positive=True)
+    if value > MAX_RADIUS:
+        raise ValueError("%s: expected a radius <= %g, got %r" % (key, MAX_RADIUS, cfg[key]))
     return value
 
 
@@ -319,8 +342,8 @@ def cmd_experiment(args):
         elif args.action == "mvi":
             f = pdiff.named_map(_name(cfg, "map"))
             tab = pdiff.mean_value_ratio(
-                f, _point(cfg["center"], "center", f.domain.dim), float(cfg["r1"]),
-                float(cfg["r2"]), pair_samples=_number(cfg, "pairs", 800, int, positive=True),
+                f, _point(cfg["center"], "center", f.domain.dim), _radius(cfg, "r1"),
+                _radius(cfg, "r2"), pair_samples=_number(cfg, "pairs", 800, int, positive=True),
                 bins=_number(cfg, "bins", 4, int, positive=True), seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
                                 ["edge", "ratio_sup", "defect_sup"],
@@ -334,7 +357,7 @@ def cmd_experiment(args):
             f = pdiff.named_map(_name(cfg, "map"))
             sol, numerical = pdiff.implicit_function(
                 f, _point(cfg["base_point"], "base_point", f.domain.dim),
-                {"radius": _number(cfg, "radius", 0.3),
+                {"radius": _radius(cfg, "radius", 0.3),
                  "counts": cfg.get("counts", None) or None,
                  "shrink_attempts": _number(cfg, "shrink_attempts", 3, int)},
                 tol=_number(cfg, "tol", 1e-10), budget=_number(cfg, "budget", 100, int))
@@ -355,7 +378,7 @@ def cmd_experiment(args):
             f = pdiff.named_map(_name(cfg, "map"))
             rp = pdiff.rank_parametrization(
                 f, _point(cfg["base_point"], "base_point", f.domain.dim),
-                grid_radius=_number(cfg, "radius", 0.25),
+                grid_radius=_radius(cfg, "radius", 0.25),
                 grid_count=_number(cfg, "count", 5, int))
             summary.update({"lip_ratio": rp.lip_ratio,
                             "graph_sup": float(np.max(np.abs(rp.phi_points)))})
@@ -365,12 +388,12 @@ def cmd_experiment(args):
             f = pdiff.named_map(_name(cfg, "map"))
             xbar = _point(cfg["base_point"], "base_point", f.domain.dim)
             sol, _ = pdiff.implicit_function(
-                f, xbar, {"radius": _number(cfg, "radius", 0.4),
+                f, xbar, {"radius": _radius(cfg, "radius", 0.4),
                           "counts": cfg.get("counts", None) or None})
             sampler = pdiff.LevelSetSampler(f, xbar, sol)
             rep = pdiff.tangent_cone_samples(
                 sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
-                R=_number(cfg, "R", 1.0), count=count,
+                R=_radius(cfg, "R", 1.0), count=count,
                 seed=seed)
             csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
                                 ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
@@ -385,7 +408,7 @@ def cmd_experiment(args):
 
         elif args.action == "verify-estimates":
             m = _metric_for(_load_group(_name(cfg, "group")))
-            nu = _number(cfg, "nu", 1.0, positive=True)
+            nu = _radius(cfg, "nu", 1.0)
             samples = _number(cfg, "samples", 2000, int, positive=True)
             consts = collect_estimates(m, nu, samples, seed)
             csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)

@@ -174,13 +174,26 @@ def solve(a, b):
     return x
 
 
-def inverse(m):
+def inverse_form(m):
+    """The inverse of a square matrix as an integer form (nums, den), the
+    inverse being nums / den with den > 0 (not reduced), or None when m is
+    singular: row r of the fraction-free echelon form of [m | I] is its
+    pivot entry times [e_r | row r of the inverse]."""
     n = len(m)
-    aug = [list(row) + list(idrow) for row, idrow in zip(m, identity(n))]
-    r, pivots = rref(aug)
+    rows, pivots = _echelon([list(row) + [int(r == c) for c in range(n)]
+                             for r, row in enumerate(m)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in r[:n]]
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    return [[x * (den // row[c]) for x in row[n:]] for row, c in zip(rows, pivots)], den
+
+
+def inverse(m):
+    form = inverse_form(m)
+    if form is None:
+        return None
+    nums, den = form
+    return [[Fraction(x, den) for x in row] for row in nums]
 
 
 class Span:

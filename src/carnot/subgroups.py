@@ -8,13 +8,15 @@ the primitive integer rows of its ``linalg.Span``, and the closure, ideal
 and classification checks bracket them on the algebra's integer table
 (``bracket_num``): span membership and ranks do not see a nonzero scaling.
 On a stratified table the ideal test brackets with V1 alone, which
-generates the algebra.  Fractions are built only where values leave: the
-canonical bases, the witnesses, the induced structure tables and
-projections, and the JSON.  Classification verdicts come in exact,
-deterministic tiers, in this order: affine right-inverse systems, decided
-both ways; the complements spanned by basis vectors; the Heisenberg and h12
-closed forms; the isotropic rank bound; a unit-ideal test of degree <= 1,
-whose certificate is one exact solve on ``linalg``.  Non-ideals and
+generates the algebra.  Induced structure tables and quotient projections
+are built as integers over one denominator, the form that ``GradedAlgebra``
+and ``GradedMorphism`` keep, and morphisms are read in theirs.  Fractions
+are built only where values leave: the canonical bases, the witnesses and
+the JSON.  Classification verdicts come in exact, deterministic tiers, in
+this order: affine right-inverse systems, decided both ways; the
+complements spanned by basis vectors; the Heisenberg and h12 closed forms;
+the isotropic rank bound; a unit-ideal test of degree <= 1, whose
+certificate is one exact solve on ``linalg``.  Non-ideals and
 monomorphisms try the complements spanned by basis vectors.  Those are
 walked as index sets: bracket closure is read off the support of the
 table, transversality off one integer determinant (a minor of the
@@ -35,7 +37,7 @@ self-checks of the closed forms raise explicitly, so they hold under
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .algebra import GradedAlgebra, Polynomial, is_stratified
@@ -273,32 +275,35 @@ def _quotient(algebra, ideal):
         return [den * vec[k] - sum(vec[p] * n[k] for p, n in pivoted if vec[p])
                 for k in reps]
 
-    proj_matrix = linalg.transpose([[Q(x, den) for x in reduce_mod(algebra.basis_coords(k))]
-                                    for k in range(algebra.dim)])
-    struct = _induced_table(algebra, [algebra.basis_coords(k) for k in reps],
-                            [1] * len(reps), reduce_mod, den)
+    struct_num, struct_den = _induced_table(
+        algebra, [algebra.basis_coords(k) for k in reps], [1] * len(reps), reduce_mod, den)
     name = ("%s/[dim %d]" % (algebra.name, ideal.total_dim) if reps
             else algebra.name + "/full")
-    qalg = GradedAlgebra(name, [algebra.layer_of[k] for k in reps], struct,
-                         basis_names=[algebra.basis_names[k] + "~" for k in reps])
-    dpi = GradedMorphism(algebra, qalg, proj_matrix)
-    return qalg, dpi
+    qalg = GradedAlgebra._induced(name, [algebra.layer_of[k] for k in reps], struct_num,
+                                  struct_den, [algebra.basis_names[k] + "~" for k in reps])
+    # column k of the projection is den e_k modulo the ideal, over den
+    cols = [reduce_mod(algebra.basis_coords(k)) for k in range(algebra.dim)]
+    return qalg, GradedMorphism.from_int_form(algebra, qalg, linalg.transpose(cols), den)
 
 
 def _induced_table(algebra, rows, scales, read, den):
-    """The table {(a, b): {c: coefficient}}, a < b, of a new basis whose a-th
-    vector is the integer row rows[a] divided by scales[a]; `read` maps an
-    integer vector to den times its integer coordinates in the new basis.
-    The brackets and the reading stay in integers, and each nonzero entry is
-    divided once."""
-    out = {}
+    """(struct_num, struct_den), in the form of ``GradedAlgebra``, of the
+    table of a new basis whose a-th vector is the integer row rows[a]
+    divided by scales[a]; `read` maps an integer vector to den times its
+    integer coordinates in the new basis.  Entry c of [a, b] is read[c] over
+    struct_den * den * scales[a] * scales[b]; all of them are put over the
+    lcm D of those denominators and divided by gcd(D, *numerators), which
+    leaves D the least common denominator.  No Fraction is built."""
+    raw = []
     for a, b in itertools.combinations(range(len(rows)), 2):
-        d = algebra.struct_den * den * scales[a] * scales[b]
-        terms = {c: Q(x, d) for c, x in enumerate(read(algebra.bracket_num(rows[a], rows[b])))
-                 if x}
+        terms = [(c, x) for c, x in enumerate(read(algebra.bracket_num(rows[a], rows[b]))) if x]
         if terms:
-            out[(a, b)] = terms
-    return out
+            raw.append((a, b, scales[a] * scales[b], terms))
+    big = lcm(*(s for _, _, s, _ in raw))
+    raw = [(a, b, [(c, x * (big // s)) for c, x in terms]) for a, b, s, terms in raw]
+    den = algebra.struct_den * den * big
+    g = gcd(den, *(x for *_, terms in raw for _, x in terms))
+    return tuple((a, b, tuple((c, x // g) for c, x in terms)) for a, b, terms in raw), den // g
 
 
 def section_through(dpi, witness):
@@ -319,10 +324,11 @@ def subalgebra_as_algebra(sub, name=None):
     """A homogeneous subalgebra as a standalone graded algebra (its own basis,
     induced brackets)."""
     alg = sub.algebra
-    return GradedAlgebra(name or (alg.name + ".sub"), sub.basis_layers(),
-                         _induced_table(alg, sub.rows,
-                                        [row[p] for row, p in zip(sub.rows, sub.pivots)],
-                                        lambda vec: [vec[p] for p in sub.pivots], 1))
+    return GradedAlgebra._induced(name or (alg.name + ".sub"), sub.basis_layers(),
+                                  *_induced_table(
+                                      alg, sub.rows,
+                                      [row[p] for row, p in zip(sub.rows, sub.pivots)],
+                                      lambda vec: [vec[p] for p in sub.pivots], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +451,11 @@ def _unit_ideal_degree(eqs, nvars):
 def _right_inverse_system(L, kernel):
     """Polynomial system, with int coefficients, for a layer-preserving right
     inverse R of L that is also a Lie homomorphism.  D R = S + sum_t c_t E_t:
-    one fraction-free echelon form of [L | I] gives D, the lcm of its pivot
-    entries, and column b of S, D times the solution of L x = w_b with free
-    variables zero; E_t ranges over the (integer kernel row, codomain basis
-    vector) pairs of equal layer.  The equations are [R w_a, R w_b] -
+    one fraction-free echelon form of [nums | den I], the rows of [L | I]
+    scaled by den for L's integer form nums / den, gives D, the lcm of its
+    pivot entries, and column b of S, D times the solution of L x = w_b
+    with free variables zero; E_t ranges over the (integer kernel row,
+    codomain basis vector) pairs of equal layer.  The equations are [R w_a, R w_b] -
     R [w_a, w_b] = 0 on codomain basis pairs, times D^2 and both struct_den.
     L o R = Id holds identically, and scaling the unknowns leaves the
     free-variables-zero solution, hence every witness, unchanged.  Returns
@@ -462,8 +469,9 @@ def _right_inverse_system(L, kernel):
     struct_den [w_a, w_b]_w (s_w + sum c_t kv_t) over the codomain
     coordinates w; each monomial comes from one of these alone."""
     G, M = L.domain, L.codomain
-    span = linalg.Span([list(row) + [int(r == b) for b in range(M.dim)]
-                        for r, row in enumerate(L.matrix)])
+    nums, den = L.int_form
+    span = linalg.Span([list(row) + [den * (r == b) for b in range(M.dim)]
+                        for r, row in enumerate(nums)])
     if span.pivots and span.pivots[-1] >= G.dim:
         raise ValueError("L is not surjective")
     big_d = lcm(*(row[p] for row, p in zip(span.rows, span.pivots)))
@@ -840,7 +848,7 @@ def classify_monomorphism(T, budget=2000, seed=0):
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
     M = T.codomain
-    image = layered_decomposition(M, linalg.transpose(T.matrix))
+    image = layered_decomposition(M, linalg.transpose(T.int_form[0]))
     if image.total_dim != T.domain.dim:
         return MonoClassification("not_injective")
     # the canonical complement comes first: it is an ideal complement when
@@ -873,7 +881,7 @@ def _coordinate_complements(sub):
     for layer in range(1, alg.step + 1):
         idx = alg.layer_indices(layer)
         layers.append((idx, tuple(k for k in idx if k not in pivots), sub.layer_rows(layer)))
-    minors = {}
+    minors, support = {}, _supports(alg)
 
     def transversal(ks, idx, rows):
         if ks not in minors:
@@ -887,10 +895,10 @@ def _coordinate_complements(sub):
             yield tuple(itertools.chain.from_iterable(chosen))
             return
         idx, free, rows = layers[layer - 1]
-        # the support of [e_a, e_b], read from the structure table
+        # the support of [e_a, e_b], read from the integer table
         forced = {k for i in range(1, layer // 2 + 1)
                   for a in chosen[i - 1] for b in chosen[layer - i - 1]
-                  for k in alg.struct.get((min(a, b), max(a, b)), ())}
+                  for k in support.get((min(a, b), max(a, b)), ())}
         if len(forced) > len(free):
             return
         if forced <= set(free):
@@ -912,27 +920,32 @@ def _coordinate_span(alg, ks):
     return HomogeneousSubalgebra(alg, layered)
 
 
+def _supports(alg):
+    """{(i, j): the k with c_ij^k != 0}, i < j, read off the integer table."""
+    return {(i, j): [k for k, _ in terms] for i, j, terms in alg.struct_num}
+
+
 def _is_coordinate_ideal(alg, ks):
     """is_ideal of the span of the basis vectors ks, on the index set: a
     coordinate span holds a vector exactly when it holds its support."""
-    inside = set(ks)
+    inside, support = set(ks), _supports(alg)
     return all(k in inside for j in _ideal_probes(alg) for a in ks
-               for k in alg.struct.get((min(j, a), max(j, a)), ()))
+               for k in support.get((min(j, a), max(j, a)), ()))
 
 
 def _projection_along(M, image, normal):
     """Linear projection onto the image along the normal complement; a Lie
-    homomorphism because the complement is an ideal."""
-    cols = [list(v) for v in image.basis()] + [list(v) for v in normal.basis()]
-    amat = [[cols[c][r] for c in range(len(cols))] for r in range(M.dim)]
-    ainv = linalg.inverse(amat)
-    if ainv is None:
+    homomorphism because the complement is an ideal.  It does not depend on
+    the bases, so it is read off the integer rows: with A the matrix of
+    columns image.rows + normal.rows and A^-1 = inv / den, it is the sum of
+    the image columns of A times the matching rows of A^-1."""
+    form = linalg.inverse_form(linalg.transpose(image.rows + normal.rows))
+    if form is None:
         raise AssertionError("image and normal complement do not span M")
-    hdim = image.total_dim
-    hmat = [[cols[c][r] if c < hdim else 0 for c in range(len(cols))]
+    inv, den = form
+    proj = [[sum(a[r] * inv[c][k] for c, a in enumerate(image.rows)) for k in range(M.dim)]
             for r in range(M.dim)]
-    proj = linalg.matmul(hmat, ainv)
-    return GradedMorphism(M, M, proj)
+    return GradedMorphism.from_int_form(M, M, proj, den)
 
 
 # ---------------------------------------------------------------------------

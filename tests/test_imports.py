@@ -161,10 +161,9 @@ def test_subgroups_has_no_assert():
 
 # the functions of subgroups.py that build Fractions, where values leave the
 # integer rows: the basis of a subalgebra, the witness of a span that is not
-# homogeneous, the quotient projection, the induced structure tables and
-# the rational parameter scan of h21_complement
-FRACTION_BUILDERS = {"layered_bases", "layered_decomposition", "_quotient",
-                     "_induced_table", "h21_complement"}
+# homogeneous and the rational parameter scan of h21_complement.  The
+# induced structure tables and the quotient projection are integer forms.
+FRACTION_BUILDERS = {"layered_bases", "layered_decomposition", "h21_complement"}
 
 
 def _fraction_builders(source):
@@ -195,12 +194,19 @@ BCH_FRACTION_BUILDERS = {"bernoulli", "_k_coefficient", "_bch_terms", "letter", 
                          "dexp_word_polynomial", "_decompose_cn_universal",
                          "cn_remainder", "exp_differential", "exp_differential_oracle"}
 # the functions of algebra.py that build Fractions: table input and
-# validation, vector input (both __init__), the public coords of an exact
-# vector, the coordinate operations on Fraction tuples, the exact scalar of
-# __rmul__ and dilate, and the bracket norm bound.  Vector arithmetic runs on
-# integer forms.
+# validation, vector input (both __init__), the public struct of an induced
+# table and coords of an exact vector, the coordinate operations on Fraction
+# tuples, the exact scalar of __rmul__ and dilate, and the bracket norm
+# bound.  Vector arithmetic and induced tables run on integer forms.
 ALGEBRA_FRACTION_BUILDERS = {"validate_table", "__init__", "zero_coords", "bracket_coords",
-                             "coords", "__rmul__", "dilate", "bracket_norm_constant"}
+                             "struct", "coords", "__rmul__", "dilate",
+                             "bracket_norm_constant"}
+# the functions of morphism.py that build Fractions: the exact reading of
+# input entries that are not ints (Fractions, floats, strings), the public
+# matrix view of the integer form, and the image coordinates of an exact
+# map whose denominator is not 1.  The flags, ranks, kernels, images,
+# compositions and the determinant run on the integer form.
+MORPHISM_FRACTION_BUILDERS = {"__init__", "matrix", "apply_coords"}
 
 
 def test_fraction_builders_of_the_law_and_the_vectors():
@@ -209,6 +215,8 @@ def test_fraction_builders_of_the_law_and_the_vectors():
     assert _fraction_builders((PACKAGE / "bch.py").read_text()) == BCH_FRACTION_BUILDERS
     assert _fraction_builders((PACKAGE / "algebra.py").read_text()) == \
         ALGEBRA_FRACTION_BUILDERS
+    assert _fraction_builders((PACKAGE / "morphism.py").read_text()) == \
+        MORPHISM_FRACTION_BUILDERS
 
 
 def test_fraction_builders_of_subgroups():

@@ -378,6 +378,28 @@ INPUT_PROBES = {
                              "counts": [5, 5]})]),
     "implicit-map": ("map", lambda d: [
         "experiment", "implicit", _write(d, "i.json", {"base_point": [0, 1, 0, 1, 0]})]),
+    # a huge radius overflowed a float in the solver or the sampler, and a
+    # NaN one (Python's json reads it) reached the solver
+    "implicit-radius-huge": ("radius", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "radius": 1e300})]),
+    "blowup-R-huge": ("R", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "R": 1e300})]),
+    "implicit-radius-nan": ("radius", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", '{"map": "radial_level", "base_point": [0, 1, 0, 1, 0], '
+                            '"radius": NaN}')]),
+    # a non-finite tolerance ran: Infinity accepted any residual, NaN none
+    "implicit-tol-infinite": ("tol", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", '{"map": "radial_level", "base_point": [0, 1, 0, 1, 0], '
+                            '"tol": Infinity}')]),
+    "lift-tol-nan": ("tol", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", '{"group": "h1", "control": {"name": "circle"}, "tol": NaN}')]),
     # a name that is not a string: `group` once reached os.path.exists (an
     # integer, open(): see test_a_config_group_that_is_an_integer_exits_2),
     # `map` pdiff.named_map

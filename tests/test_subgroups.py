@@ -100,8 +100,8 @@ def test_quotient_requires_ideal(h1):
 
 
 def test_derived_algebras_validate():
-    # subalgebra_as_algebra and quotient build their algebras without the
-    # Jacobi pass; the algebras must be valid by construction.  Random
+    # subalgebra_as_algebra and quotient build their algebras without
+    # validation; the algebras must be valid by construction.  Random
     # ideals nearly always contain the derived algebra, so the line through
     # the last basis vector (top layer, hence central) is added as an ideal
     # with a non-abelian quotient on most groups.
@@ -1300,3 +1300,183 @@ def test_is_ideal_reads_every_basis_vector_off_stratified_tables():
     # span{e2, e4} is an ideal
     assert is_ideal(span_subalgebra(g, [0, 1, 0, 0], [0, 0, 0, 1]))
     assert _is_coordinate_ideal(g, (1, 3))
+
+
+CLASSIFY_GROUPS = ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2")
+
+
+def _reference_induced(alg, sub, quotient_by):
+    """The induced table and projection in Fractions, from the canonical
+    bases: a subalgebra's [b_a, b_b] read at the pivots of its reduced
+    echelon basis; a quotient's [e_a, e_b] (and e_k for the projection)
+    minus its pivot coordinates times the ideal's basis, read at the
+    representatives, the standard basis vectors off the pivots."""
+    if not quotient_by:
+        basis, pivots = sub.basis(), sub.pivots
+        return {(a, b): {c: br[p] for c, p in enumerate(pivots) if br[p]}
+                for a, b in itertools.combinations(range(len(basis)), 2)
+                for br in [alg.bracket_coords(basis[a], basis[b])] if any(br)}, None
+    reps = [k for k in sorted(range(alg.dim), key=lambda k: alg.layer_of[k])
+            if k not in sub.pivots]
+
+    def cls(v):
+        for u, p in zip(sub.basis(), sub.pivots):
+            v = [x - v[p] * y for x, y in zip(v, u)]
+        return [v[k] for k in reps]
+
+    table = {(a, b): {c: x for c, x in enumerate(cls(br)) if x}
+             for a, b in itertools.combinations(range(len(reps)), 2)
+             for br in [alg.bracket_coords(alg.basis_coords(reps[a]),
+                                           alg.basis_coords(reps[b]))] if any(cls(br))}
+    proj = [list(r) for r in zip(*[cls(list(alg.basis_coords(k))) for k in range(alg.dim)])]
+    return table, proj
+
+
+def test_induced_tables_equal_the_validated_construction():
+    # subalgebra_as_algebra and quotient build their algebras from the
+    # integer table without validation; each equals GradedAlgebra on the
+    # same table in Fractions, entry for entry, and so does the projection
+    seen = {"tables": 0, "den > 1": 0, "quotients": 0}
+    for name in CLASSIFY_GROUPS:
+        alg = catalog.get(name)
+        rng = np.random.default_rng(27)
+        for _ in range(15):
+            sub = random_homogeneous_subalgebra(alg, rng, n_generators=int(rng.integers(1, 3)))
+            built = [(subalgebra_as_algebra(sub), False)]
+            if is_ideal(sub):
+                built.append((quotient(alg, sub), True))
+            for got, is_quotient in built:
+                got, dpi = got if is_quotient else (got, None)
+                table, proj = _reference_induced(alg, sub, is_quotient)
+                want = GradedAlgebra(got.name, got.layer_of, table, got.basis_names)
+                assert got._struct is None  # built on first read
+                assert (got.struct_num, got.struct_den) == (want.struct_num, want.struct_den)
+                assert got.struct == want.struct and got == want and want == got
+                assert hash(got) == hash(want)
+                seen["tables"] += 1
+                seen["den > 1"] += got.struct_den > 1
+                if is_quotient:
+                    seen["quotients"] += 1
+                    assert dpi.matrix == proj and dpi.codomain is got
+    assert seen["tables"] >= 100 and seen["den > 1"] >= 10 and seen["quotients"] >= 20, seen
+
+
+def _report_reference(L):
+    """check_h_homomorphism's report computed on the Fraction matrix."""
+    dom, cod, m = L.domain, L.codomain, L.matrix
+    out = [("layer", j, k) for j in range(dom.dim) for k in range(cod.dim)
+           if cod.layer_of[k] != dom.layer_of[j] and m[k][j] != 0]
+    cols = [[row[j] for row in m] for j in range(dom.dim)]
+    lie = [("bracket", i, j) for i, j in itertools.combinations(range(dom.dim), 2)
+           if [sum(a * b for a, b in zip(row, dom.bracket_coords(dom.basis_coords(i),
+                                                                 dom.basis_coords(j))))
+               for row in m] != list(cod.bracket_coords(cols[i], cols[j]))]
+    return out + lie
+
+
+def _morphism_cases():
+    """(domain, codomain, Fraction matrix) of h-homomorphisms and of maps
+    that are not: integer and rational, onto and into, and a quotient
+    projection with a denominator."""
+    h1, g42, f23 = catalog.get("h1"), catalog.get("g42"), catalog.get("free_2_3")
+    r2 = catalog.abelian(2)
+    rng = np.random.default_rng(3)
+    sub = next(s for s in (random_homogeneous_subalgebra(f23, rng, 2) for _ in range(50))
+               if 0 < s.total_dim < f23.dim and not all(p == 1 for p in
+                                                       (r[q] for r, q in zip(s.rows,
+                                                                             s.pivots))))
+    ideal = next(s for s in (random_homogeneous_subalgebra(g42, rng, 2) for _ in range(200))
+                 if is_ideal(s) and 0 < s.total_dim < g42.dim
+                 and quotient(g42, s)[1].int_form[1] > 1)
+    dil = [[Q(1, 2 ** f23.layer_of[i]) if i == j else 0 for j in range(5)] for i in range(5)]
+    return [
+        (h1, r2, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]]),
+        (f23, f23, dil),
+        (subalgebra_as_algebra(sub), f23, [list(r) for r in zip(*sub.basis())]),
+        (g42, quotient(g42, ideal)[0], quotient(g42, ideal)[1].matrix),
+        (h1, h1, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(1, 2), Q(0), Q(1)]]),
+        (h1, h1, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(2, 3)]]),
+        (h1, h1, [[Q(0), Q(0), Q(1)], [Q(0), Q(1), Q(0)], [Q(1), Q(0), Q(0)]]),
+        (h1, catalog.abelian(0), []),
+    ]
+
+
+def test_int_fraction_and_int_form_morphisms_agree():
+    # one map given as int rows (when it has them), as Fraction rows and as
+    # a non-primitive integer form reads the same through every exact
+    # reader, and each reader equals its computation on the Fraction matrix
+    from carnot import linalg
+    from math import lcm
+    kinds = set()
+    for dom, cod, m in _morphism_cases():
+        den = lcm(*(c.denominator for row in m for c in row))
+        nums = [[int(c * den) for c in row] for row in m]
+        maps = [GradedMorphism(dom, cod, m),
+                GradedMorphism.from_int_form(dom, cod, [[3 * x for x in r] for r in nums],
+                                             3 * den)]
+        if den == 1:
+            maps.append(GradedMorphism(dom, cod, nums))
+        xs = [[Q(k + 1, 3) for k in range(dom.dim)], [(-1) ** k for k in range(dom.dim)]]
+        report = _report_reference(GradedMorphism(dom, cod, m))
+        kinds.add((den > 1, not report))
+        for L in maps:
+            assert L.int_form == (nums, den)
+            assert L.matrix == m
+            rep = check_h_homomorphism(L)
+            assert rep.violations == report and rep.is_h_homomorphism == (not report)
+            assert L.kernel_basis() == (linalg.nullspace(m) if m else
+                                        linalg.identity(dom.dim))
+            assert L.image_basis() == linalg.row_space_basis(linalg.transpose(m))
+            assert (L.is_surjective(), L.is_injective()) == \
+                (linalg.rank(m) == cod.dim, linalg.rank(m) == dom.dim)
+            for x in xs:
+                assert L.apply_coords(x) == tuple(linalg.matvec(m, x))
+            assert np.array_equal(L.to_float().matrix,
+                                  np.array([[float(c) for c in row] for row in m]
+                                           ).reshape(cod.dim, dom.dim))
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_determinant_is_one_on_the_integer_form():
+    # det(nums) == den ** dim, by Bareiss on the numerators
+    h1 = catalog.get("h1")
+    assert GradedMorphism(h1, h1, [[1, 5, 0], [0, 1, 0], [3, -2, 1]]).determinant_is_one()
+    assert not GradedMorphism(h1, h1, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]).determinant_is_one()
+    rational = [[Q(2), Q(0), Q(0)], [Q(0), Q(1, 2), Q(0)], [Q(1, 3), Q(0), Q(1)]]
+    assert GradedMorphism(h1, h1, rational).int_form[1] == 6
+    assert GradedMorphism(h1, h1, rational).determinant_is_one()
+    rational[2][2] = Q(1, 2)
+    assert not GradedMorphism(h1, h1, rational).determinant_is_one()
+
+
+def test_the_integer_classify_path_builds_no_fraction(monkeypatch):
+    # induced tables, quotient projections, int morphisms, their flags and
+    # ranks, and the monomorphism tier on an int inclusion run in integers
+    from carnot.morphism import identity_morphism
+    g42, h2 = catalog.get("g42"), catalog.get("h2")
+    rng = np.random.default_rng(5)
+    subs = [s for s in (random_homogeneous_subalgebra(g42, rng, 2) for _ in range(40))
+            if 0 < s.total_dim < g42.dim]
+    ideal = [is_ideal(s) for s in subs]
+    assert len(subs) > 20 and sum(ideal) > 5
+    r2 = catalog.abelian(2)
+    built, new = [], Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counted)
+    for sub, is_ideal_sub in zip(subs, ideal):
+        small = subalgebra_as_algebra(sub)
+        if is_ideal_sub:
+            qalg, dpi = quotient(g42, sub)
+            assert check_h_homomorphism(dpi).is_h_homomorphism and dpi.is_surjective()
+            assert dpi.compose(identity_morphism(g42)).int_form == dpi.int_form
+        assert homogeneous_dimension(small) == sum(l for l in small.layer_of)
+    T = GradedMorphism(r2, h2, [[1, 0], [0, 0], [0, 1], [0, 0], [0, 0]])
+    out = classify_monomorphism(T)
+    assert out.verdict == "h_monomorphism" and out.projection.is_h_homomorphism()
+    assert identity_morphism(h2).determinant_is_one()
+    monkeypatch.undo()
+    assert not built, built[:5]
