@@ -60,11 +60,9 @@ def validate_table(dim, step, layer_of, entries):
     for idx, layer in enumerate(layer_of):
         if not (1 <= layer <= step):
             report.add("layer_range", (idx,), "layer %d outside 1..%d" % (layer, step))
-    entries = [(i, j, k, c if type(c) is int else Q(c)) for i, j, k, c in entries]
-    den = math.lcm(*(c.denominator for *_, c in entries))
+    nums = linalg.int_form([c for *_, c in entries])[0]
     table = {}
-    for (i, j, k, c) in entries:
-        c = c.numerator * (den // c.denominator)
+    for (i, j, k, _), c in zip(entries, nums):
         if i == j and c != 0:
             report.add("antisymmetry", (i, j, k), "nonzero [b_i, b_i] coefficient")
             continue
@@ -209,40 +207,40 @@ class GradedAlgebra:
     struct_den: the least common denominator of the table.
     struct_num: the table as integers over struct_den, a tuple of
                 (i, j, ((k, c_{ij}^k * struct_den), ...)), i < j, nonzero
-                entries; every exact operation reads it.  Every catalog
-                table has struct_den == 1.
-    struct:     the same table as {(i, j): {k: Fraction}}, built on first
-                read for an induced algebra.
+                entries; every operation reads it.  Every catalog table has
+                struct_den == 1.
+    struct:     the same table as {(i, j): {k: Fraction}}, a view built on
+                first read, for the group file.
     tags:       metadata that catalog constructors and the group-file reader
                 set after construction (e.g. the J-data of an H-type table,
                 a matrix model, a metric block).
 
-    Every table given here is validated once: an invalid one raises
-    ValueError.  ``_induced`` takes the integer table of a subalgebra or a
-    quotient, valid by construction, and skips only the validation.
+    Every table given here is read by ``linalg.int_form`` and validated
+    once: an invalid one raises ValueError.  ``_induced`` takes the integer
+    table of a subalgebra, a quotient or a product, valid by construction.
     """
 
     def __init__(self, name, layer_of, struct, basis_names=None):
-        canon = {}
+        entries = []
         for (i, j), terms in struct.items():
             if not i < j:
                 raise ValueError("structure table must use i < j orientation, got %r" % ((i, j),))
-            kept = {k: c for k, c in ((k, Q(c)) for k, c in terms.items()) if c}
-            if kept:
-                canon[(i, j)] = kept
-        den = math.lcm(*(c.denominator for t in canon.values() for c in t.values()))
-        self._init(name, layer_of, tuple(
-            (i, j, tuple((k, c.numerator * (den // c.denominator)) for k, c in t.items()))
-            for (i, j), t in canon.items()), den, basis_names)
-        self._struct = canon
+            entries.extend((i, j, k) for k in terms)
+        nums, den = linalg.int_form([c for terms in struct.values() for c in terms.values()])
+        table = {}
+        for (i, j, k), c in zip(entries, nums):
+            if c:
+                table.setdefault((i, j), []).append((k, c))
+        self._init(name, layer_of, tuple((i, j, tuple(t)) for (i, j), t in table.items()),
+                   den, basis_names)
         report = validate_grading(self)
         if not report.ok:
             raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
 
     @classmethod
     def _induced(cls, name, layer_of, struct_num, struct_den, basis_names=None):
-        """The algebra of a table induced from a valid one, given as
-        struct_num over its least common denominator, not re-validated."""
+        """The algebra of a table built from valid ones, given as struct_num
+        over its least common denominator, not re-validated."""
         out = cls.__new__(cls)
         out._init(name, layer_of, struct_num, struct_den, basis_names)
         return out
@@ -283,14 +281,18 @@ class GradedAlgebra:
     def __repr__(self):
         return "GradedAlgebra(%r, dim=%d, step=%d)" % (self.name, self.dim, self.step)
 
+    def _key(self):
+        """The grading and the integer table: struct_den is the least common
+        denominator, so equal tables have equal keys."""
+        return self.layer_of, self.struct_den, frozenset(
+            (i, j, k, c) for i, j, terms in self.struct_num for k, c in terms)
+
     def __eq__(self, other):
         return self is other or (isinstance(other, GradedAlgebra)
-                                 and self.layer_of == other.layer_of
-                                 and self.struct == other.struct)
+                                 and self._key() == other._key())
 
     def __hash__(self):
-        return hash((self.layer_of, tuple(sorted(
-            (i, j, k, c) for (i, j), t in self.struct.items() for k, c in t.items()))))
+        return hash(self._key())
 
     # -- exact coordinate operations --------------------------------------
     def zero_coords(self):
@@ -342,9 +344,9 @@ class AlgebraVector:
     scalar_mode is 'exact' or 'float'.  An exact vector holds one form,
     ``int_form``: a tuple of int numerators over one positive int
     denominator, kept primitive (gcd(den, *nums) == 1), so that equal
-    vectors have equal forms.  Its ``coords``, a tuple of Fraction, is built
-    from that form on first read and kept; a vector given Fractions computes
-    its form on first use.  Float inputs to an exact vector are read
+    vectors have equal forms; its input is read by ``linalg.int_form`` at
+    construction.  Its ``coords``, a tuple of Fraction, is built from that
+    form on first read and kept.  Float inputs to an exact vector are read
     exactly: 0.1 becomes 3602879701896397/36028797018963968.  A float
     vector's coords is a 1-d numpy array.  Conversion is one way, exact ->
     float, via to_float().
@@ -354,14 +356,15 @@ class AlgebraVector:
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self._form = None
         if isinstance(coords, np.ndarray):
-            self._coords = np.asarray(coords, dtype=float)
+            self._coords, self._form = np.asarray(coords, dtype=float), None
+            n = len(self._coords)
         else:
-            self._coords = tuple(c if type(c) is Q else Q(c) for c in coords)
-        if len(self._coords) != algebra.dim:
-            raise ValueError("expected %d coordinates, got %d"
-                             % (algebra.dim, len(self._coords)))
+            nums, den = linalg.int_form(coords)
+            self._coords, self._form = None, (tuple(nums), den)
+            n = len(nums)
+        if n != algebra.dim:
+            raise ValueError("expected %d coordinates, got %d" % (algebra.dim, n))
 
     @classmethod
     def from_int_form(cls, algebra, nums, den):
@@ -385,15 +388,11 @@ class AlgebraVector:
     def int_form(self):
         """(nums, den) of an exact vector: the coordinates are nums[k] / den,
         with den > 0 and gcd(den, *nums) == 1."""
-        if self._form is None:
-            den = math.lcm(*(c.denominator for c in self._coords))
-            self._form = (tuple(c.numerator * (den // c.denominator) for c in self._coords),
-                          den)
         return self._form
 
     @property
     def scalar_mode(self):
-        return "float" if isinstance(self._coords, np.ndarray) else "exact"
+        return "float" if self._form is None else "exact"
 
     def to_float(self):
         if self.scalar_mode == "float":
@@ -572,7 +571,7 @@ def is_stratified(algebra):
     e = algebra.basis_coords
     for i in range(1, algebra.step):
         target = algebra.layer_indices(i + 1)
-        rows = [[algebra.bracket_coords(e(a), e(b))[k] for k in target]
+        rows = [[algebra.bracket_num(e(a), e(b))[k] for k in target]
                 for a in algebra.layer_indices(1) for b in algebra.layer_indices(i)]
         if target and linalg.rank(rows) < len(target):
             out = False
@@ -606,13 +605,13 @@ class EmpiricalConstant:
         return [self.label, "%.17g" % self.nu, str(self.samples), "%.17g" % self.sup_observed]
 
 
-def check_samples(samples, name="samples"):
+def check_samples(samples, name="samples", least=1):
     """The count check of every sampled estimate, before any draw (streamed
-    runs it): `samples` must be an integer >= 1, else ValueError naming it
-    as `name`."""
+    runs it), and of the solvers' grid counts: `samples` must be an integer
+    >= `least`, else ValueError naming it as `name`."""
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
-            or samples < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, samples))
+            or samples < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, samples))
 
 
 def check_radius(radius, name="radius", above=0.0):
@@ -688,11 +687,9 @@ def bracket_norm_constant(algebra):
     """Certified upper bound for |[X,Y]| <= beta |X| |Y| in the Euclidean
     coordinate norm: the Frobenius norm of the full structure tensor.  This is
     a triangle-inequality bound over the table, not a sampled value."""
-    total = Q(0)
-    for (i, j), terms in algebra.struct.items():
-        for k, c in terms.items():
-            total += 2 * c * c  # both orientations of the tensor
-    bound = math.sqrt(float(total))
+    # both orientations of the tensor; int division rounds as float(Fraction)
+    total = sum(2 * c * c for _, _, terms in algebra.struct_num for _, c in terms)
+    bound = math.sqrt(total / algebra.struct_den ** 2)
     if bound > 0:
         bound = math.nextafter(bound, math.inf)  # round up: keep it certified
     return EmpiricalConstant(label="bracket_norm_bound[%s]" % algebra.name,
@@ -714,11 +711,9 @@ class FloatOps:
         self.algebra = algebra
         self.dim = algebra.dim
         self.step = algebra.step
-        entries = []
-        for (i, j), terms in algebra.struct.items():
-            for k, c in terms.items():
-                entries.append((i, j, k, float(c)))
-        self.entries = entries
+        den = algebra.struct_den
+        self.entries = [(i, j, k, c / den) for i, j, terms in algebra.struct_num
+                        for k, c in terms]
         self.layer_of = np.array(algebra.layer_of)
         self.layer_masks = [None] + [
             (self.layer_of == i).astype(float) for i in range(1, self.step + 1)]

@@ -82,14 +82,8 @@ class UnipotentHeisenbergModel:
         out.append(a[0][n + 1])
         return tuple(out)
 
-    @staticmethod
-    def _form(coords):
-        coords = [Q(c) for c in coords]
-        d = lcm(*(c.denominator for c in coords))
-        return [c.numerator * (d // c.denominator) for c in coords], d
-
     def to_matrix(self, coords):
-        e, s = self._exp(self._form(coords))
+        e, s = self._exp(linalg.int_form(coords))
         return [[Q(x, s) for x in row] for row in e]
 
     def product_form(self, xf, yf):
@@ -99,7 +93,7 @@ class UnipotentHeisenbergModel:
         return self._log_form(linalg.matmul(ex, ey), sx * sy)
 
     def product_coords(self, xc, yc):
-        nums, den = self.product_form(self._form(xc), self._form(yc))
+        nums, den = self.product_form(linalg.int_form(xc), linalg.int_form(yc))
         return tuple(Q(x, den) for x in nums)
 
     def inverse_coords(self, xc):
@@ -378,15 +372,15 @@ def free_lie_extension(free_alg, target, generator_images):
 # ---------------------------------------------------------------------------
 
 def direct_product(a, b):
-    """Blockwise direct product; the basis is a's basis followed by b's."""
-    layers = list(a.layer_of) + list(b.layer_of)
-    struct = {k: dict(v) for k, v in a.struct.items()}
-    off = a.dim
-    for (i, j), terms in b.struct.items():
-        struct[(i + off, j + off)] = {k + off: c for k, c in terms.items()}
+    """Blockwise direct product; the basis is a's basis followed by b's.  Its
+    integer table is the two over the lcm of their denominators, valid."""
+    den = lcm(a.struct_den, b.struct_den)
+    struct_num = tuple((i + o, j + o, tuple((k + o, c * (den // g.struct_den)) for k, c in t))
+                       for g, o in ((a, 0), (b, a.dim)) for i, j, t in g.struct_num)
     names = ["%s.%s" % (a.name, nm) for nm in a.basis_names] + \
             ["%s.%s" % (b.name, nm) for nm in b.basis_names]
-    return GradedAlgebra("%sx%s" % (a.name, b.name), layers, struct, basis_names=names)
+    return GradedAlgebra._induced("%sx%s" % (a.name, b.name), a.layer_of + b.layer_of,
+                                  struct_num, den, names)
 
 
 def example_g42():

@@ -2,11 +2,11 @@
 
 Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major).
 Eliminations return ``Fraction``; ``matmul`` and ``matvec`` keep integer
-inputs integer, and a ``Span`` keeps primitive integer rows.  Eliminations
-read other rational entries, numpy integers among them, as the Python ints
-they hold, so no fixed-width product can overflow; other entries, floats and
-strings included, raise ``TypeError`` rather than make an exact result
-inexact.
+inputs integer, and a ``Span`` keeps primitive integer rows.  ``int_form``
+reads rational input, numpy integers as the Python ints they hold, so no
+fixed-width product can overflow.  Eliminations read their entries through
+it; other entries, floats and strings included, raise ``TypeError`` rather
+than make an exact result inexact.
 Nothing here mutates its arguments.  This is the kernel behind subalgebra
 canonicalization, quotients and all classification decisions.  Elimination is
 fraction-free over the integers (after Bareiss, Math. Comp. 22 (1968)
@@ -49,26 +49,34 @@ def matvec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def int_form(values):
+    """(nums, den): the values as a list of int numerators over their least
+    common denominator den > 0, so gcd(den, *nums) == 1.  Ints and Fractions
+    are read as they are, other Rationals (numpy integers among them) by the
+    Python ints of their numerator and denominator, and anything else
+    through Fraction (a float exactly, a string parsed)."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    vals = [x if type(x) is int or type(x) is Fraction
+            else Fraction(int(x.numerator), int(x.denominator)) if isinstance(x, Rational)
+            else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in vals])
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
 def _int_row(row):
-    """The primitive integer row with the same span as a rational row; a row
-    of ints goes straight to its content gcd."""
+    """The primitive integer row with the same span as a row of Rationals; a
+    row of ints goes straight to its content gcd."""
     for x in row:
         if type(x) is not int:
-            if any(type(x) is not Fraction and type(x) is not int for x in row):
-                row = [_exact(x) for x in row]
-            den = lcm(*[x.denominator for x in row])
-            row = [x.numerator * (den // x.denominator) for x in row]
+            bad = next((x for x in row if type(x) is not Fraction and type(x) is not int
+                        and not isinstance(x, Rational)), None)
+            if bad is not None:
+                raise TypeError("entry %r is not an int or a Fraction" % (bad,))
+            row = int_form(row)[0]
             break
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else list(row)
-
-
-def _exact(x):
-    """A rational entry as a Fraction of Python ints: numpy integers and other
-    Rationals would carry their own fixed-width arithmetic into the row."""
-    if not isinstance(x, Rational):
-        raise TypeError("entry %r is not an int or a Fraction" % (x,))
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def _reduce(row, prow, c):

@@ -12,7 +12,7 @@ for the JSON and the float readers, is built from it on first read.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -23,10 +23,9 @@ Q = Fraction
 
 class GradedMorphism:
     def __init__(self, domain, codomain, matrix):
-        """`matrix` is a float numpy array, or rows of ints, Fractions or
-        anything Fraction reads exactly (floats, strings), which go to the
-        integer form over the lcm of their denominators; only the entries
-        that are neither int nor Fraction are read into new Fractions."""
+        """`matrix` is a float numpy array, or rows of rational entries,
+        which ``linalg.int_form`` reads into the integer form over their
+        least common denominator."""
         self.domain = domain
         self.codomain = codomain
         self._matrix = self._form = None
@@ -34,11 +33,10 @@ class GradedMorphism:
             self._matrix = np.asarray(matrix, dtype=float)
             shape = self._matrix.shape
         else:
-            rows = [[c if type(c) is int or type(c) is Q else Q(c) for c in row]
-                    for row in matrix]
-            den = lcm(*(int(c.denominator) for row in rows for c in row))
-            self._form = ([[int(c.numerator) * (den // int(c.denominator)) for c in row]
-                           for row in rows], den)
+            rows = [list(row) for row in matrix]
+            flat, den = linalg.int_form([c for row in rows for c in row])
+            flat = iter(flat)
+            self._form = ([[next(flat) for _ in row] for row in rows], den)
             widths = {len(r) for r in rows} or {domain.dim}
             shape = (len(rows), widths.pop() if len(widths) == 1 else "ragged")
         if shape != (codomain.dim, domain.dim):

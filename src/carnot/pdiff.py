@@ -9,6 +9,7 @@ for kernel and complement computations, since classification verdicts from a
 numerically thresholded rank are only as good as the threshold.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,24 +212,26 @@ def component_differentials(domain, codomain, dfirst_matrix, f_at_x):
 def _bracket_combinations(domain, layer):
     """Each basis vector e_k of a higher layer as an exact combination
     e_k = sum c [e_a, e_b] over the pairs with layer(a) + layer(b) = layer,
-    read from the structure table: a list of (k, [(a, b, c), ...])."""
+    read from the structure table: a list of (k, [(a, b, c), ...]), each c
+    struct_den times the solution on the integer table."""
     idx = domain.layer_indices(layer)
+    table = {(i, j): dict(terms) for i, j, terms in domain.struct_num}
     pairs, gens = [], []
     for a in range(domain.dim):
         for b in domain.layer_indices(layer - domain.layer_of[a]):
-            terms = domain.struct.get((min(a, b), max(a, b)))
+            terms = table.get((min(a, b), max(a, b)))
             if terms:
                 sgn = 1 if a < b else -1
                 pairs.append((a, b))
-                gens.append([sgn * terms.get(k, Q(0)) for k in idx])
+                gens.append([sgn * terms.get(k, 0) for k in idx])
     system = [[g[t] for g in gens] for t in range(len(idx))]
     out = []
     for pos, k in enumerate(idx):
-        target = [Q(1) if t == pos else Q(0) for t in range(len(idx))]
+        target = [int(t == pos) for t in range(len(idx))]
         comb = linalg.solve(system, target) if gens else None
         if comb is None:
             raise ValueError("domain is not stratified: cannot lift layer %d" % layer)
-        out.append((k, [(a, b, c) for (a, b), c in zip(pairs, comb) if c]))
+        out.append((k, [(a, b, domain.struct_den * c) for (a, b), c in zip(pairs, comb) if c]))
     return out
 
 
@@ -650,7 +653,8 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
 
     The neighbourhood sizes of the underlying theorem are existential: if a
     node fails, the grid box is halved (up to `shrink_attempts` times) and
-    the achieved radius is reported on the solution.
+    the achieved radius is reported on the solution.  Grid counts must be
+    integers >= 1 and `shrink_attempts` >= 0, else ValueError.
     """
     dom = pdmap.domain
     grid_spec = grid_spec or {}
@@ -668,15 +672,15 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
     if len(counts) != len(nbasis):
         raise ValueError("counts: expected %d grid counts (one per kernel basis "
                          "vector), got %d" % (len(nbasis), len(counts)))
-    shrink_attempts = int(grid_spec.get("shrink_attempts", 3))
+    for n, c in enumerate(counts):
+        check_samples(c, "counts[%d]" % n)
+    shrink_attempts = grid_spec.get("shrink_attempts", 3)
+    check_samples(shrink_attempts, "shrink_attempts", least=0)
     target = pdmap(xbar)
 
     last_error = None
     for attempt in range(shrink_attempts + 1):
-        axes = []
-        for c, l in zip(counts, nlayers):
-            r = radius ** l
-            axes.append(np.linspace(-r, r, c) if c > 1 else np.array([0.0]))
+        axes = [_grid_axis(radius ** l, c) for c, l in zip(counts, nlayers)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coeffs = np.stack([m.ravel() for m in mesh], axis=-1)
         nodes = coeffs @ nbasis
@@ -693,6 +697,11 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
         radius *= 0.5  # the theorem's neighbourhood is existential: shrink
     raise RuntimeError("implicit solve failed at %s after %d shrink attempts"
                        % (last_error, shrink_attempts))
+
+
+def _grid_axis(r, count):
+    """`count` evenly spaced offsets on [-r, r]; one node sits at the centre."""
+    return np.linspace(-r, r, count) if count > 1 else np.array([0.0])
 
 
 def uniqueness_check(solution, restarts=5, subset=40, seed=0):
@@ -778,7 +787,9 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
     """Represent the image of f near xbar as an intrinsic graph over the
     image subgroup of the differential: psi inverts p o f (one batched
     Newton solve over the grid, every node seeded at xbar), and
-    phi(h) = (p-complement part of f(psi(h)))."""
+    phi(h) = (p-complement part of f(psi(h))).  `grid_count` nodes per
+    image direction, an integer >= 1, else ValueError."""
+    check_samples(grid_count, "grid_count")
     cod = pdmap.codomain
     xbar = np.asarray(xbar, dtype=float)
     T, _ = _rational_differential(pdmap, xbar)
@@ -791,9 +802,7 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
     fxbar = pdmap(xbar)
     h0 = np.linalg.lstsq(hbasis.T, pmat @ fxbar, rcond=None)[0]
 
-    hlayers = H.basis_layers()
-    offsets = [np.linspace(-grid_radius ** l, grid_radius ** l, grid_count)
-               for l in hlayers]
+    offsets = [_grid_axis(grid_radius ** l, grid_count) for l in H.basis_layers()]
     mesh = np.meshgrid(*offsets, indexing="ij")
     coeffs = np.stack([m.ravel() for m in mesh], axis=-1) + h0
 
@@ -990,28 +999,21 @@ def tangent_cone_samples(sampler, xbar, cone, scales, R=1.0, count=1200, seed=0)
 
 
 def tangent_cone_bracket_rank(cone):
-    """Rank of the bracket map on the cone subalgebra: 0 means commutative."""
-    alg = cone.algebra
-    basis = cone.basis()
-    rows = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            rows.append(list(alg.bracket_coords(basis[i], basis[j])))
-    return linalg.rank(rows) if rows else 0
+    """Rank of the bracket map on the cone subalgebra: 0 means commutative.
+    It brackets the integer rows on the integer table; the rank does not see
+    their nonzero scalings."""
+    bracket = cone.algebra.bracket_num
+    return linalg.rank([bracket(u, v) for u, v in itertools.combinations(cone.rows, 2)])
 
 
 def tangent_dim_check(solution):
     """H-dim of the tangent cone equals H-dim(G) - H-dim(M), exactly, through
-    the exact kernel."""
-    from .subgroups import subalgebra_as_algebra
-    G = solution.pdmap.domain
-    M = solution.pdmap.codomain
-    n_alg = subalgebra_as_algebra(solution.kernel)
-    return {"tangent": homogeneous_dimension(n_alg),
-            "ambient": homogeneous_dimension(G),
-            "target": homogeneous_dimension(M),
-            "ok": homogeneous_dimension(n_alg) ==
-            homogeneous_dimension(G) - homogeneous_dimension(M)}
+    the exact kernel: the cone's is the sum of its basis layers."""
+    tangent = sum(solution.kernel.basis_layers())
+    ambient = homogeneous_dimension(solution.pdmap.domain)
+    target = homogeneous_dimension(solution.pdmap.codomain)
+    return {"tangent": tangent, "ambient": ambient, "target": target,
+            "ok": tangent == ambient - target}
 
 
 # ---------------------------------------------------------------------------

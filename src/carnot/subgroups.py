@@ -68,11 +68,12 @@ class HomogeneousSubalgebra:
     vectors, which the membership, bracket-closure and ideal checks read.
     Each given vector lies in its layer, so each row of `span` lies in the
     layer of its pivot.  `rows` holds those rows by that layer, in pivot
-    order, and `pivots` their pivot columns.  basis() divides each row by
-    its pivot entry: the layers' reduced echelon bases, canonical, so
-    equality is matrix comparison; a vector of the space has its coordinates
-    in basis() at the columns `pivots`.  `layered_bases`, basis() by layer,
-    is built on first use."""
+    order, each with a positive pivot entry, and `pivots` their pivot
+    columns.  basis() divides each row by its pivot entry: the layers'
+    reduced echelon bases, so the rows are canonical, and equality and the
+    hash read them; a vector of the space has its coordinates in basis() at
+    the columns `pivots`.  `layered_bases`, basis() by layer, is built on
+    first use."""
 
     def __init__(self, algebra, layered_bases):
         self.algebra = algebra
@@ -86,23 +87,17 @@ class HomogeneousSubalgebra:
                             % (layer, algebra.layer_of[k]), witness=tuple(v))
         order = sorted(range(len(self.span.pivots)),
                        key=lambda r: algebra.layer_of[self.span.pivots[r]])
-        self.rows = [self.span.rows[r] for r in order]
-        self.pivots = [self.span.pivots[r] for r in order]
+        rows, self.pivots = self.span.rows, [self.span.pivots[r] for r in order]
+        self.rows = [rows[r] if rows[r][p] > 0 else [-x for x in rows[r]]
+                     for r, p in zip(order, self.pivots)]
         self._layered = None
-        w = self._bracket_escape()
-        if w is not None:
-            raise NotSubalgebra("bracket leaves the span", witness=w)
-
-    def _bracket_escape(self):
-        """None when the span is closed under the bracket, decided on the
-        integer rows; else the first escaping bracket of two basis vectors."""
-        bracket, span = self.algebra.bracket_num, self.span
-        if all(span.contains(bracket(u, v))
-               for u, v in itertools.combinations(span.rows, 2)):
-            return None
-        return next(br for u, v in itertools.combinations(self.basis(), 2)
-                    for br in [self.algebra.bracket_coords(u, v)]
-                    if not span.contains(br))
+        # closure on the integer rows, in layer order: the witness is the
+        # first escaping bracket of two basis() vectors
+        for (a, u), (b, v) in itertools.combinations(enumerate(self.rows), 2):
+            if not self.span.contains(algebra.bracket_num(u, v)):
+                basis = self.basis()
+                raise NotSubalgebra("bracket leaves the span",
+                                    witness=algebra.bracket_coords(basis[a], basis[b]))
 
     @property
     def layered_bases(self):
@@ -139,12 +134,10 @@ class HomogeneousSubalgebra:
 
     def __eq__(self, other):
         return (isinstance(other, HomogeneousSubalgebra)
-                and self.algebra == other.algebra
-                and self.layered_bases == other.layered_bases)
+                and self.algebra == other.algebra and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(
-            (l, tuple(vs)) for l, vs in self.layered_bases.items()))))
+        return hash((id(self.algebra), tuple(map(tuple, self.rows))))
 
     def __repr__(self):
         dims = {l: len(v) for l, v in self.layered_bases.items()}

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -466,6 +467,32 @@ def test_float_coordinates_of_an_exact_vector_are_read_exactly(h1):
     assert v.coords == (Q(3602879701896397, 36028797018963968), Q(0), Q(5, 2))
     assert v.int_form == ((3602879701896397, 0, 90071992547409920), 36028797018963968)
     assert v.to_float().coords.tolist() == [0.1, 0.0, 2.5]
+
+
+def test_numpy_integers_in_a_vector_are_read_as_python_ints(h1):
+    # np.int64 coordinates once stayed numpy integers in the integer forms of
+    # a vector and of the matrix model, so the exact product overflowed with
+    # only a RuntimeWarning: z read 0
+    from carnot.bch import group_product
+    big = np.int64(2 ** 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y = GroupElement(h1, [big, 0, 0]), GroupElement(h1, [0, big, 0])
+        assert group_product(x, y).coords == (2 ** 40, 2 ** 40, 2 ** 79)
+        assert is_primitive(x)
+        assert catalog.matrix_model(h1).product_coords([big, 0, 0], [0, big, 0]) == \
+            (2 ** 40, 2 ** 40, 2 ** 79)
+
+
+def test_numpy_integers_in_a_table_are_read_as_python_ints():
+    # an np.int64 structure constant once stayed a numpy integer in
+    # struct_num, so integer brackets overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = GradedAlgebra("g", [1, 1, 2], {(0, 1): {2: np.int64(2 ** 40)}})
+        assert g.struct_num == ((0, 1, ((2, 2 ** 40),)),) and g.struct_den == 1
+        assert type(g.struct_num[0][2][0][1]) is int
+        assert g.bracket_num((2 ** 30, 0, 0), (0, 2 ** 30, 0)) == (0, 0, 2 ** 100)
 
 
 def test_zero_dimensional_algebra(h1):

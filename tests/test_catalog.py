@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carnot import catalog
-from carnot.algebra import (AlgebraVector, bracket, homogeneous_dimension,
+from carnot.algebra import (AlgebraVector, GradedAlgebra, bracket, homogeneous_dimension,
                             is_stratified, validate_grading)
 from carnot.catalog import (HTypeData, free_lie_extension, free_nilpotent,
                             h_type_from_J, hall_trees, witt_dimension)
@@ -125,6 +125,20 @@ def test_direct_product(h1):
     x_left = AlgebraVector(prod, prod.basis_coords(0))
     y_right = AlgebraVector(prod, prod.basis_coords(4))
     assert all(c == 0 for c in bracket(x_left, y_right).coords)
+    # built from the two integer tables over the lcm of their denominators,
+    # without validation: it equals the validated construction on the
+    # Fraction table, entry order and floats included
+    from test_bch import _fractional_table
+    frac = _fractional_table()
+    for a, b in [(h1, h1), (frac, h1), (h1, frac), (frac, frac)]:
+        struct = dict(a.struct)
+        struct.update({(i + a.dim, j + a.dim): {k + a.dim: c for k, c in t.items()}
+                       for (i, j), t in b.struct.items()})
+        want = GradedAlgebra("ref", a.layer_of + b.layer_of, struct)
+        got = catalog.direct_product(a, b)
+        assert (got.struct_num, got.struct_den) == (want.struct_num, want.struct_den)
+        assert got == want and hash(got) == hash(want) and got.struct == want.struct
+        assert got.float_ops().entries == want.float_ops().entries
 
 
 def test_example_g42(g42):

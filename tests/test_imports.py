@@ -193,20 +193,19 @@ BCH_FRACTION_BUILDERS = {"bernoulli", "_k_coefficient", "_bch_terms", "letter", 
                          "mul", "commutator", "_exp_series", "_log_series",
                          "dexp_word_polynomial", "_decompose_cn_universal",
                          "cn_remainder", "exp_differential", "exp_differential_oracle"}
-# the functions of algebra.py that build Fractions: table input and
-# validation, vector input (both __init__), the public struct of an induced
-# table and coords of an exact vector, the coordinate operations on Fraction
-# tuples, the exact scalar of __rmul__ and dilate, and the bracket norm
-# bound.  Vector arithmetic and induced tables run on integer forms.
-ALGEBRA_FRACTION_BUILDERS = {"validate_table", "__init__", "zero_coords", "bracket_coords",
-                             "struct", "coords", "__rmul__", "dilate",
-                             "bracket_norm_constant"}
-# the functions of morphism.py that build Fractions: the exact reading of
-# input entries that are not ints (Fractions, floats, strings), the public
-# matrix view of the integer form, and the image coordinates of an exact
-# map whose denominator is not 1.  The flags, ranks, kernels, images,
-# compositions and the determinant run on the integer form.
-MORPHISM_FRACTION_BUILDERS = {"__init__", "matrix", "apply_coords"}
+# the functions of algebra.py that build Fractions: the coefficients of a
+# Polynomial (its __init__), the views struct of a table and coords of an
+# exact vector, the coordinate operations on Fraction tuples, and the exact
+# scalar of __rmul__ and dilate.  Tables and vectors are read into integer
+# forms by linalg.int_form; validation, vector arithmetic and the bracket
+# norm bound run on them.
+ALGEBRA_FRACTION_BUILDERS = {"__init__", "zero_coords", "bracket_coords", "struct",
+                             "coords", "__rmul__", "dilate"}
+# the functions of morphism.py that build Fractions: the public matrix view
+# of the integer form, and the image coordinates of an exact map whose
+# denominator is not 1.  Input is read by linalg.int_form; the flags, ranks,
+# kernels, images, compositions and the determinant run on the integer form.
+MORPHISM_FRACTION_BUILDERS = {"matrix", "apply_coords"}
 
 
 def test_fraction_builders_of_the_law_and_the_vectors():
@@ -217,6 +216,34 @@ def test_fraction_builders_of_the_law_and_the_vectors():
         ALGEBRA_FRACTION_BUILDERS
     assert _fraction_builders((PACKAGE / "morphism.py").read_text()) == \
         MORPHISM_FRACTION_BUILDERS
+
+
+def _struct_readers(source):
+    """The functions of `source` that read an attribute named struct."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "struct":
+                found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_struct_is_read_only_by_the_group_file():
+    # every table is kept as its integer form; the Fraction view `struct`,
+    # which its own property builds from `_struct`, is read by the
+    # group-file writer alone
+    found = {(path.name, f) for path in sorted(PACKAGE.glob("*.py"))
+             for f in _struct_readers(path.read_text())}
+    assert found == {("io.py", "group_to_dict")}, found
+    assert _struct_readers("def f(a):\n    return a.struct_num, a.struct\n"
+                           "def g(a):\n    return a.structure\n") == {"f"}
 
 
 def test_fraction_builders_of_subgroups():

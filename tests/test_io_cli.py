@@ -400,6 +400,23 @@ INPUT_PROBES = {
     "lift-tol-nan": ("tol", lambda d: [
         "experiment", "lift",
         _write(d, "l.json", '{"group": "h1", "control": {"name": "circle"}, "tol": NaN}')]),
+    # a grid count below 1 ran one node, a negative shrink count exited 3
+    # ("failed at None"), and a rank grid count of 0 failed inside numpy
+    "implicit-counts-zero": ("counts[0]", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "counts": [0, 5, 1]})]),
+    "implicit-counts-negative": ("counts[0]", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "counts": [-3, 5, 1]})]),
+    "implicit-shrink-negative": ("shrink_attempts", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "shrink_attempts": -1})]),
+    "rank-count-zero": ("grid_count", lambda d: [
+        "experiment", "rank",
+        _write(d, "r.json", {"map": "legendrian_line", "base_point": [0.2], "count": 0})]),
     # a name that is not a string: `group` once reached os.path.exists (an
     # integer, open(): see test_a_config_group_that_is_an_integer_exits_2),
     # `map` pdiff.named_map

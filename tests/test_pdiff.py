@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -384,6 +385,31 @@ def test_rank_parametrization(radial):
         t, r, ok = pdiff._newton(lambda z, rows: pl(z) - graph_pt, np.zeros((1, 2)),
                                  tol=1e-9)
         assert ok[0]
+
+
+def test_rank_parametrization_puts_one_node_at_the_centre():
+    # np.linspace(-r, r, 1) is [-r]; one node per direction sits at the
+    # image of the base point, as in implicit_function
+    f = pdiff.named_map("legendrian_line")
+    rp = pdiff.rank_parametrization(f, np.array([0.2]), grid_radius=0.3, grid_count=1)
+    assert rp.psi_points.shape == (1, 1)
+    assert abs(rp.psi_points[0, 0] - 0.2) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"counts": [0, 5, 1]}, "counts[0]"), ({"counts": [5, -3, 1]}, "counts[1]"),
+    ({"counts": [5, 5, 2.5]}, "counts[2]"), ({"counts": [True, 5, 1]}, "counts[0]"),
+    ({"shrink_attempts": -1}, "shrink_attempts"),
+    ({"shrink_attempts": 1.5}, "shrink_attempts")])
+def test_grid_counts_are_checked(radial, spec, field):
+    # a count below 1 ran one node, a negative shrink count raised "failed
+    # at None", and a float count reached numpy
+    with pytest.raises(ValueError, match=r"^%s must be an integer" % re.escape(field)):
+        pdiff.implicit_function(radial, XI, spec)
+    for count in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="^grid_count must be an integer"):
+            pdiff.rank_parametrization(pdiff.named_map("legendrian_line"), np.zeros(1),
+                                       grid_count=count)
 
 
 def test_chain_rule(h1, rng):

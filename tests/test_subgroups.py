@@ -184,6 +184,20 @@ def test_classify_epi_rejects_non_hom(h1):
         classify_epimorphism(bad)
 
 
+def test_subalgebra_rows_are_canonical(rng):
+    # equality and the hash read the integer rows: each the primitive
+    # multiple of its basis() vector with a positive pivot entry, whatever
+    # spanning set, scale, sign or order the space was given by
+    for name in ("h2", "free_2_3", "g42"):
+        g = catalog.get(name)
+        for _ in range(15):
+            s = random_homogeneous_subalgebra(g, rng, 2)
+            t = layered_decomposition(g, [[-3 * x for x in v] for v in s.basis()][::-1])
+            for row, p, b in zip(s.rows, s.pivots, s.basis()):
+                assert row[p] > 0 and tuple(Q(x, row[p]) for x in row) == b
+            assert s.rows == t.rows and s == t and hash(s) == hash(t)
+
+
 def test_complement_of_non_ideal_is_canonical(h2):
     # span{x1 + y1} is not an ideal; its complement is the canonical
     # per-layer one: standard vectors off the pivots, plus the center
