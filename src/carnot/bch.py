@@ -369,7 +369,8 @@ class FreeSeries:
 
 def _exp_series(a):
     """exp of a series with zero scalar part."""
-    assert a.terms.get((), Q(0)) == 0
+    if a.terms.get((), 0) != 0:
+        raise AssertionError("exp needs a series with zero scalar part")
     out = FreeSeries(a.degree, {(): Q(1)})
     power = FreeSeries(a.degree, {(): Q(1)})
     for k in range(1, a.degree + 1):
@@ -380,7 +381,8 @@ def _exp_series(a):
 
 def _log_series(g):
     """log of a group-like series (scalar part 1)."""
-    assert g.terms.get((), Q(0)) == 1
+    if g.terms.get((), 0) != 1:
+        raise AssertionError("log needs a series with scalar part 1")
     u = g.add(FreeSeries(g.degree, {(): Q(1)}), Q(-1))
     out = FreeSeries(g.degree)
     power = FreeSeries(g.degree, {(): Q(1)})

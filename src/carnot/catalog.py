@@ -280,8 +280,9 @@ def _free_nilpotent_data(p, step):
     levels = hall_trees(p, step)
     for deg, level in enumerate(levels, start=1):
         expected = witt_dimension(p, deg)
-        assert len(level) == expected, \
-            "Hall level %d has %d elements, Witt says %d" % (deg, len(level), expected)
+        if len(level) != expected:
+            raise AssertionError("Hall level %d has %d elements, Witt says %d"
+                                 % (deg, len(level), expected))
     trees = [t for level in levels for t in level]
     dim = len(trees)
     if dim > 200:
@@ -323,7 +324,8 @@ def _free_nilpotent_data(p, step):
             if not br.terms:
                 continue
             expanded = expand(br, d)
-            assert expanded is not None, "Hall expansion failed: basis not closed"
+            if expanded is None:
+                raise AssertionError("Hall expansion failed: basis not closed")
             idxs, sol = expanded
             terms = {k: c for k, c in zip(idxs, sol) if c != 0}
             if terms:

@@ -664,8 +664,8 @@ def implicit_function(pdmap, xbar, grid_spec=None, tol=1e-10, budget=100):
     if cls.verdict != "h_epimorphism":
         raise ValueError("differential is not an h-epimorphism: %s" % cls.verdict)
     N, H = cls.kernel, cls.witness
-    nbasis = np.array([[float(c) for c in v] for v in N.basis()])
-    hbasis = np.array([[float(c) for c in v] for v in H.basis()])
+    nbasis = np.array(N.float_basis())
+    hbasis = np.array(H.float_basis())
     nlayers = N.basis_layers()
     radius = float(grid_spec.get("radius", 0.3))
     counts = list(grid_spec.get("counts", None) or [7] * len(nbasis))
@@ -708,7 +708,7 @@ def uniqueness_check(solution, restarts=5, subset=40, seed=0):
     """Multi-restart agreement of the implicit solve at random nodes, each
     restart from a normal draw of scale 0.3, all solved in one batch: the
     empirical surrogate for uniqueness of the graph map."""
-    hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
+    hbasis = np.array(solution.witness.float_basis())
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
@@ -732,7 +732,7 @@ def translated_graph_check(solution, g, subset=25, seed=0):
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(solution.nodes), size=min(subset, len(solution.nodes)),
                       replace=False)
-    hbasis = np.array([[float(c) for c in v] for v in solution.witness.basis()])
+    hbasis = np.array(solution.witness.float_basis())
     new_xbar = group_product_np(dom, g, solution.xbar)
     translated = PDMap(dom, pdmap.codomain,
                        lambda x: pdmap.evaluator(group_product_np(dom, -g, x)))
@@ -798,7 +798,7 @@ def rank_parametrization(pdmap, xbar, grid_radius=0.25, grid_count=6):
         raise ValueError("differential is not an h-monomorphism: %s" % mono.verdict)
     H, N, p = mono.image, mono.normal_complement, mono.projection
     pmat = np.asarray(p.to_float().matrix)
-    hbasis = np.array([[float(c) for c in v] for v in H.basis()])
+    hbasis = np.array(H.float_basis())
     fxbar = pdmap(xbar)
     h0 = np.linalg.lstsq(hbasis.T, pmat @ fxbar, rcond=None)[0]
 
@@ -835,7 +835,8 @@ class BlowupReport:
     R: float
 
     def __post_init__(self):
-        assert all(d >= 0 for d in self.distances)
+        if not all(d >= 0 for d in self.distances):
+            raise ValueError("blow-up distances must be >= 0, got %r" % (self.distances,))
 
     @property
     def decreasing(self):
@@ -851,8 +852,7 @@ class LevelSetSampler:
         self.pdmap = pdmap
         self.xbar = np.asarray(xbar, dtype=float)
         self.solution = solution
-        self._hbasis = np.array([[float(c) for c in v]
-                                 for v in solution.witness.basis()])
+        self._hbasis = np.array(solution.witness.float_basis())
 
     def _graph_points(self, nodes):
         """phi(n) for kernel nodes of shape (n, dim): one batched solve,
@@ -871,7 +871,7 @@ class LevelSetSampler:
         dom = self.pdmap.domain
         ops = dom.float_ops()
         metric = default_metric(dom)
-        nbasis = np.array([[float(c) for c in v] for v in self.solution.kernel.basis()])
+        nbasis = np.array(self.solution.kernel.float_basis())
         half = (1.2 * R) ** np.array(self.solution.kernel.basis_layers())
 
         def draw(n):
@@ -953,7 +953,7 @@ def cone_samples(algebra, cone, R, count, rng):
     """Random points of the subgroup exp(cone) with gauge <= R in the default
     metric."""
     metric = default_metric(algebra)
-    basis = np.array([[float(c) for c in v] for v in cone.basis()])
+    basis = np.array(cone.float_basis())
     half = (1.3 * R) ** np.array(cone.basis_layers())
 
     def draw(n):

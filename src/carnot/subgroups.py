@@ -12,29 +12,19 @@ generates the algebra.  Induced structure tables and quotient projections
 are built as integers over one denominator, the form that ``GradedAlgebra``
 and ``GradedMorphism`` keep, and morphisms are read in theirs.  Fractions
 are built only where values leave: the canonical bases, the witnesses and
-the JSON.  Classification verdicts come in exact, deterministic tiers, in
-this order: affine right-inverse systems, decided both ways; the
-complements spanned by basis vectors; the Heisenberg and h12 closed forms;
-the isotropic rank bound; a unit-ideal test of degree <= 1, whose
-certificate is one exact solve on ``linalg``.  Non-ideals and
-monomorphisms try the complements spanned by basis vectors.  Those are
-walked as index sets: bracket closure is read off the support of the
-table, transversality off one integer determinant (a minor of the
-subalgebra's rows), the ideal test of a monomorphism's candidate off the
-support too, and only the complement returned is built as a subalgebra.
-Every tier reads the structure table alone, never the tags, so a group
-read back from its file gets the verdicts of the catalog group it was
-written from.  When no tier decides, the verdict is `undecided`, and its
-marker names the tiers that ran.  No tier uses sympy or randomness.  The
-right-inverse system of an h-epimorphism is a list of
-``algebra.Polynomial`` with int coefficients, each equation's coefficients
-read off int brackets of the columns of the unknown right inverse, scaled
-to integers: a constant vector plus one kernel row per unknown.  The
-self-checks of the closed forms raise explicitly, so they hold under
-``python -O`` too.
+the JSON.  Each classifier is a tuple of exact, deterministic tiers
+(`IDEAL_TIERS`, `NON_IDEAL_TIERS`, `INCLUSION_TIERS`) run by one loop,
+`_run_tiers`: the first tier that decides gives the verdict and its
+``tier`` name; when none does, the verdict is `undecided`, and its marker
+names the tiers whose precondition held.  Every tier reads the structure
+table alone, never the tags, so a group read back from its file gets the
+verdicts of the catalog group it was written from.  No tier uses sympy or
+randomness, and the self-checks raise explicitly, so ``python -O`` keeps
+them.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -125,6 +115,11 @@ class HomogeneousSubalgebra:
             out.extend(self.layered_bases[layer])
         return out
 
+    def float_basis(self):
+        """basis() as floats, each integer row divided by its pivot entry:
+        int true division rounds correctly, as float() of a Fraction does."""
+        return [[x / row[p] for x in row] for row, p in zip(self.rows, self.pivots)]
+
     def basis_layers(self):
         """Layer of each vector of basis(), in the same order."""
         return [self.algebra.layer_of[p] for p in self.pivots]
@@ -137,7 +132,7 @@ class HomogeneousSubalgebra:
                 and self.algebra == other.algebra and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(map(tuple, self.rows))))
+        return hash((self.algebra, tuple(map(tuple, self.rows))))
 
     def __repr__(self):
         dims = {l: len(v) for l, v in self.layered_bases.items()}
@@ -370,43 +365,15 @@ class NonexistenceCertificate:
 
 @dataclass
 class BudgetExhausted:
-    """Marker of an `undecided` verdict: no exact tier applied.  `trials` is
-    always 0 (no tier searches at random); `note` names the tiers that ran."""
+    """Marker of an `undecided` verdict: no exact tier decided.  `trials` is
+    always 0 (no tier searches at random); `note` names the tiers whose
+    precondition held."""
     trials: int
     note: str
 
 
 def _system_degree(eqs):
     return max((len(mono) for p in eqs for mono in p.terms), default=0)
-
-
-def _solve_affine_system(eqs, nvars):
-    """Exact solve of an affine system of Polynomials.  Returns
-    ('witness', values) or ('infeasible', equation index)."""
-    if not eqs:
-        return ("witness", [0] * nvars)
-    rows, rhs = [], []
-    for p in eqs:
-        row = [0] * nvars
-        const = 0
-        for mono, c in p.terms.items():
-            if len(mono) == 0:
-                const += c
-            elif len(mono) == 1:
-                row[mono[0]] += c
-            else:
-                raise AssertionError("not affine")
-        rows.append(row)
-        rhs.append(-const)
-    if nvars == 0:
-        for i, v in enumerate(rhs):
-            if v != 0:
-                return ("infeasible", i)
-        return ("witness", [])
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return ("infeasible", None)
-    return ("witness", sol)
 
 
 UNIT_IDEAL_MAX_VARS = 10
@@ -716,10 +683,10 @@ def h21_complement(algebra, nsub):
 # classification
 # ---------------------------------------------------------------------------
 
-def _witness_json(verdict, witness):
-    """The JSON form shared by both classifications: the witness basis as
-    rational strings, or the certificate (nonexistence or undecided marker)."""
-    out = {"verdict": verdict, "witness_basis": None, "certificate": None}
+def _witness_json(verdict, witness, tier):
+    """The JSON of both classifications: the deciding tier, and the witness
+    basis as rational strings or the certificate (or undecided marker)."""
+    out = {"verdict": verdict, "tier": tier, "witness_basis": None, "certificate": None}
     if isinstance(witness, HomogeneousSubalgebra):
         out["witness_basis"] = [[str(c) for c in v] for v in witness.basis()]
     elif isinstance(witness, NonexistenceCertificate):
@@ -734,9 +701,10 @@ class EpiClassification:
     verdict: str               # h_epimorphism | surjective_not_epi | not_surjective | undecided
     witness: object = None     # HomogeneousSubalgebra | NonexistenceCertificate | BudgetExhausted
     kernel: object = None
+    tier: str = None           # name of the deciding tier; None when no tier decided
 
     def to_json_dict(self):
-        return _witness_json(self.verdict, self.witness)
+        return _witness_json(self.verdict, self.witness, self.tier)
 
 
 @dataclass
@@ -745,16 +713,39 @@ class MonoClassification:
     normal_complement: object = None
     projection: object = None  # GradedMorphism p with p|_H = Id
     image: object = None
+    tier: str = None           # name of the deciding tier; None when no tier decided
 
     def to_json_dict(self):
-        return _witness_json(self.verdict, self.normal_complement)
+        return _witness_json(self.verdict, self.normal_complement, self.tier)
+
+
+# a named exact tier: `applies` (its precondition) and `decide` read one
+# `_Inputs`, the subalgebra to complement (a kernel, a non-ideal or an image)
+# and, for a kernel, its surjection L and right-inverse system; `decide`
+# returns (verdict, witness) or None
+Tier = namedtuple("Tier", "name applies decide")
+_Inputs = namedtuple("_Inputs", "sub L eqs cols nvars", defaults=(None, None, None, 0))
+
+
+def _run_tiers(tiers, inputs, note, *args):
+    """(verdict, witness, tier name) of the first of `tiers` that decides
+    `inputs`, else ('undecided', marker, None), the marker's note being
+    `note` % (*args, the names of the tiers whose precondition held)."""
+    ran = []
+    for tier in tiers:
+        if tier.applies(inputs):
+            out = tier.decide(inputs)
+            if out is not None:
+                return (*out, tier.name)
+            ran.append(tier.name)
+    return "undecided", BudgetExhausted(0, note % (*args, ", ".join(ran))), None
 
 
 def classify_epimorphism(L):
     """Decide whether a surjective h-homomorphism admits an h-homomorphism
     right inverse, equivalently whether its kernel has a complementary
-    homogeneous subgroup.  Returns the witness subalgebra, a nonexistence
-    certificate, or an undecided marker naming the exact tiers that ran.
+    homogeneous subgroup, through the tiers of `IDEAL_TIERS`.  Returns the
+    witness subalgebra, a nonexistence certificate, or an undecided marker.
     L is surjective exactly when its kernel has dimension dim G - dim M."""
     rep = check_h_homomorphism(L)
     if not rep.is_h_homomorphism:
@@ -766,77 +757,21 @@ def classify_epimorphism(L):
 
 
 def _split_kernel(L, kernel):
-    """The exact tiers for a surjective h-homomorphism L with the given
-    kernel: the affine right-inverse system, the coordinate complements of
-    the kernel, the closed forms and the isotropic rank bound for abelian
-    images, the unit-ideal test, else undecided.  Each reads only the
-    structure table.  An isomorphism gives an empty system and the whole
-    domain."""
-    eqs, cols, nvars = _right_inverse_system(L, kernel)
-    if _system_degree(eqs) <= 1:
-        status, data = _solve_affine_system(eqs, nvars)
-        if status == "witness":
-            return EpiClassification("h_epimorphism", layered_decomposition(
-                L.domain, [[p(data) for p in col] for col in cols]), kernel)
-        cert = NonexistenceCertificate(
-            "affine_infeasible",
-            "the right-inverse equations are affine in the kernel corrections "
-            "and exactly inconsistent")
-        return EpiClassification("surjective_not_epi", cert, kernel)
-    # a complementary subalgebra of the kernel maps isomorphically onto M
-    ks = next(_coordinate_complements(kernel), None)
-    if ks is not None:
-        return EpiClassification("h_epimorphism", _coordinate_span(kernel.algebra, ks),
-                                  kernel)
-    G, M = L.domain, L.codomain
-    tiers = ["coordinate complements"]
-    if set(M.layer_of) <= {1}:
-        tiers += ["abelian closed forms", "isotropic rank bound"]
-        closed = _abelian_kernel_complement(G, kernel, M.dim)
-        if closed is not None:
-            if isinstance(closed, HomogeneousSubalgebra):
-                return EpiClassification("h_epimorphism", closed, kernel)
-            return EpiClassification("surjective_not_epi", closed, kernel)
-    if nvars <= UNIT_IDEAL_MAX_VARS:
-        tiers.append("unit-ideal test of degree <= 1")
-        d = _unit_ideal_degree(eqs, nvars)
-        if d is not None:
-            cert = NonexistenceCertificate(
-                "unit_ideal",
-                "degree %d: 1 is a rational combination of the right-inverse "
-                "equations times monomials of degree <= %d" % (d, d))
-            return EpiClassification("surjective_not_epi", cert, kernel)
-    note = "%d-unknown quadratic system; ran: %s" % (nvars, ", ".join(tiers))
-    return EpiClassification("undecided", BudgetExhausted(0, note), kernel)
-
-
-def _abelian_kernel_complement(G, kernel, k):
-    """Closed forms for kernels of abelian quotients: the kernel contains all
-    layers >= 2 and a complement is a commutative horizontal transversal of
-    its first-layer part, of dimension k.  A quadratic system has k >= 2
-    codomain directions and two kernel directions in the first layer, so on
-    h12, whose first layer has dimension 4, k is 2."""
-    hn = _heisenberg_n(G)
-    if hn is not None and k <= hn:
-        return heisenberg_complement(G, kernel.layer_basis(1))
-    if _is_h12(G):
-        return h21_complement(G, kernel.layer_basis(1))
-    bound = _isotropic_bound(G)
-    if bound < k:
-        return NonexistenceCertificate(
-            "isotropic_dimension_bound",
-            "commutative horizontal subalgebras have dimension <= %d < %d"
-            % (bound, k))
-    return None
+    """`IDEAL_TIERS` for a surjective h-homomorphism L with the given kernel,
+    on its right-inverse system.  An isomorphism gives an empty system and
+    the whole domain."""
+    inputs = _Inputs(kernel, L, *_right_inverse_system(L, kernel))
+    verdict, witness, tier = _run_tiers(IDEAL_TIERS, inputs,
+                                        "%d-unknown quadratic system; ran: %s", inputs.nvars)
+    return EpiClassification(verdict, witness, kernel, tier)
 
 
 def classify_monomorphism(T, budget=2000, seed=0):
     """Decide whether an injective h-homomorphism admits an h-homomorphism
-    left inverse, equivalently whether its image has a normal complementary
-    subgroup; returns the projection p with p|_H = Id when found.  The one
-    tier tries the coordinate complements of the image, the span of T's
-    columns, else `undecided`; `budget` and `seed` are unread.  T is
-    injective exactly when its image has dimension dim H."""
+    left inverse, equivalently whether its image (the span of T's columns)
+    has a normal complementary subgroup, through `INCLUSION_TIERS`; returns
+    the projection p with p|_H = Id when found.  `budget` and `seed` are
+    unread.  T is injective exactly when its image has dimension dim H."""
     rep = check_h_homomorphism(T)
     if not rep.is_h_homomorphism:
         raise ValueError("input is not an h-homomorphism: %s" % rep.violations)
@@ -844,16 +779,88 @@ def classify_monomorphism(T, budget=2000, seed=0):
     image = layered_decomposition(M, linalg.transpose(T.int_form[0]))
     if image.total_dim != T.domain.dim:
         return MonoClassification("not_injective")
-    # the canonical complement comes first: it is an ideal complement when
-    # the image is horizontal, and zero when the image is all of M
-    ks = next((ks for ks in _coordinate_complements(image)
-               if _is_coordinate_ideal(M, ks)), None)
+    verdict, n, tier = _run_tiers(INCLUSION_TIERS, _Inputs(image),
+                                  "ran: %s of the image; none is an ideal")
+    proj = _projection_along(M, image, n) if tier else None
+    return MonoClassification(verdict, n, proj, image, tier)
+
+
+def _abelian_image(c):
+    """Whether M is abelian: then the kernel holds every layer >= 2, and a
+    complement is a commutative horizontal transversal of its first-layer
+    part, of dimension dim M."""
+    return set(c.L.codomain.layer_of) <= {1}
+
+
+def _affine_tier(c):
+    """A solution is the witness, an inconsistency the certificate."""
+    rows = [[p.terms.get((v,), 0) for v in range(c.nvars)] for p in c.eqs]
+    sol = linalg.solve(rows, [-p.terms.get((), 0) for p in c.eqs]) if rows else [0] * c.nvars
+    if sol is not None:
+        return "h_epimorphism", layered_decomposition(
+            c.L.domain, [[p(sol) for p in col] for col in c.cols])
+    return "surjective_not_epi", NonexistenceCertificate(
+        "affine_infeasible", "the right-inverse equations are affine in the kernel "
+        "corrections and exactly inconsistent")
+
+
+def _coordinate_tier(c):
+    """The first coordinate complement of c.sub that is a subalgebra; that
+    of a kernel maps isomorphically onto the image."""
+    ks = next(_coordinate_complements(c.sub), None)
     if ks is not None:
-        n = _coordinate_span(M, ks)
-        return MonoClassification("h_monomorphism", n,
-                                  _projection_along(M, image, n), image)
-    note = "ran: coordinate complements of the image; none is an ideal"
-    return MonoClassification("undecided", BudgetExhausted(0, note), None, image)
+        return "h_epimorphism", _coordinate_span(c.sub.algebra, ks)
+
+
+def _heisenberg_tier(c):
+    hn = _heisenberg_n(c.L.domain)
+    if hn is not None and c.L.codomain.dim <= hn:
+        return "h_epimorphism", heisenberg_complement(c.L.domain, c.sub.layer_basis(1))
+
+
+def _h12_tier(c):
+    # a quadratic system on h12 has dim M = 2: two kernel directions in V1
+    if _is_h12(c.L.domain):
+        return "h_epimorphism", h21_complement(c.L.domain, c.sub.layer_basis(1))
+
+
+def _isotropic_tier(c):
+    bound, k = _isotropic_bound(c.L.domain), c.L.codomain.dim
+    if bound < k:
+        return "surjective_not_epi", NonexistenceCertificate(
+            "isotropic_dimension_bound",
+            "commutative horizontal subalgebras have dimension <= %d < %d" % (bound, k))
+
+
+def _unit_ideal_tier(c):
+    d = _unit_ideal_degree(c.eqs, c.nvars)
+    if d is not None:
+        return "surjective_not_epi", NonexistenceCertificate(
+            "unit_ideal", "degree %d: 1 is a rational combination of the right-inverse "
+            "equations times monomials of degree <= %d" % (d, d))
+
+
+def _coordinate_ideal_tier(c):
+    """The first coordinate complement of the image c.sub that is an ideal:
+    the canonical one is, when the image is horizontal or all of M."""
+    M = c.sub.algebra
+    ks = next((k for k in _coordinate_complements(c.sub) if _is_coordinate_ideal(M, k)), None)
+    if ks is not None:
+        return "h_monomorphism", _coordinate_span(M, ks)
+
+
+# each classifier's exact tiers, in the order they run
+_COORDINATE_COMPLEMENTS = Tier("coordinate complements", lambda c: True, _coordinate_tier)
+IDEAL_TIERS = (
+    Tier("affine right-inverse system", lambda c: _system_degree(c.eqs) <= 1, _affine_tier),
+    _COORDINATE_COMPLEMENTS,
+    Tier("Heisenberg closed form", _abelian_image, _heisenberg_tier),
+    Tier("h12 closed form", _abelian_image, _h12_tier),
+    Tier("isotropic rank bound", _abelian_image, _isotropic_tier),
+    Tier("unit-ideal test of degree <= 1", lambda c: c.nvars <= UNIT_IDEAL_MAX_VARS,
+         _unit_ideal_tier))
+NON_IDEAL_TIERS = (_COORDINATE_COMPLEMENTS,)
+INCLUSION_TIERS = (Tier("coordinate complements", lambda c: True, _coordinate_ideal_tier),)
 
 
 def _coordinate_complements(sub):
@@ -1006,13 +1013,8 @@ def max_commutative_horizontal_dim(algebra):
             break
         span.add(v)
         best.append(v)
-    witness_rows = []
-    for v in best:
-        vec = [0] * algebra.dim
-        for pos, k in enumerate(idx1):
-            vec[k] = v[pos]
-        witness_rows.append(vec)
-    witness = layered_decomposition(algebra, witness_rows)
+    witness = layered_decomposition(algebra, [[dict(zip(idx1, v)).get(k, 0)
+                                               for k in range(algebra.dim)] for v in best])
     exact = len(best) == bound
     note = "" if exact else "lower bound from one greedy pass; upper bound %d" % bound
     return MaxCommutativeReport(len(best), witness, bound, exact, note)
@@ -1026,17 +1028,15 @@ def find_complement(sub, budget=4000, seed=0):
     """Complementary homogeneous subgroup of `sub`, when one can be found.
 
     An ideal is the kernel of its quotient projection, a surjective
-    h-homomorphism, so it goes straight to the exact tiers (certificates
-    included), the zero and whole algebras too.  A non-ideal gets its first
-    coordinate complement that is a subalgebra, else `undecided`:
-    nonexistence is never claimed for it.  `budget` and `seed` are unread."""
+    h-homomorphism, so it goes straight to `IDEAL_TIERS` (certificates
+    included), the zero and whole algebras too.  A non-ideal goes through
+    `NON_IDEAL_TIERS`, which never claim nonexistence.  `budget` and `seed`
+    are unread."""
     if is_ideal(sub):
         return _split_kernel(_quotient(sub.algebra, sub)[1], sub)
-    ks = next(_coordinate_complements(sub), None)
-    if ks is not None:
-        return EpiClassification("h_epimorphism", _coordinate_span(sub.algebra, ks), sub)
-    note = "non-ideal; ran: coordinate complements; none is a subalgebra"
-    return EpiClassification("undecided", BudgetExhausted(0, note), sub)
+    verdict, witness, tier = _run_tiers(NON_IDEAL_TIERS, _Inputs(sub),
+                                        "non-ideal; ran: %s; none is a subalgebra")
+    return EpiClassification(verdict, witness, sub, tier)
 
 
 def random_complementary_pairs(algebra, rng, count):

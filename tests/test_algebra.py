@@ -662,6 +662,13 @@ INPUT_CHECKS = {
         "P = subgroups.span_subalgebra(h1, [1, 0, 0])\n"
         "subgroups.split_element(element(h1, [0, 1, 0]), P, P)",
         "not complementary at layer 1"),
+    "blowup-nan-distance": (
+        "from carnot.pdiff import BlowupReport\n"
+        "BlowupReport([0.1], [float('nan')], [0.0], [0.0], 1.0)", "distances must be"),
+    "blowup-negative-distance": (
+        "from carnot.pdiff import BlowupReport\n"
+        "BlowupReport([0.1, 0.01], [0.5, -1.0], [0.0, 0.0], [0.0, 0.0], 1.0)",
+        "distances must be"),
     "section-through-witness": (
         "from carnot import catalog, subgroups\n"
         "h1 = catalog.get('h1')\n"

@@ -151,11 +151,11 @@ def test_library_runs_without_sympy():
     assert run.returncode == 0, run.stderr
 
 
-def test_subgroups_has_no_assert():
-    # python -O compiles assert statements out; the self-checks of the
-    # closed forms and of the projection raise explicitly instead
-    tree = ast.parse((PACKAGE / "subgroups.py").read_text())
-    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+def test_package_has_no_assert():
+    # python -O compiles assert statements out; every input check and
+    # self-check of the package raises explicitly instead
+    found = ["%s:%d" % (path.name, n.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Assert)]
     assert not found, found
 
 

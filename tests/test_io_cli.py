@@ -92,11 +92,12 @@ def test_cli_subgroups(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "surjective_not_epi"
     assert out["certificate"]["reason"] == "affine_infeasible"
+    assert out["tier"] == "affine right-inverse system"
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"vectors": [["0", "1", "0"], ["0", "0", "1"]]}))
     assert main(["subgroups", "complement", "--group", "h1", str(sub)]) == 0
     out2 = json.loads(capsys.readouterr().out)
-    assert out2["verdict"] == "h_epimorphism"
+    assert (out2["verdict"], out2["tier"]) == ("h_epimorphism", "affine right-inverse system")
     assert main(["subgroups", "quotient", "--group", "h1", str(sub)]) == 0
     out3 = json.loads(capsys.readouterr().out)
     assert out3["quotient"]["dim"] == 1
@@ -108,7 +109,7 @@ def test_cli_subgroups_mono(tmp_path, capsys):
     p.write_text(json.dumps(mor))
     assert main(["subgroups", "classify-mono", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["verdict"] == "h_monomorphism"
+    assert (out["verdict"], out["tier"]) == ("h_monomorphism", "coordinate complements")
     assert out["witness_basis"]
 
 
@@ -127,7 +128,7 @@ def test_cli_complement_undecided_exit_4(tmp_path, capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     out = json.loads(texts[0])
-    assert out["verdict"] == "undecided"
+    assert (out["verdict"], out["tier"]) == ("undecided", None)
     assert out["certificate"]["reason"] == "no_exact_tier"
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
@@ -198,6 +199,14 @@ def test_subalgebra_rows_are_canonical(rng):
             assert s.rows == t.rows and s == t and hash(s) == hash(t)
 
 
+def test_equal_subalgebras_of_equal_tables_hash_alike(h1):
+    # equality compares the algebras by their tables, so the hash does too:
+    # a copy of the h1 table is not the h1 object, and a set holds one span
+    h1b = GradedAlgebra("h1", h1.layer_of, h1.struct)
+    a, b = span_subalgebra(h1, [1, 0, 0]), span_subalgebra(h1b, [1, 0, 0])
+    assert h1b is not h1 and a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_complement_of_non_ideal_is_canonical(h2):
     # span{x1 + y1} is not an ideal; its complement is the canonical
     # per-layer one: standard vectors off the pivots, plus the center
@@ -315,10 +324,13 @@ def test_classify_mono_undecided_spends_no_trials(h1):
     center = span_subalgebra(h1, [0, 0, 1])
     T = GradedMorphism(subalgebra_as_algebra(center), h1, [[0], [0], [1]])
     out = classify_monomorphism(T)
-    assert out.verdict == "undecided"
+    assert (out.verdict, out.tier) == ("undecided", None)
     assert isinstance(out.normal_complement, BudgetExhausted)
     assert out.normal_complement.trials == 0
+    assert out.normal_complement.note == \
+        "ran: coordinate complements of the image; none is an ideal"
     assert out.to_json_dict()["certificate"]["reason"] == "no_exact_tier"
+    assert out.to_json_dict()["tier"] is None
 
 
 def test_classify_mono_r2_into_h2(h2):
@@ -407,6 +419,7 @@ def test_find_complement_tries_every_coordinate_chart():
     assert not is_ideal(sub)
     out = find_complement(sub)
     assert out.verdict == "h_epimorphism" and is_complementary(sub, out.witness)
+    assert out.tier == "coordinate complements"
     assert out.witness == span_subalgebra(g, [1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
                                           [0, 0, 0, 1, 0])
 
@@ -415,11 +428,12 @@ def test_quadratic_tier_and_honest_budget(h2):
     # the embedded copy span{x1, y1, z} of the 3-dimensional Heisenberg group
     # inside h^2 is an ideal whose complement needs a nonzero correction
     # (C = 0 fails: [x2, y2] = z must be absorbed), so the classification
-    # lands in the quadratic tier
+    # lands in the quadratic tiers; it has no coordinate complement, and the
+    # Heisenberg closed form splits it
     sub = span_subalgebra(h2, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1])
     assert is_ideal(sub)
     out = find_complement(sub, budget=4000, seed=0)
-    assert out.verdict == "h_epimorphism"
+    assert (out.verdict, out.tier) == ("h_epimorphism", "Heisenberg closed form")
     assert is_complementary(out.witness, sub)
     # with no random tier (and the witness not at C = 0) the verdict must
     # be a witness or an explicit undecided marker, never a silent
@@ -508,6 +522,7 @@ def test_unit_ideal_tier_on_h1xh1():
     # span{x2, y2}; their bracket is z1 + (...) z2, so the z1 equation is 1 = 0
     out = find_complement(_units(_h1xh1(), (3,), (4,), (2,), (5,)))
     assert out.verdict == "surjective_not_epi"
+    assert out.tier == "unit-ideal test of degree <= 1"
     assert out.witness.reason == "unit_ideal"
     assert out.witness.detail.startswith("degree 0:")
 
@@ -532,14 +547,27 @@ def test_undecided_on_h1xh1(tmp_path, capsys):
     assert is_ideal(sub) and is_complementary(sub, span_subalgebra(
         g, [1, 0, 0, -1, 0, 0], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, 0, 0]))
     out = find_complement(sub)
-    assert out.verdict == "undecided"
+    assert (out.verdict, out.tier) == ("undecided", None)
     assert out.witness.note.endswith(
         "ran: coordinate complements, unit-ideal test of degree <= 1")
     group, vectors = tmp_path / "g.json", tmp_path / "s.json"
     group.write_text(cio.emit_group(g))
     vectors.write_text(json.dumps({"vectors": [[str(c) for c in v] for v in sub.basis()]}))
     assert main(["subgroups", "complement", "--group", str(group), str(vectors)]) == 4
-    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
+    got = json.loads(capsys.readouterr().out)
+    assert (got["verdict"], got["tier"]) == ("undecided", None)
+
+
+def test_undecided_note_names_each_tier_whose_precondition_held():
+    # span{u1, v2, z1, z2} of the mixed h1 x h1 table is an ideal with an
+    # abelian quotient, so the closed forms and the bound apply as well:
+    # the table is neither h^n nor h12, and the bound 2 does not exceed
+    # dim M = 2.  The affine tier did not apply: its system is quadratic
+    out = find_complement(_units(_h1xh1_mixed(), (0,), (4,), (2,), (5,)))
+    assert (out.verdict, out.tier) == ("undecided", None)
+    assert out.witness.note == (
+        "4-unknown quadratic system; ran: coordinate complements, Heisenberg closed "
+        "form, h12 closed form, isotropic rank bound, unit-ideal test of degree <= 1")
 
 
 def test_isotropic_bound_on_h1xh2():
@@ -547,7 +575,7 @@ def test_isotropic_bound_on_h1xh2():
     # 6-dimensional first layer: commutative horizontal subalgebras have
     # dimension <= 3, and the quotient needs 4
     out = find_complement(_units(_h1xh2(), (5,), (6,), (2,), (7,)))
-    assert out.verdict == "surjective_not_epi"
+    assert (out.verdict, out.tier) == ("surjective_not_epi", "isotropic rank bound")
     assert out.witness.reason == "isotropic_dimension_bound"
     assert out.witness.detail.endswith("<= 3 < 4")
 
@@ -598,7 +626,7 @@ def test_coordinate_tier_decides_what_zero_correction_decided():
             decided += 1
             assert all(sorted(v) == [0] * (g.dim - 1) + [1] for v in ref.basis())
             out = find_complement(sub)
-            assert out.verdict == "h_epimorphism"
+            assert (out.verdict, out.tier) == ("h_epimorphism", "coordinate complements")
             assert out.witness == _coordinate_span(g, next(_coordinate_complements(sub)))
             assert is_complementary(sub, out.witness)
     assert decided >= 20, decided
@@ -778,6 +806,27 @@ def test_integer_path_matches_fraction_references(name):
 
 
 CLASSIFY_GROUPS = ("h1", "h2", "h3", "g42", "h12", "free_2_3", "free_3_2")
+
+
+def test_float_basis_is_the_fraction_basis_as_floats():
+    # each integer row over its pivot entry gives the floats of the Fraction
+    # basis() bit for bit, also where a Fraction does not reduce to a short
+    # binary one and where the integers overflow an int64
+    def bits(rows):
+        return [[float(x).hex() for x in row] for row in rows]
+
+    subs = [span_subalgebra(catalog.abelian(3), [2**32, 2**32, 1], [1, 2**32 + 1, 0])]
+    for name in CLASSIFY_GROUPS:
+        rng = np.random.default_rng(13)
+        subs += [random_homogeneous_subalgebra(catalog.get(name), rng, n_generators=2)
+                 for _ in range(12)]
+    thirds = 0
+    for sub in subs:
+        got = sub.float_basis()
+        assert all(type(x) is float for row in got for x in row)
+        assert bits(got) == bits(sub.basis())
+        thirds += any(c.denominator % 3 == 0 for v in sub.basis() for c in map(Q, v))
+    assert thirds >= 5, thirds
 
 
 def test_subalgebra_tables_with_non_unit_pivots():
@@ -994,24 +1043,28 @@ def _classify_epimorphism_reference(L):
     vecs = L.kernel_basis()
     kernel = layered_decomposition(L.domain, vecs) if vecs else zero_subalgebra(L.domain)
     if kernel.total_dim == 0:
-        return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel)
+        return EpiClassification("h_epimorphism", full_subalgebra(L.domain), kernel,
+                                 "affine right-inverse system")
     return _split_kernel(L, kernel)
 
 
 def _find_complement_reference(sub):
     """The zero and whole algebras answered first, an ideal classified
-    through its quotient projection and its verdict wrapped with sub."""
+    through its quotient projection and its verdict wrapped with sub.  The
+    zero and whole algebras have an empty right-inverse system."""
     alg = sub.algebra
     if sub.total_dim == 0:
-        return EpiClassification("h_epimorphism", full_subalgebra(alg), sub)
+        return EpiClassification("h_epimorphism", full_subalgebra(alg), sub,
+                                 "affine right-inverse system")
     if sub.total_dim == alg.dim:
-        return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub)
+        return EpiClassification("h_epimorphism", zero_subalgebra(alg), sub,
+                                 "affine right-inverse system")
     if _is_ideal_full(sub):
         out = _classify_epimorphism_reference(quotient(alg, sub)[1])
-        return EpiClassification(out.verdict, out.witness, sub)
+        return EpiClassification(out.verdict, out.witness, sub, out.tier)
     cand = next(_coordinate_complements_reference(sub), None)
     if cand is not None:
-        return EpiClassification("h_epimorphism", cand, sub)
+        return EpiClassification("h_epimorphism", cand, sub, "coordinate complements")
     return EpiClassification("undecided", BudgetExhausted(
         0, "non-ideal; ran: coordinate complements; none is a subalgebra"), sub)
 
@@ -1029,7 +1082,8 @@ def _classify_monomorphism_reference(T):
     n = next((c for c in _coordinate_complements_reference(image)
               if _is_ideal_reference(c)), None)
     if n is not None:
-        return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image)
+        return MonoClassification("h_monomorphism", n, _projection_along(M, image, n), image,
+                                  "coordinate complements")
     return MonoClassification("undecided", BudgetExhausted(
         0, "ran: coordinate complements of the image; none is an ideal"), None, image)
 
@@ -1040,8 +1094,8 @@ def _assert_same_epi(got, want):
 
 
 def _assert_same_mono(got, want):
-    assert (got.verdict, got.normal_complement, got.image) == \
-        (want.verdict, want.normal_complement, want.image)
+    assert (got.verdict, got.normal_complement, got.image, got.tier) == \
+        (want.verdict, want.normal_complement, want.image, want.tier)
     assert (got.projection is None) == (want.projection is None)
     if got.projection is not None:
         assert got.projection.matrix == want.projection.matrix
@@ -1154,6 +1208,59 @@ def test_classify_verdicts_are_pinned():
     assert verdicts == {"h_epimorphism", "surjective_not_epi", "h_monomorphism",
                         "undecided"}
     assert digest.hexdigest()[:16] == "bdb0042c4e591875"
+
+
+def _classify_cell(alg, rng):
+    """Two ideals, one non-ideal and the inclusion of the first proper draw,
+    drawn as the Classify benchmark workload draws one group's cell, with
+    its four task seeds drawn after them."""
+    ideals, others, first = [], [], None
+    for _ in range(400):
+        sub = random_homogeneous_subalgebra(alg, rng, n_generators=int(rng.integers(1, 3)))
+        if sub.total_dim in (0, alg.dim):
+            continue
+        if first is None:
+            first = sub
+        if is_ideal(sub):
+            if len(ideals) < 2:
+                ideals.append(sub)
+        elif not others:
+            others.append(sub)
+        if len(ideals) == 2 and others:
+            break
+    rng.integers(0, 2 ** 31, size=4)
+    basis = first.basis()
+    incl = GradedMorphism(subalgebra_as_algebra(first), alg,
+                          [[v[r] for v in basis] for r in range(alg.dim)])
+    return ideals, others, incl
+
+
+def test_tier_census_of_classify_draws():
+    # 40 rounds of the Classify groups from one rng: the count of each
+    # (kind, verdict, deciding tier), as a census of the hand-ordered tiers
+    # gave it by wrapping the coordinate-span and closed-form constructions
+    algs = [catalog.get(name) for name in CLASSIFY_GROUPS]
+    rng = np.random.default_rng(29)
+    census = Counter()
+    for _ in range(40):
+        for alg in algs:
+            ideals, others, incl = _classify_cell(alg, rng)
+            for kind, subs in (("ideal", ideals), ("non_ideal", others)):
+                for sub in subs:
+                    out = find_complement(sub)
+                    census[kind, out.verdict, out.tier] += 1
+            out = classify_monomorphism(incl)
+            census["inclusion", out.verdict, out.tier] += 1
+    assert census == {
+        ("ideal", "h_epimorphism", "affine right-inverse system"): 238,
+        ("ideal", "h_epimorphism", "coordinate complements"): 194,
+        ("ideal", "h_epimorphism", "h12 closed form"): 1,
+        ("ideal", "surjective_not_epi", "affine right-inverse system"): 91,
+        ("ideal", "surjective_not_epi", "isotropic rank bound"): 36,
+        ("non_ideal", "h_epimorphism", "coordinate complements"): 238,
+        ("non_ideal", "undecided", None): 42,
+        ("inclusion", "h_monomorphism", "coordinate complements"): 9,
+        ("inclusion", "undecided", None): 271}
 
 
 # ---------------------------------------------------------------------------
