@@ -4,9 +4,11 @@ A ``GradedAlgebra`` stores a basis split into layers V_1 .. V_step and a
 sparse table c_{ij}^k (canonical orientation i < j, the j < i entries are
 derived by antisymmetry) with [b_i, b_j] = sum_k c_{ij}^k b_k.  All algebraic
 primitives here are exact; ``FloatOps`` exposes the same operations on float
-numpy arrays for the analytic modules.
+numpy arrays for the analytic modules.  Every table that an algebra derives
+is built on first use through ``per_algebra`` and kept in its one memo.
 """
 
+import functools
 import itertools
 import math
 import numbers
@@ -200,6 +202,20 @@ class Polynomial:
 # the algebra
 # ---------------------------------------------------------------------------
 
+def per_algebra(build):
+    """The one memo of the tables an algebra derives: build(algebra), built
+    on first use, kept in the algebra's memo dict keyed by `build` and
+    shared by every caller, who must not mutate it.  A builder reads only
+    layer_of, struct_num and struct_den, never the tags or basis names."""
+    @functools.wraps(build)
+    def memoised(algebra):
+        try:
+            return algebra._memo[build]
+        except KeyError:
+            return algebra._memo.setdefault(build, build(algebra))
+    return memoised
+
+
 class GradedAlgebra:
     """Finite-dimensional graded Lie algebra over Q.
 
@@ -209,8 +225,8 @@ class GradedAlgebra:
                 (i, j, ((k, c_{ij}^k * struct_den), ...)), i < j, nonzero
                 entries; every operation reads it.  Every catalog table has
                 struct_den == 1.
-    struct:     the same table as {(i, j): {k: Fraction}}, a view built on
-                first read, for the group file.
+    struct:     the same table as {(i, j): {k: Fraction}}, a view kept in the
+                memo (`per_algebra`), for the group file.
     tags:       metadata that catalog constructors and the group-file reader
                 set after construction (e.g. the J-data of an H-type table,
                 a matrix model, a metric block).
@@ -252,24 +268,18 @@ class GradedAlgebra:
         self.step = max(self.layer_of) if self.layer_of else 1
         self.struct_num = struct_num
         self.struct_den = struct_den
-        self._struct = None
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(self.dim))
         self.tags = {}
         self._basis = tuple(tuple(int(t == k) for t in range(self.dim))
                             for k in range(self.dim))
-        self._float_ops = None
-        self._stratified = None
-        self._bch_law = None  # the BCH table, built by carnot.bch on first use
-        self._isotropic = None  # built by carnot.subgroups on first use
+        self._memo = {}  # per_algebra: builder -> table
 
     @property
+    @per_algebra
     def struct(self):
-        if self._struct is None:
-            den = self.struct_den
-            self._struct = {(i, j): {k: Q(c, den) for k, c in terms}
-                            for i, j, terms in self.struct_num}
-        return self._struct
+        den = self.struct_den
+        return {(i, j): {k: Q(c, den) for k, c in terms} for i, j, terms in self.struct_num}
 
     # -- basic geometry of the grading ------------------------------------
     def layer_indices(self, i):
@@ -281,6 +291,7 @@ class GradedAlgebra:
     def __repr__(self):
         return "GradedAlgebra(%r, dim=%d, step=%d)" % (self.name, self.dim, self.step)
 
+    @per_algebra
     def _key(self):
         """The grading and the integer table: struct_den is the least common
         denominator, so equal tables have equal keys."""
@@ -332,10 +343,9 @@ class GradedAlgebra:
         return tuple(c if self.layer_of[k] == i else c * 0 for k, c in enumerate(x))
 
     # -- float backend ------------------------------------------------------
+    @per_algebra
     def float_ops(self):
-        if self._float_ops is None:
-            self._float_ops = FloatOps(self)
-        return self._float_ops
+        return FloatOps(self)
 
 
 class AlgebraVector:
@@ -402,8 +412,8 @@ class AlgebraVector:
         return type(self)(self.algebra, np.array([n / den for n in nums]))
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraVector) or self.algebra is not other.algebra:
-            return NotImplemented
+        if not isinstance(other, AlgebraVector) or self.algebra != other.algebra:
+            return NotImplemented  # GradedAlgebra.__eq__ tries `is` first
         if self.scalar_mode == "float" or other.scalar_mode == "float":
             return bool(np.array_equal(np.asarray(self.coords, dtype=float),
                                        np.asarray(other.coords, dtype=float)))
@@ -412,7 +422,7 @@ class AlgebraVector:
     def __hash__(self):
         if self.scalar_mode == "float":
             raise TypeError("float-mode vectors are not hashable")
-        return hash((id(self.algebra), self.int_form))
+        return hash((self.algebra, self.int_form))
 
     def _combine(self, other, sign):
         """self + sign * other on exact vectors, over the lcm of the two
@@ -563,21 +573,13 @@ def homogeneous_dimension(algebra):
     return sum(i * d for i, d in enumerate(algebra.layer_dims(), start=1))
 
 
+@per_algebra
 def is_stratified(algebra):
     """True iff [V_1, V_i] spans V_{i+1} for every i < step (exact rank)."""
-    if algebra._stratified is not None:
-        return algebra._stratified
-    out = True
-    e = algebra.basis_coords
-    for i in range(1, algebra.step):
-        target = algebra.layer_indices(i + 1)
-        rows = [[algebra.bracket_num(e(a), e(b))[k] for k in target]
-                for a in algebra.layer_indices(1) for b in algebra.layer_indices(i)]
-        if target and linalg.rank(rows) < len(target):
-            out = False
-            break
-    algebra._stratified = out
-    return out
+    e, layer = algebra.basis_coords, algebra.layer_indices
+    return all(linalg.rank([[algebra.bracket_num(e(a), e(b))[k] for k in layer(i + 1)]
+                            for a in layer(1) for b in layer(i)]) == len(layer(i + 1))
+               for i in range(1, algebra.step))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +710,6 @@ class FloatOps:
     estimates read their layer norms from it."""
 
     def __init__(self, algebra):
-        self.algebra = algebra
         self.dim = algebra.dim
         self.step = algebra.step
         den = algebra.struct_den

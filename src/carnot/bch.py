@@ -11,7 +11,7 @@ Two independent routes compute the group product in exponential coordinates:
   each coordinate of each c_n is an ``algebra.Polynomial``, and the brackets
   are the algebra's own ``bracket_coords`` on vectors of them.  The table
   keeps the coefficients as integers over one denominator; it is built on
-  first use and kept on the algebra, never changed after.
+  first use and kept in the algebra's memo (``algebra.per_algebra``).
 * ``series_oracle_product`` computes log(exp(x) exp(y)) in the truncated free
   tensor algebra on two letters and evaluates the resulting Lie polynomial
   through the Dynkin bracketing.  It never touches the recursion, so exact
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (AlgebraVector, GroupElement, Polynomial, bracket, check_radius,
-                      masked_sup, streamed, unit_vectors)
+                      masked_sup, per_algebra, streamed, unit_vectors)
 from .morphism import GradedMorphism
 
 Q = Fraction
@@ -109,23 +109,21 @@ def _bch_terms(algebra):
     return c
 
 
+@per_algebra
 def _law(algebra):
-    """The algebra's BCH table (rows, dens, float_rows), built on first use and
-    never changed after.  rows[n] lists (k, ((a, monomial), ...)) over the
-    nonzero coordinates k of c_n, with integers a and c_n[k] = sum a monomial
-    / dens[k]; float_rows[n] holds the same rows with the floats a / dens[k]."""
-    if algebra._bch_law is None:
-        c = _bch_terms(algebra)
-        dens = [math.lcm(*(q.denominator for cn in c[1:] for q in cn[k].terms.values()))
-                for k in range(algebra.dim)]
-        polys = [[(k, sorted(p.terms.items())) for k, p in enumerate(cn) if p]
-                 for cn in c[1:]]
-        rows = [None] + [tuple((k, tuple((int(q * dens[k]), m) for m, q in terms))
-                               for k, terms in cn) for cn in polys]
-        float_rows = [None] + [tuple((k, tuple((float(q), m) for m, q in terms))
-                                     for k, terms in cn) for cn in polys]
-        algebra._bch_law = (rows, dens, float_rows)
-    return algebra._bch_law
+    """The algebra's BCH table (rows, dens, float_rows), kept in its memo.
+    rows[n] lists (k, ((a, monomial), ...)) over the nonzero coordinates k of
+    c_n, with integers a and c_n[k] = sum a monomial / dens[k]; float_rows[n]
+    holds the same rows with the floats a / dens[k]."""
+    c = _bch_terms(algebra)
+    dens = [math.lcm(*(q.denominator for cn in c[1:] for q in cn[k].terms.values()))
+            for k in range(algebra.dim)]
+    polys = [[(k, sorted(p.terms.items())) for k, p in enumerate(cn) if p] for cn in c[1:]]
+    rows = [None] + [tuple((k, tuple((int(q * dens[k]), m) for m, q in terms))
+                           for k, terms in cn) for cn in polys]
+    float_rows = [None] + [tuple((k, tuple((float(q), m) for m, q in terms))
+                                 for k, terms in cn) for cn in polys]
+    return rows, dens, float_rows
 
 
 def _accumulate(rows, v, degrees, out):

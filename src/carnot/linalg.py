@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of ``int`` or ``fractions.Fraction`` (row major).
-Eliminations return ``Fraction``; ``matmul`` and ``matvec`` keep integer
-inputs integer, and a ``Span`` keeps primitive integer rows.  ``int_form``
-reads rational input, numpy integers as the Python ints they hold, so no
-fixed-width product can overflow.  Eliminations read their entries through
-it; other entries, floats and strings included, raise ``TypeError`` rather
-than make an exact result inexact.
+Eliminations return ``Fraction``; ``identity`` and ``zeros`` hold ints,
+``matmul`` and ``matvec`` keep ints int, a ``Span`` keeps primitive int rows.
+``int_form`` reads rational input, numpy integers as the Python ints they
+hold, so no fixed-width product can overflow.  Eliminations read their
+entries through it; other entries, floats and strings included, raise
+``TypeError`` rather than make an exact result inexact.
 Nothing here mutates its arguments.  This is the kernel behind subalgebra
 canonicalization, quotients and all classification decisions.  Elimination is
 fraction-free over the integers (after Bareiss, Math. Comp. 22 (1968)
@@ -25,11 +25,11 @@ ONE = Fraction(1)
 
 
 def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def zeros(nrows, ncols):
-    return [[ZERO] * ncols for _ in range(nrows)]
+    return [[0] * ncols for _ in range(nrows)]
 
 
 def transpose(m):

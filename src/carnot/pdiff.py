@@ -753,12 +753,13 @@ def split_coords_np(algebra, first, second, coords):
     coords = np.asarray(coords, dtype=float)
     p = np.zeros(coords.shape)
     h = np.zeros(coords.shape)
+    bases = [list(zip(s.basis_layers(), s.float_basis())) for s in (first, second)]
     for layer in range(1, algebra.step + 1):
         idx = algebra.layer_indices(layer)
-        firsts, seconds = first.layer_basis(layer), second.layer_basis(layer)
+        firsts, seconds = ([v for l, v in b if l == layer] for b in bases)
         if not idx or not firsts + seconds:
             continue
-        cols = np.array([[float(c) for c in v] for v in firsts + seconds])
+        cols = np.array(firsts + seconds)
         rhs = (coords - group_product_np(algebra, p, h))[..., idx]
         sol = np.linalg.lstsq(cols[:, idx].T, rhs.reshape(-1, len(idx)).T,
                               rcond=None)[0].T.reshape(rhs.shape[:-1] + (len(cols),))
@@ -911,11 +912,11 @@ def distance_to_vertical_subgroup(metric, sub, points):
         raise ValueError("distance_to_vertical_subgroup needs step <= 2 and a "
                          "subgroup containing the whole second layer")
     idx1 = alg.layer_indices(1)
-    rows = [[v[k] for k in idx1] for v in sub.layer_basis(1)]
+    rows = [v for v, l in zip(sub.float_basis(), sub.basis_layers()) if l == 1]
     pts = np.asarray(points, dtype=float)
     p1 = pts[:, idx1]
     if rows:
-        B = np.array([[float(c) for c in r] for r in rows])
+        B = np.array(rows)[:, idx1]
         proj = p1 @ B.T @ np.linalg.inv(B @ B.T) @ B
         perp = p1 - proj
     else:

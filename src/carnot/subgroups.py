@@ -18,9 +18,10 @@ the JSON.  Each classifier is a tuple of exact, deterministic tiers
 ``tier`` name; when none does, the verdict is `undecided`, and its marker
 names the tiers whose precondition held.  Every tier reads the structure
 table alone, never the tags, so a group read back from its file gets the
-verdicts of the catalog group it was written from.  No tier uses sympy or
-randomness, and the self-checks raise explicitly, so ``python -O`` keeps
-them.
+verdicts of the catalog group it was written from, and the tables that
+depend on it alone are kept in the algebra's memo (``per_algebra``).  No
+tier uses sympy or randomness, and the self-checks raise explicitly, so
+``python -O`` keeps them.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .algebra import GradedAlgebra, Polynomial, is_stratified
+from .algebra import GradedAlgebra, Polynomial, is_stratified, per_algebra
 from .morphism import GradedMorphism, check_h_homomorphism
 
 Q = Fraction
@@ -470,20 +471,24 @@ def _right_inverse_system(L, kernel):
 
 
 # ---------------------------------------------------------------------------
-# symplectic machinery for step-2 H-type complements
+# symplectic machinery for step-2 H-type complements, on the forms of `_forms`
 # ---------------------------------------------------------------------------
 
-def _omega_form(algebra, z_index):
-    """The bilinear form omega(a, b) = coefficient of basis vector z_index in
-    [a, b], restricted to first-layer coordinates."""
-    idx = algebra.layer_indices(1)
-    m = len(idx)
-    W = [[0] * m for _ in range(m)]
-    for p, q in itertools.combinations(range(m), 2):
-        c = algebra.bracket_coords(algebra.basis_coords(idx[p]),
-                                   algebra.basis_coords(idx[q]))[z_index]
-        W[p][q], W[q][p] = c, -c
-    return W, idx
+@per_algebra
+def _forms(algebra):
+    """The step-2 forms, read off struct_num: per second-layer basis vector
+    z, in index order, the int matrix W_z on the first-layer coordinates,
+    W_z[p][q] = struct_den times the z coordinate of [e_p, e_q].  Every use
+    (ranks, spans, isotropy, the normalised symplectic pairs) is invariant
+    under that common scale."""
+    at1 = {k: p for p, k in enumerate(algebra.layer_indices(1))}
+    at2 = {k: f for f, k in enumerate(algebra.layer_indices(2))}
+    forms = [[[0] * len(at1) for _ in at1] for _ in at2]
+    for i, j, terms in algebra.struct_num:
+        if i in at1 and j in at1:
+            for k, c in terms:
+                forms[at2[k]][at1[i]][at1[j]], forms[at2[k]][at1[j]][at1[i]] = c, -c
+    return forms
 
 
 def _omega_of(W, u, v):
@@ -522,6 +527,7 @@ def _omega_orthogonal(W, vectors, ambient_rows):
     return linalg.row_space_basis([linalg.matvec(combine, k) for k in linalg.nullspace(m)])
 
 
+@per_algebra
 def _heisenberg_n(algebra):
     """n when the table is that of h^n up to a first-layer change of basis:
     step 2, one second-layer vector, and its form omega nondegenerate on V1;
@@ -529,33 +535,32 @@ def _heisenberg_n(algebra):
     dims = algebra.layer_dims()
     if len(dims) != 2 or dims[1] != 1:
         return None
-    W, _ = _omega_form(algebra, algebra.layer_indices(2)[0])
-    return dims[0] // 2 if linalg.rank(W) == dims[0] else None
+    return dims[0] // 2 if linalg.rank(_forms(algebra)[0]) == dims[0] else None
 
 
 def _j_map(algebra, z, x):
     """J_Z x of a step-2 table, for second-layer coordinates z: the
     first-layer vector with coordinates <Z, [x, e_i]>, so that
-    <J_Z x, Y> = <Z, [x, Y]> in the declared basis, i.e. J_k = -W_k on the
-    form W_k of the k-th second-layer vector."""
+    <J_Z x, Y> = <Z, [x, Y]> in the declared basis, i.e. J_k = -W_k /
+    struct_den on the form W_k (`_forms`) of the k-th second-layer vector."""
     idx2 = algebra.layer_indices(2)
     brs = [algebra.bracket_coords(x, algebra.basis_coords(i)) for i in range(algebra.dim)]
     return [sum(c * br[k] for c, k in zip(z, idx2)) if l == 1 else 0
             for br, l in zip(brs, algebra.layer_of)]
 
 
+@per_algebra
 def _is_h12(algebra):
     """Whether the table is that of the complexified Heisenberg group h12:
-    layer dims [4, 2], and the maps J_1, J_2 of the two second-layer vectors
-    satisfy J_k^2 = -Id and J_1 J_2 = -J_2 J_1 on each first-layer basis
-    vector."""
-    def j(k, x):
-        return _j_map(algebra, (1 - k, k), x)
-
-    return algebra.layer_dims() == [4, 2] and all(
-        j(0, j(0, e)) == j(1, j(1, e)) == [-c for c in e]
-        and j(0, j(1, e)) == [-c for c in j(1, j(0, e))]
-        for e in map(algebra.basis_coords, algebra.layer_indices(1)))
+    layer dims [4, 2], and the maps J_k = -W_k / d (`_j_map`, d =
+    struct_den) of the two second-layer vectors satisfy J_k^2 = -Id and
+    J_1 J_2 = -J_2 J_1, i.e. W_k^2 = -d^2 Id and W_1 W_2 = -W_2 W_1."""
+    if algebra.layer_dims() != [4, 2]:
+        return False
+    (w1, w2), mul = _forms(algebra), linalg.matmul
+    minus = [[-algebra.struct_den ** 2 * (p == q) for q in range(4)] for p in range(4)]
+    return mul(w1, w1) == mul(w2, w2) == minus and \
+        mul(w1, w2) == [[-x for x in row] for row in mul(w2, w1)]
 
 
 def heisenberg_complement(algebra, n1):
@@ -574,8 +579,7 @@ def heisenberg_complement(algebra, n1):
     if n is None:
         raise ValueError("heisenberg_complement needs a Heisenberg group")
     vecs = [list(v) for v in n1]
-    z_index = algebra.layer_indices(2)[0]
-    W, idx = _omega_form(algebra, z_index)
+    W, idx = _forms(algebra)[0], algebra.layer_indices(1)
     rows = linalg.row_space_basis([[v[k] for k in idx] for v in vecs])
     if any(c != 0 and algebra.layer_of[k] != 1 for v in vecs for k, c in enumerate(v)):
         raise ValueError("n1 must be horizontal")
@@ -920,6 +924,7 @@ def _coordinate_span(alg, ks):
     return HomogeneousSubalgebra(alg, layered)
 
 
+@per_algebra
 def _supports(alg):
     """{(i, j): the k with c_ij^k != 0}, i < j, read off the integer table."""
     return {(i, j): [k for k, _ in terms] for i, j, terms in alg.struct_num}
@@ -974,24 +979,20 @@ class MaxCommutativeReport:
     note: str = ""
 
 
+@per_algebra
 def _isotropic_bound(algebra):
     """Upper bound on the dimension of a commutative subalgebra inside the
     first layer V1.  Such a subspace is isotropic for each combination
     omega_c = sum_f c_f omega_f of the forms of the second-layer basis
     vectors, so its dimension is at most dim V1 - rank(omega_c) / 2.  The
     minimum runs over the unit combinations and the moment-curve points
-    c = (1, t, ..., t^(F-1)), t = 2 .. 2 dim V1 + 1.  It depends on the
-    table only: computed once per algebra and kept on it."""
-    if algebra._isotropic is None:
-        m = len(algebra.layer_indices(1))
-        forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
-        combos = [[int(f == s) for f in range(len(forms))] for s in range(len(forms))]
-        combos += [[t ** f for f in range(len(forms))] for t in range(2, 2 * m + 2)]
-        algebra._isotropic = min(
-            (m - linalg.rank([[sum(c * W[i][j] for c, W in zip(combo, forms))
-                               for j in range(m)] for i in range(m)]) // 2
-             for combo in combos), default=m)
-    return algebra._isotropic
+    c = (1, t, ..., t^(F-1)), t = 2 .. 2 dim V1 + 1."""
+    m, forms = len(algebra.layer_indices(1)), _forms(algebra)
+    combos = [[int(f == s) for f in range(len(forms))] for s in range(len(forms))]
+    combos += [[t ** f for f in range(len(forms))] for t in range(2, 2 * m + 2)]
+    return min((m - linalg.rank([[sum(c * W[i][j] for c, W in zip(combo, forms))
+                                  for j in range(m)] for i in range(m)]) // 2
+                for combo in combos), default=m)
 
 
 def max_commutative_horizontal_dim(algebra):
@@ -1001,8 +1002,7 @@ def max_commutative_horizontal_dim(algebra):
     adds the first vector omega-orthogonal to those chosen (for every form)
     outside their span.  Exact verdict when the two meet.
     """
-    idx1 = algebra.layer_indices(1)
-    forms = [_omega_form(algebra, z)[0] for z in algebra.layer_indices(2)]
+    idx1, forms = algebra.layer_indices(1), _forms(algebra)
     bound = _isotropic_bound(algebra)
     best, span = [], linalg.Span([])
     while len(best) < bound:

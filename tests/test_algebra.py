@@ -459,6 +459,17 @@ def test_the_two_constructions_of_a_vector_agree(f23, rng):
     assert repr(e) == "GroupElement(0,1/3,0,0,2/3)"
 
 
+def test_equal_vectors_of_equal_algebras_compare_equal():
+    # catalog.get builds a new algebra on every call; vectors compare and
+    # hash by the algebra's table, as vector arithmetic accepts them
+    a, b = (GroupElement(catalog.get("h1"), [1, 0, 0]) for _ in range(2))
+    assert a.algebra is not b.algebra and a.algebra == b.algebra
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.to_float() == b.to_float() and a - b == identity_element(a.algebra)
+    assert a != GroupElement(b.algebra, [0, 1, 0])
+    assert a != GroupElement(catalog.get("h2"), [1, 0, 0, 0, 0])
+
+
 def test_float_coordinates_of_an_exact_vector_are_read_exactly(h1):
     # a float given to an exact vector becomes its exact binary value, not
     # the decimal it prints as; metric and demo 02 pass floats such as 0.0

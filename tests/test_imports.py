@@ -71,7 +71,7 @@ def test_every_assignment_is_read():
 
 # the independent product routes of carnot.bch, and what they must not run
 ORACLE_ROUTES = ("series_oracle_product", "exp_differential_oracle", "_dynkin_evaluate")
-LAW_NAMES = {"_law", "_bch_terms", "_exact_terms", "_accumulate", "_bch_law"}
+LAW_NAMES = {"_law", "_bch_terms", "_exact_terms", "_accumulate"}
 
 
 def test_oracles_do_not_read_the_compiled_law():
@@ -237,7 +237,7 @@ def _struct_readers(source):
 
 def test_struct_is_read_only_by_the_group_file():
     # every table is kept as its integer form; the Fraction view `struct`,
-    # which its own property builds from `_struct`, is read by the
+    # which its own property keeps in the algebra's memo, is read by the
     # group-file writer alone
     found = {(path.name, f) for path in sorted(PACKAGE.glob("*.py"))
              for f in _struct_readers(path.read_text())}
@@ -253,3 +253,62 @@ def test_fraction_builders_of_subgroups():
     assert _fraction_builders("Q = Fraction\ndef f(v):\n    return list(map(Q, v))\n"
                               "def g():\n    def h():\n        return Fraction(1, 2)\n"
                               "    return 0\n") == {"f", "h"}
+
+
+def _private_fields():
+    """The underscored attributes that GradedAlgebra._init sets on self."""
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    init = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_init")
+    return {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign) for t in n.targets
+            if isinstance(t, ast.Attribute) and t.attr.startswith("_")}
+
+
+def test_only_the_algebra_module_touches_an_algebras_private_fields():
+    # the memo dict and the eager basis are read and written in algebra.py
+    # alone: other modules keep their tables through per_algebra (and build
+    # algebras through the `_induced` constructor, which is no field)
+    private = _private_fields()
+    assert private == {"_basis", "_memo"}, private
+    found = ["%s:%d %s" % (path.name, n.lineno, n.attr) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "algebra.py" for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr in private]
+    assert not found, found
+
+
+def _metadata_reads_of_builders(source):
+    """(builder, function, attribute) for each read of .tags or .basis_names
+    by a function that per_algebra decorates in `source`, or by a function
+    or class of `source` that it runs, directly or through others."""
+    defs = {n.name: n for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    roots = [name for name, n in defs.items() if isinstance(n, ast.FunctionDef)
+             and any(isinstance(d, ast.Name) and d.id == "per_algebra" for d in n.decorator_list)]
+    found = []
+    for root in roots:
+        seen, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            attrs = {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+            found.extend((root, name, a) for a in sorted(attrs & {"tags", "basis_names"}))
+            refs = attrs | {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+            todo.extend(refs & defs.keys())
+    return roots, found
+
+
+def test_memoised_builders_read_no_tags_or_basis_names():
+    # a memoised table depends on the structure constants alone, so that
+    # equal tables give equal results whatever their tags and names
+    roots, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        r, f = _metadata_reads_of_builders(path.read_text())
+        roots.update(r)
+        found.extend((path.name,) + x for x in f)
+    assert roots == {"struct", "_key", "float_ops", "is_stratified", "_law", "_forms",
+                     "_heisenberg_n", "_is_h12", "_isotropic_bound", "_supports"}, roots
+    assert not found, found
+    assert _metadata_reads_of_builders(
+        "@per_algebra\ndef f(a):\n    return g(a)\ndef g(a):\n    return a.tags\n"
+        "def h(a):\n    return a.basis_names\n") == (["f"], [("f", "g", "tags")])

@@ -168,6 +168,17 @@ def test_numpy_integer_entries_are_exact():
     assert linalg.Span(a64[:1]).contains([np.int64(3), np.int64(3)])
 
 
+def test_identity_and_zeros_hold_ints():
+    # int entries keep the products and solves that start from them in
+    # integer arithmetic; each row is its own list
+    eye, zero = linalg.identity(3), linalg.zeros(2, 3)
+    assert eye == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and zero == [[0, 0, 0], [0, 0, 0]]
+    assert all(type(x) is int for m in (eye, zero) for row in m for x in row)
+    zero[0][0] = 5
+    assert zero[1][0] == 0
+    assert linalg.identity(0) == [] and linalg.matmul(eye, eye) == eye
+
+
 def test_shape_errors():
     with pytest.raises(ValueError, match="inner dimensions"):
         linalg.matmul(linalg.identity(2), linalg.identity(3))

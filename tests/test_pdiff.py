@@ -7,6 +7,7 @@ import pytest
 
 from carnot import catalog, pdiff
 from carnot.algebra import GroupElement
+from carnot.bch import group_product_np
 from carnot.morphism import GradedMorphism, identity_morphism
 from carnot.pdiff import product_set_membership
 
@@ -483,6 +484,63 @@ def test_hausdorff_distance_matches_the_two_pass_brute_force(name):
         assert pdiff.hausdorff_distance(metric, x, y) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="two nonempty clouds"):
         pdiff.hausdorff_distance(metric, a[:0], b)
+
+
+def _split_coords_fraction_route(algebra, first, second, coords):
+    """split_coords_np with each layer's columns converted entry by entry
+    from the Fraction bases."""
+    p, h = np.zeros(coords.shape), np.zeros(coords.shape)
+    for layer in range(1, algebra.step + 1):
+        idx = algebra.layer_indices(layer)
+        firsts, seconds = first.layer_basis(layer), second.layer_basis(layer)
+        if not idx or not firsts + seconds:
+            continue
+        cols = np.array([[float(c) for c in v] for v in firsts + seconds])
+        rhs = (coords - group_product_np(algebra, p, h))[..., idx]
+        sol = np.linalg.lstsq(cols[:, idx].T, rhs.reshape(-1, len(idx)).T,
+                              rcond=None)[0].T.reshape(rhs.shape[:-1] + (len(cols),))
+        p = p + sol[..., :len(firsts)] @ cols[:len(firsts)]
+        h = h + sol[..., len(firsts):] @ cols[len(firsts):]
+    return p, h
+
+
+def _vertical_distance_fraction_route(metric, sub, points):
+    """distance_to_vertical_subgroup with the first-layer rows converted
+    entry by entry from the Fraction basis."""
+    idx1 = metric.algebra.layer_indices(1)
+    rows = [[float(v[k]) for k in idx1] for v in sub.layer_basis(1)]
+    p1 = points[:, idx1]
+    if rows:
+        B = np.array(rows)
+        p1 = p1 - p1 @ B.T @ np.linalg.inv(B @ B.T) @ B
+    rep = np.zeros_like(points)
+    rep[:, idx1] = p1
+    return metric.quasi_norm_np(rep)
+
+
+def test_float_drivers_read_the_float_basis_bit_for_bit(h2):
+    # the split along a complementary pair and the distance to a vertical
+    # subgroup read float_basis(); on bases with entries such as 1/3 and
+    # 2/7 they give the floats of the entry-by-entry Fraction route
+    from carnot.metric import default_metric, sample_ball
+    from carnot.subgroups import find_complement, span_subalgebra
+    metric = default_metric(h2)
+    pts = sample_ball(metric, 1.0, 50, np.random.default_rng(5))
+    vertical = [span_subalgebra(h2, [3, 1, 0, 0, 0], [0, 0, 7, 2, 0], [0, 0, 0, 0, 1]),
+                span_subalgebra(h2, [3, 0, 1, 0, 0], [0, 7, 0, 2, 0], [0, 0, 0, 0, 1]),
+                span_subalgebra(h2, [0, 3, 0, 0, 0], [0, 0, 0, 0, 1]),
+                span_subalgebra(h2, [0, 0, 0, 0, 1])]
+    for sub in vertical:
+        got = pdiff.distance_to_vertical_subgroup(metric, sub, pts)
+        assert got.tobytes() == _vertical_distance_fraction_route(metric, sub, pts).tobytes()
+    subs = vertical[:2] + [span_subalgebra(h2, [3, 0, 1, 0, 0])]
+    pairs = [(sub, find_complement(sub).witness) for sub in subs]
+    assert any(x.denominator > 1 for pair in pairs for s in pair for v in s.basis() for x in v)
+    for sub, witness in pairs:
+        for first, second in ((sub, witness), (witness, sub)):
+            got = pdiff.split_coords_np(h2, first, second, pts)
+            want = _split_coords_fraction_route(h2, first, second, pts)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_bilipschitz_of_smooth_maps(radial):

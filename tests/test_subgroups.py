@@ -294,6 +294,24 @@ def test_h21_complement_noncommutative_case(h12, rng):
         assert all(c == 0 for c in h12.bracket_coords(bs[0], bs[1]))
 
 
+def test_h12_is_recognised_from_its_forms_over_any_denominator(h12):
+    # the h12 test reads W_k^2 = -d^2 Id and W_1 W_2 = -W_2 W_1 on the
+    # integer forms over d = struct_den: a rational rotation of the first
+    # layer keeps the table that of h12 with d = 65, a scaling does not
+    from carnot.subgroups import _is_h12
+    rot = [[Q(3, 5), Q(-4, 5), 0, 0], [Q(4, 5), Q(3, 5), 0, 0],
+           [0, 0, Q(5, 13), Q(-12, 13)], [0, 0, Q(12, 13), Q(5, 13)]]
+    f = [[rot[b][a] for b in range(4)] + [0, 0] for a in range(4)]
+    table = {(a, c): {k: x for k, x in enumerate(h12.bracket_coords(f[a], f[c])) if x}
+             for a, c in itertools.combinations(range(4), 2)}
+    turned = GradedAlgebra("h12 turned", h12.layer_of, {p: t for p, t in table.items() if t})
+    halved = GradedAlgebra("h12 halved", h12.layer_of,
+                           {p: {k: c / 2 for k, c in t.items()} for p, t in h12.struct.items()})
+    assert turned.struct_den == 65 and halved.struct_den == 2
+    assert _is_h12(h12) and _is_h12(turned) and not _is_h12(halved)
+    assert not _is_h12(catalog.get("h2")) and not _is_h12(catalog.get("free_2_3"))
+
+
 def test_classify_mono(h1):
     r1 = catalog.abelian(1)
     T = GradedMorphism(r1, h1, [[1], [0], [0]])
@@ -580,18 +598,52 @@ def test_isotropic_bound_on_h1xh2():
     assert out.witness.detail.endswith("<= 3 < 4")
 
 
-def test_isotropic_bound_is_kept_on_the_algebra(monkeypatch):
-    # the bound depends on the table only: the first call runs the ranks,
-    # a second call on the same algebra reads the kept value and runs none
-    from carnot import linalg
+def _memoised_builders():
+    """{name: function} of every table that per_algebra keeps, found on the
+    modules of the package and their classes."""
+    import importlib
+    import pathlib
+    from carnot.algebra import per_algebra
+    memoised = per_algebra(len).__code__  # every memoised function shares it
+    found = {}
+    for path in sorted(pathlib.Path(catalog.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module("carnot." + path.stem)
+        owners = [module] + [c for c in vars(module).values()
+                             if isinstance(c, type) and c.__module__ == module.__name__]
+        for owner in owners:
+            for name, f in vars(owner).items():
+                f = f.fget if isinstance(f, property) else f
+                if getattr(f, "__code__", None) is memoised:
+                    found[name] = f
+    return found
+
+
+def test_every_memoised_table_is_built_once_per_algebra():
+    # each table depends on the structure constants only: the first call
+    # builds it into the algebra's memo, a second call reads it back and
+    # builds nothing, and an equal but distinct algebra gets its own
+    builders = _memoised_builders()
+    assert set(builders) == {"struct", "_key", "float_ops", "is_stratified", "_law", "_forms",
+                             "_heisenberg_n", "_is_h12", "_isotropic_bound", "_supports"}
+    h12 = catalog.get("h12")
+
+    def fresh():
+        return GradedAlgebra._induced("h12", h12.layer_of, h12.struct_num, h12.struct_den)
+
+    assert fresh() == fresh()
+    for name, get in builders.items():
+        g, twin = fresh(), fresh()
+        build = get.__wrapped__
+        assert build not in g._memo, name
+        table = get(g)
+        assert g._memo[build] is table, name
+        g._memo[build] = kept = object()
+        assert get(g) is kept, name
+        assert build not in twin._memo and get(twin) is not kept, name
+        assert twin._memo[build] is get(twin), name
     from carnot.subgroups import _isotropic_bound
-    ranks, rank = [], linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or rank(rows))
     g = _h1xh2()
-    assert _isotropic_bound(g) == 3
-    first = len(ranks)
-    assert first > 0
-    assert _isotropic_bound(g) == 3 and len(ranks) == first
+    assert _isotropic_bound(g) == 3 and _isotropic_bound.__wrapped__ in g._memo
 
 
 def _zero_correction_reference(L, kernel):
@@ -1458,6 +1510,7 @@ def test_induced_tables_equal_the_validated_construction():
     # integer table without validation; each equals GradedAlgebra on the
     # same table in Fractions, entry for entry, and so does the projection
     seen = {"tables": 0, "den > 1": 0, "quotients": 0}
+    view = GradedAlgebra.struct.fget.__wrapped__  # the memo's key of the Fraction view
     for name in CLASSIFY_GROUPS:
         alg = catalog.get(name)
         rng = np.random.default_rng(27)
@@ -1470,9 +1523,11 @@ def test_induced_tables_equal_the_validated_construction():
                 got, dpi = got if is_quotient else (got, None)
                 table, proj = _reference_induced(alg, sub, is_quotient)
                 want = GradedAlgebra(got.name, got.layer_of, table, got.basis_names)
-                assert got._struct is None  # built on first read
+                # the Fraction view is not in the memo before its first read
+                assert view not in got._memo
                 assert (got.struct_num, got.struct_den) == (want.struct_num, want.struct_den)
                 assert got.struct == want.struct and got == want and want == got
+                assert view in got._memo
                 assert hash(got) == hash(want)
                 seen["tables"] += 1
                 seen["den > 1"] += got.struct_den > 1
