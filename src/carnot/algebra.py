@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import numbers
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -216,6 +217,10 @@ def per_algebra(build):
     return memoised
 
 
+_NO_TAGS = types.MappingProxyType({})  # the tags of every algebra given none
+_set = object.__setattr__  # how `_init` sets a field past GradedAlgebra.__setattr__
+
+
 class GradedAlgebra:
     """Finite-dimensional graded Lie algebra over Q.
 
@@ -227,16 +232,17 @@ class GradedAlgebra:
                 struct_den == 1.
     struct:     the same table as {(i, j): {k: Fraction}}, a view kept in the
                 memo (`per_algebra`), for the group file.
-    tags:       metadata that catalog constructors and the group-file reader
-                set after construction (e.g. the J-data of an H-type table,
-                a matrix model, a metric block).
+    tags:       read-only metadata given at construction by the catalog
+                constructors and the group-file reader (e.g. the J-data of
+                an H-type table, a matrix model, a metric block).
 
+    The attributes cannot be set or deleted once built (AttributeError).
     Every table given here is read by ``linalg.int_form`` and validated
     once: an invalid one raises ValueError.  ``_induced`` takes the integer
     table of a subalgebra, a quotient or a product, valid by construction.
     """
 
-    def __init__(self, name, layer_of, struct, basis_names=None):
+    def __init__(self, name, layer_of, struct, basis_names=None, tags=None):
         entries = []
         for (i, j), terms in struct.items():
             if not i < j:
@@ -248,7 +254,7 @@ class GradedAlgebra:
             if c:
                 table.setdefault((i, j), []).append((k, c))
         self._init(name, layer_of, tuple((i, j, tuple(t)) for (i, j), t in table.items()),
-                   den, basis_names)
+                   den, basis_names, tags)
         report = validate_grading(self)
         if not report.ok:
             raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
@@ -258,22 +264,31 @@ class GradedAlgebra:
         """The algebra of a table built from valid ones, given as struct_num
         over its least common denominator, not re-validated."""
         out = cls.__new__(cls)
-        out._init(name, layer_of, struct_num, struct_den, basis_names)
+        out._init(name, layer_of, struct_num, struct_den, basis_names, None)
         return out
 
-    def _init(self, name, layer_of, struct_num, struct_den, basis_names):
-        self.name = name
-        self.layer_of = tuple(int(l) for l in layer_of)
-        self.dim = len(self.layer_of)
-        self.step = max(self.layer_of) if self.layer_of else 1
-        self.struct_num = struct_num
-        self.struct_den = struct_den
-        self.basis_names = tuple(basis_names) if basis_names else tuple(
-            "e%d" % (i + 1) for i in range(self.dim))
-        self.tags = {}
-        self._basis = tuple(tuple(int(t == k) for t in range(self.dim))
-                            for k in range(self.dim))
-        self._memo = {}  # per_algebra: builder -> table
+    def _init(self, name, layer_of, struct_num, struct_den, basis_names, tags):
+        layer_of = tuple(int(l) for l in layer_of)
+        dim = len(layer_of)
+        _set(self, "name", name)
+        _set(self, "layer_of", layer_of)
+        _set(self, "dim", dim)
+        _set(self, "step", max(layer_of) if layer_of else 1)
+        _set(self, "struct_num", struct_num)
+        _set(self, "struct_den", struct_den)
+        _set(self, "basis_names", tuple(basis_names) if basis_names else tuple(
+            "e%d" % (i + 1) for i in range(dim)))
+        _set(self, "tags", types.MappingProxyType(dict(tags)) if tags else _NO_TAGS)
+        _set(self, "_basis", tuple(tuple(int(t == k) for t in range(dim)) for k in range(dim)))
+        _set(self, "_memo", {})  # per_algebra: builder -> table
+
+    def __setattr__(self, key, value):
+        # read-only, as `catalog.get` shares one algebra per name
+        raise AttributeError("GradedAlgebra %r is read-only: cannot set %s to %r"
+                             % (self.name, key, value))
+
+    def __delattr__(self, key):
+        raise AttributeError("GradedAlgebra %r is read-only: cannot delete %s" % (self.name, key))
 
     @property
     @per_algebra

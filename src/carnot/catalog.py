@@ -30,9 +30,8 @@ def heisenberg(n):
         names += ["x%d" % i, "y%d" % i]
     names.append("z")
     struct = {(2 * i, 2 * i + 1): {2 * n: Q(1)} for i in range(n)}
-    alg = GradedAlgebra("h%d" % n, layers, struct, basis_names=names)
-    alg.tags["matrix_model"] = UnipotentHeisenbergModel(n)
-    return alg
+    return GradedAlgebra("h%d" % n, layers, struct, basis_names=names,
+                         tags={"matrix_model": UnipotentHeisenbergModel(n)})
 
 
 class UnipotentHeisenbergModel:
@@ -132,7 +131,7 @@ class HTypeData:
         return out
 
 
-def h_type_from_J(data, name="htype"):
+def h_type_from_J(data, name="htype", basis_names=None):
     """Build the 2-step algebra induced by J-data, rejecting non-H-type input.
 
     The defining identity gives the brackets [e_i, e_j] = sum_k (J_k)_{ji} Z_k;
@@ -175,9 +174,8 @@ def h_type_from_J(data, name="htype"):
                     terms[m + k] = c
             if terms:
                 struct[(i, j)] = terms
-    alg = GradedAlgebra(name, layers, struct)
-    alg.tags["htype"] = HTypeData(dim_v=m, dim_z=q, j_matrices=js)
-    return alg
+    return GradedAlgebra(name, layers, struct, basis_names,
+                         tags={"htype": HTypeData(dim_v=m, dim_z=q, j_matrices=js)})
 
 
 def complexified_heisenberg():
@@ -190,9 +188,8 @@ def complexified_heisenberg():
     j1[1][0], j1[0][1], j1[3][2], j1[2][3] = Q(1), Q(-1), Q(1), Q(-1)
     # J_{z2}: r0 -> r2, r2 -> -r0, r1 -> -r3, r3 -> r1
     j2[2][0], j2[0][2], j2[3][1], j2[1][3] = Q(1), Q(-1), Q(-1), Q(1)
-    alg = h_type_from_J(HTypeData(dim_v=4, dim_z=2, j_matrices=[j1, j2]), name="h12")
-    alg.basis_names = ("r0", "r1", "r2", "r3", "z1", "z2")
-    return alg
+    return h_type_from_J(HTypeData(dim_v=4, dim_z=2, j_matrices=[j1, j2]), name="h12",
+                         basis_names=("r0", "r1", "r2", "r3", "z1", "z2"))
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +337,12 @@ def free_nilpotent(p, step):
         raise ValueError("free nilpotent algebra needs p >= 1 generators and step >= 1,"
                          " got p = %d, step = %d" % (p, step))
     if p == 1:
-        alg = GradedAlgebra("free_1_%d" % step, [1], {}, basis_names=["x1"])
-        alg.tags["free_generators"] = (0,)
-        return alg
+        return GradedAlgebra("free_1_%d" % step, [1], {}, basis_names=["x1"],
+                             tags={"free_generators": (0,)})
     trees, layers, struct = _free_nilpotent_data(p, step)
-    names = [_tree_name(t) for t in trees]
-    alg = GradedAlgebra("free_%d_%d" % (p, step), layers, struct, basis_names=names)
-    alg.tags["hall_trees"] = tuple(trees)
-    alg.tags["free_generators"] = tuple(range(p))
-    return alg
+    return GradedAlgebra("free_%d_%d" % (p, step), layers, struct,
+                         basis_names=[_tree_name(t) for t in trees],
+                         tags={"hall_trees": tuple(trees), "free_generators": tuple(range(p))})
 
 
 def free_lie_extension(free_alg, target, generator_images):
@@ -425,8 +419,11 @@ def catalog_names():
     return sorted(CATALOG)
 
 
+@functools.lru_cache(maxsize=None)
 def get(name):
-    """Catalog lookup; accepts free_p_s for any in-budget pair."""
+    """Catalog lookup; accepts free_p_s for any in-budget pair.  Each name
+    is built once per process: every caller shares the one algebra, whose
+    tags are read-only, and so the tables it derives (`per_algebra`)."""
     if name in CATALOG:
         return CATALOG[name]()
     if name.startswith("free_"):

@@ -14,6 +14,7 @@ deterministic unconditionally.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -233,9 +234,12 @@ def _control_from_cfg(cv, g, spec):
         except OSError as e:
             raise ValueError("control csv: %s" % e) from None
     try:
-        return cv.make_control(g, spec["name"], **spec.get("params", {}))
-    except TypeError as e:
+        params = dict(spec.get("params", {}))
+        if "radius" in params:
+            params["radius"] = _radius(params, "radius")
+    except (TypeError, ValueError) as e:
         raise ValueError("control params: %s" % e) from None
+    return cv.make_control(g, spec["name"], **params)
 
 
 def _number(cfg, key, default, kind=float, positive=False):
@@ -284,11 +288,11 @@ def _name(cfg, key):
 
 
 def _point(value, key, dim):
-    """A config point (`start`, `center`, `base_point`) as `dim` float
-    coordinates; any other length is bad input naming its key."""
+    """A config point (`start`, `center`, `base_point`) as `dim` finite float
+    coordinates; any other length or a non-finite entry is bad input naming its key."""
     point = np.asarray(value, dtype=float)
-    if point.shape != (dim,):
-        raise ValueError("%s: expected %d coordinates, got %r" % (key, dim, value))
+    if point.shape != (dim,) or not np.all(np.isfinite(point)):
+        raise ValueError("%s: expected %d finite coordinates, got %r" % (key, dim, value))
     return point
 
 
@@ -454,6 +458,10 @@ def collect_estimates(m, nu, samples, seed):
 # parser
 # ---------------------------------------------------------------------------
 
+# One parser per process: it saves the build only where `main` runs more
+# than once in one process (tests, in-process benchmark tasks); parsing
+# leaves the parser as it is.
+@functools.lru_cache(maxsize=None)
 def build_parser():
     p = argparse.ArgumentParser(prog="carnot",
                                 description="exact and numerical computation "

@@ -63,8 +63,9 @@ class SampledCurve:
 
 @dataclass
 class HorizontalControl:
-    """First-layer velocity t -> coordinates on the layer-1 basis (length
-    dim V_1); `breakpoints` mark the discontinuities of piecewise controls."""
+    """First-layer velocity: `fn` maps times of shape (n,) to coordinates on
+    the layer-1 basis, shape (n, dim V_1); `breakpoints` mark the
+    discontinuities of piecewise controls."""
     fn: object
     domain: tuple
     smoothness: str = "smooth"
@@ -72,7 +73,10 @@ class HorizontalControl:
     name: str = ""
 
     def __call__(self, t):
-        return np.asarray(self.fn(t), dtype=float)
+        """The velocity at one time, shape (dim V_1,); times (n,) give (n, dim V_1)."""
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(self.fn(np.atleast_1d(t)), dtype=float)
+        return v[0] if t.ndim == 0 else v
 
 
 def control_from_csv(algebra, path):
@@ -91,51 +95,42 @@ def control_from_csv(algebra, path):
                              (float(ts[0]), float(ts[-1])), "sampled", name="csv")
 
 
+# the sides of the unit square loop, one per unit of time; t % 4 may round
+# up to 4.0 just below a multiple of 4, which stays on the last side
+_SQUARE_SIDES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
 def make_control(algebra, name, **params):
     """Built-ins: line, circle, square, parabola (the last three use the
-    first two horizontal directions)."""
+    first two horizontal directions), each a function of an array of times.
+    A `radius` or `direction` entry that is not a finite number raises
+    ValueError naming it."""
     m = len(algebra.layer_indices(1))
+    domain = params.get("domain", (0.0, 2 * math.pi) if name == "circle" else (0.0, 1.0))
     if name == "line":
         direction = np.asarray(params.get("direction", [1.0] + [0.0] * (m - 1)))
-        if direction.shape != (m,):
-            raise ValueError("control line: direction needs %d entries, got %s"
-                             % (m, direction.size))
-        return HorizontalControl(lambda t: direction, params.get("domain", (0.0, 1.0)),
+        if direction.shape != (m,) or direction.dtype.kind not in "iuf" \
+                or not np.all(np.isfinite(direction)):
+            raise ValueError("control line: direction needs %d finite numbers, got %r"
+                             % (m, params["direction"]))
+        return HorizontalControl(lambda t: np.tile(direction, (len(t), 1)), domain,
                                  "smooth", name="line")
     if m < 2:
         raise ValueError("control %r needs at least two horizontal directions" % name)
-    if name == "circle":
-        r = float(params.get("radius", 1.0))
-
-        def fn(t):
-            out = np.zeros(m)
-            out[0], out[1] = -r * math.sin(t), r * math.cos(t)
-            return out
-        return HorizontalControl(fn, params.get("domain", (0.0, 2 * math.pi)),
-                                 "smooth", name="circle")
+    r = float(params.get("radius", 1.0)) if name == "circle" else None
+    if r is not None and not math.isfinite(r):
+        raise ValueError("control circle: radius must be finite, got %r" % r)
+    planar = {"circle": lambda t: np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1),
+              "square": lambda t: _SQUARE_SIDES[np.minimum(np.floor(t % 4.0), 3).astype(int)],
+              "parabola": lambda t: np.stack([np.ones_like(t), 2.0 * t], axis=-1)
+              }.get(name) if isinstance(name, str) else None
+    if planar is None:
+        raise ValueError("unknown control %r" % name)
+    smoothness, breakpoints = "smooth", ()
     if name == "square":
-        def fn(t):
-            out = np.zeros(m)
-            s = t % 4.0
-            if s < 1:
-                out[0] = 1.0
-            elif s < 2:
-                out[1] = 1.0
-            elif s < 3:
-                out[0] = -1.0
-            else:
-                out[1] = -1.0
-            return out
-        return HorizontalControl(fn, (0.0, 4.0), "piecewise",
-                                 breakpoints=(1.0, 2.0, 3.0), name="square")
-    if name == "parabola":
-        def fn(t):
-            out = np.zeros(m)
-            out[0], out[1] = 1.0, 2.0 * t
-            return out
-        return HorizontalControl(fn, params.get("domain", (0.0, 1.0)),
-                                 "smooth", name="parabola")
-    raise ValueError("unknown control %r" % name)
+        domain, smoothness, breakpoints = (0.0, 4.0), "piecewise", (1.0, 2.0, 3.0)
+    return HorizontalControl(lambda t: np.pad(planar(t), ((0, 0), (0, m - 2))), domain,
+                             smoothness, breakpoints, name)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +169,11 @@ def _lift_path(algebra, control, start_coords, t0, t1, steps):
     ts = np.linspace(t0, t1, steps + 1)
     h = (t1 - t0) / steps
     mid, off = 0.5 * (ts[:-1] + ts[1:]), math.sqrt(3.0) / 6.0 * h
-    v1 = np.array([control(t) for t in np.concatenate([mid - off, mid + off])])
+    v1 = control(np.concatenate([mid - off, mid + off]))
     m = len(algebra.layer_indices(1))
-    if v1.shape[1:] != (m,):
-        raise ValueError("control must map into layer 1 (%d), got %s" % (m, v1.shape[1:]))
+    if v1.shape != (2 * steps, m):
+        raise ValueError("control must map %d times into layer 1 as shape %s, got shape %s"
+                         % (2 * steps, (2 * steps, m), v1.shape))
     a1, a2 = np.split(_embed_layer1(algebra, v1), 2)
     omega = (0.5 * h) * (a1 + a2) + (math.sqrt(3.0) / 12.0 * h * h) * \
         algebra.float_ops().bracket(a1, a2)
@@ -206,8 +202,9 @@ def horizontal_lift(control, start, steps=256, tol=1e-8):
         t0, t1 = map(float, control.domain)
     except (TypeError, ValueError):
         t0 = t1 = 0.0
-    if not t0 < t1:
-        raise ValueError("control domain must be t0 < t1, got %r" % (control.domain,))
+    if not (t0 < t1 and math.isfinite(t1 - t0)):
+        raise ValueError("control domain must be finite with t0 < t1, got %r"
+                         % (control.domain,))
     cuts = [t0] + [b for b in control.breakpoints if t0 < b < t1] + [t1]
     grids, paths = [], []
     g = np.asarray(start.to_float().coords, dtype=float)
@@ -394,7 +391,7 @@ def variation(curve, metric=None):
         if n >= len(curve.ts) * 4:
             break
     if curve.control is not None:
-        v1 = _embed_layer1(alg, np.array([curve.control(t) for t in curve.ts]))
+        v1 = _embed_layer1(alg, curve.control(curve.ts))
     else:
         v1 = alg.float_ops().project_layer(curve.derivative_grid(), 1)
     var_b = float(np.trapezoid(metric.quasi_norm_np(v1), curve.ts))

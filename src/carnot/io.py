@@ -131,11 +131,9 @@ def parse_group_dict(data):
     struct = {}
     for (i, j, k, c) in entries:
         struct.setdefault((i, j), {})[k] = struct.get((i, j), {}).get(k, Q(0)) + c
-    alg = GradedAlgebra(data.get("name", "group"), layers, struct,
-                        basis_names=data.get("basis_names") or None)
-    if "metric" in data:
-        alg.tags["metric_spec"] = data["metric"]
-    return alg
+    return GradedAlgebra(data.get("name", "group"), layers, struct,
+                         basis_names=data.get("basis_names") or None,
+                         tags={"metric_spec": data["metric"]} if "metric" in data else None)
 
 
 def load_group(path):

@@ -113,8 +113,8 @@ def radial_level_map(h2):
     """f(x1..x5) = (sqrt(x2^2 + x3^2), x4) on the 5-dimensional Heisenberg
     group; its level sets have tangent cones of different bracket type at
     different points."""
-    from .catalog import abelian
-    r2 = abelian(2)
+    from . import catalog
+    r2 = catalog.get("r2")
 
     def ev(x):
         return np.stack([np.hypot(x[..., 1], x[..., 2]), x[..., 3]], axis=-1)
@@ -161,8 +161,8 @@ def vertical_shear_map(h1):
 
 def corner_map(h1):
     """x -> |x_1|: Lipschitz but not P-differentiable on the crease."""
-    from .catalog import abelian
-    return PDMap(h1, abelian(1), lambda x: np.abs(x[..., :1]),
+    from . import catalog
+    return PDMap(h1, catalog.get("r1"), lambda x: np.abs(x[..., :1]),
                  name="corner")
 
 
@@ -1027,7 +1027,7 @@ def named_map(name):
         return radial_level_map(catalog.get("h2"))
     if name == "xcoord":
         h1 = catalog.get("h1")
-        return PDMap(h1, catalog.abelian(1), lambda c: c[..., :1].copy(),
+        return PDMap(h1, catalog.get("r1"), lambda c: c[..., :1].copy(),
                      dfirst=lambda c: np.array([[1.0, 0.0]]),
                      dfirst_exact=lambda c: [[1, 0]], name="xcoord")
     if name == "vertical_shear":
@@ -1038,7 +1038,7 @@ def named_map(name):
         return dilation_map(catalog.get("h1"), float(name.split(":")[1]))
     if name == "legendrian_line":
         h1 = catalog.get("h1")
-        return PDMap(catalog.abelian(1), h1,
+        return PDMap(catalog.get("r1"), h1,
                      lambda t: np.concatenate(
                          [t[..., :1], np.zeros(t.shape[:-1] + (2,))], axis=-1),
                      dfirst=lambda t: np.array([[1.0], [0.0]]),

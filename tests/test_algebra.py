@@ -460,9 +460,10 @@ def test_the_two_constructions_of_a_vector_agree(f23, rng):
 
 
 def test_equal_vectors_of_equal_algebras_compare_equal():
-    # catalog.get builds a new algebra on every call; vectors compare and
-    # hash by the algebra's table, as vector arithmetic accepts them
-    a, b = (GroupElement(catalog.get("h1"), [1, 0, 0]) for _ in range(2))
+    # each catalog builder call makes a new algebra (catalog.get shares one
+    # per name); vectors compare and hash by the algebra's table, as vector
+    # arithmetic accepts them
+    a, b = (GroupElement(catalog.heisenberg(1), [1, 0, 0]) for _ in range(2))
     assert a.algebra is not b.algebra and a.algebra == b.algebra
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a.to_float() == b.to_float() and a - b == identity_element(a.algebra)

@@ -204,3 +204,41 @@ def test_every_catalog_algebra_validates():
     for name in catalog.catalog_names():
         g = catalog.get(name)
         assert validate_grading(g).ok, name
+
+
+def test_catalog_get_keeps_one_algebra_per_name():
+    # every caller shares one algebra per name, and so the tables it derives
+    assert catalog.get("h1") is catalog.get("h1")
+    assert catalog.get("free_2_5") is catalog.get("free_2_5")
+    assert catalog.get("h12") is not catalog.get("h2_1")
+    assert catalog.get("h12") == catalog.get("h2_1")
+    # a builder called directly still makes a new, equal algebra
+    assert catalog.heisenberg(1) is not catalog.get("h1")
+    assert catalog.heisenberg(1) == catalog.get("h1")
+
+
+def test_catalog_algebras_are_read_only():
+    # a shared catalog algebra cannot be changed for the other callers
+    h1 = catalog.get("h1")
+    with pytest.raises(TypeError):
+        h1.tags["x"] = 1
+    with pytest.raises(TypeError):
+        del h1.tags["matrix_model"]
+    assert set(h1.tags) == {"matrix_model"}
+    # and so are its other attributes
+    with pytest.raises(AttributeError):
+        h1.basis_names = ("a", "b", "c")
+    with pytest.raises(AttributeError):
+        h1.tags = {}
+    with pytest.raises(AttributeError):
+        del h1.name
+    assert h1.basis_names == ("x1", "y1", "z") and h1.name == "h1"
+    assert set(catalog.get("free_2_3").tags) == {"hall_trees", "free_generators"}
+    assert catalog.get("free_1_3").tags["free_generators"] == (0,)
+    assert catalog.get("h12").tags["htype"].dim_z == 2
+    # tags given at construction are copied: the caller's dict stays its own
+    given = {"note": 1}
+    g = GradedAlgebra("r1", [1], {}, tags=given)
+    given["note"] = 2
+    assert g.tags["note"] == 1
+    assert GradedAlgebra._induced("r1", (1,), (), 1).tags == {}

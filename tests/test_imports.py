@@ -256,11 +256,15 @@ def test_fraction_builders_of_subgroups():
 
 
 def _private_fields():
-    """The underscored attributes that GradedAlgebra._init sets on self."""
+    """The underscored attributes that GradedAlgebra._init sets on self, by
+    assignment or by `_set(self, name, value)`."""
     tree = ast.parse((PACKAGE / "algebra.py").read_text())
     init = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_init")
     return {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign) for t in n.targets
-            if isinstance(t, ast.Attribute) and t.attr.startswith("_")}
+            if isinstance(t, ast.Attribute) and t.attr.startswith("_")} | {
+        n.args[1].value for n in ast.walk(init) if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name) and n.func.id == "_set"
+        and n.args[1].value.startswith("_")}
 
 
 def test_only_the_algebra_module_touches_an_algebras_private_fields():

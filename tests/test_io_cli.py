@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -450,6 +451,33 @@ INPUT_PROBES = {
         "experiment", "mvi",
         _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0], "r1": 0.2,
                              "r2": 1.0})]),
+    # a NaN entry (Python's json reads it) ran, and printed NaN sups with exit 0
+    "mvi-center-nan": ("center", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", '{"map": "radial_level", "center": [NaN, 1, 0, 1, 0], '
+                            '"r1": 0.2, "r2": 1.0}')]),
+    # control params that are not finite, or a radius above MAX_RADIUS,
+    # reached the lift: numpy warned of overflow, and the line named no key
+    "lift-circle-radius-huge": ("radius", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "circle", "params": {"radius": 1e300}}})]),
+    "lift-circle-radius-nan": ("radius", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", '{"group": "h1", "control": {"name": "circle", '
+                            '"params": {"radius": NaN}}}')]),
+    "lift-line-direction-nan": ("direction", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", '{"group": "h1", "control": {"name": "line", '
+                            '"params": {"direction": [1, NaN]}}}')]),
+    "lift-domain-infinite": ("domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", '{"group": "h1", "control": {"name": "parabola", '
+                            '"params": {"domain": [0, Infinity]}}}')]),
+    # a name that is not a string raised "unhashable type", naming no key
+    "lift-control-name-list": ("unknown control", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": ["circle"]}})]),
     "lift-csv": ("control csv", lambda d: [
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {
@@ -540,10 +568,12 @@ OPTIMIZED_ARGVS["layers-length"] = \
 @pytest.fixture(scope="module")
 def optimized_runs(tmp_path_factory):
     # every command line of OPTIMIZED_ARGVS, each with its files in its own
-    # directory, in one python -O interpreter
+    # directory, in one python -O interpreter.  The directories are not
+    # named after the probes: a message that prints a config path would
+    # otherwise name the field through the probe's name
     probes = {}
     for name, make_argv in OPTIMIZED_ARGVS.items():
-        d = tmp_path_factory.mktemp(name)
+        d = tmp_path_factory.mktemp("probe")
         probes[name] = {"cwd": str(d), "argv": make_argv(d)}
     return run_optimized(probes, tmp_path_factory.mktemp("optimized"))
 
@@ -552,15 +582,19 @@ def optimized_runs(tmp_path_factory):
 @pytest.mark.parametrize("probe", sorted(INPUT_PROBES))
 def test_bad_input_file_probe(request, tmp_path, capsys, probe, optimized):
     # a malformed input is a validation failure: exit 2 and one line naming
-    # the field, with no traceback, also when asserts are compiled out
+    # the field, with no traceback and no warning, also when asserts are
+    # compiled out (pytest keeps warnings out of capsys: they are recorded)
     field, make_argv = INPUT_PROBES[probe]
     if optimized:
         run = request.getfixturevalue("optimized_runs")[probe]
         code, out, err = run["code"], run["stdout"], run["stderr"]
     else:
-        code = main(["--output-dir", str(tmp_path)] + make_argv(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--output-dir", str(tmp_path)] + make_argv(tmp_path))
         out, err = capsys.readouterr()
-    assert code == 2 and not err
+        err += "".join(str(w.message) for w in caught)
+    assert code == 2 and not err, err
     assert field in out and len(out.strip().splitlines()) == 1
 
 
@@ -582,6 +616,40 @@ def test_a_config_group_that_is_an_integer_exits_2(tmp_path, fd):
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 2 and not run.stderr, (run.returncode, run.stderr)
     assert "group" in run.stdout and len(run.stdout.strip().splitlines()) == 1
+
+
+def test_in_process_lifts_share_one_algebra_and_parser(tmp_path, capsys):
+    # eight cli.main runs on one catalog group build its BCH table once, and
+    # the argument parser once per process
+    import sys
+    from carnot import bch, cli
+    law = bch._law.__wrapped__.__code__
+    builds = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is law:
+            builds.append(frame)
+
+    cfg = _write(tmp_path, "l.json", {"group": "h1", "control": {"name": "square"},
+                                      "steps": 64})
+    catalog.get.cache_clear()
+    sys.setprofile(count)
+    try:
+        codes = [main(["--output-dir", str(tmp_path), "experiment", "lift", cfg])
+                 for _ in range(8)]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 8 and len(builds) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parsed_group_tags_are_read_only():
+    group = cio.group_to_dict(catalog.get("h1"))
+    group["metric"] = {"kind": "weighted_max", "weights": [1, 2]}
+    g = cio.parse_group_dict(group)
+    assert dict(g.tags) == {"metric_spec": group["metric"]}
+    with pytest.raises(TypeError):
+        g.tags["metric_spec"] = None
 
 
 def test_library_input_checks_raise_value_error(tmp_path, h1):
