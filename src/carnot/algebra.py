@@ -731,13 +731,16 @@ class FloatOps:
         self.entries = [(i, j, k, c / den) for i, j, terms in algebra.struct_num
                         for k, c in terms]
         self.layer_of = np.array(algebra.layer_of)
-        self.layer_masks = [None] + [
-            (self.layer_of == i).astype(float) for i in range(1, self.step + 1)]
-        self.layer_idx = [np.flatnonzero(self.layer_of == i)
-                          for i in range(1, self.step + 1)]
+        self.layer_masks = (None,) + tuple(
+            (self.layer_of == i).astype(float) for i in range(1, self.step + 1))
+        self.layer_idx = tuple(np.flatnonzero(self.layer_of == i)
+                               for i in range(1, self.step + 1))
         # tail_masks[step + 1] is all zeros: the tail above the top layer
-        self.tail_masks = [None] + [
-            (self.layer_of >= i).astype(float) for i in range(1, self.step + 2)]
+        self.tail_masks = (None,) + tuple(
+            (self.layer_of >= i).astype(float) for i in range(1, self.step + 2))
+        # shared by every user of the algebra, so read-only like the algebra
+        for a in (self.layer_of,) + self.layer_masks[1:] + self.layer_idx + self.tail_masks[1:]:
+            a.flags.writeable = False
 
     def bracket(self, x, y):
         x = np.asarray(x, dtype=float)

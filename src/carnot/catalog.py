@@ -112,13 +112,14 @@ def matrix_model(algebra):
 # H-type algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HTypeData:
     """J-data on orthonormal declared bases: one matrix per center direction.
-    Encodes <J_Z X, Y> = <Z, [X, Y]>."""
+    Encodes <J_Z X, Y> = <Z, [X, Y]>.  An algebra's tags hold it with nested
+    tuples, read-only like the algebra."""
     dim_v: int
     dim_z: int
-    j_matrices: list
+    j_matrices: tuple
 
     def j_of(self, zcoords):
         """J_Z for Z given in center coordinates (linear in Z)."""
@@ -139,7 +140,7 @@ def h_type_from_J(data, name="htype", basis_names=None):
     which is exactly |J_Z X| = |Z||X| polarized.
     """
     m, q = data.dim_v, data.dim_z
-    js = [[[Q(c) for c in row] for row in jm] for jm in data.j_matrices]
+    js = tuple(tuple(tuple(Q(c) for c in row) for row in jm) for jm in data.j_matrices)
     if len(js) != q or any(len(jm) != m or any(len(row) != m for row in jm) for jm in js):
         raise ValueError("J-data must hold dim_z = %d matrices of shape %d x %d" % (q, m, m))
     for k, jm in enumerate(js):

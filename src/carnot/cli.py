@@ -5,12 +5,10 @@ algebra (product / term / decompose / oracle),
 subgroups (classify-epi / classify-mono / complement / quotient),
 experiment (lift / pansu / mvi / implicit / rank / blowup / verify-estimates).
 
-Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 undecided: no exact tier applies.  A config number that is not finite, or
-a radius (`radius`, `R`, `r1`, `r2`, `nu`) outside (0, MAX_RADIUS], is a
-validation failure.  All sampled commands are deterministic
-under --seed; exact-mode commands, the subgroups classifiers among them, are
-deterministic unconditionally.
+Exit codes: 0 success, 2 validation failure, 3 solver failure, 4 undecided:
+no exact tier applies.  ACTIONS declares each experiment's config keys, with
+their kinds, defaults and bounds, and a config is read whole before anything
+runs.  Sampled commands are deterministic under --seed, exact ones always.
 """
 
 import argparse
@@ -19,12 +17,15 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import catalog as cat
+from . import curves as cv
 from . import io as cio
 from . import metric as cmetric
+from . import pdiff
 from .algebra import AlgebraVector, GroupElement, homogeneous_dimension, is_stratified
 from .bch import bch_term, decompose_cn, group_product, series_oracle_product
 
@@ -135,8 +136,7 @@ def cmd_algebra(args):
                 for v in args.vectors)
     if args.action == "product":
         p = group_product(x, y)
-        check = series_oracle_product(x, y)
-        if p != check:
+        if p != series_oracle_product(x, y):
             print("recursion and series oracle disagree", file=sys.stderr)
             return EXIT_VALIDATION
         print(cio.format_vector(p.coords))
@@ -155,12 +155,8 @@ def cmd_algebra(args):
             raise _BadInput("--trials", "expected an integer >= 1, got %d" % args.trials)
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
-            xv = [cio.parse_rational("%d/%d" % (rng.integers(-6, 7),
-                                                rng.integers(1, 5)))
-                  for _ in range(g.dim)]
-            yv = [cio.parse_rational("%d/%d" % (rng.integers(-6, 7),
-                                                rng.integers(1, 5)))
-                  for _ in range(g.dim)]
+            xv, yv = ([cio.parse_rational("%d/%d" % (rng.integers(-6, 7), rng.integers(1, 5)))
+                       for _ in range(g.dim)] for _ in range(2))
             x, y = AlgebraVector(g, xv), AlgebraVector(g, yv)
             if group_product(x, y) != series_oracle_product(x, y):
                 print("MISMATCH at x=%s y=%s" % (cio.format_vector(xv),
@@ -217,241 +213,245 @@ def cmd_subgroups(args):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: one table of actions, each key with its kind, default and bounds
 # ---------------------------------------------------------------------------
 
-def _outpath(args, name):
-    os.makedirs(args.output_dir, exist_ok=True)
-    return os.path.join(args.output_dir, name)
-
-
-def _control_from_cfg(cv, g, spec):
-    if not isinstance(spec, dict):
-        raise ValueError("control: expected an object, got %r" % (spec,))
-    if "csv" in spec:
-        try:
-            return cv.control_from_csv(g, spec["csv"])
-        except OSError as e:
-            raise ValueError("control csv: %s" % e) from None
-    try:
-        params = dict(spec.get("params", {}))
-        if "radius" in params:
-            params["radius"] = _radius(params, "radius")
-    except (TypeError, ValueError) as e:
-        raise ValueError("control params: %s" % e) from None
-    return cv.make_control(g, spec["name"], **params)
-
-
-def _number(cfg, key, default, kind=float, positive=False):
-    """cfg[key], or the default, as a number; a bad value names its key.
-    An int key takes only a JSON integer: 2.7 is refused, not truncated.
-    A float key takes only a finite number: Python's json reads NaN,
-    Infinity and 1e400 (as inf).  With `positive` the number must be > 0
-    (a count at least 1)."""
-    value = cfg.get(key, default)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError("%s: expected an integer, got %r" % (key, value))
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("%s: expected a number, got %r" % (key, value)) from None
-    if kind is float and not math.isfinite(value):
-        raise ValueError("%s: expected a finite number, got %r" % (key, value))
-    if positive and not value > 0:
-        raise ValueError("%s: expected a number > 0, got %r" % (key, cfg[key]))
-    return value
-
-
-# The largest radius an experiment config may give.  The solvers and
-# samplers raise a radius to the powers of the layers and square it, which
-# overflows a float long before 1e300; at 1e6 the square of a tenth power
-# is 1e120.
+# The largest radius, and number in size, in a config (1e300 overflowed powers).
 MAX_RADIUS = 1e6
 
 
-def _radius(cfg, key, default=None):
-    """cfg[key], or the default, as a radius in (0, MAX_RADIUS]; a missing
-    required radius or a value out of that range names its key."""
-    value = _number(cfg, key, default, positive=True)
-    if value > MAX_RADIUS:
-        raise ValueError("%s: expected a radius <= %g, got %r" % (key, MAX_RADIUS, cfg[key]))
-    return value
+class Kind(NamedTuple):
+    """A config value's kind: check(value, key) returns it as a run takes it or
+    raises ValueError naming `key`; a contextual kind also takes ctx, the keys
+    read before.  kind(default) is a key; a default of None is described by `shown`."""
+    kind: str
+    bounds: str
+    check: object
+    lo: object = None
+    hi: object = None
+    default: object = "required"
+    shown: str = None
+    contextual: bool = False
+
+    def __call__(self, default, shown=None):
+        return self._replace(default=default, shown=shown)
 
 
-def _name(cfg, key):
-    """cfg[key], a catalog or map name or a file path, which must be a string:
-    a JSON integer would reach open() as a file descriptor."""
-    value = cfg[key]
-    if not isinstance(value, str):
-        raise ValueError("%s: expected a string, got %r" % (key, value))
-    return value
+def _expected(key, what, value):
+    return ValueError("%s: expected %s, got %r" % (key, what, value))
 
 
-def _point(value, key, dim):
-    """A config point (`start`, `center`, `base_point`) as `dim` finite float
-    coordinates; any other length or a non-finite entry is bad input naming its key."""
-    point = np.asarray(value, dtype=float)
-    if point.shape != (dim,) or not np.all(np.isfinite(point)):
-        raise ValueError("%s: expected %d finite coordinates, got %r" % (key, dim, value))
-    return point
+def _read(keys, cfg, prefix, ctx):
+    """The values of the object `cfg` by the table `keys`, read in its order and
+    named after `prefix`; any other key is refused."""
+    if not isinstance(cfg, dict):
+        raise _expected(prefix.strip() or "config", "a JSON object", cfg)
+    for k in cfg:
+        if k not in keys:
+            raise ValueError("%s%s: unknown key" % (prefix, k))
+    out, seen = {}, dict(ctx)
+    for k, kind in keys.items():
+        if k not in cfg and kind.default == "required":
+            raise ValueError("%s%s: required" % (prefix, k))
+        seen[k] = out[k] = kind.default if k not in cfg else kind.check(
+            cfg[k], prefix + k, *[seen] * kind.contextual)
+    return out
+
+
+def _numeric(kind, lo, hi):
+    """A number in [lo, hi], (lo, hi] for a radius: never NaN or Infinity, which json reads."""
+    integer = kind == "integer"
+    bounds = ("(" if kind == "radius" else "[") + ("%d, %d]" if integer else "%g, %g]") % (lo, hi)
+
+    def check(value, key):  # type(True) is bool: no flag is a number
+        if type(value) not in ((int,) if integer else (int, float)) \
+                or not (lo < value <= hi if kind == "radius" else lo <= value <= hi):
+            raise _expected(key, "a%s %s in %s" % ("n" * integer, kind, bounds), value)
+        return value if integer else float(value)
+    return Kind(kind, bounds, check, lo, hi)
+
+
+def _sequence(kind, bounds, entry, length, ok=None):
+    """A list of `length` entries, or of (least, most), or of length(ctx), of the
+    kind `entry`, each named by its index, that pass ok = (what it wants, test)."""
+    def check(value, key, ctx):
+        n = length(ctx) if callable(length) else length
+        least, most = n if isinstance(n, tuple) else (n, n)
+        if not isinstance(value, list) or not least <= len(value) <= most:
+            raise _expected(key, "%s entries" % ("%d to %d" % n if least < most else n), value)
+        xs = [entry.check(x, "%s[%d]" % (key, i)) for i, x in enumerate(value)]
+        if ok and not ok[1](xs):
+            raise _expected(key, ok[0], value)
+        return xs
+    return Kind(kind, bounds, check, entry.lo, entry.hi, contextual=True)
+
+
+def _string(bounds, load):
+    """A string, loaded; a JSON integer would reach open() as a file descriptor."""
+    def check(value, key):
+        if not isinstance(value, str):
+            raise _expected(key, "a string", value)
+        try:
+            return load(value)
+        except (KeyError, OSError, ValueError) as e:
+            raise ValueError("%s: %s" % (key, e)) from None
+    return Kind("name", bounds, check)
+
+
+def _control(value, key, ctx):
+    """{"csv": file}, or {"name": n, "params": {...}} with the params n declares."""
+    if isinstance(value, dict) and "csv" in value:
+        return _read({"csv": _string("", lambda path: cv.control_from_csv(
+            ctx["group"], path))}, value, key + " ", ctx)["csv"]
+    spec = _read({"name": ANY, "params": ANY({})}, value, key + " ", ctx)
+    if spec["name"] not in list(CONTROL_PARAMS):
+        raise ValueError("%s name: unknown control %r" % (key, spec["name"]))
+    params = _read(CONTROL_PARAMS[spec["name"]], spec["params"], key + " params ", ctx)
+    return cv.make_control(ctx["group"], spec["name"],
+                           **{k: v for k, v in params.items() if v is not None})
+
+
+ANY = Kind("any", "", lambda value, key: value)
+NUMBER = _numeric("number", -MAX_RADIUS, MAX_RADIUS)
+RADIUS = _numeric("radius", 0, MAX_RADIUS)
+COUNT = functools.partial(_numeric, "integer")
+INTERVAL = _sequence("interval", "t0 < t1", NUMBER, 2, ("t0 < t1", lambda t: t[0] < t[1]))
+SCALES = _sequence("scales", "1 to 32, decreasing", _numeric("number", 1e-12, 1),
+                   (1, 32), ("decreasing", lambda hs: all(a > b for a, b in zip(hs, hs[1:]))))
+CONTROL_PARAMS = {
+    "line": {"direction": _sequence("point", "first-layer dimension", NUMBER, lambda ctx: len(
+        ctx["group"].layer_indices(1)))(None, "e_1"),
+             "domain": INTERVAL(None, "[0, 1]")},
+    "circle": {"radius": RADIUS(None, "1"), "domain": INTERVAL(None, "[0, 2 pi]")},
+    "square": {},
+    "parabola": {"domain": INTERVAL(None, "[0, 1]")}}
+
+
+def _lift(c):
+    g = c["group"]
+    start = GroupElement(g, np.zeros(g.dim) if c["start"] is None else np.array(c["start"]))
+    curve = cv.horizontal_lift(c["control"], start, c["steps"], c["tol"])
+    rep = cv.is_horizontal(curve, tol=c["check_tol"])
+    return {"endpoint": list(map(float, curve.coords[-1])),
+            "horizontal_residual": rep.max_residual, "horizontal": bool(rep.ok)}, {
+        "_curve.csv": (["t"] + list(g.basis_names), np.column_stack([curve.ts, curve.coords]))}
+
+
+def _pansu(c):
+    g = c["group"]
+    curve = cv.horizontal_lift(c["control"], GroupElement(g, np.zeros(g.dim)), c["steps"])
+    vals = cv.pansu_quotient_norms(curve, c["t"], c["scales"])
+    return {"order": cv.decay_order(c["scales"], vals), "norms": list(map(float, vals))}, {
+        "_quotient.csv": (["h", "quotient_norm"], zip(c["scales"], vals))}
+
+
+def _mvi(c):
+    mv = pdiff.mean_value_ratio(c["map"], c["center"], c["r1"], c["r2"],
+                                pair_samples=c["pairs"], bins=c["bins"], seed=c["seed"])
+    csv = ["edge", "ratio_sup", "defect_sup"], zip(mv.bin_edges[:-1], mv.bin_sup, mv.bin_defect)
+    return {"decreasing": bool(mv.decreasing()), "ratio_sups": mv.bin_sup,
+            "defect_sups": mv.bin_defect}, {"_bins.csv": csv}
+
+
+def _implicit(c):
+    f, n = c["map"], range(c["map"].domain.dim)
+    sol, numerical = pdiff.implicit_function(f, c["base_point"], {
+        k: c[k] for k in ("radius", "counts", "shrink_attempts")}, c["tol"], c["budget"])
+    return {**sol.holder_constants(), "uniqueness": pdiff.uniqueness_check(sol, seed=c["seed"]),
+            "max_residual": float(np.max(sol.residuals)), "numerical_kernel": bool(numerical)}, {
+        "_graph.csv": (["n%d" % i for i in n] + ["phi%d" % i for i in n] + ["residual"],
+                       np.column_stack([sol.nodes, sol.phis, sol.residuals]))}
+
+
+def _rank(c):
+    rp = pdiff.rank_parametrization(c["map"], c["base_point"], c["radius"], c["count"])
+    return {"lip_ratio": rp.lip_ratio, "graph_sup": float(np.max(np.abs(rp.phi_points)))}, {}
+
+
+def _blowup(c):
+    f, xbar = c["map"], c["base_point"]
+    sol, _ = pdiff.implicit_function(f, xbar, {"radius": c["radius"], "counts": c["counts"]})
+    rep = pdiff.tangent_cone_samples(pdiff.LevelSetSampler(f, xbar, sol), xbar, sol.kernel,
+                                     c["scales"], R=c["R"], count=c["count"], seed=c["seed"])
+    return {"decreasing": bool(rep.decreasing), "final": rep.distances[-1],
+            "cone_bracket_rank": pdiff.tangent_cone_bracket_rank(sol.kernel)}, {
+        "_blowup.csv": (["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
+                        zip(rep.scales, rep.distances, rep.set_to_cone, rep.cone_to_set))}
+
+
+def _estimates(c):
+    m, nu, n, seed = _metric_for(c["group"]), c["nu"], c["samples"], c["seed"]
+    consts = [*cmetric.verify_projection_estimate(m, radius=nu, samples=n, seed=seed),
+              cmetric.norm_exp_estimate(m, nu=nu, samples=n, seed=seed),
+              cmetric.left_inverse_estimate(m, nu=nu, samples=n, seed=seed),
+              *cmetric.verify_conjugation_estimate(m, nu=nu, samples=n, seed=seed),
+              cmetric.verify_product_estimate(m, nu=nu, samples=max(n // 8, 50), seed=seed),
+              cmetric.first_layer_constant(m, radius=nu, samples=n, seed=seed),
+              cmetric.quasi_triangle_constant(m, radius=nu, samples=n, seed=seed)]
+    return {"constants": {k.label: k.sup_observed for k in consts}}, {
+        "_constants.csv": (["label", "nu", "samples", "sup"], [k.csv_row() for k in consts])}
+
+
+GROUP = _string("catalog name or group file", _load_group)
+MAP = _string("named map", lambda name: pdiff.named_map(name))
+CONTROL = Kind("control", "`csv`, or `name` and `params`", _control, contextual=True)
+COUNTS = _sequence("integer list", "1 per kernel direction, product <= 2048", COUNT(1, 2048),
+                   lambda ctx: (1, ctx["map"].domain.dim),
+                   ("at most 2048 nodes", lambda n: math.prod(n) <= 2048))(None, "7 per axis")
+POINT = _sequence("point", "map domain dimension", NUMBER, lambda ctx: ctx["map"].domain.dim)
+SEED = COUNT(0, 2 ** 32 - 1)(None, "--seed")  # a key of every action
+
+# Each action: run(values), giving the summary entries and each CSV file as suffix:
+# (header, rows), and its keys besides `seed`, with maxima that bound its memory.
+ACTIONS = {
+    "lift": (_lift, dict(group=GROUP, control=CONTROL, start=_sequence(
+        "point", "group dimension", NUMBER, lambda ctx: ctx["group"].dim)(None, "origin"),
+        steps=COUNT(2, 10 ** 5)(512), tol=NUMBER(1e-8), check_tol=NUMBER(1e-6))),
+    "pansu": (_pansu, dict(group=GROUP, control=CONTROL, steps=COUNT(2, 10 ** 5)(2048),
+                           t=NUMBER(0.5), scales=SCALES([1e-1, 1e-2, 1e-3, 1e-4]))),
+    "mvi": (_mvi, dict(map=MAP, center=POINT, r1=RADIUS, r2=RADIUS,
+                       pairs=COUNT(1, 20000)(800), bins=COUNT(1, 16)(4))),
+    "implicit": (_implicit, dict(map=MAP, base_point=POINT, radius=RADIUS(0.3), counts=COUNTS,
+                                 shrink_attempts=COUNT(0, 16)(3), tol=NUMBER(1e-10),
+                                 budget=COUNT(1, 1000)(100))),
+    "rank": (_rank, dict(map=MAP, base_point=POINT, radius=RADIUS(0.25), count=COUNT(1, 12)(5))),
+    "blowup": (_blowup, dict(map=MAP, base_point=POINT, radius=RADIUS(0.4), counts=COUNTS,
+                             scales=SCALES([1e-1, 1e-2, 1e-3]), R=RADIUS(1.0),
+                             count=COUNT(1, 4000)(400))),
+    "verify-estimates": (_estimates, dict(group=GROUP, nu=RADIUS(1.0),
+                                          samples=COUNT(1, 10 ** 7)(2000))),
+}
 
 
 def cmd_experiment(args):
-    from . import curves as cv
-    from . import pdiff
     try:
         with open(args.config) as f:
             cfg = json.load(f)
     except (OSError, ValueError) as e:
         raise _BadInput("invalid config %s" % args.config, e) from None
-    if not isinstance(cfg, dict):
-        raise _BadInput("invalid config %s" % args.config, "expected a JSON object")
-    base = os.path.splitext(os.path.basename(args.config))[0]
-
+    run, keys = ACTIONS[args.action]
     try:
-        seed = _number(cfg, "seed", args.seed, int)
-        manifest = cio.RunManifest(command="experiment %s" % args.action, seed=seed)
-        manifest.add_input(args.config)
-        summary = {"experiment": args.action, "seed": seed}
-        if args.action == "lift":
-            g = _load_group(_name(cfg, "group"))
-            control = _control_from_cfg(cv, g, cfg["control"])
-            start = GroupElement(g, _point(cfg.get("start", [0.0] * g.dim), "start", g.dim))
-            curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 512, int),
-                                       _number(cfg, "tol", 1e-8))
-            rows = [[t] + list(c) for t, c in zip(curve.ts, curve.coords)]
-            csv = cio.write_csv(_outpath(args, base + "_curve.csv"),
-                                ["t"] + list(g.basis_names), rows)
-            rep = cv.is_horizontal(curve, tol=_number(cfg, "check_tol", 1e-6))
-            summary.update({"endpoint": list(map(float, curve.coords[-1])),
-                            "horizontal_residual": rep.max_residual,
-                            "horizontal": bool(rep.ok)})
-            manifest.outputs.append(csv)
-
-        elif args.action == "pansu":
-            g = _load_group(_name(cfg, "group"))
-            control = _control_from_cfg(cv, g, cfg["control"])
-            start = GroupElement(g, np.zeros(g.dim))
-            curve = cv.horizontal_lift(control, start, _number(cfg, "steps", 2048, int))
-            t = _number(cfg, "t", 0.5)
-            scales = cfg.get("scales", [1e-1, 1e-2, 1e-3, 1e-4])
-            vals = cv.pansu_quotient_norms(curve, t, scales)
-            csv = cio.write_csv(_outpath(args, base + "_quotient.csv"),
-                                ["h", "quotient_norm"],
-                                [[h, v] for h, v in zip(scales, vals)])
-            summary.update({"order": cv.decay_order(scales, vals),
-                            "norms": list(map(float, vals))})
-            manifest.outputs.append(csv)
-
-        elif args.action == "mvi":
-            f = pdiff.named_map(_name(cfg, "map"))
-            tab = pdiff.mean_value_ratio(
-                f, _point(cfg["center"], "center", f.domain.dim), _radius(cfg, "r1"),
-                _radius(cfg, "r2"), pair_samples=_number(cfg, "pairs", 800, int, positive=True),
-                bins=_number(cfg, "bins", 4, int, positive=True), seed=seed)
-            csv = cio.write_csv(_outpath(args, base + "_bins.csv"),
-                                ["edge", "ratio_sup", "defect_sup"],
-                                [[e, r, d] for e, r, d in
-                                 zip(tab.bin_edges[:-1], tab.bin_sup, tab.bin_defect)])
-            summary.update({"decreasing": bool(tab.decreasing()),
-                            "ratio_sups": tab.bin_sup, "defect_sups": tab.bin_defect})
-            manifest.outputs.append(csv)
-
-        elif args.action == "implicit":
-            f = pdiff.named_map(_name(cfg, "map"))
-            sol, numerical = pdiff.implicit_function(
-                f, _point(cfg["base_point"], "base_point", f.domain.dim),
-                {"radius": _radius(cfg, "radius", 0.3),
-                 "counts": cfg.get("counts", None) or None,
-                 "shrink_attempts": _number(cfg, "shrink_attempts", 3, int)},
-                tol=_number(cfg, "tol", 1e-10), budget=_number(cfg, "budget", 100, int))
-            rows = [list(n) + list(p) + [r] for n, p, r in
-                    zip(sol.nodes, sol.phis, sol.residuals)]
-            csv = cio.write_csv(_outpath(args, base + "_graph.csv"),
-                                ["n%d" % i for i in range(f.domain.dim)] +
-                                ["phi%d" % i for i in range(f.domain.dim)] +
-                                ["residual"], rows)
-            hc = sol.holder_constants()
-            summary.update({"max_residual": float(np.max(sol.residuals)),
-                            "numerical_kernel": bool(numerical),
-                            "uniqueness": pdiff.uniqueness_check(sol, seed=seed),
-                            **hc})
-            manifest.outputs.append(csv)
-
-        elif args.action == "rank":
-            f = pdiff.named_map(_name(cfg, "map"))
-            rp = pdiff.rank_parametrization(
-                f, _point(cfg["base_point"], "base_point", f.domain.dim),
-                grid_radius=_radius(cfg, "radius", 0.25),
-                grid_count=_number(cfg, "count", 5, int))
-            summary.update({"lip_ratio": rp.lip_ratio,
-                            "graph_sup": float(np.max(np.abs(rp.phi_points)))})
-
-        elif args.action == "blowup":
-            count = _number(cfg, "count", 400, int, positive=True)
-            f = pdiff.named_map(_name(cfg, "map"))
-            xbar = _point(cfg["base_point"], "base_point", f.domain.dim)
-            sol, _ = pdiff.implicit_function(
-                f, xbar, {"radius": _radius(cfg, "radius", 0.4),
-                          "counts": cfg.get("counts", None) or None})
-            sampler = pdiff.LevelSetSampler(f, xbar, sol)
-            rep = pdiff.tangent_cone_samples(
-                sampler, xbar, sol.kernel, cfg.get("scales", [1e-1, 1e-2, 1e-3]),
-                R=_radius(cfg, "R", 1.0), count=count,
-                seed=seed)
-            csv = cio.write_csv(_outpath(args, base + "_blowup.csv"),
-                                ["lambda", "hausdorff", "set_to_cone", "cone_to_set"],
-                                [[l, d, a, b] for l, d, a, b in
-                                 zip(rep.scales, rep.distances, rep.set_to_cone,
-                                     rep.cone_to_set)])
-            summary.update({"decreasing": bool(rep.decreasing),
-                            "final": rep.distances[-1],
-                            "cone_bracket_rank":
-                            pdiff.tangent_cone_bracket_rank(sol.kernel)})
-            manifest.outputs.append(csv)
-
-        elif args.action == "verify-estimates":
-            m = _metric_for(_load_group(_name(cfg, "group")))
-            nu = _radius(cfg, "nu", 1.0)
-            samples = _number(cfg, "samples", 2000, int, positive=True)
-            consts = collect_estimates(m, nu, samples, seed)
-            csv = cio.constants_csv(_outpath(args, base + "_constants.csv"), consts)
-            summary.update({"constants": {c.label: c.sup_observed for c in consts}})
-            manifest.outputs.append(csv)
-
-        else:
-            raise SystemExit("unknown experiment %r" % args.action)
-    except (KeyError, TypeError, ValueError) as e:
+        values = _read(dict(keys, seed=SEED), cfg, "", {})
+        seed = values["seed"] = args.seed if values["seed"] is None else values["seed"]
+        summary, csvs = run(values)
+    except ValueError as e:
         raise _BadInput("invalid %s config %s" % (args.action, args.config), e) from None
     except RuntimeError as e:  # a solver or integrator that did not converge
         print(json.dumps({"error": str(e)}))
         return EXIT_SOLVER
-
-    spath = _outpath(args, base + "_summary.json")
-    with open(spath, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True, default=float)
-        f.write("\n")
-    manifest.outputs.append(spath)
-    manifest.write(_outpath(args, base + "_manifest.json"))
-    print(json.dumps(summary, indent=2, sort_keys=True, default=float))
+    os.makedirs(args.output_dir, exist_ok=True)
+    base = os.path.join(args.output_dir, os.path.splitext(os.path.basename(args.config))[0])
+    outputs = [cio.write_csv(base + suffix, *csv) for suffix, csv in csvs.items()]
+    text = json.dumps({"experiment": args.action, "seed": seed, **summary},
+                      indent=2, sort_keys=True, default=float)
+    with open(base + "_summary.json", "w") as f:
+        f.write(text + "\n")
+    manifest = cio.RunManifest(command="experiment %s" % args.action, seed=seed,
+                               outputs=outputs + [f.name])
+    manifest.add_input(args.config)
+    manifest.write(base + "_manifest.json")
+    print(text)
     return EXIT_OK
-
-
-def collect_estimates(m, nu, samples, seed):
-    """All metric-estimate drivers for one group, each seeded with `seed`."""
-    out = list(cmetric.verify_projection_estimate(m, radius=nu, samples=samples,
-                                                  seed=seed))
-    out.append(cmetric.norm_exp_estimate(m, nu=nu, samples=samples, seed=seed))
-    out.append(cmetric.left_inverse_estimate(m, nu=nu, samples=samples, seed=seed))
-    out.extend(cmetric.verify_conjugation_estimate(m, nu=nu, samples=samples,
-                                                   seed=seed))
-    out.append(cmetric.verify_product_estimate(m, nu=nu,
-                                               samples=max(samples // 8, 50),
-                                               seed=seed))
-    out.append(cmetric.first_layer_constant(m, radius=nu, samples=samples, seed=seed))
-    out.append(cmetric.quasi_triangle_constant(m, radius=nu, samples=samples,
-                                               seed=seed))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +497,7 @@ def build_parser():
     s.set_defaults(fn=cmd_subgroups)
 
     e = sub.add_parser("experiment", help="run a configured experiment")
-    e.add_argument("action", choices=["lift", "pansu", "mvi", "implicit",
-                                      "rank", "blowup", "verify-estimates"])
+    e.add_argument("action", choices=list(ACTIONS))
     e.add_argument("config", help="experiment config JSON")
     e.set_defaults(fn=cmd_experiment)
     return p

@@ -579,12 +579,6 @@ class ImplicitSolution:
     grid_shape: tuple
     radius: float = 0.0
 
-    def points(self):
-        """The level-set points xbar o n o phi(n)."""
-        dom = self.pdmap.domain
-        nh = group_product_np(dom, self.nodes, self.phis)
-        return group_product_np(dom, self.xbar[None, :], nh)
-
     def holder_constants(self):
         """kappa with d(phi(n), phi(n')) <= kappa d(phi(n')^-1 n^-1 n' phi(n'))
         over grid pairs (a seeded subset of 200000 on larger grids), plus the

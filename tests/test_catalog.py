@@ -242,3 +242,22 @@ def test_catalog_algebras_are_read_only():
     given["note"] = 2
     assert g.tags["note"] == 1
     assert GradedAlgebra._induced("r1", (1,), (), 1).tags == {}
+
+
+def test_shared_float_tables_and_j_data_are_read_only():
+    # catalog.get returns one algebra per name to every caller, so a write
+    # into its float tables or its H-type J-data raises instead of changing
+    # them for all callers
+    import dataclasses
+    ops = catalog.get("h1").float_ops()
+    with pytest.raises(ValueError, match="read-only"):
+        ops.layer_of[0] = 9
+    for a in ops.layer_masks[1:] + ops.layer_idx + ops.tail_masks[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    data = catalog.get("h12").tags["htype"]
+    with pytest.raises(TypeError):
+        data.j_matrices[0][1][0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.j_matrices = ()
+    assert ops.layer_of.tolist() == [1, 1, 2] and data.j_matrices[0][1][0] == 1

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from carnot import catalog
+from carnot import catalog, cli
 from carnot import io as cio
 from carnot.cli import main
 from conftest import run_optimized
@@ -403,7 +403,8 @@ INPUT_PROBES = {
         "experiment", "lift",
         _write(d, "l.json", '{"group": "h1", "control": {"name": "circle"}, "tol": NaN}')]),
     # a grid count below 1 ran one node, a negative shrink count exited 3
-    # ("failed at None"), and a rank grid count of 0 failed inside numpy
+    # ("failed at None"), and a rank grid count of 0 failed inside numpy, then
+    # was named by the library's `grid_count`, not by the config key
     "implicit-counts-zero": ("counts[0]", lambda d: [
         "experiment", "implicit",
         _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
@@ -416,7 +417,7 @@ INPUT_PROBES = {
         "experiment", "implicit",
         _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
                              "shrink_attempts": -1})]),
-    "rank-count-zero": ("grid_count", lambda d: [
+    "rank-count-zero": (": count:", lambda d: [
         "experiment", "rank",
         _write(d, "r.json", {"map": "legendrian_line", "base_point": [0.2], "count": 0})]),
     # a name that is not a string: `group` once reached os.path.exists (an
@@ -520,6 +521,76 @@ INPUT_PROBES = {
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
                              "tol": None})]),
+    # unknown keys ran on the defaults: a misspelt key, a key outside
+    # `params`, a param that a control does not take (the square's domain
+    # was replaced by (0, 4))
+    "implicit-misspelt-key": ("radiuss", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "radiuss": 5})]),
+    "implicit-bogus-key": ("bogus", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0], "bogus": 1})]),
+    "lift-misspelt-key": ("stepz", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"}, "stepz": 3})]),
+    "lift-direction-outside-params": ("control direction", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "line", "direction": [0, 1]}})]),
+    "lift-params-unknown-key": ("control params radiuss", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "circle", "params": {"radiuss": 2}}})]),
+    "lift-square-domain": ("control params domain", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {
+            "name": "square", "params": {"domain": [0, 2]}}})]),
+    # a negative scale printed LAPACK lines and a RuntimeWarning; an empty or
+    # string list named no key
+    "pansu-scales-negative": ("scales", lambda d: [
+        "experiment", "pansu",
+        _write(d, "p.json", {"group": "h1", "control": {"name": "circle"}, "steps": 256,
+                             "scales": [0.1, -0.01]})]),
+    "pansu-scales-empty": ("scales", lambda d: [
+        "experiment", "pansu",
+        _write(d, "p.json", {"group": "h1", "control": {"name": "circle"}, "steps": 256,
+                             "scales": []})]),
+    "pansu-scales-string": ("scales", lambda d: [
+        "experiment", "pansu",
+        _write(d, "p.json", {"group": "h1", "control": {"name": "circle"}, "steps": 256,
+                             "scales": "ab"})]),
+    # a point entry that is not a number named no key
+    "mvi-center-string": ("center[0]", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": ["a", 1, 0, 1, 0], "r1": 0.2,
+                             "r2": 1.0})]),
+    "lift-start-string": ("start[1]", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
+                             "start": [0, "a", 0]})]),
+    "implicit-base-point-string": ("base_point[4]", lambda d: [
+        "experiment", "implicit",
+        _write(d, "i.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, "a"]})]),
+    # sizes above their maxima ended in a MemoryError, or ran without end
+    "lift-steps-huge": ("steps", lambda d: [
+        "experiment", "lift",
+        _write(d, "l.json", {"group": "h1", "control": {"name": "square"},
+                             "steps": 10 ** 12})]),
+    "blowup-counts-huge": ("counts[1]", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "counts": [3, 10 ** 12, 1]})]),
+    "blowup-counts-product": ("counts", lambda d: [
+        "experiment", "blowup",
+        _write(d, "b.json", {"map": "radial_level", "base_point": [0, 1, 0, 1, 0],
+                             "counts": [3, 3, 10 ** 7]})]),
+    "estimates-samples-huge": ("samples", lambda d: [
+        "experiment", "verify-estimates",
+        _write(d, "e.json", {"group": "h1", "samples": 10 ** 12})]),
+    "mvi-pairs-huge": ("pairs", lambda d: [
+        "experiment", "mvi",
+        _write(d, "m.json", {"map": "radial_level", "center": [0, 1, 0, 0, 0],
+                             "r1": 0.2, "r2": 1.0, "pairs": 10 ** 12})]),
     "config-not-object": ("JSON object", lambda d: [
         "experiment", "lift", _write(d, "l.json", [1, 2])]),
     "complement-missing-file": ("nosuch.json", lambda d: [
@@ -707,3 +778,122 @@ def test_cli_experiment_rank(tmp_path, capsys):
     assert set(summary) == {"experiment", "seed", "lip_ratio", "graph_sup"}
     # the Legendrian line is its own graph: nothing leaves the image subgroup
     assert summary["lip_ratio"] == 0.0 and summary["graph_sup"] == 0.0
+
+
+# one valid config per action; the schema test changes one key at a time
+SCHEMA_BASE = {
+    "lift": {"group": "h1", "control": {"name": "circle"}},
+    "pansu": {"group": "h1", "control": {"name": "circle"}},
+    "mvi": {"map": "radial_level", "center": [0, 1, 0, 0, 0], "r1": 0.2, "r2": 1.0},
+    "implicit": {"map": "radial_level", "base_point": [0, 1, 0, 1, 0]},
+    "rank": {"map": "legendrian_line", "base_point": [0.2]},
+    "blowup": {"map": "radial_level", "base_point": [0, 1, 0, 1, 0]},
+    "verify-estimates": {"group": "h1"},
+}
+# the length of each point, interval and grid of SCHEMA_BASE: the domain
+# dimension of its group or map, and the first-layer dimension of h1
+SCHEMA_DIMS = {"start": 3, "center": 5, "counts": 5, "direction": 2, "domain": 2}
+
+
+def _bad_values(kind, dim):
+    """Values that a key of `kind` must refuse, derived from the kind alone:
+    a wrong type, non-finite numbers, and values below its minimum and above
+    its maximum; `dim` is the length of a point or interval, or the most
+    grid counts."""
+    nan, inf = float("nan"), float("inf")
+    if kind.kind in ("number", "radius", "integer"):
+        out = ["1", None, True, [kind.lo], nan, inf, -inf, kind.lo - 1, kind.hi * 2 + 1]
+        if kind.kind == "radius":
+            out.append(kind.lo)
+        if kind.kind == "integer":
+            out += [kind.lo - 1, kind.hi + 1, kind.lo + 0.5]
+        return out
+    if kind.kind == "name":
+        return [1.5, None, [], {}]
+    if kind.kind in ("point", "interval"):
+        return ["ab", 5, [kind.lo] * (dim + 1), [kind.lo] * (dim - 1)] + [
+            [x] + [kind.lo] * (dim - 1) for x in ("a", None, nan, inf, kind.lo - 1, kind.hi + 1)
+        ] + ([[1, 1], [1, 0]] if kind.kind == "interval" else [])
+    if kind.kind == "scales":
+        return ["ab", [], [0.1, -0.01], [0.01, 0.1], [0.1, 0.1], [kind.lo / 2], [kind.hi * 2],
+                [nan], ["a"], [2.0 ** -k for k in range(33)]]
+    if kind.kind == "integer list":
+        return ["3", [], [0], [2.5], [kind.hi + 1], [None], [1] * (dim + 1),
+                [kind.hi // 4 + 1] * 3]
+    if kind.kind == "control":
+        out = [("circle", "control"), ({}, "control name"), ({"name": "nosuch"}, "control name"),
+               ({"name": ["circle"]}, "control name"), ({"csv": 5}, "control csv"),
+               ({"name": "circle", "params": "x"}, "control params"),
+               ({"name": "line", "direction": [0, 1]}, "control direction"),
+               ({"csv": "c.csv", "name": "circle"}, "control name")]
+        for name, params in cli.CONTROL_PARAMS.items():
+            out.append(({"name": name, "params": {"bogus": 1}}, "control params bogus"))
+            out += [({"name": name, "params": {p: bad}}, "control params " + p)
+                    for p, k in params.items() for bad in _bad_values(k, SCHEMA_DIMS.get(p, 0))]
+        return out
+    raise AssertionError("no bad values for the kind %r" % kind.kind)
+
+
+LEFT_OUT = object()
+
+
+def _never_run(values):
+    raise AssertionError("a bad config reached the run: %r" % (values,))
+
+
+@pytest.mark.parametrize("action", sorted(cli.ACTIONS))
+def test_every_key_refuses_the_bad_values_of_its_kind(tmp_path_factory, capsys, monkeypatch,
+                                                      action):
+    # for every key of the action's schema, each bad value of its kind, an
+    # unknown key and a missing required key exit 2 with one line that names
+    # the key right after the config path.  The run is replaced, so a value
+    # that passes the reader fails here instead of running at its size
+    monkeypatch.setitem(cli.ACTIONS, action, (_never_run, cli.ACTIONS[action][1]))
+    d = tmp_path_factory.mktemp("cfg")
+    base, cases = SCHEMA_BASE[action], [("bogus", 1, "bogus")]
+    for key, kind in dict(cli.ACTIONS[action][1], seed=cli.SEED).items():
+        if kind.default == "required":
+            cases.append((key, LEFT_OUT, key))
+        dim = len(base[key]) if isinstance(base.get(key), list) else SCHEMA_DIMS.get(key, 0)
+        cases += [(key, bad, named) for bad, named in (
+            _bad_values(kind, dim) if kind.kind == "control"
+            else [(bad, key) for bad in _bad_values(kind, dim)])]
+    wrong = []
+    for key, bad, named in cases:
+        cfg = dict(base, **{key: bad})
+        if bad is LEFT_OUT:
+            del cfg[key]
+        path = _write(d, "c.json", json.dumps(cfg))
+        code = main(["--output-dir", str(d), "experiment", action, path])
+        out, err = capsys.readouterr()
+        lines = out.strip().splitlines()
+        if code != 2 or err or len(lines) != 1 or \
+                not lines[0].startswith("invalid %s config %s: %s" % (action, path, named)):
+            wrong.append((key, bad, code, out, err))
+    assert not wrong, wrong[:5]
+    assert len(cases) > 20, len(cases)
+
+
+def _schema_table(title, keys):
+    """The README table of a config schema: key, kind, default and bounds."""
+    rows = ["%s:" % title, "", "| key | kind | default | bounds |", "|---|---|---|---|"]
+    for key, kind in keys.items():
+        default = ("required" if kind.default == "required" else kind.shown
+                   if kind.default is None else json.dumps(kind.default))
+        bounds = kind.bounds + (", entries in [%g, %g]" % (kind.lo, kind.hi)
+                                if kind.contextual and kind.kind != "control" else "")
+        rows.append("| `%s` | %s | %s | %s |" % (key, kind.kind, default, bounds))
+    return "\n".join(rows)
+
+
+def test_readme_tables_match_the_config_schema():
+    import pathlib
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    tables = [_schema_table("`%s`" % action, dict(keys, seed=cli.SEED))
+              for action, (_, keys) in cli.ACTIONS.items()]
+    tables += [_schema_table("control `%s` params" % name, params)
+               for name, params in cli.CONTROL_PARAMS.items() if params]
+    tables += ["control `%s` takes no params" % name
+               for name, params in cli.CONTROL_PARAMS.items() if not params]
+    missing = [t for t in tables if t not in readme]
+    assert not missing, "\n\n".join(missing)
