@@ -260,12 +260,18 @@ class GradedAlgebra:
             raise ValueError("invalid graded algebra %r:\n%s" % (name, report))
 
     @classmethod
-    def _induced(cls, name, layer_of, struct_num, struct_den, basis_names=None):
+    def _induced(cls, name, layer_of, struct_num, struct_den, basis_names=None, tags=None):
         """The algebra of a table built from valid ones, given as struct_num
         over its least common denominator, not re-validated."""
         out = cls.__new__(cls)
-        out._init(name, layer_of, struct_num, struct_den, basis_names, None)
+        out._init(name, layer_of, struct_num, struct_den, basis_names, tags)
         return out
+
+    def __reduce__(self):
+        # pickled as its fields and rebuilt from them, valid as it was, with
+        # an empty memo: the memo's tables are rebuilt on first use
+        return GradedAlgebra._induced, (self.name, self.layer_of, self.struct_num,
+                                        self.struct_den, self.basis_names, dict(self.tags))
 
     def _init(self, name, layer_of, struct_num, struct_den, basis_names, tags):
         layer_of = tuple(int(l) for l in layer_of)

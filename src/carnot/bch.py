@@ -17,9 +17,13 @@ Two independent routes compute the group product in exponential coordinates:
   through the Dynkin bracketing.  It never touches the recursion, so exact
   agreement of the two is a real check, and it settles every sign convention.
 
-One evaluator reads the table for ``bch_term``, ``group_product``, the
-raw-coordinate law ``group_product_coords`` on Fraction tuples, and its float
-twin ``group_product_np`` on arrays of shape (..., dim), broadcast over the
+The table is compiled once per algebra into generated straight-line Python,
+kept in the memo too: exact kernels for the product and each c_n
+(``_exact_kernels``), and float kernels for one point and for a block of
+arrays (``_float_kernels``), each set compiled on its first use.
+They serve ``bch_term``, ``group_product``, the raw-coordinate law
+``group_product_coords`` on Fraction tuples, and its float twin
+``group_product_np`` on arrays of shape (..., dim), broadcast over the
 leading axes.  The latter is the one float group law of the analytic modules
 (metric, curves, pdiff).
 
@@ -33,6 +37,7 @@ tuples of ``group_product_coords``, the matrices of d exp).
 Nilpotency makes all series finite, so there are no convergence questions.
 """
 
+import collections
 import functools
 import math
 from fractions import Fraction
@@ -126,66 +131,161 @@ def _law(algebra):
     return rows, dens, float_rows
 
 
-def _accumulate(rows, v, degrees, out):
-    """Add to out[k] each term of each row (n, k), n in `degrees`, at the
-    variables v, in table order.  v and out hold ints or floats; a batch of
-    float arrays runs through _accumulate_block, by the same operations."""
-    for n in degrees:
-        for k, terms in rows[n]:
-            acc = out[k]
-            for a, mono in terms:
-                for i in mono:
-                    a = a * v[i]
-                acc = acc + a
-            out[k] = acc
-    return out
+_CHUNK = 100   # terms per generated statement: CPython's compiler recurses along a long sum
 
 
-def _exact_terms(algebra, x, y, degrees):
-    """sum of c_n(X, Y) over the consecutive `degrees`, on the integer forms
-    x = (nums, den) and y, as an integer form (nums, den), not reduced.  The
-    variables are scaled to integers over D = lcm of the two denominators:
-    the degree-n rows sum to dens[k] D^n c_n[k], Horner's rule in D adds the
-    degrees up, and each coordinate k is brought from dens[k] to lcm(dens)."""
+def _compile(name, params, lines, scope=None):
+    """The function `name` of the generated source lines, in a fresh scope."""
+    scope = dict(scope or {})
+    source = "def %s(%s):\n    %s\n" % (name, params, "\n    ".join(lines))
+    exec(compile(source, "<carnot.bch %s kernel>" % name, "exec"), scope)
+    return scope[name]
+
+
+def _sums(target, terms, first):
+    """Statements adding the signed terms ("+ 2*v0", "- v1*v3") to `target`
+    left to right, _CHUNK at a time, the first onto the expression `first`
+    (e.g. "o3*d2"), or onto nothing if it is empty."""
+    chunks = [" ".join(terms[i:i + _CHUNK]) for i in range(0, len(terms), _CHUNK)]
+    return ["%s = %s" % (target, "%s %s" % (head, chunk) if head else chunk.lstrip("+ "))
+            for head, chunk in zip([first] + [target] * len(chunks), chunks)]
+
+
+def _unpack(algebra):
+    return "[%s] = v" % ", ".join("v%d" % i for i in range(2 * algebra.dim))
+
+
+def _product(mono, names):
+    """The source of the product of the variables v<i>, i in mono, starting
+    from the longest prefix of mono that `names` names."""
+    j = max([j for j in range(2, len(mono) + 1) if mono[:j] in names] or [1])
+    return "*".join([names[mono[:j]] if j > 1 else "v%d" % mono[0]] +
+                    ["v%d" % i for i in mono[j:]])
+
+
+def _degree_sets(step):
+    """The degrees of the kernels, by index n: all of 1..step for n = 0 (the
+    product), and n alone for the term c_n."""
+    return [range(1, step + 1)] + [(n,) for n in range(1, step + 1)]
+
+
+@per_algebra
+def _exact_kernels(algebra):
+    """The rows of _law compiled once into straight-line Python, kept in the
+    algebra's memo: (den, kernels), den = lcm(dens), and kernels[n](v, D)
+    the integer numerators over den D^n (D^step for n = 0) at the variables
+    v, scaled to integers over D, of the sum of c_n over _degree_sets[n].
+
+    Each coordinate k is one Horner sum in D over the degrees, with its
+    coefficients pre-scaled from dens[k] to den; a leading product of
+    variables that two or more terms share is computed once, as p<i>.  The
+    source is built from ints and the names v<i>, o<k>, p<i> and d<j> alone."""
     rows, dens, _ = _law(algebra)
+    den, table = math.lcm(*dens), [None] + [dict(r) for r in rows[1:]]
+
+    def compiled(degrees):
+        lines, coords, names = [], [], {}
+        uses = collections.Counter(m[:j] for n in degrees for terms in table[n].values()
+                                   for _, m in terms for j in range(2, len(m) + 1))
+        for p in sorted((p for p, c in uses.items() if c > 1), key=len):
+            lines.append("p%d = %s" % (len(names), _product(p, names)))
+            names[p] = "p%d" % len(names)
+        for k in range(algebra.dim):
+            scale, last = den // dens[k], 0
+            for n in degrees:
+                if k not in table[n]:
+                    continue
+                terms = ["%s %s%s" % ("-" if a < 0 else "+", "%d*" % abs(a * scale)
+                                      if abs(a * scale) != 1 else "", _product(m, names))
+                         for a, m in table[n][k]]
+                lines += _sums("o%d" % k, terms, "o%d*d%d" % (k, n - last) if last else "")
+                last = n
+            if last and last < degrees[-1]:
+                lines.append("o%d = o%d*d%d" % (k, k, degrees[-1] - last))
+            coords.append("o%d" % k if last else "0")
+        powers = ["d%d = d%d*d1" % (j, j - 1) for j in range(2, len(degrees))]
+        return _compile("exact", "v, d1", [_unpack(algebra)] + powers + lines +
+                        ["return [%s]" % ", ".join(coords)])
+
+    return den, [compiled(degrees) for degrees in _degree_sets(algebra.step)]
+
+
+@per_algebra
+def _float_kernels(algebra):
+    """The float rows of _law compiled once into straight-line Python, kept
+    in the algebra's memo: (point, block), by index n as _degree_sets.
+    point[n](out, v) returns the list out plus the terms of degree >= 2 at
+    the float variables v; block[n] is a tuple of functions f(out, v,
+    scratch), one per degree >= 2, that add the same terms onto the rows of
+    the arrays out in place, in turn, each monomial built in scratch by
+    np.multiply.  Both keep _law's operation order: each term is its
+    coefficient times the variables left to right, and the terms of k are
+    added left to right, degree by degree, onto out[k].  The source is built
+    from the repr of the float coefficients and the names v<i> and o<k> alone."""
+    _, _, rows = _law(algebra)
+    table = [None] + [dict(r) for r in rows[1:]]
+    outs = "[%s]" % ", ".join("o%d" % k for k in range(algebra.dim))
+
+    def point(degrees):
+        lines = []
+        for k in range(algebra.dim):
+            lines += _sums("o%d" % k, ["+ %r*%s" % (a, _product(m, {})) for n in degrees
+                                       for a, m in table[n].get(k, ())], "o%d" % k)
+        return _compile("point", "o, v", ["%s = o" % outs, _unpack(algebra)] + lines +
+                        ["return %s" % outs])
+
+    def block(n):
+        lines = [_unpack(algebra)]
+        for k, terms in rows[n]:
+            lines.append("o%d = o[%d]" % (k, k))
+            for a, (first, *rest) in terms:
+                lines += ["multiply(v%d, %r, s)" % (first, a)] + \
+                    ["multiply(s, v%d, s)" % i for i in rest] + ["add(o%d, s, o%d)" % (k, k)]
+        return _compile("block", "o, v, s", lines, {"multiply": np.multiply, "add": np.add})
+
+    blocks = [block(n) for n in range(2, algebra.step + 1)]
+    return ([point([n for n in degrees if n > 1]) for degrees in _degree_sets(algebra.step)],
+            [tuple(blocks), ()] + [(b,) for b in blocks])
+
+
+def _exact_terms(algebra, x, y, n):
+    """c_n(X, Y), or for n = 0 the sum of all c_n, on the integer forms
+    x = (nums, den) and y, as an integer form (nums, den), not reduced.  The
+    variables are scaled to integers over D = lcm of the two denominators,
+    and the compiled kernel returns the numerators over den D^n."""
+    den, kernels = _exact_kernels(algebra)
     (xn, xd), (yn, yd) = x, y
     big_d = math.lcm(xd, yd)
     sx, sy = big_d // xd, big_d // yd
-    v = [n * sx for n in xn] + [n * sy for n in yn]
-    nums = [0] * algebra.dim
-    for n in degrees:
-        nums = _accumulate(rows, v, (n,), [num * big_d for num in nums])
-    den = math.lcm(*dens)
-    return ([num * (den // d) for num, d in zip(nums, dens)],
-            den * big_d ** degrees[-1])
+    v = [a * sx for a in xn] + [a * sy for a in yn]
+    return kernels[n](v, big_d), den * big_d ** (n or algebra.step)
 
 
 _BLOCK_ITEMS = 32768   # coordinates per block of the batched float law (256 KiB)
 
 
-def _float_terms(algebra, x, y, degrees):
+def _float_terms(algebra, x, y, n):
     """Float twin of _exact_terms on arrays of shape (..., dim), starting from
-    c_1 = x + y.  One point runs over Python floats, also when it comes as
-    a batch of one, a batch over column views; both do the same float
-    operations, so they agree bit for bit.
+    c_1 = x + y (or zeros for a term c_n with n >= 2), through the compiled
+    float kernels.  One point runs over Python floats, also when it comes as
+    a batch of one; a batch runs over column views.  Both kernels do the
+    same float operations in the same order, so they agree bit for bit.
 
     A batch runs in blocks of at most _BLOCK_ITEMS coordinates along the
     leading axis of the broadcast shape, so that each block's columns stay
     in cache (about 4096 rows of a dimension-8 group).  A factor that
     broadcasts along that axis enters every block whole, so no factor is
-    copied or expanded.  Each monomial of a block is built in one scratch
-    array and added into its output row in place (_accumulate_block), so a
-    block allocates one array.  The result takes the memory order of x + y: on
+    copied or expanded.  The block kernel builds each monomial in one
+    scratch array and adds it into its output row in place, so a block
+    allocates one array.  The result takes the memory order of x + y: on
     column-major input (the samplers' layout) each column is contiguous and
     the result is column-major, bit for bit the row-major result."""
-    total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    higher, float_rows = [n for n in degrees if n > 1], _law(algebra)[2]
+    total = x + y if n <= 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    point, blocks = _float_kernels(algebra)
     if total.ndim == 1:
-        return np.array(_accumulate(float_rows, x.tolist() + y.tolist(), higher,
-                                    total.tolist()))
+        return np.array(point[n](total.tolist(), x.tolist() + y.tolist()))
     if total.size == algebra.dim:
-        return _float_terms(algebra, x.reshape(-1), y.reshape(-1),
-                            degrees).reshape(total.shape)
+        return _float_terms(algebra, x.reshape(-1), y.reshape(-1), n).reshape(total.shape)
     out = total.transpose(-1, *range(total.ndim - 1))
     rows = max(1, _BLOCK_ITEMS * len(total) // max(1, total.size))
     x, y = (v.reshape((1,) * (total.ndim - v.ndim) + v.shape) for v in (x, y))
@@ -194,23 +294,10 @@ def _float_terms(algebra, x, y, degrees):
         columns = [xb[..., i] for i in range(algebra.dim)] + \
             [yb[..., i] for i in range(algebra.dim)]
         block = out[:, s:s + rows]
-        _accumulate_block(float_rows, columns, higher, block, np.empty(block.shape[1:]))
+        scratch = np.empty(block.shape[1:])
+        for kernel in blocks[n]:
+            kernel(block, columns, scratch)
     return total
-
-
-def _accumulate_block(rows, v, degrees, out, scratch):
-    """_accumulate on one block of float arrays, in place: each monomial is
-    built in `scratch` and added into its row out[k], by the same operations
-    in the same order, so the sums are bit for bit _accumulate's."""
-    multiply, add = np.multiply, np.add
-    for n in degrees:
-        for k, terms in rows[n]:
-            acc = out[k]
-            for a, (first, *rest) in terms:
-                multiply(v[first], a, scratch)
-                for i in rest:
-                    multiply(scratch, v[i], scratch)
-                add(acc, scratch, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +311,17 @@ def bch_term(n, x, y):
         raise ValueError("term index %d out of range 1..%d" % (n, alg.step))
     x._check(y)
     if x.scalar_mode == "float":
-        return AlgebraVector(alg, _float_terms(alg, x.coords, y.coords, (n,)))
-    return AlgebraVector.from_int_form(alg, *_exact_terms(alg, x.int_form, y.int_form, (n,)))
+        return AlgebraVector(alg, _float_terms(alg, x.coords, y.coords, n))
+    return AlgebraVector.from_int_form(alg, *_exact_terms(alg, x.int_form, y.int_form, n))
 
 
 def group_product(x, y):
     """Group operation read in exponential coordinates: sum of all c_n."""
     alg = x.algebra
     x._check(y)
-    degrees = range(1, alg.step + 1)
     if x.scalar_mode == "float":
-        return _product_class(x, y)(alg, _float_terms(alg, x.coords, y.coords, degrees))
-    return _product_class(x, y).from_int_form(
-        alg, *_exact_terms(alg, x.int_form, y.int_form, degrees))
+        return _product_class(x, y)(alg, _float_terms(alg, x.coords, y.coords, 0))
+    return _product_class(x, y).from_int_form(alg, *_exact_terms(alg, x.int_form, y.int_form, 0))
 
 
 def _product_class(x, y):
@@ -254,7 +339,7 @@ def group_product_coords(algebra, xc, yc):
     """Exact group product on raw coordinate sequences, as a Fraction tuple."""
     x, y = (AlgebraVector(algebra, c).int_form for c in (xc, yc))
     return AlgebraVector.from_int_form(
-        algebra, *_exact_terms(algebra, x, y, range(1, algebra.step + 1))).coords
+        algebra, *_exact_terms(algebra, x, y, 0)).coords
 
 
 def group_product_np(algebra, x, y):
@@ -265,7 +350,7 @@ def group_product_np(algebra, x, y):
     if x.shape[-1:] != (algebra.dim,) or y.shape[-1:] != (algebra.dim,):
         raise ValueError("coordinate arrays must end in the algebra dimension %d"
                          % algebra.dim)
-    return _float_terms(algebra, x, y, range(1, algebra.step + 1))
+    return _float_terms(algebra, x, y, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +512,14 @@ def _dynkin_evaluate(series, algebra, letters):
     common denominator that absorbs coeff/n, D^n and struct_den^(n-1).
     Returns the integer form (nums, common), not reduced.
     """
+    words, top, lcm_w = _word_plan(series)
     den = math.lcm(*(d for _, d in letters.values()))
     ints = {l: tuple(n * (den // d) for n in nums) for l, (nums, d) in letters.items()}
-    words = sorted(series.terms)
-    if words and not words[0]:
-        if series.terms[()] != 0:
-            raise ValueError("not a Lie element (scalar part)")
-        words = words[1:]
-    top = max(map(len, words), default=1)
     sd = algebra.struct_den
-    common = math.lcm(*(series.terms[w].denominator * len(w) for w in words)) * \
-        den ** top * sd ** (top - 1)
+    scale = [(den * sd) ** j for j in range(top + 1)]
     acc = [0] * algebra.dim
     path, values = (), []  # values[t]: the left-nested bracket of path[:t + 1]
-    for w in words:
+    for w, num in words:
         m = 0
         while m < len(path) and m < len(w) and path[m] == w[m]:
             m += 1
@@ -455,11 +534,26 @@ def _dynkin_evaluate(series, algebra, letters):
         path = w[:len(values)]
         if len(values) < len(w) or not any(values[-1]):
             continue
-        c = series.terms[w]
-        a = c.numerator * (common // (c.denominator * len(w) * den ** len(w)
-                                      * sd ** (len(w) - 1)))
+        a = num * scale[top - len(w)]
         acc = [s + a * v for s, v in zip(acc, values[-1])]
-    return acc, common
+    return acc, lcm_w * den ** top * sd ** (top - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_plan(series):
+    """The words of a Lie polynomial for _dynkin_evaluate, once per series
+    (the cached word polynomials, which nobody mutates): (w, num) in sorted
+    order, the top degree, and the lcm L of the denominators len(w) c_w,
+    with c_w / len(w) = num / L."""
+    terms = series.terms
+    words = sorted(terms)
+    if words and not words[0]:
+        if terms[()] != 0:
+            raise ValueError("not a Lie element (scalar part)")
+        words = words[1:]
+    lcm_w = math.lcm(*(terms[w].denominator * len(w) for w in words))
+    plan = [(w, terms[w].numerator * (lcm_w // (terms[w].denominator * len(w)))) for w in words]
+    return plan, max(map(len, words), default=1), lcm_w
 
 
 def series_oracle_product(x, y):
@@ -605,7 +699,7 @@ def cn_difference_bound(algebra, n, nu, samples=200, seed=0):
     def block(k):
         x, y, d1, d2 = (unit_vectors(rng, k, algebra.dim) * rng.uniform(0, nu, (k, 1))
                         for _ in range(4))
-        diff = _float_terms(algebra, x + d1, y + d2, (n,)) - _float_terms(algebra, x, y, (n,))
+        diff = _float_terms(algebra, x + d1, y + d2, n) - _float_terms(algebra, x, y, n)
         den = nu ** (n - 1) * np.maximum(_norms(d1), _norms(d2))
         return masked_sup(_norms(diff), den, den != 0), k
 
@@ -630,7 +724,7 @@ def bilinear_bound(algebra, n, nu=1.0, samples=400, seed=0):
                 for _ in range(2))
         br = _norms(algebra.float_ops().bracket(x, y))
         keep = br >= 1e-9
-        return masked_sup(_norms(_float_terms(algebra, x, y, (n,))), br, keep), int(keep.sum())
+        return masked_sup(_norms(_float_terms(algebra, x, y, n)), br, keep), int(keep.sum())
 
     label = "bch_term_vs_bracket alpha_%d[%s]" % (n, algebra.name)
     return streamed(samples, block, [label], nu)[0]

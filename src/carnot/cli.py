@@ -338,9 +338,12 @@ def _lift(c):
 
 
 def _pansu(c):
-    g = c["group"]
+    g, (t0, t1), t = c["group"], c["control"].domain, c["t"]
+    if not t0 <= t <= t + c["scales"][0] <= t1:  # the scales decrease
+        raise ValueError("t: expected t and t + scales[0] in the control domain [%g, %g], "
+                         "got %r" % (t0, t1, t))
     curve = cv.horizontal_lift(c["control"], GroupElement(g, np.zeros(g.dim)), c["steps"])
-    vals = cv.pansu_quotient_norms(curve, c["t"], c["scales"])
+    vals = cv.pansu_quotient_norms(curve, t, c["scales"])
     return {"order": cv.decay_order(c["scales"], vals), "norms": list(map(float, vals))}, {
         "_quotient.csv": (["h", "quotient_norm"], zip(c["scales"], vals))}
 

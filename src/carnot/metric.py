@@ -119,8 +119,9 @@ def default_metric(algebra):
 # ---------------------------------------------------------------------------
 # Batches are column-major: a sampler draws a (dim, count) array and returns
 # its (count, dim) transpose, so each coordinate is one contiguous column for
-# the group law (bch._float_terms) and FloatOps.layer_squares, which read
-# x[..., k] columns and keep the input's memory order.
+# the group law's compiled block kernels (bch._float_terms) and
+# FloatOps.layer_squares, which read x[..., k] columns and keep the input's
+# memory order.
 
 
 def sample_box(algebra, radius, count, rng):

@@ -1029,7 +1029,15 @@ def named_map(name):
     if name == "corner":
         return corner_map(catalog.get("h1"))
     if name.startswith("dilation:"):
-        return dilation_map(catalog.get("h1"), float(name.split(":")[1]))
+        factor = name[len("dilation:"):]
+        try:
+            r = float(factor)
+        except ValueError:
+            r = math.nan
+        if not math.isfinite(r):
+            raise ValueError("named map %r: expected a finite dilation factor, got %r"
+                             % (name, factor))
+        return dilation_map(catalog.get("h1"), r)
     if name == "legendrian_line":
         h1 = catalog.get("h1")
         return PDMap(catalog.get("r1"), h1,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction as Q
@@ -8,7 +9,8 @@ import pytest
 from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement,
                             Polynomial, bracket, dilate, unit_vectors)
-from carnot.bch import (_dynkin_evaluate, _law, bch_term, bch_word_polynomial,
+from carnot.bch import (_BLOCK_ITEMS, _dynkin_evaluate, _exact_terms, _float_terms,
+                        _law, bch_term, bch_word_polynomial,
                         bernoulli, bilinear_bound, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
                         dexp_word_polynomial, exp_differential,
@@ -526,3 +528,113 @@ def test_compiled_law_is_pinned(name):
     # the integer-coefficient polynomials compile the same table
     law = _law(catalog.get(name))
     assert hashlib.sha256(repr(law).encode()).hexdigest()[:16] == LAW_DIGESTS[name]
+
+
+# the reference of the compiled kernels: the table read term by term, on
+# ints, floats and float arrays alike
+def _table_loop(rows, v, degrees, out):
+    """Add to out[k] each term of each row (n, k), n in `degrees`, at the
+    variables v, in table order: the coefficient times the variables left to
+    right, added left to right onto out[k]."""
+    for n in degrees:
+        for k, terms in rows[n]:
+            acc = out[k]
+            for a, mono in terms:
+                for i in mono:
+                    a = a * v[i]
+                acc = acc + a
+            out[k] = acc
+    return out
+
+
+def _exact_loop(g, x, y, degrees):
+    """The integer form (nums, den) of the sum of c_n over the consecutive
+    `degrees`, by Horner's rule in D over the table loop."""
+    rows, dens, _ = _law(g)
+    (xn, xd), (yn, yd) = x.int_form, y.int_form
+    big_d = math.lcm(xd, yd)
+    v = [n * (big_d // xd) for n in xn] + [n * (big_d // yd) for n in yn]
+    nums = [0] * g.dim
+    for n in degrees:
+        nums = _table_loop(rows, v, (n,), [num * big_d for num in nums])
+    den = math.lcm(*dens)
+    return [num * (den // d) for num, d in zip(nums, dens)], den * big_d ** degrees[-1]
+
+
+def _float_loop(g, x, y, degrees):
+    """The float law on arrays of shape (..., dim) by the table loop, over
+    whole columns: elementwise the same operations as one point."""
+    total = x + y if degrees[0] == 1 else np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    columns = [x[..., i] for i in range(g.dim)] + [y[..., i] for i in range(g.dim)]
+    out = _table_loop(_law(g)[2], columns, [n for n in degrees if n > 1],
+                      [total[..., k] for k in range(g.dim)])
+    return np.stack(out, axis=-1) if g.dim else total
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_step_two(m):
+    """A step-2 table on m generators and one central z, with every bracket
+    [e_i, e_j] a nonzero multiple of z: c_2[z] has m (m - 1) terms."""
+    return GradedAlgebra._induced("dense%d" % m, [1] * m + [2], tuple(
+        (i, j, ((m, (i + 2 * j) % 5 - 2 or 3),)) for i in range(m) for j in range(i + 1, m)), 1)
+
+
+KERNEL_GROUPS = list(catalog.catalog_names()) + ["free_2_5", "free_2_6", "abelian_0", "frac5"]
+
+
+def _group(name):
+    return {"abelian_0": catalog.abelian(0), "frac5": _fractional_table(),
+            "dense72": _dense_step_two(72)}.get(name) or catalog.get(name)
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS + ["dense72"])
+def test_exact_kernels_equal_the_table_loop(name, rng):
+    # the full product and every single degree, as the same unreduced
+    # integer form, on random rationals and on large coprime denominators
+    g = _group(name)
+    if name == "dense72":
+        assert max(len(terms) for _, terms in _law(g)[0][2]) > 5000
+    pairs = [(rational_vector(g, rng), rational_vector(g, rng)) for _ in range(3)]
+    pairs.append(tuple(AlgebraVector(g, [Q(int(rng.integers(-10 ** 6, 10 ** 6)), d)
+                                         for _ in range(g.dim)]) for d in (7, 10 ** 6 + 3)))
+    for x, y in pairs:
+        assert _exact_terms(g, x.int_form, y.int_form, 0) == \
+            _exact_loop(g, x, y, range(1, g.step + 1)), name
+        for n in range(1, g.step + 1):
+            assert _exact_terms(g, x.int_form, y.int_form, n) == _exact_loop(g, x, y, (n,))
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS + ["dense72"])
+def test_float_kernels_equal_the_table_loop_bit_for_bit(name, rng):
+    # the point kernel on one point, the block kernels on a batch that
+    # spans a _BLOCK_ITEMS boundary in C and F order, for the full product
+    # and every single degree
+    g = _group(name)
+    rows = 2 * (_BLOCK_ITEMS // max(1, g.dim)) + 17 if g.dim < 20 else 40
+    xs, ys = rng.standard_normal((2, rows, g.dim))
+    for n, degrees in [(0, range(1, g.step + 1))] + [(n, (n,)) for n in range(1, g.step + 1)]:
+        want = _float_loop(g, xs, ys, degrees)
+        assert np.array_equal(_float_terms(g, xs[3], ys[3], n), want[3]), (name, n)
+        for x, y in ((xs, ys), (np.asfortranarray(xs), np.asfortranarray(ys))):
+            got = _float_terms(g, x, y, n)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (name, n)
+
+
+# the first 16 hex digits of the sha256 of group_product_np outputs on every
+# catalog group and free_2_5, as the table-reading float law that the
+# kernels replaced computed them: a batch in C order and F order across a
+# block boundary, one point, and one point broadcast against an F-order batch
+FLOAT_LAW_DIGEST = "58f3dd126cb42442"
+
+
+def test_float_law_bytes_are_pinned():
+    h = hashlib.sha256()
+    for name in list(catalog.catalog_names()) + ["free_2_5"]:
+        g = catalog.get(name)
+        rng = np.random.default_rng(17)
+        xs, ys = rng.standard_normal((2, 2 * (_BLOCK_ITEMS // g.dim) + 17, g.dim))
+        xf = np.asfortranarray(xs)
+        for out in (group_product_np(g, xs, ys), group_product_np(g, xf, np.asfortranarray(ys)),
+                    group_product_np(g, xs[0], ys[0]), group_product_np(g, xf, ys[1])):
+            h.update(np.ascontiguousarray(out).tobytes())
+    assert h.hexdigest()[:16] == FLOAT_LAW_DIGEST

@@ -261,3 +261,22 @@ def test_shared_float_tables_and_j_data_are_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.j_matrices = ()
     assert ops.layer_of.tolist() == [1, 1, 2] and data.j_matrices[0][1][0] == 1
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_catalog_algebras_pickle_after_a_product(name, rng):
+    # the memo holds compiled functions once a product ran; an algebra is
+    # pickled as its fields and comes back equal, with its names and tags,
+    # and gives the same products
+    import pickle
+    from carnot.bch import group_product
+    g = catalog.get(name)
+    x, y = rational_vector(g, rng), rational_vector(g, rng)
+    want = group_product(x, y)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back is not g
+    assert (back.name, back.basis_names, back.layer_of) == (g.name, g.basis_names, g.layer_of)
+    assert set(back.tags) == set(g.tags)
+    got = group_product(AlgebraVector(back, x.coords), AlgebraVector(back, y.coords))
+    assert got.algebra is back and got.int_form == want.int_form
+    assert pickle.loads(pickle.dumps(x)).int_form == x.int_form

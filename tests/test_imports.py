@@ -71,7 +71,7 @@ def test_every_assignment_is_read():
 
 # the independent product routes of carnot.bch, and what they must not run
 ORACLE_ROUTES = ("series_oracle_product", "exp_differential_oracle", "_dynkin_evaluate")
-LAW_NAMES = {"_law", "_bch_terms", "_exact_terms", "_accumulate"}
+LAW_NAMES = {"_law", "_bch_terms", "_exact_terms", "_exact_kernels", "_float_kernels"}
 
 
 def test_oracles_do_not_read_the_compiled_law():
@@ -310,8 +310,9 @@ def test_memoised_builders_read_no_tags_or_basis_names():
         r, f = _metadata_reads_of_builders(path.read_text())
         roots.update(r)
         found.extend((path.name,) + x for x in f)
-    assert roots == {"struct", "_key", "float_ops", "is_stratified", "_law", "_forms",
-                     "_heisenberg_n", "_is_h12", "_isotropic_bound", "_supports"}, roots
+    assert roots == {"struct", "_key", "float_ops", "is_stratified", "_law", "_exact_kernels",
+                     "_float_kernels", "_forms", "_heisenberg_n", "_is_h12", "_isotropic_bound",
+                     "_supports"}, roots
     assert not found, found
     assert _metadata_reads_of_builders(
         "@per_algebra\ndef f(a):\n    return g(a)\ndef g(a):\n    return a.tags\n"

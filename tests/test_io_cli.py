@@ -559,6 +559,15 @@ INPUT_PROBES = {
         "experiment", "pansu",
         _write(d, "p.json", {"group": "h1", "control": {"name": "circle"}, "steps": 256,
                              "scales": "ab"})]),
+    # a window outside the control's domain named neither t nor the scales
+    "pansu-window-past-domain": (": t:", lambda d: [
+        "experiment", "pansu",
+        _write(d, "p.json", {"group": "h1", "control": {"name": "circle"}, "t": 6.2,
+                             "scales": [0.5]})]),
+    "pansu-window-before-domain": (": t:", lambda d: [
+        "experiment", "pansu",
+        _write(d, "p.json", {"group": "h1", "control": {"name": "parabola"}, "t": -0.1,
+                             "scales": [0.01]})]),
     # a point entry that is not a number named no key
     "mvi-center-string": ("center[0]", lambda d: [
         "experiment", "mvi",
@@ -808,8 +817,9 @@ def _bad_values(kind, dim):
         if kind.kind == "integer":
             out += [kind.lo - 1, kind.hi + 1, kind.lo + 0.5]
         return out
-    if kind.kind == "name":
-        return [1.5, None, [], {}]
+    if kind.kind == "name":  # a dilation's factor is read from the map's name
+        return [1.5, None, [], {}] + (["dilation:" + r for r in ("nan", "inf", "-inf", "x", "")]
+                                      if kind is cli.MAP else [])
     if kind.kind in ("point", "interval"):
         return ["ab", 5, [kind.lo] * (dim + 1), [kind.lo] * (dim - 1)] + [
             [x] + [kind.lo] * (dim - 1) for x in ("a", None, nan, inf, kind.lo - 1, kind.hi + 1)

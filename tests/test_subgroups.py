@@ -623,8 +623,9 @@ def test_every_memoised_table_is_built_once_per_algebra():
     # builds it into the algebra's memo, a second call reads it back and
     # builds nothing, and an equal but distinct algebra gets its own
     builders = _memoised_builders()
-    assert set(builders) == {"struct", "_key", "float_ops", "is_stratified", "_law", "_forms",
-                             "_heisenberg_n", "_is_h12", "_isotropic_bound", "_supports"}
+    assert set(builders) == {"struct", "_key", "float_ops", "is_stratified", "_law",
+                             "_exact_kernels", "_float_kernels", "_forms", "_heisenberg_n",
+                             "_is_h12", "_isotropic_bound", "_supports"}
     h12 = catalog.get("h12")
 
     def fresh():
