@@ -22,6 +22,18 @@ from . import linalg
 
 Q = Fraction
 
+# The largest dimension of an algebra.  The catalog names, the group-file
+# reader and the validated constructor check it before they build anything:
+# validation alone visits every triple of basis vectors.
+MAX_DIM = 200
+
+
+def check_dim(dim, name):
+    """ValueError naming `name` (a group name or a file field) if `dim`
+    exceeds MAX_DIM."""
+    if dim > MAX_DIM:
+        raise ValueError("%s: dimension %d exceeds the budget of %d" % (name, dim, MAX_DIM))
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -238,11 +250,13 @@ class GradedAlgebra:
 
     The attributes cannot be set or deleted once built (AttributeError).
     Every table given here is read by ``linalg.int_form`` and validated
-    once: an invalid one raises ValueError.  ``_induced`` takes the integer
+    once: an invalid one, or one of more than MAX_DIM basis vectors, raises
+    ValueError.  ``_induced`` takes the integer
     table of a subalgebra, a quotient or a product, valid by construction.
     """
 
     def __init__(self, name, layer_of, struct, basis_names=None, tags=None):
+        check_dim(len(layer_of), name)
         entries = []
         for (i, j), terms in struct.items():
             if not i < j:

@@ -10,8 +10,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, check_dim
 from .bch import FreeSeries
+from .morphism import GradedMorphism
 
 Q = Fraction
 
@@ -24,6 +25,7 @@ def heisenberg(n):
     """h^n: basis (x1, y1, ..., xn, yn, z), step 2, [x_i, y_i] = z."""
     if n < 1:
         raise ValueError("heisenberg group h^n needs n >= 1, got %d" % n)
+    check_dim(2 * n + 1, "h%d" % n)
     layers = [1] * (2 * n) + [2]
     names = []
     for i in range(1, n + 1):
@@ -283,8 +285,6 @@ def _free_nilpotent_data(p, step):
                                  % (deg, len(level), expected))
     trees = [t for level in levels for t in level]
     dim = len(trees)
-    if dim > 200:
-        raise ValueError("free nilpotent dimension %d exceeds the budget of 200" % dim)
     layers = [_tree_degree(t) for t in trees]
     series = [_tree_to_series(t, step) for t in trees]
     # per-degree word-space expansion matrices for exact coordinates
@@ -340,6 +340,13 @@ def free_nilpotent(p, step):
     if p == 1:
         return GradedAlgebra("free_1_%d" % step, [1], {}, basis_names=["x1"],
                              tags={"free_generators": (0,)})
+    # Witt's formula gives the dimension before any Hall tree is built; on
+    # p >= 2 letters every degree adds to it, so the sum passes the budget
+    # within a few degrees
+    dim = 0
+    for degree in range(1, step + 1):
+        dim += witt_dimension(p, degree)
+        check_dim(dim, "free_%d_%d up to degree %d" % (p, step, degree))
     trees, layers, struct = _free_nilpotent_data(p, step)
     return GradedAlgebra("free_%d_%d" % (p, step), layers, struct,
                          basis_names=[_tree_name(t) for t in trees],
@@ -350,7 +357,6 @@ def free_lie_extension(free_alg, target, generator_images):
     """The homomorphism extending a map of generators into any algebra of the
     same (or lower) step: each Hall element goes to the corresponding nested
     bracket of the images.  Realizes the universal property."""
-    from .morphism import GradedMorphism
     trees = free_alg.tags["hall_trees"]
     images = {i: tuple(v) for i, v in enumerate(generator_images)}
 
@@ -393,6 +399,7 @@ def example_g42():
 
 def abelian(k):
     """R^k as a one-layer graded algebra."""
+    check_dim(k, "r%d" % k)
     return GradedAlgebra("r%d" % k, [1] * k, {},
                          basis_names=["t%d" % (i + 1) for i in range(k)])
 

@@ -26,6 +26,7 @@ from . import curves as cv
 from . import io as cio
 from . import metric as cmetric
 from . import pdiff
+from . import subgroups as sg
 from .algebra import AlgebraVector, GroupElement, homogeneous_dimension, is_stratified
 from .bch import bch_term, decompose_cn, group_product, series_oracle_product
 
@@ -172,7 +173,6 @@ def cmd_algebra(args):
 # ---------------------------------------------------------------------------
 
 def cmd_subgroups(args):
-    from . import subgroups as sg
     if args.action in ("classify-epi", "classify-mono"):
         what = "invalid morphism file %s" % args.file
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupElement, EmpiricalConstant
+from .algebra import GroupElement, EmpiricalConstant, check_radius
 from .bch import group_product_np
 from .metric import default_metric
 
@@ -440,7 +440,8 @@ def verify_ac_lip_characterization(curve, metric=None):
 def lift_layer_bound(control, algebra, lambdas, steps=512):
     """Sampled sup over the lambda grid and layers i >= 2 of
     |int_0^lam gdot_i| / (A_0^lam(gdot_1 - X) * lam^i), for lifts from the
-    identity, with X = gdot_1(0)."""
+    identity, with X = gdot_1(0).  Each lambda must be a finite number > 0."""
+    lambdas = [check_radius(lam, "lambdas[%d]" % i) for i, lam in enumerate(lambdas)]
     start = GroupElement(algebra, np.zeros(algebra.dim))
     curve = horizontal_lift(control, start, steps=steps)
     t0 = control.domain[0]

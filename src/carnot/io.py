@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import GradedAlgebra, validate_table
+from .algebra import GradedAlgebra, check_dim, validate_table
 from .metric import metric_weights
+from .morphism import GradedMorphism
 
 Q = Fraction
 
@@ -90,6 +91,7 @@ def _read_group_fields(data):
     if not isinstance(data, dict):
         raise ValueError("group: must be a JSON object")
     dim = _field(data, "dim", "dim", int, lo=0)
+    check_dim(dim, "dim")
     step = _field(data, "step", "step", int)
     raw = _field(data, "layers", "layers", list)
     layers = [_field(raw, n, "layers[%d]" % n, int, lo=1) for n in range(len(raw))]
@@ -221,7 +223,6 @@ def load_morphism(path, group_loader):
     """Morphism file: {domain, codomain, matrix} with groups as catalog names
     or paths and rationals as strings.  Schema errors raise ValueError
     naming the field."""
-    from .morphism import GradedMorphism
     with open(path) as f:
         data = json.load(f)
     dom = group_loader(_field(data, "domain", "domain", str))

@@ -10,12 +10,14 @@ a quasi-distance whose quasi-triangle constant is measured, not assumed.
 Distances are left-invariant by construction: d(x, y) = N(x^{-1} y).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .algebra import (GroupElement, EmpiricalConstant, check_radius, check_samples,
                       draw_until, identity_element, masked_sup, streamed, unit_vectors)
 from .bch import group_product, group_product_np
@@ -394,6 +396,7 @@ def verify_product_estimate(metric, nu=1.0, n_factors=3, samples=800, seed=0):
     ball of radius nu / 2.  A candidate that violates a hypothesis is
     discarded; the first `samples` kept, in draw order, give the sup."""
     check_samples(samples)
+    check_samples(n_factors, "n_factors")
     nu = check_radius(nu, "nu")
     alg = metric.algebra
     rng = np.random.default_rng(seed)
@@ -475,10 +478,8 @@ def standard_word_system(algebra, metric=None):
     if algebra.step == 2 and algebra.layer_indices(2):
         idx2 = algebra.layer_indices(2)
         chosen = []
-        import itertools as it
-        from . import linalg
         span = linalg.Span([])
-        for (i, j) in it.combinations(range(m), 2):
+        for (i, j) in itertools.combinations(range(m), 2):
             br = algebra.bracket_coords(algebra.basis_coords(idx1[i]),
                                         algebra.basis_coords(idx1[j]))
             if span.add([br[k] for k in idx2]):

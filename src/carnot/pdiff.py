@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import catalog, linalg
 from .algebra import (check_radius, check_samples, draw_until, homogeneous_dimension,
                       masked_sup, streamed)
 from .bch import group_product_np
@@ -113,7 +113,6 @@ def radial_level_map(h2):
     """f(x1..x5) = (sqrt(x2^2 + x3^2), x4) on the 5-dimensional Heisenberg
     group; its level sets have tangent cones of different bracket type at
     different points."""
-    from . import catalog
     r2 = catalog.get("r2")
 
     def ev(x):
@@ -161,7 +160,6 @@ def vertical_shear_map(h1):
 
 def corner_map(h1):
     """x -> |x_1|: Lipschitz but not P-differentiable on the crease."""
-    from . import catalog
     return PDMap(h1, catalog.get("r1"), lambda x: np.abs(x[..., :1]),
                  name="corner")
 
@@ -1016,7 +1014,6 @@ def tangent_dim_check(solution):
 # ---------------------------------------------------------------------------
 
 def named_map(name):
-    from . import catalog
     if name == "radial_level":
         return radial_level_map(catalog.get("h2"))
     if name == "xcoord":

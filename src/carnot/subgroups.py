@@ -32,6 +32,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .algebra import GradedAlgebra, Polynomial, is_stratified, per_algebra
+from .bch import group_product_coords
 from .morphism import GradedMorphism, check_h_homomorphism
 
 Q = Fraction
@@ -329,7 +330,6 @@ def split_element(g, first, second):
     (first, second).  Solved layer by layer: the group law only feeds lower
     layers into the layer-i correction, so each step is a linear solve.
     Deterministic and exact."""
-    from .bch import group_product_coords
     alg = g.algebra
     if g.scalar_mode != "exact":
         raise ValueError("split_element needs an exact element")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -562,6 +563,29 @@ INPUT_CHECKS = {
         "from carnot import pdiff\n"
         "pdiff.mean_value_ratio(pdiff.named_map('xcoord'), [0.0] * 3, 0.4, 5.0,"
         " bins=0)", "bins must be an integer >= 1"),
+    "product-estimate-no-factors": (
+        "from carnot import catalog, metric\n"
+        "metric.verify_product_estimate(metric.default_metric(catalog.get('h1')),"
+        " n_factors=0)", "n_factors must be an integer >= 1"),
+    "product-estimate-negative-factors": (
+        "from carnot import catalog, metric\n"
+        "metric.verify_product_estimate(metric.default_metric(catalog.get('h1')),"
+        " n_factors=-1)", "n_factors must be an integer >= 1"),
+    "lift-layer-bound-zero-lambda": (
+        "from carnot import catalog\n"
+        "from carnot.curves import lift_layer_bound, make_control\n"
+        "h1 = catalog.get('h1')\n"
+        "lift_layer_bound(make_control(h1, 'circle'), h1, [0.0])",
+        "lambdas[0] must be a finite number > 0"),
+    "lift-layer-bound-negative-lambda": (
+        "from carnot import catalog\n"
+        "from carnot.curves import lift_layer_bound, make_control\n"
+        "h1 = catalog.get('h1')\n"
+        "lift_layer_bound(make_control(h1, 'circle'), h1, [0.1, -0.2])",
+        "lambdas[1] must be a finite number > 0"),
+    "structure-dimension-budget": (
+        "from carnot.algebra import GradedAlgebra\n"
+        "GradedAlgebra('big', [1] * 201, {})", "big: dimension 201 exceeds the budget of 200"),
     "structure-orientation": (
         "from carnot.algebra import GradedAlgebra\n"
         "GradedAlgebra('bad', [1, 1, 2], {(1, 0): {2: 1}})", "i < j"),
@@ -710,7 +734,7 @@ def optimized_checks(tmp_path_factory):
 def test_input_check_raises_value_error(request, probe, optimized):
     script, message = INPUT_CHECKS[probe]
     if not optimized:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             exec(script, {})
         return
     run = request.getfixturevalue("optimized_checks")[probe]

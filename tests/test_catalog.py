@@ -95,9 +95,17 @@ def test_free_nilpotent_dimensions():
         assert validate_grading(g).ok and is_stratified(g)
 
 
-def test_free_nilpotent_budget():
-    with pytest.raises(ValueError):
-        free_nilpotent(5, 5)  # dim 829 >> 200
+def test_dimension_budget_is_read_before_anything_is_built(monkeypatch):
+    # Witt's formula refuses a free algebra before any Hall tree is built,
+    # and a catalog name before its table is
+    monkeypatch.setattr(catalog, "hall_trees", lambda p, step: pytest.fail("built"))
+    for p, step in ((5, 5), (2, 30), (300, 1)):
+        with pytest.raises(ValueError, match="free_%d_%d .*budget of 200" % (p, step)):
+            free_nilpotent(p, step)
+    for name in ("h100", "r201", "free_2_24"):
+        with pytest.raises(ValueError, match="^%s.*budget of 200" % name):
+            catalog.get(name)
+    assert catalog.heisenberg(99).dim == 199 and free_nilpotent(1, 10 ** 9).dim == 1
 
 
 def test_universal_property(rng):

@@ -317,3 +317,125 @@ def test_memoised_builders_read_no_tags_or_basis_names():
     assert _metadata_reads_of_builders(
         "@per_algebra\ndef f(a):\n    return g(a)\ndef g(a):\n    return a.tags\n"
         "def h(a):\n    return a.basis_names\n") == (["f"], [("f", "g", "tags")])
+
+
+# The module order, bottom to top, as the paper builds its calculus: the
+# integer kernel, the graded algebra, morphisms and the group law first, then
+# the catalog and subgroups, metrics and curves, P-differentiability, and the
+# file formats and command line on top.  A module imports only modules
+# earlier in this tuple, and only at module level.
+LAYERS = ("linalg", "algebra", "morphism", "bch", "catalog", "subgroups", "metric",
+          "curves", "pdiff", "io", "cli")
+# the exact side of the one-way exact -> float split: no numpy here
+EXACT_ONLY = ("linalg", "catalog", "subgroups", "io")
+# the Fraction sites of the float side, where exact values enter it: the
+# word-constant coefficients of metric, the exact differentials of pdiff
+FLOAT_FRACTION_BUILDERS = {
+    "metric": {"generating_word"},
+    "curves": set(),
+    "pdiff": {"dfirst_exact", "_exact_sqrt", "lift_differential", "_lift_blocks",
+              "_rational_differential"},
+}
+# the modules that the benchmark's layer tracer keys its entries by.  It
+# wraps a public function at every name that binds it, under the layer of
+# its home module, so a function of any other module imported by name
+# (`from .m import f`) has no entry and fails the traced run; imported as a
+# module object (`from . import m`), it is not rebound and traces cleanly.
+TRACED = frozenset(("linalg", "algebra", "bch", "catalog", "morphism", "subgroups",
+                    "metric", "curves", "pdiff", "io", "cli"))
+
+
+def _carnot_imports(node):
+    """(module, by_name) for each carnot module that the import `node`
+    reaches: by_name is False for a module object (`from . import m`,
+    `import carnot.m`), True for names taken from it (`from .m import f`).
+    The package itself is the module "__init__"."""
+    if isinstance(node, ast.Import):
+        return [((a.name.split(".") + ["__init__"])[1], False) for a in node.names
+                if a.name.split(".")[0] == "carnot"]
+    parts = node.module.split(".") if node.module else []
+    if node.level == 0:
+        if parts[:1] != ["carnot"]:
+            return []
+        parts = parts[1:]
+    if parts:
+        return [(parts[0], True)]
+    return [(a.name, False) for a in node.names]
+
+
+def _order_violations(sources, layers=LAYERS):
+    """The breaches of the module order in `sources`, {module name: source}:
+    an import below module level, a carnot import that is not of an earlier
+    module, a module missing from `layers`, numpy in an exact-only module, and
+    a name imported from a module the tracer does not know."""
+    found = ["%s.py is not in LAYERS" % m for m in sorted(sources)
+             if m != "__init__" and m not in layers]
+    for m, source in sorted(sources.items()):
+        if m == "__init__":
+            continue
+        tree = ast.parse(source, m + ".py")
+        below = layers[:layers.index(m)] if m in layers else ()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = "%s.py:%d" % (m, node.lineno)
+            if node not in tree.body:
+                found.append("%s import below module level" % where)
+            for target, by_name in _carnot_imports(node):
+                if m in layers and target not in below:
+                    found.append("%s imports %s, which is not below it" % (where, target))
+                if by_name and target not in TRACED:
+                    found.append("%s imports names from %s, which the benchmark does not "
+                                 "trace; import the module object" % (where, target))
+            numpy = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                else [node.module or ""] if node.level == 0 else []
+            if m in EXACT_ONLY and any(n.split(".")[0] == "numpy" for n in numpy):
+                found.append("%s imports numpy in an exact-only module" % where)
+    return found
+
+
+def _benchmark_modules():
+    """The MODULES tuple of the benchmark's layer tracer, read from its source."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "layers.py").read_text())
+    return next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "MODULES" for t in n.targets))
+
+
+def test_module_order():
+    # every import points down LAYERS and sits at module top, the exact side
+    # imports no numpy and converts to Fraction only where listed, and the
+    # benchmark's tracer knows every module whose names are imported
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _order_violations(sources) == []
+    assert {m: _fraction_builders(sources[m]) for m in FLOAT_FRACTION_BUILDERS} == \
+        FLOAT_FRACTION_BUILDERS
+    assert set(_benchmark_modules()) == TRACED
+
+
+def test_module_order_check_sees_each_violation():
+    ok = {"linalg": "from fractions import Fraction\n",
+          "algebra": "import numpy as np\nfrom . import linalg\n",
+          "metric": "from .algebra import GradedAlgebra\nfrom carnot import linalg\n"}
+    layers = ("linalg", "algebra", "metric")
+    assert _order_violations(ok, layers) == []
+    planted = {
+        "upward": dict(ok, algebra="from .metric import distance\n"),
+        "nested": dict(ok, metric="def f():\n    import itertools\n"),
+        "numpy": dict(ok, linalg="import numpy\n"),
+        "numpy from": dict(ok, linalg="from numpy.linalg import solve\n"),
+        "unlisted": dict(ok, counters="import time\n"),
+        "by name": dict(ok, counters="", metric="from .counters import tick\n"),
+    }
+    layers_with = {"by name": layers[:2] + ("counters",) + layers[2:]}
+    reports = {k: _order_violations(v, layers_with.get(k, layers)) for k, v in planted.items()}
+    assert reports == {
+        "upward": ["algebra.py:1 imports metric, which is not below it"],
+        "nested": ["metric.py:2 import below module level"],
+        "numpy": ["linalg.py:1 imports numpy in an exact-only module"],
+        "numpy from": ["linalg.py:1 imports numpy in an exact-only module"],
+        "unlisted": ["counters.py is not in LAYERS"],
+        "by name": ["metric.py:1 imports names from counters, which the benchmark does "
+                    "not trace; import the module object"],
+    }, reports
+    assert _order_violations(dict(ok, counters="", metric="from . import counters\n"),
+                             layers_with["by name"]) == []

@@ -261,6 +261,8 @@ GROUP_PROBES = {
     "brackets[0].terms[0].k": lambda g: g["brackets"][0]["terms"][0].update(k=9),
     "layers": lambda g: g["layers"].append(1),
     "step": lambda g: g.update(step=3),
+    # over the dimension budget, refused before the layers are read
+    "dim": lambda g: g.update(dim=201),
 }
 
 
@@ -612,6 +614,7 @@ INPUT_PROBES = {
         "experiment", "lift",
         _write(d, "l.json", {"group": "h1", "control": {"csv": str(d / "nosuch.csv")}})]),
     "group-info-no-file": ("file", lambda d: ["group", "info"]),
+    "group-info-over-budget": ("budget", lambda d: ["group", "info", "h100"]),
     "group-validate-no-file": ("file", lambda d: ["group", "validate"]),
     "group-emit-no-file": ("--catalog", lambda d: ["group", "emit"]),
     "catalog-emit-no-name": ("name", lambda d: ["catalog", "emit"]),
