@@ -287,30 +287,41 @@ def _free_nilpotent_data(p, step):
     dim = len(trees)
     layers = [_tree_degree(t) for t in trees]
     series = [_tree_to_series(t, step) for t in trees]
-    # per-degree word-space expansion matrices for exact coordinates
+    # per degree, the word-space expansion matrix of the Hall elements, as
+    # integers over one denominator, and one factorization of it: a square
+    # block of its rows of full rank and that block's inverse
     by_degree = {}
     for d in range(1, step + 1):
         idxs = [i for i, l in enumerate(layers) if l == d]
         words = sorted({w for i in idxs for w in series[i].terms})
         windex = {w: r for r, w in enumerate(words)}
+        cells = {(windex[w], c): coeff for c, i in enumerate(idxs)
+                 for w, coeff in series[i].terms.items()}
+        nums, scale = linalg.int_form(list(cells.values()))
         mat = linalg.zeros(len(words), len(idxs))
-        for c, i in enumerate(idxs):
-            for w, coeff in series[i].terms.items():
-                mat[windex[w]][c] = coeff
-        by_degree[d] = (idxs, windex, mat)
+        for (r, c), a in zip(cells, nums):
+            mat[r][c] = a
+        rows = linalg.Span(linalg.transpose(mat)).pivots
+        if len(rows) < len(idxs):
+            raise AssertionError("Hall elements of degree %d are not independent" % d)
+        by_degree[d] = (idxs, windex, mat, scale, rows, linalg.inverse_form([mat[r] for r in rows]))
 
     def expand(series_elt, deg):
-        idxs, windex, mat = by_degree[deg]
-        rhs = [Q(0)] * len(windex)
+        """The coordinates {k: c} of a Hall bracket of degree deg, exactly:
+        the solution of mat x = scale * rhs read off the block's rows, and
+        checked on every row."""
+        idxs, windex, mat, scale, rows, (inv, den) = by_degree[deg]
+        rhs = [0] * len(windex)
         for w, coeff in series_elt.terms.items():
-            if len(w) != deg:
-                continue
             r = windex.get(w)
             if r is None:
-                return None
+                raise AssertionError("Hall expansion failed: basis not closed")
             rhs[r] = coeff
-        sol = linalg.solve(mat, rhs)
-        return (idxs, sol)
+        rhs, rden = linalg.int_form(rhs)
+        x = linalg.matvec(inv, [rhs[r] for r in rows])
+        if linalg.matvec(mat, x) != [den * c for c in rhs]:
+            raise AssertionError("Hall expansion failed: basis not closed")
+        return {k: Q(scale * c, den * rden) for k, c in zip(idxs, x) if c}
 
     struct = {}
     for i in range(dim):
@@ -319,15 +330,10 @@ def _free_nilpotent_data(p, step):
             if d > step:
                 continue
             br = series[i].commutator(series[j])
-            if not br.terms:
-                continue
-            expanded = expand(br, d)
-            if expanded is None:
-                raise AssertionError("Hall expansion failed: basis not closed")
-            idxs, sol = expanded
-            terms = {k: c for k, c in zip(idxs, sol) if c != 0}
-            if terms:
-                struct[(i, j)] = terms
+            if br.terms:
+                terms = expand(br, d)
+                if terms:
+                    struct[(i, j)] = terms
     return trees, tuple(layers), struct
 
 

@@ -440,7 +440,8 @@ def verify_ac_lip_characterization(curve, metric=None):
 def lift_layer_bound(control, algebra, lambdas, steps=512):
     """Sampled sup over the lambda grid and layers i >= 2 of
     |int_0^lam gdot_i| / (A_0^lam(gdot_1 - X) * lam^i), for lifts from the
-    identity, with X = gdot_1(0).  Each lambda must be a finite number > 0."""
+    identity, with X = gdot_1(0).  Each lambda must be a finite number > 0,
+    no shorter than the first cell of the lift's grid."""
     lambdas = [check_radius(lam, "lambdas[%d]" % i) for i, lam in enumerate(lambdas)]
     start = GroupElement(algebra, np.zeros(algebra.dim))
     curve = horizontal_lift(control, start, steps=steps)
@@ -448,9 +449,12 @@ def lift_layer_bound(control, algebra, lambdas, steps=512):
     x_ref = _embed_layer1(algebra, control(t0))
     ops = algebra.float_ops()
     sup = 0.0
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         mask = curve.ts <= t0 + lam + 1e-12
         ts = curve.ts[mask]
+        if len(ts) < 2:
+            raise ValueError("lambdas[%d] = %r is shorter than the first cell of the lift, "
+                             "%r" % (i, lam, float(curve.ts[1] - curve.ts[0])))
         gdot = np.gradient(curve.coords[mask], ts, axis=0)
         avg = sup_average(ts, np.linalg.norm(
             ops.project_layer(gdot, 1) - x_ref, axis=-1), ts[0], ts[-1] - ts[0])

@@ -19,6 +19,7 @@ determinant of an int matrix, exact division by the previous pivot.
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,13 +41,13 @@ def matmul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("inner dimensions differ: %d vs %d" % (len(a[0]), len(b)))
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def matvec(a, v):
     if a and len(a[0]) != len(v):
         raise ValueError("%d matrix columns vs %d vector entries" % (len(a[0]), len(v)))
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def int_form(values):

@@ -583,6 +583,12 @@ INPUT_CHECKS = {
         "h1 = catalog.get('h1')\n"
         "lift_layer_bound(make_control(h1, 'circle'), h1, [0.1, -0.2])",
         "lambdas[1] must be a finite number > 0"),
+    "lift-layer-bound-short-lambda": (
+        "from carnot import catalog\n"
+        "from carnot.curves import lift_layer_bound, make_control\n"
+        "h1 = catalog.get('h1')\n"
+        "lift_layer_bound(make_control(h1, 'circle'), h1, [0.1, 0.001], steps=512)",
+        "lambdas[1] = 0.001 is shorter than the first cell of the lift, 0.00613"),
     "structure-dimension-budget": (
         "from carnot.algebra import GradedAlgebra\n"
         "GradedAlgebra('big', [1] * 201, {})", "big: dimension 201 exceeds the budget of 200"),

@@ -10,7 +10,7 @@ from carnot import catalog
 from carnot.algebra import (AlgebraVector, GradedAlgebra, GroupElement,
                             Polynomial, bracket, dilate, unit_vectors)
 from carnot.bch import (_BLOCK_ITEMS, _dynkin_evaluate, _exact_terms, _float_terms,
-                        _law, bch_term, bch_word_polynomial,
+                        _law, _word_plan, bch_term, bch_word_polynomial,
                         bernoulli, bilinear_bound, cn_difference_bound,
                         cn_difference_ratio, cn_remainder, decompose_cn,
                         dexp_word_polynomial, exp_differential,
@@ -477,6 +477,62 @@ def test_dynkin_evaluate_matches_word_by_word(name, rng):
                     series, g, {l: v.coords for l, v in letters.items()}), (name, degree)
 
 
+def test_word_plans_are_folded_by_alternation():
+    # no plan word starts (l, l), which brackets to 0, or (1, 0), which is
+    # -(0, 1, ...); the BCH plan of degree 5 has 13 of the series' 44 words
+    sizes = {}
+    for degree in range(2, 7):
+        for kind, series in (("bch", bch_word_polynomial(degree)),
+                             ("dexp", dexp_word_polynomial(degree))):
+            words, top, lcm_w = _word_plan(series)
+            assert words == sorted(words) and all(num for _, num in words)
+            assert not [w for w, _ in words if len(w) > 1 and (w[0] == w[1] or w[:2] == (1, 0))]
+            assert top == degree
+            assert lcm_w == math.lcm(*(c.denominator * len(w)
+                                       for w, c in series.terms.items() if w))
+            sizes[kind, degree] = len(words)
+    assert [sizes["bch", n] for n in range(2, 7)] == [3, 5, 7, 13, 27]
+    assert len(bch_word_polynomial(5).terms) == 44 and sizes["dexp", 5] == 5
+
+
+def _unfolded_evaluate(series, algebra, letters):
+    """_dynkin_evaluate over every word of the series, unfolded: the integer
+    sum of each word's left-nested bracket_num, over the same denominator."""
+    lcm_w = math.lcm(*(c.denominator * len(w) for w, c in series.terms.items() if w))
+    top = max(map(len, series.terms))
+    den = math.lcm(*(d for _, d in letters.values()))
+    ints = {l: [n * (den // d) for n in nums] for l, (nums, d) in letters.items()}
+    sd = algebra.struct_den
+    acc = [0] * algebra.dim
+    for w, c in series.terms.items():
+        if not w:
+            continue
+        vec = ints[w[0]]
+        for letter in w[1:]:
+            vec = algebra.bracket_num(vec, ints[letter])
+        a = c.numerator * (lcm_w // (c.denominator * len(w))) * (den * sd) ** (top - len(w))
+        acc = [s + a * v for s, v in zip(acc, vec)]
+    return acc, lcm_w * den ** top * sd ** (top - 1)
+
+
+def test_folded_plan_gives_the_same_integers_on_any_table(rng):
+    # folding rests on bracket_num alone being alternating, which holds on
+    # every table: the unreduced integer form is the unfolded one on a
+    # catalog group and on a table that validation refuses ([e1, e4] is
+    # off its layer)
+    broken = GradedAlgebra._induced("broken", [1, 1, 1, 2, 2], (
+        (0, 1, ((3, 2), (4, -1))), (0, 2, ((3, 1),)), (1, 2, ((4, 3),)),
+        (0, 3, ((4, 1),))), 3)
+    for g in (broken, catalog.get("free_2_4")):
+        for _ in range(3):
+            x, y = rational_vector(g, rng), rational_vector(g, rng)
+            for degree in range(2, 7):
+                for series in (bch_word_polynomial(degree), dexp_word_polynomial(degree)):
+                    letters = {0: x.int_form, 1: y.int_form}
+                    assert _dynkin_evaluate(series, g, letters) == \
+                        _unfolded_evaluate(series, g, letters), (g.name, degree)
+
+
 def test_oracles_on_a_fractional_table(rng):
     g = _fractional_table()
     for _ in range(5):
@@ -597,8 +653,13 @@ def test_exact_kernels_equal_the_table_loop(name, rng):
     pairs = [(rational_vector(g, rng), rational_vector(g, rng)) for _ in range(3)]
     pairs.append(tuple(AlgebraVector(g, [Q(int(rng.integers(-10 ** 6, 10 ** 6)), d)
                                          for _ in range(g.dim)]) for d in (7, 10 ** 6 + 3)))
+    # two factors over one denominator d, which enter the kernels as they are
+    pairs += [tuple(AlgebraVector(g, [Q(int(rng.integers(-9, 10)) if k else 1, d)
+                                      for k in range(g.dim)]) for _ in range(2)) for d in (1, 6)]
     for x, y in pairs:
-        assert _exact_terms(g, x.int_form, y.int_form, 0) == \
+        # a list form gives what its tuple form gives
+        lists = [(list(nums), den) for nums, den in (x.int_form, y.int_form)]
+        assert _exact_terms(g, x.int_form, y.int_form, 0) == _exact_terms(g, *lists, 0) == \
             _exact_loop(g, x, y, range(1, g.step + 1)), name
         for n in range(1, g.step + 1):
             assert _exact_terms(g, x.int_form, y.int_form, n) == _exact_loop(g, x, y, (n,))

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from carnot import catalog
+from carnot import catalog, linalg
 from carnot.algebra import (AlgebraVector, GradedAlgebra, bracket, homogeneous_dimension,
                             is_stratified, validate_grading)
+from carnot.bch import FreeSeries
 from carnot.catalog import (HTypeData, free_lie_extension, free_nilpotent,
                             h_type_from_J, hall_trees, witt_dimension)
 from carnot.morphism import check_h_homomorphism
@@ -106,6 +108,61 @@ def test_dimension_budget_is_read_before_anything_is_built(monkeypatch):
         with pytest.raises(ValueError, match="^%s.*budget of 200" % name):
             catalog.get(name)
     assert catalog.heisenberg(99).dim == 199 and free_nilpotent(1, 10 ** 9).dim == 1
+
+
+def _hall_table_by_solves(p, step):
+    """The Hall structure constants by one linalg.solve per bracket, over the
+    words of the bracket and of the Hall elements of its degree: the
+    reference of the per-degree factorization."""
+    trees = [t for level in hall_trees(p, step) for t in level]
+    layers = [len(catalog._foliage(t)) for t in trees]
+    series = [catalog._tree_to_series(t, step) for t in trees]
+    struct = {}
+    for i, j in itertools.combinations(range(len(trees)), 2):
+        d = layers[i] + layers[j]
+        br = series[i].commutator(series[j])
+        if d > step or not br.terms:
+            continue
+        idxs = [k for k, l in enumerate(layers) if l == d]
+        words = sorted({w for k in idxs for w in series[k].terms} | set(br.terms))
+        sol = linalg.solve([[series[k].terms.get(w, 0) for k in idxs] for w in words],
+                           [br.terms.get(w, 0) for w in words])
+        assert sol is not None, (p, step, i, j)
+        terms = {k: c for k, c in zip(idxs, sol) if c}
+        if terms:
+            struct[(i, j)] = terms
+    return struct
+
+
+@pytest.mark.parametrize("p, step", [(2, 5), (3, 3), (2, 6)])
+def test_hall_table_factors_once_per_degree(monkeypatch, p, step):
+    # the table read off one factorization per degree is the one of a solve
+    # per bracket, and building it runs at most two eliminations per degree:
+    # one that picks the block's rows, one that inverts the block
+    eliminations = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: eliminations.append(1) or echelon(rows))
+    _, _, struct = catalog._free_nilpotent_data.__wrapped__(p, step)
+    assert 0 < len(eliminations) <= 2 * step
+    monkeypatch.undo()
+    assert list(struct.items()) == list(_hall_table_by_solves(p, step).items())
+
+
+def test_hall_expansion_outside_the_basis_fails_by_name(monkeypatch):
+    # a bracket that the Hall elements of its degree do not span raises the
+    # named AssertionError, also when its words are theirs: here the
+    # element [[x2,x1],x1] of free_2_3 is replaced by the sum of its words
+    real = catalog._tree_to_series
+
+    def skewed(tree, degree):
+        if tree == (((1,), (0,)), (0,)):
+            return FreeSeries(degree, {w: Q(1) for w in real(tree, degree).terms})
+        return real(tree, degree)
+
+    monkeypatch.setattr(catalog, "_tree_to_series", skewed)
+    with pytest.raises(AssertionError, match="Hall expansion failed: basis not closed"):
+        catalog._free_nilpotent_data.__wrapped__(2, 3)
 
 
 def test_universal_property(rng):

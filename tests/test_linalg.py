@@ -146,6 +146,34 @@ def test_inverse_or_none(m):
         assert linalg.matmul(inv, m) == linalg.identity(n)
 
 
+def _generator_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in linalg.transpose(b)] for row in a]
+
+
+# int entries, zero half of the time
+ints = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@PROPS
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.tuples(*(st.lists(st.lists(kind, min_size=s[1], max_size=s[1]),
+                                   min_size=s[0], max_size=s[0]) for kind in (ints, entries)),
+                        st.lists(st.lists(ints | entries, min_size=s[2], max_size=s[2]),
+                                 min_size=s[1], max_size=s[1]),
+                        st.lists(ints, min_size=s[1], max_size=s[1]))))
+def test_matmul_and_matvec_are_the_generator_sums(case):
+    # int entries stay int; Fraction and mixed int/Fraction matrices give
+    # the generator-sum products, entry for entry
+    a_int, a_frac, b_mixed, v_int = case
+    b_int = [[x if type(x) is int else x.numerator for x in row] for row in b_mixed]
+    for a, b, v in ((a_int, b_int, v_int), (a_frac, b_mixed, v_int), (a_int, b_mixed, v_int),
+                    (a_frac, b_int, [Q(x, 3) for x in v_int])):
+        assert linalg.matmul(a, b) == _generator_matmul(a, b)
+        assert linalg.matvec(a, v) == [sum(x * y for x, y in zip(row, v)) for row in a]
+    assert all(type(x) is int for row in linalg.matmul(a_int, b_int) for x in row)
+    assert all(type(x) is int for x in linalg.matvec(a_int, v_int))
+
+
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         linalg.rref([[Q(1), 0.5]])
